@@ -8,6 +8,15 @@ roots it sends negative, descent sets are read off the images of simple
 roots, and the longest element of any standard parabolic is built greedily.
 These permutations are the simple elements of the Garside structure.
 
+A root system with at most 256 roots (every exceptional type, I2(m) for
+m <= 128, A_n for n <= 15, B_n and D_n for n <= 11) stores each permutation
+as a 256-byte translation table, identity past the last root: the product
+is one bytes.translate call and the inverse one bytes.maketrans call.
+Larger root systems store tuples of root indices.  The root system picks
+its encoding once, from its root count; both encodings list the images of
+the roots in the same order and compare lexicographically alike, so every
+ordering of elements is the same under either.
+
 Vertex numbering of the defining graphs:
 
     A_n   s1 - s2 - ... - sn
@@ -28,10 +37,34 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import Disconnected, MixedContext, UnsupportedType
+from .errors import Disconnected, InvariantViolated, MixedContext, UnsupportedType
 from .rings import Coeffs, CosRing
 
 FAMILIES = ("A", "B", "D", "E", "F", "H", "I2")
+
+IDENT256 = bytes(range(256))
+
+
+def _tuple_after(op: tuple[int, ...], sp: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation i -> sp[op[i]] (apply op, then sp)."""
+    return tuple(sp[i] for i in op)
+
+
+def _tuple_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _table(perm) -> bytes:
+    """A permutation of range(k), k <= 256, as a translation table."""
+    return bytes(perm) + IDENT256[len(perm):]
+
+
+def _table_inverse(perm: bytes) -> bytes:
+    return bytes.maketrans(perm, IDENT256)
+
 
 # number of roots per type, used as a closure sanity check
 def _root_count(family: str, rank: int, m: int | None) -> int:
@@ -296,35 +329,47 @@ class RootSystem:
                     roots.append(img)
                     frontier.append(img)
         expect = graph.type.root_count
-        assert len(roots) == expect, f"{graph.type}: {len(roots)} roots, expected {expect}"
+        if len(roots) != expect:
+            raise InvariantViolated(
+                f"{graph.type}: {len(roots)} roots, expected {expect}"
+            )
 
         self.roots = tuple(roots)
         self.index = index
         self.simple_index = tuple(index[r] for r in simple)
-        self.gen_perm = tuple(
-            tuple(index[reflect(i, r)] for r in roots) for i in range(n)
-        )
 
         def first_sign(root: tuple[Coeffs, ...]) -> int:
             for c in root:
                 s = ring.sign(c)
                 if s:
                     return s
-            raise AssertionError("zero root")
+            raise InvariantViolated(f"{graph.type}: zero root")
 
         self.is_positive_root = tuple(first_sign(r) > 0 for r in roots)
         self.positive_indices = tuple(
             i for i, p in enumerate(self.is_positive_root) if p
         )
-        assert 2 * len(self.positive_indices) == len(roots)
+        if 2 * len(self.positive_indices) != len(roots):
+            raise InvariantViolated(
+                f"{graph.type}: {len(self.positive_indices)} positive roots"
+                f" of {len(roots)}"
+            )
 
-        self._elements: dict[tuple[int, ...], CoxeterElement] = {}
+        # the permutation encoding; _after(op, sp) is i -> sp[op[i]]
+        if len(roots) <= 256:
+            encode, self._after, self._invert = _table, bytes.translate, _table_inverse
+        else:
+            encode, self._after, self._invert = tuple, _tuple_after, _tuple_inverse
+        self._elements: dict[tuple[int, ...] | bytes, CoxeterElement] = {}
         self._next_uid = 0
-        self.identity = self.element(tuple(range(len(roots))))
-        self.generators = tuple(self.element(p) for p in self.gen_perm)
+        self.identity = self.element(encode(range(len(roots))))
+        self.generators = tuple(
+            self.element(encode([index[reflect(i, r)] for r in roots]))
+            for i in range(n)
+        )
         self._gen_of_perm = {g.perm: i for i, g in enumerate(self.generators)}
 
-    def element(self, perm: tuple[int, ...]) -> CoxeterElement:
+    def element(self, perm: tuple[int, ...] | bytes) -> CoxeterElement:
         el = self._elements.get(perm)
         if el is None:
             el = CoxeterElement(self, perm, self._next_uid)
@@ -345,28 +390,26 @@ def root_reflection_table(spec: str) -> RootSystem:
 class CoxeterElement:
     """An element of the finite Coxeter group, as a permutation of roots.
 
-    Instances are interned per root system, so equality is identity and the
-    length / descent data computed once is shared.
+    `perm[i]` is the index of the image of root i: a 256-byte translation
+    table (identity past the last root) when the root system has at most
+    256 roots, else a tuple of ints.  Instances are interned per root
+    system, so equality is identity and the length / descent data computed
+    once is shared.  The hash is the interning serial number `uid`, which
+    does not depend on PYTHONHASHSEED (bytes hashes do).
     """
 
-    __slots__ = ("system", "perm", "uid", "_hash", "_length", "_inverse", "_supp")
+    __slots__ = ("system", "perm", "uid", "_length", "_inverse", "_supp")
 
-    def __init__(self, system: RootSystem, perm: tuple[int, ...], uid: int):
+    def __init__(self, system: RootSystem, perm: tuple[int, ...] | bytes, uid: int):
         self.system = system
         self.perm = perm
         self.uid = uid
-        self._hash = hash(perm)
         self._length: int | None = None
         self._inverse: CoxeterElement | None = None
         self._supp: frozenset[int] | None = None
 
     def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, CoxeterElement) and self.perm == other.perm
+        return self.uid
 
     def __repr__(self) -> str:
         word = " ".join(self.system.graph.name(i) for i in self.reduced_word())
@@ -384,20 +427,17 @@ class CoxeterElement:
 
     @property
     def is_identity(self) -> bool:
-        return self.length == 0
+        return self is self.system.identity
 
     def __mul__(self, other: CoxeterElement) -> CoxeterElement:
-        if self.system is not other.system:
+        system = self.system
+        if system is not other.system:
             raise MixedContext("elements from different root systems")
-        op, sp = other.perm, self.perm
-        return self.system.element(tuple(sp[i] for i in op))
+        return system.element(system._after(other.perm, self.perm))
 
     def inverse(self) -> CoxeterElement:
         if self._inverse is None:
-            inv = [0] * len(self.perm)
-            for i, j in enumerate(self.perm):
-                inv[j] = i
-            self._inverse = self.system.element(tuple(inv))
+            self._inverse = self.system.element(self.system._invert(self.perm))
             self._inverse._inverse = self
         return self._inverse
 

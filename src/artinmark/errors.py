@@ -120,6 +120,10 @@ class PreconditionViolated(ArtinMarkError):
     """Operation preconditions not met."""
 
 
+class InvariantViolated(ArtinMarkError):
+    """An internal invariant failed: a bug, not bad input."""
+
+
 class UnknownFormat(ArtinMarkError):
     """Unknown export format."""
 

@@ -13,6 +13,12 @@ peels common left descents, and the join is obtained from the meet through
 the complement anti-automorphisms x -> x^-1 w0 and x -> w0 x^-1.  No table
 of W is ever materialized, so the same code serves I2(3) and E8.
 
+Products are incremental: each factor of the right operand is appended to
+the (left-weighted) body and one right-to-left sweep of slides restores
+left-weightedness, stopping at the first pair that is already normal
+(Epstein et al., Word Processing in Groups, ch. 9).  Every other
+constructor goes through the same sweep.
+
 Signed generator words enter through the usual rewrite s^-1 = Delta^-1 *
 (Delta s^-1), after which Delta powers are commuted to the front with the
 conjugation automorphism tau(x) = w0 x w0.
@@ -143,37 +149,47 @@ class GarsideContext:
         if key in self._slide:
             return self._slide[key]
         alpha = self.gcd_simples(self.right_complement(u), v)
-        if alpha.is_identity:
+        if alpha is self.system.identity:
             result = None
         else:
             result = (u * alpha, alpha.inverse() * v)
         self._slide[key] = result
         return result
 
+    def _sweep(
+        self, body: list[CoxeterElement], factors: Iterable[CoxeterElement]
+    ) -> tuple[int, tuple[CoxeterElement, ...]]:
+        """Right-multiply a left-weighted body by simples: (Delta gain, body).
+
+        Each factor is appended and slid leftwards.  By the domino rule a
+        slide leaves the pair to its right left-weighted, so once a pair
+        does not slide the body is left-weighted again; only the last pair
+        can vanish.  w0 factors gather at the front and become the gain.
+        """
+        one, slide = self.system.identity, self._slide_pair
+        for x in factors:
+            if x is one:
+                continue
+            body.append(x)
+            for i in range(len(body) - 2, -1, -1):
+                slid = slide(body[i], body[i + 1])
+                if slid is None:
+                    break
+                body[i] = slid[0]
+                if slid[1] is one:
+                    del body[i + 1]
+                else:
+                    body[i + 1] = slid[1]
+        gain = 0
+        while gain < len(body) and body[gain] is self.delta_w:
+            gain += 1
+        return gain, tuple(body[gain:])
+
     def normalize_factors(
         self, factors: Iterable[CoxeterElement]
     ) -> tuple[int, tuple[CoxeterElement, ...]]:
         """Normal form of a product of simples: (Delta gain, body)."""
-        body = [x for x in factors if not x.is_identity]
-        changed = True
-        while changed:
-            changed = False
-            i = 0
-            while i < len(body) - 1:
-                slid = self._slide_pair(body[i], body[i + 1])
-                if slid is not None:
-                    changed = True
-                    body[i] = slid[0]
-                    if slid[1].is_identity:
-                        del body[i + 1]
-                    else:
-                        body[i + 1] = slid[1]
-                i += 1
-        gain = 0
-        while body and body[0] is self.delta_w:
-            gain += 1
-            body.pop(0)
-        return gain, tuple(body)
+        return self._sweep([], factors)
 
     # -- element constructors --------------------------------------------
 
@@ -254,14 +270,17 @@ class ArtinElement:
     __slots__ = ("ctx", "inf", "body", "_hash")
 
     def __init__(self, ctx: GarsideContext, inf: int, body: tuple[CoxeterElement, ...]):
-        assert all(not x.is_identity for x in body)
+        assert ctx.system.identity not in body
         assert not body or body[0] is not ctx.delta_w
         self.ctx = ctx
         self.inf = inf
         self.body = body
-        self._hash = hash((inf,) + tuple(x.uid for x in body))
+        self._hash: int | None = None
 
     def __hash__(self) -> int:
+        # computed on demand: most products are intermediate and never hashed
+        if self._hash is None:
+            self._hash = hash((self.inf,) + tuple(x.uid for x in self.body))
         return self._hash
 
     def __eq__(self, other: object) -> bool:
@@ -314,8 +333,9 @@ class ArtinElement:
         if self.ctx is not other.ctx:
             raise MixedContext("elements from different groups")
         ctx = self.ctx
-        moved = tuple(ctx.tau(x, other.inf) for x in self.body)
-        return ctx.element(self.inf + other.inf, moved + other.body)
+        moved = [ctx.tau(x, other.inf) for x in self.body]
+        gain, body = ctx._sweep(moved, other.body)
+        return ArtinElement(ctx, self.inf + other.inf + gain, body)
 
     def inverse(self) -> ArtinElement:
         ctx = self.ctx
@@ -327,6 +347,8 @@ class ArtinElement:
         return ctx.element(-p - len(body), factors)
 
     def __pow__(self, exp: int) -> ArtinElement:
+        if not self.body:
+            return ArtinElement(self.ctx, self.inf * exp, ())
         base = self if exp >= 0 else self.inverse()
         out = self.ctx.identity
         for _ in range(abs(exp)):

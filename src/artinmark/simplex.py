@@ -462,11 +462,18 @@ def _scan_exponent(
     scope: Subset,
 ) -> tuple[int, ArtinElement]:
     bound = abs(residue.inf) + residue.canonical_length + 1
-    for n in range(0, bound + 1):
-        for signed in ((n,) if n == 0 else (n, -n)):
-            candidate = residue * delta_x ** (-signed)
-            if member_of_standard(candidate, scope):
-                return signed, candidate
+    if member_of_standard(residue, scope):
+        return 0, residue
+    # residue * Delta_X^-n and residue * Delta_X^n, one product per step
+    down = up = residue
+    delta_inv = delta_x.inverse()
+    for n in range(1, bound + 1):
+        down = down * delta_inv
+        if member_of_standard(down, scope):
+            return n, down
+        up = up * delta_x
+        if member_of_standard(up, scope):
+            return -n, up
     raise ExponentBoundExceeded(bound)
 
 

@@ -6,7 +6,12 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   bidirectional relation rewriting (the braid relation applied at every
   position, both directions), which presents the Artin monoid exactly;
 * the Coxeter-group oracle enumerates W by closure under generators and
-  answers prefix-order questions from the length function alone.
+  answers prefix-order questions from the length function alone;
+* the tuple kernel composes and inverts root permutations as plain int
+  tuples, independent of the library's byte-table encoding;
+* the fixed-point normalizer re-runs left-to-right slide passes over the
+  whole factor list until nothing moves, independent of the library's
+  one-sweep products.
 """
 
 from __future__ import annotations
@@ -100,3 +105,78 @@ def _w_cache(spec: str):
 
 def all_w(spec: str):
     return _w_cache(spec)
+
+
+# -- tuple kernel ----------------------------------------------------------
+
+
+def root_perm(w) -> tuple[int, ...]:
+    """The permutation of the roots, as an int tuple of length #roots."""
+    return tuple(w.perm[: len(w.system.roots)])
+
+
+def tuple_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Root permutation of the product (first b, then a)."""
+    return tuple(a[i] for i in b)
+
+
+def tuple_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return tuple(inv)
+
+
+# -- fixed-point normal forms ------------------------------------------------
+
+
+def fixed_point_normalize(ctx, inf: int, factors) -> tuple[int, tuple]:
+    """(inf, body) of Delta^inf * factors, by slide passes to a fixed point."""
+    body = [x for x in factors if not x.is_identity]
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(body) - 1:
+            slid = ctx._slide_pair(body[i], body[i + 1])
+            if slid is not None:
+                changed = True
+                body[i] = slid[0]
+                if slid[1].is_identity:
+                    del body[i + 1]
+                else:
+                    body[i + 1] = slid[1]
+            i += 1
+    while body and body[0] is ctx.delta_w:
+        inf += 1
+        body.pop(0)
+    return inf, tuple(body)
+
+
+def fixed_point_from_word(ctx, word) -> tuple[int, tuple]:
+    """Normal form of a signed word: s^-1 = Delta^-1 (Delta s^-1), Deltas to the front."""
+    factors, dpows = [], []
+    for i, sign in word:
+        g = ctx.system.generators[i]
+        factors.append(g if sign > 0 else ctx.left_complement(g))
+        dpows.append(0 if sign > 0 else -1)
+    total = 0
+    for k in range(len(factors) - 1, -1, -1):
+        factors[k] = ctx.tau(factors[k], total)
+        total += dpows[k]
+    return fixed_point_normalize(ctx, total, factors)
+
+
+def fixed_point_product(a, b) -> tuple[int, tuple]:
+    ctx = a.ctx
+    moved = [ctx.tau(x, b.inf) for x in a.body]
+    return fixed_point_normalize(ctx, a.inf + b.inf, moved + list(b.body))
+
+
+def fixed_point_inverse(a) -> tuple[int, tuple]:
+    ctx, n = a.ctx, len(a.body)
+    factors = [
+        ctx.tau(ctx.left_complement(x), a.inf + n - 1 - k)
+        for k, x in enumerate(reversed(a.body))
+    ]
+    return fixed_point_normalize(ctx, -a.inf - n, factors)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +241,30 @@ def test_seed_file_payload(tmp_path, capsys):
         "0",
     )
     assert code == 0 and out.strip() == "0"
+
+
+def test_stdout_identical_across_hash_seeds():
+    script = (
+        "import sys\n"
+        "from artinmark.cli import run_command\n"
+        "sys.exit(max(run_command(argv) for argv in %r))\n"
+    ) % [
+        ["--type", "E8", "nf", "s1 s3^-1 s2 s8 s4^-1 s1 s7 s5^-1 s6 s2^-1"],
+        ["--type", "A3", "--radius", "1", "--format", "json", "bfs", a3_marking_json()],
+        ["--type", "B3", "--format", "json", "conj-graph"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            check=True,
+            timeout=300,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0].startswith(b"DELTA^") and b'"edges"' in outputs[0]
+    assert outputs[0] == outputs[1] == outputs[2]

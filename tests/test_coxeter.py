@@ -1,18 +1,22 @@
 import itertools
+import random
 
 import pytest
 
+from artinmark import coxeter
 from artinmark.coxeter import (
     ArtinType,
+    RootSystem,
     build_defining_graph,
     cox_support,
     descents,
     longest_element,
     root_reflection_table,
 )
-from artinmark.errors import Disconnected, UnsupportedType
+from artinmark.errors import Disconnected, InvariantViolated, UnsupportedType
+from artinmark.garside import context, normalize
 
-from oracles import all_w
+from oracles import all_w, root_perm, tuple_inverse, tuple_product
 
 
 def test_type_parsing_roundtrip():
@@ -204,3 +208,40 @@ def test_components():
     comps = g.components(frozenset({0, 1, 3}))
     assert sorted(map(sorted, comps)) == [[0, 1], [3]]
     assert g.components(frozenset()) == []
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3", "I2(5)", "E8"])
+def test_products_and_inverses_match_tuple_kernel(spec):
+    rs = root_reflection_table(spec)
+    rng = random.Random(spec)
+    elements = []
+    for _ in range(12):
+        w, perm = rs.identity, root_perm(rs.identity)
+        for _ in range(rng.randrange(1, 30)):
+            g = rng.choice(rs.generators)
+            w, perm = w * g, tuple_product(perm, root_perm(g))
+        assert root_perm(w) == perm
+        elements.append(w)
+    for a in elements:
+        assert root_perm(a.inverse()) == tuple_inverse(root_perm(a))
+        assert a.inverse().inverse() is a
+        assert (a * a.inverse()).is_identity
+        for b in elements:
+            assert root_perm(a * b) == tuple_product(root_perm(a), root_perm(b))
+
+
+@pytest.mark.parametrize("spec,roots,delta_len", [("A16", 272, 136), ("B12", 288, 144)])
+def test_more_than_256_roots(spec, roots, delta_len):
+    ctx = context(spec)
+    assert len(ctx.system.roots) == roots
+    assert ctx.delta_len == delta_len
+    w0_word = " ".join(ctx.graph.name(i) for i in ctx.delta_w.reduced_word())
+    assert normalize(ctx, w0_word) == ctx.delta
+    g = normalize(ctx, "s1 s5^-1 s2 s9 s12^-1 s3 s3 s1^-1")
+    assert (g * g.inverse()).is_identity
+
+
+def test_wrong_root_count_raises_invariant_violated(monkeypatch):
+    monkeypatch.setattr(coxeter, "_root_count", lambda family, rank, m: 7)
+    with pytest.raises(InvariantViolated):
+        RootSystem(build_defining_graph("A2"))

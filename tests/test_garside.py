@@ -19,7 +19,15 @@ from artinmark.garside import (
     support,
 )
 
-from oracles import all_w, oracle_equal_positive, w_prefix, word_partition
+from oracles import (
+    all_w,
+    fixed_point_from_word,
+    fixed_point_inverse,
+    fixed_point_product,
+    oracle_equal_positive,
+    w_prefix,
+    word_partition,
+)
 
 
 def gens(ctx, *names):
@@ -309,3 +317,37 @@ def test_word_text_roundtrip():
     text = word_to_text(ctx.graph, word)
     assert text == "s1 s3^-1 s2 s1^-1"
     assert parse_word(ctx.graph, text) == word
+
+
+def random_signed_word(rng, rank, length):
+    return tuple((rng.randrange(rank), rng.choice((1, -1))) for _ in range(length))
+
+
+@pytest.mark.parametrize(
+    "spec,length",
+    [("A3", 12), ("B3", 12), ("D4", 12), ("H3", 12), ("I2(5)", 12), ("E6", 12), ("E8", 8)],
+)
+def test_sweep_matches_fixed_point_normalizer(spec, length):
+    ctx = context(spec)
+    rng = random.Random(spec)
+    elements = []
+    for _ in range(10):
+        word = random_signed_word(rng, ctx.rank, rng.randrange(length + 1))
+        g = ctx.from_word(word)
+        assert (g.inf, g.body) == fixed_point_from_word(ctx, word)
+        assert (g.inverse().inf, g.inverse().body) == fixed_point_inverse(g)
+        elements.append(g)
+    for a in elements[:6]:
+        for b in elements:
+            ab = a * b
+            assert (ab.inf, ab.body) == fixed_point_product(a, b)
+
+
+def test_delta_only_powers_closed_form():
+    ctx = context("B3")
+    for k in range(-4, 5):
+        expected = ctx.identity
+        for _ in range(abs(k)):
+            expected = expected * (ctx.delta if k > 0 else ctx.delta.inverse())
+        assert ctx.delta**k == expected
+        assert (ctx.delta**2) ** k == expected * expected
