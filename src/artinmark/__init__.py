@@ -76,7 +76,6 @@ from .parabolic import (
     minimal_standardizer,
     simultaneous_standardizer,
     standard_conjugate,
-    z_of_parabolic,
 )
 from .ribbons import Ribbon, elementary_ribbon, ribbon_delta_form
 from .simplex import (

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .errors import (
     ArtinMarkError,
     BaseNotMaximal,
+    CachedError,
     NotIrreducible,
     NotProper,
     NotStandard,
@@ -69,7 +70,7 @@ class Marking:
     """Ordered pairs (base, transverse); equality ignores the order."""
 
     __slots__ = (
-        "ctx", "pairs", "_key", "_base", "_base_hint", "_pair_vertex", "_cert", "_proj",
+        "ctx", "pairs", "_key", "_base", "_pair_vertex", "_cert", "_proj",
     )
 
     def __init__(self, ctx: GarsideContext, pairs):
@@ -77,7 +78,6 @@ class Marking:
         self.pairs: tuple[Pair, ...] = tuple((p, q) for p, q in pairs)
         self._key: str | None = None
         self._base: CparabSimplex | None = None
-        self._base_hint: ArtinElement | None = None
         self._pair_vertex: tuple[int, ...] | None = None
         self._cert: MarkingCertificate | None = None
         self._proj: dict[int, int] = {}
@@ -112,8 +112,6 @@ class Marking:
     def base_simplex(self) -> CparabSimplex:
         if self._base is None:
             self._base = CparabSimplex(self.ctx, [p for p, _ in self.pairs])
-            if self._base_hint is not None:
-                self._base.suggest_standardizer(self._base_hint)
             keys = {v.key(): i for i, v in enumerate(self._base.vertices)}
             self._pair_vertex = tuple(keys[p.key()] for p, _ in self.pairs)
         return self._base
@@ -124,15 +122,10 @@ class Marking:
         return self._pair_vertex[j]
 
     def conjugated_by(self, x: ArtinElement) -> Marking:
-        moved = Marking(
+        return Marking(
             self.ctx,
             [(p.conjugated_by(x), q.conjugated_by(x)) for p, q in self.pairs],
         )
-        if self._base is not None and self._base._canonical is not None:
-            moved._base_hint = x * self._base._canonical[0]
-        elif self._base_hint is not None:
-            moved._base_hint = x * self._base_hint
-        return moved
 
     def all_standard(self) -> bool:
         return all(
@@ -147,11 +140,11 @@ class Marking:
                 try:
                     value = validate_marking(self)
                 except ArtinMarkError as err:
-                    cache[self.ordered_key()] = err
+                    cache[self.ordered_key()] = CachedError.of(err)
                     raise
                 cache[self.ordered_key()] = value
-            if isinstance(value, ArtinMarkError):
-                raise value
+            if isinstance(value, CachedError):
+                raise value.rebuild()
             self._cert = value
         return self._cert
 
@@ -252,8 +245,8 @@ def decompose_transversal(
     cache_key = (q.conj, q.gens, base.conj, base.gens, g)
     hit = cache.get(cache_key)
     if hit is not None:
-        if isinstance(hit, ArtinMarkError):
-            raise hit
+        if isinstance(hit, CachedError):
+            raise hit.rebuild()
         return TransversalData(index, hit[0], hit[1])
     g_inv = g.inverse()
     c, x = base.conjugated_by(g_inv).canonical()
@@ -271,7 +264,7 @@ def decompose_transversal(
                 cache[cache_key] = (signed, target)
                 return TransversalData(index, signed, target)
     error = ScanExhausted(bound)
-    cache[cache_key] = error
+    cache[cache_key] = CachedError.of(error)
     raise error
 
 
@@ -408,9 +401,7 @@ def _flip_candidate_table(
     h = shared_flip_standardizer(marking, j)
     h_inv = h.inverse()
     new_base = [q_j if i == j else pairs[i][0] for i in range(len(pairs))]
-    new_simplex = CparabSimplex(ctx, new_base)
-    new_simplex.suggest_standardizer(h)
-    _ghat2, std2 = new_simplex.canonical_data()
+    _ghat2, std2 = CparabSimplex(ctx, new_base).canonical_data()
     if not std2.is_maximal:
         raise BaseNotMaximal("flipped base is not maximal")
     z_base = [q.z_element() if i == j else p.z_element()

@@ -3,11 +3,22 @@
 A parabolic subgroup is stored as a pair (conj, gens) representing
 conj * A_gens * conj^-1.  Equality and hashing go through the canonical
 form: the unique minimal positive standardizer c and target subset Y with
-P = c A_Y c^-1, found by a breadth-first search over the prefix lattice of
-a positive standardizer seed.  The standardness test for a candidate c is
-cheap: c^-1 z_P c must be positive, its support names the only possible
-target subset, and two-sided generator membership certifies the equality
-of subgroups.
+P = c A_Y c^-1.
+
+The minimal standardizer is found by a descent, not a search.  Positive
+standardizers are closed under left gcd, so the minimum m left-divides every
+positive standardizer c (Cumplido, J. Algebraic Combin. 2019): c = m r, where
+r conjugates A_Y onto the target of m.  Such an r is a positive ribbon times
+an element of A_Y^+, and every positive ribbon is a product of elementary
+ribbons d_{Y,t} (Paris, J. Algebra 1997).  So while c != m, some atom of Y
+or some d_{Y,t} with t outside Y right-divides c; stripping it leaves a
+positive standardizer, with the ribbon's target as the new Y.  The descent
+starts from Delta^(2N) conj and stops when nothing can be stripped.
+
+A family with pairwise commuting z's has a minimal simultaneous standardizer
+m too.  Given a prefix c of m, the least standardizer of P_i above c is
+c * (minimal standardizer of c^-1 P_i c), which divides m; multiplying those
+in round-robin from c = 1 therefore climbs to m.
 
 The Paris conjugacy graph for standard parabolic subgroups is built from
 the defining graph alone: edges (Y, t, t') exist when some connected
@@ -17,14 +28,19 @@ generated by Delta^2) and its conjugation permutation moves t.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .coxeter import DefiningGraph
 from .errors import (
     Disconnected,
     EmptySubset,
+    InvariantViolated,
     MixedContext,
-    SearchBudgetExceeded,
+    NotASimplex,
+    NotAnXRibbonX,
+    NotIrreducible,
+    NotProper,
 )
 from .garside import ArtinElement, GarsideContext, member_of_standard, parse_element
 
@@ -51,11 +67,6 @@ def central_generator_z(ctx: GarsideContext, subset: Subset) -> ArtinElement:
     return out
 
 
-def z_of_parabolic(p: ParabolicSubgroup) -> ArtinElement:
-    """z_P = conj * z_X * conj^-1; independent of the representation."""
-    return p.z_element()
-
-
 def delta_permutation(ctx: GarsideContext, subset: Subset) -> dict[int, int]:
     """The permutation s -> Delta_X s Delta_X^-1 of a connected subset."""
     subset = frozenset(subset)
@@ -65,7 +76,8 @@ def delta_permutation(ctx: GarsideContext, subset: Subset) -> dict[int, int]:
     out = {}
     for s in subset:
         image = ctx.system.generator_of(w0x * ctx.system.generators[s] * w0x.inverse())
-        assert image is not None and image in subset
+        if image not in subset:
+            raise InvariantViolated(f"Delta_X does not permute the generators {sorted(subset)}")
         out[s] = image
     return out
 
@@ -206,98 +218,117 @@ def _standard_target(
     return target
 
 
+@dataclass(frozen=True)
+class Ribbon:
+    """A positive conjugator carrying the source generator set to the target."""
+
+    element: ArtinElement
+    source: Subset
+    target: Subset
+    moved_component: Subset
+
+    def __mul__(self, earlier: Ribbon) -> Ribbon:
+        """Composite ribbon applying `earlier` first."""
+        if earlier.target != self.source:
+            raise NotAnXRibbonX(
+                f"cannot compose: source {sorted(self.source)} != target {sorted(earlier.target)}"
+            )
+        return Ribbon(
+            self.element * earlier.element,
+            earlier.source,
+            self.target,
+            self.moved_component,
+        )
+
+
+def elementary_ribbon(ctx: GarsideContext, subset, t: int) -> Ribbon:
+    """The elementary conjugator d_{X,t} with its target subset.
+
+    d_{X,t} is Delta_{X(t)} Delta_{X(t)-{t}}^-1 for t outside X and
+    Delta_{X(t)} for t in X, with X(t) the component of X + {t} holding t.
+    It is simple, so its image w in W decides where it sends each atom.
+    """
+    x = frozenset(subset)
+    x_t = next(c for c in ctx.graph.components(x | {t}) if t in c)
+    w = ctx.w0_of(x_t)
+    if t not in x:
+        w = w * ctx.w0_of(x_t - {t})  # w0 of a subset is an involution
+    w_inv = w.inverse()
+    mapping = {}
+    for s in x:
+        image = ctx.system.generator_of(w * ctx.system.generators[s] * w_inv)
+        if image is None:
+            raise InvariantViolated("an elementary ribbon must permute generators")
+        mapping[s] = image
+    target = frozenset(mapping.values())
+    moved = frozenset(mapping[s] for s in (x & x_t)) if t not in x else x_t & x
+    return Ribbon(ctx.element(0, (w,)), x, target, moved)
+
+
 def minimal_standardizer(p: ParabolicSubgroup) -> tuple[ArtinElement, Subset]:
     """Minimal positive c with c^-1 P c standard, plus the target subset.
 
-    The minimal standardizer is a prefix of every positive standardizer, in
-    particular of the seed Delta^(2N) conj (Delta^2 is central, so the seed
-    standardizes whatever conj does).  A breadth-first search by atom length
-    over prefixes of the seed therefore meets the minimal standardizer first.
+    Descends from the positive standardizer Delta^(2N) conj (Delta^2 is
+    central), stripping atoms of the target and elementary ribbons
+    d_{target,t} from the right while the rest stays positive; see the
+    module docstring for why the descent ends at the minimum.
     """
+    if not p.gens:
+        raise EmptySubset("the canonical form needs a nonempty generator subset")
     ctx = p.ctx
-    z_p = p.z_element()
-    shift = max(0, -((p.conj.inf) // 2) if p.conj.inf < 0 else 0)
-    seed = ctx.delta ** (2 * shift) * p.conj
-    assert seed.is_positive
-    budget = seed.atom_length()
-    frontier = [ctx.identity]
-    seen = {ctx.identity}
-    for _ in range(budget + 1):
-        for cand in frontier:
-            target = _standard_target(ctx, cand, z_p, p.conj, p.gens)
-            if target is not None:
-                return cand, target
-        nxt = []
-        for cand in frontier:
-            for atom in ctx.atoms:
-                ext = cand * atom
-                if ext not in seen and ext.is_prefix_of(seed):
-                    seen.add(ext)
-                    nxt.append(ext)
-        frontier = sorted(nxt, key=ArtinElement.sort_key)
-    raise SearchBudgetExceeded(budget, "no standardizer among prefixes of the seed")
+    c = ctx.delta ** (2 * max(0, -(p.conj.inf // 2))) * p.conj
+    target = p.gens
+    atom_inverses = [a.inverse() for a in ctx.atoms]
+    while True:
+        strips = [(atom_inverses[s], target) for s in sorted(target)]
+        for t in range(ctx.rank):
+            if t not in target:
+                ribbon = elementary_ribbon(ctx, target, t)
+                strips.append((ribbon.element.inverse(), ribbon.target))
+        for d_inv, image in strips:
+            rest = c * d_inv
+            if rest.is_positive:
+                c, target = rest, image
+                break
+        else:
+            return c, target
+
+
+def check_simplex_family(parabolics) -> None:
+    """Raise unless the parabolics are irreducible, proper and have pairwise
+    commuting z's, the condition for a minimal simultaneous standardizer."""
+    for v in parabolics:
+        if not v.irreducible:
+            raise NotIrreducible(f"{v} is not irreducible")
+        if not v.proper:
+            raise NotProper(f"{v} is the whole group")
+    for p, q in itertools.combinations(parabolics, 2):
+        if not p.z_element().commutes_with(q.z_element()):
+            raise NotASimplex(f"{p} and {q} are not adjacent")
 
 
 def simultaneous_standardizer(
-    ctx: GarsideContext,
-    parabolics: list[ParabolicSubgroup],
-    budget: int = 24,
-    seed: ArtinElement | None = None,
-    support_limit: Subset | None = None,
+    ctx: GarsideContext, parabolics: list[ParabolicSubgroup]
 ) -> tuple[ArtinElement, list[Subset]]:
-    """Shortest positive c with every c^-1 P_i c standard (lexicographic
-    tie-break among equals; standardizer sets are closed under left gcd, so
-    the minimum is unique and the first hit is it).
+    """Minimal positive c with every c^-1 P_i c standard, plus the targets.
 
-    When a known simultaneous standardizer is passed as seed, the search is
-    a prefix BFS over divisors of Delta^2N * seed (the minimum divides every
-    positive simultaneous standardizer).  Otherwise the search walks the
-    positive monoid by atom length, optionally restricted to atoms in
-    support_limit when the minimum is known to lie in that standard
-    parabolic.
+    Climbs from c = 1 by c <- c * (minimal standardizer of c^-1 P_i c),
+    round-robin, until a full round leaves c unchanged.
     """
-    z_list = [p.z_element() for p in parabolics]
-
-    def targets_of(cand: ArtinElement) -> list[Subset] | None:
-        targets = []
-        for p, z_p in zip(parabolics, z_list):
-            t = _standard_target(ctx, cand, z_p, p.conj, p.gens)
-            if t is None:
-                return None
-            targets.append(t)
-        return targets
-
-    seed_elt = None
-    if seed is not None:
-        shift = (-seed.inf + 1) // 2 if seed.inf < 0 else 0
-        seed_elt = ctx.delta ** (2 * shift) * seed
-        assert seed_elt.is_positive
-        budget = seed_elt.atom_length()
-    atoms = (
-        ctx.atoms
-        if support_limit is None
-        else [ctx.atoms[i] for i in sorted(support_limit)]
-    )
-    frontier = [ctx.identity]
-    seen = {ctx.identity}
-    for _ in range(budget + 1):
-        for cand in frontier:
-            targets = targets_of(cand)
-            if targets is not None:
-                return cand, targets
-        nxt: dict[ArtinElement, None] = {}
-        for cand in frontier:
-            for atom in atoms:
-                ext = cand * atom
-                if ext in seen:
-                    continue
-                seen.add(ext)
-                if seed_elt is None or ext.is_prefix_of(seed_elt):
-                    nxt.setdefault(ext, None)
-        frontier = sorted(nxt, key=ArtinElement.sort_key)
-        if not frontier:
-            break
-    raise SearchBudgetExceeded(budget)
+    check_simplex_family(parabolics)
+    n = len(parabolics)
+    c = ctx.identity
+    targets: list[Subset] = [frozenset()] * n
+    settled = i = 0
+    while settled < n:
+        step, targets[i] = minimal_standardizer(parabolics[i].conjugated_by(c.inverse()))
+        if step.is_identity:
+            settled += 1
+        else:
+            c = c * step
+            settled = 1
+        i = (i + 1) % n
+    return c, targets
 
 
 # -- Paris conjugacy graph of standard parabolic subgroups -------------------

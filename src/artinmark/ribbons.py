@@ -3,7 +3,9 @@
 The elementary conjugator d_{X,t} is Delta_{X(t)} Delta_{X(t)-{t}}^-1 when
 t lies outside X (with X(t) the component of X united with t containing t)
 and Delta_{X(t)} when t lies in X; it carries the generator set X to another
-generator set.  When X misses exactly one generator, every composition of
+generator set.  Ribbon and elementary_ribbon live in the parabolic module,
+whose standardizer descent strips elementary ribbons, and are re-exported
+here.  When X misses exactly one generator, every composition of
 elementary ribbons returning to X equals a product
 Delta_{X_1}^a Delta_{X_2}^b Delta_{X_3}^c Delta_Gamma^d over the components
 of X; the decomposer peels the Delta_Gamma power first and then one
@@ -12,59 +14,12 @@ component at a time, mirroring the ascending-product extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import NotAnXRibbonX, NotCorankOne
+from .errors import InvariantViolated, NotAnXRibbonX, NotCorankOne
 from .garside import ArtinElement, GarsideContext
+from .parabolic import Ribbon, elementary_ribbon
 from .simplex import _scan_exponent
 
-Subset = frozenset[int]
-
-
-@dataclass(frozen=True)
-class Ribbon:
-    """A positive conjugator carrying the source generator set to the target."""
-
-    element: ArtinElement
-    source: Subset
-    target: Subset
-    moved_component: Subset
-
-    def __mul__(self, earlier: Ribbon) -> Ribbon:
-        """Composite ribbon applying `earlier` first."""
-        if earlier.target != self.source:
-            raise NotAnXRibbonX(
-                f"cannot compose: source {sorted(self.source)} != target {sorted(earlier.target)}"
-            )
-        return Ribbon(
-            self.element * earlier.element,
-            earlier.source,
-            self.target,
-            self.moved_component,
-        )
-
-
-def elementary_ribbon(ctx: GarsideContext, subset, t: int) -> Ribbon:
-    """The elementary conjugator d_{X,t} with its target subset."""
-    x = frozenset(subset)
-    graph = ctx.graph
-    x_t = next(c for c in graph.components(x | {t}) if t in c)
-    if t in x:
-        d = ctx.delta_of(x_t)
-    else:
-        d = ctx.delta_of(x_t) * ctx.delta_of(x_t - {t}).inverse()
-    d_inv = d.inverse()
-    mapping = {}
-    for s in x:
-        image = d * ctx.atoms[s] * d_inv
-        hit = next(
-            (i for i, a in enumerate(ctx.atoms) if a == image), None
-        )
-        assert hit is not None, "elementary ribbon must permute generators"
-        mapping[s] = hit
-    target = frozenset(mapping.values())
-    moved = frozenset(mapping[s] for s in (x & x_t)) if t not in x else x_t & x
-    return Ribbon(d, x, target, moved)
+__all__ = ["Ribbon", "elementary_ribbon", "ribbon_delta_form"]
 
 
 def ribbon_delta_form(
@@ -110,5 +65,6 @@ def ribbon_delta_form(
         * (ctx.delta_of(comps[2]) ** c if len(comps) > 2 else ctx.identity)
         * ctx.delta**d
     )
-    assert rebuilt == element, "decomposition must reproduce the ribbon"
+    if rebuilt != element:
+        raise InvariantViolated("the decomposition does not reproduce the ribbon")
     return a, b, c, d

@@ -9,14 +9,15 @@ vertex the union of the properly contained vertices misses exactly one
 generator t_i.  Enumeration of maximal standard simplices applies that
 characterization recursively, component by component.
 
-The canonical positive standardizer of a simplex conjugates it to standard
-subgroups level by level: the (unique minimal) simultaneous standardizer of
-the current level is found, applied, and the search moves one level down.
-Relative to the canonical standardizer, every other standardizer of a
-maximal simplex differs by an ascending product of powers of Delta_{X_i}
-and Delta_Gamma, whose exponent tuple is extracted by peeling factors from
-the right: at each step the unique exponent is the one that drops the
-residue into the parabolic generated by the still-unpeeled subsets.
+The canonical positive standardizer of a simplex is the minimal
+simultaneous standardizer of all its vertices; standardizing level by level
+gives the same element, since each level's minimal simultaneous
+standardizer divides the global one.  Relative to the canonical
+standardizer, every other standardizer of a maximal simplex differs by an
+ascending product of powers of Delta_{X_i} and Delta_Gamma, whose exponent
+tuple is extracted by peeling factors from the right: at each step the
+unique exponent is the one that drops the residue into the parabolic
+generated by the still-unpeeled subsets.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 from .errors import (
     ExponentBoundExceeded,
+    InvariantViolated,
     NotASimplex,
     NotAStabilizer,
     NotAStandardizer,
@@ -38,7 +40,9 @@ from .errors import (
 from .garside import ArtinElement, GarsideContext, member_of_standard
 from .parabolic import (
     ParabolicSubgroup,
+    _standard_target,
     central_generator_z,
+    check_simplex_family,
     simultaneous_standardizer,
 )
 
@@ -85,19 +89,13 @@ class CparabSimplex:
 
     def __init__(self, ctx: GarsideContext, vertices):
         vertices = list(vertices)
+        check_simplex_family(vertices)
         by_key = {}
         for v in vertices:
-            if not v.irreducible:
-                raise NotIrreducible(f"{v} is not irreducible")
-            if not v.proper:
-                raise NotProper(f"{v} is the whole group")
             by_key.setdefault(v.key(), v)
         if len(by_key) != len(vertices):
             raise NotASimplex("repeated vertices")
         vertices = [by_key[k] for k in sorted(by_key)]
-        for p, q in itertools.combinations(vertices, 2):
-            if not p.z_element().commutes_with(q.z_element()):
-                raise NotASimplex(f"{p} and {q} are not adjacent")
         above = {
             i: frozenset(
                 j
@@ -117,7 +115,6 @@ class CparabSimplex:
         }
         self._levels = self._build_levels()
         self._canonical: tuple[ArtinElement, StandardizedSimplex] | None = None
-        self._hint: ArtinElement | None = None
         self._key: str | None = None
 
     def _build_levels(self) -> LevelDecomposition:
@@ -177,15 +174,7 @@ class CparabSimplex:
         return all(v.is_standard_rep for v in self.vertices)
 
     def conjugated_by(self, x: ArtinElement) -> CparabSimplex:
-        moved = CparabSimplex(self.ctx, [v.conjugated_by(x) for v in self.vertices])
-        if self._canonical is not None:
-            moved.suggest_standardizer(x * self._canonical[0])
-        return moved
-
-    def suggest_standardizer(self, x: ArtinElement):
-        """Record a known simultaneous standardizer to seed the canonical
-        search; the result does not depend on the hint."""
-        self._hint = x
+        return CparabSimplex(self.ctx, [v.conjugated_by(x) for v in self.vertices])
 
     def canonical_data(self) -> tuple[ArtinElement, StandardizedSimplex]:
         """(canonical positive standardizer ghat, standardized simplex)."""
@@ -193,7 +182,7 @@ class CparabSimplex:
             cache = self.ctx.scratch.setdefault("simplex_canonical", {})
             value = cache.get(self.key())
             if value is None:
-                value = canonical_positive_standardizer(self, hint=self._hint)
+                value = canonical_positive_standardizer(self)
                 cache[self.key()] = value
             self._canonical = value
         return self._canonical
@@ -335,48 +324,15 @@ def enumerate_maximal_standard(ctx: GarsideContext) -> list[CparabSimplex]:
 
 
 def canonical_positive_standardizer(
-    simplex: CparabSimplex, hint: ArtinElement | None = None
+    simplex: CparabSimplex,
 ) -> tuple[ArtinElement, StandardizedSimplex]:
-    """Level-by-level construction of the canonical positive standardizer.
-
-    The vertices of each level form the irreducible components of one
-    reducible parabolic subgroup, whose minimal standardizer is the minimal
-    simultaneous standardizer of the level; standardizers of deeper levels
-    automatically stay inside the already standardized part.  A hint (any
-    known simultaneous standardizer of the whole simplex) only seeds the
-    per-level searches and never changes the result.
-    """
+    """The minimal simultaneous standardizer of all vertices, with the
+    standardized simplex."""
     ctx = simplex.ctx
-    ghat = ctx.identity
-    current = list(simplex.vertices)
-    remaining_hint = hint
-    standardized_upper: set[int] = set()
-    for level, layer in enumerate(simplex.levels.levels):
-        coll = [current[i] for i in layer]
-        limit = frozenset(standardized_upper) if level > 0 else None
-        g_level, _targets = simultaneous_standardizer(
-            ctx, coll, seed=remaining_hint, support_limit=limit
-        )
-        if standardized_upper:
-            assert g_level.is_identity or g_level.support() <= frozenset(
-                standardized_upper
-            ), "level standardizer must live in the standardized upper levels"
-        ghat = ghat * g_level
-        inv = g_level.inverse()
-        current = [p.conjugated_by(inv) for p in current]
-        if remaining_hint is not None:
-            remaining_hint = inv * remaining_hint
-        for i in layer:
-            c, target = current[i].canonical()
-            assert c.is_identity
-            standardized_upper |= target
-    subsets = []
-    for p in current:
-        c, target = p.canonical()
-        assert c.is_identity, "vertex failed to standardize"
-        subsets.append(target)
+    ghat, subsets = simultaneous_standardizer(ctx, list(simplex.vertices))
     std = build_standardized(ctx, subsets)
-    assert std.levels == simplex.levels.levels
+    if std.levels != simplex.levels.levels:
+        raise InvariantViolated("standardization changed the levels of the simplex")
     return ghat, std
 
 
@@ -495,8 +451,6 @@ def extract_ascending_product(
         raise NotMaximal("ascending products are extracted over maximal simplices")
     residue = ghat.inverse() * h
     if verify:
-        from .parabolic import _standard_target
-
         for x in std.subsets:
             z_x = central_generator_z(ctx, x)
             if _standard_target(ctx, residue, z_x, ctx.identity, x) is None:

@@ -11,7 +11,11 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   tuples, independent of the library's byte-table encoding;
 * the fixed-point normalizer re-runs left-to-right slide passes over the
   whole factor list until nothing moves, independent of the library's
-  one-sweep products.
+  one-sweep products;
+* the prefix-BFS standardizers search by atom length over prefixes of a
+  known positive standardizer (or over the whole monoid), and standardize
+  a simplex level by level, independent of the library's ribbon descent
+  and round-robin climb.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ import itertools
 from functools import lru_cache
 
 from artinmark.coxeter import DefiningGraph, RootSystem
+from artinmark.garside import ArtinElement
+from artinmark.parabolic import _standard_target
+from artinmark.simplex import build_standardized
 
 
 def braid_rewrites(graph: DefiningGraph, word: tuple[int, ...]):
@@ -180,3 +187,104 @@ def fixed_point_inverse(a) -> tuple[int, tuple]:
         for k, x in enumerate(reversed(a.body))
     ]
     return fixed_point_normalize(ctx, -a.inf - n, factors)
+
+
+# -- prefix-BFS standardizers --------------------------------------------------
+
+
+def bfs_minimal_standardizer(p):
+    """(c, Y): the first standardizer among prefixes of Delta^(2N) conj, by
+    atom length then sort key; the minimum is a prefix of every positive
+    standardizer, so it is met first."""
+    ctx = p.ctx
+    z_p = p.z_element()
+    shift = max(0, -(p.conj.inf // 2))
+    seed = ctx.delta ** (2 * shift) * p.conj
+    frontier = [ctx.identity]
+    seen = {ctx.identity}
+    for _ in range(seed.atom_length() + 1):
+        for cand in frontier:
+            target = _standard_target(ctx, cand, z_p, p.conj, p.gens)
+            if target is not None:
+                return cand, target
+        nxt = []
+        for cand in frontier:
+            for atom in ctx.atoms:
+                ext = cand * atom
+                if ext not in seen and ext.is_prefix_of(seed):
+                    seen.add(ext)
+                    nxt.append(ext)
+        frontier = sorted(nxt, key=ArtinElement.sort_key)
+    raise AssertionError("no standardizer among prefixes of the seed")
+
+
+def bfs_simultaneous_standardizer(ctx, parabolics, budget=24, seed=None, support_limit=None):
+    """Shortest positive c with every c^-1 P_i c standard, by BFS over
+    prefixes of Delta^(2N) seed when a simultaneous standardizer is given as
+    seed, else over the monoid (on atoms of support_limit when given)."""
+    z_list = [p.z_element() for p in parabolics]
+
+    def targets_of(cand):
+        targets = []
+        for p, z_p in zip(parabolics, z_list):
+            t = _standard_target(ctx, cand, z_p, p.conj, p.gens)
+            if t is None:
+                return None
+            targets.append(t)
+        return targets
+
+    seed_elt = None
+    if seed is not None:
+        shift = (-seed.inf + 1) // 2 if seed.inf < 0 else 0
+        seed_elt = ctx.delta ** (2 * shift) * seed
+        budget = seed_elt.atom_length()
+    atoms = ctx.atoms if support_limit is None else [ctx.atoms[i] for i in sorted(support_limit)]
+    frontier = [ctx.identity]
+    seen = {ctx.identity}
+    for _ in range(budget + 1):
+        for cand in frontier:
+            targets = targets_of(cand)
+            if targets is not None:
+                return cand, targets
+        nxt = {}
+        for cand in frontier:
+            for atom in atoms:
+                ext = cand * atom
+                if ext in seen:
+                    continue
+                seen.add(ext)
+                if seed_elt is None or ext.is_prefix_of(seed_elt):
+                    nxt.setdefault(ext, None)
+        frontier = sorted(nxt, key=ArtinElement.sort_key)
+        if not frontier:
+            break
+    raise AssertionError(f"simultaneous standardizer search budget {budget} exhausted")
+
+
+def levelwise_canonical_standardizer(simplex, hint=None):
+    """(ghat, standardized subsets): the minimal simultaneous standardizer of
+    each level in turn, seeded by a known simultaneous standardizer of the
+    whole simplex (hint) and searched inside the already standardized part."""
+    ctx = simplex.ctx
+    ghat = ctx.identity
+    current = list(simplex.vertices)
+    remaining_hint = hint
+    standardized_upper = set()
+    for level, layer in enumerate(simplex.levels.levels):
+        limit = frozenset(standardized_upper) if level > 0 else None
+        g_level, _targets = bfs_simultaneous_standardizer(
+            ctx, [current[i] for i in layer], seed=remaining_hint, support_limit=limit
+        )
+        ghat = ghat * g_level
+        inv = g_level.inverse()
+        current = [p.conjugated_by(inv) for p in current]
+        if remaining_hint is not None:
+            remaining_hint = inv * remaining_hint
+        for i in layer:
+            standardized_upper |= bfs_minimal_standardizer(current[i])[1]
+    subsets = []
+    for p in current:
+        c, target = bfs_minimal_standardizer(p)
+        assert c.is_identity, "vertex failed to standardize"
+        subsets.append(target)
+    return ghat, build_standardized(ctx, subsets)

@@ -32,6 +32,21 @@ def a3_marking_json():
     return json.dumps(standard_transversals(simplex).to_json())
 
 
+def b3_conjugated_simplex_json():
+    """A maximal B3 simplex conjugated by s3^-1 s3^-1 s1 s2^-1 (13-atom
+    canonical standardizer)."""
+    b3 = context("B3")
+    simplex = CparabSimplex(
+        b3,
+        [
+            ParabolicSubgroup.standard(b3, frozenset({0})),
+            ParabolicSubgroup.standard(b3, frozenset({2})),
+        ],
+    )
+    x = normalize(b3, "s3^-1 s3^-1 s1 s2^-1")
+    return json.dumps(simplex.conjugated_by(x).to_json())
+
+
 def test_nf_delta(capsys):
     code, out, _ = run(capsys, "--type", "A2", "nf", "s1 s2 s1")
     assert code == 0 and out.strip() == "DELTA^1 |"
@@ -252,14 +267,19 @@ def test_stdout_identical_across_hash_seeds():
         ["--type", "E8", "nf", "s1 s3^-1 s2 s8 s4^-1 s1 s7 s5^-1 s6 s2^-1"],
         ["--type", "A3", "--radius", "1", "--format", "json", "bfs", a3_marking_json()],
         ["--type", "B3", "--format", "json", "conj-graph"],
+        [
+            "--type", "D4", "min-std",
+            json.dumps({"conj": "DELTA^-1 | s1 s2 s4 . s2 s3", "gens": ["s1", "s2"]}),
+        ],
+        ["--type", "B3", "--format", "json", "canon-std", b3_conjugated_simplex_json()],
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
-    for seed in ("0", "1", "2"):
+    for seed, flags in (("0", []), ("1", []), ("2", []), ("0", ["-O"])):
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, *flags, "-c", script],
             env=env,
             capture_output=True,
             check=True,
@@ -267,4 +287,5 @@ def test_stdout_identical_across_hash_seeds():
         )
         outputs.append(done.stdout)
     assert outputs[0].startswith(b"DELTA^") and b'"edges"' in outputs[0]
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert b"  ->  s" in outputs[0] and b'"subsets"' in outputs[0]
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import traceback
 
 import pytest
 
@@ -99,6 +100,23 @@ def test_broken_pattern_detected():
     pairs[0] = (pairs[0][0], std(a3, "s3"))
     with pytest.raises(TransversalityPatternBroken):
         validate_marking(Marking(a3, pairs))
+
+
+def test_cached_certificate_error_is_raised_fresh():
+    a3, marking = marking_a3()
+    pairs = list(marking.pairs)
+    pairs[0] = (pairs[0][0], std(a3, "s3"))
+    errors = []
+    for _ in range(4):
+        with pytest.raises(TransversalityPatternBroken) as info:
+            Marking(a3, pairs).certificate()
+        errors.append(info.value)
+    cached = errors[1:]
+    depths = {len(traceback.extract_tb(err.__traceback__)) for err in cached}
+    assert len(depths) == 1
+    assert len({id(err) for err in errors}) == len(errors)
+    assert all(err.indices == errors[0].indices for err in cached)
+    assert all(str(err) == str(errors[0]) for err in cached)
 
 
 def test_validation_preserved_under_conjugation():

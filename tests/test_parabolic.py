@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from artinmark.errors import Disconnected, EmptySubset
+from artinmark.errors import Disconnected, EmptySubset, NotASimplex
 from artinmark.garside import context, normalize
 from artinmark.parabolic import (
     ParabolicSubgroup,
@@ -16,6 +16,7 @@ from artinmark.parabolic import (
     simultaneous_standardizer,
     standard_conjugate,
 )
+from oracles import bfs_minimal_standardizer, bfs_simultaneous_standardizer
 
 
 def gens(ctx, *names):
@@ -88,6 +89,8 @@ def test_minimal_standardizer_examples():
     assert q == std(a2, "s2")
     # already standard
     assert std(a2, "s1").canonical() == (a2.identity, gens(a2, "s1"))
+    with pytest.raises(EmptySubset):
+        minimal_standardizer(std(a2))
 
 
 def test_minimal_standardizer_is_prefix_of_bounded_search_hits():
@@ -266,6 +269,45 @@ def test_simultaneous_standardizer():
     c, targets = simultaneous_standardizer(a3, collection)
     assert c == s2
     assert targets == [gens(a3, "s1"), gens(a3, "s3")]
+
+
+@pytest.mark.parametrize("spec", ["A3", "A4", "B3", "D4", "H3"])
+def test_minimal_standardizer_matches_prefix_bfs(spec):
+    ctx = context(spec)
+    rng = random.Random(spec)
+    subsets = list(ctx.connected_proper_subsets()) + [frozenset({0, 2})]
+    for _ in range(12):
+        word = tuple(
+            (rng.randrange(ctx.rank), rng.choice((1, -1)))
+            for _ in range(rng.randrange(5))
+        )
+        p = ParabolicSubgroup(ctx, ctx.from_word(word), rng.choice(subsets))
+        assert minimal_standardizer(p) == bfs_minimal_standardizer(p), word
+
+
+def test_simultaneous_standardizer_matches_seeded_bfs():
+    # conjugates of a standard family: the conjugator seeds the oracle
+    d4 = context("D4")
+    family = [std(d4, "s1"), std(d4, "s3"), std(d4, "s1", "s2", "s3")]
+    rng = random.Random(4)
+    for _ in range(4):
+        word = tuple((rng.randrange(4), rng.choice((1, -1))) for _ in range(3))
+        x = d4.from_word(word)
+        moved = [p.conjugated_by(x) for p in family]
+        assert simultaneous_standardizer(d4, moved) == bfs_simultaneous_standardizer(
+            d4, moved, seed=x
+        ), word
+
+
+def test_simultaneous_standardizer_rejects_non_simplices():
+    a3 = context("A3")
+    with pytest.raises(NotASimplex):
+        simultaneous_standardizer(a3, [std(a3, "s1"), std(a3, "s2")])
+    x = normalize(a3, "s2^-1 s3")
+    with pytest.raises(NotASimplex):
+        simultaneous_standardizer(
+            a3, [std(a3, "s1").conjugated_by(x), std(a3, "s2").conjugated_by(x)]
+        )
 
 
 def test_parabolic_json_roundtrip():

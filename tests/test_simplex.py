@@ -10,7 +10,7 @@ from artinmark.errors import (
     NotIrreducible,
     NotProper,
 )
-from artinmark.garside import context
+from artinmark.garside import context, normalize
 from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import (
     AscendingProduct,
@@ -26,6 +26,7 @@ from artinmark.simplex import (
     standard_adjacent,
     standardization_change,
 )
+from oracles import levelwise_canonical_standardizer
 
 
 def gens(ctx, *names):
@@ -186,6 +187,26 @@ def test_canonical_standardizer_all_standard_is_identity():
     ghat, data = canonical_positive_standardizer(pi)
     assert ghat.is_identity
     assert set(data.subsets) == {v.gens for v in pi.vertices}
+
+
+@pytest.mark.parametrize(
+    "spec, word",
+    [
+        ("A3", "s2^-1 s1 s3^-1"),
+        ("A4", "s1 s3^-1 s4 s2^-1"),
+        # 13-atom canonical standardizers; hint-free search took seconds here
+        ("B3", "s3^-1 s3^-1 s1 s2^-1"),
+        ("D4", "s2 s1^-1 s4"),
+        ("H3", "s1^-1 s3 s2"),
+    ],
+)
+def test_canonical_standardizer_matches_levelwise_bfs(spec, word):
+    ctx = context(spec)
+    x = normalize(ctx, word)
+    for simplex in enumerate_maximal_standard(ctx):
+        moved = simplex.conjugated_by(x)
+        want = levelwise_canonical_standardizer(moved, hint=x)
+        assert canonical_positive_standardizer(moved) == want
 
 
 def test_canonical_standardizer_conjugated_simplex():
