@@ -17,9 +17,6 @@ from .coxeter import (
     DefiningGraph,
     RootSystem,
     build_defining_graph,
-    cox_multiply,
-    cox_support,
-    descents,
     longest_element,
     root_reflection_table,
 )
@@ -27,18 +24,11 @@ from .errors import ArtinMarkError
 from .garside import (
     ArtinElement,
     GarsideContext,
-    atom_length,
-    conjugate,
     context,
-    invert,
-    is_positive,
-    is_prefix,
     member_of_standard,
-    multiply,
     normalize,
     parse_element,
     parse_word,
-    support,
 )
 from .graph import (
     ExploredGraph,
@@ -52,7 +42,6 @@ from .graph import (
 from .marking import (
     Marking,
     TransversalData,
-    conjugate_marking,
     enumerate_flip_moves,
     is_flip_edge,
     is_twist_edge,
@@ -71,8 +60,6 @@ from .parabolic import (
     build_conjugacy_graph,
     central_generator_z,
     delta_permutation,
-    garside_delta,
-    irreducible_components,
     minimal_standardizer,
     simultaneous_standardizer,
     standard_conjugate,
@@ -85,7 +72,6 @@ from .simplex import (
     StandardizedSimplex,
     adjacent,
     canonical_positive_standardizer,
-    decompose_levels,
     enumerate_maximal_standard,
     extract_ascending_product,
     is_maximal_standard,

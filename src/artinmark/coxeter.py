@@ -475,18 +475,6 @@ class CoxeterElement:
         return tuple(word)
 
 
-def cox_multiply(a: CoxeterElement, b: CoxeterElement) -> CoxeterElement:
-    return a * b
-
-
-def descents(w: CoxeterElement, side: str = "left") -> frozenset[int]:
-    if side == "left":
-        return w.left_descents()
-    if side == "right":
-        return w.right_descents()
-    raise ValueError("side must be 'left' or 'right'")
-
-
 def longest_element(system: RootSystem, subset: frozenset[int]) -> CoxeterElement:
     """Longest element of the standard parabolic W_X, built greedily."""
     w = system.identity
@@ -495,7 +483,3 @@ def longest_element(system: RootSystem, subset: frozenset[int]) -> CoxeterElemen
         if not free:
             return w
         w = w * system.generators[min(free)]
-
-
-def cox_support(w: CoxeterElement) -> frozenset[int]:
-    return w.support()

@@ -225,9 +225,6 @@ class GarsideContext:
             self._delta_of[subset] = el
         return el
 
-    def delta_power_of(self, subset: frozenset[int], power: int) -> ArtinElement:
-        return self.delta_of(subset) ** power
-
     def connected_proper_subsets(self) -> tuple[frozenset[int], ...]:
         """All generator subsets inducing connected proper subgraphs."""
         if "connected_proper" not in self.scratch:
@@ -390,35 +387,6 @@ def normalize(ctx: GarsideContext, text_or_word: str | Word) -> ArtinElement:
     return ctx.from_word(text_or_word)
 
 
-def multiply(a: ArtinElement, b: ArtinElement) -> ArtinElement:
-    return a * b
-
-
-def invert(a: ArtinElement) -> ArtinElement:
-    return a.inverse()
-
-
-def conjugate(g: ArtinElement, h: ArtinElement) -> ArtinElement:
-    """h g h^-1, in normal form."""
-    return h * g * h.inverse()
-
-
-def is_positive(g: ArtinElement) -> bool:
-    return g.is_positive
-
-
-def atom_length(g: ArtinElement) -> int:
-    return g.atom_length()
-
-
-def support(g: ArtinElement) -> frozenset[int]:
-    return g.support()
-
-
-def is_prefix(a: ArtinElement, b: ArtinElement) -> bool:
-    return a.is_prefix_of(b)
-
-
 def member_of_standard(g: ArtinElement, subset: frozenset[int]) -> bool:
     """Whether g lies in the standard parabolic subgroup on the subset.
 
@@ -444,6 +412,29 @@ def member_of_standard(g: ArtinElement, subset: frozenset[int]) -> bool:
         if h.is_positive:
             return h.support() <= subset
     return False
+
+
+def scan_powers(start: ArtinElement, step: ArtinElement, bound: int, test):
+    """The first n in 0, 1, -1, 2, -2, ..., bound, -bound for which
+    test(start * step^n) is truthy, as (n, start * step^n, test's value).
+
+    One product per step; None when no n within the bound passes.
+    """
+    value = test(start)
+    if value:
+        return 0, start, value
+    up = down = start
+    step_inv = step.inverse()
+    for n in range(1, bound + 1):
+        up = up * step
+        value = test(up)
+        if value:
+            return n, up, value
+        down = down * step_inv
+        value = test(down)
+        if value:
+            return -n, down, value
+    return None
 
 
 def parse_word(graph: DefiningGraph, text: str) -> Word:

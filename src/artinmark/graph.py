@@ -23,7 +23,6 @@ from .errors import ArtinMarkError, UnknownFormat
 from .garside import ArtinElement, GarsideContext
 from .marking import (
     Marking,
-    conjugate_marking,
     enumerate_flip_moves,
     is_flip_edge,
     is_twist_edge,
@@ -95,7 +94,7 @@ def verify_action_isometry(
 ) -> bool:
     """Conjugated endpoints of an edge remain related by the same move kind."""
     a, b, kind = edge
-    ax, bx = conjugate_marking(a, x), conjugate_marking(b, x)
+    ax, bx = a.conjugated_by(x), b.conjugated_by(x)
     if kind == "twist":
         return is_twist_edge(ax, bx)
     if kind == "flip":

@@ -31,6 +31,7 @@ from .errors import (
     ArtinMarkError,
     BaseNotMaximal,
     CachedError,
+    NotAStandardizer,
     NotIrreducible,
     NotProper,
     NotStandard,
@@ -39,7 +40,7 @@ from .errors import (
     ScanExhausted,
     TransversalityPatternBroken,
 )
-from .garside import ArtinElement, GarsideContext
+from .garside import ArtinElement, GarsideContext, scan_powers
 from .parabolic import ParabolicSubgroup, _standard_target
 from .simplex import (
     CparabSimplex,
@@ -173,10 +174,6 @@ class Marking:
         )
 
 
-def conjugate_marking(marking: Marking, x: ArtinElement) -> Marking:
-    return marking.conjugated_by(x)
-
-
 # -- the standard transversal recipe -----------------------------------------
 
 
@@ -251,21 +248,21 @@ def decompose_transversal(
     g_inv = g.inverse()
     c, x = base.conjugated_by(g_inv).canonical()
     if not c.is_identity:
-        raise ArtinMarkError(f"{g} does not standardize the base {base}")
+        raise NotAStandardizer(f"{g} does not standardize the base {base}")
     z_q = q.z_element()
     c0 = g_inv * q.conj
     bound = ctx.delta_len * (abs(c0.inf) + 2) + sum(w.length for w in c0.body)
-    d_x = ctx.delta_of(x)
-    for k in range(bound + 1):
-        for signed in (k,) if k == 0 else (k, -k):
-            cand = g * d_x**signed
-            target = _standard_target(ctx, cand, z_q, q.conj, q.gens)
-            if target is not None:
-                cache[cache_key] = (signed, target)
-                return TransversalData(index, signed, target)
-    error = ScanExhausted(bound)
-    cache[cache_key] = CachedError.of(error)
-    raise error
+    found = scan_powers(
+        g, ctx.delta_of(x), bound,
+        lambda cand: _standard_target(ctx, cand, z_q, q.conj, q.gens),
+    )
+    if found is None:
+        error = ScanExhausted(bound)
+        cache[cache_key] = CachedError.of(error)
+        raise error
+    twist, _, target = found
+    cache[cache_key] = (twist, target)
+    return TransversalData(index, twist, target)
 
 
 def transversal_decomposition(

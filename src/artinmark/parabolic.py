@@ -47,15 +47,6 @@ from .garside import ArtinElement, GarsideContext, member_of_standard, parse_ele
 Subset = frozenset[int]
 
 
-def irreducible_components(graph: DefiningGraph, subset: Subset) -> list[Subset]:
-    return graph.components(frozenset(subset))
-
-
-def garside_delta(ctx: GarsideContext, subset: Subset) -> ArtinElement:
-    """Delta_X; for reducible X the product of the component elements."""
-    return ctx.delta_of(frozenset(subset))
-
-
 def central_generator_z(ctx: GarsideContext, subset: Subset) -> ArtinElement:
     """z_X: the minimal central power of Delta_X, per irreducible component."""
     subset = frozenset(subset)

@@ -9,15 +9,21 @@ here.  When X misses exactly one generator, every composition of
 elementary ribbons returning to X equals a product
 Delta_{X_1}^a Delta_{X_2}^b Delta_{X_3}^c Delta_Gamma^d over the components
 of X; the decomposer peels the Delta_Gamma power first and then one
-component at a time, mirroring the ascending-product extraction.
+component at a time, with the peel of the ascending-product extraction.
 """
 
 from __future__ import annotations
 
-from .errors import InvariantViolated, NotAnXRibbonX, NotCorankOne
+from .errors import (
+    ExponentBoundExceeded,
+    InvariantViolated,
+    MixedContext,
+    NotAnXRibbonX,
+    NotCorankOne,
+)
 from .garside import ArtinElement, GarsideContext
 from .parabolic import Ribbon, elementary_ribbon
-from .simplex import _scan_exponent
+from .simplex import peel_delta_powers
 
 __all__ = ["Ribbon", "elementary_ribbon", "ribbon_delta_form"]
 
@@ -41,24 +47,16 @@ def ribbon_delta_form(
         element = ribbon.element
     else:
         element = ribbon
+    if element.ctx is not ctx:
+        raise MixedContext("the ribbon belongs to a different group")
     comps = ctx.graph.components(x)
     if len(comps) > 3:
         raise NotAnXRibbonX("a co-rank-1 subset has at most three components")
     try:
-        d, residue = _scan_exponent(ctx, element, ctx.delta, x)
-        exps = []
-        remaining = list(comps)
-        for comp in comps:
-            remaining.remove(comp)
-            scope = frozenset().union(frozenset(), *remaining)
-            e, residue = _scan_exponent(ctx, residue, ctx.delta_of(comp), scope)
-            exps.append(e)
-    except Exception as err:
+        d, exps = peel_delta_powers(ctx, element, comps)
+    except ExponentBoundExceeded as err:
         raise NotAnXRibbonX(f"not a product of component Garside powers: {err}") from err
-    if not residue.is_identity:
-        raise NotAnXRibbonX("nontrivial residue after peeling all factors")
-    exps += [0] * (3 - len(exps))
-    a, b, c = exps
+    a, b, c = exps + [0] * (3 - len(exps))
     rebuilt = (
         ctx.delta_of(comps[0]) ** a
         * (ctx.delta_of(comps[1]) ** b if len(comps) > 1 else ctx.identity)

@@ -3,6 +3,10 @@
 A simplex is a set of pairwise adjacent vertices, adjacency meaning the
 central elements z_P commute.  The level of a vertex is one plus the number
 of vertices properly containing it; level 1 is the set of maximal elements.
+Levels and nesting chains are read off the standardized subsets: the
+canonical standardizer ghat conjugates every vertex to a standard A_X,
+conjugation preserves containment, and A_X lies in A_Y exactly when X lies
+in Y, so plain subset inclusion of the targets decides nesting.
 A maximal simplex of standard subgroups is characterized combinatorially:
 the union of the subsets misses exactly one generator t, and inside every
 vertex the union of the properly contained vertices misses exactly one
@@ -10,14 +14,12 @@ generator t_i.  Enumeration of maximal standard simplices applies that
 characterization recursively, component by component.
 
 The canonical positive standardizer of a simplex is the minimal
-simultaneous standardizer of all its vertices; standardizing level by level
-gives the same element, since each level's minimal simultaneous
-standardizer divides the global one.  Relative to the canonical
-standardizer, every other standardizer of a maximal simplex differs by an
-ascending product of powers of Delta_{X_i} and Delta_Gamma, whose exponent
-tuple is extracted by peeling factors from the right: at each step the
-unique exponent is the one that drops the residue into the parabolic
-generated by the still-unpeeled subsets.
+simultaneous standardizer of all its vertices.  Relative to it, every other
+standardizer of a maximal simplex differs by an ascending product of powers
+of Delta_{X_i} and Delta_Gamma, whose exponent tuple is extracted by peeling
+factors from the right: at each step the unique exponent is the one that
+drops the residue into the parabolic generated by the still-unpeeled
+subsets.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from .errors import (
     NotMaximal,
     NotProper,
     NotStandard,
+    PreconditionViolated,
 )
-from .garside import ArtinElement, GarsideContext, member_of_standard
+from .garside import ArtinElement, GarsideContext, member_of_standard, scan_powers
 from .parabolic import (
     ParabolicSubgroup,
     _standard_target,
@@ -80,67 +83,71 @@ class LevelDecomposition:
         raise IndexError(index)
 
 
+def nesting_levels(subsets: tuple[Subset, ...]) -> LevelDecomposition:
+    """Levels and maximal nesting chains of distinct subsets, by inclusion.
+
+    A subset's level is one plus the number of subsets properly containing
+    it; chains run from a level-1 subset down through direct inclusions.
+    """
+    n = len(subsets)
+    depth = [1 + sum(x < y for y in subsets) for x in subsets]
+    levels = tuple(
+        tuple(i for i in range(n) if depth[i] == k) for k in range(1, max(depth, default=0) + 1)
+    )
+    chains: list[tuple[int, ...]] = []
+
+    def grow(chain: list[int]):
+        i = chain[-1]
+        nxt = [j for j in range(n) if subsets[j] < subsets[i] and depth[j] == depth[i] + 1]
+        if not nxt:
+            chains.append(tuple(chain))
+        for j in nxt:
+            grow(chain + [j])
+
+    for i in levels[0] if levels else ():
+        grow([i])
+    return LevelDecomposition(levels, tuple(chains))
+
+
 class CparabSimplex:
     """A set of pairwise adjacent vertices, in canonical order.
 
     Vertices are sorted by (level, canonical key), so the index of a vertex
-    is deterministic; levels and nesting chains are computed once.
+    is deterministic.  The canonical data, and with it the levels and
+    nesting chains, is computed once per vertex set.
     """
 
     def __init__(self, ctx: GarsideContext, vertices):
         vertices = list(vertices)
-        check_simplex_family(vertices)
+        if not all(v.gens for v in vertices):
+            check_simplex_family(vertices)  # a vertex without generators has no key
         by_key = {}
         for v in vertices:
             by_key.setdefault(v.key(), v)
+        self.ctx = ctx
+        cache = ctx.scratch.setdefault("simplex_canonical", {})
+        cache_key = ";".join(sorted(by_key))
+        value = cache.get(cache_key)
+        if value is None:
+            # the climb checks the family before the repeats are reported
+            self.vertices = tuple(by_key.values())
+            ghat, std = canonical_positive_standardizer(self)
+            order = sorted(
+                range(len(self.vertices)),
+                key=lambda i: (std.levels.level_of(i), self.vertices[i].key()),
+            )
+            value = (
+                tuple(self.vertices[i].key() for i in order),
+                ghat,
+                build_standardized(ctx, [std.subsets[i] for i in order]),
+            )
+            cache[cache_key] = value
         if len(by_key) != len(vertices):
             raise NotASimplex("repeated vertices")
-        vertices = [by_key[k] for k in sorted(by_key)]
-        above = {
-            i: frozenset(
-                j
-                for j, q in enumerate(vertices)
-                if j != i and q.contains(vertices[i])
-            )
-            for i in range(len(vertices))
-        }
-        level = {i: 1 + len(above[i]) for i in above}
-        order = sorted(range(len(vertices)), key=lambda i: (level[i], vertices[i].key()))
-        self.ctx = ctx
-        self.vertices: tuple[ParabolicSubgroup, ...] = tuple(vertices[i] for i in order)
-        old_to_new = {old: new for new, old in enumerate(order)}
-        self._above = {
-            old_to_new[i]: frozenset(old_to_new[j] for j in js)
-            for i, js in above.items()
-        }
-        self._levels = self._build_levels()
-        self._canonical: tuple[ArtinElement, StandardizedSimplex] | None = None
-        self._key: str | None = None
-
-    def _build_levels(self) -> LevelDecomposition:
-        n = len(self.vertices)
-        depth = {i: 1 + len(self._above[i]) for i in range(n)}
-        top = max(depth.values(), default=0)
-        levels = tuple(
-            tuple(i for i in range(n) if depth[i] == k) for k in range(1, top + 1)
-        )
-        # maximal chains of the strict containment order, largest first
-        below = {
-            i: [j for j in range(n) if i in self._above[j]] for i in range(n)
-        }
-        chains: list[tuple[int, ...]] = []
-
-        def grow(chain: list[int]):
-            nxt = [j for j in below[chain[-1]] if depth[j] == depth[chain[-1]] + 1]
-            if not nxt:
-                chains.append(tuple(chain))
-                return
-            for j in sorted(nxt):
-                grow(chain + [j])
-
-        for i in levels[0] if levels else ():
-            grow([i])
-        return LevelDecomposition(levels, tuple(chains))
+        keys, ghat, std = value
+        self.vertices: tuple[ParabolicSubgroup, ...] = tuple(by_key[k] for k in keys)
+        self._canonical: tuple[ArtinElement, StandardizedSimplex] = (ghat, std)
+        self._key = ";".join(keys)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -150,11 +157,9 @@ class CparabSimplex:
 
     @property
     def levels(self) -> LevelDecomposition:
-        return self._levels
+        return self._canonical[1].levels
 
     def key(self) -> str:
-        if self._key is None:
-            self._key = ";".join(v.key() for v in self.vertices)
         return self._key
 
     def __eq__(self, other: object) -> bool:
@@ -178,13 +183,6 @@ class CparabSimplex:
 
     def canonical_data(self) -> tuple[ArtinElement, StandardizedSimplex]:
         """(canonical positive standardizer ghat, standardized simplex)."""
-        if self._canonical is None:
-            cache = self.ctx.scratch.setdefault("simplex_canonical", {})
-            value = cache.get(self.key())
-            if value is None:
-                value = canonical_positive_standardizer(self)
-                cache[self.key()] = value
-            self._canonical = value
         return self._canonical
 
     def to_json(self) -> dict:
@@ -197,10 +195,6 @@ class CparabSimplex:
         )
 
 
-def decompose_levels(simplex: CparabSimplex) -> LevelDecomposition:
-    return simplex.levels
-
-
 @dataclass(frozen=True)
 class StandardizedSimplex:
     """Subsets of a standard simplex with level data and maximality witnesses.
@@ -211,15 +205,9 @@ class StandardizedSimplex:
     """
 
     subsets: tuple[Subset, ...]
-    levels: tuple[tuple[int, ...], ...]
+    levels: LevelDecomposition
     missing: int | None
     t_map: tuple[int | None, ...]
-
-    def level_of(self, index: int) -> int:
-        for k, layer in enumerate(self.levels):
-            if index in layer:
-                return k + 1
-        raise IndexError(index)
 
     @property
     def is_maximal(self) -> bool:
@@ -227,30 +215,20 @@ class StandardizedSimplex:
 
     def peel_order(self) -> tuple[int, ...]:
         """Vertex indices by ascending level (extraction order)."""
-        return tuple(i for layer in self.levels for i in layer)
+        return tuple(i for layer in self.levels.levels for i in layer)
 
 
 def build_standardized(ctx: GarsideContext, subsets) -> StandardizedSimplex:
     """Level data and maximality witnesses for a family of standard subsets."""
     subsets = tuple(frozenset(s) for s in subsets)
     graph = ctx.graph
-    n = len(subsets)
-    if len(set(subsets)) != n:
+    if len(set(subsets)) != len(subsets):
         raise NotASimplex("repeated subsets")
     for x, y in itertools.combinations(subsets, 2):
         if not standard_adjacent(graph, x, y):
             raise NotASimplex(f"{sorted(x)} and {sorted(y)} are not adjacent")
-    above = {
-        i: [j for j in range(n) if j != i and subsets[i] < subsets[j]]
-        for i in range(n)
-    }
-    depth = {i: 1 + len(above[i]) for i in range(n)}
-    top = max(depth.values(), default=0)
-    levels = tuple(
-        tuple(i for i in range(n) if depth[i] == k) for k in range(1, top + 1)
-    )
     missing, t_map = _maximality_witnesses(graph, subsets)
-    return StandardizedSimplex(subsets, levels, missing, t_map)
+    return StandardizedSimplex(subsets, nesting_levels(subsets), missing, t_map)
 
 
 def _maximality_witnesses(graph, subsets) -> tuple[int | None, tuple[int | None, ...]]:
@@ -284,7 +262,8 @@ def is_maximal_standard(
         graph = simplex.ctx.graph
         subsets = tuple(v.gens for v in simplex.vertices)
     else:
-        assert ctx is not None
+        if ctx is None:
+            raise PreconditionViolated("a list of subsets needs the context")
         graph = ctx.graph
         subsets = tuple(frozenset(s) for s in simplex_or_subsets)
     t, t_map = _maximality_witnesses(graph, subsets)
@@ -330,17 +309,20 @@ def canonical_positive_standardizer(
     standardized simplex."""
     ctx = simplex.ctx
     ghat, subsets = simultaneous_standardizer(ctx, list(simplex.vertices))
-    std = build_standardized(ctx, subsets)
-    if std.levels != simplex.levels.levels:
-        raise InvariantViolated("standardization changed the levels of the simplex")
-    return ghat, std
+    return ghat, build_standardized(ctx, subsets)
 
 
 def standardization_change(
     ctx: GarsideContext, first, second
 ) -> ArtinElement:
     """Positive r = Delta_{Y_k}^() ... Delta_{Y_1}^() Delta_Gamma^() carrying
-    the first standard family onto the second, exponents in {0, 1}."""
+    the first standard family onto the second, exponents in {0, 1}.
+
+    Tries all 2^(k+1) exponent vectors.  Ascending-product extraction cannot
+    give r directly: it decomposes a known standardizer h of a simplex,
+    reading each exponent off ghat^-1 h, while here r itself is the unknown
+    and only the two families it should relate are given.
+    """
     std1 = build_standardized(ctx, first)
     std2 = build_standardized(ctx, second)
     if sorted(map(sorted, std1.subsets)) == sorted(map(sorted, std2.subsets)):
@@ -411,66 +393,57 @@ class AscendingProduct:
         }
 
 
-def _scan_exponent(
-    ctx: GarsideContext,
-    residue: ArtinElement,
-    delta_x: ArtinElement,
-    scope: Subset,
-) -> tuple[int, ArtinElement]:
-    bound = abs(residue.inf) + residue.canonical_length + 1
-    if member_of_standard(residue, scope):
-        return 0, residue
-    # residue * Delta_X^-n and residue * Delta_X^n, one product per step
-    down = up = residue
-    delta_inv = delta_x.inverse()
-    for n in range(1, bound + 1):
-        down = down * delta_inv
-        if member_of_standard(down, scope):
-            return n, down
-        up = up * delta_x
-        if member_of_standard(up, scope):
-            return -n, up
-    raise ExponentBoundExceeded(bound)
+def peel_delta_powers(
+    ctx: GarsideContext, residue: ArtinElement, parts
+) -> tuple[int, list[int]]:
+    """(gamma, [e_1, ..., e_k]) with residue = Delta_{X_k}^{e_k} ...
+    Delta_{X_1}^{e_1} Delta_Gamma^gamma over the parts X_1, ..., X_k.
+
+    Peels from the right: the power of Delta_Gamma dropping the residue into
+    the parabolic on the union of the parts, then for each part the power of
+    Delta_{X_i} dropping it into the union of the parts after X_i.  Each scan
+    is bounded by the residue's Garside complexity and raises
+    ExponentBoundExceeded when it runs out.
+    """
+    exponents = []
+    for k, delta_x in enumerate([ctx.delta, *map(ctx.delta_of, parts)]):
+        scope = frozenset().union(*parts[k:])
+        bound = abs(residue.inf) + residue.canonical_length + 1
+        found = scan_powers(
+            residue, delta_x.inverse(), bound, lambda g: member_of_standard(g, scope)
+        )
+        if found is None:
+            raise ExponentBoundExceeded(bound)
+        exponent, residue, _ = found
+        exponents.append(exponent)
+    if not residue.is_identity:
+        raise InvariantViolated("a residue is left after peeling every factor")
+    return exponents[0], exponents[1:]
 
 
 def extract_ascending_product(
     h: ArtinElement,
     ghat: ArtinElement,
     std: StandardizedSimplex,
-    verify: bool = True,
 ) -> AscendingProduct:
     """Exponents of the unique ascending product p with ghat * p = h.
 
-    Peels Delta_Gamma first (the unique power dropping the residue into the
-    union of the subsets), then walks the levels from the top: the unique
-    power of Delta_{X_i} drops the residue into the parabolic generated by
-    the still-unpeeled subsets.
+    Checks that h standardizes the simplex, then peels Delta_Gamma and the
+    Delta_{X_i} level by level from the top.
     """
     ctx = h.ctx
     if not std.is_maximal:
         raise NotMaximal("ascending products are extracted over maximal simplices")
     residue = ghat.inverse() * h
-    if verify:
-        for x in std.subsets:
-            z_x = central_generator_z(ctx, x)
-            if _standard_target(ctx, residue, z_x, ctx.identity, x) is None:
-                raise NotAStandardizer(f"{h} does not standardize the simplex")
-    union = frozenset().union(*std.subsets)
-    gamma, residue = _scan_exponent(ctx, residue, ctx.delta, union)
+    for x in std.subsets:
+        z_x = central_generator_z(ctx, x)
+        if _standard_target(ctx, residue, z_x, ctx.identity, x) is None:
+            raise NotAStandardizer(f"{h} does not standardize the simplex")
+    order = std.peel_order()
+    gamma, peeled = peel_delta_powers(ctx, residue, [std.subsets[i] for i in order])
     exponents = [0] * len(std.subsets)
-    order = list(std.peel_order())
-    remaining = set(order)
-    for i in order:
-        remaining.discard(i)
-        scope = (
-            frozenset().union(*(std.subsets[j] for j in remaining))
-            if remaining
-            else frozenset()
-        )
-        exponents[i], residue = _scan_exponent(
-            ctx, residue, ctx.delta_of(std.subsets[i]), scope
-        )
-    assert residue.is_identity
+    for i, exponent in zip(order, peeled):
+        exponents[i] = exponent
     return AscendingProduct(std, tuple(exponents), gamma)
 
 
@@ -495,6 +468,7 @@ def stabilizes_simplex(
             raise NotAStabilizer(f"conjugation by {g} moves {v} out of the simplex")
         perm[i] = j
     for layer in simplex.levels.levels:
-        assert {perm[i] for i in layer} == set(layer), "levels must be preserved"
+        if {perm[i] for i in layer} != set(layer):
+            raise InvariantViolated(f"conjugation by {g} does not preserve the levels")
     product = extract_ascending_product(g * ghat, ghat, std)
     return perm, product

@@ -15,7 +15,10 @@ These deliberately avoid the library's normal-form and lattice algorithms:
 * the prefix-BFS standardizers search by atom length over prefixes of a
   known positive standardizer (or over the whole monoid), and standardize
   a simplex level by level, independent of the library's ribbon descent
-  and round-robin climb.
+  and round-robin climb;
+* the containment levels decide nesting by subgroup containment of the
+  vertices themselves (membership of each generator's conjugate), not by
+  inclusion of their standardized subsets.
 """
 
 from __future__ import annotations
@@ -288,3 +291,34 @@ def levelwise_canonical_standardizer(simplex, hint=None):
         assert c.is_identity, "vertex failed to standardize"
         subsets.append(target)
     return ghat, build_standardized(ctx, subsets)
+
+
+def containment_levels(vertices):
+    """(vertex keys in (level, key) order, levels, chains) of a simplex given
+    by distinct vertices, deciding nesting by ParabolicSubgroup.contains on
+    every ordered pair; levels and chains index the ordered vertices."""
+    vertices = sorted(vertices, key=lambda v: v.key())
+    n = len(vertices)
+    above = [
+        {j for j in range(n) if j != i and vertices[j].contains(vertices[i])}
+        for i in range(n)
+    ]
+    order = sorted(range(n), key=lambda i: (len(above[i]), vertices[i].key()))
+    new = {old: k for k, old in enumerate(order)}
+    above = [{new[j] for j in above[i]} for i in order]
+    depth = [1 + len(a) for a in above]
+    levels = tuple(
+        tuple(i for i in range(n) if depth[i] == k) for k in range(1, max(depth, default=0) + 1)
+    )
+    chains = []
+
+    def grow(chain):
+        nxt = [j for j in range(n) if chain[-1] in above[j] and depth[j] == depth[chain[-1]] + 1]
+        if not nxt:
+            chains.append(tuple(chain))
+        for j in sorted(nxt):
+            grow(chain + [j])
+
+    for i in levels[0] if levels else ():
+        grow([i])
+    return tuple(vertices[i].key() for i in order), levels, tuple(chains)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,9 @@ from artinmark.errors import ParseError
 from artinmark.garside import context, normalize
 from artinmark.marking import standard_transversals
 from artinmark.parabolic import ParabolicSubgroup
-from artinmark.simplex import CparabSimplex
+from artinmark.simplex import CparabSimplex, enumerate_maximal_standard
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 
 
 def run(capsys, *argv):
@@ -289,3 +293,53 @@ def test_stdout_identical_across_hash_seeds():
     assert outputs[0].startswith(b"DELTA^") and b'"edges"' in outputs[0]
     assert b"  ->  s" in outputs[0] and b'"subsets"' in outputs[0]
     assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+
+
+def golden_calls():
+    """(label, argv) pairs of the golden CLI transcript: the marking commands
+    on every maximal simplex of A3, B3 and D4 conjugated by
+    s2^-1 s1 s3^-1 s2, an A3 bfs, A3 std-connectivity and E6 enumeration."""
+    calls = []
+    for spec in ("A3", "B3", "D4"):
+        ctx = context(spec)
+        x = normalize(ctx, "s2^-1 s1 s3^-1 s2")
+        head = ["--type", spec, "--format", "json"]
+        for i, simplex in enumerate(enumerate_maximal_standard(ctx)):
+            simplex_json = json.dumps(simplex.conjugated_by(x).to_json())
+            marking_json = json.dumps(standard_transversals(simplex).conjugated_by(x).to_json())
+            calls.append((f"{spec} simplex {i} canon-std", head + ["canon-std", simplex_json]))
+            for command in (
+                ["validate-marking"],
+                ["standardize-marking"],
+                ["projection", "--index", "1"],
+                ["flip", "--index", "0"],
+            ):
+                calls.append(
+                    (f"{spec} marking {i} {' '.join(command)}", head + command + [marking_json])
+                )
+    calls.append(
+        ("A3 bfs --radius 1", ["--type", "A3", "--format", "json", "bfs", a3_marking_json()])
+    )
+    calls.append(("A3 std-connectivity", ["--type", "A3", "--format", "json", "std-connectivity"]))
+    calls.append(("E6 enum-max-simplices", ["--type", "E6", "--format", "json", "enum-max-simplices"]))
+    return calls
+
+
+def golden_transcript() -> str:
+    """Exit code and stdout of every golden call, run in-process.
+
+    To record the file again after an intended change of output:
+    python -c "import sys; sys.path[:0] = ['src', 'tests']; import test_cli;
+    open('tests/golden/cli.txt', 'w').write(test_cli.golden_transcript())"
+    """
+    out = []
+    for label, argv in golden_calls():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = run_command(argv)
+        out.append(f"### {label} (exit {code})\n{stdout.getvalue()}")
+    return "".join(out)
+
+
+def test_golden_transcript():
+    assert golden_transcript() == GOLDEN.read_text()

@@ -8,8 +8,6 @@ from artinmark.coxeter import (
     ArtinType,
     RootSystem,
     build_defining_graph,
-    cox_support,
-    descents,
     longest_element,
     root_reflection_table,
 )
@@ -142,12 +140,12 @@ def test_length_inverse_invariant():
 def test_descents_examples():
     rs = root_reflection_table("A2")
     s1, s2 = rs.generators
-    assert descents(rs.identity, "left") == frozenset()
+    assert rs.identity.left_descents() == frozenset()
     w0 = longest_element(rs, frozenset({0, 1}))
-    assert descents(w0, "left") == descents(w0, "right") == frozenset({0, 1})
+    assert w0.left_descents() == w0.right_descents() == frozenset({0, 1})
     w = s1 * s2
-    assert descents(w, "left") == frozenset({0})
-    assert descents(w, "right") == frozenset({1})
+    assert w.left_descents() == frozenset({0})
+    assert w.right_descents() == frozenset({1})
 
 
 def test_longest_element_examples():
@@ -178,10 +176,10 @@ def test_longest_element_conjugation_permutes_subset(spec):
 
 def test_cox_support():
     rs = root_reflection_table("A3")
-    assert cox_support(rs.identity) == frozenset()
+    assert rs.identity.support() == frozenset()
     w0 = longest_element(rs, frozenset({0, 1, 2}))
-    assert cox_support(w0) == frozenset({0, 1, 2})
-    assert cox_support(rs.generators[0] * rs.generators[2]) == frozenset({0, 2})
+    assert w0.support() == frozenset({0, 1, 2})
+    assert (rs.generators[0] * rs.generators[2]).support() == frozenset({0, 2})
 
 
 def test_classify_induced_subgraphs():

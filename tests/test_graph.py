@@ -181,7 +181,7 @@ def test_stabilizers_of_explored_nodes_conjugate_delta_powers():
     # every explored node is conjugate to a standard marking, so its
     # stabilizer is the corresponding conjugate of the Delta powers found
     # by the exhaustive probe
-    from artinmark.marking import conjugate_marking, marking_stabilizer_probe, standardize_marking
+    from artinmark.marking import marking_stabilizer_probe, standardize_marking
 
     a2, seed = a2_seed()
     ball = bfs(seed, 2)
@@ -191,14 +191,14 @@ def test_stabilizers_of_explored_nodes_conjugate_delta_powers():
         hits = marking_stabilizer_probe(standard, 3, 2)
         assert all(h.canonical_length == 0 for h in hits)
         for h in hits:
-            moved = conjugate_marking(node, conj * h * conj.inverse())
+            moved = node.conjugated_by(conj * h * conj.inverse())
             assert moved == node
 
 
 def test_neighbor_sets_equivariant_a3_b3():
     import random as rnd
 
-    from artinmark.marking import conjugate_marking, twist_move
+    from artinmark.marking import twist_move
 
     rnd.seed(9)
     for spec in ["A3", "B3"]:
@@ -215,7 +215,7 @@ def test_neighbor_sets_equivariant_a3_b3():
                 n.conjugated_by(x).key() for n, _ in neighbors(marking)
             )
             moved = sorted(
-                n.key() for n, _ in neighbors(conjugate_marking(marking, x))
+                n.key() for n, _ in neighbors(marking.conjugated_by(x))
             )
             assert direct == moved, spec
 

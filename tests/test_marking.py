@@ -6,13 +6,13 @@ import pytest
 
 from artinmark.errors import (
     BaseNotMaximal,
+    NotAStandardizer,
     PreconditionViolated,
     TransversalityPatternBroken,
 )
 from artinmark.garside import context, normalize
 from artinmark.marking import (
     Marking,
-    conjugate_marking,
     decompose_transversal,
     enumerate_flip_moves,
     is_flip_edge,
@@ -127,7 +127,7 @@ def test_validation_preserved_under_conjugation():
             (random.randrange(3), random.choice([1, -1]))
             for _ in range(random.randrange(0, 4))
         )
-        moved = conjugate_marking(marking, a3.from_word(word))
+        moved = marking.conjugated_by(a3.from_word(word))
         validate_marking(moved)
 
 
@@ -144,6 +144,10 @@ def test_transversal_decomposition_standard_and_twisted():
     twisted = Marking(a3, pairs)
     data2 = transversal_decomposition(twisted, 0, a3.identity)
     assert data2.twist == 2 and data2.subset == gens(a3, "s2", "s3")
+    # the identity does not standardize the base s2 A_{s1} s2^-1
+    moved_base = ParabolicSubgroup(a3, a3.atoms[1], gens(a3, "s1"))
+    with pytest.raises(NotAStandardizer):
+        decompose_transversal(marking.pairs[0][1], moved_base, a3.identity)
 
 
 def test_transversal_decomposition_unique_by_scan():
@@ -221,7 +225,7 @@ def test_projection_not_absolutely_conjugation_invariant():
     # projection; only differences of projections are invariant
     a2 = context("A2")
     marking = standard_transversals(simplex_of(a2, ("s1",)))
-    moved = conjugate_marking(marking, a2.atoms[0])
+    moved = marking.conjugated_by(a2.atoms[0])
     assert moved == twist_move(marking, 0)
     assert projection(marking, 0) == 0
     assert projection(moved, 0) == 1
@@ -240,7 +244,7 @@ def test_projection_differences_conjugation_invariant():
             for _ in range(random.randrange(0, 4))
         )
         x = a3.from_word(word)
-        m1, m2 = conjugate_marking(marking, x), conjugate_marking(other, x)
+        m1, m2 = marking.conjugated_by(x), other.conjugated_by(x)
         diffs = [projection(m2, i) - projection(m1, i) for i in range(2)]
         assert diffs == base_diffs
 
@@ -406,10 +410,10 @@ def test_standardize_marking_roundtrip_random():
                 for _ in range(random.randrange(0, 4))
             )
             x = ctx.from_word(word)
-            moved = conjugate_marking(twist_move(marking, 0), x)
+            moved = twist_move(marking, 0).conjugated_by(x)
             conj, standard = standardize_marking(moved)
             assert standard.all_standard()
-            assert conjugate_marking(standard, conj) == moved
+            assert standard.conjugated_by(conj) == moved
             assert standard.projections() == (0,) * len(standard.pairs)
 
 
@@ -425,7 +429,7 @@ def test_stabilizer_probe_a2():
     assert a2.delta**2 in hits
     assert a2.atoms[0] not in hits
     # s1 does not stabilize: s1 <s2> s1^-1 != <s2>
-    assert conjugate_marking(marking, a2.atoms[0]) != marking
+    assert marking.conjugated_by(a2.atoms[0]) != marking
 
 
 def test_twist_edges_conjugate_to_twist_edges():
@@ -442,7 +446,7 @@ def test_twist_edges_conjugate_to_twist_edges():
             )
             x = ctx.from_word(word)
             assert is_twist_edge(
-                conjugate_marking(marking, x), conjugate_marking(twisted, x)
+                marking.conjugated_by(x), twisted.conjugated_by(x)
             )
 
 
@@ -456,7 +460,7 @@ def test_flip_edges_conjugate_to_flip_edges():
             for _ in range(random.randrange(0, 4))
         )
         x = a3.from_word(word)
-        assert is_flip_edge(conjugate_marking(marking, x), conjugate_marking(flip, x))
+        assert is_flip_edge(marking.conjugated_by(x), flip.conjugated_by(x))
 
 
 def test_transversal_swap_path_trivial():
@@ -505,7 +509,7 @@ def test_single_pair_swap_path_is_twist():
 
 def test_marking_json_roundtrip():
     a3, marking = marking_a3()
-    moved = conjugate_marking(marking, normalize(a3, "s2 s1^-1"))
+    moved = marking.conjugated_by(normalize(a3, "s2 s1^-1"))
     assert Marking.from_json(a3, moved.to_json()) == moved
 
 
@@ -548,7 +552,7 @@ def test_flip_and_swap_soak_on_moved_markings():
                 (random.randrange(ctx.rank), random.choice([1, -1]))
                 for _ in range(random.randrange(0, 3))
             )
-            marking = conjugate_marking(marking, ctx.from_word(word))
+            marking = marking.conjugated_by(ctx.from_word(word))
             marking.certificate()
             j = random.randrange(len(marking))
             flips = enumerate_flip_moves(marking, j)
@@ -571,7 +575,7 @@ def test_flip_and_swap_soak_on_moved_markings():
                 for _ in range(random.randrange(0, 3))
             )
         )
-        m1c, m2c = conjugate_marking(m1, x), conjugate_marking(m2, x)
+        m1c, m2c = m1.conjugated_by(x), m2.conjugated_by(x)
         path = transversal_swap_path(m1c, m2c)
         assert path[0] == m1c and path[-1] == m2c and len(path) <= 5
         for a, b in zip(path, path[1:]):

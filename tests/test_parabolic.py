@@ -10,8 +10,6 @@ from artinmark.parabolic import (
     build_conjugacy_graph,
     central_generator_z,
     delta_permutation,
-    garside_delta,
-    irreducible_components,
     minimal_standardizer,
     simultaneous_standardizer,
     standard_conjugate,
@@ -29,18 +27,18 @@ def std(ctx, *names):
 
 def test_garside_delta_examples():
     a2 = context("A2")
-    assert garside_delta(a2, gens(a2, "s1", "s2")) == normalize(a2, "s1 s2 s1")
+    assert a2.delta_of(gens(a2, "s1", "s2")) == normalize(a2, "s1 s2 s1")
     a3 = context("A3")
-    assert garside_delta(a3, gens(a3, "s1", "s3")) == normalize(a3, "s1 s3")
+    assert a3.delta_of(gens(a3, "s1", "s3")) == normalize(a3, "s1 s3")
     b3 = context("B3")
-    assert garside_delta(b3, gens(b3, "s1", "s2")) == normalize(b3, "s1 s2 s1 s2")
-    assert garside_delta(a3, frozenset()) == a3.identity
+    assert b3.delta_of(gens(b3, "s1", "s2")) == normalize(b3, "s1 s2 s1 s2")
+    assert a3.delta_of(frozenset()) == a3.identity
 
 
 def test_central_generator_z():
     a2 = context("A2")
     x = gens(a2, "s1", "s2")
-    assert central_generator_z(a2, x) == garside_delta(a2, x) ** 2
+    assert central_generator_z(a2, x) == a2.delta_of(x) ** 2
     i4 = context("I2(4)")
     assert central_generator_z(i4, gens(i4, "s1", "s2")) == i4.delta
     assert central_generator_z(a2, gens(a2, "s1")) == a2.atoms[0]
@@ -65,14 +63,14 @@ def test_z_of_parabolic_representation_independent():
 
 def test_irreducible_components():
     a3 = context("A3")
-    assert irreducible_components(a3.graph, gens(a3, "s1", "s3")) == [
+    assert a3.graph.components(gens(a3, "s1", "s3")) == [
         gens(a3, "s1"),
         gens(a3, "s3"),
     ]
     e6 = context("E6")
-    comps = irreducible_components(e6.graph, gens(e6, "s1", "s2", "s4"))
+    comps = e6.graph.components(gens(e6, "s1", "s2", "s4"))
     assert sorted(map(sorted, comps)) == [[0, 1], [3]]
-    assert irreducible_components(a3.graph, gens(a3, "s1", "s2")) == [
+    assert a3.graph.components(gens(a3, "s1", "s2")) == [
         gens(a3, "s1", "s2")
     ]
 

@@ -4,7 +4,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from artinmark.garside import context, is_prefix
+from artinmark.garside import context
 
 from oracles import braid_rewrites
 
@@ -53,7 +53,7 @@ def test_positive_product_support_and_length(spec, data):
     v = ctx.from_word(tuple((i, 1) for i in data.draw(positive_words(ctx.rank))))
     assert (u * v).atom_length() == u.atom_length() + v.atom_length()
     assert (u * v).support() == u.support() | v.support()
-    assert is_prefix(u, u * v)
+    assert u.is_prefix_of(u * v)
 
 
 @settings(max_examples=40, deadline=None)

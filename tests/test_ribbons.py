@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from artinmark.errors import NotAnXRibbonX, NotCorankOne
+from artinmark.errors import MixedContext, NotAnXRibbonX, NotCorankOne
 from artinmark.garside import context, normalize
 from artinmark.ribbons import Ribbon, elementary_ribbon, ribbon_delta_form
 
@@ -86,6 +86,9 @@ def test_delta_form_errors():
         ribbon_delta_form(a3, a3.identity, gens(a3, "s1"))
     with pytest.raises(NotAnXRibbonX):
         ribbon_delta_form(a3, a3.atoms[0], gens(a3, "s1", "s2"))
+    b3 = context("B3")
+    with pytest.raises(MixedContext):
+        ribbon_delta_form(b3, a3.delta_of(gens(a3, "s1", "s2")), gens(b3, "s1", "s2"))
 
 
 def random_ribbon_walk(ctx, start, steps, rng):

@@ -9,6 +9,7 @@ from artinmark.errors import (
     NotConjugate,
     NotIrreducible,
     NotProper,
+    PreconditionViolated,
 )
 from artinmark.garside import context, normalize
 from artinmark.parabolic import ParabolicSubgroup
@@ -18,7 +19,6 @@ from artinmark.simplex import (
     adjacent,
     build_standardized,
     canonical_positive_standardizer,
-    decompose_levels,
     enumerate_maximal_standard,
     extract_ascending_product,
     is_maximal_standard,
@@ -26,7 +26,7 @@ from artinmark.simplex import (
     standard_adjacent,
     standardization_change,
 )
-from oracles import levelwise_canonical_standardizer
+from oracles import containment_levels, levelwise_canonical_standardizer
 
 
 def gens(ctx, *names):
@@ -78,7 +78,7 @@ def test_e6_example_levels_and_chains():
         e6,
         [std(e6, "s1"), std(e6, "s1", "s2"), std(e6, "s4"), std(e6, "s5", "s6"), std(e6, "s6")],
     )
-    levels = decompose_levels(pi)
+    levels = pi.levels
     named = [
         sorted(sorted(pi.vertices[i].gens) for i in layer) for layer in levels.levels
     ]
@@ -113,7 +113,7 @@ def test_singleton_not_maximal_in_a3():
     singleton = CparabSimplex(a3, [std(a3, "s1")])
     ok, t, _ = is_maximal_standard(singleton)
     assert not ok and t is None
-    assert len(decompose_levels(singleton).levels) == 1
+    assert len(singleton.levels.levels) == 1
 
 
 def test_maximality_examples():
@@ -122,6 +122,8 @@ def test_maximality_examples():
     ok, t, witnesses = is_maximal_standard(pair)
     assert ok and t == 1
     assert witnesses[gens(a3, "s1")] == 0 and witnesses[gens(a3, "s3")] == 2
+    with pytest.raises(PreconditionViolated):
+        is_maximal_standard([gens(a3, "s1"), gens(a3, "s3")])
 
 
 def brute_force_maximal_standard(ctx):
@@ -207,6 +209,11 @@ def test_canonical_standardizer_matches_levelwise_bfs(spec, word):
         moved = simplex.conjugated_by(x)
         want = levelwise_canonical_standardizer(moved, hint=x)
         assert canonical_positive_standardizer(moved) == want
+        keys, levels, chains = containment_levels(
+            [v.conjugated_by(x) for v in simplex.vertices]
+        )
+        assert tuple(v.key() for v in moved.vertices) == keys
+        assert (moved.levels.levels, moved.levels.chains) == (levels, chains)
 
 
 def test_canonical_standardizer_conjugated_simplex():
