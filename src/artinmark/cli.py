@@ -28,7 +28,12 @@ from .marking import (
     twist_move,
     validate_marking,
 )
-from .parabolic import ParabolicSubgroup, minimal_standardizer, standard_conjugate
+from .parabolic import (
+    ParabolicSubgroup,
+    build_conjugacy_graph,
+    minimal_standardizer,
+    standard_conjugate,
+)
 from .simplex import CparabSimplex, enumerate_maximal_standard
 
 
@@ -187,8 +192,6 @@ def _dispatch(ctx: GarsideContext, args: argparse.Namespace) -> int:
             result = standard_conjugate(ctx, x, x2)
             _emit(args, {"conjugate": result}, str(result).lower())
         else:
-            from .parabolic import build_conjugacy_graph
-
             cg = build_conjugacy_graph(ctx)
             payload = {"vertices": 1 << graph.rank, "edges": len(cg.edges)}
             _emit(args, payload, f"{payload['vertices']} vertices, {payload['edges']} edges")

@@ -212,13 +212,6 @@ class DefiningGraph:
     def is_connected(self, subset: frozenset[int]) -> bool:
         return len(self.components(subset)) <= 1
 
-    def boundary(self, subset: frozenset[int]) -> frozenset[int]:
-        """Vertices outside the subset adjacent to it."""
-        out = set()
-        for v in subset:
-            out |= self._adj[v]
-        return frozenset(out - subset)
-
     def classify(self, subset: frozenset[int]) -> ArtinType:
         """Type of the induced subgraph; the subset must be connected."""
         if not self.is_connected(subset) or not subset:

@@ -92,10 +92,6 @@ class GarsideContext:
         """The simple l with l * x = Delta, lengths adding."""
         return self.delta_w * x.inverse()
 
-    def is_prefix_w(self, a: CoxeterElement, b: CoxeterElement) -> bool:
-        """a divides b in the prefix order on simples."""
-        return a.length + (a.inverse() * b).length == b.length
-
     def gcd_simples(self, a: CoxeterElement, b: CoxeterElement) -> CoxeterElement:
         """Meet of two simples in the prefix order (greedy descent peeling)."""
         if a.system is not b.system or a.system is not self.system:

@@ -7,8 +7,12 @@ standardizable with the whole base.  That last condition is certified
 constructively: relative to any standardizer g of the base there is a unique
 twist k and standard subset Y with Q_j = g Delta_{X_j}^k A_Y Delta_{X_j}^-k
 g^-1, found by a bounded scan over k.  The projection of Q_j onto P_j is the
-Delta_{X_j}-exponent of the ascending product relating g Delta_{X_j}^k to
-the canonical standardizer; for the canonical standardizer it equals k.
+twist k relative to the canonical standardizer ghat.  Relative to any other
+standardizer g it is the Delta_{X_j}-exponent of the ascending product
+relating g Delta_{X_j}^k to ghat; relative to ghat that product is
+Delta_{X_j}^k itself, so no extraction is needed.  The structure of a
+marking is read off the same decompositions: conjugation by ghat preserves
+containment, and A_U <= A_V exactly when U <= V.
 
 Twist moves conjugate one transversal by the z-element of its base.  Flip
 moves swap one pair and rechoose every other transversal within twist
@@ -31,8 +35,10 @@ from .errors import (
     ArtinMarkError,
     BaseNotMaximal,
     CachedError,
+    InvariantViolated,
     NotAStandardizer,
     NotIrreducible,
+    NotMaximal,
     NotProper,
     NotStandard,
     NotSimultaneouslyStandardizable,
@@ -42,11 +48,7 @@ from .errors import (
 )
 from .garside import ArtinElement, GarsideContext, scan_powers
 from .parabolic import ParabolicSubgroup, _standard_target
-from .simplex import (
-    CparabSimplex,
-    LevelDecomposition,
-    extract_ascending_product,
-)
+from .simplex import CparabSimplex, LevelDecomposition, is_maximal_standard
 
 Subset = frozenset[int]
 Pair = tuple[ParabolicSubgroup, ParabolicSubgroup]
@@ -71,7 +73,7 @@ class Marking:
     """Ordered pairs (base, transverse); equality ignores the order."""
 
     __slots__ = (
-        "ctx", "pairs", "_key", "_base", "_pair_vertex", "_cert", "_proj",
+        "ctx", "pairs", "_key", "_base", "_pair_vertex", "_cert",
     )
 
     def __init__(self, ctx: GarsideContext, pairs):
@@ -79,9 +81,8 @@ class Marking:
         self.pairs: tuple[Pair, ...] = tuple((p, q) for p, q in pairs)
         self._key: str | None = None
         self._base: CparabSimplex | None = None
-        self._pair_vertex: tuple[int, ...] | None = None
+        self._pair_vertex: tuple[int, ...] = ()
         self._cert: MarkingCertificate | None = None
-        self._proj: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -119,7 +120,6 @@ class Marking:
 
     def vertex_of_pair(self, j: int) -> int:
         self.base_simplex()
-        assert self._pair_vertex is not None
         return self._pair_vertex[j]
 
     def conjugated_by(self, x: ArtinElement) -> Marking:
@@ -195,7 +195,8 @@ def _recipe_transversals(graph, subsets: tuple[Subset, ...], scope: Subset) -> d
         subs = tuple(z for z in subsets if z < x)
         inside = frozenset().union(frozenset(), *subs)
         gap = x - inside
-        assert len(gap) == 1, "family must be maximal inside each component"
+        if len(gap) != 1:
+            raise InvariantViolated("family must be maximal inside each component")
         (t_x,) = gap
         if u != t_x:
             x1 = next(c for c in graph.components(x - {t_x}) if u in c)
@@ -208,8 +209,6 @@ def _recipe_transversals(graph, subsets: tuple[Subset, ...], scope: Subset) -> d
 
 def standard_transversals(simplex: CparabSimplex) -> Marking:
     """The simultaneously standardizable marking on a maximal standard base."""
-    from .simplex import is_maximal_standard
-
     ctx = simplex.ctx
     ok, _t, _w = is_maximal_standard(simplex)
     if not ok:
@@ -297,57 +296,35 @@ def validate_marking(marking: Marking) -> MarkingCertificate:
             data.append(transversal_decomposition(marking, j, ghat))
         except ScanExhausted as err:
             raise NotSimultaneouslyStandardizable(j, str(err)) from err
-    # structural sanity: maximal transversals contain the other maximal bases,
-    # and nested bases nest into the higher transversals
-    top = simplex.levels.levels[0]
-    if len(top) >= 2:
-        for vi in top:
-            j = marking._pair_vertex.index(vi)  # type: ignore[union-attr]
-            for vk in top:
-                if vk != vi:
-                    assert pairs[j][1].contains(simplex.vertices[vk])
-    for j, (p_j, q_j) in enumerate(pairs):
-        for k, (p_k, q_k) in enumerate(pairs):
-            if j != k and p_k.contains(p_j):
-                assert p_k.contains(q_j)
-                assert q_k.contains(p_j) or q_k.z_element().commutes_with(
-                    p_j.z_element()
-                )
+    # structural sanity: a top-level transversal contains the other top-level
+    # bases (Delta_{X_j} commutes with A_{X_k}), and a nested base's
+    # transversal lies in every base above it (Delta_{X_j} lies in A_{X_k})
+    vertex = [marking.vertex_of_pair(j) for j in range(len(pairs))]
+    x = [std.subsets[v] for v in vertex]
+    top = {j for j, v in enumerate(vertex) if v in simplex.levels.levels[0]}
+    for j, k in itertools.product(range(len(pairs)), repeat=2):
+        y_j = data[j].subset
+        if j != k and j in top and k in top and not x[k] <= y_j:
+            raise InvariantViolated(f"transversal {j} misses the top-level base {k}")
+        if x[j] < x[k] and not y_j <= x[k]:
+            raise InvariantViolated(f"transversal {j} leaves the base {k} above it")
     return MarkingCertificate(simplex.levels, tuple(data))
 
 
-def projection(marking: Marking, j: int, g: ArtinElement | None = None) -> int:
-    """The integer twist coordinate pi_{P_j}(Q_j).
+def projection(marking: Marking, j: int) -> int:
+    """The integer twist coordinate pi_{P_j}(Q_j): the twist of the j-th
+    transversal decomposition relative to the canonical standardizer ghat.
 
-    Computed from the twist of the transversal decomposition relative to g
-    (default: the canonical standardizer) and the ascending product relating
-    g Delta_{X_j}^k to the canonical standardizer; the result is independent
-    of g.
+    Relative to any standardizer g, the same value is the Delta_{X_j}-exponent
+    of the ascending product relating g Delta_{X_j}^k to ghat, where k is the
+    twist relative to g.  The base must be maximal; the marking is not
+    validated.
     """
-    if g is None and j in marking._proj:
-        return marking._proj[j]
-    ctx = marking.ctx
-    cache = ctx.scratch.setdefault("marking_proj", {})
-    cache_key = (marking.ordered_key(), j, g)
-    if cache_key in cache:
-        value = cache[cache_key]
-        if g is None:
-            marking._proj[j] = value
-        return value
-    simplex = marking.base_simplex()
-    ghat, std = simplex.canonical_data()
-    use_g = ghat if g is None else g
-    data = transversal_decomposition(marking, j, use_g)
-    # the subset conjugated to the pair's base by use_g
-    base_conj = marking.pairs[j][0].conjugated_by(use_g.inverse())
-    _, x_j = base_conj.canonical()
-    h = use_g * ctx.delta_of(x_j) ** data.twist
-    product = extract_ascending_product(h, ghat, std)
-    value = product.exponents[marking.vertex_of_pair(j)]
-    cache[cache_key] = value
-    if g is None:
-        marking._proj[j] = value
-    return value
+    ghat, std = marking.base_simplex().canonical_data()
+    twist = transversal_decomposition(marking, j, ghat).twist
+    if not std.is_maximal:
+        raise NotMaximal("ascending products are extracted over maximal simplices")
+    return twist
 
 
 # -- moves ---------------------------------------------------------------------
@@ -380,15 +357,16 @@ def shared_flip_standardizer(marking: Marking, j: int) -> ArtinElement:
 
 
 def _flip_candidate_table(
-    marking: Marking, j: int, anchor_width: int = 1
+    marking: Marking, j: int
 ) -> tuple[ArtinElement, dict[int, int], dict[int, list[tuple[int, ParabolicSubgroup]]]]:
     """Shared standardizer h, twists of the old transversals relative to h,
     and per-index candidate transversals tagged with their h-twists.
 
     By the unique transversal decomposition, the candidate with twist t and
     standard subset Y at index i is exactly (h Delta_X^t) A_Y (h Delta_X^t)^-1
-    with A_X the h-standardization of P_i, so ranging t over the window and Y
-    over all pattern-admissible connected subsets enumerates every possible
+    with A_X the h-standardization of P_i, so ranging t over the window of
+    width one around the old twist (in increasing order) and Y over all
+    pattern-admissible connected subsets enumerates every possible
     transversal; candidates failing the commutation pattern are dropped here,
     the rest are certified when the assembled marking is validated.
     """
@@ -410,10 +388,11 @@ def _flip_candidate_table(
             continue
         anchors[i] = transversal_decomposition(marking, i, h).twist
         c, x_h = pairs[i][0].conjugated_by(h_inv).canonical()
-        assert c.is_identity
+        if not c.is_identity:
+            raise InvariantViolated(f"the shared standardizer moves base {i}")
         d_x = ctx.delta_of(x_h)
         tagged = []
-        for t in range(anchors[i] - anchor_width, anchors[i] + anchor_width + 1):
+        for t in range(anchors[i] - 1, anchors[i] + 2):
             conj_t = h * d_x**t
             for y in ctx.connected_proper_subsets():
                 cand = ParabolicSubgroup(ctx, conj_t, y)
@@ -438,12 +417,9 @@ def enumerate_flip_moves(marking: Marking, j: int) -> list[Marking]:
     marking.certificate()
     pairs = marking.pairs
     p_j, q_j = pairs[j]
-    _h, anchors, table = _flip_candidate_table(marking, j, anchor_width=1)
+    _h, anchors, table = _flip_candidate_table(marking, j)
     indices = sorted(anchors)
-    per_index = [
-        [cand for twist, cand in table[i] if abs(twist - anchors[i]) <= 1]
-        for i in indices
-    ]
+    per_index = [[cand for _twist, cand in table[i]] for i in indices]
     out = []
     seen = set()
     for combo in itertools.product(*per_index):
@@ -461,7 +437,8 @@ def enumerate_flip_moves(marking: Marking, j: int) -> list[Marking]:
         seen.add(candidate.key())
         out.append(candidate)
     out.sort(key=Marking.key)
-    assert out, "a flip move always exists"
+    if not out:
+        raise InvariantViolated("a flip move always exists")
     return out
 
 
@@ -586,7 +563,8 @@ def standardize_marking(marking: Marking) -> tuple[ArtinElement, Marking]:
     for p, q in cur.pairs:
         cp, xp = p.canonical()
         cq, xq = q.canonical()
-        assert cp.is_identity and cq.is_identity
+        if not (cp.is_identity and cq.is_identity):
+            raise InvariantViolated("a pair is not standard after absorbing its twist")
         std_pairs.append(
             (ParabolicSubgroup.standard(ctx, xp), ParabolicSubgroup.standard(ctx, xq))
         )
@@ -626,14 +604,14 @@ def _flip_toward(marking: Marking, j: int, target: Marking) -> Marking:
     and the target's transversal (the target shares the base of marking)."""
     ctx = marking.ctx
     pairs = marking.pairs
-    h, anchors, table = _flip_candidate_table(marking, j, anchor_width=2)
+    h, anchors, table = _flip_candidate_table(marking, j)
     new_pairs = list(pairs)
     new_pairs[j] = (pairs[j][1], pairs[j][0])
     for i in sorted(anchors):
         goal = decompose_transversal(target.pairs[i][1], pairs[i][0], h).twist
         pick = None
         for twist, cand in table[i]:
-            if abs(twist - anchors[i]) <= 1 and abs(twist - goal) <= 1:
+            if abs(twist - goal) <= 1:
                 pick = cand
                 break
         if pick is None:
@@ -675,7 +653,7 @@ def transversal_swap_path(m1: Marking, m2: Marking) -> list[Marking]:
         raise PreconditionViolated("one-pair markings differ by more than a twist")
     j, k = 0, 1
     m_prime = _flip_toward(m1, j, m2)
-    assert is_flip_edge(m1, m_prime)
+    _check_flip_edge(m1, m_prime)
     # flip back across j, installing m2's transversals away from j
     second = list(m_prime.pairs)
     second[j] = (m1.pairs[j][0], m1.pairs[j][1])
@@ -684,12 +662,17 @@ def transversal_swap_path(m1: Marking, m2: Marking) -> list[Marking]:
             second[i] = (m2.pairs[i][0], m2.pairs[i][1])
     m_second = Marking(m1.ctx, second)
     m_second.certificate()
-    assert is_flip_edge(m_prime, m_second)
+    _check_flip_edge(m_prime, m_second)
     if m_second == m2:
         return [m1, m_prime, m_second]
     # two flips across k to replace the remaining transversal at j
     m_third = _flip_toward(m_second, k, m2)
-    assert is_flip_edge(m_second, m_third)
+    _check_flip_edge(m_second, m_third)
     m2.certificate()
-    assert is_flip_edge(m_third, m2)
+    _check_flip_edge(m_third, m2)
     return [m1, m_prime, m_second, m_third, m2]
+
+
+def _check_flip_edge(a: Marking, b: Marking) -> None:
+    if not is_flip_edge(a, b):
+        raise InvariantViolated("a swap-path step is not a flip edge")

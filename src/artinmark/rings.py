@@ -148,9 +148,6 @@ class CosRing:
                 out = [o + coeff * r for o, r in zip(out, row)]
         return tuple(out)
 
-    def scale(self, k: int, a: Coeffs) -> Coeffs:
-        return tuple(k * x for x in a)
-
     def is_zero(self, a: Coeffs) -> bool:
         return all(x == 0 for x in a)
 

@@ -376,9 +376,6 @@ class AscendingProduct:
             out = out * ctx.delta_of(self.std.subsets[i]) ** self.exponents[i]
         return out * ctx.delta**self.gamma
 
-    def exponent_of(self, subset: Subset) -> int:
-        return self.exponents[self.std.subsets.index(frozenset(subset))]
-
     def key(self) -> tuple:
         """Within-level order is immaterial; subsets are already canonical."""
         return (self.exponents, self.gamma)

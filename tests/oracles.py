@@ -18,7 +18,13 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   and round-robin climb;
 * the containment levels decide nesting by subgroup containment of the
   vertices themselves (membership of each generator's conjugate), not by
-  inclusion of their standardized subsets.
+  inclusion of their standardized subsets;
+* the containment structure of a marking decides the same way whether its
+  transversals contain or lie in its bases, not from the subsets of its
+  transversal decompositions;
+* the extraction projection peels the ascending product relating a
+  standardizer times a power of Delta_{X_j} to the canonical standardizer,
+  instead of reading the twist relative to the canonical standardizer.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ from functools import lru_cache
 
 from artinmark.coxeter import DefiningGraph, RootSystem
 from artinmark.garside import ArtinElement
+from artinmark.marking import transversal_decomposition
 from artinmark.parabolic import _standard_target
-from artinmark.simplex import build_standardized
+from artinmark.simplex import build_standardized, extract_ascending_product
 
 
 def braid_rewrites(graph: DefiningGraph, word: tuple[int, ...]):
@@ -322,3 +329,38 @@ def containment_levels(vertices):
     for i in levels[0] if levels else ():
         grow([i])
     return tuple(vertices[i].key() for i in order), levels, tuple(chains)
+
+
+# -- marking coordinates and structure ----------------------------------------
+
+
+def extraction_projection(marking, j, g):
+    """pi_{P_j}(Q_j) relative to a standardizer g of the base: the
+    Delta_{X_j}-exponent of the ascending product relating g Delta_{X_j}^k
+    (k the twist relative to g) to the canonical standardizer."""
+    ctx = marking.ctx
+    ghat, std = marking.base_simplex().canonical_data()
+    data = transversal_decomposition(marking, j, g)
+    _, x_j = marking.pairs[j][0].conjugated_by(g.inverse()).canonical()
+    h = g * ctx.delta_of(x_j) ** data.twist
+    product = extract_ascending_product(h, ghat, std)
+    return product.exponents[marking.vertex_of_pair(j)]
+
+
+def containment_structure(marking):
+    """(covers, nested) decided by ParabolicSubgroup.contains: covers maps
+    each pair (j, k) of distinct top-level pair indices to whether Q_j
+    contains P_k; nested maps each (j, k) with P_j properly inside P_k to
+    whether P_k contains Q_j."""
+    pairs = marking.pairs
+    n = len(pairs)
+    above = {
+        (j, k) for j in range(n) for k in range(n)
+        if j != k and pairs[k][0].contains(pairs[j][0])
+    }
+    top = [j for j in range(n) if not any((j, k) in above for k in range(n))]
+    covers = {
+        (j, k): pairs[j][1].contains(pairs[k][0]) for j in top for k in top if j != k
+    }
+    nested = {(j, k): pairs[k][0].contains(pairs[j][1]) for j, k in above}
+    return covers, nested

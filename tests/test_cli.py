@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from artinmark.cli import parse_payload, run_command
-from artinmark.errors import ParseError
+from artinmark.errors import NotMaximal, ParseError
 from artinmark.garside import context, normalize
-from artinmark.marking import standard_transversals
+from artinmark.marking import Marking, projection, standard_transversals
 from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import CparabSimplex, enumerate_maximal_standard
 
@@ -127,6 +127,22 @@ def test_validate_and_projection_and_twist(capsys):
         "0",
     )
     assert code == 0 and out.strip() == "1"
+    # a non-maximal base has no projection
+    a3 = context("A3")
+    s1, s2, s3 = (ParabolicSubgroup.standard(a3, frozenset({i})) for i in range(3))
+    lonely = Marking(a3, [(s1, s2)])
+    with pytest.raises(NotMaximal):
+        projection(lonely, 0)
+    code, _out, err = run(
+        capsys, "--type", "A3", "projection", json.dumps(lonely.to_json()), "--index", "0"
+    )
+    assert code == 1 and json.loads(err)["error"] == "NotMaximal"
+    # projection does not validate: this marking breaks the pattern at (1, 0)
+    invalid = Marking(a3, [(s1, s2), (s3, s2)])
+    code, out, _ = run(
+        capsys, "--type", "A3", "projection", json.dumps(invalid.to_json()), "--index", "0"
+    )
+    assert code == 0 and out.strip() == "0"
 
 
 def test_flip_and_standardize(capsys):

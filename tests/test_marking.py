@@ -6,6 +6,7 @@ import pytest
 
 from artinmark.errors import (
     BaseNotMaximal,
+    InvariantViolated,
     NotAStandardizer,
     PreconditionViolated,
     TransversalityPatternBroken,
@@ -29,6 +30,8 @@ from artinmark.marking import (
 )
 from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import CparabSimplex, enumerate_maximal_standard
+
+from oracles import containment_structure, extraction_projection
 
 
 def gens(ctx, *names):
@@ -181,8 +184,9 @@ def test_projection_shift_by_central_power():
 def test_projection_independent_of_standardizer():
     a3, marking = marking_a3()
     twisted = twist_move(marking, 0)
+    assert projection(twisted, 0) == 1
     for g in [a3.identity, a3.delta, a3.delta_of(gens(a3, "s1")) ** 2]:
-        assert projection(twisted, 0, g) == 1
+        assert extraction_projection(twisted, 0, g) == 1
 
 
 def test_twist_inverse_roundtrip_and_distinctness():
@@ -487,7 +491,7 @@ def test_transversal_swap_path_double_twist():
         assert is_flip_edge(a, b) or is_twist_edge(a, b)
 
 
-def test_transversal_swap_path_preconditions():
+def test_transversal_swap_path_preconditions(monkeypatch):
     a3, marking = marking_a3()
     d = a3.delta_of(gens(a3, "s1")) ** 2
     pairs = list(marking.pairs)
@@ -495,6 +499,10 @@ def test_transversal_swap_path_preconditions():
     far = Marking(a3, pairs)
     with pytest.raises(PreconditionViolated):
         transversal_swap_path(marking, far)
+    # every step of the path is checked to be a flip edge, also under -O
+    monkeypatch.setattr("artinmark.marking.is_flip_edge", lambda a, b: False)
+    with pytest.raises(InvariantViolated):
+        transversal_swap_path(marking, twist_move(marking, 0))
 
 
 def test_single_pair_swap_path_is_twist():
@@ -534,8 +542,35 @@ def test_flip_example_base_and_pair_content():
         assert flip.pairs[j][1].gens == gens(a3, "s1")
 
 
+def subset_structure(marking):
+    """containment_structure read off the standardized base subsets X_j and
+    the transversal subsets Y_j of the certificate."""
+    ghat, std = marking.base_simplex().canonical_data()
+    cert = marking.certificate()
+    n = len(marking)
+    x = [std.subsets[marking.vertex_of_pair(j)] for j in range(n)]
+    y = [t.subset for t in cert.transversals]
+    top = [j for j in range(n) if marking.vertex_of_pair(j) in cert.levels.levels[0]]
+    covers = {(j, k): x[k] <= y[j] for j in top for k in top if j != k}
+    nested = {
+        (j, k): y[j] <= x[k] for j in range(n) for k in range(n) if x[j] < x[k]
+    }
+    return covers, nested
+
+
+def check_against_oracles(marking):
+    assert subset_structure(marking) == containment_structure(marking)
+    ghat, _std = marking.base_simplex().canonical_data()
+    g = ghat * marking.ctx.delta
+    assert marking.projections() == tuple(
+        extraction_projection(marking, j, g) for j in range(len(marking))
+    )
+
+
 def test_flip_and_swap_soak_on_moved_markings():
-    # flips and bounded swap paths on twisted and conjugated markings
+    # flips and bounded swap paths on twisted and conjugated markings, with
+    # structure and projections checked against the containment and
+    # extraction oracles
     random.seed(137)
     for spec in ["A3", "B3"]:
         ctx = context(spec)
@@ -554,11 +589,13 @@ def test_flip_and_swap_soak_on_moved_markings():
             )
             marking = marking.conjugated_by(ctx.from_word(word))
             marking.certificate()
+            check_against_oracles(marking)
             j = random.randrange(len(marking))
             flips = enumerate_flip_moves(marking, j)
             assert flips
             for flip in flips[:2]:
                 assert is_flip_edge(marking, flip) and is_flip_edge(flip, marking)
+                check_against_oracles(flip)
     a3, seed = marking_a3()
     for _ in range(10):
         m1 = seed
@@ -580,6 +617,8 @@ def test_flip_and_swap_soak_on_moved_markings():
         assert path[0] == m1c and path[-1] == m2c and len(path) <= 5
         for a, b in zip(path, path[1:]):
             assert is_flip_edge(a, b) or is_twist_edge(a, b)
+        for m in path:
+            check_against_oracles(m)
 
 
 def test_d4_three_maximal_components():
