@@ -78,7 +78,11 @@ def _emit(args: argparse.Namespace, payload, text_form=None):
 
 
 def _marking_arg(ctx: GarsideContext, args: argparse.Namespace) -> Marking:
-    return parse_payload(ctx, _read(args, getattr(args, "marking", None)), "marking")
+    marking = parse_payload(ctx, _read(args, getattr(args, "marking", None)), "marking")
+    index = getattr(args, "index", None)
+    if index is not None and not 0 <= index < len(marking):
+        raise ParseError(f"--index {index} is outside 0..{len(marking) - 1}")
+    return marking
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twist", help="twist move")
     p.add_argument("marking", nargs="?")
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--direction", type=int, default=1)
+    p.add_argument("--direction", type=int, choices=(1, -1), default=1)
 
     p = sub.add_parser("flip", help="all flip moves across an index")
     p.add_argument("marking", nargs="?")

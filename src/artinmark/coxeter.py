@@ -331,17 +331,20 @@ class RootSystem:
         self.index = index
         self.simple_index = tuple(index[r] for r in simple)
 
-        def first_sign(root: tuple[Coeffs, ...]) -> int:
-            for c in root:
-                s = ring.sign(c)
-                if s:
-                    return s
-            raise InvariantViolated(f"{graph.type}: zero root")
-
-        self.is_positive_root = tuple(first_sign(r) > 0 for r in roots)
-        self.positive_indices = tuple(
-            i for i, p in enumerate(self.is_positive_root) if p
-        )
+        # positive roots: the closure of the simple roots under the s_i,
+        # never applying s_i to alpha_i (s_i permutes the other positive
+        # roots, Humphreys Prop. 1.4, and some s_i lowers each one's height)
+        perms = [[index[reflect(i, r)] for r in roots] for i in range(n)]
+        positive = set(self.simple_index)
+        todo = list(self.simple_index)
+        while todo:
+            r = todo.pop()
+            for i, perm in enumerate(perms):
+                if r != self.simple_index[i] and perm[r] not in positive:
+                    positive.add(perm[r])
+                    todo.append(perm[r])
+        self.is_positive_root = tuple(r in positive for r in range(len(roots)))
+        self.positive_indices = tuple(sorted(positive))
         if 2 * len(self.positive_indices) != len(roots):
             raise InvariantViolated(
                 f"{graph.type}: {len(self.positive_indices)} positive roots"
@@ -356,10 +359,7 @@ class RootSystem:
         self._elements: dict[tuple[int, ...] | bytes, CoxeterElement] = {}
         self._next_uid = 0
         self.identity = self.element(encode(range(len(roots))))
-        self.generators = tuple(
-            self.element(encode([index[reflect(i, r)] for r in roots]))
-            for i in range(n)
-        )
+        self.generators = tuple(self.element(encode(perm)) for perm in perms)
         self._gen_of_perm = {g.perm: i for i, g in enumerate(self.generators)}
 
     def element(self, perm: tuple[int, ...] | bytes) -> CoxeterElement:

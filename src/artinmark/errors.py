@@ -82,6 +82,14 @@ class ScanExhausted(ArtinMarkError):
         super().__init__(message or f"twist scan range |k| <= {bound} exhausted")
 
 
+class BudgetExceeded(ArtinMarkError):
+    """A search reached count nodes, past its cap."""
+
+    def __init__(self, count: int, cap: int):
+        self.count, self.cap = count, cap
+        super().__init__(f"{count} nodes exceed the node cap {cap}")
+
+
 class NotCorankOne(ArtinMarkError):
     """Subset does not miss exactly one generator."""
 

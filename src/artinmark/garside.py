@@ -37,7 +37,7 @@ from .coxeter import (
     longest_element,
     root_reflection_table,
 )
-from .errors import MixedContext, NotPositive, ParseError
+from .errors import InvariantViolated, MixedContext, NotPositive, ParseError
 
 Word = tuple[tuple[int, int], ...]  # (generator index, +1 or -1)
 
@@ -263,8 +263,8 @@ class ArtinElement:
     __slots__ = ("ctx", "inf", "body", "_hash")
 
     def __init__(self, ctx: GarsideContext, inf: int, body: tuple[CoxeterElement, ...]):
-        assert ctx.system.identity not in body
-        assert not body or body[0] is not ctx.delta_w
+        if ctx.system.identity in body or (body and body[0] is ctx.delta_w):
+            raise InvariantViolated("a normal-form body holds the identity or starts with Delta")
         self.ctx = ctx
         self.inf = inf
         self.body = body

@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .errors import ArtinMarkError, UnknownFormat
+from .errors import ArtinMarkError, BudgetExceeded, UnknownFormat
 from .garside import ArtinElement, GarsideContext
 from .marking import (
     Marking,
@@ -31,7 +31,7 @@ from .marking import (
     validate_marking,
 )
 from .parabolic import ParabolicSubgroup
-from .simplex import enumerate_maximal_standard, standard_adjacent
+from .simplex import enumerate_maximal_standard, pattern_subsets
 
 
 def neighbors(marking: Marking) -> list[tuple[Marking, str]]:
@@ -138,17 +138,10 @@ def all_standard_markings(ctx: GarsideContext) -> list[Marking]:
     out = []
     for simplex in enumerate_maximal_standard(ctx):
         subsets = [v.gens for v in simplex.vertices]
-        candidates_per_index = []
-        for i, x in enumerate(subsets):
-            cands = []
-            for y in ctx.connected_proper_subsets():
-                pattern_ok = all(
-                    standard_adjacent(ctx.graph, y, subsets[k]) == (k != i)
-                    for k in range(len(subsets))
-                )
-                if pattern_ok:
-                    cands.append(ParabolicSubgroup.standard(ctx, y))
-            candidates_per_index.append(cands)
+        candidates_per_index = [
+            [ParabolicSubgroup.standard(ctx, y) for y in pattern_subsets(ctx, subsets, i)]
+            for i in range(len(subsets))
+        ]
         for combo in itertools.product(*candidates_per_index):
             marking = Marking(ctx, list(zip(simplex.vertices, combo)))
             try:
@@ -178,7 +171,8 @@ def standard_marking_connectivity(
 
     The subgraph keeps markings whose base elements are standard subgroups
     and whose projections lie in [-bound, bound]; twist variants of the
-    standard markings are reached inside it.
+    standard markings are reached inside it.  Reaching a node past node_cap
+    raises BudgetExceeded.
     """
     standard = all_standard_markings(ctx)
 
@@ -206,7 +200,7 @@ def standard_marking_connectivity(
                 okey = other.key()
                 if okey not in nodes:
                     if len(nodes) >= node_cap:
-                        raise ArtinMarkError("node cap exceeded")
+                        raise BudgetExceeded(len(nodes) + 1, node_cap)
                     nodes[okey] = other
                     adjacency[okey] = set()
                     nxt.append(okey)

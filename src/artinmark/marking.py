@@ -20,7 +20,11 @@ distance one of the old one, measured against a standardizer shared by both
 bases; by the uniqueness of transversal decompositions, ranging the twist
 over that window and the standard subset over all admissible connected
 subsets enumerates every possible replacement, so the flip neighbors listed
-here are complete.
+here are complete.  Admissibility is decided in subset coordinates: the
+shared standardizer conjugates the flipped base to standard subsets X_m,
+Delta_{X_i} maps the X_m inside X_i by its involution of the generators
+(Brieskorn-Saito 1972) and fixes the others, so the transversality pattern
+is the subset test of the all-standard case, remapped at odd twists.
 
 Markings compare equal as unordered pair sets (canonical keys), while the
 stored pair order is preserved by every move.
@@ -47,8 +51,14 @@ from .errors import (
     TransversalityPatternBroken,
 )
 from .garside import ArtinElement, GarsideContext, scan_powers
-from .parabolic import ParabolicSubgroup, _standard_target
-from .simplex import CparabSimplex, LevelDecomposition, is_maximal_standard
+from .parabolic import ParabolicSubgroup, _standard_target, delta_permutation
+from .simplex import (
+    CparabSimplex,
+    LevelDecomposition,
+    build_standardized,
+    is_maximal_standard,
+    pattern_subsets,
+)
 
 Subset = frozenset[int]
 Pair = tuple[ParabolicSubgroup, ParabolicSubgroup]
@@ -367,42 +377,37 @@ def _flip_candidate_table(
     with A_X the h-standardization of P_i, so ranging t over the window of
     width one around the old twist (in increasing order) and Y over all
     pattern-admissible connected subsets enumerates every possible
-    transversal; candidates failing the commutation pattern are dropped here,
-    the rest are certified when the assembled marking is validated.
+    transversal.  The pattern is decided on subsets: h conjugates the
+    flipped base to standard A_{X_m}; Delta_X lies in A_{X_m} when X <= X_m,
+    commutes with it when X_m is disjoint from X and not adjacent to it, and
+    maps X_m < X by its involution of the generators of X.  Candidates are
+    certified when the assembled marking is validated.
     """
     ctx = marking.ctx
     pairs = marking.pairs
-    p_j, q_j = pairs[j]
     h = shared_flip_standardizer(marking, j)
     h_inv = h.inverse()
-    new_base = [q_j if i == j else pairs[i][0] for i in range(len(pairs))]
-    _ghat2, std2 = CparabSimplex(ctx, new_base).canonical_data()
-    if not std2.is_maximal:
+    flipped = [(q if m == j else p).conjugated_by(h_inv).canonical()
+               for m, (p, q) in enumerate(pairs)]
+    if any(not c.is_identity for c, _ in flipped):
+        raise InvariantViolated("the shared standardizer moves the flipped base")
+    x_h = [x for _, x in flipped]
+    if not build_standardized(ctx, x_h).is_maximal:
         raise BaseNotMaximal("flipped base is not maximal")
-    z_base = [q.z_element() if i == j else p.z_element()
-              for i, (p, q) in enumerate(pairs)]
     anchors: dict[int, int] = {}
     table: dict[int, list[tuple[int, ParabolicSubgroup]]] = {}
     for i in range(len(pairs)):
         if i == j:
             continue
         anchors[i] = transversal_decomposition(marking, i, h).twist
-        c, x_h = pairs[i][0].conjugated_by(h_inv).canonical()
-        if not c.is_identity:
-            raise InvariantViolated(f"the shared standardizer moves base {i}")
-        d_x = ctx.delta_of(x_h)
-        tagged = []
+        pi = delta_permutation(ctx, x_h[i])
+        remapped = [frozenset(pi[s] for s in x) if x < x_h[i] else x for x in x_h]
+        d_x = ctx.delta_of(x_h[i])
+        table[i] = []
         for t in range(anchors[i] - 1, anchors[i] + 2):
             conj_t = h * d_x**t
-            for y in ctx.connected_proper_subsets():
-                cand = ParabolicSubgroup(ctx, conj_t, y)
-                z_cand = cand.z_element()
-                if all(
-                    z_cand.commutes_with(z_base[m]) == (m != i)
-                    for m in range(len(pairs))
-                ):
-                    tagged.append((t, cand))
-        table[i] = tagged
+            for y in pattern_subsets(ctx, remapped if t % 2 else x_h, i):
+                table[i].append((t, ParabolicSubgroup(ctx, conj_t, y)))
     return h, anchors, table
 
 

@@ -10,27 +10,15 @@ Phi_{2m}: writing zeta for a primitive 2m-th root of unity, c = zeta + 1/zeta,
 and Phi_{2m} is palindromic, so Phi_{2m}(x) / x^(d/2) rewrites as an integer
 polynomial in y = x + 1/x via the recursion p_{k+1} = y*p_k - p_{k-1} for
 p_k = x^k + x^-k.  For m = 3 this degenerates to c = 1 and the ring is Z.
-
-Sign determination uses a float evaluation at c; all values that occur are
-algebraic numbers of tiny height, far from zero when nonzero, and a guard
-asserts the evaluation is not in the ambiguous band.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
+from .errors import InvariantViolated
+
 Coeffs = tuple[int, ...]
-
-
-def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
@@ -41,11 +29,13 @@ def poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
     quot = [0] * (len(num) - dn)
     for k in range(len(num) - dn - 1, -1, -1):
         q, r = divmod(num[k + dn], lead)
-        assert r == 0
+        if r:
+            raise InvariantViolated(f"{den} does not divide {num}")
         quot[k] = q
         for j, dj in enumerate(den):
             num[k + j] -= q * dj
-    assert all(v == 0 for v in num)
+    if any(num):
+        raise InvariantViolated(f"division by {den} leaves the remainder {num}")
     return quot
 
 
@@ -67,7 +57,8 @@ def cos_minpoly(m: int) -> Coeffs:
     """Minimal polynomial of 2cos(pi/m) over Q, monic, low degree first."""
     phi = list(cyclotomic(2 * m))
     deg = len(phi) - 1
-    assert deg % 2 == 0 and phi == phi[::-1], "cyclotomic polynomial must be palindromic"
+    if deg % 2 or phi != phi[::-1]:
+        raise InvariantViolated(f"cyclotomic polynomial {phi} must be palindromic")
     half = deg // 2
     # p_k(y) stands for x^k + x^-k; Phi(x)/x^half = phi[half] + sum phi[half+k] p_k
     p_prev, p_cur = [2], [0, 1]
@@ -82,7 +73,8 @@ def cos_minpoly(m: int) -> Coeffs:
         for i, v in enumerate(p_prev):
             p_next[i] -= v
         p_prev, p_cur = p_cur, p_next
-    assert out[-1] == 1, f"minimal polynomial of 2cos(pi/{m}) must be monic: {out}"
+    if out[-1] != 1:
+        raise InvariantViolated(f"minimal polynomial of 2cos(pi/{m}) must be monic: {out}")
     return tuple(out)
 
 
@@ -95,8 +87,6 @@ class CosRing:
         self.degree = len(self.minpoly) - 1
         self.zero: Coeffs = (0,) * self.degree
         self.one: Coeffs = (1,) + (0,) * (self.degree - 1)
-        self._value = 2.0 * math.cos(math.pi / m)
-        self._powers = [self._value**k for k in range(self.degree)]
         # reduction rows: c^k as a ring element, for k = degree .. 2*degree-2
         rows = [tuple(-a for a in self.minpoly[:-1])]
         for _ in range(self.degree - 2):
@@ -147,16 +137,3 @@ class CosRing:
                 row = self._red_rows[k - d]
                 out = [o + coeff * r for o, r in zip(out, row)]
         return tuple(out)
-
-    def is_zero(self, a: Coeffs) -> bool:
-        return all(x == 0 for x in a)
-
-    def sign(self, a: Coeffs) -> int:
-        if self.is_zero(a):
-            return 0
-        val = math.fsum(x * p for x, p in zip(a, self._powers))
-        assert abs(val) > 1e-8, f"ambiguous sign for ring element {a}"
-        return 1 if val > 0 else -1
-
-    def to_float(self, a: Coeffs) -> float:
-        return math.fsum(x * p for x, p in zip(a, self._powers))

@@ -69,6 +69,15 @@ def standard_adjacent(graph, x: Subset, y: Subset) -> bool:
     return not (x & y) and not any(graph.adjacent(a, b) for a in x for b in y)
 
 
+def pattern_subsets(ctx: GarsideContext, subsets, i: int) -> list[Subset]:
+    """The connected proper Y, in connected_proper_subsets() order, adjacent
+    to every subsets[m] except subsets[i]: the transversality pattern."""
+    return [
+        y for y in ctx.connected_proper_subsets()
+        if all(standard_adjacent(ctx.graph, y, x) == (m != i) for m, x in enumerate(subsets))
+    ]
+
+
 @dataclass(frozen=True)
 class LevelDecomposition:
     """Partition of the vertex indices into levels, plus the nesting chains."""

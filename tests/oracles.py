@@ -24,19 +24,25 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   transversal decompositions;
 * the extraction projection peels the ascending product relating a
   standardizer times a power of Delta_{X_j} to the canonical standardizer,
-  instead of reading the twist relative to the canonical standardizer.
+  instead of reading the twist relative to the canonical standardizer;
+* the z-product flip table keeps a flip candidate when its z-element
+  commutes with the right z-elements of the flipped base, by Garside
+  products, not by subset adjacency after standardizing;
+* the float root signs classify a root by the float value of its first
+  nonzero coordinate, not by closure of the simple roots under reflections.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from artinmark.coxeter import DefiningGraph, RootSystem
 from artinmark.garside import ArtinElement
-from artinmark.marking import transversal_decomposition
-from artinmark.parabolic import _standard_target
-from artinmark.simplex import build_standardized, extract_ascending_product
+from artinmark.marking import shared_flip_standardizer, transversal_decomposition
+from artinmark.parabolic import ParabolicSubgroup, _standard_target
+from artinmark.simplex import CparabSimplex, build_standardized, extract_ascending_product
 
 
 def braid_rewrites(graph: DefiningGraph, word: tuple[int, ...]):
@@ -364,3 +370,72 @@ def containment_structure(marking):
     }
     nested = {(j, k): pairs[k][0].contains(pairs[j][1]) for j, k in above}
     return covers, nested
+
+
+# -- flip candidates ------------------------------------------------------------
+
+
+def z_product_flip_table(marking, j):
+    """(h, anchors, table) as marking._flip_candidate_table returns them,
+    with the flipped base checked maximal through its CparabSimplex and each
+    candidate kept when its z-element commutes with the z-element of every
+    flipped base vertex except the one at its own index."""
+    ctx = marking.ctx
+    pairs = marking.pairs
+    h = shared_flip_standardizer(marking, j)
+    h_inv = h.inverse()
+    new_base = [q if i == j else p for i, (p, q) in enumerate(pairs)]
+    _ghat, std = CparabSimplex(ctx, new_base).canonical_data()
+    assert std.is_maximal, "flipped base is not maximal"
+    z_base = [p.z_element() for p in new_base]
+    anchors, table = {}, {}
+    for i in range(len(pairs)):
+        if i == j:
+            continue
+        anchors[i] = transversal_decomposition(marking, i, h).twist
+        c, x_h = pairs[i][0].conjugated_by(h_inv).canonical()
+        assert c.is_identity, "the shared standardizer moves a base"
+        d_x = ctx.delta_of(x_h)
+        tagged = []
+        for t in range(anchors[i] - 1, anchors[i] + 2):
+            conj_t = h * d_x**t
+            for y in ctx.connected_proper_subsets():
+                cand = ParabolicSubgroup(ctx, conj_t, y)
+                z_cand = cand.z_element()
+                if all(
+                    z_cand.commutes_with(z_base[m]) == (m != i)
+                    for m in range(len(pairs))
+                ):
+                    tagged.append((t, cand))
+        table[i] = tagged
+    return h, anchors, table
+
+
+# -- root signs -------------------------------------------------------------------
+
+
+def ring_value(ring, a) -> float:
+    """The float value of a ring element at c = 2cos(pi/m)."""
+    c = 2 * math.cos(math.pi / ring.m)
+    return math.fsum(x * c**k for k, x in enumerate(a))
+
+
+def ring_sign(ring, a) -> int:
+    """The sign of a ring element, from its float value; every value that
+    occurs is an algebraic number of tiny height, far from zero if nonzero."""
+    if not any(a):
+        return 0
+    value = ring_value(ring, a)
+    assert abs(value) > 1e-8, f"ambiguous sign for ring element {a}"
+    return 1 if value > 0 else -1
+
+
+def float_positive_roots(system: RootSystem) -> tuple[bool, ...]:
+    """Positivity flags by the float sign of each root's first nonzero
+    coordinate in the simple-root basis."""
+    flags = []
+    for root in system.roots:
+        signs = [s for s in (ring_sign(system.ring, c) for c in root) if s]
+        assert signs, "zero root"
+        flags.append(signs[0] > 0)
+    return tuple(flags)

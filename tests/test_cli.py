@@ -145,6 +145,31 @@ def test_validate_and_projection_and_twist(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+@pytest.mark.parametrize("command", ["projection", "twist", "flip"])
+@pytest.mark.parametrize("index", ["-1", "2"])
+def test_index_outside_the_pairs_is_malformed(capsys, command, index):
+    # the marking has two pairs, so -1 and 2 lie outside 0..1
+    code, out, err = run(capsys, "--type", "A3", command, a3_marking_json(), "--index", index)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_twist_direction_is_one_or_minus_one(capsys):
+    payload = a3_marking_json()
+    for bad in ("0", "5"):
+        code, out, _ = run(
+            capsys, "--type", "A3", "twist", payload, "--index", "0", "--direction", bad
+        )
+        assert code == 2 and out == ""
+    code, out, _ = run(
+        capsys, "--type", "A3", "--format", "json", "twist", payload, "--index", "0",
+        "--direction", "-1",
+    )
+    assert code == 0
+    twisted = Marking.from_json(context("A3"), json.loads(out))
+    assert projection(twisted, 0) == -1
+
+
 def test_flip_and_standardize(capsys):
     payload = a3_marking_json()
     code, out, _ = run(

@@ -14,7 +14,7 @@ from artinmark.coxeter import (
 from artinmark.errors import Disconnected, InvariantViolated, UnsupportedType
 from artinmark.garside import context, normalize
 
-from oracles import all_w, root_perm, tuple_inverse, tuple_product
+from oracles import all_w, float_positive_roots, root_perm, tuple_inverse, tuple_product
 
 
 def test_type_parsing_roundtrip():
@@ -83,6 +83,23 @@ def test_reflections_are_involutions():
         for g in rs.generators:
             assert g * g == rs.identity
             assert g.length == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "H3", "H4"]
+    + [f"I2({m})" for m in range(3, 13)]
+    + ["A16", "B12"],
+)
+def test_positive_roots_match_float_signs(spec):
+    # every supported type up to rank 8, and both tuple-kernel systems: the
+    # reflection closure of the simple roots gives the same flags as the
+    # float sign of the first nonzero coordinate
+    system = root_reflection_table(spec)
+    assert system.is_positive_root == float_positive_roots(system)
 
 
 def test_each_generator_negates_one_positive_root():

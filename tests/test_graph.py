@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from artinmark.errors import UnknownFormat
+from artinmark.errors import BudgetExceeded, UnknownFormat
 from artinmark.garside import context
 from artinmark.graph import (
     all_standard_markings,
@@ -156,6 +156,16 @@ def test_connectivity_a3():
     assert report.connected
     assert report.standard_count == 5
     assert report.diameter <= report.bound
+
+
+def test_connectivity_node_cap_boundary():
+    # the A3 universe has exactly 125 nodes: a cap of 125 holds them all,
+    # a cap of 124 stops at the 125th with a typed error
+    a3 = context("A3")
+    assert standard_marking_connectivity(a3, node_cap=125).node_count == 125
+    with pytest.raises(BudgetExceeded) as info:
+        standard_marking_connectivity(a3, node_cap=124)
+    assert (info.value.count, info.value.cap) == (125, 124)
 
 
 def test_orbit_covering_a2():

@@ -4,6 +4,7 @@ import traceback
 
 import pytest
 
+from artinmark import marking as marking_module
 from artinmark.errors import (
     BaseNotMaximal,
     InvariantViolated,
@@ -12,8 +13,10 @@ from artinmark.errors import (
     TransversalityPatternBroken,
 )
 from artinmark.garside import context, normalize
+from artinmark.graph import all_standard_markings
 from artinmark.marking import (
     Marking,
+    _flip_candidate_table,
     decompose_transversal,
     enumerate_flip_moves,
     is_flip_edge,
@@ -31,7 +34,7 @@ from artinmark.marking import (
 from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import CparabSimplex, enumerate_maximal_standard
 
-from oracles import containment_structure, extraction_projection
+from oracles import containment_structure, extraction_projection, z_product_flip_table
 
 
 def gens(ctx, *names):
@@ -567,10 +570,46 @@ def check_against_oracles(marking):
     )
 
 
-def test_flip_and_swap_soak_on_moved_markings():
+def flip_table_data(h, anchors, table):
+    return h, anchors, {
+        i: [(t, q.conj, q.gens) for t, q in tagged] for i, tagged in table.items()
+    }
+
+
+def check_flip_tables(monkeypatch) -> list[int]:
+    """Make every flip candidate table check itself against the z-product
+    oracle; returns the list of flip indices checked so far."""
+    checked = []
+
+    def table(marking, j):
+        out = _flip_candidate_table(marking, j)
+        assert flip_table_data(*out) == flip_table_data(*z_product_flip_table(marking, j))
+        checked.append(j)
+        return out
+
+    monkeypatch.setattr(marking_module, "_flip_candidate_table", table)
+    return checked
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3"])
+def test_flip_candidate_table_matches_z_product_oracle(spec):
+    # the subset pattern test keeps exactly the candidates whose z-elements
+    # commute as the pattern requires, in the same order, on every flip of
+    # every all-standard marking (anchors 0, so odd twists -1 and 1 occur)
+    ctx = context(spec)
+    for marking in all_standard_markings(ctx):
+        for j in range(len(marking)):
+            assert flip_table_data(*_flip_candidate_table(marking, j)) == flip_table_data(
+                *z_product_flip_table(marking, j)
+            )
+
+
+def test_flip_and_swap_soak_on_moved_markings(monkeypatch):
     # flips and bounded swap paths on twisted and conjugated markings, with
     # structure and projections checked against the containment and
-    # extraction oracles
+    # extraction oracles, and every flip candidate table against the
+    # z-product oracle
+    checked = check_flip_tables(monkeypatch)
     random.seed(137)
     for spec in ["A3", "B3"]:
         ctx = context(spec)
@@ -619,6 +658,7 @@ def test_flip_and_swap_soak_on_moved_markings():
             assert is_flip_edge(a, b) or is_twist_edge(a, b)
         for m in path:
             check_against_oracles(m)
+    assert len(checked) >= 24
 
 
 def test_d4_three_maximal_components():

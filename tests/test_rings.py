@@ -4,6 +4,8 @@ import pytest
 
 from artinmark.rings import CosRing, cos_minpoly, cyclotomic
 
+from oracles import ring_sign, ring_value
+
 
 def test_cyclotomic_known_values():
     assert cyclotomic(1) == (-1, 1)
@@ -56,18 +58,18 @@ def test_ring_mul_matches_floats(m):
         powers.append(ring.mul(powers[-1], c))
     value = 2 * math.cos(math.pi / m)
     for k, p in enumerate(powers):
-        assert abs(ring.to_float(p) - value**k) < 1e-9
+        assert abs(ring_value(ring, p) - value**k) < 1e-9
 
 
 def test_signs():
     ring = CosRing(8)
     c = ring.cos2(8)
-    assert ring.sign(c) == 1
-    assert ring.sign(ring.neg(c)) == -1
-    assert ring.sign(ring.zero) == 0
+    assert ring_sign(ring, c) == 1
+    assert ring_sign(ring, ring.neg(c)) == -1
+    assert ring_sign(ring, ring.zero) == 0
     # 2 + sqrt(2) - 3 > 0
     csq = ring.mul(c, c)
-    assert ring.sign(ring.sub(csq, ring.from_int(3))) == 1
+    assert ring_sign(ring, ring.sub(csq, ring.from_int(3))) == 1
 
 
 def test_edge_label_cosines():

@@ -7,16 +7,41 @@ import artinmark
 
 # modules whose invariants are still assert statements; python -O strips
 # those, so every other module raises domain errors instead
-ASSERTS_ALLOWED = {"garside.py", "rings.py"}
+ASSERTS_ALLOWED: set[str] = set()
+
+
+def source_trees():
+    root = Path(artinmark.__file__).parent
+    return [(path.name, ast.parse(path.read_text())) for path in sorted(root.glob("*.py"))]
 
 
 def test_no_assert_statements_outside_allowed_modules():
-    root = Path(artinmark.__file__).parent
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(root.glob("*.py"))
-        if path.name not in ASSERTS_ALLOWED
-        for node in ast.walk(ast.parse(path.read_text()))
+        f"{name}:{node.lineno}"
+        for name, tree in source_trees()
+        if name not in ASSERTS_ALLOWED
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_no_floating_point():
+    # exact arithmetic only: no float literal, no math module, no true
+    # division (floor division // stays exact)
+    found = []
+    for name, tree in source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{name}:{node.lineno} float constant")
+            elif isinstance(node, ast.Import) and any(
+                a.name.split(".")[0] in ("math", "cmath") for a in node.names
+            ):
+                found.append(f"{name}:{node.lineno} math import")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in (
+                "math", "cmath"
+            ):
+                found.append(f"{name}:{node.lineno} math import")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{name}:{node.lineno} true division")
     assert found == []
