@@ -28,7 +28,6 @@ from .marking import (
     is_twist_edge,
     standardize_marking,
     twist_move,
-    validate_marking,
 )
 from .parabolic import ParabolicSubgroup
 from .simplex import enumerate_maximal_standard, pattern_subsets
@@ -65,7 +64,7 @@ class ExploredGraph:
 
 def bfs(seed: Marking, radius: int) -> ExploredGraph:
     """All markings within the radius of the seed."""
-    validate_marking(seed)
+    seed.certificate()
     graph = ExploredGraph()
     graph.nodes[seed.key()] = seed
     graph.radius[seed.key()] = 0

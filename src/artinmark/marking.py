@@ -6,13 +6,19 @@ with z_{P_j} exactly when i != j, and each Q_j is simultaneously
 standardizable with the whole base.  That last condition is certified
 constructively: relative to any standardizer g of the base there is a unique
 twist k and standard subset Y with Q_j = g Delta_{X_j}^k A_Y Delta_{X_j}^-k
-g^-1, found by a bounded scan over k.  The projection of Q_j onto P_j is the
-twist k relative to the canonical standardizer ghat.  Relative to any other
-standardizer g it is the Delta_{X_j}-exponent of the ascending product
-relating g Delta_{X_j}^k to ghat; relative to ghat that product is
-Delta_{X_j}^k itself, so no extraction is needed.  The structure of a
-marking is read off the same decompositions: conjugation by ghat preserves
-containment, and A_U <= A_V exactly when U <= V.
+g^-1, found by a bounded scan over k.  Validation finds these decompositions
+relative to the canonical standardizer ghat first, and then decides the
+commutation pattern on the standardized subsets alone: conjugation by (ghat
+Delta_{X_i}^{k_i})^-1 takes Q_i to A_{Y_i} and each base to a standard
+A_{X_j}, moved by the involution of Delta_{X_i} when X_j < X_i and k_i is
+odd, and z-elements of standard irreducible subgroups commute exactly when
+their subsets are nested or disjoint and not adjacent.  The projection of
+Q_j onto P_j is the twist k relative to the canonical standardizer ghat.
+Relative to any other standardizer g it is the Delta_{X_j}-exponent of the
+ascending product relating g Delta_{X_j}^k to ghat; relative to ghat that
+product is Delta_{X_j}^k itself, so no extraction is needed.  The structure
+of a marking is read off the same decompositions: conjugation by ghat
+preserves containment, and A_U <= A_V exactly when U <= V.
 
 Twist moves conjugate one transversal by the z-element of its base.  Flip
 moves swap one pair and rechoose every other transversal within twist
@@ -20,11 +26,8 @@ distance one of the old one, measured against a standardizer shared by both
 bases; by the uniqueness of transversal decompositions, ranging the twist
 over that window and the standard subset over all admissible connected
 subsets enumerates every possible replacement, so the flip neighbors listed
-here are complete.  Admissibility is decided in subset coordinates: the
-shared standardizer conjugates the flipped base to standard subsets X_m,
-Delta_{X_i} maps the X_m inside X_i by its involution of the generators
-(Brieskorn-Saito 1972) and fixes the others, so the transversality pattern
-is the subset test of the all-standard case, remapped at odd twists.
+here are complete.  Admissibility is decided by the same subset test as
+validation, on the flipped base standardized by the shared standardizer.
 
 Markings compare equal as unordered pair sets (canonical keys), while the
 stored pair order is preserved by every move.
@@ -51,12 +54,14 @@ from .errors import (
     TransversalityPatternBroken,
 )
 from .garside import ArtinElement, GarsideContext, scan_powers
-from .parabolic import ParabolicSubgroup, _standard_target, delta_permutation
+from .parabolic import ParabolicSubgroup, _standard_target
 from .simplex import (
     CparabSimplex,
     LevelDecomposition,
     build_standardized,
+    delta_twisted,
     is_maximal_standard,
+    pattern_break,
     pattern_subsets,
 )
 
@@ -283,7 +288,19 @@ def transversal_decomposition(
 
 
 def validate_marking(marking: Marking) -> MarkingCertificate:
-    """Check the three marking conditions; return levels and per-pair data."""
+    """Check the three marking conditions; return levels and per-pair data.
+
+    Errors are checked in this order: a transversal that is not irreducible
+    or not proper, a base that is not maximal, a transversal without a
+    decomposition Q_i = ghat Delta_{X_i}^{k_i} A_{Y_i} Delta_{X_i}^-k_i
+    ghat^-1 (NotSimultaneouslyStandardizable), then the transversality
+    pattern, first broken (i, j) in row order (TransversalityPatternBroken).
+    The pattern is decided on subsets: conjugating by
+    (ghat Delta_{X_i}^{k_i})^-1 takes Q_i to A_{Y_i} and P_j to the
+    Delta_{X_i}^{k_i} image of A_{X_j} (simplex.delta_twisted), and the
+    z-elements of standard irreducible subgroups commute exactly when their
+    subsets are standard-adjacent.
+    """
     ctx = marking.ctx
     pairs = marking.pairs
     for _, q in pairs:
@@ -295,22 +312,21 @@ def validate_marking(marking: Marking) -> MarkingCertificate:
     ghat, std = simplex.canonical_data()
     if not std.is_maximal:
         raise BaseNotMaximal("base does not span a maximal simplex")
-    z_p = [p.z_element() for p, _ in pairs]
-    z_q = [q.z_element() for _, q in pairs]
-    for i, j in itertools.product(range(len(pairs)), repeat=2):
-        if z_q[i].commutes_with(z_p[j]) != (i != j):
-            raise TransversalityPatternBroken(i, j)
     data = []
     for j in range(len(pairs)):
         try:
             data.append(transversal_decomposition(marking, j, ghat))
         except ScanExhausted as err:
             raise NotSimultaneouslyStandardizable(j, str(err)) from err
+    vertex = [marking.vertex_of_pair(j) for j in range(len(pairs))]
+    x = [std.subsets[v] for v in vertex]
+    for i, d in enumerate(data):
+        m = pattern_break(ctx.graph, d.subset, delta_twisted(ctx, x, i, d.twist), i)
+        if m is not None:
+            raise TransversalityPatternBroken(i, m)
     # structural sanity: a top-level transversal contains the other top-level
     # bases (Delta_{X_j} commutes with A_{X_k}), and a nested base's
     # transversal lies in every base above it (Delta_{X_j} lies in A_{X_k})
-    vertex = [marking.vertex_of_pair(j) for j in range(len(pairs))]
-    x = [std.subsets[v] for v in vertex]
     top = {j for j, v in enumerate(vertex) if v in simplex.levels.levels[0]}
     for j, k in itertools.product(range(len(pairs)), repeat=2):
         y_j = data[j].subset
@@ -331,10 +347,9 @@ def projection(marking: Marking, j: int) -> int:
     validated.
     """
     ghat, std = marking.base_simplex().canonical_data()
-    twist = transversal_decomposition(marking, j, ghat).twist
     if not std.is_maximal:
         raise NotMaximal("ascending products are extracted over maximal simplices")
-    return twist
+    return transversal_decomposition(marking, j, ghat).twist
 
 
 # -- moves ---------------------------------------------------------------------
@@ -378,10 +393,10 @@ def _flip_candidate_table(
     width one around the old twist (in increasing order) and Y over all
     pattern-admissible connected subsets enumerates every possible
     transversal.  The pattern is decided on subsets: h conjugates the
-    flipped base to standard A_{X_m}; Delta_X lies in A_{X_m} when X <= X_m,
-    commutes with it when X_m is disjoint from X and not adjacent to it, and
-    maps X_m < X by its involution of the generators of X.  Candidates are
-    certified when the assembled marking is validated.
+    flipped base to standard A_{X_m}, and conjugating by (h Delta_X^t)^-1
+    takes them to their Delta_X^t image (simplex.delta_twisted), which
+    depends only on the parity of t.  Candidates are certified when the
+    assembled marking is validated.
     """
     ctx = marking.ctx
     pairs = marking.pairs
@@ -400,13 +415,12 @@ def _flip_candidate_table(
         if i == j:
             continue
         anchors[i] = transversal_decomposition(marking, i, h).twist
-        pi = delta_permutation(ctx, x_h[i])
-        remapped = [frozenset(pi[s] for s in x) if x < x_h[i] else x for x in x_h]
+        by_parity = [pattern_subsets(ctx, delta_twisted(ctx, x_h, i, t), i) for t in (0, 1)]
         d_x = ctx.delta_of(x_h[i])
         table[i] = []
         for t in range(anchors[i] - 1, anchors[i] + 2):
             conj_t = h * d_x**t
-            for y in pattern_subsets(ctx, remapped if t % 2 else x_h, i):
+            for y in by_parity[t % 2]:
                 table[i].append((t, ParabolicSubgroup(ctx, conj_t, y)))
     return h, anchors, table
 

@@ -46,6 +46,7 @@ from .parabolic import (
     _standard_target,
     central_generator_z,
     check_simplex_family,
+    delta_permutation,
     simultaneous_standardizer,
 )
 
@@ -69,13 +70,44 @@ def standard_adjacent(graph, x: Subset, y: Subset) -> bool:
     return not (x & y) and not any(graph.adjacent(a, b) for a in x for b in y)
 
 
+def pattern_break(graph, y: Subset, subsets, i: int) -> int | None:
+    """The first m with standard_adjacent(y, subsets[m]) != (m != i), or None:
+    whether A_y keeps the transversality pattern at index i, adjacent to
+    every A_{subsets[m]} except A_{subsets[i]}."""
+    for m, x in enumerate(subsets):
+        if standard_adjacent(graph, y, x) != (m != i):
+            return m
+    return None
+
+
 def pattern_subsets(ctx: GarsideContext, subsets, i: int) -> list[Subset]:
-    """The connected proper Y, in connected_proper_subsets() order, adjacent
-    to every subsets[m] except subsets[i]: the transversality pattern."""
+    """The connected proper Y, in connected_proper_subsets() order, that keep
+    the transversality pattern at index i of the standard family subsets."""
     return [
         y for y in ctx.connected_proper_subsets()
-        if all(standard_adjacent(ctx.graph, y, x) == (m != i) for m, x in enumerate(subsets))
+        if pattern_break(ctx.graph, y, subsets, i) is None
     ]
+
+
+def delta_twisted(
+    ctx: GarsideContext, subsets, i: int, twist: int
+) -> tuple[Subset, ...]:
+    """The image of a standard simplex family under conjugation by
+    Delta_{X_i}^twist, X_i = subsets[i].
+
+    Each X_m is nested in X_i, contains it, or is disjoint from it and not
+    adjacent to it.  Delta_{X_i} lies in A_{X_m} when X_i <= X_m, commutes
+    with A_{X_m} in the disjoint case, and maps A_{X_m} with X_m < X_i to
+    A_{pi(X_m)} by its involution pi of the generators of X_i
+    (Brieskorn-Saito 1972), so only the nested subsets move, and only at odd
+    twists.
+    """
+    subsets = tuple(subsets)
+    if twist % 2 == 0:
+        return subsets
+    x_i = subsets[i]
+    pi = delta_permutation(ctx, x_i)
+    return tuple(frozenset(pi[s] for s in x) if x < x_i else x for x in subsets)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,9 @@ These deliberately avoid the library's normal-form and lattice algorithms:
 * the z-product flip table keeps a flip candidate when its z-element
   commutes with the right z-elements of the flipped base, by Garside
   products, not by subset adjacency after standardizing;
+* the z-product pattern decides the transversality pattern of a marking
+  by Garside products of the z-elements of its pairs, not by subset
+  adjacency after standardizing by the canonical standardizer;
 * the float root signs classify a root by the float value of its first
   nonzero coordinate, not by closure of the simple roots under reflections.
 """
@@ -372,7 +375,7 @@ def containment_structure(marking):
     return covers, nested
 
 
-# -- flip candidates ------------------------------------------------------------
+# -- transversality pattern -----------------------------------------------------
 
 
 def z_product_flip_table(marking, j):
@@ -409,6 +412,18 @@ def z_product_flip_table(marking, j):
                     tagged.append((t, cand))
         table[i] = tagged
     return h, anchors, table
+
+
+def z_product_pattern(marking):
+    """The first (i, j), in row order, at which z_{Q_i} commuting with
+    z_{P_j} disagrees with i != j, or None when the pattern holds."""
+    pairs = marking.pairs
+    z_p = [p.z_element() for p, _ in pairs]
+    z_q = [q.z_element() for _, q in pairs]
+    for i, j in itertools.product(range(len(pairs)), repeat=2):
+        if z_q[i].commutes_with(z_p[j]) != (i != j):
+            return i, j
+    return None
 
 
 # -- root signs -------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import traceback
@@ -9,11 +10,13 @@ from artinmark.errors import (
     BaseNotMaximal,
     InvariantViolated,
     NotAStandardizer,
+    NotMaximal,
+    NotSimultaneouslyStandardizable,
     PreconditionViolated,
     TransversalityPatternBroken,
 )
-from artinmark.garside import context, normalize
-from artinmark.graph import all_standard_markings
+from artinmark.garside import ArtinElement, context, normalize
+from artinmark.graph import all_standard_markings, bfs
 from artinmark.marking import (
     Marking,
     _flip_candidate_table,
@@ -34,7 +37,12 @@ from artinmark.marking import (
 from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import CparabSimplex, enumerate_maximal_standard
 
-from oracles import containment_structure, extraction_projection, z_product_flip_table
+from oracles import (
+    containment_structure,
+    extraction_projection,
+    z_product_flip_table,
+    z_product_pattern,
+)
 
 
 def gens(ctx, *names):
@@ -106,6 +114,19 @@ def test_broken_pattern_detected():
     pairs[0] = (pairs[0][0], std(a3, "s3"))
     with pytest.raises(TransversalityPatternBroken):
         validate_marking(Marking(a3, pairs))
+
+
+def test_unstandardizable_transversal_reported_before_broken_pattern():
+    # (s2 s1) A_{s2,s3} (s2 s1)^-1 breaks the pattern at (0, 0) and has no
+    # decomposition relative to ghat; decompositions are checked first
+    a3, marking = marking_a3()
+    pairs = list(marking.pairs)
+    pairs[0] = (pairs[0][0], pairs[0][1].conjugated_by(a3.from_word(((1, 1), (0, 1)))))
+    broken = Marking(a3, pairs)
+    assert z_product_pattern(broken) == (0, 0)
+    with pytest.raises(NotSimultaneouslyStandardizable) as info:
+        validate_marking(broken)
+    assert info.value.index == 0
 
 
 def test_cached_certificate_error_is_raised_fresh():
@@ -190,6 +211,16 @@ def test_projection_independent_of_standardizer():
     assert projection(twisted, 0) == 1
     for g in [a3.identity, a3.delta, a3.delta_of(gens(a3, "s1")) ** 2]:
         assert extraction_projection(twisted, 0, g) == 1
+
+
+def test_projection_over_non_maximal_base_raises_not_maximal():
+    # a one-pair A3 marking has a non-maximal base; this transversal also has
+    # no decomposition relative to ghat, so the base is checked first
+    a3 = context("A3")
+    q = std(a3, "s2", "s3").conjugated_by(a3.from_word(((1, 1), (0, 1))))
+    marking = Marking(a3, [(std(a3, "s1"), q)])
+    with pytest.raises(NotMaximal):
+        projection(marking, 0)
 
 
 def test_twist_inverse_roundtrip_and_distinctness():
@@ -570,6 +601,104 @@ def check_against_oracles(marking):
     )
 
 
+def validated_against_oracle(marking):
+    """validate_marking's outcome, None or the TransversalityPatternBroken
+    indices, asserting that it is the z-product oracle's; None for a marking
+    with a transversal that does not decompose relative to ghat."""
+    try:
+        validate_marking(marking)
+    except TransversalityPatternBroken as err:
+        assert err.indices == z_product_pattern(marking)
+        return err.indices
+    except NotSimultaneouslyStandardizable:
+        return None
+    assert z_product_pattern(marking) is None
+    return None
+
+
+def check_certificates(monkeypatch) -> set:
+    """Make every first certificate() of a marking check validation against
+    the z-product oracle; returns the ordered keys checked so far."""
+    certify = Marking.certificate
+    checked = set()
+
+    def certificate(marking):
+        if marking.ordered_key() not in checked:
+            checked.add(marking.ordered_key())
+            validated_against_oracle(marking)
+        return certify(marking)
+
+    monkeypatch.setattr(Marking, "certificate", certificate)
+    return checked
+
+
+def signed_word(rng, ctx, length):
+    return ctx.from_word(
+        tuple((rng.randrange(ctx.rank), rng.choice([1, -1])) for _ in range(length))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def pattern_workload(spec):
+    """(valid, perturbed) markings of spec.  valid: the all-standard markings,
+    the radius-1 ball of the first, and a copy of each conjugated by a random
+    signed word.  perturbed: one copy of each with the transversal at some
+    index replaced, in turn, by a Delta_X-twisted standard subgroup over
+    ghat, by a random conjugate of itself, or by the transversal at another
+    index."""
+    rng = random.Random(spec)
+    ctx = context(spec)
+    standard = all_standard_markings(ctx)
+    valid = list({m.key(): m for m in standard + list(bfs(standard[0], 1).nodes.values())}.values())
+    valid += [m.conjugated_by(signed_word(rng, ctx, 3)) for m in valid]
+    perturbed = []
+    for n, marking in enumerate(valid):
+        ghat, std_ = marking.base_simplex().canonical_data()
+        i = rng.randrange(len(marking))
+        pairs = list(marking.pairs)
+        p_i, q_i = pairs[i]
+        if n % 3 == 0:
+            x_i = std_.subsets[marking.vertex_of_pair(i)]
+            y = rng.choice(ctx.connected_proper_subsets())
+            q_i = ParabolicSubgroup(ctx, ghat * ctx.delta_of(x_i) ** rng.randrange(-2, 3), y)
+        elif n % 3 == 1:
+            q_i = q_i.conjugated_by(signed_word(rng, ctx, rng.randrange(1, 3)))
+        else:
+            q_i = pairs[(i + 1) % len(pairs)][1]
+        pairs[i] = (p_i, q_i)
+        perturbed.append(Marking(ctx, pairs))
+    return valid, perturbed
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3"])
+def test_validation_matches_z_product_oracle(spec):
+    # the subset pattern test reports what the z-element products report,
+    # down to the first broken (i, j), wherever every transversal decomposes
+    valid, perturbed = pattern_workload(spec)
+    for marking in valid:
+        validate_marking(marking)
+        assert z_product_pattern(marking) is None
+    broken = [validated_against_oracle(m) for m in perturbed]
+    assert sum(b is not None for b in broken) >= len(perturbed) // 4
+
+
+def test_validation_makes_no_z_products(monkeypatch):
+    workloads = [pattern_workload(spec) for spec in ["A3", "B3", "D4", "H3"]]
+    markings = [m for valid, perturbed in workloads for m in valid + perturbed]
+    for marking in markings:
+        marking.base_simplex()  # standardizing a base checks its z's commute
+
+    def refuse(self, other):
+        raise AssertionError("validation multiplied z-elements")
+
+    monkeypatch.setattr(ArtinElement, "commutes_with", refuse)
+    for marking in markings:
+        try:
+            validate_marking(marking)
+        except (TransversalityPatternBroken, NotSimultaneouslyStandardizable):
+            pass
+
+
 def flip_table_data(h, anchors, table):
     return h, anchors, {
         i: [(t, q.conj, q.gens) for t, q in tagged] for i, tagged in table.items()
@@ -607,9 +736,10 @@ def test_flip_candidate_table_matches_z_product_oracle(spec):
 def test_flip_and_swap_soak_on_moved_markings(monkeypatch):
     # flips and bounded swap paths on twisted and conjugated markings, with
     # structure and projections checked against the containment and
-    # extraction oracles, and every flip candidate table against the
-    # z-product oracle
+    # extraction oracles, and every flip candidate table and every
+    # certified marking against the z-product oracles
     checked = check_flip_tables(monkeypatch)
+    certified = check_certificates(monkeypatch)
     random.seed(137)
     for spec in ["A3", "B3"]:
         ctx = context(spec)
@@ -659,6 +789,7 @@ def test_flip_and_swap_soak_on_moved_markings(monkeypatch):
         for m in path:
             check_against_oracles(m)
     assert len(checked) >= 24
+    assert len(certified) >= 100
 
 
 def test_d4_three_maximal_components():
