@@ -85,6 +85,13 @@ def _marking_arg(ctx: GarsideContext, args: argparse.Namespace) -> Marking:
     return marking
 
 
+def _check_bounds(args: argparse.Namespace) -> None:
+    for name in ("radius", "proj_bound", "bound_k"):
+        value = getattr(args, name)
+        if value < 0:
+            raise ParseError(f"--{name.replace('_', '-')} {value} is negative")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="artinmark",
@@ -157,6 +164,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
+        _check_bounds(args)
         try:
             ctx = context(args.type)
         except UnsupportedType as err:

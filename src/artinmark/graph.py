@@ -4,7 +4,11 @@ Nodes are markings identified by their canonical keys; edges carry a kind,
 twist or flip.  Neighbor computation takes both twist directions at every
 index and all validated flips; breadth-first search is deterministic (keys
 sorted at every frontier expansion), so repeated runs produce identical
-graphs and identical exports.
+graphs and identical exports.  Every flip across index j has the same bases,
+{P_i : i != j} and Q_j, so both searches decide from that base alone whether
+a flip across j can land in their node set, before any candidate is built or
+certified: the BFS closure of the boundary enumerates it only when some ball
+node has that base, and the connectivity universe only when Q_j is standard.
 
 standard_marking_connectivity builds the finite subgraph of markings with
 standard base and bounded projections, checks that the all-standard markings
@@ -24,6 +28,7 @@ from .garside import ArtinElement, GarsideContext
 from .marking import (
     Marking,
     enumerate_flip_moves,
+    flip_candidates,
     is_flip_edge,
     is_twist_edge,
     standardize_marking,
@@ -35,13 +40,22 @@ from .simplex import enumerate_maximal_standard, pattern_subsets
 
 def neighbors(marking: Marking) -> list[tuple[Marking, str]]:
     """All twist and flip neighbors, deduplicated by key, sorted."""
+    return _moves(marking, range(len(marking)))
+
+
+def _moves(marking: Marking, flip_indices) -> list[tuple[Marking, str]]:
+    """Twist neighbors at every index and validated flips across the given
+    indices, deduplicated by key, sorted.  The marking itself is certified
+    even when no flip is enumerated."""
+    marking.certificate()
     out: dict[tuple[str, str], Marking] = {}
     for j in range(len(marking)):
         for direction in (1, -1):
             twisted = twist_move(marking, j, direction)
             out.setdefault((twisted.key(), "twist"), twisted)
-        for flipped in enumerate_flip_moves(marking, j):
-            out.setdefault((flipped.key(), "flip"), flipped)
+        if j in flip_indices:
+            for flipped in enumerate_flip_moves(marking, j):
+                out.setdefault((flipped.key(), "flip"), flipped)
     return [(out[k], k[1]) for k in sorted(out)]
 
 
@@ -58,12 +72,19 @@ class ExploredGraph:
             lo, hi = sorted((a, b))
             self.edges.add((lo, hi, kind))
 
-    def degree(self, key: str) -> int:
-        return sum(1 for a, b, _ in self.edges if key in (a, b))
-
 
 def bfs(seed: Marking, radius: int) -> ExploredGraph:
-    """All markings within the radius of the seed."""
+    """All markings within the radius of the seed, and every edge among them.
+
+    Nodes inside the radius are expanded through neighbors().  The boundary
+    nodes (at the radius) only need their edges to nodes already in the ball,
+    so their flips are pruned before any candidate is built or certified:
+    every flip across j has the bases {P_i : i != j} and Q_j, so it is
+    enumerated only when some ball node has exactly that base key set.  A
+    surviving candidate is matched by key alone; if its key is in the ball it
+    is that ball node, which is certified, so it is a flip.  Every boundary
+    node is certified explicitly.
+    """
     seed.certificate()
     graph = ExploredGraph()
     graph.nodes[seed.key()] = seed
@@ -82,9 +103,22 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
         frontier = sorted(nxt, key=Marking.key)
     # close edges among boundary nodes
     for node in frontier:
-        for other, kind in neighbors(node):
-            if other.key() in graph.nodes:
-                graph.add_edge(node.key(), other.key(), kind)
+        node.certificate()
+    bases = {frozenset(p.key() for p, _ in m.pairs) for m in graph.nodes.values()}
+    for node in frontier:
+        for j in range(len(node)):
+            for direction in (1, -1):
+                key = twist_move(node, j, direction).key()
+                if key in graph.nodes:
+                    graph.add_edge(node.key(), key, "twist")
+            flipped_base = frozenset(
+                (q if i == j else p).key() for i, (p, q) in enumerate(node.pairs)
+            )
+            if flipped_base not in bases:
+                continue
+            for candidate in flip_candidates(node, j):
+                if candidate.key() in graph.nodes:
+                    graph.add_edge(node.key(), candidate.key(), "flip")
     return graph
 
 
@@ -172,6 +206,11 @@ def standard_marking_connectivity(
     and whose projections lie in [-bound, bound]; twist variants of the
     standard markings are reached inside it.  Reaching a node past node_cap
     raises BudgetExceeded.
+
+    Every flip across j has Q_j among its bases, so when Q_j is not standard
+    no flip across j is in the subgraph, and those flips are not enumerated.
+    Twists at every index and the flips across the other indices are taken
+    as by neighbors(), and every node the search expands is certified.
     """
     standard = all_standard_markings(ctx)
 
@@ -193,7 +232,12 @@ def standard_marking_connectivity(
     while frontier:
         nxt = []
         for key in frontier:
-            for other, _kind in neighbors(nodes[key]):
+            marking = nodes[key]
+            standard_flips = [
+                j for j, (_p, q) in enumerate(marking.pairs)
+                if q.canonical()[0].is_identity
+            ]
+            for other, _kind in _moves(marking, standard_flips):
                 if not in_universe(other):
                     continue
                 okey = other.key()

@@ -425,28 +425,40 @@ def _flip_candidate_table(
     return h, anchors, table
 
 
-def enumerate_flip_moves(marking: Marking, j: int) -> list[Marking]:
-    """All validated flips across index j.
+def flip_candidates(marking: Marking, j: int) -> list[Marking]:
+    """Every assembled candidate for a flip across index j, uncertified.
 
-    The new pair j is the swap (Q_j, P_j); each other transversal is replaced
-    by a candidate whose twist relative to the shared standardizer differs
-    from the old one by at most one.
+    The new pair j is the swap (Q_j, P_j); each other transversal ranges over
+    the candidate table of its index.  Every candidate has the bases
+    {P_i : i != j} and Q_j; candidates may repeat keys, and only those that
+    validate are flips.  The marking itself is not validated.
     """
     ctx = marking.ctx
-    marking.certificate()
     pairs = marking.pairs
     p_j, q_j = pairs[j]
     _h, anchors, table = _flip_candidate_table(marking, j)
     indices = sorted(anchors)
     per_index = [[cand for _twist, cand in table[i]] for i in indices]
     out = []
-    seen = set()
     for combo in itertools.product(*per_index):
         new_pairs = list(pairs)
         new_pairs[j] = (q_j, p_j)
         for i, q in zip(indices, combo):
             new_pairs[i] = (pairs[i][0], q)
-        candidate = Marking(ctx, new_pairs)
+        out.append(Marking(ctx, new_pairs))
+    return out
+
+
+def enumerate_flip_moves(marking: Marking, j: int) -> list[Marking]:
+    """All validated flips across index j, deduplicated and sorted by key.
+
+    Each other transversal is replaced by a candidate whose twist relative to
+    the shared standardizer differs from the old one by at most one.
+    """
+    marking.certificate()
+    out = []
+    seen = set()
+    for candidate in flip_candidates(marking, j):
         if candidate.key() in seen:
             continue
         try:

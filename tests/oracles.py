@@ -32,7 +32,12 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   by Garside products of the z-elements of its pairs, not by subset
   adjacency after standardizing by the canonical standardizer;
 * the float root signs classify a root by the float value of its first
-  nonzero coordinate, not by closure of the simple roots under reflections.
+  nonzero coordinate, not by closure of the simple roots under reflections;
+* the neighbors closure of a BFS ball finds the edges among its boundary
+  nodes from the full validated neighbor list of every boundary node, and
+  the neighbors universe of the connectivity report expands every node
+  through its full neighbor list, not by ruling flips out on their base
+  before any candidate is built.
 """
 
 from __future__ import annotations
@@ -42,8 +47,16 @@ import math
 from functools import lru_cache
 
 from artinmark.coxeter import DefiningGraph, RootSystem
+from artinmark.errors import ArtinMarkError, BudgetExceeded
 from artinmark.garside import ArtinElement
-from artinmark.marking import shared_flip_standardizer, transversal_decomposition
+from artinmark.graph import (
+    ConnectivityReport,
+    ExploredGraph,
+    all_standard_markings,
+    flip_path_bound,
+    neighbors,
+)
+from artinmark.marking import Marking, shared_flip_standardizer, transversal_decomposition
 from artinmark.parabolic import ParabolicSubgroup, _standard_target
 from artinmark.simplex import CparabSimplex, build_standardized, extract_ascending_product
 
@@ -454,3 +467,92 @@ def float_positive_roots(system: RootSystem) -> tuple[bool, ...]:
         assert signs, "zero root"
         flags.append(signs[0] > 0)
     return tuple(flags)
+
+
+# -- marking-graph searches -------------------------------------------------------
+
+
+def neighbors_closure_bfs(seed, radius):
+    """The BFS ball of graph.bfs, with the edges among the boundary nodes
+    taken from neighbors() of every boundary node."""
+    seed.certificate()
+    graph = ExploredGraph()
+    graph.nodes[seed.key()] = seed
+    graph.radius[seed.key()] = 0
+    frontier = [seed]
+    for depth in range(1, radius + 1):
+        nxt = []
+        for node in frontier:
+            for other, kind in neighbors(node):
+                key = other.key()
+                if key not in graph.nodes:
+                    graph.nodes[key] = other
+                    graph.radius[key] = depth
+                    nxt.append(other)
+                graph.add_edge(node.key(), key, kind)
+        frontier = sorted(nxt, key=Marking.key)
+    for node in frontier:
+        for other, kind in neighbors(node):
+            if other.key() in graph.nodes:
+                graph.add_edge(node.key(), other.key(), kind)
+    return graph
+
+
+def neighbors_universe_connectivity(ctx, projection_bound=2, node_cap=20000):
+    """The report of graph.standard_marking_connectivity, with every node of
+    the bounded universe expanded through neighbors() and each neighbor
+    kept when its bases are standard and its projections are bounded."""
+    standard = all_standard_markings(ctx)
+
+    def in_universe(m):
+        try:
+            if any(not p.canonical()[0].is_identity for p, _ in m.pairs):
+                return False
+            return all(abs(v) <= projection_bound for v in m.projections())
+        except ArtinMarkError:
+            return False
+
+    nodes = {m.key(): m for m in standard}
+    adjacency = {k: set() for k in nodes}
+    frontier = sorted(nodes)
+    while frontier:
+        nxt = []
+        for key in frontier:
+            for other, _kind in neighbors(nodes[key]):
+                if not in_universe(other):
+                    continue
+                okey = other.key()
+                if okey not in nodes:
+                    if len(nodes) >= node_cap:
+                        raise BudgetExceeded(len(nodes) + 1, node_cap)
+                    nodes[okey] = other
+                    adjacency[okey] = set()
+                    nxt.append(okey)
+                adjacency[key].add(okey)
+                adjacency[okey].add(key)
+        frontier = sorted(nxt)
+    keys = [m.key() for m in standard]
+    distances = {}
+    for source in keys:
+        dist = {source: 0}
+        queue = [source]
+        while queue:
+            new_queue = []
+            for cur in queue:
+                for other in adjacency[cur]:
+                    if other not in dist:
+                        dist[other] = dist[cur] + 1
+                        new_queue.append(other)
+            queue = new_queue
+        for target in keys:
+            if target in dist:
+                distances[(source, target)] = dist[target]
+    return ConnectivityReport(
+        type_name=str(ctx.graph.type),
+        standard_count=len(standard),
+        node_count=len(nodes),
+        connected=len(distances) == len(keys) ** 2,
+        diameter=max(distances.values(), default=0),
+        bound=flip_path_bound(ctx.rank),
+        distances=distances,
+    )

@@ -154,6 +154,33 @@ def test_index_outside_the_pairs_is_malformed(capsys, command, index):
     assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--type", "A3", "--radius", "-1", "bfs"],
+        ["--type", "A3", "--proj-bound", "-1", "std-connectivity"],
+        ["--type", "A3", "--bound-k", "-3", "stabilizer-probe"],
+    ],
+)
+def test_negative_bound_is_malformed(capsys, argv):
+    # a marking payload follows the command where it takes one
+    if argv[-1] != "std-connectivity":
+        argv = argv + [a3_marking_json()]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_zero_bounds_are_accepted(capsys):
+    payload = a3_marking_json()
+    code, out, _ = run(capsys, "--type", "A3", "--radius", "0", "--format", "json", "bfs", payload)
+    assert code == 0 and len(json.loads(out)["nodes"]) == 1
+    code, out, _ = run(
+        capsys, "--type", "A3", "--bound-k", "0", "--format", "json", "stabilizer-probe", payload
+    )
+    assert code == 0 and json.loads(out) == ["DELTA^0 |"]
+
+
 def test_twist_direction_is_one_or_minus_one(capsys):
     payload = a3_marking_json()
     for bad in ("0", "5"):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from artinmark.errors import BudgetExceeded, UnknownFormat
-from artinmark.garside import context
+from artinmark.garside import context, normalize
 from artinmark.graph import (
     all_standard_markings,
     bfs,
@@ -15,9 +15,11 @@ from artinmark.graph import (
     standard_marking_connectivity,
     verify_action_isometry,
 )
-from artinmark.marking import standard_transversals, twist_move
+from artinmark.marking import Marking, standard_transversals, twist_move
 from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import CparabSimplex, enumerate_maximal_standard
+
+from oracles import neighbors_closure_bfs, neighbors_universe_connectivity
 
 
 def a2_seed():
@@ -236,3 +238,48 @@ def test_connectivity_b3():
     assert report.connected
     assert report.standard_count == 5
     assert report.diameter <= report.bound
+
+
+# -- the pruned searches against the neighbors oracles ---------------------------
+
+
+@pytest.mark.parametrize("spec, max_radius", [
+    ("A2", 3), ("A3", 2), ("B3", 2), ("H3", 1), ("D4", 1),
+])
+def test_bfs_matches_neighbors_closure_oracle(spec, max_radius):
+    # every standard-transversal seed, and the first one conjugated by a
+    # non-positive element, at every radius up to the maximum
+    ctx = context(spec)
+    seeds = [standard_transversals(s) for s in enumerate_maximal_standard(ctx)]
+    seeds.append(seeds[0].conjugated_by(normalize(ctx, "s2^-1 s1")))
+    for seed in seeds:
+        for radius in range(max_radius + 1):
+            ours, oracle = bfs(seed, radius), neighbors_closure_bfs(seed, radius)
+            for fmt in ("json", "dot"):
+                assert export_graph(ours, fmt) == export_graph(oracle, fmt), (seed, radius)
+
+
+@pytest.mark.parametrize("spec", ["A2", "A3", "B3", "H3", "I2(5)"])
+def test_connectivity_matches_neighbors_universe_oracle(spec):
+    ctx = context(spec)
+    assert standard_marking_connectivity(ctx) == neighbors_universe_connectivity(ctx)
+
+
+def test_bfs_certifies_every_node(monkeypatch):
+    # the boundary closure matches flip candidates by key without certifying
+    # them, so it must certify the boundary nodes themselves; twist neighbors
+    # are never certified when they are found
+    certified = set()
+    certificate = Marking.certificate
+
+    def spy(self):
+        cert = certificate(self)
+        certified.add(id(self))
+        return cert
+
+    monkeypatch.setattr(Marking, "certificate", spy)
+    for spec in ["A2", "A3"]:
+        ctx = context(spec)
+        for simplex in enumerate_maximal_standard(ctx)[:2]:
+            ball = bfs(standard_transversals(simplex), 2)
+            assert all(id(node) in certified for node in ball.nodes.values())
