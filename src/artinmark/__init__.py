@@ -74,7 +74,6 @@ from .simplex import (
     canonical_positive_standardizer,
     enumerate_maximal_standard,
     extract_ascending_product,
-    is_maximal_standard,
     stabilizes_simplex,
     standardization_change,
 )

@@ -31,7 +31,6 @@ from .marking import (
 from .parabolic import (
     ParabolicSubgroup,
     build_conjugacy_graph,
-    minimal_standardizer,
     standard_conjugate,
 )
 from .simplex import CparabSimplex, enumerate_maximal_standard
@@ -192,7 +191,7 @@ def _dispatch(ctx: GarsideContext, args: argparse.Namespace) -> int:
         _emit(args, {"equal": result}, str(result).lower())
     elif args.command == "min-std":
         parabolic = parse_payload(ctx, _read(args, args.parabolic), "parabolic")
-        element, gens = minimal_standardizer(parabolic)
+        element, gens = parabolic.canonical()
         payload = {
             "standardizer": element.to_text(),
             "gens": [graph.name(i) for i in sorted(gens)],

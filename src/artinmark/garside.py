@@ -27,7 +27,7 @@ conjugation automorphism tau(x) = w0 x w0.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .coxeter import (
     CoxeterElement,
@@ -39,11 +39,25 @@ from .coxeter import (
 )
 from .errors import InvariantViolated, MixedContext, NotPositive, ParseError
 
+if TYPE_CHECKING:
+    from .errors import CachedError
+    from .marking import MarkingCertificate
+    from .parabolic import ParabolicSubgroup
+    from .simplex import StandardizedSimplex
+
 Word = tuple[tuple[int, int], ...]  # (generator index, +1 or -1)
 
 
 class GarsideContext:
-    """Shared tables and caches for one Artin group."""
+    """The tables of one Artin group and every memo shared across calls.
+
+    Every memo is declared here, and each entry is written once: the Garside
+    tables of the simple elements, the parabolic subgroups interned by
+    (conj, gens), and three memos that several representatives share, keyed
+    by value: the canonical data of a simplex (by its sorted vertex keys),
+    marking certificates (by ordered pair keys) and transversal
+    decompositions (by transversal, base and standardizer).
+    """
 
     def __init__(self, graph: DefiningGraph, system: RootSystem):
         self.graph = graph
@@ -57,13 +71,18 @@ class GarsideContext:
         self._tau: dict[int, CoxeterElement] = {}
         self._delta_of: dict[frozenset[int], ArtinElement] = {}
         self._w0_of: dict[frozenset[int], CoxeterElement] = {}
+        self._connected_proper: tuple[frozenset[int], ...] | None = None
+        self.parabolics: dict[tuple[ArtinElement, frozenset[int]], ParabolicSubgroup] = {}
+        self.simplex_canonical: dict[
+            str, tuple[tuple[str, ...], ArtinElement, StandardizedSimplex]
+        ] = {}
+        self.marking_certificates: dict[tuple, MarkingCertificate | CachedError] = {}
+        self.transversal_decompositions: dict[tuple, tuple[int, frozenset[int]] | CachedError] = {}
         self.identity = ArtinElement(self, 0, ())
         self.delta = ArtinElement(self, 1, ())
         self.atoms = tuple(
             ArtinElement(self, 0, (g,)) for g in system.generators
         )
-        # caches owned by higher layers (parabolics, simplices, markings)
-        self.scratch: dict[str, dict] = {}
 
     def __repr__(self) -> str:
         return f"GarsideContext({self.graph.type})"
@@ -223,16 +242,16 @@ class GarsideContext:
 
     def connected_proper_subsets(self) -> tuple[frozenset[int], ...]:
         """All generator subsets inducing connected proper subgraphs."""
-        if "connected_proper" not in self.scratch:
+        if self._connected_proper is None:
             n = self.rank
             subs = [
                 frozenset(i for i in range(n) if mask >> i & 1)
                 for mask in range(1, (1 << n) - 1)
             ]
-            self.scratch["connected_proper"] = tuple(
+            self._connected_proper = tuple(
                 s for s in sorted(subs, key=sorted) if self.graph.is_connected(s)
             )
-        return self.scratch["connected_proper"]
+        return self._connected_proper
 
     def positive_elements(self, max_length: int) -> Iterator[ArtinElement]:
         """All monoid elements of atom length <= max_length, by length."""

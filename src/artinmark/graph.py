@@ -23,7 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .errors import ArtinMarkError, BudgetExceeded, UnknownFormat
+from .errors import ArtinMarkError, BudgetExceeded, PreconditionViolated, UnknownFormat
 from .garside import ArtinElement, GarsideContext
 from .marking import (
     Marking,
@@ -85,6 +85,8 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
     is that ball node, which is certified, so it is a flip.  Every boundary
     node is certified explicitly.
     """
+    if radius < 0:
+        raise PreconditionViolated(f"radius {radius} is negative")
     seed.certificate()
     graph = ExploredGraph()
     graph.nodes[seed.key()] = seed
@@ -211,7 +213,11 @@ def standard_marking_connectivity(
     no flip across j is in the subgraph, and those flips are not enumerated.
     Twists at every index and the flips across the other indices are taken
     as by neighbors(), and every node the search expands is certified.
+    Whether a marking is in the subgraph depends on its key alone, so a
+    neighbor already among the nodes is not tested again.
     """
+    if projection_bound < 0:
+        raise PreconditionViolated(f"projection bound {projection_bound} is negative")
     standard = all_standard_markings(ctx)
 
     def in_universe(m: Marking) -> bool:
@@ -238,10 +244,10 @@ def standard_marking_connectivity(
                 if q.canonical()[0].is_identity
             ]
             for other, _kind in _moves(marking, standard_flips):
-                if not in_universe(other):
-                    continue
                 okey = other.key()
                 if okey not in nodes:
+                    if not in_universe(other):
+                        continue
                     if len(nodes) >= node_cap:
                         raise BudgetExceeded(len(nodes) + 1, node_cap)
                     nodes[okey] = other

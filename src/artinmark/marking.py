@@ -60,7 +60,6 @@ from .simplex import (
     LevelDecomposition,
     build_standardized,
     delta_twisted,
-    is_maximal_standard,
     pattern_break,
     pattern_subsets,
 )
@@ -150,7 +149,7 @@ class Marking:
 
     def certificate(self) -> MarkingCertificate:
         if self._cert is None:
-            cache = self.ctx.scratch.setdefault("marking_cert", {})
+            cache = self.ctx.marking_certificates
             value = cache.get(self.ordered_key())
             if value is None:
                 try:
@@ -225,8 +224,9 @@ def _recipe_transversals(graph, subsets: tuple[Subset, ...], scope: Subset) -> d
 def standard_transversals(simplex: CparabSimplex) -> Marking:
     """The simultaneously standardizable marking on a maximal standard base."""
     ctx = simplex.ctx
-    ok, _t, _w = is_maximal_standard(simplex)
-    if not ok:
+    if not simplex.all_standard():
+        raise NotStandard("all vertices must be standard")
+    if not simplex.canonical_data()[1].is_maximal:
         raise BaseNotMaximal("base simplex is not maximal")
     subsets = tuple(v.gens for v in simplex.vertices)
     recipe = _recipe_transversals(ctx.graph, subsets, frozenset(ctx.graph.vertices))
@@ -252,7 +252,7 @@ def decompose_transversal(
     g^-1 * conj(q).
     """
     ctx = q.ctx
-    cache = ctx.scratch.setdefault("transversal_decomp", {})
+    cache = ctx.transversal_decompositions
     cache_key = (q.conj, q.gens, base.conj, base.gens, g)
     hit = cache.get(cache_key)
     if hit is not None:
@@ -612,6 +612,8 @@ def marking_stabilizer_probe(
     ctx = marking.ctx
     if shift_bound is None:
         shift_bound = length_bound
+    if min(length_bound, shift_bound) < 0:
+        raise PreconditionViolated(f"negative bound: {length_bound}, {shift_bound}")
     seen: set[ArtinElement] = set()
     hits = []
     for w in ctx.positive_elements(length_bound):

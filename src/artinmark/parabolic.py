@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .coxeter import DefiningGraph
 from .errors import (
@@ -74,19 +75,29 @@ def delta_permutation(ctx: GarsideContext, subset: Subset) -> dict[int, int]:
 
 
 class ParabolicSubgroup:
-    """A subgroup conj * A_gens * conj^-1 with a cached canonical form."""
+    """A subgroup conj * A_gens * conj^-1 with a cached canonical form.
+
+    Instances are interned: the context holds one per (conj, gens), so the
+    canonical form, z and key of a representative are computed once.
+    Equality and hashing still go through the canonical form, never identity.
+    """
 
     __slots__ = ("ctx", "conj", "gens", "_canonical", "_z", "_key")
 
-    def __init__(self, ctx: GarsideContext, conj: ArtinElement, gens: Subset):
-        if conj.ctx is not ctx:
-            raise MixedContext("conjugator from a different group")
-        self.ctx = ctx
-        self.conj = conj
-        self.gens = frozenset(gens)
-        self._canonical: tuple[ArtinElement, Subset] | None = None
-        self._z: ArtinElement | None = None
-        self._key: str | None = None
+    def __new__(cls, ctx: GarsideContext, conj: ArtinElement, gens: Subset):
+        gens = frozenset(gens)
+        self = ctx.parabolics.get((conj, gens))
+        if self is None:
+            if conj.ctx is not ctx:
+                raise MixedContext("conjugator from a different group")
+            self = ctx.parabolics[conj, gens] = object.__new__(cls)
+            self.ctx = ctx
+            self.conj = conj
+            self.gens = gens
+            self._canonical: tuple[ArtinElement, Subset] | None = None
+            self._z: ArtinElement | None = None
+            self._key: str | None = None
+        return self
 
     @staticmethod
     def standard(ctx: GarsideContext, gens: Subset) -> ParabolicSubgroup:
@@ -107,14 +118,8 @@ class ParabolicSubgroup:
     def z_element(self) -> ArtinElement:
         """z_P, independent of the representation."""
         if self._z is None:
-            cache = self.ctx.scratch.setdefault("parab_z", {})
-            key = (self.conj, self.gens)
-            z = cache.get(key)
-            if z is None:
-                zx = central_generator_z(self.ctx, self.gens)
-                z = self.conj * zx * self.conj.inverse()
-                cache[key] = z
-            self._z = z
+            zx = central_generator_z(self.ctx, self.gens)
+            self._z = self.conj * zx * self.conj.inverse()
         return self._z
 
     def conjugated_by(self, x: ArtinElement) -> ParabolicSubgroup:
@@ -136,13 +141,7 @@ class ParabolicSubgroup:
     def canonical(self) -> tuple[ArtinElement, Subset]:
         """(minimal positive standardizer c, subset Y) with P = c A_Y c^-1."""
         if self._canonical is None:
-            cache = self.ctx.scratch.setdefault("parab_canonical", {})
-            key = (self.conj, self.gens)
-            value = cache.get(key)
-            if value is None:
-                value = minimal_standardizer(self)
-                cache[key] = value
-            self._canonical = value
+            self._canonical = minimal_standardizer(self)
         return self._canonical
 
     def key(self) -> str:
@@ -157,8 +156,6 @@ class ParabolicSubgroup:
             return True
         if not isinstance(other, ParabolicSubgroup) or self.ctx is not other.ctx:
             return False
-        if self.conj == other.conj and self.gens == other.gens:
-            return True
         return self.canonical() == other.canonical()
 
     def __hash__(self) -> int:
@@ -312,7 +309,7 @@ def simultaneous_standardizer(
     targets: list[Subset] = [frozenset()] * n
     settled = i = 0
     while settled < n:
-        step, targets[i] = minimal_standardizer(parabolics[i].conjugated_by(c.inverse()))
+        step, targets[i] = parabolics[i].conjugated_by(c.inverse()).canonical()
         if step.is_identity:
             settled += 1
         else:
@@ -375,6 +372,7 @@ class ConjugacyGraph:
         return None
 
 
+@lru_cache(maxsize=None)
 def build_conjugacy_graph(ctx: GarsideContext) -> ConjugacyGraph:
     graph = ctx.graph
     n = graph.rank
@@ -398,10 +396,6 @@ def build_conjugacy_graph(ctx: GarsideContext) -> ConjugacyGraph:
 
 def standard_conjugate(ctx: GarsideContext, x: Subset, x2: Subset) -> bool:
     """Whether A_X and A_X' are conjugate, by connectivity in the graph."""
-    cache = ctx.scratch.setdefault("conjugacy_graph", {})
-    if "graph" not in cache:
-        cache["graph"] = build_conjugacy_graph(ctx)
-    g: ConjugacyGraph = cache["graph"]
     if len(x) != len(x2):
         return False
-    return g.connected(frozenset(x), frozenset(x2))
+    return build_conjugacy_graph(ctx).connected(frozenset(x), frozenset(x2))

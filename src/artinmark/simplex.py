@@ -37,8 +37,6 @@ from .errors import (
     NotIrreducible,
     NotMaximal,
     NotProper,
-    NotStandard,
-    PreconditionViolated,
 )
 from .garside import ArtinElement, GarsideContext, member_of_standard, scan_powers
 from .parabolic import (
@@ -166,9 +164,8 @@ class CparabSimplex:
         for v in vertices:
             by_key.setdefault(v.key(), v)
         self.ctx = ctx
-        cache = ctx.scratch.setdefault("simplex_canonical", {})
         cache_key = ";".join(sorted(by_key))
-        value = cache.get(cache_key)
+        value = ctx.simplex_canonical.get(cache_key)
         if value is None:
             # the climb checks the family before the repeats are reported
             self.vertices = tuple(by_key.values())
@@ -182,7 +179,7 @@ class CparabSimplex:
                 ghat,
                 build_standardized(ctx, [std.subsets[i] for i in order]),
             )
-            cache[cache_key] = value
+            ctx.simplex_canonical[cache_key] = value
         if len(by_key) != len(vertices):
             raise NotASimplex("repeated vertices")
         keys, ghat, std = value
@@ -287,30 +284,6 @@ def _maximality_witnesses(graph, subsets) -> tuple[int | None, tuple[int | None,
         t_map.append(next(iter(gap)))
     (t,) = rest
     return t, tuple(t_map)
-
-
-def is_maximal_standard(
-    simplex_or_subsets, ctx: GarsideContext | None = None
-) -> tuple[bool, int | None, dict[Subset, int]]:
-    """Maximality test for a standard simplex, with witnesses (t, {t_i}).
-
-    Accepts a CparabSimplex with standard vertices or a list of subsets.
-    """
-    if isinstance(simplex_or_subsets, CparabSimplex):
-        simplex = simplex_or_subsets
-        if not simplex.all_standard():
-            raise NotStandard("all vertices must be standard")
-        graph = simplex.ctx.graph
-        subsets = tuple(v.gens for v in simplex.vertices)
-    else:
-        if ctx is None:
-            raise PreconditionViolated("a list of subsets needs the context")
-        graph = ctx.graph
-        subsets = tuple(frozenset(s) for s in simplex_or_subsets)
-    t, t_map = _maximality_witnesses(graph, subsets)
-    if t is None:
-        return False, None, {}
-    return True, t, {x: ti for x, ti in zip(subsets, t_map)}
 
 
 def _maximal_families(graph, scope: Subset) -> list[tuple[Subset, ...]]:

@@ -29,14 +29,19 @@ from artinmark.marking import (
     twist_move,
     validate_marking,
 )
-from artinmark.parabolic import ParabolicSubgroup, delta_permutation, standard_conjugate
+from artinmark.parabolic import (
+    ParabolicSubgroup,
+    build_conjugacy_graph,
+    delta_permutation,
+    standard_conjugate,
+)
 from artinmark.ribbons import elementary_ribbon, ribbon_delta_form
 from artinmark.simplex import (
     AscendingProduct,
     CparabSimplex,
+    build_standardized,
     enumerate_maximal_standard,
     extract_ascending_product,
-    is_maximal_standard,
 )
 
 from oracles import positive_words, word_partition
@@ -131,7 +136,7 @@ def test_criterion_03_paris_conjugacy_e8():
     x = frozenset({0, 1, 2, 3})
     y = frozenset({4, 5, 6, 7})
     assert standard_conjugate(e8, x, y)
-    graph = e8.scratch["conjugacy_graph"]["graph"]
+    graph = build_conjugacy_graph(e8)
     e6_milestone = frozenset({2, 3, 4, 5})  # delta_0 of E6 applied to x
     d5_milestone = frozenset({0, 1, 2, 4})  # delta_0 of D5 applied to x
     via_e6 = graph.shortest_path(x, y, via=e6_milestone)
@@ -166,8 +171,8 @@ def test_criterion_04_maximal_simplices():
             for s in [{0}, {0, 1}, {3}, {4, 5}, {5}]
         ],
     )
-    ok, t, _ = is_maximal_standard(pi)
-    assert ok and t == 2
+    data = build_standardized(e6, [v.gens for v in pi.vertices])
+    assert data.is_maximal and data.missing == 2
     named = [
         sorted(sorted(pi.vertices[i].gens) for i in layer)
         for layer in pi.levels.levels
@@ -183,8 +188,8 @@ def test_criterion_04_maximal_simplices():
                 for k in range(1, n)
             ],
         )
-        ok, t, _ = is_maximal_standard(chain)
-        assert ok and t == n - 1
+        data = build_standardized(ctx, [v.gens for v in chain.vertices])
+        assert data.is_maximal and data.missing == n - 1
         for depth, layer in enumerate(chain.levels.levels, start=1):
             (vertex,) = layer
             assert chain.vertices[vertex].gens == frozenset(range(n - depth))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from artinmark.errors import BudgetExceeded, UnknownFormat
+from artinmark.errors import BudgetExceeded, PreconditionViolated, UnknownFormat
 from artinmark.garside import context, normalize
 from artinmark.graph import (
     all_standard_markings,
@@ -168,6 +168,17 @@ def test_connectivity_node_cap_boundary():
     with pytest.raises(BudgetExceeded) as info:
         standard_marking_connectivity(a3, node_cap=124)
     assert (info.value.count, info.value.cap) == (125, 124)
+
+
+def test_connectivity_rejects_negative_projection_bound():
+    with pytest.raises(PreconditionViolated):
+        standard_marking_connectivity(context("A2"), projection_bound=-1)
+
+
+def test_bfs_rejects_negative_radius():
+    _a2, seed = a2_seed()
+    with pytest.raises(PreconditionViolated):
+        bfs(seed, -1)
 
 
 def test_orbit_covering_a2():

@@ -35,7 +35,7 @@ from artinmark.marking import (
     validate_marking,
 )
 from artinmark.parabolic import ParabolicSubgroup
-from artinmark.simplex import CparabSimplex, enumerate_maximal_standard
+from artinmark.simplex import CparabSimplex, build_standardized, enumerate_maximal_standard
 
 from oracles import (
     containment_structure,
@@ -305,11 +305,8 @@ def test_enumerate_flip_moves_a3():
 def test_flip_new_base_is_maximal():
     a3, marking = marking_a3()
     for flip in enumerate_flip_moves(marking, 1):
-        from artinmark.simplex import is_maximal_standard
-
         ghat, data = flip.base_simplex().canonical_data()
-        ok, _, _ = is_maximal_standard(data.subsets, a3)
-        assert ok
+        assert build_standardized(a3, data.subsets).is_maximal
 
 
 def test_flip_count_bounds():
@@ -468,6 +465,16 @@ def test_stabilizer_probe_a2():
     assert a2.atoms[0] not in hits
     # s1 does not stabilize: s1 <s2> s1^-1 != <s2>
     assert marking.conjugated_by(a2.atoms[0]) != marking
+
+
+def test_stabilizer_probe_rejects_negative_bounds():
+    a2 = context("A2")
+    marking = standard_transversals(
+        CparabSimplex(a2, [ParabolicSubgroup.standard(a2, frozenset({0}))])
+    )
+    for length_bound, shift_bound in ((-3, None), (-1, 2), (2, -1)):
+        with pytest.raises(PreconditionViolated):
+            marking_stabilizer_probe(marking, length_bound, shift_bound)
 
 
 def test_twist_edges_conjugate_to_twist_edges():

@@ -1,10 +1,14 @@
+import collections
 import itertools
 import random
 
 import pytest
 
+from artinmark import parabolic as parabolic_module
+from artinmark.coxeter import build_defining_graph, root_reflection_table
 from artinmark.errors import Disconnected, EmptySubset, NotASimplex
-from artinmark.garside import context, normalize
+from artinmark.garside import GarsideContext, context, normalize
+from artinmark.graph import standard_marking_connectivity
 from artinmark.parabolic import (
     ParabolicSubgroup,
     build_conjugacy_graph,
@@ -208,7 +212,7 @@ def test_conjugacy_graph_e8_example():
     x = gens(e8, "s1", "s2", "s3", "s4")
     y = gens(e8, "s5", "s6", "s7", "s8")
     assert standard_conjugate(e8, x, y)
-    graph = e8.scratch["conjugacy_graph"]["graph"]
+    graph = build_conjugacy_graph(e8)
     component = graph.component_of(x)
     e6_image = gens(e8, "s3", "s4", "s5", "s6")
     d5_image = gens(e8, "s1", "s2", "s3", "s5")
@@ -312,3 +316,36 @@ def test_parabolic_json_roundtrip():
     a3 = context("A3")
     p = ParabolicSubgroup(a3, normalize(a3, "s2 s1^-1"), gens(a3, "s3"))
     assert ParabolicSubgroup.from_json(a3, p.to_json()) == p
+
+
+def test_parabolics_interned_per_representative():
+    a3 = context("A3")
+    c = normalize(a3, "s2 s1^-1")
+    x = gens(a3, "s3")
+    assert ParabolicSubgroup(a3, c, x) is ParabolicSubgroup(a3, c, x)
+    p = std(a3, "s1")
+    assert p.conjugated_by(c) is p.conjugated_by(c)
+    assert a3.parabolics[c, x] is ParabolicSubgroup(a3, c, x)
+
+
+def test_interning_keeps_equality_by_canonical_form():
+    # s1 A_{s1} s1^-1 = A_{s1}: one subgroup, two representatives
+    a3 = context("A3")
+    p = std(a3, "s1")
+    q = ParabolicSubgroup(a3, a3.atoms[0], gens(a3, "s1"))
+    assert p == q and hash(p) == hash(q)
+    assert p is not q
+
+
+def test_minimal_standardizer_runs_once_per_representative(monkeypatch):
+    fresh = GarsideContext(build_defining_graph("A3"), root_reflection_table("A3"))
+    calls = collections.Counter()
+
+    def spy(p):
+        calls[p.conj, p.gens] += 1
+        return minimal_standardizer(p)
+
+    monkeypatch.setattr(parabolic_module, "minimal_standardizer", spy)
+    standard_marking_connectivity(fresh)
+    assert calls and max(calls.values()) == 1
+    assert set(calls) == set(fresh.parabolics)

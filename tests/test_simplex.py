@@ -9,7 +9,6 @@ from artinmark.errors import (
     NotConjugate,
     NotIrreducible,
     NotProper,
-    PreconditionViolated,
 )
 from artinmark.garside import context, normalize
 from artinmark.parabolic import ParabolicSubgroup
@@ -21,7 +20,6 @@ from artinmark.simplex import (
     canonical_positive_standardizer,
     enumerate_maximal_standard,
     extract_ascending_product,
-    is_maximal_standard,
     stabilizes_simplex,
     standard_adjacent,
     standardization_change,
@@ -88,8 +86,9 @@ def test_e6_example_levels_and_chains():
     )
     # chains run from the largest subgroup down
     assert chain_sets == [[[0, 1], [0]], [[3]], [[4, 5], [5]]]
-    ok, t, witnesses = is_maximal_standard(pi)
-    assert ok and t == e6.graph.index("s3")
+    data = build_standardized(e6, subsets_of(pi))
+    assert data.is_maximal and data.missing == e6.graph.index("s3")
+    witnesses = dict(zip(data.subsets, data.t_map))
     assert witnesses[gens(e6, "s1", "s2")] == e6.graph.index("s2")
 
 
@@ -103,27 +102,26 @@ def test_b_n_chain_levels():
         for layer in chain.levels.levels
     ]
     assert named == [[[0, 1, 2]], [[0, 1]], [[0]]]
-    ok, t, _ = is_maximal_standard(chain)
-    assert ok and t == 3
+    data = build_standardized(b4, subsets_of(chain))
+    assert data.is_maximal and data.missing == 3
     assert len(chain.levels.chains) == 1
 
 
 def test_singleton_not_maximal_in_a3():
     a3 = context("A3")
     singleton = CparabSimplex(a3, [std(a3, "s1")])
-    ok, t, _ = is_maximal_standard(singleton)
-    assert not ok and t is None
+    data = build_standardized(a3, subsets_of(singleton))
+    assert not data.is_maximal and data.missing is None
     assert len(singleton.levels.levels) == 1
 
 
 def test_maximality_examples():
     a3 = context("A3")
     pair = CparabSimplex(a3, [std(a3, "s1"), std(a3, "s3")])
-    ok, t, witnesses = is_maximal_standard(pair)
-    assert ok and t == 1
+    data = build_standardized(a3, subsets_of(pair))
+    assert data.is_maximal and data.missing == 1
+    witnesses = dict(zip(data.subsets, data.t_map))
     assert witnesses[gens(a3, "s1")] == 0 and witnesses[gens(a3, "s3")] == 2
-    with pytest.raises(PreconditionViolated):
-        is_maximal_standard([gens(a3, "s1"), gens(a3, "s3")])
 
 
 def brute_force_maximal_standard(ctx):
@@ -160,8 +158,7 @@ def test_enumerate_maximal_standard_matches_brute_force(spec, count):
     if spec in ("A2", "A3"):
         assert len(enumerated) == count
     for simplex in enumerate_maximal_standard(ctx):
-        ok, _t, _w = is_maximal_standard(simplex)
-        assert ok
+        assert build_standardized(ctx, subsets_of(simplex)).is_maximal
 
 
 def test_enumerated_maximal_simplices_have_few_maximal_elements():
@@ -272,8 +269,7 @@ def test_simplex_conjugation_invariance():
             assert len(moved) == len(simplex)
             assert moved.levels.levels == simplex.levels.levels
             ghat, data = moved.canonical_data()
-            ok, _, _ = is_maximal_standard(data.subsets, ctx)
-            assert ok
+            assert build_standardized(ctx, data.subsets).is_maximal
 
 
 def test_standardization_change_examples():
