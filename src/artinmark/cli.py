@@ -51,16 +51,19 @@ def parse_payload(ctx: GarsideContext, text: str, kind: str):
             return CparabSimplex.from_json(ctx, data)
         if kind == "marking":
             return Marking.from_json(ctx, data)
-    except (KeyError, TypeError) as err:
-        raise ParseError(f"payload lacks required field: {err}") from err
+    except (AttributeError, KeyError, TypeError) as err:
+        raise ParseError(f"malformed payload: {err}") from err
     raise ParseError(f"unknown payload kind {kind!r}")
 
 
 def _read(args: argparse.Namespace, value: str | None) -> str:
     if value is None or value == "-":
         if args.seed_file:
-            with open(args.seed_file, "r", encoding="utf-8") as handle:
-                return handle.read()
+            try:
+                with open(args.seed_file, "r", encoding="utf-8") as handle:
+                    return handle.read()
+            except (OSError, UnicodeDecodeError) as err:
+                raise ParseError(f"cannot read --seed-file: {err}") from err
         return sys.stdin.read()
     return value
 

@@ -103,7 +103,8 @@ class ArtinType:
             or (f == "I2" and n == 2 and m is not None and m >= 3)
         )
         if not ok or (f != "I2" and m is not None):
-            raise UnsupportedType(f"no finite type {f}{n}" + (f"({m})" if m else ""))
+            name = "I2" if f == "I2" and n == 2 else f"{f}{n}"
+            raise UnsupportedType(f"no finite type {name}" + (f"({m})" if m else ""))
 
     @staticmethod
     def parse(text: str) -> ArtinType:
@@ -446,15 +447,10 @@ class CoxeterElement:
         return self.inverse().right_descents()
 
     def support(self) -> frozenset[int]:
-        """Generators appearing in any reduced word (greedy factorization)."""
+        """Generators appearing in any reduced word (all reduced words share
+        one support, so the lexicographically least one is read)."""
         if self._supp is None:
-            supp = set()
-            w = self
-            while not w.is_identity:
-                s = min(w.left_descents())
-                supp.add(s)
-                w = self.system.generators[s] * w
-            self._supp = frozenset(supp)
+            self._supp = frozenset(self.reduced_word())
         return self._supp
 
     def reduced_word(self) -> tuple[int, ...]:

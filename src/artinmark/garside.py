@@ -80,9 +80,7 @@ class GarsideContext:
         self.transversal_decompositions: dict[tuple, tuple[int, frozenset[int]] | CachedError] = {}
         self.identity = ArtinElement(self, 0, ())
         self.delta = ArtinElement(self, 1, ())
-        self.atoms = tuple(
-            ArtinElement(self, 0, (g,)) for g in system.generators
-        )
+        self.atoms = tuple(self.element(0, (g,)) for g in system.generators)
 
     def __repr__(self) -> str:
         return f"GarsideContext({self.graph.type})"
@@ -134,20 +132,12 @@ class GarsideContext:
         return d
 
     def lcm_simples(self, a: CoxeterElement, b: CoxeterElement) -> CoxeterElement:
-        """Join of two simples in the prefix order, via complement duality."""
-        # suffix-order meet of the right complements, peeling right descents
-        x, y = self.right_complement(a), self.right_complement(b)
-        gens = self.system.generators
-        d = self.system.identity
-        while True:
-            common = x.right_descents() & y.right_descents()
-            if not common:
-                break
-            s = gens[min(common)]
-            d = s * d
-            x = x * s
-            y = y * s
-        return self.delta_w * d.inverse()
+        """Join of two simples in the prefix order, via complement duality:
+        Delta over the suffix-order meet d of the right complements, where
+        d^-1 is the prefix-order meet of their inverses."""
+        return self.delta_w * self.gcd_simples(
+            self.right_complement(a).inverse(), self.right_complement(b).inverse()
+        )
 
     def w0_of(self, subset: frozenset[int]) -> CoxeterElement:
         el = self._w0_of.get(subset)

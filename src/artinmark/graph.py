@@ -19,7 +19,6 @@ k(2) = 1, k(n) = max(2k(n-1) + 13, n + k(n-1) + 7).
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -31,11 +30,11 @@ from .marking import (
     flip_candidates,
     is_flip_edge,
     is_twist_edge,
+    standard_transversals,
     standardize_marking,
     twist_move,
 )
-from .parabolic import ParabolicSubgroup
-from .simplex import enumerate_maximal_standard, pattern_subsets
+from .simplex import enumerate_maximal_standard
 
 
 def neighbors(marking: Marking) -> list[tuple[Marking, str]]:
@@ -169,23 +168,14 @@ def flip_path_bound(n_vertices: int) -> int:
 
 
 def all_standard_markings(ctx: GarsideContext) -> list[Marking]:
-    """Every marking whose base and transverse elements are all standard."""
-    out = []
-    for simplex in enumerate_maximal_standard(ctx):
-        subsets = [v.gens for v in simplex.vertices]
-        candidates_per_index = [
-            [ParabolicSubgroup.standard(ctx, y) for y in pattern_subsets(ctx, subsets, i)]
-            for i in range(len(subsets))
-        ]
-        for combo in itertools.product(*candidates_per_index):
-            marking = Marking(ctx, list(zip(simplex.vertices, combo)))
-            try:
-                marking.certificate()
-            except ArtinMarkError:
-                continue
-            out.append(marking)
-    out.sort(key=Marking.key)
-    return out
+    """Every marking whose base and transverse elements are all standard,
+    sorted by key.  A standard transversal A_Y at index i keeps the
+    transversality pattern against the standard base itself, so Y is the
+    transversal_subset at i: there is one such marking per maximal standard
+    simplex, its standard_transversals."""
+    return sorted(
+        map(standard_transversals, enumerate_maximal_standard(ctx)), key=Marking.key
+    )
 
 
 @dataclass

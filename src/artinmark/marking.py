@@ -23,11 +23,14 @@ preserves containment, and A_U <= A_V exactly when U <= V.
 Twist moves conjugate one transversal by the z-element of its base.  Flip
 moves swap one pair and rechoose every other transversal within twist
 distance one of the old one, measured against a standardizer shared by both
-bases; by the uniqueness of transversal decompositions, ranging the twist
-over that window and the standard subset over all admissible connected
-subsets enumerates every possible replacement, so the flip neighbors listed
-here are complete.  Admissibility is decided by the same subset test as
-validation, on the flipped base standardized by the shared standardizer.
+bases.  By the uniqueness of transversal decompositions a replacement is
+fixed by its twist and its standard subset, and the subset must keep the
+transversality pattern against the flipped base, standardized by the shared
+standardizer and moved by the twist.  A maximal standard family has exactly
+one such subset at each index (simplex.transversal_subset), the same that
+standard_transversals attaches to a standard base, so ranging the twist over
+the window enumerates every possible replacement, and the flip neighbors
+listed here are complete.
 
 Markings compare equal as unordered pair sets (canonical keys), while the
 stored pair order is preserved by every move.
@@ -61,7 +64,7 @@ from .simplex import (
     build_standardized,
     delta_twisted,
     pattern_break,
-    pattern_subsets,
+    transversal_subset,
 )
 
 Subset = frozenset[int]
@@ -188,53 +191,23 @@ class Marking:
         )
 
 
-# -- the standard transversal recipe -----------------------------------------
-
-
-def _recipe_transversals(graph, subsets: tuple[Subset, ...], scope: Subset) -> dict[Subset, Subset]:
-    """Transversal subset per base subset, for a maximal family inside scope.
-
-    For a maximal component X with missing vertex v of the family, the
-    transversal is scope - X, augmented by the unique next-level component
-    of X adjacent to v whenever there is one; then recurse inside X.
-    """
-    if not subsets:
-        return {}
-    union = frozenset().union(*subsets)
-    (v,) = scope - union
-    out: dict[Subset, Subset] = {}
-    for x in graph.components(scope - {v}):
-        rest = scope - x
-        (u,) = graph.neighbors(v) & x
-        subs = tuple(z for z in subsets if z < x)
-        inside = frozenset().union(frozenset(), *subs)
-        gap = x - inside
-        if len(gap) != 1:
-            raise InvariantViolated("family must be maximal inside each component")
-        (t_x,) = gap
-        if u != t_x:
-            x1 = next(c for c in graph.components(x - {t_x}) if u in c)
-            out[x] = rest | x1
-        else:
-            out[x] = rest
-        out.update(_recipe_transversals(graph, subs, x))
-    return out
+# -- standard transversals -----------------------------------------------------
 
 
 def standard_transversals(simplex: CparabSimplex) -> Marking:
-    """The simultaneously standardizable marking on a maximal standard base."""
+    """The simultaneously standardizable marking on a maximal standard base:
+    each vertex A_{X_i} paired with A_{Y_i}, Y_i = transversal_subset at i."""
     ctx = simplex.ctx
     if not simplex.all_standard():
         raise NotStandard("all vertices must be standard")
     if not simplex.canonical_data()[1].is_maximal:
         raise BaseNotMaximal("base simplex is not maximal")
     subsets = tuple(v.gens for v in simplex.vertices)
-    recipe = _recipe_transversals(ctx.graph, subsets, frozenset(ctx.graph.vertices))
     return Marking(
         ctx,
         [
-            (v, ParabolicSubgroup.standard(ctx, recipe[v.gens]))
-            for v in simplex.vertices
+            (v, ParabolicSubgroup.standard(ctx, transversal_subset(ctx, subsets, i)))
+            for i, v in enumerate(simplex.vertices)
         ],
     )
 
@@ -389,14 +362,14 @@ def _flip_candidate_table(
 
     By the unique transversal decomposition, the candidate with twist t and
     standard subset Y at index i is exactly (h Delta_X^t) A_Y (h Delta_X^t)^-1
-    with A_X the h-standardization of P_i, so ranging t over the window of
-    width one around the old twist (in increasing order) and Y over all
-    pattern-admissible connected subsets enumerates every possible
-    transversal.  The pattern is decided on subsets: h conjugates the
-    flipped base to standard A_{X_m}, and conjugating by (h Delta_X^t)^-1
-    takes them to their Delta_X^t image (simplex.delta_twisted), which
-    depends only on the parity of t.  Candidates are certified when the
-    assembled marking is validated.
+    with A_X the h-standardization of P_i.  Conjugating by (h Delta_X^t)^-1
+    takes the flipped base to the Delta_X^t image of its h-standardization
+    (simplex.delta_twisted), a maximal standard family that depends only on
+    the parity of t, and Y must keep the transversality pattern against it,
+    so Y is its transversal_subset at i.  Each index therefore holds three
+    candidates, one per twist in the window of width one around the old
+    twist, in increasing order, and they are every possible transversal.
+    Candidates are certified when the assembled marking is validated.
     """
     ctx = marking.ctx
     pairs = marking.pairs
@@ -415,13 +388,12 @@ def _flip_candidate_table(
         if i == j:
             continue
         anchors[i] = transversal_decomposition(marking, i, h).twist
-        by_parity = [pattern_subsets(ctx, delta_twisted(ctx, x_h, i, t), i) for t in (0, 1)]
+        by_parity = [transversal_subset(ctx, delta_twisted(ctx, x_h, i, t), i) for t in (0, 1)]
         d_x = ctx.delta_of(x_h[i])
-        table[i] = []
-        for t in range(anchors[i] - 1, anchors[i] + 2):
-            conj_t = h * d_x**t
-            for y in by_parity[t % 2]:
-                table[i].append((t, ParabolicSubgroup(ctx, conj_t, y)))
+        table[i] = [
+            (t, ParabolicSubgroup(ctx, h * d_x**t, by_parity[t % 2]))
+            for t in range(anchors[i] - 1, anchors[i] + 2)
+        ]
     return h, anchors, table
 
 
@@ -429,8 +401,8 @@ def flip_candidates(marking: Marking, j: int) -> list[Marking]:
     """Every assembled candidate for a flip across index j, uncertified.
 
     The new pair j is the swap (Q_j, P_j); each other transversal ranges over
-    the candidate table of its index.  Every candidate has the bases
-    {P_i : i != j} and Q_j; candidates may repeat keys, and only those that
+    the three candidates of its index in the candidate table, one per twist.
+    Every candidate has the bases {P_i : i != j} and Q_j, and only those that
     validate are flips.  The marking itself is not validated.
     """
     ctx = marking.ctx
@@ -602,22 +574,19 @@ def standardize_marking(marking: Marking) -> tuple[ArtinElement, Marking]:
     return conj, Marking(ctx, std_pairs)
 
 
-def marking_stabilizer_probe(
-    marking: Marking, length_bound: int, shift_bound: int | None = None
-) -> list[ArtinElement]:
-    """All stabilizing elements Delta^e w, |e| <= shift, atom length of the
-    positive part w at most the length bound.  Requires a standard marking."""
+def marking_stabilizer_probe(marking: Marking, length_bound: int) -> list[ArtinElement]:
+    """All stabilizing elements Delta^e w with |e| and the atom length of the
+    positive part w both at most the length bound.  Requires a standard
+    marking."""
     if not marking.all_standard():
         raise NotStandard("stabilizer probe expects an all-standard marking")
     ctx = marking.ctx
-    if shift_bound is None:
-        shift_bound = length_bound
-    if min(length_bound, shift_bound) < 0:
-        raise PreconditionViolated(f"negative bound: {length_bound}, {shift_bound}")
+    if length_bound < 0:
+        raise PreconditionViolated(f"negative bound: {length_bound}")
     seen: set[ArtinElement] = set()
     hits = []
     for w in ctx.positive_elements(length_bound):
-        for e in range(-shift_bound, shift_bound + 1):
+        for e in range(-length_bound, length_bound + 1):
             g = ctx.delta**e * w
             if g in seen:
                 continue

@@ -78,13 +78,24 @@ def pattern_break(graph, y: Subset, subsets, i: int) -> int | None:
     return None
 
 
-def pattern_subsets(ctx: GarsideContext, subsets, i: int) -> list[Subset]:
-    """The connected proper Y, in connected_proper_subsets() order, that keep
-    the transversality pattern at index i of the standard family subsets."""
-    return [
+def transversal_subset(ctx: GarsideContext, subsets, i: int) -> Subset:
+    """The standard transversal subset at index i of a maximal standard
+    family: the one connected proper Y that keeps the transversality pattern.
+
+    Every maximal standard family has exactly one such Y at each index (the
+    tests compare it with an independent recursive construction on every
+    family of 25 types up to rank 8); any other count raises
+    InvariantViolated.
+    """
+    found = [
         y for y in ctx.connected_proper_subsets()
         if pattern_break(ctx.graph, y, subsets, i) is None
     ]
+    if len(found) != 1:
+        raise InvariantViolated(
+            f"{len(found)} subsets keep the transversality pattern at index {i}"
+        )
+    return found[0]
 
 
 def delta_twisted(

@@ -25,6 +25,10 @@ These deliberately avoid the library's normal-form and lattice algorithms:
 * the extraction projection peels the ascending product relating a
   standardizer times a power of Delta_{X_j} to the canonical standardizer,
   instead of reading the twist relative to the canonical standardizer;
+* the recipe transversals build the standard transversal subset of each
+  vertex of a maximal standard family recursively, from the generator the
+  family misses and the gaps inside each component, not by filtering the
+  connected subsets by the transversality pattern;
 * the z-product flip table keeps a flip candidate when its z-element
   commutes with the right z-elements of the flipped base, by Garside
   products, not by subset adjacency after standardizing;
@@ -47,7 +51,7 @@ import math
 from functools import lru_cache
 
 from artinmark.coxeter import DefiningGraph, RootSystem
-from artinmark.errors import ArtinMarkError, BudgetExceeded
+from artinmark.errors import ArtinMarkError, BudgetExceeded, InvariantViolated
 from artinmark.garside import ArtinElement
 from artinmark.graph import (
     ConnectivityReport,
@@ -58,7 +62,12 @@ from artinmark.graph import (
 )
 from artinmark.marking import Marking, shared_flip_standardizer, transversal_decomposition
 from artinmark.parabolic import ParabolicSubgroup, _standard_target
-from artinmark.simplex import CparabSimplex, build_standardized, extract_ascending_product
+from artinmark.simplex import (
+    CparabSimplex,
+    Subset,
+    build_standardized,
+    extract_ascending_product,
+)
 
 
 def braid_rewrites(graph: DefiningGraph, word: tuple[int, ...]):
@@ -386,6 +395,39 @@ def containment_structure(marking):
     }
     nested = {(j, k): pairs[k][0].contains(pairs[j][1]) for j, k in above}
     return covers, nested
+
+
+# -- standard transversals ------------------------------------------------------
+
+
+def _recipe_transversals(graph, subsets: tuple[Subset, ...], scope: Subset) -> dict[Subset, Subset]:
+    """Transversal subset per base subset, for a maximal family inside scope.
+
+    For a maximal component X with missing vertex v of the family, the
+    transversal is scope - X, augmented by the unique next-level component
+    of X adjacent to v whenever there is one; then recurse inside X.
+    """
+    if not subsets:
+        return {}
+    union = frozenset().union(*subsets)
+    (v,) = scope - union
+    out: dict[Subset, Subset] = {}
+    for x in graph.components(scope - {v}):
+        rest = scope - x
+        (u,) = graph.neighbors(v) & x
+        subs = tuple(z for z in subsets if z < x)
+        inside = frozenset().union(frozenset(), *subs)
+        gap = x - inside
+        if len(gap) != 1:
+            raise InvariantViolated("family must be maximal inside each component")
+        (t_x,) = gap
+        if u != t_x:
+            x1 = next(c for c in graph.components(x - {t_x}) if u in c)
+            out[x] = rest | x1
+        else:
+            out[x] = rest
+        out.update(_recipe_transversals(graph, subs, x))
+    return out
 
 
 # -- transversality pattern -----------------------------------------------------

@@ -331,7 +331,7 @@ def test_criterion_09_stabilizer_probe_a2():
     marking = standard_transversals(
         CparabSimplex(a2, [ParabolicSubgroup.standard(a2, frozenset({0}))])
     )
-    hits = marking_stabilizer_probe(marking, 4, 4)
+    hits = marking_stabilizer_probe(marking, 4)
     assert hits
     for hit in hits:
         assert hit.canonical_length == 0, f"non-Delta-power stabilizer {hit}"

@@ -54,6 +54,10 @@ def b3_conjugated_simplex_json():
 def test_nf_delta(capsys):
     code, out, _ = run(capsys, "--type", "A2", "nf", "s1 s2 s1")
     assert code == 0 and out.strip() == "DELTA^1 |"
+    # the only generator of A1 is Delta itself
+    for word, expected in (("s1", "DELTA^1 |"), ("s1^-1", "DELTA^-1 |")):
+        code, out, _ = run(capsys, "--type", "A1", "nf", word)
+        assert code == 0 and out.strip() == expected
 
 
 def test_nf_json_format(capsys):
@@ -307,8 +311,9 @@ def test_parse_payload_errors():
     a3 = context("A3")
     with pytest.raises(ParseError):
         parse_payload(a3, "{not json", "marking")
-    with pytest.raises(ParseError):
-        parse_payload(a3, json.dumps({"wrong": 1}), "parabolic")
+    for payload in ({"wrong": 1}, [1], "s1", {"conj": 5, "gens": ["s1"]}):
+        with pytest.raises(ParseError):
+            parse_payload(a3, json.dumps(payload), "parabolic")
     element = parse_payload(a3, "s1 s2^-1", "element")
     assert element == normalize(a3, "s1 s2^-1")
 
@@ -328,6 +333,17 @@ def test_seed_file_payload(tmp_path, capsys):
         "0",
     )
     assert code == 0 and out.strip() == "0"
+
+
+def test_unreadable_seed_file_is_malformed(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    for seed in (tmp_path / "missing.json", undecodable):
+        code, out, err = run(
+            capsys, "--type", "A3", "--seed-file", str(seed), "projection", "--index", "0"
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
 
 
 def test_stdout_identical_across_hash_seeds():

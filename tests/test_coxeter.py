@@ -24,8 +24,9 @@ def test_type_parsing_roundtrip():
 
 @pytest.mark.parametrize("bad", ["A0", "B1", "D3", "E9", "F5", "H5", "I2(2)", "C3", "foo"])
 def test_unsupported_types(bad):
-    with pytest.raises(UnsupportedType):
+    with pytest.raises(UnsupportedType) as err:
         ArtinType.parse(bad)
+    assert bad in str(err.value)
 
 
 def test_a2_graph_is_braid_path():

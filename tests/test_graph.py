@@ -133,9 +133,9 @@ def test_verify_action_isometry_randomized_a2():
 
 
 def test_all_standard_markings_counts():
-    assert len(all_standard_markings(context("A2"))) == 2
-    assert len(all_standard_markings(context("I2(7)"))) == 2
-    assert len(all_standard_markings(context("A3"))) == 5
+    counts = {"A2": 2, "I2(7)": 2, "A3": 5, "A4": 14, "B4": 14, "D4": 16, "F4": 14}
+    for spec, count in counts.items():
+        assert len(all_standard_markings(context(spec))) == count
 
 
 def test_flip_path_bound_values():
@@ -211,7 +211,7 @@ def test_stabilizers_of_explored_nodes_conjugate_delta_powers():
     for key in sorted(ball.nodes)[:6]:
         node = ball.nodes[key]
         conj, standard = standardize_marking(node)
-        hits = marking_stabilizer_probe(standard, 3, 2)
+        hits = marking_stabilizer_probe(standard, 3)
         assert all(h.canonical_length == 0 for h in hits)
         for h in hits:
             moved = node.conjugated_by(conj * h * conj.inverse())

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from artinmark.errors import (
+    InvariantViolated,
     NotAStabilizer,
     NotAStandardizer,
     NotConjugate,
@@ -15,6 +16,7 @@ from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import (
     AscendingProduct,
     CparabSimplex,
+    _maximal_families,
     adjacent,
     build_standardized,
     canonical_positive_standardizer,
@@ -23,8 +25,9 @@ from artinmark.simplex import (
     stabilizes_simplex,
     standard_adjacent,
     standardization_change,
+    transversal_subset,
 )
-from oracles import containment_levels, levelwise_canonical_standardizer
+from oracles import _recipe_transversals, containment_levels, levelwise_canonical_standardizer
 
 
 def gens(ctx, *names):
@@ -175,6 +178,35 @@ def test_enumerated_maximal_simplices_have_few_maximal_elements():
             tops = [simplex.vertices[i].gens for i in top]
             homes = [next(c for c in comps if x <= c) for x in tops]
             assert len(set(homes)) == len(tops)
+
+
+TRANSVERSAL_TYPES = (
+    [f"A{n}" for n in range(2, 8)]
+    + [f"B{n}" for n in range(2, 8)]
+    + [f"D{n}" for n in range(4, 8)]
+    + ["E6", "E7", "E8", "F4", "H3", "H4", "I2(5)", "I2(6)", "I2(8)"]
+)
+
+
+@pytest.mark.parametrize("spec", TRANSVERSAL_TYPES)
+def test_transversal_subset_is_unique_and_matches_recipe(spec):
+    # transversal_subset raises unless exactly one subset keeps the pattern;
+    # the recipe builds it from the maximality gaps instead (E8: 2,094 families)
+    ctx = context(spec)
+    scope = frozenset(ctx.graph.vertices)
+    families = _maximal_families(ctx.graph, scope)
+    assert families
+    for family in families:
+        recipe = _recipe_transversals(ctx.graph, family, scope)
+        for i, x in enumerate(family):
+            assert transversal_subset(ctx, family, i) == recipe[x]
+
+
+def test_transversal_subset_raises_off_a_maximal_family():
+    # {s1} alone in A3: both {s2} and {s2,s3} keep the pattern
+    a3 = context("A3")
+    with pytest.raises(InvariantViolated):
+        transversal_subset(a3, (gens(a3, "s1"),), 0)
 
 
 def test_canonical_standardizer_all_standard_is_identity():
