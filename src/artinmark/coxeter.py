@@ -17,6 +17,11 @@ its encoding once, from its root count; both encodings list the images of
 the roots in the same order and compare lexicographically alike, so every
 ordering of elements is the same under either.
 
+Descents are read off roots (Bjorner-Brenti 2005, 4.4): t is a left descent
+of w exactly when w^-1(alpha_t) is negative, so RootSystem._peel strips
+common left descents on raw tables, interning nothing; the prefix meet it
+reaches is unique, so the order of the strips cannot change it.
+
 Vertex numbering of the defining graphs:
 
     A_n   s1 - s2 - ... - sn
@@ -371,6 +376,27 @@ class RootSystem:
             self._elements[perm] = el
         return el
 
+    def _peel(self, perms) -> tuple[list[int], tuple[int, ...] | bytes]:
+        """Strip least common left descents off the simples x with raw tables
+        `perms`; return the letters and the table of their product d.
+
+        t is a left descent of every d^-1 x when every x^-1 d(alpha_t) is
+        negative: d(alpha_t) lies in no x(positive roots).  At the end d is
+        the prefix meet of the x, or a larger common prefix would leave a
+        common descent; the meet is unique, so the strip order cannot change
+        d, and least letters give the least reduced word."""
+        after, gens, pos = self._after, self.generators, self.positive_indices
+        blocked = set().union(*({perm[r] for r in pos} for perm in perms))
+        d, letters = self.identity.perm, []
+        while True:
+            for t, r in enumerate(self.simple_index):
+                if d[r] not in blocked:
+                    break
+            else:
+                return letters, d
+            letters.append(t)
+            d = after(gens[t].perm, d)
+
     def generator_of(self, w: CoxeterElement) -> int | None:
         """Index i if w is the reflection of generator i, else None."""
         return self._gen_of_perm.get(w.perm)
@@ -436,12 +462,8 @@ class CoxeterElement:
         return self._inverse
 
     def right_descents(self) -> frozenset[int]:
-        sys = self.system
-        return frozenset(
-            s
-            for s, idx in enumerate(sys.simple_index)
-            if not sys.is_positive_root[self.perm[idx]]
-        )
+        pos, perm = self.system.is_positive_root, self.perm
+        return frozenset(s for s, r in enumerate(self.system.simple_index) if not pos[perm[r]])
 
     def left_descents(self) -> frozenset[int]:
         return self.inverse().right_descents()
@@ -455,13 +477,7 @@ class CoxeterElement:
 
     def reduced_word(self) -> tuple[int, ...]:
         """Lexicographically least reduced word (greedy left descents)."""
-        word = []
-        w = self
-        while not w.is_identity:
-            s = min(w.left_descents())
-            word.append(s)
-            w = self.system.generators[s] * w
-        return tuple(word)
+        return tuple(self.system._peel((self.perm,))[0])
 
 
 def longest_element(system: RootSystem, subset: frozenset[int]) -> CoxeterElement:

@@ -8,8 +8,8 @@ the right descent set of u; the normalizer repeatedly slides the maximal
 absorbable prefix of v into u until every pair is normal, then pulls leading
 w0 factors into the Delta exponent.
 
-Lattice operations on simples are descent-greedy: the prefix-order meet
-peels common left descents, and the join is obtained from the meet through
+Lattice operations on simples are descent-greedy: the prefix-order meet is
+the peel of both simples (RootSystem._peel), the join comes from the meet by
 the complement anti-automorphisms x -> x^-1 w0 and x -> w0 x^-1.  No table
 of W is ever materialized, so the same code serves I2(3) and E8.
 
@@ -52,11 +52,11 @@ class GarsideContext:
     """The tables of one Artin group and every memo shared across calls.
 
     Every memo is declared here, and each entry is written once: the Garside
-    tables of the simple elements, the parabolic subgroups interned by
-    (conj, gens), and three memos that several representatives share, keyed
-    by value: the canonical data of a simplex (by its sorted vertex keys),
-    marking certificates (by ordered pair keys) and transversal
-    decompositions (by transversal, base and standardizer).
+    tables of the simple elements, transversal subsets by (family, index),
+    parabolics interned by (conj, gens), and three memos that several
+    representatives share, keyed by value: the canonical data of a simplex
+    (by its sorted vertex keys), marking certificates (by ordered pair keys)
+    and transversal decompositions (by transversal, base and standardizer).
     """
 
     def __init__(self, graph: DefiningGraph, system: RootSystem):
@@ -72,6 +72,7 @@ class GarsideContext:
         self._delta_of: dict[frozenset[int], ArtinElement] = {}
         self._w0_of: dict[frozenset[int], CoxeterElement] = {}
         self._connected_proper: tuple[frozenset[int], ...] | None = None
+        self.transversal_subsets: dict[tuple, frozenset[int]] = {}
         self.parabolics: dict[tuple[ArtinElement, frozenset[int]], ParabolicSubgroup] = {}
         self.simplex_canonical: dict[
             str, tuple[tuple[str, ...], ArtinElement, StandardizedSimplex]
@@ -110,26 +111,16 @@ class GarsideContext:
         return self.delta_w * x.inverse()
 
     def gcd_simples(self, a: CoxeterElement, b: CoxeterElement) -> CoxeterElement:
-        """Meet of two simples in the prefix order (greedy descent peeling)."""
+        """Meet of two simples in the prefix order; only the meet is interned."""
         if a.system is not b.system or a.system is not self.system:
             raise MixedContext("simples from different root systems")
         key = (a.uid, b.uid) if a.uid <= b.uid else (b.uid, a.uid)
         cached = self._meet.get(key)
         if cached is not None:
             return cached
-        gens = self.system.generators
-        d = self.system.identity
-        x, y = a, b
-        while True:
-            common = x.left_descents() & y.left_descents()
-            if not common:
-                break
-            s = gens[min(common)]
-            d = d * s
-            x = s * x
-            y = s * y
-        self._meet[key] = d
-        return d
+        meet = self.system.element(self.system._peel((a.perm, b.perm))[1])
+        self._meet[key] = meet
+        return meet
 
     def lcm_simples(self, a: CoxeterElement, b: CoxeterElement) -> CoxeterElement:
         """Join of two simples in the prefix order, via complement duality:

@@ -85,17 +85,20 @@ def transversal_subset(ctx: GarsideContext, subsets, i: int) -> Subset:
     Every maximal standard family has exactly one such Y at each index (the
     tests compare it with an independent recursive construction on every
     family of 25 types up to rank 8); any other count raises
-    InvariantViolated.
+    InvariantViolated.  Memoized in ctx.transversal_subsets.
     """
-    found = [
-        y for y in ctx.connected_proper_subsets()
-        if pattern_break(ctx.graph, y, subsets, i) is None
-    ]
-    if len(found) != 1:
-        raise InvariantViolated(
-            f"{len(found)} subsets keep the transversality pattern at index {i}"
-        )
-    return found[0]
+    key = (tuple(subsets), i)
+    if key not in ctx.transversal_subsets:
+        found = [
+            y for y in ctx.connected_proper_subsets()
+            if pattern_break(ctx.graph, y, subsets, i) is None
+        ]
+        if len(found) != 1:
+            raise InvariantViolated(
+                f"{len(found)} subsets keep the transversality pattern at index {i}"
+            )
+        ctx.transversal_subsets[key] = found[0]
+    return ctx.transversal_subsets[key]
 
 
 def delta_twisted(
@@ -317,7 +320,7 @@ def enumerate_maximal_standard(ctx: GarsideContext) -> list[CparabSimplex]:
     """All maximal simplices with standard vertices, by the characterization."""
     scope = frozenset(ctx.graph.vertices)
     simplices = []
-    for family in _maximal_families(ctx.graph, scope):
+    for family in filter(None, _maximal_families(ctx.graph, scope)):  # A1: only ()
         simplices.append(
             CparabSimplex(
                 ctx, [ParabolicSubgroup.standard(ctx, x) for x in family]

@@ -9,6 +9,9 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   answers prefix-order questions from the length function alone;
 * the tuple kernel composes and inverts root permutations as plain int
   tuples, independent of the library's byte-table encoding;
+* the descent peels strip the least common left descent of interned
+  elements, reading descent sets off each remainder and interning every
+  s * x on the way, independent of the library's peel on raw tables;
 * the fixed-point normalizer re-runs left-to-right slide passes over the
   whole factor list until nothing moves, independent of the library's
   one-sweep products;
@@ -173,6 +176,35 @@ def tuple_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
     for i, j in enumerate(perm):
         inv[j] = i
     return tuple(inv)
+
+
+# -- descent peels on interned elements ---------------------------------------
+
+
+def descent_peel_gcd(ctx, a, b):
+    """Meet of two simples in the prefix order (greedy descent peeling)."""
+    gens = ctx.system.generators
+    d = ctx.system.identity
+    x, y = a, b
+    while True:
+        common = x.left_descents() & y.left_descents()
+        if not common:
+            break
+        s = gens[min(common)]
+        d = d * s
+        x = s * x
+        y = s * y
+    return d
+
+
+def descent_peel_reduced_word(w) -> tuple[int, ...]:
+    """Lexicographically least reduced word (greedy left descents)."""
+    word = []
+    while not w.is_identity:
+        s = min(w.left_descents())
+        word.append(s)
+        w = w.system.generators[s] * w
+    return tuple(word)
 
 
 # -- fixed-point normal forms ------------------------------------------------

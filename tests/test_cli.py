@@ -258,6 +258,15 @@ def test_std_connectivity_cli(capsys):
     assert data["connected"] is True and data["diameter"] == 1
 
 
+def test_a1_has_no_maximal_simplex(capsys):
+    # A1 has no proper irreducible parabolic subgroup: no simplex, no marking
+    code, out, _ = run(capsys, "--type", "A1", "enum-max-simplices")
+    assert code == 0 and out == "\n"
+    code, out, _ = run(capsys, "--type", "A1", "std-connectivity")
+    assert code == 0
+    assert out == "A1: 0 standard markings, connected=True, diameter=0 (bound 1)\n"
+
+
 def test_std_transversals_roundtrip(capsys):
     a3 = context("A3")
     simplex = CparabSimplex(
@@ -377,6 +386,47 @@ def test_stdout_identical_across_hash_seeds():
     assert outputs[0].startswith(b"DELTA^") and b'"edges"' in outputs[0]
     assert b"  ->  s" in outputs[0] and b'"subsets"' in outputs[0]
     assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+
+
+def test_stdout_does_not_depend_on_uids():
+    # CoxeterElement.uid is the interning order; the second run interns a few
+    # thousand unrelated products first, so every later uid is shifted
+    script = (
+        "import random, sys\n"
+        "from artinmark.cli import run_command\n"
+        "from artinmark.coxeter import root_reflection_table\n"
+        "if sys.argv[1] == 'shifted':\n"
+        "    for spec in ('E8', 'A3', 'B3', 'D4'):\n"
+        "        system, rng = root_reflection_table(spec), random.Random(spec)\n"
+        "        w = system.identity\n"
+        "        for _ in range(3000):\n"
+        "            w = w * system.generators[rng.randrange(system.graph.rank)]\n"
+        "sys.exit(max(run_command(argv) for argv in %r))\n"
+    ) % [
+        ["--type", "E8", "nf", "s1 s3^-1 s2 s8 s4^-1 s1 s7 s5^-1 s6 s2^-1"],
+        ["--type", "A3", "--radius", "1", "--format", "json", "bfs", a3_marking_json()],
+        ["--type", "B3", "--format", "json", "conj-graph"],
+        [
+            "--type", "D4", "min-std",
+            json.dumps({"conj": "DELTA^-1 | s1 s2 s4 . s2 s3", "gens": ["s1", "s2"]}),
+        ],
+        ["--type", "A3", "--format", "json", "std-connectivity"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script, mode],
+            env=env,
+            capture_output=True,
+            check=True,
+            timeout=300,
+        ).stdout
+        for mode in ("plain", "shifted")
+    ]
+    assert outputs[0].startswith(b"DELTA^") and b'"standard_markings"' in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def golden_calls():

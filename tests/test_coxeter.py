@@ -12,9 +12,17 @@ from artinmark.coxeter import (
     root_reflection_table,
 )
 from artinmark.errors import Disconnected, InvariantViolated, UnsupportedType
-from artinmark.garside import context, normalize
+from artinmark.garside import GarsideContext, context, normalize
 
-from oracles import all_w, float_positive_roots, root_perm, tuple_inverse, tuple_product
+from oracles import (
+    all_w,
+    descent_peel_gcd,
+    descent_peel_reduced_word,
+    float_positive_roots,
+    root_perm,
+    tuple_inverse,
+    tuple_product,
+)
 
 
 def test_type_parsing_roundtrip():
@@ -261,3 +269,52 @@ def test_wrong_root_count_raises_invariant_violated(monkeypatch):
     monkeypatch.setattr(coxeter, "_root_count", lambda family, rank, m: 7)
     with pytest.raises(InvariantViolated):
         RootSystem(build_defining_graph("A2"))
+
+
+def random_simple(system, rng, length):
+    """A seeded simple of the given length, one ascent at a time."""
+    w = system.identity
+    while w.length < length:
+        ascents = sorted(set(range(system.graph.rank)) - w.right_descents())
+        w = w * system.generators[rng.choice(ascents)]
+    return w
+
+
+def random_simple_pairs(system, rng, count, length):
+    """Seeded pairs of simples; every other pair shares a random prefix, so
+    that long meets are peeled too."""
+    pairs = []
+    for k in range(count):
+        head = random_simple(system, rng, length) if k % 2 else system.identity
+        pairs.append(tuple(head * random_simple(system, rng, length) for _ in range(2)))
+    return pairs
+
+
+def fresh_context(spec):
+    # an empty meet memo, so the peel runs once for each unordered pair
+    return GarsideContext(build_defining_graph(spec), root_reflection_table(spec))
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A4", "D4", "I2(7)"])
+def test_peel_matches_descent_peel_oracles_on_all_simples(spec):
+    ctx = fresh_context(spec)
+    elements = all_w(spec)
+    for a, b in itertools.product(elements, repeat=2):
+        assert ctx.gcd_simples(a, b) is descent_peel_gcd(ctx, a, b)
+    for w in elements:
+        assert w.reduced_word() == descent_peel_reduced_word(w)
+
+
+@pytest.mark.parametrize(
+    "spec,count,length",
+    [("E8", 2000, 24), ("A16", 150, 36), ("B12", 150, 36)],
+)
+def test_peel_matches_descent_peel_oracles_on_random_simples(spec, count, length):
+    # E8 stores byte tables; A16 (272 roots) and B12 (288) store int tuples
+    ctx = fresh_context(spec)
+    rng = random.Random(spec)
+    pairs = random_simple_pairs(ctx.system, rng, count, length)
+    for a, b in pairs:
+        assert ctx.gcd_simples(a, b) is descent_peel_gcd(ctx, a, b)
+    for w in [x for pair in pairs[:100] for x in pair] + [ctx.delta_w]:
+        assert w.reduced_word() == descent_peel_reduced_word(w)
