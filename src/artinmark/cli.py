@@ -3,6 +3,10 @@
 Every operation is exposed on serialized inputs so experiments are scriptable
 and reproducible: identical invocations print identical bytes.  Domain errors
 exit 1 with a machine-readable JSON object on stderr; malformed inputs exit 2.
+
+run_command may be called many times in one process.  It builds its
+argument parser once, on the first call, so each call then costs only the
+parsing of its own argv and its own command.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .errors import ArtinMarkError, ParseError, UnknownFormat, UnsupportedType
 from .garside import GarsideContext, context, normalize, parse_element
@@ -159,10 +164,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every run_command call shares, built on the first call.
+
+    Reuse is safe: parse_args keeps all per-call state in the Namespace it
+    returns and never changes the parser, usage and error text go to
+    sys.stderr as it is at call time, and the help width is computed when
+    help is printed.  build_parser() still returns a fresh parser, so a
+    caller that changes its own copy cannot reach this one.
+    """
+    return build_parser()
+
+
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:

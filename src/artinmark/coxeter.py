@@ -42,7 +42,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import Disconnected, InvariantViolated, MixedContext, UnsupportedType
+from .errors import Disconnected, InvariantViolated, MixedContext, ParseError, UnsupportedType
 from .rings import Coeffs, CosRing
 
 FAMILIES = ("A", "B", "D", "E", "F", "H", "I2")
@@ -195,7 +195,7 @@ class DefiningGraph:
         try:
             return self.names.index(name)
         except ValueError:
-            raise UnsupportedType(f"unknown generator {name!r}") from None
+            raise ParseError(f"unknown generator {name!r}") from None
 
     def components(self, subset: frozenset[int]) -> list[frozenset[int]]:
         """Connected components of the induced subgraph, sorted."""

@@ -197,7 +197,8 @@ def standard_marking_connectivity(
     The subgraph keeps markings whose base elements are standard subgroups
     and whose projections lie in [-bound, bound]; twist variants of the
     standard markings are reached inside it.  Reaching a node past node_cap
-    raises BudgetExceeded.
+    raises BudgetExceeded; a negative projection_bound or node_cap raises
+    PreconditionViolated.
 
     Every flip across j has Q_j among its bases, so when Q_j is not standard
     no flip across j is in the subgraph, and those flips are not enumerated.
@@ -208,6 +209,8 @@ def standard_marking_connectivity(
     """
     if projection_bound < 0:
         raise PreconditionViolated(f"projection bound {projection_bound} is negative")
+    if node_cap < 0:
+        raise PreconditionViolated(f"node cap {node_cap} is negative")
     standard = all_standard_markings(ctx)
 
     def in_universe(m: Marking) -> bool:

@@ -42,6 +42,7 @@ from .errors import (
     NotAnXRibbonX,
     NotIrreducible,
     NotProper,
+    ParseError,
 )
 from .garside import ArtinElement, GarsideContext, member_of_standard, parse_element
 
@@ -176,7 +177,10 @@ class ParabolicSubgroup:
     @staticmethod
     def from_json(ctx: GarsideContext, data: dict) -> ParabolicSubgroup:
         conj = parse_element(ctx, data.get("conj", "DELTA^0 |"))
-        gens = frozenset(ctx.graph.index(n) for n in data["gens"])
+        names = data["gens"]
+        if not isinstance(names, list):
+            raise ParseError(f"gens must be a list of generator names, not {names!r}")
+        gens = frozenset(ctx.graph.index(n) for n in names)
         return ParabolicSubgroup(ctx, conj, gens)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,12 @@ import pytest
 from artinmark.cli import parse_payload, run_command
 from artinmark.errors import NotMaximal, ParseError
 from artinmark.garside import context, normalize
-from artinmark.marking import Marking, projection, standard_transversals
+from artinmark.marking import Marking, projection, standard_transversals, twist_move
 from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import CparabSimplex, enumerate_maximal_standard
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -83,6 +85,15 @@ def test_conj_graph_size_mismatch(capsys):
         capsys, "--type", "E8", "conj-graph", "--query", "s1,s2", "s5,s6,s7"
     )
     assert code == 0 and out.strip() == "false"
+
+
+def test_conj_graph_unknown_generator_is_malformed(capsys):
+    code, out, err = run(capsys, "--type", "A3", "conj-graph", "--query", "s1,s9", "s2")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "ParseError",
+        "message": "unknown generator 's9' (at offset 0)",
+    }
 
 
 def test_enum_max_simplices_a3(capsys):
@@ -320,7 +331,15 @@ def test_parse_payload_errors():
     a3 = context("A3")
     with pytest.raises(ParseError):
         parse_payload(a3, "{not json", "marking")
-    for payload in ({"wrong": 1}, [1], "s1", {"conj": 5, "gens": ["s1"]}):
+    for payload in (
+        {"wrong": 1},
+        [1],
+        "s1",
+        {"conj": 5, "gens": ["s1"]},
+        {"conj": "DELTA^0 |", "gens": ["s9"]},
+        {"conj": "DELTA^0 |", "gens": "s1"},
+        {"conj": "DELTA^0 |", "gens": [1]},
+    ):
         with pytest.raises(ParseError):
             parse_payload(a3, json.dumps(payload), "parabolic")
     element = parse_payload(a3, "s1 s2^-1", "element")
@@ -353,6 +372,93 @@ def test_unreadable_seed_file_is_malformed(tmp_path, capsys):
         )
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ParseError"
+
+
+def test_one_parser_carries_no_state_between_calls(tmp_path):
+    # each call after another with other options must read as in a fresh
+    # process: defaults come back, --seed-file does not stick, and usage,
+    # errors and help go to the streams of the call that prints them
+    a3_marking = a3_marking_json()
+    a2 = context("A2")
+    a2_marking = json.dumps(
+        standard_transversals(
+            CparabSimplex(a2, [ParabolicSubgroup.standard(a2, frozenset({0}))])
+        ).to_json()
+    )
+    seed = tmp_path / "marking.json"
+    seed.write_text(a3_marking)
+    # the one call without a payload reads this from stdin: projection 1, not 0
+    twisted = twist_move(Marking.from_json(context("A3"), json.loads(a3_marking)), 0, 1)
+    stdin = json.dumps(twisted.to_json())
+    sequence = [
+        ["--type", "A3", "twist", a3_marking, "--index", "0", "--direction", "-1"],
+        ["--type", "A3", "twist", a3_marking, "--index", "0"],
+        ["--type", "A2", "--radius", "2", "--format", "json", "bfs", a2_marking],
+        ["--type", "A2", "--format", "json", "bfs", a2_marking],
+        ["--type", "A3", "--seed-file", str(seed), "projection", "--index", "0"],
+        ["--type", "A3", "projection", "--index", "0"],
+        ["--type", "A3", "twist", a3_marking],
+        ["--type", "A3", "--help"],
+        ["--type", "A3", "nf", "s1 s2"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from artinmark import cli\n"
+        "built = []\n"
+        "build = cli.build_parser\n"
+        "cli.build_parser = lambda: built.append(1) or build()\n"
+        "calls = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = cli.run_command(argv)\n"
+        "    calls.append([code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps({'built': len(built), 'calls': calls}))\n"
+    )
+    fresh = (
+        "import sys\n"
+        "from artinmark.cli import run_command\n"
+        "sys.exit(run_command(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def python(*args):
+        return subprocess.run(
+            [sys.executable, "-c", *args],
+            env=env,
+            input=stdin,
+            capture_output=True,
+            text=True,
+            check=False,
+            timeout=300,
+        )
+
+    together = json.loads(python(script, json.dumps(sequence)).stdout)
+    assert together["built"] == 1
+    alone = []
+    for argv in sequence:
+        done = python(fresh, *argv)
+        alone.append([done.returncode, done.stdout, done.stderr])
+    assert together["calls"] == alone
+    codes = [code for code, _out, _err in alone]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 0, 0]
+    assert alone[4][1] == "0\n" and alone[5][1] == "1\n"
+    assert alone[6][2].startswith("usage: artinmark") and alone[7][1].startswith("usage: artinmark")
+    assert len(json.loads(alone[2][1])["nodes"]) > len(json.loads(alone[3][1])["nodes"])
+
+
+def test_readme_commands_match_parser(capsys):
+    listed = re.search(r"^Commands:([^.]*)\.", README.read_text(), re.M)
+    assert listed, "README has no 'Commands:' list"
+    documented = re.findall(r"`([^`]+)`", listed.group(1))
+    code, out, _ = run(capsys, "--type", "A3", "--help")
+    assert code == 0
+    commands = re.search(r"^positional arguments:\n +\{([^}]*)\}$", out, re.M).group(1)
+    assert documented == commands.split(",")
+    for name in documented:
+        assert re.search(rf"^ +{re.escape(name)}( |$)", out, re.M), name
 
 
 def test_stdout_identical_across_hash_seeds():

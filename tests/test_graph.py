@@ -175,6 +175,11 @@ def test_connectivity_rejects_negative_projection_bound():
         standard_marking_connectivity(context("A2"), projection_bound=-1)
 
 
+def test_connectivity_rejects_negative_node_cap():
+    with pytest.raises(PreconditionViolated):
+        standard_marking_connectivity(context("A2"), node_cap=-5)
+
+
 def test_bfs_rejects_negative_radius():
     _a2, seed = a2_seed()
     with pytest.raises(PreconditionViolated):
