@@ -53,10 +53,12 @@ class GarsideContext:
 
     Every memo is declared here, and each entry is written once: the Garside
     tables of the simple elements, transversal subsets by (family, index),
-    parabolics interned by (conj, gens), and three memos that several
-    representatives share, keyed by value: the canonical data of a simplex
-    (by its sorted vertex keys), marking certificates (by ordered pair keys)
-    and transversal decompositions (by transversal, base and standardizer).
+    parabolics interned by (conj, gens), the strips of the minimal
+    standardizer descent by target subset (at most one entry per subset of
+    the vertices), and three memos that several representatives share, keyed
+    by value: the canonical data of a simplex (by its sorted vertex keys),
+    marking certificates (by ordered pair keys) and transversal
+    decompositions (by transversal, base and standardizer).
     """
 
     def __init__(self, graph: DefiningGraph, system: RootSystem):
@@ -73,6 +75,9 @@ class GarsideContext:
         self._w0_of: dict[frozenset[int], CoxeterElement] = {}
         self._connected_proper: tuple[frozenset[int], ...] | None = None
         self.transversal_subsets: dict[tuple, frozenset[int]] = {}
+        self.standardizer_strips: dict[
+            frozenset[int], tuple[tuple[ArtinElement, frozenset[int]], ...]
+        ] = {}
         self.parabolics: dict[tuple[ArtinElement, frozenset[int]], ParabolicSubgroup] = {}
         self.simplex_canonical: dict[
             str, tuple[tuple[str, ...], ArtinElement, StandardizedSimplex]

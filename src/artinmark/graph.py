@@ -4,11 +4,11 @@ Nodes are markings identified by their canonical keys; edges carry a kind,
 twist or flip.  Neighbor computation takes both twist directions at every
 index and all validated flips; breadth-first search is deterministic (keys
 sorted at every frontier expansion), so repeated runs produce identical
-graphs and identical exports.  Every flip across index j has the same bases,
-{P_i : i != j} and Q_j, so both searches decide from that base alone whether
-a flip across j can land in their node set, before any candidate is built or
-certified: the BFS closure of the boundary enumerates it only when some ball
-node has that base, and the connectivity universe only when Q_j is standard.
+graphs and identical exports.  The BFS closes the edges among the nodes at
+its radius on their certificate coordinates, building no marking (see bfs).
+Every flip across index j has the same bases, {P_i : i != j} and Q_j, so
+the connectivity universe holds no flip across j when Q_j is not standard,
+and those flips are not enumerated.
 
 standard_marking_connectivity builds the finite subgraph of markings with
 standard base and bounded projections, checks that the all-standard markings
@@ -27,7 +27,6 @@ from .garside import ArtinElement, GarsideContext
 from .marking import (
     Marking,
     enumerate_flip_moves,
-    flip_candidates,
     is_flip_edge,
     is_twist_edge,
     standard_transversals,
@@ -75,14 +74,26 @@ class ExploredGraph:
 def bfs(seed: Marking, radius: int) -> ExploredGraph:
     """All markings within the radius of the seed, and every edge among them.
 
-    Nodes inside the radius are expanded through neighbors().  The boundary
-    nodes (at the radius) only need their edges to nodes already in the ball,
-    so their flips are pruned before any candidate is built or certified:
-    every flip across j has the bases {P_i : i != j} and Q_j, so it is
-    enumerated only when some ball node has exactly that base key set.  A
-    surviving candidate is matched by key alone; if its key is in the ball it
-    is that ball node, which is certified, so it is a flip.  Every boundary
-    node is certified explicitly.
+    Nodes inside the radius are expanded through neighbors(), which certifies
+    them.  The nodes at the radius (the boundary) are certified too, and the
+    edges among them are closed without building a marking or a flip
+    candidate, by three facts:
+
+    1. Moves are symmetric, and neighbors() is complete: an edge from a
+       boundary node to an inner node was added when the inner node was
+       expanded.  Only edges between boundary nodes are left to close.
+    2. A certified node is its coordinates.  Its certificate gives, per
+       pair, (P_i key, twist_i, Y_i) relative to the canonical standardizer
+       of its base, and by the uniqueness of transversal decompositions
+       these identify the node.  A twist at j in direction d keeps the base,
+       so its standardizer, and Y_j, and adds d * z_exponent(X_j) to
+       twist_j.  A boundary twist edge is therefore a look-up of the moved
+       coordinates among the boundary nodes; the +1 twists find every one,
+       since the -1 twist of one end is the +1 twist of the other.
+    3. A flip across j lands on a node whose base key set is
+       {P_i : i != j} and Q_j, and which holds the pair (Q_j, P_j).  The
+       boundary nodes are indexed by base key set, and each unordered pair
+       of them that passes this key test is decided by is_flip_edge.
     """
     if radius < 0:
         raise PreconditionViolated(f"radius {radius} is negative")
@@ -102,25 +113,46 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
                     nxt.append(other)
                 graph.add_edge(node.key(), key, kind)
         frontier = sorted(nxt, key=Marking.key)
-    # close edges among boundary nodes
-    for node in frontier:
-        node.certificate()
-    bases = {frozenset(p.key() for p, _ in m.pairs) for m in graph.nodes.values()}
-    for node in frontier:
-        for j in range(len(node)):
-            for direction in (1, -1):
-                key = twist_move(node, j, direction).key()
-                if key in graph.nodes:
-                    graph.add_edge(node.key(), key, "twist")
-            flipped_base = frozenset(
-                (q if i == j else p).key() for i, (p, q) in enumerate(node.pairs)
-            )
-            if flipped_base not in bases:
-                continue
-            for candidate in flip_candidates(node, j):
-                if candidate.key() in graph.nodes:
-                    graph.add_edge(node.key(), candidate.key(), "flip")
+    _close_boundary(graph, frontier)
     return graph
+
+
+def _base_keys(marking: Marking) -> frozenset[str]:
+    return frozenset(p.key() for p, _ in marking.pairs)
+
+
+def _coordinates(marking: Marking) -> list[tuple[str, int, frozenset[int]]]:
+    """(P_j key, twist_j, Y_j) per pair, read off the certificate."""
+    return [
+        (p.key(), data.twist, data.subset)
+        for (p, _q), data in zip(marking.pairs, marking.certificate().transversals)
+    ]
+
+
+def _close_boundary(graph: ExploredGraph, boundary: list[Marking]) -> None:
+    """Add the twist and flip edges among the boundary nodes (see bfs)."""
+    coordinates = [_coordinates(node) for node in boundary]
+    at = {frozenset(c): node.key() for node, c in zip(boundary, coordinates)}
+    by_base: dict[frozenset[str], list[Marking]] = {}
+    for node in boundary:
+        by_base.setdefault(_base_keys(node), []).append(node)
+    for node, coords in zip(boundary, coordinates):
+        _ghat, std = node.base_simplex().canonical_data()
+        base = _base_keys(node)
+        for j, (p_key, twist, subset) in enumerate(coords):
+            step = node.ctx.graph.z_exponent(std.subsets[node.vertex_of_pair(j)])
+            moved = coords[:j] + [(p_key, twist + step, subset)] + coords[j + 1:]
+            other_key = at.get(frozenset(moved))
+            if other_key is not None:
+                graph.add_edge(node.key(), other_key, "twist")
+            q_key = node.pairs[j][1].key()
+            for other in by_base.get(base - {p_key} | {q_key}, ()):
+                if (
+                    node.key() < other.key()
+                    and (q_key, p_key) in other.ordered_key()
+                    and is_flip_edge(node, other)
+                ):
+                    graph.add_edge(node.key(), other.key(), "flip")
 
 
 def verify_action_isometry(

@@ -252,10 +252,17 @@ def decompose_transversal(
     return TransversalData(index, twist, target)
 
 
+def _check_index(marking: Marking, j: int) -> None:
+    """Raise unless j is a pair index, 0 <= j < len(marking)."""
+    if not 0 <= j < len(marking):
+        raise PreconditionViolated(f"pair index {j} is outside 0..{len(marking) - 1}")
+
+
 def transversal_decomposition(
     marking: Marking, j: int, g: ArtinElement
 ) -> TransversalData:
     """Decomposition of the j-th transversal relative to a base standardizer g."""
+    _check_index(marking, j)
     p_j, q_j = marking.pairs[j]
     return decompose_transversal(q_j, p_j, g, j)
 
@@ -329,9 +336,13 @@ def projection(marking: Marking, j: int) -> int:
 
 
 def twist_move(marking: Marking, j: int, direction: int = 1) -> Marking:
-    """Replace Q_j by z_{P_j}^direction Q_j z_{P_j}^-direction."""
+    """Replace Q_j by z_{P_j}^direction Q_j z_{P_j}^-direction; the direction
+    is 1 or -1."""
+    _check_index(marking, j)
+    if direction not in (1, -1):
+        raise PreconditionViolated(f"twist direction {direction} is not 1 or -1")
     p_j, q_j = marking.pairs[j]
-    z = p_j.z_element() ** (1 if direction >= 0 else -1)
+    z = p_j.z_element() ** direction
     pairs = list(marking.pairs)
     pairs[j] = (p_j, q_j.conjugated_by(z))
     return Marking(marking.ctx, pairs)
@@ -407,8 +418,8 @@ def flip_candidates(marking: Marking, j: int) -> list[Marking]:
     """
     ctx = marking.ctx
     pairs = marking.pairs
-    p_j, q_j = pairs[j]
     _h, anchors, table = _flip_candidate_table(marking, j)
+    p_j, q_j = pairs[j]
     indices = sorted(anchors)
     per_index = [[cand for _twist, cand in table[i]] for i in indices]
     out = []

@@ -270,20 +270,32 @@ def minimal_standardizer(p: ParabolicSubgroup) -> tuple[ArtinElement, Subset]:
     ctx = p.ctx
     c = ctx.delta ** (2 * max(0, -(p.conj.inf // 2))) * p.conj
     target = p.gens
-    atom_inverses = [a.inverse() for a in ctx.atoms]
     while True:
-        strips = [(atom_inverses[s], target) for s in sorted(target)]
-        for t in range(ctx.rank):
-            if t not in target:
-                ribbon = elementary_ribbon(ctx, target, t)
-                strips.append((ribbon.element.inverse(), ribbon.target))
-        for d_inv, image in strips:
+        for d_inv, image in _descent_strips(ctx, target):
             rest = c * d_inv
             if rest.is_positive:
                 c, target = rest, image
                 break
         else:
             return c, target
+
+
+def _descent_strips(
+    ctx: GarsideContext, target: Subset
+) -> tuple[tuple[ArtinElement, Subset], ...]:
+    """What the descent tries to strip from a standardizer onto A_target, in
+    order: the atom inverses of the target ascending, then (d_{target,t}^-1,
+    its target) for t ascending outside it.  Built once per target and kept
+    in ctx.standardizer_strips."""
+    strips = ctx.standardizer_strips.get(target)
+    if strips is None:
+        atoms = [(ctx.atoms[s].inverse(), target) for s in sorted(target)]
+        ribbons = [
+            elementary_ribbon(ctx, target, t) for t in range(ctx.rank) if t not in target
+        ]
+        strips = tuple(atoms + [(r.element.inverse(), r.target) for r in ribbons])
+        ctx.standardizer_strips[target] = strips
+    return strips
 
 
 def check_simplex_family(parabolics) -> None:

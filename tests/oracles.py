@@ -44,7 +44,11 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   nodes from the full validated neighbor list of every boundary node, and
   the neighbors universe of the connectivity report expands every node
   through its full neighbor list, not by ruling flips out on their base
-  before any candidate is built.
+  before any candidate is built;
+* the candidate closure of a BFS ball builds both twists of every boundary
+  node and, across each index whose flipped base is a ball node's base,
+  every flip candidate, and matches them by key against the ball, not by
+  coordinates and an edge predicate.
 """
 
 from __future__ import annotations
@@ -63,7 +67,13 @@ from artinmark.graph import (
     flip_path_bound,
     neighbors,
 )
-from artinmark.marking import Marking, shared_flip_standardizer, transversal_decomposition
+from artinmark.marking import (
+    Marking,
+    flip_candidates,
+    shared_flip_standardizer,
+    transversal_decomposition,
+    twist_move,
+)
 from artinmark.parabolic import ParabolicSubgroup, _standard_target
 from artinmark.simplex import (
     CparabSimplex,
@@ -569,6 +579,48 @@ def neighbors_closure_bfs(seed, radius):
         for other, kind in neighbors(node):
             if other.key() in graph.nodes:
                 graph.add_edge(node.key(), other.key(), kind)
+    return graph
+
+
+def candidate_closure_bfs(seed, radius):
+    """The BFS ball of graph.bfs, with the edges among the boundary nodes
+    found by key: both twists of every boundary node, and every flip
+    candidate across an index whose flipped base is the base of a ball node.
+    A candidate whose key is in the ball is that certified ball node, so it
+    is a flip."""
+    seed.certificate()
+    graph = ExploredGraph()
+    graph.nodes[seed.key()] = seed
+    graph.radius[seed.key()] = 0
+    frontier = [seed]
+    for depth in range(1, radius + 1):
+        nxt = []
+        for node in frontier:
+            for other, kind in neighbors(node):
+                key = other.key()
+                if key not in graph.nodes:
+                    graph.nodes[key] = other
+                    graph.radius[key] = depth
+                    nxt.append(other)
+                graph.add_edge(node.key(), key, kind)
+        frontier = sorted(nxt, key=Marking.key)
+    for node in frontier:
+        node.certificate()
+    bases = {frozenset(p.key() for p, _ in m.pairs) for m in graph.nodes.values()}
+    for node in frontier:
+        for j in range(len(node)):
+            for direction in (1, -1):
+                key = twist_move(node, j, direction).key()
+                if key in graph.nodes:
+                    graph.add_edge(node.key(), key, "twist")
+            flipped_base = frozenset(
+                (q if i == j else p).key() for i, (p, q) in enumerate(node.pairs)
+            )
+            if flipped_base not in bases:
+                continue
+            for candidate in flip_candidates(node, j):
+                if candidate.key() in graph.nodes:
+                    graph.add_edge(node.key(), candidate.key(), "flip")
     return graph
 
 

@@ -15,11 +15,21 @@ from artinmark.graph import (
     standard_marking_connectivity,
     verify_action_isometry,
 )
-from artinmark.marking import Marking, standard_transversals, twist_move
+from artinmark.marking import (
+    Marking,
+    is_flip_edge,
+    is_twist_edge,
+    standard_transversals,
+    twist_move,
+)
 from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import CparabSimplex, enumerate_maximal_standard
 
-from oracles import neighbors_closure_bfs, neighbors_universe_connectivity
+from oracles import (
+    candidate_closure_bfs,
+    neighbors_closure_bfs,
+    neighbors_universe_connectivity,
+)
 
 
 def a2_seed():
@@ -260,19 +270,24 @@ def test_connectivity_b3():
 
 
 @pytest.mark.parametrize("spec, max_radius", [
-    ("A2", 3), ("A3", 2), ("B3", 2), ("H3", 1), ("D4", 1),
+    ("A2", 3), ("I2(5)", 3), ("A3", 2), ("B3", 2), ("H3", 1), ("D4", 1), ("A4", 1),
 ])
 def test_bfs_matches_neighbors_closure_oracle(spec, max_radius):
     # every standard-transversal seed, and the first one conjugated by a
-    # non-positive element, at every radius up to the maximum
+    # non-positive element, at every radius up to the maximum, against the
+    # full-neighbor closure and the candidate-key closure
     ctx = context(spec)
     seeds = [standard_transversals(s) for s in enumerate_maximal_standard(ctx)]
     seeds.append(seeds[0].conjugated_by(normalize(ctx, "s2^-1 s1")))
     for seed in seeds:
         for radius in range(max_radius + 1):
-            ours, oracle = bfs(seed, radius), neighbors_closure_bfs(seed, radius)
-            for fmt in ("json", "dot"):
-                assert export_graph(ours, fmt) == export_graph(oracle, fmt), (seed, radius)
+            ours = bfs(seed, radius)
+            for oracle in (neighbors_closure_bfs, candidate_closure_bfs):
+                theirs = oracle(seed, radius)
+                for fmt in ("json", "dot"):
+                    assert export_graph(ours, fmt) == export_graph(theirs, fmt), (
+                        oracle.__name__, seed, radius,
+                    )
 
 
 @pytest.mark.parametrize("spec", ["A2", "A3", "B3", "H3", "I2(5)"])
@@ -282,9 +297,9 @@ def test_connectivity_matches_neighbors_universe_oracle(spec):
 
 
 def test_bfs_certifies_every_node(monkeypatch):
-    # the boundary closure matches flip candidates by key without certifying
-    # them, so it must certify the boundary nodes themselves; twist neighbors
-    # are never certified when they are found
+    # twist neighbors are never certified when they are found, and the
+    # boundary nodes are never expanded; the boundary closure reads every
+    # boundary node's coordinates off its certificate, so it certifies them
     certified = set()
     certificate = Marking.certificate
 
@@ -299,3 +314,48 @@ def test_bfs_certifies_every_node(monkeypatch):
         for simplex in enumerate_maximal_standard(ctx)[:2]:
             ball = bfs(standard_transversals(simplex), 2)
             assert all(id(node) in certified for node in ball.nodes.values())
+
+
+# -- the boundary closure's argument ---------------------------------------------
+
+
+@pytest.mark.parametrize("spec, radius", [("A3", 2), ("B3", 1)])
+def test_edge_predicates_symmetric_on_bfs_balls(spec, radius):
+    # the closure adds an edge from one end only, which is sound because
+    # every move is a move back from the other end
+    ctx = context(spec)
+    predicate = {"twist": is_twist_edge, "flip": is_flip_edge}
+    for simplex in enumerate_maximal_standard(ctx):
+        ball = bfs(standard_transversals(simplex), radius)
+        for a, b, kind in sorted(ball.edges):
+            a, b = ball.nodes[a], ball.nodes[b]
+            assert predicate[kind](a, b) and predicate[kind](b, a), (a, b, kind)
+
+
+def test_bfs_builds_no_move_from_a_boundary_node(monkeypatch):
+    # the boundary closure works on coordinates and the edge predicate: it
+    # twists no boundary node and builds no flip candidate from one
+    import artinmark.graph as graph_module
+    import artinmark.marking as marking_module
+
+    moved = []
+
+    def spying(name, module):
+        real = getattr(module, name)
+
+        def spy(marking, *args):
+            moved.append((name, marking.key()))
+            return real(marking, *args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    spying("twist_move", graph_module)
+    spying("flip_candidates", marking_module)
+    for spec, radius in [("A3", 2), ("B3", 1)]:
+        ctx = context(spec)
+        for simplex in enumerate_maximal_standard(ctx)[:2]:
+            moved.clear()
+            ball = bfs(standard_transversals(simplex), radius)
+            boundary = {key for key, r in ball.radius.items() if r == radius}
+            assert {name for name, _key in moved} == {"twist_move", "flip_candidates"}
+            assert not [(name, key) for name, key in moved if key in boundary]

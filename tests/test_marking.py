@@ -22,6 +22,7 @@ from artinmark.marking import (
     _flip_candidate_table,
     decompose_transversal,
     enumerate_flip_moves,
+    flip_candidates,
     is_flip_edge,
     is_twist_edge,
     marking_stabilizer_probe,
@@ -229,6 +230,31 @@ def test_twist_inverse_roundtrip_and_distinctness():
     assert up != marking
     assert twist_move(up, 0, -1) == marking
     assert projection(up, 1) == projection(marking, 1)
+
+
+@pytest.mark.parametrize("direction", [0, 2, -5])
+def test_twist_direction_must_be_one_or_minus_one(direction):
+    # 0 and 2 used to make a +1 twist, -5 a -1 twist
+    _a3, marking = marking_a3()
+    with pytest.raises(PreconditionViolated, match="direction"):
+        twist_move(marking, 0, direction)
+
+
+@pytest.mark.parametrize("j", [-1, 2])
+def test_pair_index_outside_the_marking_is_rejected(j):
+    # -1 used to mean the last pair, and len(marking) raised a bare IndexError
+    _a3, marking = marking_a3()
+    assert len(marking) == 2
+    calls = [
+        lambda: twist_move(marking, j),
+        lambda: projection(marking, j),
+        lambda: shared_flip_standardizer(marking, j),
+        lambda: flip_candidates(marking, j),
+        lambda: enumerate_flip_moves(marking, j),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionViolated, match="pair index"):
+            call()
 
 
 def test_twist_shift_is_two_on_a2_type_vertex():

@@ -14,6 +14,7 @@ from artinmark.parabolic import (
     build_conjugacy_graph,
     central_generator_z,
     delta_permutation,
+    elementary_ribbon,
     minimal_standardizer,
     simultaneous_standardizer,
     standard_conjugate,
@@ -349,3 +350,20 @@ def test_minimal_standardizer_runs_once_per_representative(monkeypatch):
     standard_marking_connectivity(fresh)
     assert calls and max(calls.values()) == 1
     assert set(calls) == set(fresh.parabolics)
+
+
+def test_descent_strips_built_once_per_target_in_descent_order():
+    # after A4 std-connectivity the memo holds at most one entry per subset
+    # of the vertices, each the strips in the order the descent tries them:
+    # atom inverses of the target ascending, then d_{Y,t}^-1 for t ascending
+    fresh = GarsideContext(build_defining_graph("A4"), root_reflection_table("A4"))
+    standard_marking_connectivity(fresh)
+    memo = fresh.standardizer_strips
+    assert memo and len(memo) <= 2**fresh.rank
+    for target, strips in memo.items():
+        inline = [(fresh.atoms[s].inverse(), target) for s in sorted(target)]
+        for t in range(fresh.rank):
+            if t not in target:
+                ribbon = elementary_ribbon(fresh, target, t)
+                inline.append((ribbon.element.inverse(), ribbon.target))
+        assert list(strips) == inline, sorted(target)
