@@ -7,8 +7,6 @@ ParseError, which the CLI maps to exit code 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class ArtinMarkError(Exception):
     """Base class for all domain errors."""
@@ -136,26 +134,3 @@ class ParseError(ArtinMarkError):
     def __init__(self, message: str, position: int = 0):
         self.position = position
         super().__init__(f"{message} (at offset {position})")
-
-
-@dataclass(frozen=True, eq=False)
-class CachedError:
-    """A domain error as a cache keeps it: its type, arguments and fields.
-
-    A cached instance would gain frames on every re-raise and keep the
-    frames of its first raise alive; rebuild() gives a fresh instance.
-    """
-
-    kind: type[ArtinMarkError]
-    args: tuple
-    fields: dict
-
-    @staticmethod
-    def of(err: ArtinMarkError) -> CachedError:
-        return CachedError(type(err), err.args, dict(vars(err)))
-
-    def rebuild(self) -> ArtinMarkError:
-        # __new__ sets args without __init__, whose signature varies by type
-        err = self.kind.__new__(self.kind, *self.args)
-        err.__dict__.update(self.fields)
-        return err

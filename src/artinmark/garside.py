@@ -40,7 +40,6 @@ from .coxeter import (
 from .errors import InvariantViolated, MixedContext, NotPositive, ParseError
 
 if TYPE_CHECKING:
-    from .errors import CachedError
     from .marking import MarkingCertificate
     from .parabolic import ParabolicSubgroup
     from .simplex import StandardizedSimplex
@@ -58,7 +57,8 @@ class GarsideContext:
     the vertices), and three memos that several representatives share, keyed
     by value: the canonical data of a simplex (by its sorted vertex keys),
     marking certificates (by ordered pair keys) and transversal
-    decompositions (by transversal, base and standardizer).
+    decompositions (by transversal, base and standardizer).  The memos hold
+    results only: a failure is recomputed and raised fresh.
     """
 
     def __init__(self, graph: DefiningGraph, system: RootSystem):
@@ -82,8 +82,8 @@ class GarsideContext:
         self.simplex_canonical: dict[
             str, tuple[tuple[str, ...], ArtinElement, StandardizedSimplex]
         ] = {}
-        self.marking_certificates: dict[tuple, MarkingCertificate | CachedError] = {}
-        self.transversal_decompositions: dict[tuple, tuple[int, frozenset[int]] | CachedError] = {}
+        self.marking_certificates: dict[tuple, MarkingCertificate] = {}
+        self.transversal_decompositions: dict[tuple, tuple[int, frozenset[int]]] = {}
         self.identity = ArtinElement(self, 0, ())
         self.delta = ArtinElement(self, 1, ())
         self.atoms = tuple(self.element(0, (g,)) for g in system.generators)

@@ -20,17 +20,39 @@ product is Delta_{X_j}^k itself, so no extraction is needed.  The structure
 of a marking is read off the same decompositions: conjugation by ghat
 preserves containment, and A_U <= A_V exactly when U <= V.
 
+One standardizer per base: the certificate is the only source of a
+marking's twists, and no move or standardization decomposes against a
+second standardizer.  Move the standardizer from ghat to h = ghat
+Delta_{X_j}^k, for any base index j and any k.  Conjugation by
+Delta_{X_j}^-k moves only the subsets nested in X_j, by the involution pi of
+Delta_{X_j} and only at odd k (simplex.delta_twisted), and every other pair
+i keeps its twist k_i.  If X_i < X_j, then Y_i <= X_j (the structural
+invariant of validate_marking), so the conjugation moves Delta_{X_i} and
+A_{Y_i} together: the twist stays k_i and the subset becomes pi^k(Y_i).
+Otherwise Delta_{X_j}^-k Delta_{X_i}^{k_i} = Delta_{X_i}^{k_i} Delta_Z^-k,
+with A_Z the image of P_j in the frame of pair i, and by the transversality
+pattern A_{Y_i} is nested in A_Z or disjoint from it and not adjacent.  It
+is not inside A_Z, which lies in A_{X_i} or apart from it while Y_i is
+transverse to X_i, so Delta_Z lies in A_{Y_i} or commutes with it, and
+normalizes it: the pair keeps (k_i, Y_i).
+
 Twist moves conjugate one transversal by the z-element of its base.  Flip
 moves swap one pair and rechoose every other transversal within twist
 distance one of the old one, measured against a standardizer shared by both
-bases.  By the uniqueness of transversal decompositions a replacement is
+bases, h = ghat Delta_{X_j}^{k_j}: it takes Q_j to A_{Y_j}, so by the
+argument above the old twists relative to h are the certified k_i and the
+flipped base standardizes to the delta_twisted base with Y_j at j.  By the
+uniqueness of transversal decompositions a replacement is
 fixed by its twist and its standard subset, and the subset must keep the
 transversality pattern against the flipped base, standardized by the shared
 standardizer and moved by the twist.  A maximal standard family has exactly
 one such subset at each index (simplex.transversal_subset), the same that
 standard_transversals attaches to a standard base, so ranging the twist over
 the window enumerates every possible replacement, and the flip neighbors
-listed here are complete.
+listed here are complete.  Standardization conjugates by ghat and then by
+Delta_{X_j}^{k_j} for every pair, deepest level first: a deeper Delta
+leaves the bases and twists of the shallower pairs alone, and the Deltas of
+one level commute.
 
 Markings compare equal as unordered pair sets (canonical keys), while the
 stored pair order is preserved by every move.
@@ -44,7 +66,6 @@ from dataclasses import dataclass
 from .errors import (
     ArtinMarkError,
     BaseNotMaximal,
-    CachedError,
     InvariantViolated,
     NotAStandardizer,
     NotIrreducible,
@@ -155,14 +176,7 @@ class Marking:
             cache = self.ctx.marking_certificates
             value = cache.get(self.ordered_key())
             if value is None:
-                try:
-                    value = validate_marking(self)
-                except ArtinMarkError as err:
-                    cache[self.ordered_key()] = CachedError.of(err)
-                    raise
-                cache[self.ordered_key()] = value
-            if isinstance(value, CachedError):
-                raise value.rebuild()
+                value = cache[self.ordered_key()] = validate_marking(self)
             self._cert = value
         return self._cert
 
@@ -229,8 +243,6 @@ def decompose_transversal(
     cache_key = (q.conj, q.gens, base.conj, base.gens, g)
     hit = cache.get(cache_key)
     if hit is not None:
-        if isinstance(hit, CachedError):
-            raise hit.rebuild()
         return TransversalData(index, hit[0], hit[1])
     g_inv = g.inverse()
     c, x = base.conjugated_by(g_inv).canonical()
@@ -244,9 +256,7 @@ def decompose_transversal(
         lambda cand: _standard_target(ctx, cand, z_q, q.conj, q.gens),
     )
     if found is None:
-        error = ScanExhausted(bound)
-        cache[cache_key] = CachedError.of(error)
-        raise error
+        raise ScanExhausted(bound)
     twist, _, target = found
     cache[cache_key] = (twist, target)
     return TransversalData(index, twist, target)
@@ -350,7 +360,8 @@ def twist_move(marking: Marking, j: int, direction: int = 1) -> Marking:
 
 def shared_flip_standardizer(marking: Marking, j: int) -> ArtinElement:
     """ghat * Delta_{X_j}^{k_j}: standardizes the base, the j-th transversal,
-    and therefore the base obtained by flipping across j.
+    and therefore the base obtained by flipping across j.  The marking is
+    certified first, and k_j is read off its certificate.
 
     Twist differences measured against a shared standardizer of two bases do
     not depend on which shared standardizer is used (any two differ by an
@@ -358,11 +369,19 @@ def shared_flip_standardizer(marking: Marking, j: int) -> ArtinElement:
     preserved verbatim under conjugation; the flip condition is stated in
     these terms.
     """
-    ctx = marking.ctx
+    return _flip_frame(marking, j)[0]
+
+
+def _flip_frame(
+    marking: Marking, j: int
+) -> tuple[ArtinElement, MarkingCertificate, list[Subset]]:
+    """The shared standardizer h for a flip across j, the certificate, and
+    the standardized base by pair index."""
+    cert = marking.certificate()
+    _check_index(marking, j)
     ghat, std = marking.base_simplex().canonical_data()
-    k_j = transversal_decomposition(marking, j, ghat).twist
-    x_j = std.subsets[marking.vertex_of_pair(j)]
-    return ghat * ctx.delta_of(x_j) ** k_j
+    x = [std.subsets[marking.vertex_of_pair(i)] for i in range(len(marking))]
+    return ghat * marking.ctx.delta_of(x[j]) ** cert.transversals[j].twist, cert, x
 
 
 def _flip_candidate_table(
@@ -371,7 +390,10 @@ def _flip_candidate_table(
     """Shared standardizer h, twists of the old transversals relative to h,
     and per-index candidate transversals tagged with their h-twists.
 
-    By the unique transversal decomposition, the candidate with twist t and
+    Relative to h = ghat Delta_{X_j}^{k_j} every other pair keeps its
+    certified twist, and the flipped base standardizes to the Delta_{X_j}^{k_j}
+    image of the base with Y_j at index j (see the module docstring).  By
+    the unique transversal decomposition, the candidate with twist t and
     standard subset Y at index i is exactly (h Delta_X^t) A_Y (h Delta_X^t)^-1
     with A_X the h-standardization of P_i.  Conjugating by (h Delta_X^t)^-1
     takes the flipped base to the Delta_X^t image of its h-standardization
@@ -383,27 +405,19 @@ def _flip_candidate_table(
     Candidates are certified when the assembled marking is validated.
     """
     ctx = marking.ctx
-    pairs = marking.pairs
-    h = shared_flip_standardizer(marking, j)
-    h_inv = h.inverse()
-    flipped = [(q if m == j else p).conjugated_by(h_inv).canonical()
-               for m, (p, q) in enumerate(pairs)]
-    if any(not c.is_identity for c, _ in flipped):
-        raise InvariantViolated("the shared standardizer moves the flipped base")
-    x_h = [x for _, x in flipped]
+    h, cert, x = _flip_frame(marking, j)
+    x_h = list(delta_twisted(ctx, x, j, cert.transversals[j].twist))
+    x_h[j] = cert.transversals[j].subset
     if not build_standardized(ctx, x_h).is_maximal:
         raise BaseNotMaximal("flipped base is not maximal")
-    anchors: dict[int, int] = {}
+    anchors = {i: d.twist for i, d in enumerate(cert.transversals) if i != j}
     table: dict[int, list[tuple[int, ParabolicSubgroup]]] = {}
-    for i in range(len(pairs)):
-        if i == j:
-            continue
-        anchors[i] = transversal_decomposition(marking, i, h).twist
+    for i, k_i in anchors.items():
         by_parity = [transversal_subset(ctx, delta_twisted(ctx, x_h, i, t), i) for t in (0, 1)]
         d_x = ctx.delta_of(x_h[i])
         table[i] = [
             (t, ParabolicSubgroup(ctx, h * d_x**t, by_parity[t % 2]))
-            for t in range(anchors[i] - 1, anchors[i] + 2)
+            for t in range(k_i - 1, k_i + 2)
         ]
     return h, anchors, table
 
@@ -414,7 +428,8 @@ def flip_candidates(marking: Marking, j: int) -> list[Marking]:
     The new pair j is the swap (Q_j, P_j); each other transversal ranges over
     the three candidates of its index in the candidate table, one per twist.
     Every candidate has the bases {P_i : i != j} and Q_j, and only those that
-    validate are flips.  The marking itself is not validated.
+    validate are flips.  The marking is certified first, so an invalid one
+    raises its validation error.
     """
     ctx = marking.ctx
     pairs = marking.pairs
@@ -438,7 +453,6 @@ def enumerate_flip_moves(marking: Marking, j: int) -> list[Marking]:
     Each other transversal is replaced by a candidate whose twist relative to
     the shared standardizer differs from the old one by at most one.
     """
-    marking.certificate()
     out = []
     seen = set()
     for candidate in flip_candidates(marking, j):
@@ -458,7 +472,9 @@ def enumerate_flip_moves(marking: Marking, j: int) -> list[Marking]:
 
 def is_flip_edge(a: Marking, b: Marking) -> bool:
     """Whether b is a flip of a: one pair swapped, every other transversal
-    within twist distance one relative to a shared standardizer."""
+    within twist distance one relative to a shared standardizer.  The twists
+    of a are its certified ones; only b is decomposed against that
+    standardizer."""
     if len(a) != len(b) or a == b:
         return False
     order = _align(a, b)
@@ -478,11 +494,11 @@ def is_flip_edge(a: Marking, b: Marking) -> bool:
         return False
     j = swapped[0][0]
     try:
-        h = shared_flip_standardizer(a, j)
+        h, cert, _x = _flip_frame(a, j)
         for i, bi in enumerate(order):
             if i == j:
                 continue
-            k_i = transversal_decomposition(a, i, h).twist
+            k_i = cert.transversals[i].twist
             l_i = transversal_decomposition(b, bi, h).twist
             if abs(k_i - l_i) > 1:
                 return False
@@ -549,29 +565,22 @@ def _align(a: Marking, b: Marking) -> list[int] | None:
 def standardize_marking(marking: Marking) -> tuple[ArtinElement, Marking]:
     """(c, M0) with marking = c M0 c^-1 and M0 entirely standard.
 
-    Conjugates the base to standard via the canonical standardizer, then
-    walks the levels bottom-up, absorbing each transversal twist by a power
-    of the corresponding Delta_{X_j}.
+    c = ghat * prod Delta_{X_j}^{k_j} over the pairs, deepest level first,
+    with the certified twists k_j: conjugating by ghat standardizes the base,
+    and each Delta power absorbs one twist without moving the bases or the
+    twists of the pairs above it (see the module docstring).
     """
     ctx = marking.ctx
-    marking.certificate()
+    cert = marking.certificate()
     simplex = marking.base_simplex()
-    ghat, _std = simplex.canonical_data()
-    # depth per pair index; conjugation preserves levels
-    depth = {
-        j: simplex.levels.level_of(marking.vertex_of_pair(j))
-        for j in range(len(marking.pairs))
-    }
+    ghat, std = simplex.canonical_data()
+    vertex = [marking.vertex_of_pair(j) for j in range(len(marking))]
     conj = ghat
-    cur = marking.conjugated_by(ghat.inverse())
-    for level in sorted(set(depth.values()), reverse=True):
-        for j in sorted(i for i, d in depth.items() if d == level):
-            data = transversal_decomposition(cur, j, ctx.identity)
-            if data.twist:
-                base_gens = cur.pairs[j][0].canonical()[1]
-                step = ctx.delta_of(base_gens) ** data.twist
-                cur = cur.conjugated_by(step.inverse())
-                conj = conj * step
+    for j in sorted(range(len(marking)), key=lambda j: (-simplex.levels.level_of(vertex[j]), j)):
+        k_j = cert.transversals[j].twist
+        if k_j:
+            conj = conj * ctx.delta_of(std.subsets[vertex[j]]) ** k_j
+    cur = marking.conjugated_by(conj.inverse())
     # normal-form representations: swap every pair for its standard form
     std_pairs = []
     for p, q in cur.pairs:
@@ -614,14 +623,16 @@ def marking_stabilizer_probe(marking: Marking, length_bound: int) -> list[ArtinE
 def _flip_toward(marking: Marking, j: int, target: Marking) -> Marking:
     """One flip across j choosing, per other index, a candidate transversal
     whose shared-standardizer twist is within one of both the old transversal
-    and the target's transversal (the target shares the base of marking)."""
+    and the target's transversal.  The target shares the base of marking, so
+    its twists relative to the shared standardizer are its certified ones."""
     ctx = marking.ctx
     pairs = marking.pairs
-    h, anchors, table = _flip_candidate_table(marking, j)
+    _h, anchors, table = _flip_candidate_table(marking, j)
+    goals = target.certificate().transversals
     new_pairs = list(pairs)
     new_pairs[j] = (pairs[j][1], pairs[j][0])
     for i in sorted(anchors):
-        goal = decompose_transversal(target.pairs[i][1], pairs[i][0], h).twist
+        goal = goals[i].twist
         pick = None
         for twist, cand in table[i]:
             if abs(twist - goal) <= 1:

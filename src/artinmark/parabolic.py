@@ -217,7 +217,6 @@ class Ribbon:
     element: ArtinElement
     source: Subset
     target: Subset
-    moved_component: Subset
 
     def __mul__(self, earlier: Ribbon) -> Ribbon:
         """Composite ribbon applying `earlier` first."""
@@ -225,12 +224,7 @@ class Ribbon:
             raise NotAnXRibbonX(
                 f"cannot compose: source {sorted(self.source)} != target {sorted(earlier.target)}"
             )
-        return Ribbon(
-            self.element * earlier.element,
-            earlier.source,
-            self.target,
-            self.moved_component,
-        )
+        return Ribbon(self.element * earlier.element, earlier.source, self.target)
 
 
 def elementary_ribbon(ctx: GarsideContext, subset, t: int) -> Ribbon:
@@ -252,9 +246,7 @@ def elementary_ribbon(ctx: GarsideContext, subset, t: int) -> Ribbon:
         if image is None:
             raise InvariantViolated("an elementary ribbon must permute generators")
         mapping[s] = image
-    target = frozenset(mapping.values())
-    moved = frozenset(mapping[s] for s in (x & x_t)) if t not in x else x_t & x
-    return Ribbon(ctx.element(0, (w,)), x, target, moved)
+    return Ribbon(ctx.element(0, (w,)), x, frozenset(mapping.values()))
 
 
 def minimal_standardizer(p: ParabolicSubgroup) -> tuple[ArtinElement, Subset]:

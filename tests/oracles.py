@@ -32,6 +32,15 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   vertex of a maximal standard family recursively, from the generator the
   family misses and the gaps inside each component, not by filtering the
   connected subsets by the transversality pattern;
+* the h-relative flip table decomposes every other transversal against
+  the shared standardizer h of the flip, found by decomposing the flipped
+  transversal against the canonical standardizer, and standardizes the
+  flipped base by conjugating it by h^-1, not by reading the twists and the
+  flipped base off the certificate;
+* the levelwise standardization walks the levels bottom-up and decomposes
+  each transversal again against the identity after the Delta powers of the
+  levels below it are conjugated away, not by one product of the Delta
+  powers of the certified twists;
 * the z-product flip table keeps a flip candidate when its z-element
   commutes with the right z-elements of the flipped base, by Garside
   products, not by subset adjacency after standardizing;
@@ -58,7 +67,7 @@ import math
 from functools import lru_cache
 
 from artinmark.coxeter import DefiningGraph, RootSystem
-from artinmark.errors import ArtinMarkError, BudgetExceeded, InvariantViolated
+from artinmark.errors import ArtinMarkError, BaseNotMaximal, BudgetExceeded, InvariantViolated
 from artinmark.garside import ArtinElement
 from artinmark.graph import (
     ConnectivityReport,
@@ -79,7 +88,9 @@ from artinmark.simplex import (
     CparabSimplex,
     Subset,
     build_standardized,
+    delta_twisted,
     extract_ascending_product,
+    transversal_subset,
 )
 
 
@@ -439,6 +450,41 @@ def containment_structure(marking):
     return covers, nested
 
 
+def levelwise_standardize_marking(marking):
+    """(c, M0) as marking.standardize_marking returns them: conjugate the
+    base to standard by ghat, then walk the levels bottom-up, decomposing
+    each transversal against the identity and conjugating its twist away by
+    a power of the Delta of its standardized base."""
+    ctx = marking.ctx
+    marking.certificate()
+    simplex = marking.base_simplex()
+    ghat, _std = simplex.canonical_data()
+    depth = {
+        j: simplex.levels.level_of(marking.vertex_of_pair(j))
+        for j in range(len(marking.pairs))
+    }
+    conj = ghat
+    cur = marking.conjugated_by(ghat.inverse())
+    for level in sorted(set(depth.values()), reverse=True):
+        for j in sorted(i for i, d in depth.items() if d == level):
+            data = transversal_decomposition(cur, j, ctx.identity)
+            if data.twist:
+                base_gens = cur.pairs[j][0].canonical()[1]
+                step = ctx.delta_of(base_gens) ** data.twist
+                cur = cur.conjugated_by(step.inverse())
+                conj = conj * step
+    std_pairs = []
+    for p, q in cur.pairs:
+        cp, xp = p.canonical()
+        cq, xq = q.canonical()
+        if not (cp.is_identity and cq.is_identity):
+            raise InvariantViolated("a pair is not standard after absorbing its twist")
+        std_pairs.append(
+            (ParabolicSubgroup.standard(ctx, xp), ParabolicSubgroup.standard(ctx, xq))
+        )
+    return conj, Marking(ctx, std_pairs)
+
+
 # -- standard transversals ------------------------------------------------------
 
 
@@ -473,6 +519,38 @@ def _recipe_transversals(graph, subsets: tuple[Subset, ...], scope: Subset) -> d
 
 
 # -- transversality pattern -----------------------------------------------------
+
+
+def h_relative_flip_table(marking, j):
+    """(h, anchors, table) as marking._flip_candidate_table returns them,
+    with k_j decomposed against the canonical standardizer, every other
+    transversal decomposed against h = ghat Delta_{X_j}^{k_j}, and the
+    flipped base standardized by conjugating each vertex by h^-1."""
+    ctx = marking.ctx
+    pairs = marking.pairs
+    ghat, std = marking.base_simplex().canonical_data()
+    k_j = transversal_decomposition(marking, j, ghat).twist
+    h = ghat * ctx.delta_of(std.subsets[marking.vertex_of_pair(j)]) ** k_j
+    h_inv = h.inverse()
+    flipped = [(q if m == j else p).conjugated_by(h_inv).canonical()
+               for m, (p, q) in enumerate(pairs)]
+    if any(not c.is_identity for c, _ in flipped):
+        raise InvariantViolated("the shared standardizer moves the flipped base")
+    x_h = [x for _, x in flipped]
+    if not build_standardized(ctx, x_h).is_maximal:
+        raise BaseNotMaximal("flipped base is not maximal")
+    anchors, table = {}, {}
+    for i in range(len(pairs)):
+        if i == j:
+            continue
+        anchors[i] = transversal_decomposition(marking, i, h).twist
+        by_parity = [transversal_subset(ctx, delta_twisted(ctx, x_h, i, t), i) for t in (0, 1)]
+        d_x = ctx.delta_of(x_h[i])
+        table[i] = [
+            (t, ParabolicSubgroup(ctx, h * d_x**t, by_parity[t % 2]))
+            for t in range(anchors[i] - 1, anchors[i] + 2)
+        ]
+    return h, anchors, table
 
 
 def z_product_flip_table(marking, j):

@@ -41,6 +41,8 @@ from artinmark.simplex import CparabSimplex, build_standardized, enumerate_maxim
 from oracles import (
     containment_structure,
     extraction_projection,
+    h_relative_flip_table,
+    levelwise_standardize_marking,
     z_product_flip_table,
     z_product_pattern,
 )
@@ -822,6 +824,119 @@ def test_flip_and_swap_soak_on_moved_markings(monkeypatch):
             check_against_oracles(m)
     assert len(checked) >= 24
     assert len(certified) >= 100
+
+
+# -- one standardizer per base ----------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def twisted_conjugates(spec):
+    """Each all-standard marking of spec, twice: twisted at random indices and
+    conjugated by a random signed word."""
+    rng = random.Random(f"twisted {spec}")
+    ctx = context(spec)
+    out = []
+    for marking in all_standard_markings(ctx):
+        for _ in range(2):
+            moved = marking
+            for _ in range(rng.randrange(1, 4)):
+                moved = twist_move(moved, rng.randrange(len(moved)), rng.choice([1, -1]))
+            out.append(moved.conjugated_by(signed_word(rng, ctx, rng.randrange(0, 4))))
+    return out
+
+
+def check_certified_frames(markings):
+    """Standardization and every flip candidate table, read off the
+    certificate, equal the oracles that decompose against h and per level."""
+    for marking in markings:
+        conj, standard = standardize_marking(marking)
+        conj_o, standard_o = levelwise_standardize_marking(marking)
+        assert conj == conj_o and standard.pairs == standard_o.pairs, marking
+        for j in range(len(marking)):
+            assert flip_table_data(*_flip_candidate_table(marking, j)) == flip_table_data(
+                *h_relative_flip_table(marking, j)
+            ), (marking, j)
+
+
+@pytest.mark.parametrize("spec, radius", [("A3", 2), ("B3", 1)])
+def test_certified_frames_match_oracles_on_bfs_balls(spec, radius):
+    ctx = context(spec)
+    nodes = {}
+    for simplex in enumerate_maximal_standard(ctx):
+        nodes.update(bfs(standard_transversals(simplex), radius).nodes)
+    check_certified_frames(nodes.values())
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4"])
+def test_certified_frames_match_oracles_on_twisted_conjugates(spec):
+    markings = twisted_conjugates(spec)
+    assert any(t.twist % 2 for m in markings for t in m.certificate().transversals)
+    check_certified_frames(markings)
+
+
+def test_moves_decompose_only_against_the_canonical_standardizer(monkeypatch):
+    # the certificate is the only source of twists: a move decomposes a
+    # transversal against nothing but the canonical standardizer of its
+    # marking's base, except is_flip_edge at its far end
+    decompose = marking_module.transversal_decomposition
+    is_flip = marking_module.is_flip_edge
+    raw = marking_module.decompose_transversal
+    calls, strays, far_ends, inside = [], [], [], []
+
+    def transversal_decomposition(marking, j, g):
+        calls.append((marking.key(), j))
+        ghat, _std = marking.base_simplex().canonical_data()
+        if g != ghat and not (far_ends and marking is far_ends[-1]):
+            strays.append(("transversal_decomposition", marking.key(), j))
+        inside.append(True)
+        try:
+            return decompose(marking, j, g)
+        finally:
+            inside.pop()
+
+    def decompose_transversal(q, base, g, index=-1):
+        if not inside:
+            strays.append(("decompose_transversal", q.key(), base.key()))
+        return raw(q, base, g, index)
+
+    def is_flip_edge(a, b):
+        far_ends.append(b)
+        try:
+            return is_flip(a, b)
+        finally:
+            far_ends.pop()
+
+    monkeypatch.setattr(marking_module, "transversal_decomposition", transversal_decomposition)
+    monkeypatch.setattr(marking_module, "decompose_transversal", decompose_transversal)
+    monkeypatch.setattr(marking_module, "is_flip_edge", is_flip_edge)
+    for spec in ["A3", "B3"]:
+        for marking in twisted_conjugates(spec):
+            marking.certificate()
+            calls.clear()
+            standardize_marking(marking)
+            assert not calls
+            for j in range(len(marking)):
+                enumerate_flip_moves(marking, j)
+    a3, seed = marking_a3()
+    x = a3.from_word(((0, 1), (2, -1)))
+    for m1, m2 in [
+        (seed, twist_move(twist_move(seed, 0), 1, -1)),
+        (twist_move(seed, 1), twist_move(twist_move(seed, 1), 0, -1)),
+    ]:
+        assert len(transversal_swap_path(m1.conjugated_by(x), m2.conjugated_by(x))) > 1
+    assert not strays
+
+
+def test_flip_moves_certify_their_marking():
+    # Q_0 = P_0 breaks the pattern at (0, 0); flip_candidates used to build
+    # candidates for such a marking without validating it
+    a3, marking = marking_a3()
+    pairs = list(marking.pairs)
+    pairs[0] = (pairs[0][0], pairs[0][0])
+    broken = Marking(a3, pairs)
+    for call in (shared_flip_standardizer, flip_candidates, enumerate_flip_moves):
+        with pytest.raises(TransversalityPatternBroken):
+            call(broken, 1)
 
 
 def test_d4_three_maximal_components():
