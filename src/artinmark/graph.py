@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import ArtinMarkError, BudgetExceeded, PreconditionViolated, UnknownFormat
+from .errors import BudgetExceeded, PreconditionViolated, UnknownFormat
 from .garside import ArtinElement, GarsideContext
 from .marking import (
     Marking,
@@ -238,24 +238,18 @@ def standard_marking_connectivity(
     as by neighbors(), and every node the search expands is certified.
     Whether a marking is in the subgraph depends on its key alone, so a
     neighbor already among the nodes is not tested again.
+
+    The subgraph test reads the projections only.  Every neighbor has a
+    standard base: a twist keeps the base, and a flip across j, taken only
+    when Q_j is standard, swaps in Q_j as its one new base.  Every neighbor
+    is a marking, so its projections exist: a twist of a certified marking
+    is a marking, and flips are certified.
     """
     if projection_bound < 0:
         raise PreconditionViolated(f"projection bound {projection_bound} is negative")
     if node_cap < 0:
         raise PreconditionViolated(f"node cap {node_cap} is negative")
     standard = all_standard_markings(ctx)
-
-    def in_universe(m: Marking) -> bool:
-        try:
-            if any(
-                not p.canonical()[0].is_identity for p, _ in m.pairs
-            ):
-                return False
-            return all(
-                abs(v) <= projection_bound for v in m.projections()
-            )
-        except ArtinMarkError:
-            return False
 
     nodes: dict[str, Marking] = {m.key(): m for m in standard}
     adjacency: dict[str, set[str]] = {k: set() for k in nodes}
@@ -271,7 +265,7 @@ def standard_marking_connectivity(
             for other, _kind in _moves(marking, standard_flips):
                 okey = other.key()
                 if okey not in nodes:
-                    if not in_universe(other):
+                    if any(abs(v) > projection_bound for v in other.projections()):
                         continue
                     if len(nodes) >= node_cap:
                         raise BudgetExceeded(len(nodes) + 1, node_cap)

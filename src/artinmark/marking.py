@@ -42,17 +42,23 @@ distance one of the old one, measured against a standardizer shared by both
 bases, h = ghat Delta_{X_j}^{k_j}: it takes Q_j to A_{Y_j}, so by the
 argument above the old twists relative to h are the certified k_i and the
 flipped base standardizes to the delta_twisted base with Y_j at j.  By the
-uniqueness of transversal decompositions a replacement is
-fixed by its twist and its standard subset, and the subset must keep the
-transversality pattern against the flipped base, standardized by the shared
-standardizer and moved by the twist.  A maximal standard family has exactly
-one such subset at each index (simplex.transversal_subset), the same that
+uniqueness of transversal decompositions a replacement is fixed by its
+twist and its standard subset, and the subset must keep the transversality
+pattern against the flipped base, standardized by the shared standardizer
+and moved by the twist.  A maximal standard family has exactly one such
+subset at each index (simplex.transversal_subset), the same that
 standard_transversals attaches to a standard base, so ranging the twist over
 the window enumerates every possible replacement, and the flip neighbors
-listed here are complete.  Standardization conjugates by ghat and then by
-Delta_{X_j}^{k_j} for every pair, deepest level first: a deeper Delta
-leaves the bases and twists of the shallower pairs alone, and the Deltas of
-one level commute.
+listed here are complete.  They are also distinct and all valid, so they are
+certified without a filter.  Distinct twist tuples give distinct markings,
+because the decomposition relative to h is unique and every candidate has
+the same bases.  Every candidate keeps the pattern: at j the new transversal
+is P_j = h A_{X_j} h^-1, transverse to Q_j and commuting with the other
+bases, and at each i != j the subset is the transversal_subset.
+
+Standardization conjugates by ghat and then by Delta_{X_j}^{k_j} for every
+pair, deepest level first: a deeper Delta leaves the bases and twists of the
+shallower pairs alone, and the Deltas of one level commute.
 
 Markings compare equal as unordered pair sets (canonical keys), while the
 stored pair order is preserved by every move.
@@ -64,7 +70,6 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
-    ArtinMarkError,
     BaseNotMaximal,
     InvariantViolated,
     NotAStandardizer,
@@ -338,7 +343,7 @@ def projection(marking: Marking, j: int) -> int:
     """
     ghat, std = marking.base_simplex().canonical_data()
     if not std.is_maximal:
-        raise NotMaximal("ascending products are extracted over maximal simplices")
+        raise NotMaximal("base does not span a maximal simplex")
     return transversal_decomposition(marking, j, ghat).twist
 
 
@@ -347,7 +352,9 @@ def projection(marking: Marking, j: int) -> int:
 
 def twist_move(marking: Marking, j: int, direction: int = 1) -> Marking:
     """Replace Q_j by z_{P_j}^direction Q_j z_{P_j}^-direction; the direction
-    is 1 or -1."""
+    is 1 or -1.  The marking is certified first; z_{P_j} fixes every base
+    and every z_{P_i}, so the result is a marking too."""
+    marking.certificate()
     _check_index(marking, j)
     if direction not in (1, -1):
         raise PreconditionViolated(f"twist direction {direction} is not 1 or -1")
@@ -402,7 +409,6 @@ def _flip_candidate_table(
     so Y is its transversal_subset at i.  Each index therefore holds three
     candidates, one per twist in the window of width one around the old
     twist, in increasing order, and they are every possible transversal.
-    Candidates are certified when the assembled marking is validated.
     """
     ctx = marking.ctx
     h, cert, x = _flip_frame(marking, j)
@@ -423,13 +429,13 @@ def _flip_candidate_table(
 
 
 def flip_candidates(marking: Marking, j: int) -> list[Marking]:
-    """Every assembled candidate for a flip across index j, uncertified.
+    """Every flip across index j, assembled and not yet certified.
 
     The new pair j is the swap (Q_j, P_j); each other transversal ranges over
     the three candidates of its index in the candidate table, one per twist.
-    Every candidate has the bases {P_i : i != j} and Q_j, and only those that
-    validate are flips.  The marking is certified first, so an invalid one
-    raises its validation error.
+    Every candidate has the bases {P_i : i != j} and Q_j, and every one is a
+    flip (see the module docstring).  The marking is certified first, so an
+    invalid one raises its validation error.
     """
     ctx = marking.ctx
     pairs = marking.pairs
@@ -448,115 +454,68 @@ def flip_candidates(marking: Marking, j: int) -> list[Marking]:
 
 
 def enumerate_flip_moves(marking: Marking, j: int) -> list[Marking]:
-    """All validated flips across index j, deduplicated and sorted by key.
+    """All flips across index j, certified and sorted by key.
 
     Each other transversal is replaced by a candidate whose twist relative to
-    the shared standardizer differs from the old one by at most one.
+    the shared standardizer differs from the old one by at most one.  The
+    candidates of flip_candidates are distinct and all valid (see the module
+    docstring), so a validation error here is a fault of the library and
+    propagates.
     """
-    out = []
-    seen = set()
-    for candidate in flip_candidates(marking, j):
-        if candidate.key() in seen:
-            continue
-        try:
-            candidate.certificate()
-        except ArtinMarkError:
-            continue
-        seen.add(candidate.key())
-        out.append(candidate)
+    out = flip_candidates(marking, j)
+    for candidate in out:
+        candidate.certificate()
     out.sort(key=Marking.key)
-    if not out:
-        raise InvariantViolated("a flip move always exists")
     return out
 
 
+def _base_index(marking: Marking) -> dict[str, int]:
+    """Pair index by base key; no key repeats in a certified marking."""
+    return {p.key(): i for i, (p, _q) in enumerate(marking.pairs)}
+
+
 def is_flip_edge(a: Marking, b: Marking) -> bool:
-    """Whether b is a flip of a: one pair swapped, every other transversal
-    within twist distance one relative to a shared standardizer.  The twists
-    of a are its certified ones; only b is decomposed against that
-    standardizer."""
-    if len(a) != len(b) or a == b:
+    """Whether b is a flip of a: one pair (P_j, Q_j) swapped, so P_j is not
+    a base of b, and every other transversal within twist distance one
+    relative to a shared standardizer.  Both ends are certified first, so a
+    non-marking raises its validation error.  The twists of a are its
+    certified ones; only b is decomposed against that standardizer."""
+    a.certificate()
+    b.certificate()
+    at_b = _base_index(b)
+    swapped = [j for j, (p, _q) in enumerate(a.pairs) if p.key() not in at_b]
+    if len(a) != len(b) or len(swapped) != 1:
         return False
-    order = _align(a, b)
-    if order is None:
+    j = swapped[0]
+    p_j, q_j = a.pairs[j]
+    if (q_j.key(), p_j.key()) not in b.ordered_key():
         return False
-    swapped = []
-    for i, bi in enumerate(order):
-        pa, qa = a.pairs[i]
-        pb, qb = b.pairs[bi]
-        if pa.key() == pb.key():
-            continue
-        if pa.key() == qb.key() and qa.key() == pb.key():
-            swapped.append((i, bi))
-        else:
-            return False
-    if len(swapped) != 1:
-        return False
-    j = swapped[0][0]
-    try:
-        h, cert, _x = _flip_frame(a, j)
-        for i, bi in enumerate(order):
-            if i == j:
-                continue
-            k_i = cert.transversals[i].twist
-            l_i = transversal_decomposition(b, bi, h).twist
-            if abs(k_i - l_i) > 1:
-                return False
-    except ArtinMarkError:
-        return False
-    return True
+    h, cert, _x = _flip_frame(a, j)
+    return all(
+        abs(cert.transversals[i].twist - transversal_decomposition(b, at_b[p.key()], h).twist) <= 1
+        for i, (p, _q) in enumerate(a.pairs)
+        if i != j
+    )
 
 
 def is_twist_edge(a: Marking, b: Marking) -> bool:
-    """Whether b is a single twist of a."""
-    if len(a) != len(b) or a == b:
+    """Whether b is a single twist of a.  Both ends are certified first, so
+    a non-marking raises its validation error."""
+    a.certificate()
+    b.certificate()
+    at_b = _base_index(b)
+    if at_b.keys() != _base_index(a).keys():
         return False
-    order = _align(a, b)
-    if order is None:
-        return False
-    moved = []
-    for i, bi in enumerate(order):
-        pa, qa = a.pairs[i]
-        pb, qb = b.pairs[bi]
-        if pa.key() != pb.key():
-            return False
-        if qa.key() != qb.key():
-            moved.append((i, bi))
+    moved = [
+        (p, q, b.pairs[at_b[p.key()]][1])
+        for p, q in a.pairs
+        if q.key() != b.pairs[at_b[p.key()]][1].key()
+    ]
     if len(moved) != 1:
         return False
-    i, bi = moved[0]
-    z = a.pairs[i][0].z_element()
-    qa = a.pairs[i][1]
-    qb = b.pairs[bi][1]
+    p, qa, qb = moved[0]
+    z = p.z_element()
     return qb == qa.conjugated_by(z) or qb == qa.conjugated_by(z.inverse())
-
-
-def _align(a: Marking, b: Marking) -> list[int] | None:
-    """Map pair index of a to pair index of b, matching pairs by vertex sets.
-
-    Pairs are matched by the unordered pair of parabolic keys, so a swapped
-    pair still aligns with its source.
-    """
-    unused = dict(enumerate(b.pairs))
-    order = []
-    for p, q in a.pairs:
-        label = frozenset((p.key(), q.key()))
-        hit = None
-        for i, (pb, qb) in unused.items():
-            if frozenset((pb.key(), qb.key())) == label:
-                hit = i
-                break
-        if hit is None:
-            # fall back to matching by base only (twist edges)
-            for i, (pb, _qb) in unused.items():
-                if pb.key() == p.key():
-                    hit = i
-                    break
-        if hit is None:
-            return None
-        del unused[hit]
-        order.append(hit)
-    return order
 
 
 # -- standardization and stabilizers -----------------------------------------
@@ -597,7 +556,9 @@ def standardize_marking(marking: Marking) -> tuple[ArtinElement, Marking]:
 def marking_stabilizer_probe(marking: Marking, length_bound: int) -> list[ArtinElement]:
     """All stabilizing elements Delta^e w with |e| and the atom length of the
     positive part w both at most the length bound.  Requires a standard
-    marking."""
+    marking; the marking is certified first, so an invalid one raises its
+    validation error."""
+    marking.certificate()
     if not marking.all_standard():
         raise NotStandard("stabilizer probe expects an all-standard marking")
     ctx = marking.ctx
@@ -643,9 +604,7 @@ def _flip_toward(marking: Marking, j: int, target: Marking) -> Marking:
                 f"no candidate transversal between twists {anchors[i]} and {goal}"
             )
         new_pairs[i] = (pairs[i][0], pick)
-    out = Marking(ctx, new_pairs)
-    out.certificate()
-    return out
+    return Marking(ctx, new_pairs)
 
 
 def transversal_swap_path(m1: Marking, m2: Marking) -> list[Marking]:
@@ -653,14 +612,12 @@ def transversal_swap_path(m1: Marking, m2: Marking) -> list[Marking]:
     differ by at most one at every index.  Returns the vertex list, endpoints
     included; every consecutive pair is a flip edge (a twist edge in the
     one-pair case)."""
-    if len(m1) != len(m2):
-        raise PreconditionViolated("markings have different sizes")
-    order = _align(m1, m2)
-    if order is None or any(
-        m1.pairs[i][0].key() != m2.pairs[bi][0].key() for i, bi in enumerate(order)
-    ):
+    m1.certificate()
+    m2.certificate()
+    at_2 = _base_index(m2)
+    if at_2.keys() != _base_index(m1).keys():
         raise PreconditionViolated("markings must share their base")
-    m2 = Marking(m1.ctx, [m2.pairs[bi] for bi in order])
+    m2 = Marking(m1.ctx, [m2.pairs[at_2[p.key()]] for p, _q in m1.pairs])
     if m1 == m2:
         return [m1]
     pi1 = [projection(m1, i) for i in range(len(m1))]
@@ -685,14 +642,12 @@ def transversal_swap_path(m1: Marking, m2: Marking) -> list[Marking]:
         if i != j:
             second[i] = (m2.pairs[i][0], m2.pairs[i][1])
     m_second = Marking(m1.ctx, second)
-    m_second.certificate()
     _check_flip_edge(m_prime, m_second)
     if m_second == m2:
         return [m1, m_prime, m_second]
     # two flips across k to replace the remaining transversal at j
     m_third = _flip_toward(m_second, k, m2)
     _check_flip_edge(m_second, m_third)
-    m2.certificate()
     _check_flip_edge(m_third, m2)
     return [m1, m_prime, m_second, m_third, m2]
 

@@ -37,6 +37,7 @@ from .errors import (
     NotIrreducible,
     NotMaximal,
     NotProper,
+    PreconditionViolated,
 )
 from .garside import ArtinElement, GarsideContext, member_of_standard, scan_powers
 from .parabolic import (
@@ -133,7 +134,7 @@ class LevelDecomposition:
         for k, layer in enumerate(self.levels):
             if index in layer:
                 return k + 1
-        raise IndexError(index)
+        raise PreconditionViolated(f"vertex index {index} is in no level")
 
 
 def nesting_levels(subsets: tuple[Subset, ...]) -> LevelDecomposition:

@@ -38,6 +38,14 @@ def a3_marking_json():
     return json.dumps(standard_transversals(simplex).to_json())
 
 
+def non_markings():
+    """Two A3 payloads that are not markings: no pairs, and the one pair
+    (A_s1, A_s1); neither base is maximal."""
+    a3 = context("A3")
+    s1 = ParabolicSubgroup.standard(a3, frozenset({0}))
+    return json.dumps({"pairs": []}), json.dumps(Marking(a3, [(s1, s1)]).to_json())
+
+
 def b3_conjugated_simplex_json():
     """A maximal B3 simplex conjugated by s3^-1 s3^-1 s1 s2^-1 (13-atom
     canonical standardizer)."""
@@ -210,6 +218,15 @@ def test_twist_direction_is_one_or_minus_one(capsys):
     assert code == 0
     twisted = Marking.from_json(context("A3"), json.loads(out))
     assert projection(twisted, 0) == -1
+    # a non-marking is rejected with its validation error, not moved; the
+    # empty one has no index 0 to move at
+    empty, one_pair = non_markings()
+    code, out, err = run(capsys, "--type", "A3", "twist", one_pair, "--index", "0")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "BaseNotMaximal"
+    code, out, err = run(capsys, "--type", "A3", "twist", empty, "--index", "0")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
 
 
 def test_flip_and_standardize(capsys):
@@ -244,6 +261,11 @@ def test_stabilizer_probe_cli(capsys):
     assert code == 0
     hits = json.loads(out)
     assert "DELTA^2 |" in hits and "DELTA^0 | s1" not in hits
+    # a non-marking is rejected with its validation error, not probed
+    for bad in non_markings():
+        code, out, err = run(capsys, "--type", "A3", "stabilizer-probe", bad)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "BaseNotMaximal"
 
 
 def test_bfs_deterministic(capsys):

@@ -421,9 +421,11 @@ def test_flip_candidates_match_exhaustive_search(spec):
     for simplex in enumerate_maximal_standard(ctx)[:3]:
         marking = standard_transversals(simplex)
         for j in range(len(marking.pairs)):
-            ours = {m.key() for m in enumerate_flip_moves(marking, j)}
+            moves = [m.key() for m in enumerate_flip_moves(marking, j)]
+            # the candidates are distinct, so no flip is listed twice
+            assert len(set(moves)) == len(moves), (spec, j)
             exhaustive = exhaustive_flip_search(marking, j)
-            assert ours == exhaustive, (spec, j)
+            assert set(moves) == exhaustive, (spec, j)
 
 
 def test_transversals_at_fixed_projection_bounded():
@@ -934,9 +936,19 @@ def test_flip_moves_certify_their_marking():
     pairs = list(marking.pairs)
     pairs[0] = (pairs[0][0], pairs[0][0])
     broken = Marking(a3, pairs)
-    for call in (shared_flip_standardizer, flip_candidates, enumerate_flip_moves):
+    calls = [
+        lambda: shared_flip_standardizer(broken, 1),
+        lambda: flip_candidates(broken, 1),
+        lambda: enumerate_flip_moves(broken, 1),
+        # the edge tests certify both ends: no "no edge" for a non-marking
+        lambda: is_flip_edge(broken, marking),
+        lambda: is_flip_edge(marking, broken),
+        lambda: is_twist_edge(broken, marking),
+        lambda: is_twist_edge(marking, broken),
+    ]
+    for call in calls:
         with pytest.raises(TransversalityPatternBroken):
-            call(broken, 1)
+            call()
 
 
 def test_d4_three_maximal_components():

@@ -10,6 +10,7 @@ from artinmark.errors import (
     NotConjugate,
     NotIrreducible,
     NotProper,
+    PreconditionViolated,
 )
 from artinmark.garside import context, normalize
 from artinmark.parabolic import ParabolicSubgroup
@@ -108,6 +109,17 @@ def test_b_n_chain_levels():
     data = build_standardized(b4, subsets_of(chain))
     assert data.is_maximal and data.missing == 3
     assert len(chain.levels.chains) == 1
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_level_of_an_index_outside_the_levels_is_rejected(index):
+    b4 = context("B4")
+    chain = CparabSimplex(
+        b4, [std(b4, "s1"), std(b4, "s1", "s2"), std(b4, "s1", "s2", "s3")]
+    )
+    assert [chain.levels.level_of(i) for i in range(3)] == [1, 2, 3]
+    with pytest.raises(PreconditionViolated, match="in no level"):
+        chain.levels.level_of(index)
 
 
 def test_singleton_not_maximal_in_a3():

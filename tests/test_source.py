@@ -45,3 +45,28 @@ def test_no_floating_point():
             elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
                 found.append(f"{name}:{node.lineno} true division")
     assert found == []
+
+
+def test_no_catch_all_error_handlers_outside_the_cli():
+    # cli.py is the one place where domain errors become exit codes; anywhere
+    # else a handler that swallows every domain error hides a fault
+    broad = {"ArtinMarkError", "Exception", "BaseException"}
+
+    def names(node):
+        if node is None:
+            return ["<bare>"]
+        if isinstance(node, ast.Tuple):
+            return [n for elt in node.elts for n in names(elt)]
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        return [getattr(node, "id", "")]
+
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in source_trees()
+        if name != "cli.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and any(n == "<bare>" or n in broad for n in names(node.type))
+    ]
+    assert found == []
