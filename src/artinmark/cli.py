@@ -18,11 +18,7 @@ from functools import lru_cache
 
 from .errors import ArtinMarkError, ParseError, UnknownFormat, UnsupportedType
 from .garside import GarsideContext, context, normalize, parse_element
-from .graph import (
-    bfs,
-    export_graph,
-    standard_marking_connectivity,
-)
+from .graph import bfs, export_graph, json_text, standard_marking_connectivity
 from .marking import (
     Marking,
     enumerate_flip_moves,
@@ -78,10 +74,7 @@ def _gens(ctx: GarsideContext, csv: str) -> frozenset[int]:
 
 
 def _emit(args: argparse.Namespace, payload, text_form=None):
-    if args.format == "json" or text_form is None:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text_form)
+    print(json_text(payload) if args.format == "json" or text_form is None else text_form)
 
 
 def _marking_arg(ctx: GarsideContext, args: argparse.Namespace) -> Marking:

@@ -19,8 +19,8 @@ k(2) = 1, k(n) = max(2k(n-1) + 13, n + k(n-1) + 7).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import BudgetExceeded, PreconditionViolated, UnknownFormat
 from .garside import ArtinElement, GarsideContext
@@ -168,17 +168,51 @@ def verify_action_isometry(
     raise UnknownFormat(f"unknown edge kind {kind!r}")
 
 
+def _join(open_: str, items: list[str], close: str, depth: int) -> str:
+    if not items:
+        return open_ + close
+    inner = "\n" + "  " * (depth + 1)
+    return f"{open_}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{close}"
+
+
+def json_text(value, depth: int = 0) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) of dicts, lists, str, int,
+    bool and None, closing at the given indent depth (see export_graph)."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {json_text(value[k], depth + 1)}" for k in sorted(value)]
+        return _join("{", items, "}", depth)
+    return _join("[", [json_text(v, depth + 1) for v in value], "]", depth)
+
+
 def export_graph(graph: ExploredGraph, fmt: str) -> bytes:
-    """DOT or JSON serialization, byte-deterministic."""
+    """DOT or JSON serialization, byte-deterministic.
+
+    JSON is exactly json.dumps(payload, indent=2, sort_keys=True) and a
+    newline, payload {"nodes": [{"key", "marking"}], "edges": [[a, b, kind]]};
+    json.dumps is the tests' oracle, not called here: with indent set it runs
+    the pure-Python encoder.  json_text renders the parts, each subgroup block
+    once per export, strings by the C encode_basestring_ascii of json.dumps."""
     if fmt == "json":
-        payload = {
-            "nodes": [
-                {"key": key, "marking": graph.nodes[key].to_json()}
-                for key in sorted(graph.nodes)
-            ],
-            "edges": [list(e) for e in sorted(graph.edges)],
-        }
-        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        parts = {id(p): p for m in graph.nodes.values() for pair in m.pairs for p in pair}
+        blocks = {i: json_text(p.to_json(), 6) for i, p in parts.items()}
+        nodes = []
+        for key in sorted(graph.nodes):
+            pairs = [
+                _join("{", [f'"base": {blocks[id(p)]}', f'"transverse": {blocks[id(q)]}'], "}", 5)
+                for p, q in graph.nodes[key].pairs
+            ]
+            marking = _join("{", [f'"pairs": {_join("[", pairs, "]", 4)}'], "}", 3)
+            items = [f'"key": {_quote(key)}', f'"marking": {marking}']
+            nodes.append(_join("{", items, "}", 2))
+        edges = [json_text(list(e), 2) for e in sorted(graph.edges)]
+        top = [f'"edges": {_join("[", edges, "]", 1)}', f'"nodes": {_join("[", nodes, "]", 1)}']
+        return (_join("{", top, "}", 0) + "\n").encode()
     if fmt == "dot":
         color = {"twist": "blue", "flip": "red"}
         lines = ["graph markings {"]
@@ -230,7 +264,9 @@ def standard_marking_connectivity(
     and whose projections lie in [-bound, bound]; twist variants of the
     standard markings are reached inside it.  Reaching a node past node_cap
     raises BudgetExceeded; a negative projection_bound or node_cap raises
-    PreconditionViolated.
+    PreconditionViolated.  Distances are subgraph path lengths, so never below
+    marking-graph distances; a test finds them equal to bfs distances on A3,
+    B3, H3 and I2(5), and they were equal on A4 and D4 outside the tests.
 
     Every flip across j has Q_j among its bases, so when Q_j is not standard
     no flip across j is in the subgraph, and those flips are not enumerated.

@@ -57,12 +57,16 @@ These deliberately avoid the library's normal-form and lattice algorithms:
 * the candidate closure of a BFS ball builds both twists of every boundary
   node and, across each index whose flipped base is a ball node's base,
   every flip candidate, and matches them by key against the ball, not by
-  coordinates and an edge predicate.
+  coordinates and an edge predicate;
+* the json.dumps export serializes the payload of a BFS ball with the
+  standard library's json.dumps(indent=2, sort_keys=True), not by the
+  library's string emitter with its blocks rendered once per subgroup.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from functools import lru_cache
 
@@ -632,6 +636,18 @@ def float_positive_roots(system: RootSystem) -> tuple[bool, ...]:
 
 
 # -- marking-graph searches -------------------------------------------------------
+
+
+def json_dumps_export(graph):
+    """graph.export_graph(graph, "json"), by json.dumps of the payload."""
+    payload = {
+        "nodes": [
+            {"key": key, "marking": graph.nodes[key].to_json()}
+            for key in sorted(graph.nodes)
+        ],
+        "edges": [list(e) for e in sorted(graph.edges)],
+    }
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
 def neighbors_closure_bfs(seed, radius):

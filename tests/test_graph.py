@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from artinmark.graph import (
     bfs,
     export_graph,
     flip_path_bound,
+    json_text,
     neighbors,
     orbit_representatives,
     standard_marking_connectivity,
@@ -27,6 +29,7 @@ from artinmark.simplex import CparabSimplex, enumerate_maximal_standard
 
 from oracles import (
     candidate_closure_bfs,
+    json_dumps_export,
     neighbors_closure_bfs,
     neighbors_universe_connectivity,
 )
@@ -110,6 +113,27 @@ def test_bfs_idempotent_and_deterministic():
     first = export_graph(bfs(seed, 2), "json")
     second = export_graph(bfs(seed, 2), "json")
     assert first == second
+
+
+@pytest.mark.parametrize("value", [
+    [],
+    {},
+    {"levels": [[0, 2], [1]], "valid": True},
+    -7,
+    [True, False, None],
+    {"b": [], "a": {}, "c": 'quote " backslash \\ non-ascii \u00e9\u2603 \n'},
+    [[{"z": 0, "y": [1, -1]}], "DELTA^-1 | s1 s2"],
+])
+def test_json_text_matches_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_export_of_a_marking_with_no_pairs_matches_json_dumps():
+    # the empty A1 marking certifies, and its ball is the one node, with
+    # "pairs": [] and "edges": []
+    ball = bfs(Marking(context("A1"), []), 1)
+    assert export_graph(ball, "json") == json_dumps_export(ball)
+    assert b'"pairs": []' in export_graph(ball, "json")
 
 
 def test_export_formats():
@@ -282,6 +306,7 @@ def test_bfs_matches_neighbors_closure_oracle(spec, max_radius):
     for seed in seeds:
         for radius in range(max_radius + 1):
             ours = bfs(seed, radius)
+            assert export_graph(ours, "json") == json_dumps_export(ours), (seed, radius)
             for oracle in (neighbors_closure_bfs, candidate_closure_bfs):
                 theirs = oracle(seed, radius)
                 for fmt in ("json", "dot"):
@@ -359,3 +384,19 @@ def test_bfs_builds_no_move_from_a_boundary_node(monkeypatch):
             boundary = {key for key, r in ball.radius.items() if r == radius}
             assert {name for name, _key in moved} == {"twist_move", "flip_candidates"}
             assert not [(name, key) for name, key in moved if key in boundary]
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "I2(5)"])
+def test_connectivity_distances_are_marking_graph_distances(spec):
+    # a path inside the bounded subgraph is a path of the marking graph, so
+    # the report's distance is never shorter than the graph distance; a bfs
+    # ball of radius the diameter from each standard marking holds every
+    # other one and gives their graph distance exactly
+    ctx = context(spec)
+    report = standard_marking_connectivity(ctx)
+    standard = all_standard_markings(ctx)
+    for source in standard:
+        ball = bfs(source, report.diameter)
+        for target in standard:
+            pair = (source.key(), target.key())
+            assert ball.radius.get(target.key()) == report.distances[pair], (spec, pair)

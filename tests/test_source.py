@@ -70,3 +70,18 @@ def test_no_catch_all_error_handlers_outside_the_cli():
         and any(n == "<bare>" or n in broad for n in names(node.type))
     ]
     assert found == []
+
+
+def test_no_indented_json_dumps():
+    # json.dump/json.dumps with indent set runs Python's pure-Python
+    # encoder; indented output goes through graph.json_text instead, and any
+    # indent argument is flagged, so the check needs no value analysis
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", "")) in ("dump", "dumps")
+        and any(k.arg == "indent" for k in node.keywords)
+    ]
+    assert found == []
