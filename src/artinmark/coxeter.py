@@ -175,6 +175,7 @@ class DefiningGraph:
             )
             for i in self.vertices
         }
+        self._z_exponents: dict[frozenset[int], int] = {}
 
     def label(self, i: int, j: int) -> int:
         """m_ij; 2 encodes a non-edge."""
@@ -263,18 +264,19 @@ class DefiningGraph:
         raise UnsupportedType(f"induced subgraph on {sorted(subset)} is not finite type")
 
     def z_exponent(self, subset: frozenset[int]) -> int:
-        """2 if the center of the (connected) type is generated by Delta^2, else 1."""
-        t = self.classify(subset)
-        f, n = t.family, t.rank
-        if f == "A" and n >= 2:
-            return 2
-        if f == "D" and n >= 5 and n % 2 == 1:
-            return 2
-        if f == "E" and n == 6:
-            return 2
-        if f == "I2" and t.i2_label and t.i2_label >= 5 and t.i2_label % 2 == 1:
-            return 2
-        return 1
+        """2 if the center of the (connected) type is generated by Delta^2,
+        else 1; memoized per subset (at most the connected subsets)."""
+        if subset not in self._z_exponents:
+            t = self.classify(subset)
+            f, n, m = t.family, t.rank, t.i2_label or 0
+            squared = (
+                (f == "A" and n >= 2)
+                or (f == "D" and n >= 5 and n % 2 == 1)
+                or (f == "E" and n == 6)
+                or (f == "I2" and m >= 5 and m % 2 == 1)
+            )
+            self._z_exponents[subset] = 2 if squared else 1
+        return self._z_exponents[subset]
 
 
 @lru_cache(maxsize=None)

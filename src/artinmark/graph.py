@@ -2,13 +2,13 @@
 
 Nodes are markings identified by their canonical keys; edges carry a kind,
 twist or flip.  Neighbor computation takes both twist directions at every
-index and all validated flips; breadth-first search is deterministic (keys
-sorted at every frontier expansion), so repeated runs produce identical
-graphs and identical exports.  The BFS closes the edges among the nodes at
-its radius on their certificate coordinates, building no marking (see bfs).
-Every flip across index j has the same bases, {P_i : i != j} and Q_j, so
-the connectivity universe holds no flip across j when Q_j is not standard,
-and those flips are not enumerated.
+index and all flips, each certified by its move; breadth-first search is
+deterministic (keys sorted at every frontier expansion), so repeated runs
+produce identical graphs and identical exports.  The BFS closes the edges
+among the nodes at its radius on their certificate coordinates, building no
+marking (see bfs).  Every flip across index j has the same bases,
+{P_i : i != j} and Q_j, so the connectivity universe holds no flip across j
+when Q_j is not standard, and those flips are not enumerated.
 
 standard_marking_connectivity builds the finite subgraph of markings with
 standard base and bounded projections, checks that the all-standard markings
@@ -42,9 +42,9 @@ def neighbors(marking: Marking) -> list[tuple[Marking, str]]:
 
 
 def _moves(marking: Marking, flip_indices) -> list[tuple[Marking, str]]:
-    """Twist neighbors at every index and validated flips across the given
-    indices, deduplicated by key, sorted.  The marking itself is certified
-    even when no flip is enumerated."""
+    """Twist neighbors at every index and flips across the given indices,
+    each certified by its move, deduplicated by key, sorted.  The marking
+    itself is certified even when no flip is enumerated."""
     marking.certificate()
     out: dict[tuple[str, str], Marking] = {}
     for j in range(len(marking)):

@@ -56,6 +56,18 @@ the same bases.  Every candidate keeps the pattern: at j the new transversal
 is P_j = h A_{X_j} h^-1, transverse to Q_j and commuting with the other
 bases, and at each i != j the subset is the transversal_subset.
 
+Moves carry their certificates, so validate_marking runs only on markings
+read from outside.  A twist at j keeps every base, so ghat, the levels and
+every subset, and adds direction * z_exponent(X_j) to k_j, because z_{P_j}
+= ghat Delta_{X_j}^e ghat^-1.  The flips across j share the flipped base B,
+its canonical standardizer ghat_B and the pair (Q_j, P_j).  Both h and
+ghat_B standardize B, and twist differences against a shared standardizer
+do not depend on which one is used (shared_flip_standardizer), so at i != j
+the twist relative to ghat_B is the twist t relative to h plus an offset c_i
+of the index alone: one decomposition of one candidate per index fixes it.
+The subset is then the one pattern-keeping subset of the maximal standard
+family delta_twisted(x_B, i, t + c_i) at i, its transversal_subset.
+
 Standardization conjugates by ghat and then by Delta_{X_j}^{k_j} for every
 pair, deepest level first: a deeper Delta leaves the bases and twists of the
 shallower pairs alone, and the Deltas of one level commute.
@@ -353,8 +365,9 @@ def projection(marking: Marking, j: int) -> int:
 def twist_move(marking: Marking, j: int, direction: int = 1) -> Marking:
     """Replace Q_j by z_{P_j}^direction Q_j z_{P_j}^-direction; the direction
     is 1 or -1.  The marking is certified first; z_{P_j} fixes every base
-    and every z_{P_i}, so the result is a marking too."""
-    marking.certificate()
+    and every z_{P_i}, so the result is a marking too, and its certificate
+    is carried over: twist_j moves by direction * z_exponent(X_j)."""
+    cert = marking.certificate()
     _check_index(marking, j)
     if direction not in (1, -1):
         raise PreconditionViolated(f"twist direction {direction} is not 1 or -1")
@@ -362,7 +375,22 @@ def twist_move(marking: Marking, j: int, direction: int = 1) -> Marking:
     z = p_j.z_element() ** direction
     pairs = list(marking.pairs)
     pairs[j] = (p_j, q_j.conjugated_by(z))
-    return Marking(marking.ctx, pairs)
+    _ghat, std = marking.base_simplex().canonical_data()
+    d = cert.transversals[j]
+    step = direction * marking.ctx.graph.z_exponent(std.subsets[marking.vertex_of_pair(j)])
+    data = list(cert.transversals)
+    data[j] = TransversalData(j, d.twist + step, d.subset)
+    return _certified(Marking(marking.ctx, pairs), marking, data)
+
+
+def _certified(marking: Marking, frame: Marking, data) -> Marking:
+    """The marking, certified by the transversal data carried over from a
+    move: it shares the bases of frame, in the same order, so it shares its
+    base simplex and levels too."""
+    base = frame.base_simplex()
+    marking._base, marking._pair_vertex = base, frame._pair_vertex
+    marking._cert = MarkingCertificate(base.levels, tuple(data))
+    return marking
 
 
 def shared_flip_standardizer(marking: Marking, j: int) -> ArtinElement:
@@ -429,44 +457,53 @@ def _flip_candidate_table(
 
 
 def flip_candidates(marking: Marking, j: int) -> list[Marking]:
-    """Every flip across index j, assembled and not yet certified.
+    """Every flip across index j, certified by transport, in table order.
 
     The new pair j is the swap (Q_j, P_j); each other transversal ranges over
     the three candidates of its index in the candidate table, one per twist.
     Every candidate has the bases {P_i : i != j} and Q_j, and every one is a
-    flip (see the module docstring).  The marking is certified first, so an
-    invalid one raises its validation error.
+    flip (see the module docstring).  One candidate, the middle one, is
+    decomposed against the canonical standardizer of the flipped base; the
+    certificates of all of them are read off it.  The marking is certified
+    first, so an invalid one raises its validation error.
     """
     ctx = marking.ctx
     pairs = marking.pairs
     _h, anchors, table = _flip_candidate_table(marking, j)
-    p_j, q_j = pairs[j]
     indices = sorted(anchors)
-    per_index = [[cand for _twist, cand in table[i]] for i in indices]
-    out = []
-    for combo in itertools.product(*per_index):
+
+    def assemble(combo) -> Marking:
         new_pairs = list(pairs)
-        new_pairs[j] = (q_j, p_j)
-        for i, q in zip(indices, combo):
+        new_pairs[j] = (pairs[j][1], pairs[j][0])
+        for i, (_twist, q) in zip(indices, combo):
             new_pairs[i] = (pairs[i][0], q)
-        out.append(Marking(ctx, new_pairs))
+        return Marking(ctx, new_pairs)
+
+    middle = assemble([table[i][1] for i in indices])
+    ghat, std = middle.base_simplex().canonical_data()
+    x = [std.subsets[middle.vertex_of_pair(i)] for i in range(len(pairs))]
+    swapped = transversal_decomposition(middle, j, ghat)
+    offset = {i: transversal_decomposition(middle, i, ghat).twist - anchors[i] for i in indices}
+    out = []
+    for combo in itertools.product(*(table[i] for i in indices)):
+        data = [swapped] * len(pairs)
+        for i, (t, _q) in zip(indices, combo):
+            k = t + offset[i]
+            data[i] = TransversalData(i, k, transversal_subset(ctx, delta_twisted(ctx, x, i, k), i))
+        out.append(_certified(assemble(combo), middle, data))
     return out
 
 
 def enumerate_flip_moves(marking: Marking, j: int) -> list[Marking]:
-    """All flips across index j, certified and sorted by key.
+    """All flips across index j, certified by transport and sorted by key.
 
     Each other transversal is replaced by a candidate whose twist relative to
     the shared standardizer differs from the old one by at most one.  The
-    candidates of flip_candidates are distinct and all valid (see the module
-    docstring), so a validation error here is a fault of the library and
-    propagates.
+    candidates of flip_candidates are distinct and all valid, and their
+    certificates are carried over from the move (see the module docstring),
+    so none of them is validated again.
     """
-    out = flip_candidates(marking, j)
-    for candidate in out:
-        candidate.certificate()
-    out.sort(key=Marking.key)
-    return out
+    return sorted(flip_candidates(marking, j), key=Marking.key)
 
 
 def _base_index(marking: Marking) -> dict[str, int]:

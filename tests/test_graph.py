@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from artinmark.coxeter import build_defining_graph, root_reflection_table
 from artinmark.errors import BudgetExceeded, PreconditionViolated, UnknownFormat
-from artinmark.garside import context, normalize
+from artinmark.garside import GarsideContext, context, normalize
 from artinmark.graph import (
     all_standard_markings,
     bfs,
@@ -400,3 +401,29 @@ def test_connectivity_distances_are_marking_graph_distances(spec):
         for target in standard:
             pair = (source.key(), target.key())
             assert ball.radius.get(target.key()) == report.distances[pair], (spec, pair)
+
+
+def test_moves_validate_only_the_markings_read_from_outside(monkeypatch):
+    # a bfs validates its JSON seed and nothing else; std-connectivity
+    # validates each standard marking once: every other node is certified
+    # by the move that reached it
+    import artinmark.marking as marking_module
+
+    validate = marking_module.validate_marking
+    calls = []
+
+    def spy(marking):
+        calls.append(marking.key())
+        return validate(marking)
+
+    monkeypatch.setattr(marking_module, "validate_marking", spy)
+    a3 = GarsideContext(build_defining_graph("A3"), root_reflection_table("A3"))
+    payload = json.dumps(standard_transversals(enumerate_maximal_standard(a3)[0]).to_json())
+    seed = Marking.from_json(a3, json.loads(payload))
+    ball = bfs(seed, 2)
+    assert len(ball.nodes) > 1 and calls == [seed.key()]
+    calls.clear()
+    b3 = GarsideContext(build_defining_graph("B3"), root_reflection_table("B3"))
+    standard_marking_connectivity(b3)
+    assert sorted(calls) == [m.key() for m in all_standard_markings(b3)]
+    assert len(calls) == 5

@@ -991,3 +991,52 @@ def test_h3_and_e6_recipe_markings():
     j = next(i for i, (p, _q) in enumerate(marking.pairs) if p.gens == frozenset({3}))
     flips = enumerate_flip_moves(marking, j)
     assert flips and all(is_flip_edge(marking, f) for f in flips)
+
+
+# -- certificates carried along moves --------------------------------------------
+
+
+def moves_of(marking):
+    """Every twist neighbour and every flip candidate of the marking."""
+    for j in range(len(marking)):
+        yield twist_move(marking, j, 1)
+        yield twist_move(marking, j, -1)
+        yield from flip_candidates(marking, j)
+
+
+def flip_offsets(marking) -> set[int]:
+    """The carried twist of every flip candidate at every index i != j,
+    minus its twist relative to the shared standardizer h."""
+    out = set()
+    for j in range(len(marking)):
+        _h, anchors, table = _flip_candidate_table(marking, j)
+        indices = sorted(anchors)
+        combos = itertools.product(*(table[i] for i in indices))
+        for combo, flip in zip(combos, flip_candidates(marking, j)):
+            out |= {flip.certificate().transversals[i].twist - t for i, (t, _q) in zip(indices, combo)}
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, radius", [("A3", 2), ("B3", 2), ("H3", 1), ("A4", 1), ("twisted", 1)]
+)
+def test_moves_carry_certificates_that_validation_confirms(monkeypatch, spec, radius):
+    # every twist neighbour and flip candidate is certified by its move, with
+    # validation refused; each certificate equals validating the pairs afresh
+    if spec == "twisted":
+        seeds = [twisted_conjugates("A3")[1]]
+        assert {d.twist % 2 for d in seeds[0].certificate().transversals} == {0, 1}
+        assert flip_offsets(seeds[0]) - {0}
+    else:
+        seeds = [standard_transversals(s) for s in enumerate_maximal_standard(context(spec))[:3]]
+    nodes = [m for seed in seeds for m in bfs(seed, radius).nodes.values()]
+
+    def refuse(marking):
+        raise AssertionError(f"a move validated {marking!r}")
+
+    validate = marking_module.validate_marking
+    monkeypatch.setattr(marking_module, "validate_marking", refuse)
+    carried = [(m, m.certificate()) for node in nodes for m in moves_of(node)]
+    monkeypatch.undo()
+    for moved, cert in carried:
+        assert cert == validate(Marking(moved.ctx, moved.pairs)), moved
