@@ -18,9 +18,12 @@ the roots in the same order and compare lexicographically alike, so every
 ordering of elements is the same under either.
 
 Descents are read off roots (Bjorner-Brenti 2005, 4.4): t is a left descent
-of w exactly when w^-1(alpha_t) is negative, so RootSystem._peel strips
-common left descents on raw tables, interning nothing; the prefix meet it
-reaches is unique, so the order of the strips cannot change it.
+of w exactly when w^-1(alpha_t) is negative; the simple roots are roots
+0..n-1, so a descent key is d[:n] read through 0/1 root flags.  The meet
+(RootSystem._meet) strips blocks of raw tables and interns nothing: with D
+the common left descents of d^-1 a and d^-1 b, w0(W_D) is a left prefix of
+all x with D in their left descents (parabolic factorization, Bjorner-Brenti
+2005, 2.4), so d w0(W_D) is a common prefix, and d is the meet when D = {}.
 
 Vertex numbering of the defining graphs:
 
@@ -69,6 +72,11 @@ def _table(perm) -> bytes:
 
 def _table_inverse(perm: bytes) -> bytes:
     return bytes.maketrans(perm, IDENT256)
+
+
+def _tuple_key(images: tuple[int, ...], flags: bytes) -> bytes:
+    """flags[i] for each i in images, as images.translate(flags) on tables."""
+    return bytes(_tuple_after(images, flags))
 
 
 # number of roots per type, used as a closure sanity check
@@ -338,6 +346,8 @@ class RootSystem:
         self.roots = tuple(roots)
         self.index = index
         self.simple_index = tuple(index[r] for r in simple)
+        if self.simple_index != tuple(range(n)):  # descent keys read d[:n]
+            raise InvariantViolated(f"{graph.type}: simple roots are not roots 0..{n - 1}")
 
         # positive roots: the closure of the simple roots under the s_i,
         # never applying s_i to alpha_i (s_i permutes the other positive
@@ -360,10 +370,14 @@ class RootSystem:
             )
 
         # the permutation encoding; _after(op, sp) is i -> sp[op[i]]
+        self._pos = bytes(self.is_positive_root).ljust(256, b"\0")  # 0/1 flags
         if len(roots) <= 256:
             encode, self._after, self._invert = _table, bytes.translate, _table_inverse
+            self._key = bytes.translate
         else:
             encode, self._after, self._invert = tuple, _tuple_after, _tuple_inverse
+            self._key = _tuple_key
+        self._w0: dict[bytes, tuple[int, ...] | bytes] = {}
         self._elements: dict[tuple[int, ...] | bytes, CoxeterElement] = {}
         self._next_uid = 0
         self.identity = self.element(encode(range(len(roots))))
@@ -378,26 +392,41 @@ class RootSystem:
             self._elements[perm] = el
         return el
 
-    def _peel(self, perms) -> tuple[list[int], tuple[int, ...] | bytes]:
-        """Strip least common left descents off the simples x with raw tables
-        `perms`; return the letters and the table of their product d.
+    def _meet(self, a, b) -> tuple[int, ...] | bytes:
+        """Raw table of the prefix meet of the simples with raw tables a, b.
+        t is a left descent of d^-1 x when d(alpha_t) is not in x(positive
+        roots), so the zero bytes of the key of d against the roots blocked
+        by a or b are D, and each step strips w0(W_D) (module docstring)."""
+        n, w0, d = self.graph.rank, self._w0, self.identity.perm
+        bits = int.from_bytes(self._flags(a), "big") | int.from_bytes(self._flags(b), "big")
+        blocked = bits.to_bytes(len(d), "big")
+        while 0 in (key := self._key(d[:n], blocked)):
+            d = self._after(w0.get(key) or self._longest(key), d)
+        return d
 
-        t is a left descent of every d^-1 x when every x^-1 d(alpha_t) is
-        negative: d(alpha_t) lies in no x(positive roots).  At the end d is
-        the prefix meet of the x, or a larger common prefix would leave a
-        common descent; the meet is unique, so the strip order cannot change
-        d, and least letters give the least reduced word."""
-        after, gens, pos = self._after, self.generators, self.positive_indices
-        blocked = set().union(*({perm[r] for r in pos} for perm in perms))
+    def _flags(self, perm) -> bytes:
+        """0/1 flags of the roots in x(positive roots), x with raw table perm."""
+        return self._key(self._invert(perm), self._pos)
+
+    def _word(self, perm) -> tuple[int, ...]:
+        """Least reduced word of the raw table perm: one letter per step."""
+        blocked, n, gens = self._flags(perm), self.graph.rank, self.generators
         d, letters = self.identity.perm, []
-        while True:
-            for t, r in enumerate(self.simple_index):
-                if d[r] not in blocked:
-                    break
-            else:
-                return letters, d
+        while (t := self._key(d[:n], blocked).find(0)) >= 0:
             letters.append(t)
-            d = after(gens[t].perm, d)
+            d = self._after(gens[t].perm, d)
+        return tuple(letters)
+
+    def _longest(self, key: bytes) -> tuple[int, ...] | bytes:
+        """Raw table of w0(W_D), D the zero bytes of key, built greedily and
+        memoized per key: at most 2^rank tables, none interned."""
+        w0 = self._w0.get(key)
+        if w0 is None:
+            w0, subset = self.identity.perm, [t for t, b in enumerate(key) if not b]
+            while free := [t for t in subset if self._pos[w0[t]]]:
+                w0 = self._after(self.generators[free[0]].perm, w0)
+            self._w0[key] = w0
+        return w0
 
     def generator_of(self, w: CoxeterElement) -> int | None:
         """Index i if w is the reflection of generator i, else None."""
@@ -479,14 +508,10 @@ class CoxeterElement:
 
     def reduced_word(self) -> tuple[int, ...]:
         """Lexicographically least reduced word (greedy left descents)."""
-        return tuple(self.system._peel((self.perm,))[0])
+        return self.system._word(self.perm)
 
 
 def longest_element(system: RootSystem, subset: frozenset[int]) -> CoxeterElement:
-    """Longest element of the standard parabolic W_X, built greedily."""
-    w = system.identity
-    while True:
-        free = subset - w.right_descents()
-        if not free:
-            return w
-        w = w * system.generators[min(free)]
+    """Longest element of the standard parabolic W_X; only it is interned."""
+    key = bytes(t not in subset for t in range(system.graph.rank))
+    return system.element(system._longest(key))

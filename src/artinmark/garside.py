@@ -8,10 +8,10 @@ the right descent set of u; the normalizer repeatedly slides the maximal
 absorbable prefix of v into u until every pair is normal, then pulls leading
 w0 factors into the Delta exponent.
 
-Lattice operations on simples are descent-greedy: the prefix-order meet is
-the peel of both simples (RootSystem._peel), the join comes from the meet by
-the complement anti-automorphisms x -> x^-1 w0 and x -> w0 x^-1.  No table
-of W is ever materialized, so the same code serves I2(3) and E8.
+Lattice operations on simples strip descent blocks: the prefix-order meet
+strips w0 of the common left descents (RootSystem._meet), and the join comes
+from the meet by the complement anti-automorphisms x -> x^-1 w0 and
+x -> w0 x^-1.  No table of W is materialized, so one code serves I2(3), E8.
 
 Products are incremental: each factor of the right operand is appended to
 the (left-weighted) body and one right-to-left sweep of slides restores
@@ -72,7 +72,6 @@ class GarsideContext:
         self._rcomp: dict[int, CoxeterElement] = {}
         self._tau: dict[int, CoxeterElement] = {}
         self._delta_of: dict[frozenset[int], ArtinElement] = {}
-        self._w0_of: dict[frozenset[int], CoxeterElement] = {}
         self._connected_proper: tuple[frozenset[int], ...] | None = None
         self.transversal_subsets: dict[tuple, frozenset[int]] = {}
         self.standardizer_strips: dict[
@@ -123,7 +122,7 @@ class GarsideContext:
         cached = self._meet.get(key)
         if cached is not None:
             return cached
-        meet = self.system.element(self.system._peel((a.perm, b.perm))[1])
+        meet = self.system.element(self.system._meet(a.perm, b.perm))
         self._meet[key] = meet
         return meet
 
@@ -136,11 +135,7 @@ class GarsideContext:
         )
 
     def w0_of(self, subset: frozenset[int]) -> CoxeterElement:
-        el = self._w0_of.get(subset)
-        if el is None:
-            el = longest_element(self.system, subset)
-            self._w0_of[subset] = el
-        return el
+        return longest_element(self.system, subset)
 
     def _slide_pair(
         self, u: CoxeterElement, v: CoxeterElement

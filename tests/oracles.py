@@ -12,6 +12,9 @@ These deliberately avoid the library's normal-form and lattice algorithms:
 * the descent peels strip the least common left descent of interned
   elements, reading descent sets off each remainder and interning every
   s * x on the way, independent of the library's peel on raw tables;
+* the single-letter peel strips one least common left descent per step on
+  raw tables, scanning the simple roots against a set of blocked roots, not
+  a whole w0(W_D) block per step read off a byte descent key;
 * the fixed-point normalizer re-runs left-to-right slide passes over the
   whole factor list until nothing moves, independent of the library's
   one-sweep products;
@@ -220,6 +223,26 @@ def descent_peel_gcd(ctx, a, b):
         x = s * x
         y = s * y
     return d
+
+
+def single_letter_peel(system: RootSystem, perms) -> tuple[list[int], tuple[int, ...] | bytes]:
+    """Strip least common left descents off the simples x with raw tables
+    `perms`; return the letters and the raw table of their product d.
+
+    t is a left descent of every d^-1 x when d(alpha_t) lies in no
+    x(positive roots).  At the end d is the prefix meet of the x, and the
+    letters of one input are its least reduced word."""
+    after, gens, pos = system._after, system.generators, system.positive_indices
+    blocked = set().union(*({perm[r] for r in pos} for perm in perms))
+    d, letters = system.identity.perm, []
+    while True:
+        for t, r in enumerate(system.simple_index):
+            if d[r] not in blocked:
+                break
+        else:
+            return letters, d
+        letters.append(t)
+        d = after(gens[t].perm, d)
 
 
 def descent_peel_reduced_word(w) -> tuple[int, ...]:

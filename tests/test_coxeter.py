@@ -20,6 +20,7 @@ from oracles import (
     descent_peel_reduced_word,
     float_positive_roots,
     root_perm,
+    single_letter_peel,
     tuple_inverse,
     tuple_product,
 )
@@ -94,21 +95,37 @@ def test_reflections_are_involutions():
             assert g.length == 1
 
 
-@pytest.mark.parametrize(
-    "spec",
+# every supported type up to rank 8, and both tuple-kernel systems
+ALL_TYPES = (
     [f"A{n}" for n in range(1, 9)]
     + [f"B{n}" for n in range(2, 9)]
     + [f"D{n}" for n in range(4, 9)]
     + ["E6", "E7", "E8", "F4", "H3", "H4"]
     + [f"I2({m})" for m in range(3, 13)]
-    + ["A16", "B12"],
+    + ["A16", "B12"]
 )
+
+
+@pytest.mark.parametrize("spec", ALL_TYPES)
 def test_positive_roots_match_float_signs(spec):
     # every supported type up to rank 8, and both tuple-kernel systems: the
     # reflection closure of the simple roots gives the same flags as the
     # float sign of the first nonzero coordinate
     system = root_reflection_table(spec)
     assert system.is_positive_root == float_positive_roots(system)
+
+
+@pytest.mark.parametrize("spec", ALL_TYPES)
+def test_simple_roots_are_the_first_roots(spec):
+    # descent keys read the images of roots 0..n-1 as those of the simple
+    # roots; RootSystem raises InvariantViolated otherwise
+    system = root_reflection_table(spec)
+    n = system.graph.rank
+    assert system.simple_index == tuple(range(n))
+    for i in range(n):
+        assert system.roots[i] == tuple(
+            system.ring.one if j == i else system.ring.zero for j in range(n)
+        )
 
 
 def test_each_generator_negates_one_positive_root():
@@ -295,26 +312,81 @@ def fresh_context(spec):
     return GarsideContext(build_defining_graph(spec), root_reflection_table(spec))
 
 
+def assert_meets_match_oracles(ctx, pairs):
+    """The block-strip meet against the single-letter peel on raw tables
+    and the descent peel on interned elements."""
+    for a, b in pairs:
+        meet = ctx.gcd_simples(a, b)
+        assert meet.perm == single_letter_peel(ctx.system, (a.perm, b.perm))[1]
+        assert meet is descent_peel_gcd(ctx, a, b)
+
+
+def assert_words_match_oracles(elements):
+    for w in elements:
+        assert w.reduced_word() == descent_peel_reduced_word(w)
+        assert list(w.reduced_word()) == single_letter_peel(w.system, (w.perm,))[0]
+
+
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3", "A4", "D4", "I2(7)"])
 def test_peel_matches_descent_peel_oracles_on_all_simples(spec):
     ctx = fresh_context(spec)
     elements = all_w(spec)
-    for a, b in itertools.product(elements, repeat=2):
-        assert ctx.gcd_simples(a, b) is descent_peel_gcd(ctx, a, b)
-    for w in elements:
-        assert w.reduced_word() == descent_peel_reduced_word(w)
+    assert_meets_match_oracles(ctx, itertools.product(elements, repeat=2))
+    assert_words_match_oracles(elements)
 
 
 @pytest.mark.parametrize(
     "spec,count,length",
-    [("E8", 2000, 24), ("A16", 150, 36), ("B12", 150, 36)],
+    [
+        ("E8", 2000, 24),
+        ("H4", 600, 20),
+        ("F4", 600, 8),
+        ("A16", 150, 36),
+        ("B12", 150, 36),
+    ],
 )
 def test_peel_matches_descent_peel_oracles_on_random_simples(spec, count, length):
-    # E8 stores byte tables; A16 (272 roots) and B12 (288) store int tuples
+    # E8, H4 and F4 store byte tables; A16 (272 roots) and B12 (288) store
+    # int tuples
     ctx = fresh_context(spec)
     rng = random.Random(spec)
     pairs = random_simple_pairs(ctx.system, rng, count, length)
-    for a, b in pairs:
-        assert ctx.gcd_simples(a, b) is descent_peel_gcd(ctx, a, b)
-    for w in [x for pair in pairs[:100] for x in pair] + [ctx.delta_w]:
-        assert w.reduced_word() == descent_peel_reduced_word(w)
+    assert_meets_match_oracles(ctx, pairs)
+    assert_words_match_oracles([x for pair in pairs[:100] for x in pair] + [ctx.delta_w])
+
+
+def test_peel_matches_oracles_on_long_e8_meets():
+    # normal forms meet the right complement of a factor with the next
+    # factor; right complements of short simples are long, so these meets
+    # strip many blocks
+    ctx = fresh_context("E8")
+    rng = random.Random("E8 complements")
+    pairs = [
+        tuple(
+            ctx.right_complement(random_simple(ctx.system, rng, rng.randrange(1, 9)))
+            for _ in range(2)
+        )
+        for _ in range(300)
+    ]
+    lengths = sorted(ctx.gcd_simples(a, b).length for a, b in pairs)
+    assert lengths[len(lengths) // 2] >= 100  # the median meet has length 110
+    assert_meets_match_oracles(ctx, pairs)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "D4", "I2(7)"])
+def test_w0_of_is_the_longest_involution_and_interns_only_itself(spec):
+    graph = build_defining_graph(spec)
+    ctx = GarsideContext(graph, RootSystem(graph))
+    n = graph.rank
+    for size in range(n + 1):
+        for subset in map(frozenset, itertools.combinations(range(n), size)):
+            # W_X by the all_w oracle: the elements with support in X
+            longest = max(
+                w.length for w in all_w(spec) if set(descent_peel_reduced_word(w)) <= subset
+            )
+            before = set(ctx.system._elements)
+            w0 = ctx.w0_of(subset)
+            assert set(ctx.system._elements) - before == {w0.perm} - before
+            assert (w0 * w0).is_identity
+            assert w0.length == longest
+            assert ctx.w0_of(subset) is w0

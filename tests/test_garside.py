@@ -16,6 +16,7 @@ from artinmark.garside import (
 
 from oracles import (
     all_w,
+    descent_peel_reduced_word,
     fixed_point_from_word,
     fixed_point_inverse,
     fixed_point_product,
@@ -347,6 +348,33 @@ def test_e8_normal_forms_intern_only_meets():
     for _ in range(60):
         ctx.from_word(random_signed_word(rng, 8, 40))
     assert len(ctx.system._elements) < 20_000
+
+
+def test_e8_signed_words_normal_forms_without_the_peel():
+    # the e8-words regime (length 40, 20 inverse letters), checked with
+    # descent sets and interned products only, not the meet kernel: every
+    # adjacent pair is left-weighted, the factors spell the word's W-image,
+    # and the letter count matches the exponent sum
+    ctx = context("E8")
+    gens, w0 = ctx.system.generators, ctx.delta_w
+    rng = random.Random("e8-words")
+    for _ in range(20):
+        signs = [1, -1] * 20
+        rng.shuffle(signs)
+        word = tuple((rng.randrange(8), sign) for sign in signs)
+        g = ctx.from_word(word)
+        for u, v in zip(g.body, g.body[1:]):
+            assert v.left_descents() <= u.right_descents()
+        image = ctx.system.identity
+        for i, _ in word:
+            image = image * gens[i]
+        nf_image = w0 if g.inf % 2 else ctx.system.identity
+        letters = 0
+        for x in g.body:
+            for t in descent_peel_reduced_word(x):
+                nf_image, letters = nf_image * gens[t], letters + 1
+        assert nf_image is image
+        assert g.inf * ctx.delta_len + letters == sum(signs)
 
 
 def test_delta_only_powers_closed_form():
