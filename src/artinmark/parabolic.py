@@ -15,10 +15,17 @@ or some d_{Y,t} with t outside Y right-divides c; stripping it leaves a
 positive standardizer, with the ribbon's target as the new Y.  The descent
 starts from Delta^(2N) conj and stops when nothing can be stripped.
 
-A family with pairwise commuting z's has a minimal simultaneous standardizer
-m too.  Given a prefix c of m, the least standardizer of P_i above c is
+A family with pairwise commuting z's has a simultaneous standardizer
+(Cumplido, Gebhardt, Gonzalez-Meneses, Wiest, Adv. Math. 2019), and the
+climb needs no more: the positive standardizers of each P_i are closed under
+left gcd, so their intersection is too and has a least element m.  Given a
+prefix c of m, the least standardizer of P_i above c is
 c * (minimal standardizer of c^-1 P_i c), which divides m; multiplying those
 in round-robin from c = 1 therefore climbs to m.
+
+Adjacency is decided in the first vertex's frame: z_{hPh^-1} = h z_P h^-1 and
+conjugation is an automorphism, so conjugating a family by g^-1 changes no
+commutation, and it turns each vertex g A_X g^-1 into A_X with the short z_X.
 
 The Paris conjugacy graph for standard parabolic subgroups is built from
 the defining graph alone: edges (Y, t, t') exist when some connected
@@ -290,17 +297,30 @@ def _descent_strips(
     return strips
 
 
-def check_simplex_family(parabolics) -> None:
-    """Raise unless the parabolics are irreducible, proper and have pairwise
-    commuting z's, the condition for a minimal simultaneous standardizer."""
+def nonadjacent_pair(parabolics):
+    """The first pair of vertices whose z's do not commute in the first
+    vertex's frame, or None; raises on a reducible or improper vertex."""
     for v in parabolics:
         if not v.irreducible:
             raise NotIrreducible(f"{v} is not irreducible")
         if not v.proper:
             raise NotProper(f"{v} is the whole group")
-    for p, q in itertools.combinations(parabolics, 2):
-        if not p.z_element().commutes_with(q.z_element()):
-            raise NotASimplex(f"{p} and {q} are not adjacent")
+    g_inv = parabolics[0].conj.inverse() if parabolics else None
+    framed = [v.conjugated_by(g_inv) for v in parabolics]
+    for (p, fp), (q, fq) in itertools.combinations(zip(parabolics, framed), 2):
+        if not fp.z_element().commutes_with(fq.z_element()):
+            return p, q
+    return None
+
+
+def check_simplex_family(parabolics) -> None:
+    """Raise unless the parabolics are irreducible, proper and have pairwise
+    commuting z's, the condition for a minimal simultaneous standardizer.
+    The z's of P_i = g_i A_{X_i} g_i^-1 are compared after conjugating by
+    g_0^-1, which changes no commutation, so g_i = g_0 gives the short z_{X_i}."""
+    pair = nonadjacent_pair(parabolics)
+    if pair is not None:
+        raise NotASimplex(f"{pair[0]} and {pair[1]} are not adjacent")
 
 
 def simultaneous_standardizer(

@@ -34,9 +34,7 @@ from .errors import (
     NotAStabilizer,
     NotAStandardizer,
     NotConjugate,
-    NotIrreducible,
     NotMaximal,
-    NotProper,
     PreconditionViolated,
 )
 from .garside import ArtinElement, GarsideContext, member_of_standard, scan_powers
@@ -46,6 +44,7 @@ from .parabolic import (
     central_generator_z,
     check_simplex_family,
     delta_permutation,
+    nonadjacent_pair,
     simultaneous_standardizer,
 )
 
@@ -53,13 +52,9 @@ Subset = frozenset[int]
 
 
 def adjacent(p: ParabolicSubgroup, q: ParabolicSubgroup) -> bool:
-    """Whether two irreducible proper parabolics span an edge (z's commute)."""
-    for x in (p, q):
-        if not x.irreducible:
-            raise NotIrreducible(f"{x} is not irreducible")
-        if not x.proper:
-            raise NotProper(f"{x} is the whole group")
-    return p.z_element().commutes_with(q.z_element())
+    """Whether two irreducible proper parabolics span an edge (z's commute),
+    decided in p's frame like every simplex check."""
+    return nonadjacent_pair([p, q]) is None
 
 
 def standard_adjacent(graph, x: Subset, y: Subset) -> bool:

@@ -61,6 +61,9 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   node and, across each index whose flipped base is a ball node's base,
   every flip candidate, and matches them by key against the ball, not by
   coordinates and an edge predicate;
+* the pairwise z check decides whether a family is a simplex by the
+  commutation of z_P = conj z_X conj^-1 of every given vertex, not after
+  conjugating the family into its first vertex's frame;
 * the json.dumps export serializes the payload of a BFS ball with the
   standard library's json.dumps(indent=2, sort_keys=True), not by the
   library's string emitter with its blocks rendered once per subgroup.
@@ -74,7 +77,15 @@ import math
 from functools import lru_cache
 
 from artinmark.coxeter import DefiningGraph, RootSystem
-from artinmark.errors import ArtinMarkError, BaseNotMaximal, BudgetExceeded, InvariantViolated
+from artinmark.errors import (
+    ArtinMarkError,
+    BaseNotMaximal,
+    BudgetExceeded,
+    InvariantViolated,
+    NotASimplex,
+    NotIrreducible,
+    NotProper,
+)
 from artinmark.garside import ArtinElement
 from artinmark.graph import (
     ConnectivityReport,
@@ -380,6 +391,19 @@ def bfs_simultaneous_standardizer(ctx, parabolics, budget=24, seed=None, support
         if not frontier:
             break
     raise AssertionError(f"simultaneous standardizer search budget {budget} exhausted")
+
+
+def pairwise_z_check(parabolics) -> None:
+    """Raise unless the parabolics are irreducible, proper and have pairwise
+    commuting z's, each z_P built from its own conjugator."""
+    for v in parabolics:
+        if not v.irreducible:
+            raise NotIrreducible(f"{v} is not irreducible")
+        if not v.proper:
+            raise NotProper(f"{v} is the whole group")
+    for p, q in itertools.combinations(parabolics, 2):
+        if not p.z_element().commutes_with(q.z_element()):
+            raise NotASimplex(f"{p} and {q} are not adjacent")
 
 
 def levelwise_canonical_standardizer(simplex, hint=None):

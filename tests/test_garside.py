@@ -340,7 +340,7 @@ def test_sweep_matches_fixed_point_normalizer(spec, length):
 
 
 def test_e8_normal_forms_intern_only_meets():
-    # on a fresh root system these 60 signed length-40 words intern 7,993
+    # on a fresh root system these 60 signed length-40 words intern 7,892
     # elements; keeping every descent-peel temporary interned 340,814
     graph = build_defining_graph("E8")
     ctx = GarsideContext(graph, RootSystem(graph))

@@ -6,20 +6,28 @@ import pytest
 
 from artinmark import parabolic as parabolic_module
 from artinmark.coxeter import build_defining_graph, root_reflection_table
-from artinmark.errors import Disconnected, EmptySubset, NotASimplex
+from artinmark.errors import (
+    Disconnected,
+    EmptySubset,
+    NotASimplex,
+    NotIrreducible,
+    NotProper,
+)
 from artinmark.garside import GarsideContext, context, normalize
 from artinmark.graph import standard_marking_connectivity
 from artinmark.parabolic import (
     ParabolicSubgroup,
     build_conjugacy_graph,
     central_generator_z,
+    check_simplex_family,
     delta_permutation,
     elementary_ribbon,
     minimal_standardizer,
     simultaneous_standardizer,
     standard_conjugate,
 )
-from oracles import bfs_minimal_standardizer, bfs_simultaneous_standardizer
+from artinmark.simplex import enumerate_maximal_standard
+from oracles import bfs_minimal_standardizer, bfs_simultaneous_standardizer, pairwise_z_check
 
 
 def gens(ctx, *names):
@@ -311,6 +319,94 @@ def test_simultaneous_standardizer_rejects_non_simplices():
         simultaneous_standardizer(
             a3, [std(a3, "s1").conjugated_by(x), std(a3, "s2").conjugated_by(x)]
         )
+
+
+def simplex_check_outcome(check, family):
+    try:
+        check(family)
+    except (NotASimplex, NotIrreducible, NotProper) as error:
+        return type(error), str(error)
+    return None
+
+
+def signed_element(rng, ctx, length):
+    return ctx.from_word(
+        tuple((rng.randrange(ctx.rank), rng.choice((1, -1))) for _ in range(length))
+    )
+
+
+def second_representative(rng, ctx, p):
+    """p written as conj * Delta^2 or conj * s_x with x in its subset."""
+    tail = ctx.delta**2 if rng.randrange(2) else ctx.atoms[rng.choice(sorted(p.gens))]
+    return ParabolicSubgroup(ctx, p.conj * tail, p.gens)
+
+
+def mixed_conjugator_family(rng, ctx, vertices, g):
+    """2-4 of the vertices plus, half the time, one more irreducible proper
+    standard subgroup, each conjugated by g, by g times a word in letters that
+    normalize its subset (the same subgroup, another conjugator), or by g
+    times a random signed word (most often no longer adjacent)."""
+    pool = list(vertices)
+    if rng.randrange(2):
+        pool.append(ParabolicSubgroup.standard(ctx, rng.choice(ctx.connected_proper_subsets())))
+    family = []
+    for v in rng.sample(pool, rng.randint(2, min(4, len(pool)))):
+        kind = rng.randrange(3)
+        if kind == 0:
+            h = ctx.identity
+        elif kind == 1:
+            letters = [
+                t for t in range(ctx.rank)
+                if t in v.gens or not any(ctx.graph.adjacent(t, x) for x in v.gens)
+            ]
+            word = tuple((rng.choice(letters), rng.choice((1, -1))) for _ in range(3))
+            h = ctx.from_word(word)
+        else:
+            h = signed_element(rng, ctx, rng.randint(1, 3))
+        family.append(ParabolicSubgroup(ctx, g * h, v.gens))
+    return family
+
+
+def test_framed_simplex_check_matches_pairwise_z_oracle():
+    # the check conjugates a family into its first vertex's frame; the oracle
+    # multiplies the z's of the given representatives: same verdict, same
+    # exception type and message
+    rng = random.Random(19)
+    shared, rewritten, mixed = [], [], []
+    for spec in ["A3", "B3", "H3", "D4"]:
+        ctx = context(spec)
+        for simplex in enumerate_maximal_standard(ctx):
+            vertices = list(simplex.vertices)
+            for _ in range(2):
+                g = signed_element(rng, ctx, rng.randint(1, 4))
+                family = [v.conjugated_by(g) for v in vertices]
+                shared.append(family)
+                rewritten.append([second_representative(rng, ctx, v) for v in family])
+                mixed += [mixed_conjugator_family(rng, ctx, vertices, g) for _ in range(2)]
+    a3 = context("A3")
+    x = normalize(a3, "s2^-1 s3")
+    non_simplices = [
+        [std(a3, "s1"), std(a3, "s2")],
+        [std(a3, "s1").conjugated_by(x), std(a3, "s2").conjugated_by(x)],
+    ]
+    bad_vertices = [
+        [std(a3, "s1").conjugated_by(x), std(a3, "s1", "s3")],
+        [std(a3, "s2"), std(a3, "s1", "s2", "s3").conjugated_by(x)],
+    ]
+    outcomes = {}
+    for name, families in [
+        ("shared", shared), ("rewritten", rewritten), ("mixed", mixed),
+        ("non_simplices", non_simplices), ("bad_vertices", bad_vertices),
+    ]:
+        outcomes[name] = [simplex_check_outcome(pairwise_z_check, f) for f in families]
+        assert outcomes[name] == [
+            simplex_check_outcome(check_simplex_family, f) for f in families
+        ], name
+    assert outcomes["shared"] == outcomes["rewritten"] == [None] * len(shared)
+    rejected = sum(o is not None for o in outcomes["mixed"])
+    assert len(mixed) // 4 <= rejected <= len(mixed) - len(mixed) // 4
+    assert all(o[0] is NotASimplex for o in outcomes["non_simplices"])
+    assert [o[0] for o in outcomes["bad_vertices"]] == [NotIrreducible, NotProper]
 
 
 def test_parabolic_json_roundtrip():

@@ -12,7 +12,8 @@ from artinmark.errors import (
     NotProper,
     PreconditionViolated,
 )
-from artinmark.garside import context, normalize
+from artinmark.coxeter import RootSystem, build_defining_graph
+from artinmark.garside import GarsideContext, context, normalize
 from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import (
     AscendingProduct,
@@ -52,6 +53,28 @@ def test_adjacent_trichotomy_examples():
         adjacent(ParabolicSubgroup.standard(a3, gens(a3, "s1", "s3")), std(a3, "s2"))
     with pytest.raises(NotProper):
         adjacent(std(a3, "s1", "s2", "s3"), std(a3, "s1"))
+
+
+@pytest.mark.parametrize("spec,word", [("B3", "s3^-1 s1 s2^-1 s3"), ("D4", "s4 s2^-1 s1 s3")])
+def test_shared_conjugator_simplex_takes_only_standard_z(monkeypatch, spec, word):
+    # a simplex conjugated by one element is standard in its first vertex's
+    # frame, so its adjacency check needs only the memoized z_X of each
+    # subset, never a z_P = conj z_X conj^-1
+    graph = build_defining_graph(spec)
+    ctx = GarsideContext(graph, RootSystem(graph))  # no simplex data cached yet
+    g = normalize(ctx, word)
+    simplices = enumerate_maximal_standard(ctx)
+    seen = []
+    z_element = ParabolicSubgroup.z_element
+
+    def spy(self):
+        seen.append(self.conj.is_identity)
+        return z_element(self)
+
+    monkeypatch.setattr(ParabolicSubgroup, "z_element", spy)
+    for simplex in simplices:
+        CparabSimplex(ctx, [v.conjugated_by(g) for v in simplex.vertices])
+    assert seen and all(seen)
 
 
 def test_standard_adjacent_matches_z_commutation():

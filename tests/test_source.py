@@ -85,3 +85,18 @@ def test_no_indented_json_dumps():
         and any(k.arg == "indent" for k in node.keywords)
     ]
     assert found == []
+
+
+def test_commutes_with_only_in_the_framed_adjacency_helper():
+    # adjacency has one implementation: z's compared in the first vertex's
+    # frame by parabolic.nonadjacent_pair; any other commutes_with is a
+    # second path through the long z-products of conjugated vertices
+    found = [
+        f"{name}:{func.name}"
+        for name, tree in source_trees()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "commutes_with"
+    ]
+    assert found == ["parabolic.py:nonadjacent_pair"]
