@@ -63,6 +63,7 @@ from .parabolic import (
     minimal_standardizer,
     simultaneous_standardizer,
     standard_conjugate,
+    z_exponent,
 )
 from .ribbons import Ribbon, elementary_ribbon, ribbon_delta_form
 from .simplex import (

@@ -45,7 +45,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import Disconnected, InvariantViolated, MixedContext, ParseError, UnsupportedType
+from .errors import InvariantViolated, MixedContext, ParseError, UnsupportedType
 from .rings import Coeffs, CosRing
 
 FAMILIES = ("A", "B", "D", "E", "F", "H", "I2")
@@ -183,7 +183,6 @@ class DefiningGraph:
             )
             for i in self.vertices
         }
-        self._z_exponents: dict[frozenset[int], int] = {}
 
     def label(self, i: int, j: int) -> int:
         """m_ij; 2 encodes a non-edge."""
@@ -226,65 +225,6 @@ class DefiningGraph:
 
     def is_connected(self, subset: frozenset[int]) -> bool:
         return len(self.components(subset)) <= 1
-
-    def classify(self, subset: frozenset[int]) -> ArtinType:
-        """Type of the induced subgraph; the subset must be connected."""
-        if not self.is_connected(subset) or not subset:
-            raise Disconnected(f"subset {sorted(subset)} is not connected and nonempty")
-        k = len(subset)
-        if k == 1:
-            return ArtinType("A", 1)
-        if k == 2:
-            a, b = sorted(subset)
-            m = self.label(a, b)
-            if m == 3:
-                return ArtinType("A", 2)
-            if m == 4:
-                return ArtinType("B", 2)
-            return ArtinType("I2", 2, m)
-        degrees = {v: len(self._adj[v] & subset) for v in subset}
-        branch = [v for v in subset if degrees[v] == 3]
-        if branch:
-            b = branch[0]
-            lengths = sorted(
-                len(c) for c in self.components(subset - {b})
-            )
-            if lengths[:2] == [1, 1]:
-                return ArtinType("D", k)
-            return ArtinType("E", k)
-        # a path; order it and look at the labels
-        ends = [v for v in subset if degrees[v] == 1]
-        path = [min(ends)]
-        while len(path) < k:
-            nxt = (self._adj[path[-1]] & subset) - set(path)
-            path.append(min(nxt))
-        labels = [self.label(a, b) for a, b in zip(path, path[1:])]
-        special = [(i, m) for i, m in enumerate(labels) if m != 3]
-        if not special:
-            return ArtinType("A", k)
-        (pos, m), = special
-        if m == 4 and pos in (0, len(labels) - 1):
-            return ArtinType("B", k)
-        if m == 4:
-            return ArtinType("F", 4)
-        if m == 5 and pos in (0, len(labels) - 1):
-            return ArtinType("H", k)
-        raise UnsupportedType(f"induced subgraph on {sorted(subset)} is not finite type")
-
-    def z_exponent(self, subset: frozenset[int]) -> int:
-        """2 if the center of the (connected) type is generated by Delta^2,
-        else 1; memoized per subset (at most the connected subsets)."""
-        if subset not in self._z_exponents:
-            t = self.classify(subset)
-            f, n, m = t.family, t.rank, t.i2_label or 0
-            squared = (
-                (f == "A" and n >= 2)
-                or (f == "D" and n >= 5 and n % 2 == 1)
-                or (f == "E" and n == 6)
-                or (f == "I2" and m >= 5 and m % 2 == 1)
-            )
-            self._z_exponents[subset] = 2 if squared else 1
-        return self._z_exponents[subset]
 
 
 @lru_cache(maxsize=None)

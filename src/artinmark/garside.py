@@ -27,7 +27,7 @@ conjugation automorphism tau(x) = w0 x w0.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .coxeter import (
     CoxeterElement,
@@ -52,13 +52,15 @@ class GarsideContext:
 
     Every memo is declared here, and each entry is written once: the Garside
     tables of the simple elements, transversal subsets by (family, index),
-    parabolics interned by (conj, gens), the strips of the minimal
-    standardizer descent by target subset (at most one entry per subset of
-    the vertices), and three memos that several representatives share, keyed
-    by value: the canonical data of a simplex (by its sorted vertex keys),
-    marking certificates (by ordered pair keys) and transversal
-    decompositions (by transversal, base and standardizer).  The memos hold
-    results only: a failure is recomputed and raised fresh.
+    parabolics interned by (conj, gens), the Delta_X involution of each
+    connected subset X with its z-exponent (parabolic.delta_permutation and
+    parabolic.z_exponent), the strips of the minimal standardizer descent by
+    target subset (at most one entry per subset of the vertices), and three
+    memos that several representatives share, keyed by value: the canonical
+    data of a simplex (by its sorted vertex keys), marking certificates (by
+    ordered pair keys) and transversal decompositions (by transversal, base
+    and standardizer).  The memos hold results only: a failure is recomputed
+    and raised fresh.
     """
 
     def __init__(self, graph: DefiningGraph, system: RootSystem):
@@ -74,6 +76,7 @@ class GarsideContext:
         self._delta_of: dict[frozenset[int], ArtinElement] = {}
         self._connected_proper: tuple[frozenset[int], ...] | None = None
         self.transversal_subsets: dict[tuple, frozenset[int]] = {}
+        self.delta_involutions: dict[frozenset[int], tuple[Mapping[int, int], int]] = {}
         self.standardizer_strips: dict[
             frozenset[int], tuple[tuple[ArtinElement, frozenset[int]], ...]
         ] = {}
@@ -459,7 +462,10 @@ def word_to_text(graph: DefiningGraph, word: Word) -> str:
 
 
 def parse_element(ctx: GarsideContext, text: str) -> ArtinElement:
-    """Parse the 'DELTA^p | w1 . w2' serialization (round-trips to_text)."""
+    """Parse the 'DELTA^p | w1 . w2' serialization (round-trips to_text).
+
+    The tail after '|' is normalized as one word, '.' read as a space, so a
+    ParseError there gives its offset from the start of the tail."""
     head, sep, tail = text.partition("|")
     if not sep:
         # plain generator word
@@ -471,9 +477,4 @@ def parse_element(ctx: GarsideContext, text: str) -> ArtinElement:
         inf = int(head[len("DELTA^"):])
     except ValueError:
         raise ParseError(f"bad Delta exponent in {text!r}") from None
-    out = ctx.delta ** inf
-    for piece in tail.split("."):
-        piece = piece.strip()
-        if piece:
-            out = out * normalize(ctx, piece)
-    return out
+    return ctx.delta ** inf * normalize(ctx, tail.replace(".", " "))

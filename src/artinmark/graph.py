@@ -33,6 +33,7 @@ from .marking import (
     standardize_marking,
     twist_move,
 )
+from .parabolic import z_exponent
 from .simplex import enumerate_maximal_standard
 
 
@@ -140,7 +141,7 @@ def _close_boundary(graph: ExploredGraph, boundary: list[Marking]) -> None:
         _ghat, std = node.base_simplex().canonical_data()
         base = _base_keys(node)
         for j, (p_key, twist, subset) in enumerate(coords):
-            step = node.ctx.graph.z_exponent(std.subsets[node.vertex_of_pair(j)])
+            step = z_exponent(node.ctx, std.subsets[node.vertex_of_pair(j)])
             moved = coords[:j] + [(p_key, twist + step, subset)] + coords[j + 1:]
             other_key = at.get(frozenset(moved))
             if other_key is not None:
@@ -262,11 +263,12 @@ def standard_marking_connectivity(
 
     The subgraph keeps markings whose base elements are standard subgroups
     and whose projections lie in [-bound, bound]; twist variants of the
-    standard markings are reached inside it.  Reaching a node past node_cap
-    raises BudgetExceeded; a negative projection_bound or node_cap raises
-    PreconditionViolated.  Distances are subgraph path lengths, so never below
-    marking-graph distances; a test finds them equal to bfs distances on A3,
-    B3, H3 and I2(5), and they were equal on A4 and D4 outside the tests.
+    standard markings are reached inside it.  More standard markings than
+    node_cap, or reaching a node past it, raises BudgetExceeded; a negative
+    projection_bound or node_cap raises PreconditionViolated.  Distances are
+    subgraph path lengths, so never below marking-graph distances; a test
+    finds them equal to bfs distances on A3, B3, H3 and I2(5), and they were
+    equal on A4 and D4 outside the tests.
 
     Every flip across j has Q_j among its bases, so when Q_j is not standard
     no flip across j is in the subgraph, and those flips are not enumerated.
@@ -286,6 +288,8 @@ def standard_marking_connectivity(
     if node_cap < 0:
         raise PreconditionViolated(f"node cap {node_cap} is negative")
     standard = all_standard_markings(ctx)
+    if len(standard) > node_cap:
+        raise BudgetExceeded(len(standard), node_cap)
 
     nodes: dict[str, Marking] = {m.key(): m for m in standard}
     adjacency: dict[str, set[str]] = {k: set() for k in nodes}

@@ -95,7 +95,7 @@ from .errors import (
     TransversalityPatternBroken,
 )
 from .garside import ArtinElement, GarsideContext, scan_powers
-from .parabolic import ParabolicSubgroup, _standard_target
+from .parabolic import ParabolicSubgroup, _standard_target, z_exponent
 from .simplex import (
     CparabSimplex,
     LevelDecomposition,
@@ -377,7 +377,7 @@ def twist_move(marking: Marking, j: int, direction: int = 1) -> Marking:
     pairs[j] = (p_j, q_j.conjugated_by(z))
     _ghat, std = marking.base_simplex().canonical_data()
     d = cert.transversals[j]
-    step = direction * marking.ctx.graph.z_exponent(std.subsets[marking.vertex_of_pair(j)])
+    step = direction * z_exponent(marking.ctx, std.subsets[marking.vertex_of_pair(j)])
     data = list(cert.transversals)
     data[j] = TransversalData(j, d.twist + step, d.subset)
     return _certified(Marking(marking.ctx, pairs), marking, data)
@@ -649,20 +649,20 @@ def transversal_swap_path(m1: Marking, m2: Marking) -> list[Marking]:
     differ by at most one at every index.  Returns the vertex list, endpoints
     included; every consecutive pair is a flip edge (a twist edge in the
     one-pair case)."""
-    m1.certificate()
-    m2.certificate()
+    pi1 = [d.twist for d in m1.certificate().transversals]
+    twists_2 = [d.twist for d in m2.certificate().transversals]
     at_2 = _base_index(m2)
     if at_2.keys() != _base_index(m1).keys():
         raise PreconditionViolated("markings must share their base")
-    m2 = Marking(m1.ctx, [m2.pairs[at_2[p.key()]] for p, _q in m1.pairs])
+    order = [at_2[p.key()] for p, _q in m1.pairs]
+    pi2 = [twists_2[i] for i in order]
+    m2 = Marking(m1.ctx, [m2.pairs[i] for i in order])
     if m1 == m2:
         return [m1]
-    pi1 = [projection(m1, i) for i in range(len(m1))]
-    pi2 = [projection(m2, i) for i in range(len(m2))]
     if any(abs(a - b) > 1 for a, b in zip(pi1, pi2)):
         raise PreconditionViolated("projections differ by more than one")
     if len(m1) == 1:
-        step = m1.ctx.graph.z_exponent(m1.pairs[0][0].canonical()[1])
+        step = z_exponent(m1.ctx, m1.pairs[0][0].canonical()[1])
         delta = pi2[0] - pi1[0]
         if delta and abs(delta) % step == 0:
             candidate = twist_move(m1, 0, 1 if delta > 0 else -1)

@@ -27,10 +27,20 @@ Adjacency is decided in the first vertex's frame: z_{hPh^-1} = h z_P h^-1 and
 conjugation is an automorphism, so conjugating a family by g^-1 changes no
 commutation, and it turns each vertex g A_X g^-1 into A_X with the short z_X.
 
+The z-exponent is read off W, not off a table of types.  The centre of an
+irreducible A_X is generated by Delta_X or by Delta_X^2 (Brieskorn-Saito,
+Artin-Gruppen und Coxeter-Gruppen, Invent. Math. 1972), so z_X = Delta_X^e
+with e the least exponent making Delta_X^e central.  Delta_X s Delta_X^-1 =
+pi(s) for every atom s of X, where pi is the involution of X induced by the
+longest element of W_X (delta_permutation).  The atoms generate A_X, so
+Delta_X is central exactly when pi = id, and Delta_X^2 always is, as
+pi^2 = id: z_exponent is 1 when pi is trivial and 2 otherwise.  Both are
+memoized together, once per subset, in ctx.delta_involutions.
+
 The Paris conjugacy graph for standard parabolic subgroups is built from
-the defining graph alone: edges (Y, t, t') exist when some connected
-component of Y has non-central Garside element (equivalently its center is
-generated by Delta^2) and its conjugation permutation moves t.
+the defining graph alone: edges (Y, t, t') exist when the involution of a
+connected component of Y moves t to t'.  A component whose Delta_X is
+central has the trivial involution and adds no edge.
 """
 
 from __future__ import annotations
@@ -38,6 +48,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .coxeter import DefiningGraph
 from .errors import (
@@ -63,13 +75,25 @@ def central_generator_z(ctx: GarsideContext, subset: Subset) -> ArtinElement:
         raise EmptySubset("z is undefined for the empty subset")
     out = ctx.identity
     for comp in ctx.graph.components(subset):
-        out = out * ctx.delta_of(comp) ** ctx.graph.z_exponent(comp)
+        out = out * ctx.delta_of(comp) ** z_exponent(ctx, comp)
     return out
 
 
-def delta_permutation(ctx: GarsideContext, subset: Subset) -> dict[int, int]:
-    """The permutation s -> Delta_X s Delta_X^-1 of a connected subset."""
+def delta_permutation(ctx: GarsideContext, subset: Subset) -> Mapping[int, int]:
+    """The permutation s -> Delta_X s Delta_X^-1 of a connected subset, as a
+    read-only mapping shared through ctx.delta_involutions."""
     subset = frozenset(subset)
+    return (ctx.delta_involutions.get(subset) or _delta_involution(ctx, subset))[0]
+
+
+def z_exponent(ctx: GarsideContext, subset: Subset) -> int:
+    """The exponent e of z_X = Delta_X^e for a connected frozenset X: 1 when
+    the involution of Delta_X is trivial, else 2 (see the module docstring)."""
+    return (ctx.delta_involutions.get(subset) or _delta_involution(ctx, subset))[1]
+
+
+def _delta_involution(ctx: GarsideContext, subset: Subset) -> tuple[Mapping[int, int], int]:
+    """Compute and memoize (involution, z-exponent) of a connected subset."""
     if not ctx.graph.is_connected(subset) or not subset:
         raise Disconnected(f"subset {sorted(subset)} must be connected and nonempty")
     w0x = ctx.w0_of(subset)
@@ -79,7 +103,9 @@ def delta_permutation(ctx: GarsideContext, subset: Subset) -> dict[int, int]:
         if image not in subset:
             raise InvariantViolated(f"Delta_X does not permute the generators {sorted(subset)}")
         out[s] = image
-    return out
+    exponent = 1 if all(s == t for s, t in out.items()) else 2
+    entry = ctx.delta_involutions[subset] = (MappingProxyType(out), exponent)
+    return entry
 
 
 class ParabolicSubgroup:
@@ -411,10 +437,7 @@ def build_conjugacy_graph(ctx: GarsideContext) -> ConjugacyGraph:
     out.adjacency = {v: set() for v in vertices}
     for y in vertices:
         for comp in graph.components(y):
-            if graph.z_exponent(comp) != 2:
-                continue  # Delta central on this component: no moving edges
-            delta0 = delta_permutation(ctx, comp)
-            for t, t2 in delta0.items():
+            for t, t2 in delta_permutation(ctx, comp).items():
                 if t2 != t:
                     out.edges.append((y, t, t2))
                     out.adjacency[y - {t}].add(y - {t2})

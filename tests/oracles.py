@@ -66,7 +66,12 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   conjugating the family into its first vertex's frame;
 * the json.dumps export serializes the payload of a BFS ball with the
   standard library's json.dumps(indent=2, sort_keys=True), not by the
-  library's string emitter with its blocks rendered once per subgroup.
+  library's string emitter with its blocks rendered once per subgroup;
+* the type-table z-exponent classifies the induced subgraph of a connected
+  subset and looks up its type in a table of the types whose centre is
+  generated by Delta^2 (Brieskorn-Saito 1972), and the table conjugacy
+  edges skip the components it marks central, not by reading whether the
+  Delta_X involution is trivial.
 """
 
 from __future__ import annotations
@@ -76,15 +81,17 @@ import json
 import math
 from functools import lru_cache
 
-from artinmark.coxeter import DefiningGraph, RootSystem
+from artinmark.coxeter import ArtinType, DefiningGraph, RootSystem
 from artinmark.errors import (
     ArtinMarkError,
     BaseNotMaximal,
     BudgetExceeded,
+    Disconnected,
     InvariantViolated,
     NotASimplex,
     NotIrreducible,
     NotProper,
+    UnsupportedType,
 )
 from artinmark.garside import ArtinElement
 from artinmark.graph import (
@@ -101,7 +108,7 @@ from artinmark.marking import (
     transversal_decomposition,
     twist_move,
 )
-from artinmark.parabolic import ParabolicSubgroup, _standard_target
+from artinmark.parabolic import ParabolicSubgroup, _standard_target, delta_permutation
 from artinmark.simplex import (
     CparabSimplex,
     Subset,
@@ -650,6 +657,81 @@ def z_product_pattern(marking):
         if z_q[i].commutes_with(z_p[j]) != (i != j):
             return i, j
     return None
+
+
+# -- centres of irreducible parabolics by type -------------------------------------
+
+
+def classify(graph: DefiningGraph, subset: frozenset[int]) -> ArtinType:
+    """Type of the induced subgraph; the subset must be connected."""
+    if not graph.is_connected(subset) or not subset:
+        raise Disconnected(f"subset {sorted(subset)} is not connected and nonempty")
+    k = len(subset)
+    if k == 1:
+        return ArtinType("A", 1)
+    if k == 2:
+        a, b = sorted(subset)
+        m = graph.label(a, b)
+        if m == 3:
+            return ArtinType("A", 2)
+        if m == 4:
+            return ArtinType("B", 2)
+        return ArtinType("I2", 2, m)
+    degrees = {v: len(graph.neighbors(v) & subset) for v in subset}
+    branch = [v for v in subset if degrees[v] == 3]
+    if branch:
+        lengths = sorted(len(c) for c in graph.components(subset - {branch[0]}))
+        if lengths[:2] == [1, 1]:
+            return ArtinType("D", k)
+        return ArtinType("E", k)
+    # a path; order it and look at the labels
+    ends = [v for v in subset if degrees[v] == 1]
+    path = [min(ends)]
+    while len(path) < k:
+        path.append(min((graph.neighbors(path[-1]) & subset) - set(path)))
+    labels = [graph.label(a, b) for a, b in zip(path, path[1:])]
+    special = [(i, m) for i, m in enumerate(labels) if m != 3]
+    if not special:
+        return ArtinType("A", k)
+    (pos, m), = special
+    if m == 4 and pos in (0, len(labels) - 1):
+        return ArtinType("B", k)
+    if m == 4:
+        return ArtinType("F", 4)
+    if m == 5 and pos in (0, len(labels) - 1):
+        return ArtinType("H", k)
+    raise UnsupportedType(f"induced subgraph on {sorted(subset)} is not finite type")
+
+
+def table_z_exponent(graph: DefiningGraph, subset: frozenset[int]) -> int:
+    """2 if the centre of the connected subset's type is generated by
+    Delta^2, else 1, looked up by type."""
+    t = classify(graph, subset)
+    f, n, m = t.family, t.rank, t.i2_label or 0
+    squared = (
+        (f == "A" and n >= 2)
+        or (f == "D" and n >= 5 and n % 2 == 1)
+        or (f == "E" and n == 6)
+        or (f == "I2" and m >= 5 and m % 2 == 1)
+    )
+    return 2 if squared else 1
+
+
+def table_conjugacy_edges(ctx) -> list[tuple[Subset, int, int]]:
+    """The edges (Y, t, t') of the conjugacy graph of standard parabolics,
+    skipping the components whose type table says Delta_X is central."""
+    graph = ctx.graph
+    n = graph.rank
+    edges = []
+    for mask in range(1 << n):
+        y = frozenset(i for i in range(n) if mask >> i & 1)
+        for comp in graph.components(y):
+            if table_z_exponent(graph, comp) != 2:
+                continue
+            for t, t2 in delta_permutation(ctx, comp).items():
+                if t2 != t:
+                    edges.append((y, t, t2))
+    return edges
 
 
 # -- root signs -------------------------------------------------------------------

@@ -291,6 +291,16 @@ def test_element_serialization_roundtrip():
     )
 
 
+def test_parse_element_error_offsets_count_from_the_tail():
+    ctx = context("A3")
+    with pytest.raises(ParseError) as err:
+        parse_element(ctx, "DELTA^1 | s1 s2 . s9")
+    assert err.value.position == 9
+    with pytest.raises(ParseError) as err:
+        parse_element(ctx, "DELTA^0 | s1.t2")
+    assert err.value.position == 4
+
+
 def test_cox_multiply_reaches_longest_element():
     from artinmark.coxeter import longest_element
     ctx = context("A2")

@@ -205,6 +205,17 @@ def test_connectivity_node_cap_boundary():
     assert (info.value.count, info.value.cap) == (125, 124)
 
 
+def test_connectivity_node_cap_counts_the_standard_markings():
+    # the 5 standard markings of A3 are nodes before any search: at bound 0
+    # a cap of 4 is exceeded by them alone, a cap of 5 holds the whole report
+    a3 = context("A3")
+    with pytest.raises(BudgetExceeded) as info:
+        standard_marking_connectivity(a3, projection_bound=0, node_cap=4)
+    assert (info.value.count, info.value.cap) == (5, 4)
+    report = standard_marking_connectivity(a3, projection_bound=0, node_cap=5)
+    assert report.node_count == 5
+
+
 def test_connectivity_rejects_negative_projection_bound():
     with pytest.raises(PreconditionViolated):
         standard_marking_connectivity(context("A2"), projection_bound=-1)

@@ -25,9 +25,16 @@ from artinmark.parabolic import (
     minimal_standardizer,
     simultaneous_standardizer,
     standard_conjugate,
+    z_exponent,
 )
 from artinmark.simplex import enumerate_maximal_standard
-from oracles import bfs_minimal_standardizer, bfs_simultaneous_standardizer, pairwise_z_check
+from oracles import (
+    bfs_minimal_standardizer,
+    bfs_simultaneous_standardizer,
+    pairwise_z_check,
+    table_conjugacy_edges,
+    table_z_exponent,
+)
 
 
 def gens(ctx, *names):
@@ -216,6 +223,44 @@ def test_delta_permutation_requires_connected():
         delta_permutation(a3, gens(a3, "s1", "s3"))
 
 
+def test_delta_permutation_is_read_only():
+    a3 = context("A3")
+    table = delta_permutation(a3, frozenset({0, 1, 2}))
+    with pytest.raises(TypeError):
+        table[0] = 0
+    assert table == {0: 2, 1: 1, 2: 0}
+
+
+CENTRE_SPECS = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "H3", "H4"]
+    + [f"I2({m})" for m in range(3, 13)]
+)
+
+
+def test_z_exponent_matches_type_table():
+    # Delta_X is central exactly when its involution is trivial; the type
+    # table of centres (Brieskorn-Saito) is the oracle on every connected subset
+    checked = 0
+    for spec in CENTRE_SPECS:
+        ctx = context(spec)
+        n = ctx.rank
+        for mask in range(1, 1 << n):
+            subset = frozenset(i for i in range(n) if mask >> i & 1)
+            if ctx.graph.is_connected(subset):
+                assert z_exponent(ctx, subset) == table_z_exponent(ctx.graph, subset), (spec, subset)
+                checked += 1
+    assert checked == 523
+
+
+def test_conjugacy_graph_edges_match_type_table():
+    for spec in CENTRE_SPECS:
+        ctx = context(spec)
+        assert build_conjugacy_graph(ctx).edges == table_conjugacy_edges(ctx), spec
+
+
 def test_conjugacy_graph_e8_example():
     e8 = context("E8")
     x = gens(e8, "s1", "s2", "s3", "s4")
@@ -265,7 +310,7 @@ def test_conjugacy_graph_edges_satisfy_theorem_conditions():
         assert t in y and t2 in y and t != t2
         comp = next(c for c in b3.graph.components(y) if t in c)
         assert t2 in comp
-        assert b3.graph.z_exponent(comp) == 2
+        assert z_exponent(b3, comp) == 2
         table = delta_permutation(b3, comp)
         assert table[t] == t2
 

@@ -100,3 +100,63 @@ def test_commutes_with_only_in_the_framed_adjacency_helper():
         if isinstance(node, ast.Attribute) and node.attr == "commutes_with"
     ]
     assert found == ["parabolic.py:nonadjacent_pair"]
+
+
+# every memo in the library: a dict set to {} on an instance in __init__ or
+# __new__, or an lru_cache'd function; a new cache must be listed here
+MEMOS = {
+    "coxeter.py:RootSystem._elements",
+    "coxeter.py:RootSystem._w0",
+    "coxeter.py:build_defining_graph",
+    "coxeter.py:root_reflection_table",
+    "garside.py:GarsideContext._delta_of",
+    "garside.py:GarsideContext._meet",
+    "garside.py:GarsideContext._rcomp",
+    "garside.py:GarsideContext._slide",
+    "garside.py:GarsideContext._tau",
+    "garside.py:GarsideContext.delta_involutions",
+    "garside.py:GarsideContext.marking_certificates",
+    "garside.py:GarsideContext.parabolics",
+    "garside.py:GarsideContext.simplex_canonical",
+    "garside.py:GarsideContext.standardizer_strips",
+    "garside.py:GarsideContext.transversal_decompositions",
+    "garside.py:GarsideContext.transversal_subsets",
+    "garside.py:context",
+    "parabolic.py:build_conjugacy_graph",
+    "cli.py:_parser",
+    "rings.py:cos_minpoly",
+    "rings.py:cyclotomic",
+}
+
+
+def test_memo_inventory():
+    def is_lru_cache(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", "")) == "lru_cache"
+
+    found = set()
+    for name, tree in source_trees():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for func in cls.body:
+                if not (isinstance(func, ast.FunctionDef) and func.name in ("__init__", "__new__")):
+                    continue
+                for node in ast.walk(func):
+                    targets = (
+                        node.targets if isinstance(node, ast.Assign)
+                        else [node.target] if isinstance(node, ast.AnnAssign)
+                        else []
+                    )
+                    if isinstance(getattr(node, "value", None), ast.Dict) and not node.value.keys:
+                        found.update(
+                            f"{name}:{cls.name}.{t.attr}"
+                            for t in targets
+                            if isinstance(t, ast.Attribute)
+                        )
+        found.update(
+            f"{name}:{func.name}"
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and any(map(is_lru_cache, func.decorator_list))
+        )
+    assert found == MEMOS
