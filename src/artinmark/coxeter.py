@@ -357,6 +357,17 @@ class RootSystem:
             d = self._after(gens[t].perm, d)
         return tuple(letters)
 
+    def reduced_product(self, letters) -> CoxeterElement | None:
+        """The element with the positive word letters when that word is
+        reduced, else None: each letter t lengthens the product w before it
+        exactly when w(alpha_t) is positive.  Only the product is interned."""
+        d, pos, gens = self.identity.perm, self._pos, self.generators
+        for t in letters:
+            if not pos[d[t]]:
+                return None
+            d = self._after(gens[t].perm, d)
+        return self.element(d)
+
     def _longest(self, key: bytes) -> tuple[int, ...] | bytes:
         """Raw table of w0(W_D), D the zero bytes of key, built greedily and
         memoized per key: at most 2^rank tables, none interned."""
@@ -384,12 +395,12 @@ class CoxeterElement:
     `perm[i]` is the index of the image of root i: a 256-byte translation
     table (identity past the last root) when the root system has at most
     256 roots, else a tuple of ints.  Instances are interned per root
-    system, so equality is identity and the length / descent data computed
-    once is shared.  The hash is the interning serial number `uid`, which
-    does not depend on PYTHONHASHSEED (bytes hashes do).
+    system, so equality is identity and the length, support and reduced
+    word, each computed once, are shared.  The hash is the interning serial
+    number `uid`, which does not depend on PYTHONHASHSEED (bytes hashes do).
     """
 
-    __slots__ = ("system", "perm", "uid", "_length", "_inverse", "_supp")
+    __slots__ = ("system", "perm", "uid", "_length", "_inverse", "_supp", "_word")
 
     def __init__(self, system: RootSystem, perm: tuple[int, ...] | bytes, uid: int):
         self.system = system
@@ -398,6 +409,7 @@ class CoxeterElement:
         self._length: int | None = None
         self._inverse: CoxeterElement | None = None
         self._supp: frozenset[int] | None = None
+        self._word: tuple[int, ...] | None = None
 
     def __hash__(self) -> int:
         return self.uid
@@ -447,8 +459,11 @@ class CoxeterElement:
         return self._supp
 
     def reduced_word(self) -> tuple[int, ...]:
-        """Lexicographically least reduced word (greedy left descents)."""
-        return self.system._word(self.perm)
+        """Lexicographically least reduced word (greedy left descents),
+        computed once per interned element."""
+        if self._word is None:
+            self._word = self.system._word(self.perm)
+        return self._word
 
 
 def longest_element(system: RootSystem, subset: frozenset[int]) -> CoxeterElement:

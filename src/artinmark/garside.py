@@ -8,10 +8,9 @@ the right descent set of u; the normalizer repeatedly slides the maximal
 absorbable prefix of v into u until every pair is normal, then pulls leading
 w0 factors into the Delta exponent.
 
-Lattice operations on simples strip descent blocks: the prefix-order meet
-strips w0 of the common left descents (RootSystem._meet), and the join comes
-from the meet by the complement anti-automorphisms x -> x^-1 w0 and
-x -> w0 x^-1.  No table of W is materialized, so one code serves I2(3), E8.
+The prefix-order meet of two simples strips w0 of the common left descents
+(RootSystem._meet).  No table of W is materialized, so one code serves
+I2(3), E8.
 
 Products are incremental: each factor of the right operand is appended to
 the (left-weighted) body and one right-to-left sweep of slides restores
@@ -128,14 +127,6 @@ class GarsideContext:
         meet = self.system.element(self.system._meet(a.perm, b.perm))
         self._meet[key] = meet
         return meet
-
-    def lcm_simples(self, a: CoxeterElement, b: CoxeterElement) -> CoxeterElement:
-        """Join of two simples in the prefix order, via complement duality:
-        Delta over the suffix-order meet d of the right complements, where
-        d^-1 is the prefix-order meet of their inverses."""
-        return self.delta_w * self.gcd_simples(
-            self.right_complement(a).inverse(), self.right_complement(b).inverse()
-        )
 
     def w0_of(self, subset: frozenset[int]) -> CoxeterElement:
         return longest_element(self.system, subset)
@@ -464,8 +455,12 @@ def word_to_text(graph: DefiningGraph, word: Word) -> str:
 def parse_element(ctx: GarsideContext, text: str) -> ArtinElement:
     """Parse the 'DELTA^p | w1 . w2' serialization (round-trips to_text).
 
-    The tail after '|' is normalized as one word, '.' read as a space, so a
-    ParseError there gives its offset from the start of the tail."""
+    The tail after '|' is parsed as one word first, '.' read as a space, so
+    a ParseError there gives its offset from the start of the tail.  When
+    every '.'-piece is a positive reduced word, as in to_text, each piece is
+    one simple and the element is Delta^p times their product, normalized
+    in one sweep.  Otherwise the whole tail is normalized as one signed
+    word.  Both give Delta^p w1 w2 ..., whose normal form is unique."""
     head, sep, tail = text.partition("|")
     if not sep:
         # plain generator word
@@ -477,4 +472,15 @@ def parse_element(ctx: GarsideContext, text: str) -> ArtinElement:
         inf = int(head[len("DELTA^"):])
     except ValueError:
         raise ParseError(f"bad Delta exponent in {text!r}") from None
-    return ctx.delta ** inf * normalize(ctx, tail.replace(".", " "))
+    word = parse_word(ctx.graph, tail.replace(".", " "))
+    simples, start = [], 0
+    for piece in tail.split("."):
+        end = start + len(piece.split())
+        letters, start = word[start:end], end
+        simple = None
+        if all(sign > 0 for _, sign in letters):
+            simple = ctx.system.reduced_product(i for i, _ in letters)
+        if simple is None:
+            return ctx.delta ** inf * ctx.from_word(word)
+        simples.append(simple)
+    return ctx.element(inf, simples)

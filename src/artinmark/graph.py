@@ -30,7 +30,6 @@ from .marking import (
     is_flip_edge,
     is_twist_edge,
     standard_transversals,
-    standardize_marking,
     twist_move,
 )
 from .parabolic import z_exponent
@@ -346,15 +345,3 @@ def standard_marking_connectivity(
         bound=flip_path_bound(ctx.rank),
         distances=distances,
     )
-
-
-def orbit_representatives(
-    ctx: GarsideContext, seed: Marking, radius: int
-) -> dict[str, str]:
-    """Map each BFS node to the key of its standardized representative."""
-    ball = bfs(seed, radius)
-    out = {}
-    for key in sorted(ball.nodes):
-        _c, std = standardize_marking(ball.nodes[key])
-        out[key] = std.key()
-    return out

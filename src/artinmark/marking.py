@@ -95,7 +95,7 @@ from .errors import (
     TransversalityPatternBroken,
 )
 from .garside import ArtinElement, GarsideContext, scan_powers
-from .parabolic import ParabolicSubgroup, _standard_target, z_exponent
+from .parabolic import ParabolicSubgroup, _standard_target, parabolics_from_json, z_exponent
 from .simplex import (
     CparabSimplex,
     LevelDecomposition,
@@ -210,16 +210,10 @@ class Marking:
 
     @staticmethod
     def from_json(ctx: GarsideContext, data: dict) -> Marking:
-        return Marking(
-            ctx,
-            [
-                (
-                    ParabolicSubgroup.from_json(ctx, pair["base"]),
-                    ParabolicSubgroup.from_json(ctx, pair["transverse"]),
-                )
-                for pair in data["pairs"]
-            ],
+        parabolics = parabolics_from_json(
+            ctx, (pair[side] for pair in data["pairs"] for side in ("base", "transverse"))
         )
+        return Marking(ctx, zip(parabolics[::2], parabolics[1::2]))
 
 
 # -- standard transversals -----------------------------------------------------

@@ -49,7 +49,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .coxeter import DefiningGraph
 from .errors import (
@@ -209,12 +209,27 @@ class ParabolicSubgroup:
 
     @staticmethod
     def from_json(ctx: GarsideContext, data: dict) -> ParabolicSubgroup:
-        conj = parse_element(ctx, data.get("conj", "DELTA^0 |"))
+        return parabolics_from_json(ctx, [data])[0]
+
+
+def parabolics_from_json(ctx: GarsideContext, items: Iterable[dict]) -> list[ParabolicSubgroup]:
+    """Read serialized parabolics in order, parsing each distinct conj text
+    once: the vertices of a conjugated simplex or marking share one.  The
+    texts are mapped to elements in a dict local to the call."""
+    conjs: dict[str, ArtinElement] = {}
+    out = []
+    for data in items:
+        text = data.get("conj", "DELTA^0 |")
+        if not isinstance(text, str):
+            raise ParseError(f"conj must be an element string, not {text!r}")
+        conj = conjs.get(text)
+        if conj is None:
+            conj = conjs[text] = parse_element(ctx, text)
         names = data["gens"]
         if not isinstance(names, list):
             raise ParseError(f"gens must be a list of generator names, not {names!r}")
-        gens = frozenset(ctx.graph.index(n) for n in names)
-        return ParabolicSubgroup(ctx, conj, gens)
+        out.append(ParabolicSubgroup(ctx, conj, frozenset(ctx.graph.index(n) for n in names)))
+    return out
 
 
 def _standard_target(

@@ -45,6 +45,7 @@ from .parabolic import (
     check_simplex_family,
     delta_permutation,
     nonadjacent_pair,
+    parabolics_from_json,
     simultaneous_standardizer,
 )
 
@@ -238,9 +239,7 @@ class CparabSimplex:
 
     @staticmethod
     def from_json(ctx: GarsideContext, data: dict) -> CparabSimplex:
-        return CparabSimplex(
-            ctx, [ParabolicSubgroup.from_json(ctx, v) for v in data["vertices"]]
-        )
+        return CparabSimplex(ctx, parabolics_from_json(ctx, data["vertices"]))
 
 
 @dataclass(frozen=True)

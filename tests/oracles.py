@@ -71,7 +71,16 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   subset and looks up its type in a table of the types whose centre is
   generated by Delta^2 (Brieskorn-Saito 1972), and the table conjugacy
   edges skip the components it marks central, not by reading whether the
-  Delta_X involution is trivial.
+  Delta_X involution is trivial;
+* the per-piece parser normalizes each '.'-piece of a serialized element as
+  its own word and multiplies the results, and the whole-tail parser
+  normalizes the whole tail as one signed word, not by taking each reduced
+  positive piece as one simple and normalizing them in one sweep.
+
+Two test helpers here are not oracles but library code that only tests
+called: the join of two simples by complement duality (lcm_simples) and the
+standardized representative of every node of a BFS ball
+(orbit_representatives).
 """
 
 from __future__ import annotations
@@ -93,11 +102,12 @@ from artinmark.errors import (
     NotProper,
     UnsupportedType,
 )
-from artinmark.garside import ArtinElement
+from artinmark.garside import ArtinElement, GarsideContext, normalize, parse_word
 from artinmark.graph import (
     ConnectivityReport,
     ExploredGraph,
     all_standard_markings,
+    bfs,
     flip_path_bound,
     neighbors,
 )
@@ -105,6 +115,7 @@ from artinmark.marking import (
     Marking,
     flip_candidates,
     shared_flip_standardizer,
+    standardize_marking,
     transversal_decomposition,
     twist_move,
 )
@@ -273,6 +284,15 @@ def descent_peel_reduced_word(w) -> tuple[int, ...]:
     return tuple(word)
 
 
+def lcm_simples(ctx: GarsideContext, a, b):
+    """Join of two simples in the prefix order, via complement duality:
+    Delta over the suffix-order meet d of the right complements, where
+    d^-1 is the prefix-order meet of their inverses."""
+    return ctx.delta_w * ctx.gcd_simples(
+        ctx.right_complement(a).inverse(), ctx.right_complement(b).inverse()
+    )
+
+
 # -- fixed-point normal forms ------------------------------------------------
 
 
@@ -326,6 +346,39 @@ def fixed_point_inverse(a) -> tuple[int, tuple]:
         for k, x in enumerate(reversed(a.body))
     ]
     return fixed_point_normalize(ctx, -a.inf - n, factors)
+
+
+# -- element parsers -------------------------------------------------------------
+
+
+def _split_serialized(text: str) -> tuple[int, str] | None:
+    """(p, tail) of 'DELTA^p | tail', or None for a plain word."""
+    head, sep, tail = text.partition("|")
+    if not sep:
+        return None
+    return int(head.strip()[len("DELTA^"):]), tail
+
+
+def per_piece_parse(ctx: GarsideContext, text: str) -> ArtinElement:
+    """Delta^p times the product of the '.'-pieces, each normalized alone."""
+    split = _split_serialized(text)
+    if split is None:
+        return normalize(ctx, text)
+    inf, tail = split
+    out = ctx.delta**inf
+    for piece in tail.split("."):
+        if piece.strip():
+            out = out * normalize(ctx, piece)
+    return out
+
+
+def whole_tail_parse(ctx: GarsideContext, text: str) -> ArtinElement:
+    """Delta^p times the whole tail normalized as one signed word."""
+    split = _split_serialized(text)
+    if split is None:
+        return normalize(ctx, text)
+    inf, tail = split
+    return ctx.delta**inf * ctx.from_word(parse_word(ctx.graph, tail.replace(".", " ")))
 
 
 # -- prefix-BFS standardizers --------------------------------------------------
@@ -905,3 +958,13 @@ def neighbors_universe_connectivity(ctx, projection_bound=2, node_cap=20000):
         bound=flip_path_bound(ctx.rank),
         distances=distances,
     )
+
+
+def orbit_representatives(ctx: GarsideContext, seed: Marking, radius: int) -> dict[str, str]:
+    """Map each BFS node to the key of its standardized representative."""
+    ball = bfs(seed, radius)
+    out = {}
+    for key in sorted(ball.nodes):
+        _c, std = standardize_marking(ball.nodes[key])
+        out[key] = std.key()
+    return out

@@ -14,7 +14,6 @@ from artinmark.graph import (
     all_standard_markings,
     bfs,
     neighbors,
-    orbit_representatives,
     standard_marking_connectivity,
     verify_action_isometry,
 )
@@ -44,7 +43,7 @@ from artinmark.simplex import (
     extract_ascending_product,
 )
 
-from oracles import positive_words, word_partition
+from oracles import orbit_representatives, positive_words, word_partition
 from test_simplex import brute_force_maximal_standard
 
 pytestmark = pytest.mark.acceptance

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from artinmark import parabolic
 from artinmark.cli import parse_payload, run_command
 from artinmark.errors import NotMaximal, ParseError
-from artinmark.garside import context, normalize
+from artinmark.garside import context, normalize, parse_element
 from artinmark.marking import Marking, projection, standard_transversals, twist_move
 from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import CparabSimplex, enumerate_maximal_standard
@@ -358,14 +359,43 @@ def test_parse_payload_errors():
         [1],
         "s1",
         {"conj": 5, "gens": ["s1"]},
+        {"conj": ["s1"], "gens": ["s1"]},
         {"conj": "DELTA^0 |", "gens": ["s9"]},
         {"conj": "DELTA^0 |", "gens": "s1"},
         {"conj": "DELTA^0 |", "gens": [1]},
     ):
         with pytest.raises(ParseError):
             parse_payload(a3, json.dumps(payload), "parabolic")
+    for conj in (5, ["s1"]):
+        vertex = {"conj": conj, "gens": ["s1"]}
+        for kind, payload in (
+            ("parabolic", vertex),
+            ("simplex", {"vertices": [vertex]}),
+            ("marking", {"pairs": [{"base": vertex, "transverse": vertex}]}),
+        ):
+            with pytest.raises(ParseError, match="conj must be an element string"):
+                parse_payload(a3, json.dumps(payload), kind)
     element = parse_payload(a3, "s1 s2^-1", "element")
     assert element == normalize(a3, "s1 s2^-1")
+
+
+def test_payload_parses_each_conjugator_text_once(monkeypatch):
+    a4 = context("A4")
+    simplex = enumerate_maximal_standard(a4)[0]
+    assert len(simplex.vertices) == 3
+    g = normalize(a4, "s1 s2^-1 s4 s3")
+    payload = standard_transversals(simplex).conjugated_by(g).to_json()
+    assert {q["conj"] for pair in payload["pairs"] for q in pair.values()} == {g.to_text()}
+    calls = []
+
+    def spy(ctx, text):
+        calls.append(text)
+        return parse_element(ctx, text)
+
+    monkeypatch.setattr(parabolic, "parse_element", spy)
+    marking = parse_payload(a4, json.dumps(payload), "marking")
+    assert calls == [g.to_text()]
+    assert all(q.conj == g for pair in marking.pairs for q in pair)
 
 
 def test_seed_file_payload(tmp_path, capsys):

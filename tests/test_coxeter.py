@@ -325,6 +325,7 @@ def assert_meets_match_oracles(ctx, pairs):
 def assert_words_match_oracles(elements):
     for w in elements:
         assert w.reduced_word() == descent_peel_reduced_word(w)
+        assert w.reduced_word() is w.reduced_word()  # kept on the interned element
         assert list(w.reduced_word()) == single_letter_peel(w.system, (w.perm,))[0]
 
 

@@ -12,6 +12,7 @@ from artinmark.garside import (
     normalize,
     parse_element,
     parse_word,
+    word_to_text,
 )
 
 from oracles import (
@@ -20,8 +21,11 @@ from oracles import (
     fixed_point_from_word,
     fixed_point_inverse,
     fixed_point_product,
+    lcm_simples,
     oracle_equal_positive,
+    per_piece_parse,
     w_prefix,
+    whole_tail_parse,
     word_partition,
 )
 
@@ -198,7 +202,7 @@ def test_gcd_lcm_against_brute_force(spec):
         lower = [w for w in elements if w_prefix(w, a) and w_prefix(w, b)]
         assert meet in lower
         assert all(w_prefix(w, meet) for w in lower)
-        join = ctx.lcm_simples(a, b)
+        join = lcm_simples(ctx, a, b)
         upper = [w for w in elements if w_prefix(a, w) and w_prefix(b, w)]
         assert join in upper
         assert all(w_prefix(join, w) for w in upper)
@@ -208,11 +212,11 @@ def test_lcm_of_atoms_is_delta():
     for spec in ["A2", "I2(4)", "I2(7)"]:
         ctx = context(spec)
         s1, s2 = ctx.system.generators[:2]
-        assert ctx.lcm_simples(s1, s2) == ctx.delta_w
+        assert lcm_simples(ctx, s1, s2) == ctx.delta_w
     a3 = context("A3")
     acc = a3.system.generators[0]
     for g in a3.system.generators[1:]:
-        acc = a3.lcm_simples(acc, g)
+        acc = lcm_simples(a3, acc, g)
     assert acc == a3.delta_w
 
 
@@ -301,6 +305,49 @@ def test_parse_element_error_offsets_count_from_the_tail():
     assert err.value.position == 4
 
 
+def serialized_texts(ctx, rng, count, length):
+    """to_text of seeded normal forms, each also with one letter inverted,
+    with one letter doubled (a non-reduced piece) and as its signed word."""
+    texts = []
+    for _ in range(count):
+        word = tuple(
+            (rng.randrange(ctx.rank), rng.choice([1, -1])) for _ in range(rng.randrange(length))
+        )
+        text = ctx.from_word(word).to_text()
+        head, _, tail = text.partition("|")
+        tokens = tail.split()
+        letters = [i for i, t in enumerate(tokens) if t != "."]
+        texts += [text, word_to_text(ctx.graph, word)]
+        if letters:
+            k = rng.choice(letters)
+            inverted, doubled = list(tokens), list(tokens)
+            inverted[k] += "^-1"
+            doubled[k] += " " + doubled[k]
+            texts += [f"{head}| {' '.join(inverted)}", f"{head}| {' '.join(doubled)}"]
+    return texts
+
+
+@pytest.mark.parametrize(
+    "spec,count,length", [("A4", 60, 12), ("B3", 60, 12), ("D4", 60, 12), ("E8", 8, 20)]
+)
+def test_parse_element_matches_per_piece_and_whole_tail_oracles(spec, count, length):
+    ctx = context(spec)
+    texts = serialized_texts(ctx, random.Random(spec), count, length) + [
+        "DELTA^3 |",
+        "DELTA^-1 |  ",
+        "DELTA^2 | s1 s2 .",
+        "DELTA^0 | . s2",
+        "DELTA^-1 | s1 s1 . s2^-1 s1",
+        "DELTA^1 | s1 s2 s1",
+        "s1 s2^-1 s1",
+        "s2 s2",
+        "",
+    ]
+    for text in texts:
+        g = parse_element(ctx, text)
+        assert g == per_piece_parse(ctx, text) == whole_tail_parse(ctx, text), text
+
+
 def test_cox_multiply_reaches_longest_element():
     from artinmark.coxeter import longest_element
     ctx = context("A2")
@@ -313,7 +360,7 @@ def test_cox_multiply_reaches_longest_element():
 def test_lcm_idempotent():
     ctx = context("A2")
     x = ctx.system.generators[0] * ctx.system.generators[1]
-    assert ctx.lcm_simples(x, x) == x
+    assert lcm_simples(ctx, x, x) == x
 
 
 def test_word_text_roundtrip():

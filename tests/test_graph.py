@@ -14,7 +14,6 @@ from artinmark.graph import (
     flip_path_bound,
     json_text,
     neighbors,
-    orbit_representatives,
     standard_marking_connectivity,
     verify_action_isometry,
 )
@@ -33,6 +32,7 @@ from oracles import (
     json_dumps_export,
     neighbors_closure_bfs,
     neighbors_universe_connectivity,
+    orbit_representatives,
 )
 
 

@@ -129,12 +129,9 @@ MEMOS = {
 }
 
 
-def test_memo_inventory():
-    def is_lru_cache(decorator):
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        return getattr(target, "id", getattr(target, "attr", "")) == "lru_cache"
-
-    found = set()
+def init_assignments():
+    """(module:Class.attr, value node) of every attribute assigned in an
+    __init__ or __new__ under src/."""
     for name, tree in source_trees():
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
@@ -148,15 +145,59 @@ def test_memo_inventory():
                         else [node.target] if isinstance(node, ast.AnnAssign)
                         else []
                     )
-                    if isinstance(getattr(node, "value", None), ast.Dict) and not node.value.keys:
-                        found.update(
-                            f"{name}:{cls.name}.{t.attr}"
-                            for t in targets
-                            if isinstance(t, ast.Attribute)
-                        )
+                    for t in targets:
+                        if isinstance(t, ast.Attribute):
+                            yield f"{name}:{cls.name}.{t.attr}", node.value
+
+
+def test_memo_inventory():
+    def is_lru_cache(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", "")) == "lru_cache"
+
+    found = {
+        attr
+        for attr, value in init_assignments()
+        if isinstance(value, ast.Dict) and not value.keys
+    }
+    for name, tree in source_trees():
         found.update(
             f"{name}:{func.name}"
             for func in ast.walk(tree)
             if isinstance(func, ast.FunctionDef) and any(map(is_lru_cache, func.decorator_list))
         )
     assert found == MEMOS
+
+
+# every memo held in a slot on a value: an underscore attribute set to None
+# (or, for Marking._pair_vertex, filled with _base, to ()) in __init__ or
+# __new__ and filled on first use; a new slot memo must be listed here
+SLOT_MEMOS = {
+    "coxeter.py:CoxeterElement._inverse",
+    "coxeter.py:CoxeterElement._length",
+    "coxeter.py:CoxeterElement._supp",
+    "coxeter.py:CoxeterElement._word",
+    "garside.py:ArtinElement._hash",
+    "garside.py:GarsideContext._connected_proper",
+    "marking.py:Marking._base",
+    "marking.py:Marking._cert",
+    "marking.py:Marking._key",
+    "marking.py:Marking._pair_vertex",
+    "parabolic.py:ParabolicSubgroup._canonical",
+    "parabolic.py:ParabolicSubgroup._key",
+    "parabolic.py:ParabolicSubgroup._z",
+}
+
+
+def test_slot_memo_inventory():
+    def is_placeholder(value):
+        return (isinstance(value, ast.Constant) and value.value is None) or (
+            isinstance(value, ast.Tuple) and not value.elts
+        )
+
+    found = {
+        attr
+        for attr, value in init_assignments()
+        if attr.rpartition(".")[2].startswith("_") and is_placeholder(value)
+    }
+    assert found == SLOT_MEMOS
