@@ -37,7 +37,6 @@ from .graph import (
     export_graph,
     neighbors,
     standard_marking_connectivity,
-    verify_action_isometry,
 )
 from .marking import (
     Marking,
@@ -50,7 +49,6 @@ from .marking import (
     standard_transversals,
     standardize_marking,
     transversal_decomposition,
-    transversal_swap_path,
     twist_move,
     validate_marking,
 )
@@ -67,16 +65,11 @@ from .parabolic import (
 )
 from .ribbons import Ribbon, elementary_ribbon, ribbon_delta_form
 from .simplex import (
-    AscendingProduct,
     CparabSimplex,
     LevelDecomposition,
     StandardizedSimplex,
-    adjacent,
     canonical_positive_standardizer,
     enumerate_maximal_standard,
-    extract_ascending_product,
-    stabilizes_simplex,
-    standardization_change,
 )
 
 __version__ = "0.1.0"

@@ -45,7 +45,13 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvariantViolated, MixedContext, ParseError, UnsupportedType
+from .errors import (
+    InvariantViolated,
+    MixedContext,
+    ParseError,
+    PreconditionViolated,
+    UnsupportedType,
+)
 from .rings import Coeffs, CosRing
 
 FAMILIES = ("A", "B", "D", "E", "F", "H", "I2")
@@ -187,7 +193,7 @@ class DefiningGraph:
     def label(self, i: int, j: int) -> int:
         """m_ij; 2 encodes a non-edge."""
         if i == j:
-            raise ValueError("m_ii is undefined")
+            raise PreconditionViolated("m_ii is undefined")
         return self._edges.get((min(i, j), max(i, j)), 2)
 
     def adjacent(self, i: int, j: int) -> bool:

@@ -65,7 +65,7 @@ class NotAStabilizer(ArtinMarkError):
 
 
 class ExponentBoundExceeded(ArtinMarkError):
-    """Exponent scan range exhausted during ascending-product extraction."""
+    """Exponent scan range exhausted while peeling Delta powers."""
 
     def __init__(self, bound: int, message: str = ""):
         self.bound = bound

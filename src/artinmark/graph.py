@@ -23,12 +23,11 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import BudgetExceeded, PreconditionViolated, UnknownFormat
-from .garside import ArtinElement, GarsideContext
+from .garside import GarsideContext
 from .marking import (
     Marking,
     enumerate_flip_moves,
     is_flip_edge,
-    is_twist_edge,
     standard_transversals,
     twist_move,
 )
@@ -153,19 +152,6 @@ def _close_boundary(graph: ExploredGraph, boundary: list[Marking]) -> None:
                     and is_flip_edge(node, other)
                 ):
                     graph.add_edge(node.key(), other.key(), "flip")
-
-
-def verify_action_isometry(
-    edge: tuple[Marking, Marking, str], x: ArtinElement
-) -> bool:
-    """Conjugated endpoints of an edge remain related by the same move kind."""
-    a, b, kind = edge
-    ax, bx = a.conjugated_by(x), b.conjugated_by(x)
-    if kind == "twist":
-        return is_twist_edge(ax, bx)
-    if kind == "flip":
-        return is_flip_edge(ax, bx)
-    raise UnknownFormat(f"unknown edge kind {kind!r}")
 
 
 def _join(open_: str, items: list[str], close: str, depth: int) -> str:

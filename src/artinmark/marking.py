@@ -16,7 +16,8 @@ their subsets are nested or disjoint and not adjacent.  The projection of
 Q_j onto P_j is the twist k relative to the canonical standardizer ghat.
 Relative to any other standardizer g it is the Delta_{X_j}-exponent of the
 ascending product relating g Delta_{X_j}^k to ghat; relative to ghat that
-product is Delta_{X_j}^k itself, so no extraction is needed.  The structure
+product is Delta_{X_j}^k itself, so no extraction is needed here (the
+extraction is a reference implementation in tests/oracles.py).  The structure
 of a marking is read off the same decompositions: conjugation by ghat
 preserves containment, and A_U <= A_V exactly when U <= V.
 
@@ -62,7 +63,7 @@ every subset, and adds direction * z_exponent(X_j) to k_j, because z_{P_j}
 = ghat Delta_{X_j}^e ghat^-1.  The flips across j share the flipped base B,
 its canonical standardizer ghat_B and the pair (Q_j, P_j).  Both h and
 ghat_B standardize B, and twist differences against a shared standardizer
-do not depend on which one is used (shared_flip_standardizer), so at i != j
+do not depend on which one is used (_flip_frame), so at i != j
 the twist relative to ghat_B is the twist t relative to h plus an offset c_i
 of the index alone: one decomposition of one candidate per index fixes it.
 The subset is then the one pattern-keeping subset of the maximal standard
@@ -344,8 +345,9 @@ def projection(marking: Marking, j: int) -> int:
 
     Relative to any standardizer g, the same value is the Delta_{X_j}-exponent
     of the ascending product relating g Delta_{X_j}^k to ghat, where k is the
-    twist relative to g.  The base must be maximal; the marking is not
-    validated.
+    twist relative to g; the tests compute it that way
+    (tests/oracles.py::extraction_projection).  The base must be maximal;
+    the marking is not validated.
     """
     ghat, std = marking.base_simplex().canonical_data()
     if not std.is_maximal:
@@ -387,25 +389,20 @@ def _certified(marking: Marking, frame: Marking, data) -> Marking:
     return marking
 
 
-def shared_flip_standardizer(marking: Marking, j: int) -> ArtinElement:
-    """ghat * Delta_{X_j}^{k_j}: standardizes the base, the j-th transversal,
-    and therefore the base obtained by flipping across j.  The marking is
-    certified first, and k_j is read off its certificate.
-
-    Twist differences measured against a shared standardizer of two bases do
-    not depend on which shared standardizer is used (any two differ by an
-    ascending product, which shifts both twists equally), and they are
-    preserved verbatim under conjugation; the flip condition is stated in
-    these terms.
-    """
-    return _flip_frame(marking, j)[0]
-
-
 def _flip_frame(
     marking: Marking, j: int
 ) -> tuple[ArtinElement, MarkingCertificate, list[Subset]]:
     """The shared standardizer h for a flip across j, the certificate, and
-    the standardized base by pair index."""
+    the standardized base by pair index.
+
+    h = ghat * Delta_{X_j}^{k_j} standardizes the base, the j-th transversal,
+    and therefore the base obtained by flipping across j.  The marking is
+    certified first, and k_j is read off its certificate.  Twist differences
+    measured against a shared standardizer of two bases do not depend on
+    which shared standardizer is used (any two differ by an ascending
+    product, which shifts both twists equally), and they are preserved
+    verbatim under conjugation; the flip condition is stated in these terms.
+    """
     cert = marking.certificate()
     _check_index(marking, j)
     ghat, std = marking.base_simplex().canonical_data()
@@ -608,81 +605,3 @@ def marking_stabilizer_probe(marking: Marking, length_bound: int) -> list[ArtinE
     hits.sort(key=ArtinElement.sort_key)
     return hits
 
-
-# -- bounded transversal swapping ---------------------------------------------
-
-
-def _flip_toward(marking: Marking, j: int, target: Marking) -> Marking:
-    """One flip across j choosing, per other index, a candidate transversal
-    whose shared-standardizer twist is within one of both the old transversal
-    and the target's transversal.  The target shares the base of marking, so
-    its twists relative to the shared standardizer are its certified ones."""
-    ctx = marking.ctx
-    pairs = marking.pairs
-    _h, anchors, table = _flip_candidate_table(marking, j)
-    goals = target.certificate().transversals
-    new_pairs = list(pairs)
-    new_pairs[j] = (pairs[j][1], pairs[j][0])
-    for i in sorted(anchors):
-        goal = goals[i].twist
-        pick = None
-        for twist, cand in table[i]:
-            if abs(twist - goal) <= 1:
-                pick = cand
-                break
-        if pick is None:
-            raise PreconditionViolated(
-                f"no candidate transversal between twists {anchors[i]} and {goal}"
-            )
-        new_pairs[i] = (pairs[i][0], pick)
-    return Marking(ctx, new_pairs)
-
-
-def transversal_swap_path(m1: Marking, m2: Marking) -> list[Marking]:
-    """A path of at most 4 moves between same-base markings whose projections
-    differ by at most one at every index.  Returns the vertex list, endpoints
-    included; every consecutive pair is a flip edge (a twist edge in the
-    one-pair case)."""
-    pi1 = [d.twist for d in m1.certificate().transversals]
-    twists_2 = [d.twist for d in m2.certificate().transversals]
-    at_2 = _base_index(m2)
-    if at_2.keys() != _base_index(m1).keys():
-        raise PreconditionViolated("markings must share their base")
-    order = [at_2[p.key()] for p, _q in m1.pairs]
-    pi2 = [twists_2[i] for i in order]
-    m2 = Marking(m1.ctx, [m2.pairs[i] for i in order])
-    if m1 == m2:
-        return [m1]
-    if any(abs(a - b) > 1 for a, b in zip(pi1, pi2)):
-        raise PreconditionViolated("projections differ by more than one")
-    if len(m1) == 1:
-        step = z_exponent(m1.ctx, m1.pairs[0][0].canonical()[1])
-        delta = pi2[0] - pi1[0]
-        if delta and abs(delta) % step == 0:
-            candidate = twist_move(m1, 0, 1 if delta > 0 else -1)
-            if candidate == m2:
-                return [m1, m2]
-        raise PreconditionViolated("one-pair markings differ by more than a twist")
-    j, k = 0, 1
-    m_prime = _flip_toward(m1, j, m2)
-    _check_flip_edge(m1, m_prime)
-    # flip back across j, installing m2's transversals away from j
-    second = list(m_prime.pairs)
-    second[j] = (m1.pairs[j][0], m1.pairs[j][1])
-    for i in range(len(m1)):
-        if i != j:
-            second[i] = (m2.pairs[i][0], m2.pairs[i][1])
-    m_second = Marking(m1.ctx, second)
-    _check_flip_edge(m_prime, m_second)
-    if m_second == m2:
-        return [m1, m_prime, m_second]
-    # two flips across k to replace the remaining transversal at j
-    m_third = _flip_toward(m_second, k, m2)
-    _check_flip_edge(m_second, m_third)
-    _check_flip_edge(m_third, m2)
-    return [m1, m_prime, m_second, m_third, m2]
-
-
-def _check_flip_edge(a: Marking, b: Marking) -> None:
-    if not is_flip_edge(a, b):
-        raise InvariantViolated("a swap-path step is not a flip edge")

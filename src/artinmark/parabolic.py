@@ -82,18 +82,22 @@ def central_generator_z(ctx: GarsideContext, subset: Subset) -> ArtinElement:
 def delta_permutation(ctx: GarsideContext, subset: Subset) -> Mapping[int, int]:
     """The permutation s -> Delta_X s Delta_X^-1 of a connected subset, as a
     read-only mapping shared through ctx.delta_involutions."""
-    subset = frozenset(subset)
-    return (ctx.delta_involutions.get(subset) or _delta_involution(ctx, subset))[0]
+    return _delta_involution(ctx, subset)[0]
 
 
 def z_exponent(ctx: GarsideContext, subset: Subset) -> int:
-    """The exponent e of z_X = Delta_X^e for a connected frozenset X: 1 when
+    """The exponent e of z_X = Delta_X^e for a connected subset X: 1 when
     the involution of Delta_X is trivial, else 2 (see the module docstring)."""
-    return (ctx.delta_involutions.get(subset) or _delta_involution(ctx, subset))[1]
+    return _delta_involution(ctx, subset)[1]
 
 
-def _delta_involution(ctx: GarsideContext, subset: Subset) -> tuple[Mapping[int, int], int]:
-    """Compute and memoize (involution, z-exponent) of a connected subset."""
+def _delta_involution(ctx: GarsideContext, subset) -> tuple[Mapping[int, int], int]:
+    """(involution, z-exponent) of a connected subset, given as any iterable
+    of generator indices and memoized under its frozenset."""
+    subset = frozenset(subset)
+    entry = ctx.delta_involutions.get(subset)
+    if entry is not None:
+        return entry
     if not ctx.graph.is_connected(subset) or not subset:
         raise Disconnected(f"subset {sorted(subset)} must be connected and nonempty")
     w0x = ctx.w0_of(subset)
@@ -158,19 +162,6 @@ class ParabolicSubgroup:
 
     def conjugated_by(self, x: ArtinElement) -> ParabolicSubgroup:
         return ParabolicSubgroup(self.ctx, x * self.conj, self.gens)
-
-    def contains_element(self, g: ArtinElement) -> bool:
-        return member_of_standard(
-            self.conj.inverse() * g * self.conj, self.gens
-        )
-
-    def contains(self, other: ParabolicSubgroup) -> bool:
-        """Subgroup containment, by membership of the other's generators."""
-        h = other.conj
-        return all(
-            self.contains_element(h * self.ctx.atoms[x] * h.inverse())
-            for x in other.gens
-        )
 
     def canonical(self) -> tuple[ArtinElement, Subset]:
         """(minimal positive standardizer c, subset Y) with P = c A_Y c^-1."""
@@ -413,32 +404,6 @@ class ConjugacyGraph:
 
     def connected(self, a: Subset, b: Subset) -> bool:
         return frozenset(b) in self.component_of(a)
-
-    def shortest_path(self, a: Subset, b: Subset, via: Subset | None = None) -> list[Subset] | None:
-        """BFS path from a to b, optionally forced through the vertex via."""
-        if via is not None:
-            first = self.shortest_path(a, via)
-            second = self.shortest_path(via, b)
-            if first is None or second is None:
-                return None
-            return first + second[1:]
-        a, b = frozenset(a), frozenset(b)
-        prev: dict[Subset, Subset | None] = {a: None}
-        queue = [a]
-        while queue:
-            nxt = []
-            for x in queue:
-                if x == b:
-                    path = [x]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])  # type: ignore[arg-type]
-                    return path[::-1]
-                for y in sorted(self.adjacency.get(x, ()), key=sorted):
-                    if y not in prev:
-                        prev[y] = x
-                        nxt.append(y)
-            queue = nxt
-        return None
 
 
 @lru_cache(maxsize=None)

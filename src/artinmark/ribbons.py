@@ -9,7 +9,7 @@ here.  When X misses exactly one generator, every composition of
 elementary ribbons returning to X equals a product
 Delta_{X_1}^a Delta_{X_2}^b Delta_{X_3}^c Delta_Gamma^d over the components
 of X; the decomposer peels the Delta_Gamma power first and then one
-component at a time, with the peel of the ascending-product extraction.
+component at a time (peel_delta_powers).
 """
 
 from __future__ import annotations
@@ -21,11 +21,38 @@ from .errors import (
     NotAnXRibbonX,
     NotCorankOne,
 )
-from .garside import ArtinElement, GarsideContext
+from .garside import ArtinElement, GarsideContext, member_of_standard, scan_powers
 from .parabolic import Ribbon, elementary_ribbon
-from .simplex import peel_delta_powers
 
 __all__ = ["Ribbon", "elementary_ribbon", "ribbon_delta_form"]
+
+
+def peel_delta_powers(
+    ctx: GarsideContext, residue: ArtinElement, parts
+) -> tuple[int, list[int]]:
+    """(gamma, [e_1, ..., e_k]) with residue = Delta_{X_k}^{e_k} ...
+    Delta_{X_1}^{e_1} Delta_Gamma^gamma over the parts X_1, ..., X_k.
+
+    Peels from the right: the power of Delta_Gamma dropping the residue into
+    the parabolic on the union of the parts, then for each part the power of
+    Delta_{X_i} dropping it into the union of the parts after X_i.  Each scan
+    is bounded by the residue's Garside complexity and raises
+    ExponentBoundExceeded when it runs out.
+    """
+    exponents = []
+    for k, delta_x in enumerate([ctx.delta, *map(ctx.delta_of, parts)]):
+        scope = frozenset().union(*parts[k:])
+        bound = abs(residue.inf) + residue.canonical_length + 1
+        found = scan_powers(
+            residue, delta_x.inverse(), bound, lambda g: member_of_standard(g, scope)
+        )
+        if found is None:
+            raise ExponentBoundExceeded(bound)
+        exponent, residue, _ = found
+        exponents.append(exponent)
+    if not residue.is_identity:
+        raise InvariantViolated("a residue is left after peeling every factor")
+    return exponents[0], exponents[1:]
 
 
 def ribbon_delta_form(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InvariantViolated
+from .errors import InvariantViolated, PreconditionViolated
 
 Coeffs = tuple[int, ...]
 
@@ -110,7 +110,7 @@ class CosRing:
                 # m == 3 only; c == 1
                 return self.one
             return (0, 1) + (0,) * (self.degree - 2)
-        raise ValueError(f"label {label} not representable in Z[2cos(pi/{self.m})]")
+        raise PreconditionViolated(f"label {label} not representable in Z[2cos(pi/{self.m})]")
 
     def add(self, a: Coeffs, b: Coeffs) -> Coeffs:
         return tuple(x + y for x, y in zip(a, b))

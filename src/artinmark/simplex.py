@@ -3,10 +3,10 @@
 A simplex is a set of pairwise adjacent vertices, adjacency meaning the
 central elements z_P commute.  The level of a vertex is one plus the number
 of vertices properly containing it; level 1 is the set of maximal elements.
-Levels and nesting chains are read off the standardized subsets: the
-canonical standardizer ghat conjugates every vertex to a standard A_X,
-conjugation preserves containment, and A_X lies in A_Y exactly when X lies
-in Y, so plain subset inclusion of the targets decides nesting.
+Levels are read off the standardized subsets: the canonical standardizer
+ghat conjugates every vertex to a standard A_X, conjugation preserves
+containment, and A_X lies in A_Y exactly when X lies in Y, so plain subset
+inclusion of the targets decides nesting.
 A maximal simplex of standard subgroups is characterized combinatorially:
 the union of the subsets misses exactly one generator t, and inside every
 vertex the union of the properly contained vertices misses exactly one
@@ -14,12 +14,10 @@ generator t_i.  Enumeration of maximal standard simplices applies that
 characterization recursively, component by component.
 
 The canonical positive standardizer of a simplex is the minimal
-simultaneous standardizer of all its vertices.  Relative to it, every other
-standardizer of a maximal simplex differs by an ascending product of powers
-of Delta_{X_i} and Delta_Gamma, whose exponent tuple is extracted by peeling
-factors from the right: at each step the unique exponent is the one that
-drops the residue into the parabolic generated by the still-unpeeled
-subsets.
+simultaneous standardizer of all its vertices.  The program needs no other
+standardizer: the paper's statements about them (ascending products of
+powers of Delta_{X_i} and Delta_Gamma, simplex stabilizers) have reference
+implementations in tests/oracles.py, which the tests check.
 """
 
 from __future__ import annotations
@@ -27,35 +25,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import (
-    ExponentBoundExceeded,
-    InvariantViolated,
-    NotASimplex,
-    NotAStabilizer,
-    NotAStandardizer,
-    NotConjugate,
-    NotMaximal,
-    PreconditionViolated,
-)
-from .garside import ArtinElement, GarsideContext, member_of_standard, scan_powers
+from .errors import InvariantViolated, NotASimplex, PreconditionViolated
+from .garside import ArtinElement, GarsideContext
 from .parabolic import (
     ParabolicSubgroup,
-    _standard_target,
-    central_generator_z,
     check_simplex_family,
     delta_permutation,
-    nonadjacent_pair,
     parabolics_from_json,
     simultaneous_standardizer,
 )
 
 Subset = frozenset[int]
-
-
-def adjacent(p: ParabolicSubgroup, q: ParabolicSubgroup) -> bool:
-    """Whether two irreducible proper parabolics span an edge (z's commute),
-    decided in p's frame like every simplex check."""
-    return nonadjacent_pair([p, q]) is None
 
 
 def standard_adjacent(graph, x: Subset, y: Subset) -> bool:
@@ -121,10 +101,9 @@ def delta_twisted(
 
 @dataclass(frozen=True)
 class LevelDecomposition:
-    """Partition of the vertex indices into levels, plus the nesting chains."""
+    """Partition of the vertex indices into levels."""
 
     levels: tuple[tuple[int, ...], ...]
-    chains: tuple[tuple[int, ...], ...]
 
     def level_of(self, index: int) -> int:
         for k, layer in enumerate(self.levels):
@@ -134,37 +113,22 @@ class LevelDecomposition:
 
 
 def nesting_levels(subsets: tuple[Subset, ...]) -> LevelDecomposition:
-    """Levels and maximal nesting chains of distinct subsets, by inclusion.
-
-    A subset's level is one plus the number of subsets properly containing
-    it; chains run from a level-1 subset down through direct inclusions.
-    """
+    """Levels of distinct subsets, by inclusion: a subset's level is one plus
+    the number of subsets properly containing it."""
     n = len(subsets)
     depth = [1 + sum(x < y for y in subsets) for x in subsets]
     levels = tuple(
         tuple(i for i in range(n) if depth[i] == k) for k in range(1, max(depth, default=0) + 1)
     )
-    chains: list[tuple[int, ...]] = []
-
-    def grow(chain: list[int]):
-        i = chain[-1]
-        nxt = [j for j in range(n) if subsets[j] < subsets[i] and depth[j] == depth[i] + 1]
-        if not nxt:
-            chains.append(tuple(chain))
-        for j in nxt:
-            grow(chain + [j])
-
-    for i in levels[0] if levels else ():
-        grow([i])
-    return LevelDecomposition(levels, tuple(chains))
+    return LevelDecomposition(levels)
 
 
 class CparabSimplex:
     """A set of pairwise adjacent vertices, in canonical order.
 
     Vertices are sorted by (level, canonical key), so the index of a vertex
-    is deterministic.  The canonical data, and with it the levels and
-    nesting chains, is computed once per vertex set.
+    is deterministic.  The canonical data, and with it the levels, is
+    computed once per vertex set.
     """
 
     def __init__(self, ctx: GarsideContext, vertices):
@@ -260,10 +224,6 @@ class StandardizedSimplex:
     def is_maximal(self) -> bool:
         return self.missing is not None
 
-    def peel_order(self) -> tuple[int, ...]:
-        """Vertex indices by ascending level (extraction order)."""
-        return tuple(i for layer in self.levels.levels for i in layer)
-
 
 def build_standardized(ctx: GarsideContext, subsets) -> StandardizedSimplex:
     """Level data and maximality witnesses for a family of standard subsets."""
@@ -333,162 +293,3 @@ def canonical_positive_standardizer(
     ctx = simplex.ctx
     ghat, subsets = simultaneous_standardizer(ctx, list(simplex.vertices))
     return ghat, build_standardized(ctx, subsets)
-
-
-def standardization_change(
-    ctx: GarsideContext, first, second
-) -> ArtinElement:
-    """Positive r = Delta_{Y_k}^() ... Delta_{Y_1}^() Delta_Gamma^() carrying
-    the first standard family onto the second, exponents in {0, 1}.
-
-    Tries all 2^(k+1) exponent vectors.  Ascending-product extraction cannot
-    give r directly: it decomposes a known standardizer h of a simplex,
-    reading each exponent off ghat^-1 h, while here r itself is the unknown
-    and only the two families it should relate are given.
-    """
-    std1 = build_standardized(ctx, first)
-    std2 = build_standardized(ctx, second)
-    if sorted(map(sorted, std1.subsets)) == sorted(map(sorted, std2.subsets)):
-        return ctx.identity
-    order = list(std2.peel_order())[::-1]  # deepest level leftmost
-    factors = [ctx.delta_of(std2.subsets[i]) for i in order] + [ctx.delta]
-    z_of = [central_generator_z(ctx, x) for x in std1.subsets]
-    want = set(std2.subsets)
-    for bits in itertools.product((0, 1), repeat=len(factors)):
-        r = ctx.identity
-        for bit, f in zip(bits, factors):
-            if bit:
-                r = r * f
-        if r.is_identity:
-            continue
-        r_inv = r.inverse()
-        images = set()
-        ok = True
-        for x, z_x in zip(std1.subsets, z_of):
-            w = r * z_x * r_inv
-            if not w.is_positive:
-                ok = False
-                break
-            img = w.support()
-            if img not in want or not all(
-                member_of_standard(r * ctx.atoms[s] * r_inv, img) for s in x
-            ):
-                ok = False
-                break
-            images.add(img)
-        if ok and images == want:
-            return r
-    raise NotConjugate("no factor assignment conjugates the first family to the second")
-
-
-@dataclass(frozen=True)
-class AscendingProduct:
-    """Exponent data of an ascending product over a standardized simplex.
-
-    exponents is aligned with std.subsets; the word has nested factors to
-    the left of their containers and all Delta_Gamma factors rightmost.
-    """
-
-    std: StandardizedSimplex
-    exponents: tuple[int, ...]
-    gamma: int
-
-    def to_element(self, ctx: GarsideContext) -> ArtinElement:
-        out = ctx.identity
-        for i in reversed(self.std.peel_order()):
-            out = out * ctx.delta_of(self.std.subsets[i]) ** self.exponents[i]
-        return out * ctx.delta**self.gamma
-
-    def key(self) -> tuple:
-        """Within-level order is immaterial; subsets are already canonical."""
-        return (self.exponents, self.gamma)
-
-    def to_json(self, ctx: GarsideContext) -> dict:
-        return {
-            "exponents": {
-                ",".join(ctx.graph.name(i) for i in sorted(x)): e
-                for x, e in zip(self.std.subsets, self.exponents)
-            },
-            "gamma": self.gamma,
-        }
-
-
-def peel_delta_powers(
-    ctx: GarsideContext, residue: ArtinElement, parts
-) -> tuple[int, list[int]]:
-    """(gamma, [e_1, ..., e_k]) with residue = Delta_{X_k}^{e_k} ...
-    Delta_{X_1}^{e_1} Delta_Gamma^gamma over the parts X_1, ..., X_k.
-
-    Peels from the right: the power of Delta_Gamma dropping the residue into
-    the parabolic on the union of the parts, then for each part the power of
-    Delta_{X_i} dropping it into the union of the parts after X_i.  Each scan
-    is bounded by the residue's Garside complexity and raises
-    ExponentBoundExceeded when it runs out.
-    """
-    exponents = []
-    for k, delta_x in enumerate([ctx.delta, *map(ctx.delta_of, parts)]):
-        scope = frozenset().union(*parts[k:])
-        bound = abs(residue.inf) + residue.canonical_length + 1
-        found = scan_powers(
-            residue, delta_x.inverse(), bound, lambda g: member_of_standard(g, scope)
-        )
-        if found is None:
-            raise ExponentBoundExceeded(bound)
-        exponent, residue, _ = found
-        exponents.append(exponent)
-    if not residue.is_identity:
-        raise InvariantViolated("a residue is left after peeling every factor")
-    return exponents[0], exponents[1:]
-
-
-def extract_ascending_product(
-    h: ArtinElement,
-    ghat: ArtinElement,
-    std: StandardizedSimplex,
-) -> AscendingProduct:
-    """Exponents of the unique ascending product p with ghat * p = h.
-
-    Checks that h standardizes the simplex, then peels Delta_Gamma and the
-    Delta_{X_i} level by level from the top.
-    """
-    ctx = h.ctx
-    if not std.is_maximal:
-        raise NotMaximal("ascending products are extracted over maximal simplices")
-    residue = ghat.inverse() * h
-    for x in std.subsets:
-        z_x = central_generator_z(ctx, x)
-        if _standard_target(ctx, residue, z_x, ctx.identity, x) is None:
-            raise NotAStandardizer(f"{h} does not standardize the simplex")
-    order = std.peel_order()
-    gamma, peeled = peel_delta_powers(ctx, residue, [std.subsets[i] for i in order])
-    exponents = [0] * len(std.subsets)
-    for i, exponent in zip(order, peeled):
-        exponents[i] = exponent
-    return AscendingProduct(std, tuple(exponents), gamma)
-
-
-def stabilizes_simplex(
-    g: ArtinElement, simplex: CparabSimplex
-) -> tuple[dict[int, int], AscendingProduct]:
-    """Vertex permutation and ascending-product decomposition of a stabilizer.
-
-    Raises NotAStabilizer when conjugation by g does not permute the vertex
-    set.  The returned decomposition is of ghat^-1 g ghat, i.e. the exponent
-    word relating the standardizers ghat and g * ghat.
-    """
-    ghat, std = simplex.canonical_data()
-    if not std.is_maximal:
-        raise NotMaximal("stabilizer decomposition needs a maximal simplex")
-    keys = {v.key(): i for i, v in enumerate(simplex.vertices)}
-    perm = {}
-    for i, v in enumerate(simplex.vertices):
-        image = v.conjugated_by(g)
-        j = keys.get(image.key())
-        if j is None:
-            raise NotAStabilizer(f"conjugation by {g} moves {v} out of the simplex")
-        perm[i] = j
-    for layer in simplex.levels.levels:
-        if {perm[i] for i in layer} != set(layer):
-            raise InvariantViolated(f"conjugation by {g} does not preserve the levels")
-    product = extract_ascending_product(g * ghat, ghat, std)
-    return perm, product

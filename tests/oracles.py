@@ -81,6 +81,14 @@ Two test helpers here are not oracles but library code that only tests
 called: the join of two simples by complement duality (lcm_simples) and the
 standardized representative of every node of a BFS ball
 (orbit_representatives).
+
+The last section holds reference implementations of statements of the
+paper that the tests check and no program path needs: subgroup containment,
+paths in the Paris conjugacy graph, the edge test of two parabolics, the
+ascending product relating two standardizers of a maximal simplex and its
+extraction, simplex stabilizers, the change between two standard families,
+the shared flip standardizer, bounded transversal-swap paths, and the
+isometric action of the group on the marking graph.
 """
 
 from __future__ import annotations
@@ -88,9 +96,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 from artinmark.coxeter import ArtinType, DefiningGraph, RootSystem
+from artinmark import marking as marking_lib
 from artinmark.errors import (
     ArtinMarkError,
     BaseNotMaximal,
@@ -98,11 +108,23 @@ from artinmark.errors import (
     Disconnected,
     InvariantViolated,
     NotASimplex,
+    NotAStabilizer,
+    NotAStandardizer,
+    NotConjugate,
     NotIrreducible,
+    NotMaximal,
     NotProper,
+    PreconditionViolated,
+    UnknownFormat,
     UnsupportedType,
 )
-from artinmark.garside import ArtinElement, GarsideContext, normalize, parse_word
+from artinmark.garside import (
+    ArtinElement,
+    GarsideContext,
+    member_of_standard,
+    normalize,
+    parse_word,
+)
 from artinmark.graph import (
     ConnectivityReport,
     ExploredGraph,
@@ -113,19 +135,31 @@ from artinmark.graph import (
 )
 from artinmark.marking import (
     Marking,
+    _base_index,
+    _flip_candidate_table,
+    _flip_frame,
     flip_candidates,
-    shared_flip_standardizer,
+    is_twist_edge,
     standardize_marking,
     transversal_decomposition,
     twist_move,
 )
-from artinmark.parabolic import ParabolicSubgroup, _standard_target, delta_permutation
+from artinmark.parabolic import (
+    ConjugacyGraph,
+    ParabolicSubgroup,
+    _standard_target,
+    central_generator_z,
+    delta_permutation,
+    nonadjacent_pair,
+    z_exponent,
+)
+from artinmark.ribbons import peel_delta_powers
 from artinmark.simplex import (
     CparabSimplex,
+    StandardizedSimplex,
     Subset,
     build_standardized,
     delta_twisted,
-    extract_ascending_product,
     transversal_subset,
 )
 
@@ -497,12 +531,12 @@ def levelwise_canonical_standardizer(simplex, hint=None):
 
 def containment_levels(vertices):
     """(vertex keys in (level, key) order, levels, chains) of a simplex given
-    by distinct vertices, deciding nesting by ParabolicSubgroup.contains on
+    by distinct vertices, deciding nesting by contains on
     every ordered pair; levels and chains index the ordered vertices."""
     vertices = sorted(vertices, key=lambda v: v.key())
     n = len(vertices)
     above = [
-        {j for j in range(n) if j != i and vertices[j].contains(vertices[i])}
+        {j for j in range(n) if j != i and contains(vertices[j], vertices[i])}
         for i in range(n)
     ]
     order = sorted(range(n), key=lambda i: (len(above[i]), vertices[i].key()))
@@ -543,7 +577,7 @@ def extraction_projection(marking, j, g):
 
 
 def containment_structure(marking):
-    """(covers, nested) decided by ParabolicSubgroup.contains: covers maps
+    """(covers, nested) decided by contains: covers maps
     each pair (j, k) of distinct top-level pair indices to whether Q_j
     contains P_k; nested maps each (j, k) with P_j properly inside P_k to
     whether P_k contains Q_j."""
@@ -551,13 +585,13 @@ def containment_structure(marking):
     n = len(pairs)
     above = {
         (j, k) for j in range(n) for k in range(n)
-        if j != k and pairs[k][0].contains(pairs[j][0])
+        if j != k and contains(pairs[k][0], pairs[j][0])
     }
     top = [j for j in range(n) if not any((j, k) in above for k in range(n))]
     covers = {
-        (j, k): pairs[j][1].contains(pairs[k][0]) for j in top for k in top if j != k
+        (j, k): contains(pairs[j][1], pairs[k][0]) for j in top for k in top if j != k
     }
-    nested = {(j, k): pairs[k][0].contains(pairs[j][1]) for j, k in above}
+    nested = {(j, k): contains(pairs[k][0], pairs[j][1]) for j, k in above}
     return covers, nested
 
 
@@ -968,3 +1002,285 @@ def orbit_representatives(ctx: GarsideContext, seed: Marking, radius: int) -> di
         _c, std = standardize_marking(ball.nodes[key])
         out[key] = std.key()
     return out
+
+
+# -- reference implementations of paper statements ----------------------------
+#
+# Library code that only the tests call: each function below states a result
+# of the paper in executable form, and the tests check it on examples and on
+# seeded conjugates.  is_flip_edge is read off the artinmark.marking module at
+# call time, so a test that patches it there reaches the swap-path checks.
+
+
+def contains_element(p: ParabolicSubgroup, g: ArtinElement) -> bool:
+    """Whether g lies in the parabolic p = conj A_X conj^-1."""
+    return member_of_standard(p.conj.inverse() * g * p.conj, p.gens)
+
+
+def contains(p: ParabolicSubgroup, q: ParabolicSubgroup) -> bool:
+    """Subgroup containment of q in p, by membership of q's generators."""
+    h = q.conj
+    return all(contains_element(p, h * p.ctx.atoms[x] * h.inverse()) for x in q.gens)
+
+
+def shortest_path(
+    graph: ConjugacyGraph, a: Subset, b: Subset, via: Subset | None = None
+) -> list[Subset] | None:
+    """BFS path from a to b in the Paris conjugacy graph, optionally forced
+    through the vertex via."""
+    if via is not None:
+        first = shortest_path(graph, a, via)
+        second = shortest_path(graph, via, b)
+        if first is None or second is None:
+            return None
+        return first + second[1:]
+    a, b = frozenset(a), frozenset(b)
+    prev: dict[Subset, Subset | None] = {a: None}
+    queue = [a]
+    while queue:
+        nxt = []
+        for x in queue:
+            if x == b:
+                path = [x]
+                while prev[path[-1]] is not None:
+                    path.append(prev[path[-1]])
+                return path[::-1]
+            for y in sorted(graph.adjacency.get(x, ()), key=sorted):
+                if y not in prev:
+                    prev[y] = x
+                    nxt.append(y)
+        queue = nxt
+    return None
+
+
+def adjacent(p: ParabolicSubgroup, q: ParabolicSubgroup) -> bool:
+    """Whether two irreducible proper parabolics span an edge (z's commute),
+    decided in p's frame like every simplex check."""
+    return nonadjacent_pair([p, q]) is None
+
+
+def peel_order(std: StandardizedSimplex) -> tuple[int, ...]:
+    """Vertex indices by ascending level (extraction order)."""
+    return tuple(i for layer in std.levels.levels for i in layer)
+
+
+def standardization_change(ctx: GarsideContext, first, second) -> ArtinElement:
+    """Positive r = Delta_{Y_k}^() ... Delta_{Y_1}^() Delta_Gamma^() carrying
+    the first standard family onto the second, exponents in {0, 1}.
+
+    Tries all 2^(k+1) exponent vectors.  Ascending-product extraction cannot
+    give r directly: it decomposes a known standardizer h of a simplex,
+    reading each exponent off ghat^-1 h, while here r itself is the unknown
+    and only the two families it should relate are given.
+    """
+    std1 = build_standardized(ctx, first)
+    std2 = build_standardized(ctx, second)
+    if sorted(map(sorted, std1.subsets)) == sorted(map(sorted, std2.subsets)):
+        return ctx.identity
+    order = list(peel_order(std2))[::-1]  # deepest level leftmost
+    factors = [ctx.delta_of(std2.subsets[i]) for i in order] + [ctx.delta]
+    z_of = [central_generator_z(ctx, x) for x in std1.subsets]
+    want = set(std2.subsets)
+    for bits in itertools.product((0, 1), repeat=len(factors)):
+        r = ctx.identity
+        for bit, f in zip(bits, factors):
+            if bit:
+                r = r * f
+        if r.is_identity:
+            continue
+        r_inv = r.inverse()
+        images = set()
+        ok = True
+        for x, z_x in zip(std1.subsets, z_of):
+            w = r * z_x * r_inv
+            if not w.is_positive:
+                ok = False
+                break
+            img = w.support()
+            if img not in want or not all(
+                member_of_standard(r * ctx.atoms[s] * r_inv, img) for s in x
+            ):
+                ok = False
+                break
+            images.add(img)
+        if ok and images == want:
+            return r
+    raise NotConjugate("no factor assignment conjugates the first family to the second")
+
+
+@dataclass(frozen=True)
+class AscendingProduct:
+    """Exponent data of an ascending product over a standardized simplex.
+
+    exponents is aligned with std.subsets; the word has nested factors to
+    the left of their containers and all Delta_Gamma factors rightmost.
+    """
+
+    std: StandardizedSimplex
+    exponents: tuple[int, ...]
+    gamma: int
+
+    def to_element(self, ctx: GarsideContext) -> ArtinElement:
+        out = ctx.identity
+        for i in reversed(peel_order(self.std)):
+            out = out * ctx.delta_of(self.std.subsets[i]) ** self.exponents[i]
+        return out * ctx.delta**self.gamma
+
+    def key(self) -> tuple:
+        """Within-level order is immaterial; subsets are already canonical."""
+        return (self.exponents, self.gamma)
+
+    def to_json(self, ctx: GarsideContext) -> dict:
+        return {
+            "exponents": {
+                ",".join(ctx.graph.name(i) for i in sorted(x)): e
+                for x, e in zip(self.std.subsets, self.exponents)
+            },
+            "gamma": self.gamma,
+        }
+
+
+def extract_ascending_product(
+    h: ArtinElement, ghat: ArtinElement, std: StandardizedSimplex
+) -> AscendingProduct:
+    """Exponents of the unique ascending product p with ghat * p = h.
+
+    Checks that h standardizes the simplex, then peels Delta_Gamma and the
+    Delta_{X_i} level by level from the top.
+    """
+    ctx = h.ctx
+    if not std.is_maximal:
+        raise NotMaximal("ascending products are extracted over maximal simplices")
+    residue = ghat.inverse() * h
+    for x in std.subsets:
+        z_x = central_generator_z(ctx, x)
+        if _standard_target(ctx, residue, z_x, ctx.identity, x) is None:
+            raise NotAStandardizer(f"{h} does not standardize the simplex")
+    order = peel_order(std)
+    gamma, peeled = peel_delta_powers(ctx, residue, [std.subsets[i] for i in order])
+    exponents = [0] * len(std.subsets)
+    for i, exponent in zip(order, peeled):
+        exponents[i] = exponent
+    return AscendingProduct(std, tuple(exponents), gamma)
+
+
+def stabilizes_simplex(
+    g: ArtinElement, simplex: CparabSimplex
+) -> tuple[dict[int, int], AscendingProduct]:
+    """Vertex permutation and ascending-product decomposition of a stabilizer.
+
+    Raises NotAStabilizer when conjugation by g does not permute the vertex
+    set.  The returned decomposition is of ghat^-1 g ghat, i.e. the exponent
+    word relating the standardizers ghat and g * ghat.
+    """
+    ghat, std = simplex.canonical_data()
+    if not std.is_maximal:
+        raise NotMaximal("stabilizer decomposition needs a maximal simplex")
+    keys = {v.key(): i for i, v in enumerate(simplex.vertices)}
+    perm = {}
+    for i, v in enumerate(simplex.vertices):
+        image = v.conjugated_by(g)
+        j = keys.get(image.key())
+        if j is None:
+            raise NotAStabilizer(f"conjugation by {g} moves {v} out of the simplex")
+        perm[i] = j
+    for layer in simplex.levels.levels:
+        if {perm[i] for i in layer} != set(layer):
+            raise InvariantViolated(f"conjugation by {g} does not preserve the levels")
+    product = extract_ascending_product(g * ghat, ghat, std)
+    return perm, product
+
+
+def shared_flip_standardizer(marking: Marking, j: int) -> ArtinElement:
+    """ghat * Delta_{X_j}^{k_j}: standardizes the base, the j-th transversal,
+    and therefore the base obtained by flipping across j (see
+    marking._flip_frame).  The marking is certified first, and k_j is read
+    off its certificate."""
+    return _flip_frame(marking, j)[0]
+
+
+def _flip_toward(marking: Marking, j: int, target: Marking) -> Marking:
+    """One flip across j choosing, per other index, a candidate transversal
+    whose shared-standardizer twist is within one of both the old transversal
+    and the target's transversal.  The target shares the base of marking, so
+    its twists relative to the shared standardizer are its certified ones."""
+    ctx = marking.ctx
+    pairs = marking.pairs
+    _h, anchors, table = _flip_candidate_table(marking, j)
+    goals = target.certificate().transversals
+    new_pairs = list(pairs)
+    new_pairs[j] = (pairs[j][1], pairs[j][0])
+    for i in sorted(anchors):
+        goal = goals[i].twist
+        pick = None
+        for twist, cand in table[i]:
+            if abs(twist - goal) <= 1:
+                pick = cand
+                break
+        if pick is None:
+            raise PreconditionViolated(
+                f"no candidate transversal between twists {anchors[i]} and {goal}"
+            )
+        new_pairs[i] = (pairs[i][0], pick)
+    return Marking(ctx, new_pairs)
+
+
+def transversal_swap_path(m1: Marking, m2: Marking) -> list[Marking]:
+    """A path of at most 4 moves between same-base markings whose projections
+    differ by at most one at every index.  Returns the vertex list, endpoints
+    included; every consecutive pair is a flip edge (a twist edge in the
+    one-pair case)."""
+    pi1 = [d.twist for d in m1.certificate().transversals]
+    twists_2 = [d.twist for d in m2.certificate().transversals]
+    at_2 = _base_index(m2)
+    if at_2.keys() != _base_index(m1).keys():
+        raise PreconditionViolated("markings must share their base")
+    order = [at_2[p.key()] for p, _q in m1.pairs]
+    pi2 = [twists_2[i] for i in order]
+    m2 = Marking(m1.ctx, [m2.pairs[i] for i in order])
+    if m1 == m2:
+        return [m1]
+    if any(abs(a - b) > 1 for a, b in zip(pi1, pi2)):
+        raise PreconditionViolated("projections differ by more than one")
+    if len(m1) == 1:
+        step = z_exponent(m1.ctx, m1.pairs[0][0].canonical()[1])
+        delta = pi2[0] - pi1[0]
+        if delta and abs(delta) % step == 0:
+            candidate = twist_move(m1, 0, 1 if delta > 0 else -1)
+            if candidate == m2:
+                return [m1, m2]
+        raise PreconditionViolated("one-pair markings differ by more than a twist")
+    j, k = 0, 1
+    m_prime = _flip_toward(m1, j, m2)
+    _check_flip_edge(m1, m_prime)
+    # flip back across j, installing m2's transversals away from j
+    second = list(m_prime.pairs)
+    second[j] = (m1.pairs[j][0], m1.pairs[j][1])
+    for i in range(len(m1)):
+        if i != j:
+            second[i] = (m2.pairs[i][0], m2.pairs[i][1])
+    m_second = Marking(m1.ctx, second)
+    _check_flip_edge(m_prime, m_second)
+    if m_second == m2:
+        return [m1, m_prime, m_second]
+    # two flips across k to replace the remaining transversal at j
+    m_third = _flip_toward(m_second, k, m2)
+    _check_flip_edge(m_second, m_third)
+    _check_flip_edge(m_third, m2)
+    return [m1, m_prime, m_second, m_third, m2]
+
+
+def _check_flip_edge(a: Marking, b: Marking) -> None:
+    if not marking_lib.is_flip_edge(a, b):
+        raise InvariantViolated("a swap-path step is not a flip edge")
+
+
+def verify_action_isometry(edge: tuple[Marking, Marking, str], x: ArtinElement) -> bool:
+    """Conjugated endpoints of an edge remain related by the same move kind."""
+    a, b, kind = edge
+    ax, bx = a.conjugated_by(x), b.conjugated_by(x)
+    if kind == "twist":
+        return is_twist_edge(ax, bx)
+    if kind == "flip":
+        return marking_lib.is_flip_edge(ax, bx)
+    raise UnknownFormat(f"unknown edge kind {kind!r}")

@@ -15,7 +15,6 @@ from artinmark.graph import (
     json_text,
     neighbors,
     standard_marking_connectivity,
-    verify_action_isometry,
 )
 from artinmark.marking import (
     Marking,
@@ -33,6 +32,7 @@ from oracles import (
     neighbors_closure_bfs,
     neighbors_universe_connectivity,
     orbit_representatives,
+    verify_action_isometry,
 )
 
 

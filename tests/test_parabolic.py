@@ -31,7 +31,9 @@ from artinmark.simplex import enumerate_maximal_standard
 from oracles import (
     bfs_minimal_standardizer,
     bfs_simultaneous_standardizer,
+    contains,
     pairwise_z_check,
+    shortest_path,
     table_conjugacy_edges,
     table_z_exponent,
 )
@@ -164,12 +166,12 @@ def test_parabolic_equality_is_equivalence_on_reconjugations():
 
 def test_parabolic_contains():
     a3 = context("A3")
-    assert std(a3, "s1", "s2").contains(std(a3, "s1"))
-    assert not std(a3, "s1").contains(std(a3, "s1", "s2"))
+    assert contains(std(a3, "s1", "s2"), std(a3, "s1"))
+    assert not contains(std(a3, "s1"), std(a3, "s1", "s2"))
     x = normalize(a3, "s2 s3")
     big = ParabolicSubgroup(a3, x, gens(a3, "s1", "s2"))
     small = ParabolicSubgroup(a3, x, gens(a3, "s2"))
-    assert big.contains(small)
+    assert contains(big, small)
 
 
 def test_delta_permutation_family_tables():
@@ -255,6 +257,18 @@ def test_z_exponent_matches_type_table():
     assert checked == 523
 
 
+@pytest.mark.parametrize("kind", [set, tuple, list])
+def test_z_exponent_and_involution_take_any_iterable(kind):
+    # both read one memo, keyed by the frozenset whatever the input type
+    fresh = GarsideContext(build_defining_graph("A3"), root_reflection_table("A3"))
+    for subset in [frozenset({0, 1}), frozenset({1}), frozenset({0, 1, 2})]:
+        given = kind(sorted(subset))
+        assert z_exponent(fresh, given) == z_exponent(context("A3"), subset)
+        assert delta_permutation(fresh, given) == delta_permutation(context("A3"), subset)
+    assert fresh.delta_involutions
+    assert all(type(key) is frozenset for key in fresh.delta_involutions)
+
+
 def test_conjugacy_graph_edges_match_type_table():
     for spec in CENTRE_SPECS:
         ctx = context(spec)
@@ -271,8 +285,8 @@ def test_conjugacy_graph_e8_example():
     e6_image = gens(e8, "s3", "s4", "s5", "s6")
     d5_image = gens(e8, "s1", "s2", "s3", "s5")
     assert e6_image in component and d5_image in component
-    via_e6 = graph.shortest_path(x, y, via=e6_image)
-    via_d5 = graph.shortest_path(x, y, via=d5_image)
+    via_e6 = shortest_path(graph, x, y, via=e6_image)
+    via_d5 = shortest_path(graph, x, y, via=d5_image)
     assert via_e6 and via_d5 and via_e6 != via_d5
 
 

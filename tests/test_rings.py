@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from artinmark.errors import PreconditionViolated
 from artinmark.rings import CosRing, cos_minpoly, cyclotomic
 
 from oracles import ring_sign, ring_value
@@ -76,5 +77,5 @@ def test_edge_label_cosines():
     ring = CosRing(6)
     assert ring.cos2(2) == ring.zero
     assert ring.cos2(3) == ring.one
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         ring.cos2(5)

@@ -16,20 +16,24 @@ from artinmark.coxeter import RootSystem, build_defining_graph
 from artinmark.garside import GarsideContext, context, normalize
 from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import (
-    AscendingProduct,
     CparabSimplex,
     _maximal_families,
-    adjacent,
     build_standardized,
     canonical_positive_standardizer,
     enumerate_maximal_standard,
-    extract_ascending_product,
-    stabilizes_simplex,
     standard_adjacent,
-    standardization_change,
     transversal_subset,
 )
-from oracles import _recipe_transversals, containment_levels, levelwise_canonical_standardizer
+from oracles import (
+    AscendingProduct,
+    _recipe_transversals,
+    adjacent,
+    containment_levels,
+    extract_ascending_product,
+    levelwise_canonical_standardizer,
+    stabilizes_simplex,
+    standardization_change,
+)
 
 
 def gens(ctx, *names):
@@ -108,8 +112,10 @@ def test_e6_example_levels_and_chains():
         sorted(sorted(pi.vertices[i].gens) for i in layer) for layer in levels.levels
     ]
     assert named == [[[0, 1], [3], [4, 5]], [[0], [5]]]
+    keys, _levels, chains = containment_levels(pi.vertices)
+    assert keys == tuple(v.key() for v in pi.vertices)
     chain_sets = sorted(
-        [sorted(pi.vertices[i].gens) for i in chain] for chain in levels.chains
+        [sorted(pi.vertices[i].gens) for i in chain] for chain in chains
     )
     # chains run from the largest subgroup down
     assert chain_sets == [[[0, 1], [0]], [[3]], [[4, 5], [5]]]
@@ -131,7 +137,7 @@ def test_b_n_chain_levels():
     assert named == [[[0, 1, 2]], [[0, 1]], [[0]]]
     data = build_standardized(b4, subsets_of(chain))
     assert data.is_maximal and data.missing == 3
-    assert len(chain.levels.chains) == 1
+    assert len(containment_levels(chain.vertices)[2]) == 1
 
 
 @pytest.mark.parametrize("index", [-1, 3])
@@ -277,7 +283,13 @@ def test_canonical_standardizer_matches_levelwise_bfs(spec, word):
             [v.conjugated_by(x) for v in simplex.vertices]
         )
         assert tuple(v.key() for v in moved.vertices) == keys
-        assert (moved.levels.levels, moved.levels.chains) == (levels, chains)
+        assert moved.levels.levels == levels
+        # each chain descends one level per step, and the chains cover every vertex
+        assert all(
+            [moved.levels.level_of(i) for i in chain] == list(range(1, len(chain) + 1))
+            for chain in chains
+        )
+        assert {i for chain in chains for i in chain} == set(range(len(moved)))
 
 
 def test_canonical_standardizer_conjugated_simplex():

@@ -1,9 +1,14 @@
 """Checks on the library source itself."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import artinmark
+from artinmark import errors
 
 # modules whose invariants are still assert statements; python -O strips
 # those, so every other module raises domain errors instead
@@ -44,6 +49,26 @@ def test_no_floating_point():
                 found.append(f"{name}:{node.lineno} math import")
             elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
                 found.append(f"{name}:{node.lineno} true division")
+    assert found == []
+
+
+def test_every_raise_names_a_domain_error():
+    # the CLI maps ArtinMarkError to exit codes; any other exception escapes
+    # it as a traceback, so the library raises domain errors only
+    def raised_name(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", getattr(exc, "attr", "<bare>"))
+
+    def is_domain_error(name):
+        cls = getattr(errors, name, None)
+        return isinstance(cls, type) and issubclass(cls, errors.ArtinMarkError)
+
+    found = [
+        f"{name}:{node.lineno} {raised_name(node)}"
+        for name, tree in source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and not is_domain_error(raised_name(node))
+    ]
     assert found == []
 
 
@@ -201,3 +226,57 @@ def test_slot_memo_inventory():
         if attr.rpartition(".")[2].startswith("_") and is_placeholder(value)
     }
     assert found == SLOT_MEMOS
+
+
+# the public API: artinmark.__all__, the package's submodules included; a
+# name added or dropped must be listed or unlisted here
+EXPORTS = {
+    "ArtinElement", "ArtinMarkError", "ArtinType", "ConjugacyGraph", "CoxeterElement",
+    "CparabSimplex", "DefiningGraph", "ExploredGraph", "GarsideContext",
+    "LevelDecomposition", "Marking", "ParabolicSubgroup", "Ribbon", "RootSystem",
+    "StandardizedSimplex", "TransversalData",
+    "all_standard_markings", "bfs", "build_conjugacy_graph", "build_defining_graph",
+    "canonical_positive_standardizer", "central_generator_z", "context",
+    "delta_permutation", "elementary_ribbon", "enumerate_flip_moves",
+    "enumerate_maximal_standard", "export_graph", "is_flip_edge", "is_twist_edge",
+    "longest_element", "marking_stabilizer_probe", "member_of_standard",
+    "minimal_standardizer", "neighbors", "normalize", "parse_element", "parse_word",
+    "projection", "ribbon_delta_form", "root_reflection_table",
+    "simultaneous_standardizer", "standard_conjugate", "standard_marking_connectivity",
+    "standard_transversals", "standardize_marking", "transversal_decomposition",
+    "twist_move", "validate_marking", "z_exponent",
+    "coxeter", "errors", "garside", "graph", "marking", "parabolic", "ribbons",
+    "rings", "simplex",
+}
+
+
+def test_export_inventory():
+    assert set(artinmark.__all__) == EXPORTS
+
+
+def test_bench_lib_chains_resolve():
+    # the benchmark reaches the library through `lib.<name>` chains on a fresh
+    # import of the package and artinmark.cli; each chain must resolve
+    repo = Path(__file__).resolve().parents[1]
+    chains = sorted({
+        chain
+        for path in (repo / "bench").glob("*.py")
+        for chain in re.findall(r"(?<![\w.])lib\.(\w+(?:\.\w+)*)", path.read_text())
+    })
+    assert {"cli.run_command", "Marking.from_json", "is_twist_edge"} <= set(chains)
+    script = (
+        "import functools, importlib, sys\n"
+        "lib = importlib.import_module('artinmark')\n"
+        "importlib.import_module('artinmark.cli')\n"
+        "for chain in sys.argv[1:]:\n"
+        "    try:\n"
+        "        functools.reduce(getattr, chain.split('.'), lib)\n"
+        "    except AttributeError:\n"
+        "        print(chain)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, *chains], env=env, capture_output=True, text=True
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
