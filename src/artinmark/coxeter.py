@@ -128,10 +128,10 @@ class ArtinType:
     @staticmethod
     def parse(text: str) -> ArtinType:
         text = text.strip()
-        match = re.fullmatch(r"I2\((\d+)\)", text)
+        match = re.fullmatch(r"I2\(([0-9]+)\)", text)
         if match:
             return ArtinType("I2", 2, int(match.group(1)))
-        match = re.fullmatch(r"([ABDEFH])(\d+)", text)
+        match = re.fullmatch(r"([ABDEFH])([0-9]+)", text)
         if not match:
             raise UnsupportedType(f"cannot parse type spec {text!r}")
         return ArtinType(match.group(1), int(match.group(2)))

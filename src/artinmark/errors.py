@@ -52,16 +52,8 @@ class NotMaximal(ArtinMarkError):
     """Simplex is not maximal."""
 
 
-class NotConjugate(ArtinMarkError):
-    """The two standardizations are not conjugate."""
-
-
 class NotAStandardizer(ArtinMarkError):
     """Element does not carry the simplex to standard subgroups."""
-
-
-class NotAStabilizer(ArtinMarkError):
-    """Element does not permute the vertices of the simplex."""
 
 
 class ExponentBoundExceeded(ArtinMarkError):

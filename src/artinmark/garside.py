@@ -25,6 +25,7 @@ conjugation automorphism tau(x) = w0 x w0.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -39,7 +40,6 @@ from .coxeter import (
 from .errors import InvariantViolated, MixedContext, NotPositive, ParseError
 
 if TYPE_CHECKING:
-    from .marking import MarkingCertificate
     from .parabolic import ParabolicSubgroup
     from .simplex import StandardizedSimplex
 
@@ -49,17 +49,18 @@ Word = tuple[tuple[int, int], ...]  # (generator index, +1 or -1)
 class GarsideContext:
     """The tables of one Artin group and every memo shared across calls.
 
-    Every memo is declared here, and each entry is written once: the Garside
-    tables of the simple elements, transversal subsets by (family, index),
-    parabolics interned by (conj, gens), the Delta_X involution of each
-    connected subset X with its z-exponent (parabolic.delta_permutation and
-    parabolic.z_exponent), the strips of the minimal standardizer descent by
-    target subset (at most one entry per subset of the vertices), and three
-    memos that several representatives share, keyed by value: the canonical
-    data of a simplex (by its sorted vertex keys), marking certificates (by
-    ordered pair keys) and transversal decompositions (by transversal, base
-    and standardizer).  The memos hold results only: a failure is recomputed
-    and raised fresh.
+    Every memo is declared here, and each entry is written once: the slides
+    and tau images of the simple elements and the Delta_X elements, transversal
+    subsets by (family, index), parabolics interned by (conj, gens), the
+    Delta_X involution of each connected subset X with its z-exponent
+    (parabolic.delta_permutation and parabolic.z_exponent), the strips of the
+    minimal standardizer descent by target subset (at most one entry per
+    subset of the vertices), and two memos that several representatives
+    share, keyed by value: the canonical data of a simplex (by its sorted
+    vertex keys) and transversal decompositions (by transversal, base and
+    standardizer).  Meets and complements of simples are not memoized: each
+    is one table operation on interned elements.  The memos hold results
+    only: a failure is recomputed and raised fresh.
     """
 
     def __init__(self, graph: DefiningGraph, system: RootSystem):
@@ -68,9 +69,7 @@ class GarsideContext:
         self.rank = graph.rank
         self.delta_w = longest_element(system, frozenset(graph.vertices))
         self.delta_len = self.delta_w.length
-        self._meet: dict[tuple[int, int], CoxeterElement] = {}
         self._slide: dict[tuple[int, int], tuple[CoxeterElement, CoxeterElement] | None] = {}
-        self._rcomp: dict[int, CoxeterElement] = {}
         self._tau: dict[int, CoxeterElement] = {}
         self._delta_of: dict[frozenset[int], ArtinElement] = {}
         self._connected_proper: tuple[frozenset[int], ...] | None = None
@@ -83,7 +82,6 @@ class GarsideContext:
         self.simplex_canonical: dict[
             str, tuple[tuple[str, ...], ArtinElement, StandardizedSimplex]
         ] = {}
-        self.marking_certificates: dict[tuple, MarkingCertificate] = {}
         self.transversal_decompositions: dict[tuple, tuple[int, frozenset[int]]] = {}
         self.identity = ArtinElement(self, 0, ())
         self.delta = ArtinElement(self, 1, ())
@@ -106,11 +104,7 @@ class GarsideContext:
 
     def right_complement(self, x: CoxeterElement) -> CoxeterElement:
         """The simple r with x * r = Delta, lengths adding."""
-        el = self._rcomp.get(x.uid)
-        if el is None:
-            el = x.inverse() * self.delta_w
-            self._rcomp[x.uid] = el
-        return el
+        return x.inverse() * self.delta_w
 
     def left_complement(self, x: CoxeterElement) -> CoxeterElement:
         """The simple l with l * x = Delta, lengths adding."""
@@ -120,13 +114,7 @@ class GarsideContext:
         """Meet of two simples in the prefix order; only the meet is interned."""
         if a.system is not b.system or a.system is not self.system:
             raise MixedContext("simples from different root systems")
-        key = (a.uid, b.uid) if a.uid <= b.uid else (b.uid, a.uid)
-        cached = self._meet.get(key)
-        if cached is not None:
-            return cached
-        meet = self.system.element(self.system._meet(a.perm, b.perm))
-        self._meet[key] = meet
-        return meet
+        return self.system.element(self.system._meet(a.perm, b.perm))
 
     def w0_of(self, subset: frozenset[int]) -> CoxeterElement:
         return longest_element(self.system, subset)
@@ -437,7 +425,7 @@ def parse_word(graph: DefiningGraph, text: str) -> Word:
         name, inverse = token, False
         if token.endswith("^-1"):
             name, inverse = token[:-3], True
-        if not (name.startswith("s") and name[1:].isdigit()):
+        if not re.fullmatch("s[0-9]+", name):
             raise ParseError(f"bad generator token {token!r}", position)
         idx = int(name[1:]) - 1
         if not 0 <= idx < graph.rank:
@@ -468,10 +456,10 @@ def parse_element(ctx: GarsideContext, text: str) -> ArtinElement:
     head = head.strip()
     if not head.startswith("DELTA^"):
         raise ParseError(f"expected DELTA^<p> before '|' in {text!r}")
-    try:
-        inf = int(head[len("DELTA^"):])
-    except ValueError:
-        raise ParseError(f"bad Delta exponent in {text!r}") from None
+    exponent = head[len("DELTA^"):].strip()
+    if not re.fullmatch("[+-]?[0-9]+", exponent):
+        raise ParseError(f"bad Delta exponent in {text!r}")
+    inf = int(exponent)
     word = parse_word(ctx.graph, tail.replace(".", " "))
     simples, start = [], 0
     for piece in tail.split("."):

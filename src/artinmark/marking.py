@@ -151,7 +151,8 @@ class Marking:
         return self._key
 
     def ordered_key(self) -> tuple[tuple[str, str], ...]:
-        """Pair-order-sensitive key, for caches indexed by pair position."""
+        """Pair-order-sensitive key: is_flip_edge and graph._close_boundary
+        test with it whether a swapped pair (Q_j, P_j) sits in a marking."""
         return tuple((p.key(), q.key()) for p, q in self.pairs)
 
     def __eq__(self, other: object) -> bool:
@@ -191,11 +192,7 @@ class Marking:
 
     def certificate(self) -> MarkingCertificate:
         if self._cert is None:
-            cache = self.ctx.marking_certificates
-            value = cache.get(self.ordered_key())
-            if value is None:
-                value = cache[self.ordered_key()] = validate_marking(self)
-            self._cert = value
+            self._cert = validate_marking(self)
         return self._cert
 
     def projections(self) -> tuple[int, ...]:

@@ -75,7 +75,11 @@ These deliberately avoid the library's normal-form and lattice algorithms:
 * the per-piece parser normalizes each '.'-piece of a serialized element as
   its own word and multiplies the results, and the whole-tail parser
   normalizes the whole tail as one signed word, not by taking each reduced
-  positive piece as one simple and normalizing them in one sweep.
+  positive piece as one simple and normalizing them in one sweep;
+* the maximal tubings of a Coxeter diagram are the maximal sets of pairwise
+  compatible tubes (connected proper vertex subsets, nested or disjoint and
+  not adjacent), found by a clique search, not by the recursive
+  characterization of maximal standard families.
 
 Two test helpers here are not oracles but library code that only tests
 called: the join of two simples by complement duality (lcm_simples) and the
@@ -88,7 +92,8 @@ paths in the Paris conjugacy graph, the edge test of two parabolics, the
 ascending product relating two standardizers of a maximal simplex and its
 extraction, simplex stabilizers, the change between two standard families,
 the shared flip standardizer, bounded transversal-swap paths, and the
-isometric action of the group on the marking graph.
+isometric action of the group on the marking graph.  The two domain errors
+that only these raise, NotConjugate and NotAStabilizer, are defined there.
 """
 
 from __future__ import annotations
@@ -108,9 +113,7 @@ from artinmark.errors import (
     Disconnected,
     InvariantViolated,
     NotASimplex,
-    NotAStabilizer,
     NotAStandardizer,
-    NotConjugate,
     NotIrreducible,
     NotMaximal,
     NotProper,
@@ -1004,12 +1007,75 @@ def orbit_representatives(ctx: GarsideContext, seed: Marking, radius: int) -> di
     return out
 
 
+# -- maximal tubings -------------------------------------------------------------
+
+
+def tubes(graph: DefiningGraph) -> list[frozenset[int]]:
+    """The tubes of a graph: its nonempty proper vertex subsets that induce a
+    connected subgraph, connectivity checked by a walk along the edges."""
+    n = graph.rank
+    out = []
+    for mask in range(1, (1 << n) - 1):
+        subset = frozenset(i for i in range(n) if mask >> i & 1)
+        start = min(subset)
+        seen, todo = {start}, [start]
+        while todo:
+            a = todo.pop()
+            for b in subset - seen:
+                if graph.adjacent(a, b):
+                    seen.add(b)
+                    todo.append(b)
+        if seen == subset:
+            out.append(subset)
+    return out
+
+
+def compatible_tubes(graph: DefiningGraph, a: frozenset[int], b: frozenset[int]) -> bool:
+    """Two tubes are compatible when nested, or disjoint with no edge
+    between them (Carr-Devadoss 2006)."""
+    if a <= b or b <= a:
+        return True
+    return not (a & b) and not any(graph.adjacent(x, y) for x in a for y in b)
+
+
+def maximal_tubings(graph: DefiningGraph) -> set[frozenset[frozenset[int]]]:
+    """The maximal sets of pairwise compatible tubes: the maximal cliques of
+    the compatibility graph on the tubes, by Bron-Kerbosch with pivoting."""
+    found = tubes(graph)
+    near = {
+        a: frozenset(b for b in found if b != a and compatible_tubes(graph, a, b))
+        for a in found
+    }
+    out: set[frozenset[frozenset[int]]] = set()
+
+    def extend(clique, candidates, excluded):
+        if not candidates and not excluded:
+            out.add(frozenset(clique))
+            return
+        pivot = max(candidates | excluded, key=lambda t: len(near[t] & candidates))
+        for tube in candidates - near[pivot]:
+            extend(clique | {tube}, candidates & near[tube], excluded & near[tube])
+            candidates = candidates - {tube}
+            excluded = excluded | {tube}
+
+    extend(frozenset(), frozenset(found), frozenset())
+    return out
+
+
 # -- reference implementations of paper statements ----------------------------
 #
 # Library code that only the tests call: each function below states a result
 # of the paper in executable form, and the tests check it on examples and on
 # seeded conjugates.  is_flip_edge is read off the artinmark.marking module at
 # call time, so a test that patches it there reaches the swap-path checks.
+
+
+class NotConjugate(ArtinMarkError):
+    """The two standardizations are not conjugate."""
+
+
+class NotAStabilizer(ArtinMarkError):
+    """Element does not permute the vertices of the simplex."""
 
 
 def contains_element(p: ParabolicSubgroup, g: ArtinElement) -> bool:

@@ -332,6 +332,24 @@ def test_bad_type_exit_2(capsys):
     assert code == 2
 
 
+# a superscript two, which int() rejects, and an Arabic-Indic three, which
+# int() reads as 3: neither is a digit of the input syntax
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--type", "A3", "nf", "s1 s\u00b2"],
+        ["--type", "A3", "min-std", json.dumps({"conj": "s\u00b2", "gens": ["s1"]})],
+        ["--type", "A3", "min-std", json.dumps({"conj": "DELTA^1_0 | s1", "gens": ["s1"]})],
+        ["--type", "A\u0663", "nf", "s1"],
+        ["--type", "A3", "nf", "s\u0663"],
+    ],
+)
+def test_non_ascii_digits_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
 def test_domain_error_exit_1(capsys):
     # a marking whose pattern is broken: domain error, JSON on stderr
     a3 = context("A3")

@@ -32,7 +32,10 @@ def test_type_parsing_roundtrip():
         assert str(ArtinType.parse(spec)) == spec
 
 
-@pytest.mark.parametrize("bad", ["A0", "B1", "D3", "E9", "F5", "H5", "I2(2)", "C3", "foo"])
+@pytest.mark.parametrize(
+    "bad",
+    ["A0", "B1", "D3", "E9", "F5", "H5", "I2(2)", "C3", "foo", "A\u0663", "A\u00b2", "I2(\u0665)"],
+)
 def test_unsupported_types(bad):
     with pytest.raises(UnsupportedType) as err:
         ArtinType.parse(bad)

@@ -286,6 +286,20 @@ def test_parse_word_errors():
         parse_word(g, "s9")
 
 
+def test_parsers_read_ascii_digits_only():
+    ctx = context("A3")
+    for token in ("s\u00b2", "s\u2460", "s\u0663", "s"):
+        with pytest.raises(ParseError) as err:
+            parse_word(ctx.graph, "s1 " + token)
+        assert err.value.position == 3
+    for text in ("DELTA^1_0 | s1", "DELTA^\u0663 | s1", "DELTA^ | s1", "DELTA^+-1 | s1"):
+        with pytest.raises(ParseError, match="bad Delta exponent"):
+            parse_element(ctx, text)
+    s1 = normalize(ctx, "s1")
+    assert parse_element(ctx, "DELTA^+2 | s1") == ctx.delta**2 * s1
+    assert parse_element(ctx, "DELTA^-10 | s1") == ctx.delta**-10 * s1
+
+
 def test_element_serialization_roundtrip():
     ctx = context("B3")
     g = normalize(ctx, "s1 s3^-1 s2 s1 s2^-1")

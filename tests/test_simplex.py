@@ -5,9 +5,7 @@ import pytest
 
 from artinmark.errors import (
     InvariantViolated,
-    NotAStabilizer,
     NotAStandardizer,
-    NotConjugate,
     NotIrreducible,
     NotProper,
     PreconditionViolated,
@@ -26,6 +24,8 @@ from artinmark.simplex import (
 )
 from oracles import (
     AscendingProduct,
+    NotAStabilizer,
+    NotConjugate,
     _recipe_transversals,
     adjacent,
     containment_levels,
