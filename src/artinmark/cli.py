@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -85,11 +86,23 @@ def _marking_arg(ctx: GarsideContext, args: argparse.Namespace) -> Marking:
     return marking
 
 
-def _check_bounds(args: argparse.Namespace) -> None:
-    for name in ("radius", "proj_bound", "bound_k"):
-        value = getattr(args, name)
-        if value < 0:
-            raise ParseError(f"--{name.replace('_', '-')} {value} is negative")
+def _read_integers(args: argparse.Namespace) -> None:
+    """Turn the integer options, read as text, into ints.  Only ASCII
+    [+-]?[0-9]+ is an integer (int() alone also reads other Unicode
+    digits); the bounds must be non-negative and a direction 1 or -1."""
+    for name in ("bound_k", "radius", "proj_bound", "index", "direction"):
+        text = getattr(args, name, None)
+        if text is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if not re.fullmatch("[+-]?[0-9]+", text):
+            raise ParseError(f"{flag} {text!r} is not an integer")
+        value = int(text)
+        if name in ("bound_k", "radius", "proj_bound") and value < 0:
+            raise ParseError(f"{flag} {value} is negative")
+        if name == "direction" and value not in (1, -1):
+            raise ParseError(f"{flag} {value} is not 1 or -1")
+        setattr(args, name, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,10 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--type", required=True, help="type spec, e.g. A3, B4, I2(7)")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--bound-k", type=int, default=4, help="length/scan budget")
-    parser.add_argument("--radius", type=int, default=1, help="BFS radius")
+    parser.add_argument("--bound-k", default="4", help="length/scan budget")
+    parser.add_argument("--radius", default="1", help="BFS radius")
     parser.add_argument(
-        "--proj-bound", type=int, default=2, help="projection bound for std-connectivity"
+        "--proj-bound", default="2", help="projection bound for std-connectivity"
     )
     parser.add_argument("--seed-file", default=None, help="file with the payload")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -133,16 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("projection", help="projection of one transversal")
     p.add_argument("marking", nargs="?")
-    p.add_argument("--index", type=int, required=True)
+    p.add_argument("--index", required=True)
 
     p = sub.add_parser("twist", help="twist move")
     p.add_argument("marking", nargs="?")
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--direction", type=int, choices=(1, -1), default=1)
+    p.add_argument("--index", required=True)
+    p.add_argument("--direction", default="1", help="1 or -1")
 
     p = sub.add_parser("flip", help="all flip moves across an index")
     p.add_argument("marking", nargs="?")
-    p.add_argument("--index", type=int, required=True)
+    p.add_argument("--index", required=True)
 
     p = sub.add_parser("standardize-marking", help="conjugate to an all-standard marking")
     p.add_argument("marking", nargs="?")
@@ -176,7 +189,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
-        _check_bounds(args)
+        _read_integers(args)
         try:
             ctx = context(args.type)
         except UnsupportedType as err:

@@ -24,6 +24,8 @@ of w exactly when w^-1(alpha_t) is negative; the simple roots are roots
 the common left descents of d^-1 a and d^-1 b, w0(W_D) is a left prefix of
 all x with D in their left descents (parabolic factorization, Bjorner-Brenti
 2005, 2.4), so d w0(W_D) is a common prefix, and d is the meet when D = {}.
+A slide of a pair of simples (RootSystem._slide_tables) runs the same strip
+against the roots blocked by u^-1 Delta and v, after a descent-key test.
 
 Vertex numbering of the defining graphs:
 
@@ -317,6 +319,7 @@ class RootSystem:
 
         # the permutation encoding; _after(op, sp) is i -> sp[op[i]]
         self._pos = bytes(self.is_positive_root).ljust(256, b"\0")  # 0/1 flags
+        self._neg = bytes(not p for p in self.is_positive_root).ljust(256, b"\0")
         if len(roots) <= 256:
             encode, self._after, self._invert = _table, bytes.translate, _table_inverse
             self._key = bytes.translate
@@ -339,16 +342,40 @@ class RootSystem:
         return el
 
     def _meet(self, a, b) -> tuple[int, ...] | bytes:
-        """Raw table of the prefix meet of the simples with raw tables a, b.
-        t is a left descent of d^-1 x when d(alpha_t) is not in x(positive
-        roots), so the zero bytes of the key of d against the roots blocked
-        by a or b are D, and each step strips w0(W_D) (module docstring)."""
-        n, w0, d = self.graph.rank, self._w0, self.identity.perm
+        """Raw table of the prefix meet of the simples with raw tables a, b:
+        the strip against the roots in a(positive roots) or b(positive roots)."""
         bits = int.from_bytes(self._flags(a), "big") | int.from_bytes(self._flags(b), "big")
-        blocked = bits.to_bytes(len(d), "big")
+        return self._strip(bits.to_bytes(len(a), "big"))
+
+    def _strip(self, blocked: bytes) -> tuple[int, ...] | bytes:
+        """Raw table of the prefix meet of simples x, given blocked: 0/1
+        flags of the roots in any x(positive roots).  t is a left descent of
+        every d^-1 x when d(alpha_t) is in no x(positive roots), so the zero
+        bytes of the key of d against blocked are D, and each step strips
+        w0(W_D) (module docstring)."""
+        n, w0, d = self.graph.rank, self._w0, self.identity.perm
         while 0 in (key := self._key(d[:n], blocked)):
             d = self._after(w0.get(key) or self._longest(key), d)
         return d
+
+    def _slide_tables(self, u, v) -> tuple[tuple[int, ...] | bytes, ...] | None:
+        """Raw tables (u a, a^-1 v) for the simples with raw tables u, v,
+        where a is the meet of u^-1 Delta and v; None when a = 1, that is
+        when the left descents of v lie in the right descents of u.
+
+        u^-1 Delta sends the positive roots to the roots beta with u(beta)
+        negative, so its blocked roots are read off u's table; the meet is
+        then the strip of _meet, and only its two products are built."""
+        n, pos, key = self.graph.rank, self._pos, self._key
+        v_inv = self._invert(v)
+        # t in L(v) - R(u): u(alpha_t) positive, v^-1(alpha_t) negative
+        if not int.from_bytes(key(u[:n], pos), "big") & int.from_bytes(
+            key(v_inv[:n], self._neg), "big"
+        ):
+            return None
+        bits = int.from_bytes(key(u, self._neg), "big") | int.from_bytes(key(v_inv, pos), "big")
+        a = self._strip(bits.to_bytes(len(u), "big"))
+        return self._after(a, u), self._after(v, self._invert(a))
 
     def _flags(self, perm) -> bytes:
         """0/1 flags of the roots in x(positive roots), x with raw table perm."""
@@ -362,17 +389,6 @@ class RootSystem:
             letters.append(t)
             d = self._after(gens[t].perm, d)
         return tuple(letters)
-
-    def reduced_product(self, letters) -> CoxeterElement | None:
-        """The element with the positive word letters when that word is
-        reduced, else None: each letter t lengthens the product w before it
-        exactly when w(alpha_t) is positive.  Only the product is interned."""
-        d, pos, gens = self.identity.perm, self._pos, self.generators
-        for t in letters:
-            if not pos[d[t]]:
-                return None
-            d = self._after(gens[t].perm, d)
-        return self.element(d)
 
     def _longest(self, key: bytes) -> tuple[int, ...] | bytes:
         """Raw table of w0(W_D), D the zero bytes of key, built greedily and

@@ -12,15 +12,25 @@ The prefix-order meet of two simples strips w0 of the common left descents
 (RootSystem._meet).  No table of W is materialized, so one code serves
 I2(3), E8.
 
+A slide works on raw tables (RootSystem._slide_tables).  The pair (u, v)
+is normal exactly when L(v) lies in R(u), which two n-byte descent keys
+decide with no product and no meet.  Otherwise the head moved into u is the
+meet of u^-1 Delta and v; the roots blocked by u^-1 Delta are the beta with
+u(beta) negative, read off u's table, so neither the complement nor the
+meet nor its inverse is interned: only the two new factors are.
+
 Products are incremental: each factor of the right operand is appended to
 the (left-weighted) body and one right-to-left sweep of slides restores
 left-weightedness, stopping at the first pair that is already normal
 (Epstein et al., Word Processing in Groups, ch. 9).  Every other
 constructor goes through the same sweep.
 
-Signed generator words enter through the usual rewrite s^-1 = Delta^-1 *
-(Delta s^-1), after which Delta powers are commuted to the front with the
-conjugation automorphism tau(x) = w0 x w0.
+Signed generator words enter in runs: maximal stretches of letters of one
+sign whose positive word is reduced, each one simple (a positive run) or
+Delta^-1 times a simple (a negative run, through s^-1 = Delta^-1 (Delta
+s^-1) applied to the whole run).  The Delta powers are commuted to the
+front with the conjugation automorphism tau(x) = w0 x w0, and one sweep
+normalizes the runs: the sweep is fed one factor per run, not per letter.
 """
 
 from __future__ import annotations
@@ -122,15 +132,14 @@ class GarsideContext:
     def _slide_pair(
         self, u: CoxeterElement, v: CoxeterElement
     ) -> tuple[CoxeterElement, CoxeterElement] | None:
-        """Left-greedy a pair: move the maximal head of v into u, or None."""
+        """Left-greedy a pair: move the maximal head of v into u, or None.
+        The meet is taken on raw tables; only the two new factors are
+        interned."""
         key = (u.uid, v.uid)
         if key in self._slide:
             return self._slide[key]
-        alpha = self.gcd_simples(self.right_complement(u), v)
-        if alpha is self.system.identity:
-            result = None
-        else:
-            result = (u * alpha, alpha.inverse() * v)
+        slid = self.system._slide_tables(u.perm, v.perm)
+        result = None if slid is None else tuple(map(self.system.element, slid))
         self._slide[key] = result
         return result
 
@@ -176,21 +185,31 @@ class GarsideContext:
         return ArtinElement(self, inf + gain, body)
 
     def from_word(self, word: Word) -> ArtinElement:
-        """Normal form of a signed word in the Artin generators."""
-        factors: list[CoxeterElement] = []
-        dpows: list[int] = []
-        gens = self.system.generators
+        """Normal form of a signed word in the Artin generators.
+
+        The word is cut into runs: maximal stretches of letters of one sign
+        whose positive word s_a1 ... s_ak is reduced, with W-image e.  A
+        positive run is the simple e.  A negative run s_a1^-1 ... s_ak^-1 is
+        y^-1 for the simple y = s_ak ... s_a1 (W-image e^-1), which is
+        Delta^-1 times the simple Delta y^-1 (W-image w0 e).  A letter t
+        extends a run while t is not a right descent of e; runs are built on
+        raw tables and only each finished run is interned.  Delta powers are
+        then commuted to the front with tau, and one sweep follows."""
+        system = self.system
+        after, pos, gens = system._after, system._pos, system.generators
+        runs: list[list] = []  # [positive, raw table e] per run
         for i, sign in word:
-            if sign > 0:
-                factors.append(gens[i])
-                dpows.append(0)
+            if runs and runs[-1][0] is (sign > 0) and pos[runs[-1][1][i]]:
+                runs[-1][1] = after(gens[i].perm, runs[-1][1])
             else:
-                factors.append(self.left_complement(gens[i]))
-                dpows.append(-1)
+                runs.append([sign > 0, gens[i].perm])
+        delta = self.delta_w.perm
+        factors: list[CoxeterElement] = []
         total = 0
-        for k in range(len(factors) - 1, -1, -1):
-            factors[k] = self.tau(factors[k], total)
-            total += dpows[k]
+        for positive, e in reversed(runs):
+            factors.append(self.tau(system.element(e if positive else after(e, delta)), total))
+            total -= not positive
+        factors.reverse()
         return self.element(total, factors)
 
     def delta_of(self, subset: frozenset[int]) -> ArtinElement:
@@ -443,12 +462,12 @@ def word_to_text(graph: DefiningGraph, word: Word) -> str:
 def parse_element(ctx: GarsideContext, text: str) -> ArtinElement:
     """Parse the 'DELTA^p | w1 . w2' serialization (round-trips to_text).
 
-    The tail after '|' is parsed as one word first, '.' read as a space, so
-    a ParseError there gives its offset from the start of the tail.  When
-    every '.'-piece is a positive reduced word, as in to_text, each piece is
-    one simple and the element is Delta^p times their product, normalized
-    in one sweep.  Otherwise the whole tail is normalized as one signed
-    word.  Both give Delta^p w1 w2 ..., whose normal form is unique."""
+    The tail after '|' is read as one signed word, '.' as a space, so a
+    ParseError there gives its offset from the start of the tail, and the
+    element is Delta^p times its normal form.  On a to_text tail the runs
+    of from_word are its '.'-pieces: each piece is a reduced word whose
+    first letter is a left descent of it, hence a right descent of the
+    piece before, so the sweep sees the factors of the text itself."""
     head, sep, tail = text.partition("|")
     if not sep:
         # plain generator word
@@ -459,16 +478,5 @@ def parse_element(ctx: GarsideContext, text: str) -> ArtinElement:
     exponent = head[len("DELTA^"):].strip()
     if not re.fullmatch("[+-]?[0-9]+", exponent):
         raise ParseError(f"bad Delta exponent in {text!r}")
-    inf = int(exponent)
-    word = parse_word(ctx.graph, tail.replace(".", " "))
-    simples, start = [], 0
-    for piece in tail.split("."):
-        end = start + len(piece.split())
-        letters, start = word[start:end], end
-        simple = None
-        if all(sign > 0 for _, sign in letters):
-            simple = ctx.system.reduced_product(i for i, _ in letters)
-        if simple is None:
-            return ctx.delta ** inf * ctx.from_word(word)
-        simples.append(simple)
-    return ctx.element(inf, simples)
+    g = ctx.from_word(parse_word(ctx.graph, tail.replace(".", " ")))
+    return ArtinElement(ctx, int(exponent) + g.inf, g.body)

@@ -16,8 +16,11 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   raw tables, scanning the simple roots against a set of blocked roots, not
   a whole w0(W_D) block per step read off a byte descent key;
 * the fixed-point normalizer re-runs left-to-right slide passes over the
-  whole factor list until nothing moves, independent of the library's
-  one-sweep products;
+  whole factor list until nothing moves, one factor per letter, independent
+  of the library's one-sweep products and its runs of letters; each pair
+  slides by the meet of the right complement of the first factor with the
+  second, on interned elements, not by the library's raw-table slide with
+  its descent-key shortcut;
 * the prefix-BFS standardizers search by atom length over prefixes of a
   known positive standardizer (or over the whole monoid), and standardize
   a simplex level by level, independent of the library's ribbon descent
@@ -333,6 +336,15 @@ def lcm_simples(ctx: GarsideContext, a, b):
 # -- fixed-point normal forms ------------------------------------------------
 
 
+def meet_slide_pair(ctx, u, v):
+    """(u a, a^-1 v) for a the meet of u^-1 Delta and v, or None when a = 1:
+    the complement, the meet and a^-1 all interned, nothing memoized."""
+    alpha = ctx.gcd_simples(ctx.right_complement(u), v)
+    if alpha.is_identity:
+        return None
+    return u * alpha, alpha.inverse() * v
+
+
 def fixed_point_normalize(ctx, inf: int, factors) -> tuple[int, tuple]:
     """(inf, body) of Delta^inf * factors, by slide passes to a fixed point."""
     body = [x for x in factors if not x.is_identity]
@@ -341,7 +353,7 @@ def fixed_point_normalize(ctx, inf: int, factors) -> tuple[int, tuple]:
         changed = False
         i = 0
         while i < len(body) - 1:
-            slid = ctx._slide_pair(body[i], body[i + 1])
+            slid = meet_slide_pair(ctx, body[i], body[i + 1])
             if slid is not None:
                 changed = True
                 body[i] = slid[0]

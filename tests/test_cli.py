@@ -350,6 +350,38 @@ def test_non_ascii_digits_exit_2(capsys, argv):
     assert json.loads(err)["error"] == "ParseError"
 
 
+def integer_option_argv(option, value):
+    payload = a3_marking_json()
+    if option == "--index":
+        return ["--type", "A3", "projection", payload, "--index", value]
+    if option == "--direction":
+        return ["--type", "A3", "twist", payload, "--index", "0", "--direction", value]
+    if option == "--proj-bound":
+        return ["--type", "A3", option, value, "std-connectivity"]
+    command = {"--radius": "bfs", "--bound-k": "stabilizer-probe"}[option]
+    return ["--type", "A3", option, value, command, payload]
+
+
+# int() reads an Arabic-Indic zero or one as 0 or 1, so before the options
+# were read as ASCII these ran (the radius 0 ones exited 0)
+@pytest.mark.parametrize(
+    "option", ["--radius", "--proj-bound", "--bound-k", "--index", "--direction"]
+)
+@pytest.mark.parametrize("value", ["\u0660", "\u0661", "\u00b2", "1\u0660", " 1", "1.0", ""])
+def test_integer_options_read_ascii_digits_only(capsys, option, value):
+    code, out, err = run(capsys, *integer_option_argv(option, value))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "option,value", [("--radius", "+0"), ("--index", "00"), ("--direction", "+1")]
+)
+def test_integer_options_take_signs_and_leading_zeros(capsys, option, value):
+    code, out, _ = run(capsys, *integer_option_argv(option, value))
+    assert code == 0 and out
+
+
 def test_domain_error_exit_1(capsys):
     # a marking whose pattern is broken: domain error, JSON on stderr
     a3 = context("A3")

@@ -20,6 +20,7 @@ from oracles import (
     descent_peel_gcd,
     descent_peel_reduced_word,
     float_positive_roots,
+    meet_slide_pair,
     root_perm,
     single_letter_peel,
     tuple_inverse,
@@ -376,6 +377,35 @@ def test_peel_matches_oracles_on_long_e8_meets():
     lengths = sorted(ctx.gcd_simples(a, b).length for a, b in pairs)
     assert lengths[len(lengths) // 2] >= 100  # the median meet has length 110
     assert_meets_match_oracles(ctx, pairs)
+
+
+def assert_slides_match_meet_oracle(ctx, pairs):
+    """The raw-table slide against the meet of the right complement, by
+    identity of the interned outputs; a slid pair no longer slides."""
+    for u, v in pairs:
+        slid, expected = ctx._slide_pair(u, v), meet_slide_pair(ctx, u, v)
+        if expected is None:
+            assert slid is None
+            continue
+        assert slid[0] is expected[0] and slid[1] is expected[1]
+        assert ctx._slide_pair(*slid) is None and meet_slide_pair(ctx, *slid) is None
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "I2(5)"])
+def test_slide_matches_meet_oracle_on_all_pairs(spec):
+    ctx = fresh_context(spec)
+    assert_slides_match_meet_oracle(ctx, itertools.product(all_w(spec), repeat=2))
+
+
+@pytest.mark.parametrize("spec,count,length", [("E8", 600, 24), ("A16", 60, 36), ("B12", 60, 36)])
+def test_slide_matches_meet_oracle_on_random_pairs(spec, count, length):
+    # each seeded pair (u, v) also as (u, Delta v^-1): a long second factor,
+    # as a negative run gives one
+    ctx = fresh_context(spec)
+    rng = random.Random(f"{spec} slides")
+    pairs = random_simple_pairs(ctx.system, rng, count, length)
+    pairs += [(u, ctx.left_complement(v)) for u, v in pairs]
+    assert_slides_match_meet_oracle(ctx, pairs)
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3", "D4", "I2(7)"])

@@ -410,9 +410,67 @@ def test_sweep_matches_fixed_point_normalizer(spec, length):
             assert (ab.inf, ab.body) == fixed_point_product(a, b)
 
 
+def words_with_runs(rng, rank, count, length):
+    """Seeded signed words of blocks of one sign, 1 to 12 letters each, so
+    that from_word meets long runs, reduced or not."""
+    words = []
+    for _ in range(count):
+        word = []
+        while len(word) < length:
+            sign = rng.choice((1, -1))
+            word += [(rng.randrange(rank), sign) for _ in range(rng.randint(1, 12))]
+        words.append(tuple(word[:length]))
+    return words
+
+
+def test_runs_split_where_the_word_stops_being_reduced():
+    ctx = context("A2")
+    for text, expected in [
+        ("s1 s1", "DELTA^0 | s1 . s1"),
+        ("s1^-1 s1^-1", "DELTA^-2 | s2 s1 . s1 s2"),
+        ("s1 s2 s1 s2", "DELTA^1 | s2"),
+        ("s1 s2 s1^-1 s2^-1", "DELTA^-1 | s2 s1 . s1"),
+    ]:
+        word = parse_word(ctx.graph, text)
+        g = ctx.from_word(word)
+        assert g.to_text() == expected, text
+        assert (g.inf, g.body) == fixed_point_from_word(ctx, word)
+
+
+@pytest.mark.parametrize(
+    "spec,count,length",
+    [("A3", 60, 30), ("I2(5)", 60, 30), ("E8", 10, 40), ("A16", 3, 24), ("B12", 3, 24)],
+)
+def test_runs_match_fixed_point_from_word(spec, count, length):
+    ctx = context(spec)
+    rng = random.Random(f"{spec} runs")
+    for word in words_with_runs(rng, ctx.rank, count, length):
+        g = ctx.from_word(word)
+        assert (g.inf, g.body) == fixed_point_from_word(ctx, word)
+
+
+@pytest.mark.parametrize("spec", ["A3", "I2(5)", "E8"])
+def test_parse_element_of_unreduced_pieces_matches_fixed_point_from_word(spec):
+    # a doubled letter makes its '.'-piece unreduced, so a run of from_word
+    # ends inside the piece; an inverted letter splits it by sign
+    ctx = context(spec)
+    rng = random.Random(f"{spec} pieces")
+    texts = serialized_texts(ctx, rng, 20, 16)
+    texts += ["DELTA^-1 | s1 s1 . s2^-1 s1", "DELTA^2 | s1 s2 s1 s2", "s2 s2 s1^-1"]
+    for text in texts:
+        head, sep, tail = text.partition("|")
+        inf = int(head.strip()[len("DELTA^"):]) if sep else 0
+        word = parse_word(ctx.graph, (tail if sep else head).replace(".", " "))
+        g = parse_element(ctx, text)
+        p, body = fixed_point_from_word(ctx, word)
+        assert (g.inf, g.body) == (inf + p, body), text
+
+
 def test_e8_normal_forms_intern_only_meets():
-    # on a fresh root system these 60 signed length-40 words intern 7,892
-    # elements; keeping every descent-peel temporary interned 340,814
+    # on a fresh root system these 60 signed length-40 words intern 2,479
+    # elements; 7,892 when each letter was a factor and each slide interned
+    # the complement, the meet and its inverse, and 340,814 when every
+    # descent-peel temporary was interned
     graph = build_defining_graph("E8")
     ctx = GarsideContext(graph, RootSystem(graph))
     rng = random.Random(40)

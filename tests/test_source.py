@@ -57,6 +57,7 @@ def test_no_unicode_digit_parsing():
     # two, an Arabic-Indic three), and int() reads some of them, so such a
     # digit either escaped the CLI as a ValueError or parsed as its ASCII
     # twin; numbers in the input syntax are ASCII 0-9 only, matched as [0-9]
+    # (an argparse type=int option is int() on the raw argument)
     found = []
     for name, tree in source_trees():
         for node in ast.walk(tree):
@@ -64,6 +65,10 @@ def test_no_unicode_digit_parsing():
                 "isdigit", "isdecimal", "isnumeric"
             ):
                 found.append(f"{name}:{node.lineno} {node.func.attr}")
+            elif isinstance(node, ast.Call) and any(
+                k.arg == "type" and getattr(k.value, "id", "") == "int" for k in node.keywords
+            ):
+                found.append(f"{name}:{node.lineno} type=int")
             elif (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
