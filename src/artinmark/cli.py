@@ -2,7 +2,8 @@
 
 Every operation is exposed on serialized inputs so experiments are scriptable
 and reproducible: identical invocations print identical bytes.  Domain errors
-exit 1 with a machine-readable JSON object on stderr; malformed inputs exit 2.
+exit 1 with a machine-readable JSON object on stderr; malformed inputs exit 2
+with a ParseError object, argv the parser rejects included (--help exits 0).
 
 run_command may be called many times in one process.  It builds its
 argument parser once, on the first call, so each call then costs only the
@@ -86,36 +87,41 @@ def _marking_arg(ctx: GarsideContext, args: argparse.Namespace) -> Marking:
     return marking
 
 
-def _read_integers(args: argparse.Namespace) -> None:
-    """Turn the integer options, read as text, into ints.  Only ASCII
-    [+-]?[0-9]+ is an integer (int() alone also reads other Unicode
-    digits); the bounds must be non-negative and a direction 1 or -1."""
-    for name in ("bound_k", "radius", "proj_bound", "index", "direction"):
-        text = getattr(args, name, None)
-        if text is None:
-            continue
-        flag = "--" + name.replace("_", "-")
+def _integer(flag: str, minimum: int | None = None):
+    """The argparse type of an integer option.  Only ASCII [+-]?[0-9]+ is an
+    integer (int() alone also reads other Unicode digits)."""
+
+    def read(text: str) -> int:
         if not re.fullmatch("[+-]?[0-9]+", text):
             raise ParseError(f"{flag} {text!r} is not an integer")
-        value = int(text)
-        if name in ("bound_k", "radius", "proj_bound") and value < 0:
-            raise ParseError(f"{flag} {value} is negative")
-        if name == "direction" and value not in (1, -1):
-            raise ParseError(f"{flag} {value} is not 1 or -1")
-        setattr(args, name, value)
+        if minimum is not None and int(text) < minimum:
+            raise ParseError(f"{flag} {int(text)} is below {minimum}")
+        return int(text)
+
+    return read
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ParseError where argparse prints usage and exits 2 (subcommands too)."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="artinmark",
         description="Garside calculus and marking graphs for finite-type Artin groups",
     )
     parser.add_argument("--type", required=True, help="type spec, e.g. A3, B4, I2(7)")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--bound-k", default="4", help="length/scan budget")
-    parser.add_argument("--radius", default="1", help="BFS radius")
     parser.add_argument(
-        "--proj-bound", default="2", help="projection bound for std-connectivity"
+        "--bound-k", default="4", type=_integer("--bound-k", 0), help="length/scan budget"
+    )
+    parser.add_argument("--radius", default="1", type=_integer("--radius", 0), help="BFS radius")
+    parser.add_argument(
+        "--proj-bound", default="2", type=_integer("--proj-bound", 0),
+        help="projection bound for std-connectivity",
     )
     parser.add_argument("--seed-file", default=None, help="file with the payload")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -146,16 +152,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("projection", help="projection of one transversal")
     p.add_argument("marking", nargs="?")
-    p.add_argument("--index", required=True)
+    p.add_argument("--index", required=True, type=_integer("--index"))
 
     p = sub.add_parser("twist", help="twist move")
     p.add_argument("marking", nargs="?")
-    p.add_argument("--index", required=True)
-    p.add_argument("--direction", default="1", help="1 or -1")
+    p.add_argument("--index", required=True, type=_integer("--index"))
+    p.add_argument("--direction", default="1", type=_integer("--direction"), choices=(1, -1))
 
     p = sub.add_parser("flip", help="all flip moves across an index")
     p.add_argument("marking", nargs="?")
-    p.add_argument("--index", required=True)
+    p.add_argument("--index", required=True, type=_integer("--index"))
 
     p = sub.add_parser("standardize-marking", help="conjugate to an all-standard marking")
     p.add_argument("marking", nargs="?")
@@ -175,34 +181,29 @@ def _parser() -> argparse.ArgumentParser:
     """The parser every run_command call shares, built on the first call.
 
     Reuse is safe: parse_args keeps all per-call state in the Namespace it
-    returns and never changes the parser, usage and error text go to
-    sys.stderr as it is at call time, and the help width is computed when
-    help is printed.  build_parser() still returns a fresh parser, so a
-    caller that changes its own copy cannot reach this one.
+    returns and never changes the parser, a rejected argv raises ParseError,
+    help goes to sys.stdout as it is at call time, and the help width is
+    computed when help is printed.  build_parser() still returns a fresh
+    parser, so a caller that changes its own copy cannot reach this one.
     """
     return build_parser()
 
 
 def run_command(argv: list[str]) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as err:
-        return 2 if err.code not in (0, None) else 0
-    try:
-        _read_integers(args)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit:  # --help, after printing its text
+            return 0
         try:
             ctx = context(args.type)
         except UnsupportedType as err:
             raise ParseError(f"bad type spec: {err}") from err
         return _dispatch(ctx, args)
-    except ParseError as err:
-        json.dump({"error": type(err).__name__, "message": str(err)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
     except ArtinMarkError as err:
         json.dump({"error": type(err).__name__, "message": str(err)}, sys.stderr)
         sys.stderr.write("\n")
-        return 1
+        return 2 if isinstance(err, ParseError) else 1
 
 
 def _dispatch(ctx: GarsideContext, args: argparse.Namespace) -> int:

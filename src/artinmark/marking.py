@@ -245,7 +245,8 @@ def decompose_transversal(
     A_X = g^-1 (base) g must be standard.
 
     The scan over k is symmetric and bounded by the Garside complexity of
-    g^-1 * conj(q).
+    g^-1 * conj(q).  Each twist is tested on z_q alone, with no membership
+    test (parabolic._standard_target).
     """
     ctx = q.ctx
     cache = ctx.transversal_decompositions
@@ -261,8 +262,7 @@ def decompose_transversal(
     c0 = g_inv * q.conj
     bound = ctx.delta_len * (abs(c0.inf) + 2) + sum(w.length for w in c0.body)
     found = scan_powers(
-        g, ctx.delta_of(x), bound,
-        lambda cand: _standard_target(ctx, cand, z_q, q.conj, q.gens),
+        g, ctx.delta_of(x), bound, lambda cand: _standard_target(ctx, cand, z_q)
     )
     if found is None:
         raise ScanExhausted(bound)

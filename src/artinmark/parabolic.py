@@ -27,6 +27,12 @@ Adjacency is decided in the first vertex's frame: z_{hPh^-1} = h z_P h^-1 and
 conjugation is an automorphism, so conjugating a family by g^-1 changes no
 commutation, and it turns each vertex g A_X g^-1 into A_X with the short z_X.
 
+Standard conjugates are recognised by z-elements alone: z determines an
+irreducible parabolic subgroup (Cumplido, Gebhardt, Gonzalez-Meneses,
+Wiest, Adv. Math. 2019), the fact behind the adjacency test too.  So c^-1 P c
+is a standard A_T exactly when c^-1 z_P c is positive and is z_T for its
+support T (_standard_target), with no membership test.
+
 The z-exponent is read off W, not off a table of types.  The centre of an
 irreducible A_X is generated by Delta_X or by Delta_X^2 (Brieskorn-Saito,
 Artin-Gruppen und Coxeter-Gruppen, Invent. Math. 1972), so z_X = Delta_X^e
@@ -63,7 +69,7 @@ from .errors import (
     NotProper,
     ParseError,
 )
-from .garside import ArtinElement, GarsideContext, member_of_standard, parse_element
+from .garside import ArtinElement, GarsideContext, parse_element
 
 Subset = frozenset[int]
 
@@ -224,29 +230,19 @@ def parabolics_from_json(ctx: GarsideContext, items: Iterable[dict]) -> list[Par
 
 
 def _standard_target(
-    ctx: GarsideContext,
-    candidate: ArtinElement,
-    z_p: ArtinElement,
-    conj: ArtinElement,
-    gens: Subset,
+    ctx: GarsideContext, candidate: ArtinElement, z_p: ArtinElement
 ) -> Subset | None:
-    """Subset Y with candidate^-1 P candidate = A_Y, or None."""
-    c_inv = candidate.inverse()
-    w = c_inv * z_p * candidate
+    """Subset T with c^-1 P c = A_T for the candidate c, or None, from z_P.
+
+    c^-1 P c has z-element w = c^-1 z_P c.  If it is A_T, then w = z_T, which
+    is positive with support T; conversely, for an irreducible P, w = z_T
+    forces c^-1 P c = A_T, as z determines the subgroup.
+    """
+    w = candidate.inverse() * z_p * candidate
     if not w.is_positive:
         return None
     target = w.support()
-    if len(target) != len(gens):
-        return None
-    h = c_inv * conj
-    h_inv = h.inverse()
-    for x in gens:
-        if not member_of_standard(h * ctx.atoms[x] * h_inv, target):
-            return None
-    for y in target:
-        if not member_of_standard(h_inv * ctx.atoms[y] * h, gens):
-            return None
-    return target
+    return target if w == ParabolicSubgroup.standard(ctx, target).z_element() else None
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,10 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   known positive standardizer (or over the whole monoid), and standardize
   a simplex level by level, independent of the library's ribbon descent
   and round-robin climb;
+* the membership standard target decides whether c^-1 P c is a standard
+  A_T by subgroup membership of the conjugated generators both ways, after
+  reading T off the z-element, not from the z-element alone; the
+  prefix-BFS standardizers and the ascending-product extraction use it;
 * the containment levels decide nesting by subgroup containment of the
   vertices themselves (membership of each generator's conjugate), not by
   inclusion of their standardized subsets;
@@ -82,7 +86,9 @@ These deliberately avoid the library's normal-form and lattice algorithms:
 * the maximal tubings of a Coxeter diagram are the maximal sets of pairwise
   compatible tubes (connected proper vertex subsets, nested or disjoint and
   not adjacent), found by a clique search, not by the recursive
-  characterization of maximal standard families.
+  characterization of maximal standard families;
+* the rotation graph of binary trees enumerates the trees on ordered leaves
+  and joins two by a rotation at one node, not by swapping tubes.
 
 Two test helpers here are not oracles but library code that only tests
 called: the join of two simples by complement duality (lcm_simples) and the
@@ -153,7 +159,6 @@ from artinmark.marking import (
 from artinmark.parabolic import (
     ConjugacyGraph,
     ParabolicSubgroup,
-    _standard_target,
     central_generator_z,
     delta_permutation,
     nonadjacent_pair,
@@ -433,6 +438,35 @@ def whole_tail_parse(ctx: GarsideContext, text: str) -> ArtinElement:
 # -- prefix-BFS standardizers --------------------------------------------------
 
 
+def membership_standard_target(
+    ctx: GarsideContext,
+    candidate: ArtinElement,
+    z_p: ArtinElement,
+    conj: ArtinElement,
+    gens: Subset,
+) -> Subset | None:
+    """Subset T with candidate^-1 P candidate = A_T, or None, for
+    P = conj A_gens conj^-1 with z-element z_p: T is read off the support of
+    candidate^-1 z_p candidate, and both inclusions are checked by
+    membership of the conjugated generators."""
+    c_inv = candidate.inverse()
+    w = c_inv * z_p * candidate
+    if not w.is_positive:
+        return None
+    target = w.support()
+    if len(target) != len(gens):
+        return None
+    h = c_inv * conj
+    h_inv = h.inverse()
+    for x in gens:
+        if not member_of_standard(h * ctx.atoms[x] * h_inv, target):
+            return None
+    for y in target:
+        if not member_of_standard(h_inv * ctx.atoms[y] * h, gens):
+            return None
+    return target
+
+
 def bfs_minimal_standardizer(p):
     """(c, Y): the first standardizer among prefixes of Delta^(2N) conj, by
     atom length then sort key; the minimum is a prefix of every positive
@@ -445,7 +479,7 @@ def bfs_minimal_standardizer(p):
     seen = {ctx.identity}
     for _ in range(seed.atom_length() + 1):
         for cand in frontier:
-            target = _standard_target(ctx, cand, z_p, p.conj, p.gens)
+            target = membership_standard_target(ctx, cand, z_p, p.conj, p.gens)
             if target is not None:
                 return cand, target
         nxt = []
@@ -468,7 +502,7 @@ def bfs_simultaneous_standardizer(ctx, parabolics, budget=24, seed=None, support
     def targets_of(cand):
         targets = []
         for p, z_p in zip(parabolics, z_list):
-            t = _standard_target(ctx, cand, z_p, p.conj, p.gens)
+            t = membership_standard_target(ctx, cand, z_p, p.conj, p.gens)
             if t is None:
                 return None
             targets.append(t)
@@ -1074,6 +1108,58 @@ def maximal_tubings(graph: DefiningGraph) -> set[frozenset[frozenset[int]]]:
     return out
 
 
+def binary_trees(lo: int, hi: int):
+    """Every binary tree on the leaves lo..hi in order: a leaf is its label,
+    an inner node the pair (left, right)."""
+    if lo == hi:
+        yield lo
+        return
+    for cut in range(lo, hi):
+        for left in binary_trees(lo, cut):
+            for right in binary_trees(cut + 1, hi):
+                yield (left, right)
+
+
+def rotations(tree):
+    """The trees one rotation away: ((a, b), c) <-> (a, (b, c)) at any node."""
+    if isinstance(tree, int):
+        return
+    left, right = tree
+    if not isinstance(left, int):
+        yield (left[0], (left[1], right))
+    if not isinstance(right, int):
+        yield ((left, right[0]), right[1])
+    for moved in rotations(left):
+        yield (moved, right)
+    for moved in rotations(right):
+        yield (left, moved)
+
+
+def clades(tree) -> frozenset[frozenset[int]]:
+    """The leaf sets of the inner nodes below the root."""
+    out = set()
+
+    def leaves(node):
+        if isinstance(node, int):
+            return frozenset({node})
+        below = leaves(node[0]) | leaves(node[1])
+        out.add(below)
+        return below
+
+    out.discard(leaves(tree))
+    return frozenset(out)
+
+
+def rotation_graph(leaves: int):
+    """(nodes, edges) of the rotation graph of binary trees with the given
+    number of leaves (Sleator, Tarjan, Thurston, J. AMS 1988): a node is a
+    tree's set of clades, an edge the pair of nodes of one rotation."""
+    trees = list(binary_trees(0, leaves - 1))
+    nodes = {clades(t) for t in trees}
+    edges = {frozenset((clades(t), clades(u))) for t in trees for u in rotations(t)}
+    return nodes, edges
+
+
 # -- reference implementations of paper statements ----------------------------
 #
 # Library code that only the tests call: each function below states a result
@@ -1232,7 +1318,7 @@ def extract_ascending_product(
     residue = ghat.inverse() * h
     for x in std.subsets:
         z_x = central_generator_z(ctx, x)
-        if _standard_target(ctx, residue, z_x, ctx.identity, x) is None:
+        if membership_standard_target(ctx, residue, z_x, ctx.identity, x) is None:
             raise NotAStandardizer(f"{h} does not standardize the simplex")
     order = peel_order(std)
     gamma, peeled = peel_delta_powers(ctx, residue, [std.subsets[i] for i in order])

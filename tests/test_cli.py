@@ -547,8 +547,26 @@ def test_one_parser_carries_no_state_between_calls(tmp_path):
     codes = [code for code, _out, _err in alone]
     assert codes == [0, 0, 0, 0, 0, 0, 2, 0, 0]
     assert alone[4][1] == "0\n" and alone[5][1] == "1\n"
-    assert alone[6][2].startswith("usage: artinmark") and alone[7][1].startswith("usage: artinmark")
+    assert alone[6][1] == "" and json.loads(alone[6][2])["error"] == "ParseError"
+    assert alone[7][1].startswith("usage: artinmark") and alone[7][2] == ""
     assert len(json.loads(alone[2][1])["nodes"]) > len(json.loads(alone[3][1])["nodes"])
+
+
+@pytest.mark.parametrize(
+    "argv, fault",
+    [
+        (["--type", "A3", "--bogus", "nf", "s1"], "unrecognized arguments: --bogus"),
+        (["--type", "A3", "twist", "{}"], "required: --index"),
+        (["--type", "A3", "--format", "xml", "nf", "s1"], "invalid choice: 'xml'"),
+        (["--type", "A3"], "required: command"),
+    ],
+)
+def test_parser_rejections_are_json_parse_errors(capsys, argv, fault):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "ParseError" and fault in error["message"]
 
 
 def test_readme_commands_match_parser(capsys):

@@ -17,6 +17,7 @@ from artinmark.garside import GarsideContext, context, normalize
 from artinmark.graph import standard_marking_connectivity
 from artinmark.parabolic import (
     ParabolicSubgroup,
+    _standard_target,
     build_conjugacy_graph,
     central_generator_z,
     check_simplex_family,
@@ -32,6 +33,7 @@ from oracles import (
     bfs_minimal_standardizer,
     bfs_simultaneous_standardizer,
     contains,
+    membership_standard_target,
     pairwise_z_check,
     shortest_path,
     table_conjugacy_edges,
@@ -353,6 +355,41 @@ def test_minimal_standardizer_matches_prefix_bfs(spec):
         )
         p = ParabolicSubgroup(ctx, ctx.from_word(word), rng.choice(subsets))
         assert minimal_standardizer(p) == bfs_minimal_standardizer(p), word
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3", "I2(5)", "F4"])
+def test_z_standard_target_matches_membership_oracle(spec):
+    # P = c A_Y c^-1 with Y any nonempty subset, reducible ones included;
+    # candidates are true standardizers c y Delta^k with y in A_Y, and near
+    # misses: one more atom or atom inverse on the right, or c times a short
+    # signed word
+    ctx = context(spec)
+    rng = random.Random(spec)
+    subsets = [
+        frozenset(i for i in range(ctx.rank) if mask >> i & 1)
+        for mask in range(1, 1 << ctx.rank)
+    ]
+    hits = misses = 0
+    for _ in range(150):
+        y = rng.choice(subsets)
+        c = signed_element(rng, ctx, rng.randint(0, 4))
+        p = ParabolicSubgroup(ctx, c, y)
+        z_p = p.z_element()
+        word = tuple((rng.choice(sorted(y)), rng.choice((1, -1))) for _ in range(3))
+        true = c * ctx.from_word(word) * ctx.delta ** rng.randint(-2, 2)
+        atom = ctx.atoms[rng.randrange(ctx.rank)]
+        for cand in (
+            true,
+            true * (atom if rng.randrange(2) else atom.inverse()),
+            c * signed_element(rng, ctx, rng.randint(1, 2)),
+        ):
+            target = _standard_target(ctx, cand, z_p)
+            assert target == membership_standard_target(ctx, cand, z_p, c, y), (y, cand)
+            if cand is true:
+                assert target is not None
+            hits += target is not None
+            misses += target is None
+    assert hits >= 150 and misses >= 60
 
 
 def test_simultaneous_standardizer_matches_seeded_bfs():

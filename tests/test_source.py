@@ -153,6 +153,21 @@ def test_commutes_with_only_in_the_framed_adjacency_helper():
     assert found == ["parabolic.py:nonadjacent_pair"]
 
 
+def test_member_of_standard_only_in_the_ribbon_peel():
+    # a conjugate is recognised as standard by its z-element alone
+    # (parabolic._standard_target); membership scans serve only the peel of
+    # Delta powers off a ribbon, so any other call is a second path
+    found = [
+        f"{name}:{func.name}"
+        for name, tree in source_trees()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "member_of_standard"
+    ]
+    assert found == ["ribbons.py:peel_delta_powers"]
+
+
 # every memo in the library: a dict set to {} on an instance in __init__ or
 # __new__, or an lru_cache'd function; a new cache must be listed here
 MEMOS = {
