@@ -121,8 +121,9 @@ class UnknownFormat(ArtinMarkError):
 
 
 class ParseError(ArtinMarkError):
-    """Malformed textual input."""
+    """Malformed textual input, with the offset of the fault in the parsed
+    text when there is one."""
 
-    def __init__(self, message: str, position: int = 0):
+    def __init__(self, message: str, position: int | None = None):
         self.position = position
-        super().__init__(f"{message} (at offset {position})")
+        super().__init__(message if position is None else f"{message} (at offset {position})")

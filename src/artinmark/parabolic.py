@@ -43,15 +43,25 @@ Delta_X is central exactly when pi = id, and Delta_X^2 always is, as
 pi^2 = id: z_exponent is 1 when pi is trivial and 2 otherwise.  Both are
 memoized together, once per subset, in ctx.delta_involutions.
 
-The Paris conjugacy graph for standard parabolic subgroups is built from
-the defining graph alone: edges (Y, t, t') exist when the involution of a
-connected component of Y moves t to t'.  A component whose Delta_X is
-central has the trivial involution and adds no edge.
+Conjugacy of standard parabolic subgroups is an orbit search from X.  A_X
+and A_X' are conjugate exactly when some positive ribbon carries X to X',
+and every positive ribbon is a product of elementary ribbons d_{Z,t}
+(Paris, Parabolic subgroups of Artin groups, J. Algebra 1997).  The
+elementary ribbon d_{Z,t} = Delta_C Delta_{C-t}^-1, with C the component of
+Z + {t} holding t, moves Z to Z + {t} - {pi_C(t)}, pi_C the involution of
+Delta_C.  So standard_conjugate walks these moves breadth-first from X and
+stops at X'.  Each move keeps the size of Z, so the search visits at most
+C(n, |X|) subsets and needs no budget.  The whole Paris graph on all 2^n
+subsets (build_conjugacy_graph, edges (Y, t, t') where the involution of a
+component of Y moves t to t') serves only the count of its edges.  A
+component whose Delta_X is central has the trivial involution and adds no
+edge and no move.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -375,7 +385,7 @@ def simultaneous_standardizer(
     return c, targets
 
 
-# -- Paris conjugacy graph of standard parabolic subgroups -------------------
+# -- Paris conjugacy of standard parabolic subgroups --------------------------
 
 
 @dataclass
@@ -384,22 +394,6 @@ class ConjugacyGraph:
 
     graph: DefiningGraph
     edges: list[tuple[Subset, int, int]] = field(default_factory=list)
-    adjacency: dict[Subset, set[Subset]] = field(default_factory=dict)
-
-    def component_of(self, subset: Subset) -> frozenset[Subset]:
-        subset = frozenset(subset)
-        out = {subset}
-        frontier = [subset]
-        while frontier:
-            x = frontier.pop()
-            for y in self.adjacency.get(x, ()):
-                if y not in out:
-                    out.add(y)
-                    frontier.append(y)
-        return frozenset(out)
-
-    def connected(self, a: Subset, b: Subset) -> bool:
-        return frozenset(b) in self.component_of(a)
 
 
 @lru_cache(maxsize=None)
@@ -407,22 +401,36 @@ def build_conjugacy_graph(ctx: GarsideContext) -> ConjugacyGraph:
     graph = ctx.graph
     n = graph.rank
     out = ConjugacyGraph(graph)
-    vertices = [
-        frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)
-    ]
-    out.adjacency = {v: set() for v in vertices}
-    for y in vertices:
+    for mask in range(1 << n):
+        y = frozenset(i for i in range(n) if mask >> i & 1)
         for comp in graph.components(y):
             for t, t2 in delta_permutation(ctx, comp).items():
                 if t2 != t:
                     out.edges.append((y, t, t2))
-                    out.adjacency[y - {t}].add(y - {t2})
-                    out.adjacency[y - {t2}].add(y - {t})
     return out
 
 
 def standard_conjugate(ctx: GarsideContext, x: Subset, x2: Subset) -> bool:
-    """Whether A_X and A_X' are conjugate, by connectivity in the graph."""
+    """Whether A_X and A_X' are conjugate.
+
+    Breadth-first search from X over the elementary ribbon moves
+    Z -> Z + {t} - {pi_C(t)}, C the component of Z + {t} holding t (see the
+    module docstring); it stops when it reaches X'.  Every move keeps |Z|,
+    so at most C(n, |X|) subsets are visited, n the rank.
+    """
+    x, x2 = frozenset(x), frozenset(x2)
     if len(x) != len(x2):
         return False
-    return build_conjugacy_graph(ctx).connected(frozenset(x), frozenset(x2))
+    seen, queue = {x}, deque([x])
+    while queue and x2 not in seen:
+        z = queue.popleft()
+        for t in range(ctx.rank):
+            if t in z:
+                continue
+            y = z | {t}
+            comp = next(c for c in ctx.graph.components(y) if t in c)
+            image = y - {delta_permutation(ctx, comp)[t]}
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return x2 in seen

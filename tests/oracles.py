@@ -79,6 +79,10 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   generated by Delta^2 (Brieskorn-Saito 1972), and the table conjugacy
   edges skip the components it marks central, not by reading whether the
   Delta_X involution is trivial;
+* the conjugacy-graph component reads the standard parabolics conjugate to
+  A_X off the component of X in the Paris graph on all 2^n subsets, its
+  adjacency rebuilt from the graph's edges, not by a search over elementary
+  ribbon moves from X alone;
 * the per-piece parser normalizes each '.'-piece of a serialized element as
   its own word and multiplies the results, and the whole-tail parser
   normalizes the whole tail as one signed word, not by taking each reduced
@@ -870,6 +874,31 @@ def table_conjugacy_edges(ctx) -> list[tuple[Subset, int, int]]:
     return edges
 
 
+def conjugacy_adjacency(graph: ConjugacyGraph) -> dict[Subset, set[Subset]]:
+    """The neighbours of each subset in the Paris conjugacy graph, read off
+    its edges: (Y, t, t') joins Y - {t} and Y - {t'}."""
+    adjacency: dict[Subset, set[Subset]] = {}
+    for y, t, t2 in graph.edges:
+        adjacency.setdefault(y - {t}, set()).add(y - {t2})
+        adjacency.setdefault(y - {t2}, set()).add(y - {t})
+    return adjacency
+
+
+def conjugacy_component(graph: ConjugacyGraph, subset: Subset) -> frozenset[Subset]:
+    """The component of a subset in the Paris conjugacy graph on all 2^n
+    subsets: the standard parabolics conjugate to A_subset."""
+    adjacency = conjugacy_adjacency(graph)
+    subset = frozenset(subset)
+    out = {subset}
+    frontier = [subset]
+    while frontier:
+        for y in adjacency.get(frontier.pop(), ()):
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return frozenset(out)
+
+
 # -- root signs -------------------------------------------------------------------
 
 
@@ -1199,6 +1228,7 @@ def shortest_path(
             return None
         return first + second[1:]
     a, b = frozenset(a), frozenset(b)
+    adjacency = conjugacy_adjacency(graph)
     prev: dict[Subset, Subset | None] = {a: None}
     queue = [a]
     while queue:
@@ -1209,7 +1239,7 @@ def shortest_path(
                 while prev[path[-1]] is not None:
                     path.append(prev[path[-1]])
                 return path[::-1]
-            for y in sorted(graph.adjacency.get(x, ()), key=sorted):
+            for y in sorted(adjacency.get(x, ()), key=sorted):
                 if y not in prev:
                     prev[y] = x
                     nxt.append(y)

@@ -101,8 +101,29 @@ def test_conj_graph_unknown_generator_is_malformed(capsys):
     assert code == 2 and out == ""
     assert json.loads(err) == {
         "error": "ParseError",
-        "message": "unknown generator 's9' (at offset 0)",
+        "message": "unknown generator 's9'",
     }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--type", "A3", "--radius", "x", "bfs", "{}"], "--radius 'x' is not an integer"),
+        (
+            ["--type", "A3", "twist", "{}"],
+            "artinmark twist: the following arguments are required: --index",
+        ),
+        (["--type", "A3", "nf", "s1 t3"], "bad generator token 't3' (at offset 3)"),
+        (
+            ["--type", "A3", "parabolic-eq", "{", "{}"],
+            "bad JSON payload: Expecting property name enclosed in double quotes (at offset 1)",
+        ),
+    ],
+)
+def test_parse_errors_give_an_offset_only_into_parsed_text(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ParseError", "message": message}
 
 
 def test_enum_max_simplices_a3(capsys):

@@ -1,9 +1,11 @@
 import collections
 import itertools
+import math
 import random
 
 import pytest
 
+from artinmark import cli as cli_module
 from artinmark import parabolic as parabolic_module
 from artinmark.coxeter import build_defining_graph, root_reflection_table
 from artinmark.errors import (
@@ -32,6 +34,7 @@ from artinmark.simplex import enumerate_maximal_standard
 from oracles import (
     bfs_minimal_standardizer,
     bfs_simultaneous_standardizer,
+    conjugacy_component,
     contains,
     membership_standard_target,
     pairwise_z_check,
@@ -283,7 +286,7 @@ def test_conjugacy_graph_e8_example():
     y = gens(e8, "s5", "s6", "s7", "s8")
     assert standard_conjugate(e8, x, y)
     graph = build_conjugacy_graph(e8)
-    component = graph.component_of(x)
+    component = conjugacy_component(graph, x)
     e6_image = gens(e8, "s3", "s4", "s5", "s6")
     d5_image = gens(e8, "s1", "s2", "s3", "s5")
     assert e6_image in component and d5_image in component
@@ -305,8 +308,50 @@ def test_conjugacy_components_have_constant_size():
     n = b4.rank
     for mask in range(1 << n):
         subset = frozenset(i for i in range(n) if mask >> i & 1)
-        for other in graph.component_of(subset):
+        for other in conjugacy_component(graph, subset):
             assert len(other) == len(subset)
+
+
+def conjugacy_disagreements(spec):
+    """The same-size subset pairs (X, X') on which standard_conjugate differs
+    from the oracle, X' in the component of X in the Paris graph, and the
+    number of pairs compared (ordered, X = X' included)."""
+    ctx = context(spec)
+    graph = build_conjugacy_graph(ctx)
+    n = ctx.rank
+    subsets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+    component = {}
+    for x in subsets:
+        if x not in component:
+            found = conjugacy_component(graph, x)
+            component.update(dict.fromkeys(found, found))
+    pairs = [(x, y) for x in subsets for y in subsets if len(x) == len(y)]
+    wrong = [(x, y) for x, y in pairs if standard_conjugate(ctx, x, y) != (y in component[x])]
+    return wrong, len(pairs)
+
+
+@pytest.mark.parametrize(
+    "spec", ["A3", "B3", "B4", "D4", "F4", "H3", "H4", "I2(5)", "A5", "E6"]
+)
+def test_standard_conjugate_matches_graph_component(spec):
+    wrong, pairs = conjugacy_disagreements(spec)
+    n = context(spec).rank
+    assert pairs == sum(math.comb(n, k) ** 2 for k in range(n + 1))
+    assert wrong == []
+
+
+def test_standard_conjugate_never_builds_the_graph(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(parabolic_module, "build_conjugacy_graph", calls.append)
+    monkeypatch.setattr(cli_module, "build_conjugacy_graph", calls.append)
+    argv = ["--type", "E8", "conj-graph", "--query", "s1,s2,s3,s4", "s5,s6,s7,s8"]
+    assert cli_module.run_command(argv) == 0
+    assert capsys.readouterr().out == "true\n"
+    a16 = context("A16")
+    first = gens(a16, "s1", "s2", "s3", "s4", "s5")
+    last = gens(a16, "s12", "s13", "s14", "s15", "s16")
+    assert standard_conjugate(a16, first, last)
+    assert calls == []
 
 
 def test_a_n_connected_equal_size_conjugate():
@@ -559,3 +604,13 @@ def test_descent_strips_built_once_per_target_in_descent_order():
                 ribbon = elementary_ribbon(fresh, target, t)
                 inline.append((ribbon.element.inverse(), ribbon.target))
         assert list(strips) == inline, sorted(target)
+
+
+if __name__ == "__main__":
+    # every same-size pair of types too large for each test run, e.g.
+    #   PYTHONPATH=src python tests/test_parabolic.py E7 E8
+    import sys
+
+    for name in sys.argv[1:]:
+        wrong, pairs = conjugacy_disagreements(name)
+        print(f"{name}: {pairs} pairs, {len(wrong)} disagreements")
