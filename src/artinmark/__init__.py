@@ -53,7 +53,6 @@ from .marking import (
     validate_marking,
 )
 from .parabolic import (
-    ConjugacyGraph,
     ParabolicSubgroup,
     build_conjugacy_graph,
     central_generator_z,

@@ -230,8 +230,7 @@ def _dispatch(ctx: GarsideContext, args: argparse.Namespace) -> int:
             result = standard_conjugate(ctx, x, x2)
             _emit(args, {"conjugate": result}, str(result).lower())
         else:
-            cg = build_conjugacy_graph(ctx)
-            payload = {"vertices": 1 << graph.rank, "edges": len(cg.edges)}
+            payload = {"vertices": 1 << graph.rank, "edges": len(build_conjugacy_graph(ctx))}
             _emit(args, payload, f"{payload['vertices']} vertices, {payload['edges']} edges")
     elif args.command == "enum-max-simplices":
         simplices = enumerate_maximal_standard(ctx)

@@ -216,6 +216,10 @@ class DefiningGraph:
     def components(self, subset: frozenset[int]) -> list[frozenset[int]]:
         """Connected components of the induced subgraph, sorted."""
         left = set(subset)
+        if not left <= self._adj.keys():
+            raise PreconditionViolated(
+                f"generators {sorted(left - self._adj.keys())} are outside 0..{self.rank - 1}"
+            )
         comps = []
         while left:
             seed = min(left)
@@ -490,5 +494,8 @@ class CoxeterElement:
 
 def longest_element(system: RootSystem, subset: frozenset[int]) -> CoxeterElement:
     """Longest element of the standard parabolic W_X; only it is interned."""
-    key = bytes(t not in subset for t in range(system.graph.rank))
+    n = system.graph.rank
+    if not all(0 <= t < n for t in subset):
+        raise PreconditionViolated(f"generators {sorted(subset)} are not all in 0..{n - 1}")
+    key = bytes(t not in subset for t in range(n))
     return system.element(system._longest(key))

@@ -56,22 +56,6 @@ class NotAStandardizer(ArtinMarkError):
     """Element does not carry the simplex to standard subgroups."""
 
 
-class ExponentBoundExceeded(ArtinMarkError):
-    """Exponent scan range exhausted while peeling Delta powers."""
-
-    def __init__(self, bound: int, message: str = ""):
-        self.bound = bound
-        super().__init__(message or f"exponent scan range |n| <= {bound} exhausted")
-
-
-class ScanExhausted(ArtinMarkError):
-    """Twist scan range exhausted during transversal decomposition."""
-
-    def __init__(self, bound: int, message: str = ""):
-        self.bound = bound
-        super().__init__(message or f"twist scan range |k| <= {bound} exhausted")
-
-
 class BudgetExceeded(ArtinMarkError):
     """A search reached count nodes, past its cap."""
 

@@ -387,51 +387,21 @@ def normalize(ctx: GarsideContext, text_or_word: str | Word) -> ArtinElement:
 def member_of_standard(g: ArtinElement, subset: frozenset[int]) -> bool:
     """Whether g lies in the standard parabolic subgroup on the subset.
 
-    Scans k >= 0 until Delta_X^k g is positive; by support additivity the
-    first positive multiple already decides membership, and the scan budget
-    bounds how far the infimum can be repaired.
+    g lies in A_X exactly when h = Delta_X^m g is positive with support in
+    X, for m = max(-inf g, 0); one product decides it, and no power is
+    scanned.  Write g = a^-1 b in np-normal form (a, b positive with no
+    common left divisor), so that inf g = -sup a when a != 1 (Charney,
+    Geodesic automation and growth functions for Artin groups of finite
+    type, Math. Ann. 1995).  If g lies in A_X, then a and b lie in A_X^+,
+    because left divisors of A_X^+ stay in A_X^+ and the np-form of A_X is
+    that of A; a positive element of A_X with sup m right-divides
+    Delta_X^m, so h = (Delta_X^m a^-1) b is positive with support in X.
+    Conversely such an h puts g = Delta_X^-m h in A_X.  For the empty subset
+    Delta_X is the identity and the test reads "g is the identity".
     """
-    ctx = g.ctx
     subset = frozenset(subset)
-    if not subset:
-        return g.is_identity
-    if g.is_positive:
-        return g.support() <= subset
-    d_x = ctx.delta_of(subset)
-    budget = (
-        max(g.inf, 0) * ctx.delta_len
-        + sum(x.length for x in g.body)
-        + abs(g.inf) * ctx.delta_len
-    )
-    h = g
-    for _ in range(budget):
-        h = d_x * h
-        if h.is_positive:
-            return h.support() <= subset
-    return False
-
-
-def scan_powers(start: ArtinElement, step: ArtinElement, bound: int, test):
-    """The first n in 0, 1, -1, 2, -2, ..., bound, -bound for which
-    test(start * step^n) is truthy, as (n, start * step^n, test's value).
-
-    One product per step; None when no n within the bound passes.
-    """
-    value = test(start)
-    if value:
-        return 0, start, value
-    up = down = start
-    step_inv = step.inverse()
-    for n in range(1, bound + 1):
-        up = up * step
-        value = test(up)
-        if value:
-            return n, up, value
-        down = down * step_inv
-        value = test(down)
-        if value:
-            return -n, down, value
-    return None
+    h = g.ctx.delta_of(subset) ** max(-g.inf, 0) * g
+    return h.is_positive and h.support() <= subset
 
 
 def parse_word(graph: DefiningGraph, text: str) -> Word:

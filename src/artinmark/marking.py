@@ -6,20 +6,22 @@ with z_{P_j} exactly when i != j, and each Q_j is simultaneously
 standardizable with the whole base.  That last condition is certified
 constructively: relative to any standardizer g of the base there is a unique
 twist k and standard subset Y with Q_j = g Delta_{X_j}^k A_Y Delta_{X_j}^-k
-g^-1, found by a bounded scan over k.  Validation finds these decompositions
-relative to the canonical standardizer ghat first, and then decides the
-commutation pattern on the standardized subsets alone: conjugation by (ghat
-Delta_{X_i}^{k_i})^-1 takes Q_i to A_{Y_i} and each base to a standard
-A_{X_j}, moved by the involution of Delta_{X_i} when X_j < X_i and k_i is
-odd, and z-elements of standard irreducible subgroups commute exactly when
-their subsets are nested or disjoint and not adjacent.  The projection of
-Q_j onto P_j is the twist k relative to the canonical standardizer ghat.
-Relative to any other standardizer g it is the Delta_{X_j}-exponent of the
-ascending product relating g Delta_{X_j}^k to ghat; relative to ghat that
-product is Delta_{X_j}^k itself, so no extraction is needed here (the
-extraction is a reference implementation in tests/oracles.py).  The structure
-of a marking is read off the same decompositions: conjugation by ghat
-preserves containment, and A_U <= A_V exactly when U <= V.
+g^-1, and |k| is read off the infimum of g^-1 z_{Q_j} g, so at most two
+twists are tested (decompose_transversal).  Validation finds these
+decompositions relative to the canonical standardizer ghat first, and then
+decides the commutation pattern on the standardized subsets alone:
+conjugation by (ghat Delta_{X_i}^{k_i})^-1 takes Q_i to A_{Y_i} and each
+base to a standard A_{X_j}, moved by the involution of Delta_{X_i} when
+X_j < X_i and k_i is odd, and z-elements of standard irreducible
+subgroups commute exactly when their subsets are nested or disjoint and not
+adjacent.  The projection of Q_j onto P_j is the twist k relative to the
+canonical standardizer ghat.  Relative to any other standardizer g it is the
+Delta_{X_j}-exponent of the ascending product relating g Delta_{X_j}^k to
+ghat; relative to ghat that product is Delta_{X_j}^k itself, so no
+extraction is needed here (the extraction is a reference implementation in
+tests/oracles.py).  The structure of a marking is read off the same
+decompositions: conjugation by ghat preserves containment, and A_U <= A_V
+exactly when U <= V.
 
 One standardizer per base: the certificate is the only source of a
 marking's twists, and no move or standardization decomposes against a
@@ -92,10 +94,9 @@ from .errors import (
     NotStandard,
     NotSimultaneouslyStandardizable,
     PreconditionViolated,
-    ScanExhausted,
     TransversalityPatternBroken,
 )
-from .garside import ArtinElement, GarsideContext, scan_powers
+from .garside import ArtinElement, GarsideContext
 from .parabolic import ParabolicSubgroup, _standard_target, parabolics_from_json, z_exponent
 from .simplex import (
     CparabSimplex,
@@ -242,11 +243,30 @@ def decompose_transversal(
     q: ParabolicSubgroup, base: ParabolicSubgroup, g: ArtinElement, index: int = -1
 ) -> TransversalData:
     """The unique (k, Y) with q = g Delta_X^k A_Y Delta_X^-k g^-1, where
-    A_X = g^-1 (base) g must be standard.
+    A_X = g^-1 (base) g must be standard; raises
+    NotSimultaneouslyStandardizable(index) when there is none.
 
-    The scan over k is symmetric and bounded by the Garside complexity of
-    g^-1 * conj(q).  Each twist is tested on z_q alone, with no membership
-    test (parabolic._standard_target).
+    |k| is read off w = g^-1 z_q g = Delta_X^k z_Y Delta_X^-k: it is
+    -min(inf w, 0).  So k = 0 is tested when w is positive, and otherwise
+    +|k| and then -|k|, each on z_q alone, with no membership test
+    (parabolic._standard_target).  Let Y be transverse to X: neither holds
+    the other, and they meet or are adjacent.
+      * inf w >= -|k|: inf is superadditive, Delta_X^j has inf 0 and
+        Delta_X^-j has inf -j for j >= 0, as X is proper.
+      * For k >= 1 write w = b a^-1 with a = Delta_X^k and b = Delta_X^k z_Y,
+        and cancel their right gcd.  Then inf w = -sup of what is left of a,
+        so inf w > -k would make Delta_X, and every atom of X, right-divide b.
+      * X and Y are connected, so some s in X - Y is adjacent to Y.  The left
+        lcm of s and Delta_Y is Delta_{Y+s} = M Delta_Y, so if s right-divides
+        b = Delta_X^k Delta_Y, then M right-divides Delta_X^k.  But supp M =
+        Y + s is not inside X, and right divisors of A_X^+ stay in A_X^+.
+        For z_Y = Delta_Y^2 apply this twice: M right-divides
+        Delta_X^k Delta_Y, so does s, the only right descent of M, and then M
+        right-divides Delta_X^k.  So inf w = -k.
+      * k <= -1 follows by word reversal, which fixes inf, Delta_X and z_Y.
+    The decomposition is unique, so at most one of +|k| and -|k| passes.  If
+    Y is not transverse, Delta_X normalizes A_Y, every k works, w is
+    positive and the twist is 0.
     """
     ctx = q.ctx
     cache = ctx.transversal_decompositions
@@ -258,17 +278,19 @@ def decompose_transversal(
     c, x = base.conjugated_by(g_inv).canonical()
     if not c.is_identity:
         raise NotAStandardizer(f"{g} does not standardize the base {base}")
-    z_q = q.z_element()
-    c0 = g_inv * q.conj
-    bound = ctx.delta_len * (abs(c0.inf) + 2) + sum(w.length for w in c0.body)
-    found = scan_powers(
-        g, ctx.delta_of(x), bound, lambda cand: _standard_target(ctx, cand, z_q)
+    w = g_inv * q.z_element() * g
+    size = max(-w.inf, 0)
+    d_x = ctx.delta_of(x)
+    for twist in (size, -size) if size else (0,):
+        target = _standard_target(ctx, d_x**twist, w)
+        if target is not None:
+            cache[cache_key] = (twist, target)
+            return TransversalData(index, twist, target)
+    raise NotSimultaneouslyStandardizable(
+        index,
+        f"pair {index} is not simultaneously standardizable: no twist k with |k| = {size}"
+        " makes it standard",
     )
-    if found is None:
-        raise ScanExhausted(bound)
-    twist, _, target = found
-    cache[cache_key] = (twist, target)
-    return TransversalData(index, twist, target)
 
 
 def _check_index(marking: Marking, j: int) -> None:
@@ -311,12 +333,7 @@ def validate_marking(marking: Marking) -> MarkingCertificate:
     ghat, std = simplex.canonical_data()
     if not std.is_maximal:
         raise BaseNotMaximal("base does not span a maximal simplex")
-    data = []
-    for j in range(len(pairs)):
-        try:
-            data.append(transversal_decomposition(marking, j, ghat))
-        except ScanExhausted as err:
-            raise NotSimultaneouslyStandardizable(j, str(err)) from err
+    data = [transversal_decomposition(marking, j, ghat) for j in range(len(pairs))]
     vertex = [marking.vertex_of_pair(j) for j in range(len(pairs))]
     x = [std.subsets[v] for v in vertex]
     for i, d in enumerate(data):

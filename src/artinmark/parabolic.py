@@ -49,7 +49,8 @@ and every positive ribbon is a product of elementary ribbons d_{Z,t}
 (Paris, Parabolic subgroups of Artin groups, J. Algebra 1997).  The
 elementary ribbon d_{Z,t} = Delta_C Delta_{C-t}^-1, with C the component of
 Z + {t} holding t, moves Z to Z + {t} - {pi_C(t)}, pi_C the involution of
-Delta_C.  So standard_conjugate walks these moves breadth-first from X and
+Delta_C (_ribbon_move, which elementary_ribbon reads its target off too).
+So standard_conjugate walks these moves breadth-first from X and
 stops at X'.  Each move keeps the size of Z, so the search visits at most
 C(n, |X|) subsets and needs no budget.  The whole Paris graph on all 2^n
 subsets (build_conjugacy_graph, edges (Y, t, t') where the involution of a
@@ -62,12 +63,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .coxeter import DefiningGraph
 from .errors import (
     Disconnected,
     EmptySubset,
@@ -275,23 +275,31 @@ class Ribbon:
 def elementary_ribbon(ctx: GarsideContext, subset, t: int) -> Ribbon:
     """The elementary conjugator d_{X,t} with its target subset.
 
-    d_{X,t} is Delta_{X(t)} Delta_{X(t)-{t}}^-1 for t outside X and
-    Delta_{X(t)} for t in X, with X(t) the component of X + {t} holding t.
-    It is simple, so its image w in W decides where it sends each atom.
+    d_{X,t} is Delta_C Delta_{C-{t}}^-1 for t outside X and Delta_C for t in
+    X, with C the component of X + {t} holding t.  It is simple, and its
+    target is read off the involution of Delta_C (_ribbon_move).
     """
     x = frozenset(subset)
-    x_t = next(c for c in ctx.graph.components(x | {t}) if t in c)
-    w = ctx.w0_of(x_t)
+    comp, target = _ribbon_move(ctx, x, t)
+    w = ctx.w0_of(comp)
     if t not in x:
-        w = w * ctx.w0_of(x_t - {t})  # w0 of a subset is an involution
-    w_inv = w.inverse()
-    mapping = {}
-    for s in x:
-        image = ctx.system.generator_of(w * ctx.system.generators[s] * w_inv)
-        if image is None:
-            raise InvariantViolated("an elementary ribbon must permute generators")
-        mapping[s] = image
-    return Ribbon(ctx.element(0, (w,)), x, frozenset(mapping.values()))
+        w = w * ctx.w0_of(comp - {t})  # w0 of a subset is an involution
+    return Ribbon(ctx.element(0, (w,)), x, target)
+
+
+def _ribbon_move(ctx: GarsideContext, x: Subset, t: int) -> tuple[Subset, Subset]:
+    """(C, target) for d_{X,t}, C the component of X + {t} holding t.
+
+    For t in X, Delta_C permutes C and commutes with the other components,
+    so the target is X.  For t outside X, Delta_{C-{t}}^-1 permutes C - {t},
+    and Delta_C then carries it to C - {pi_C(t)}, pi_C the involution of
+    Delta_C: the target is X + {t} - {pi_C(t)}.
+    """
+    y = x | {t}
+    comp = next(c for c in ctx.graph.components(y) if t in c)
+    if t in x:
+        return comp, x
+    return comp, y - {delta_permutation(ctx, comp)[t]}
 
 
 def minimal_standardizer(p: ParabolicSubgroup) -> tuple[ArtinElement, Subset]:
@@ -388,26 +396,21 @@ def simultaneous_standardizer(
 # -- Paris conjugacy of standard parabolic subgroups --------------------------
 
 
-@dataclass
-class ConjugacyGraph:
-    """Vertices: all generator subsets; edges: the triples (Y, t, t')."""
-
-    graph: DefiningGraph
-    edges: list[tuple[Subset, int, int]] = field(default_factory=list)
-
-
 @lru_cache(maxsize=None)
-def build_conjugacy_graph(ctx: GarsideContext) -> ConjugacyGraph:
+def build_conjugacy_graph(ctx: GarsideContext) -> tuple[tuple[Subset, int, int], ...]:
+    """The edges (Y, t, t') of the Paris graph on all 2^n subsets: t != t'
+    in a component of Y whose involution moves t to t'.  A tuple, as the
+    cache shares it between callers."""
     graph = ctx.graph
     n = graph.rank
-    out = ConjugacyGraph(graph)
+    edges = []
     for mask in range(1 << n):
         y = frozenset(i for i in range(n) if mask >> i & 1)
         for comp in graph.components(y):
             for t, t2 in delta_permutation(ctx, comp).items():
                 if t2 != t:
-                    out.edges.append((y, t, t2))
-    return out
+                    edges.append((y, t, t2))
+    return tuple(edges)
 
 
 def standard_conjugate(ctx: GarsideContext, x: Subset, x2: Subset) -> bool:
@@ -427,9 +430,7 @@ def standard_conjugate(ctx: GarsideContext, x: Subset, x2: Subset) -> bool:
         for t in range(ctx.rank):
             if t in z:
                 continue
-            y = z | {t}
-            comp = next(c for c in ctx.graph.components(y) if t in c)
-            image = y - {delta_permutation(ctx, comp)[t]}
+            image = _ribbon_move(ctx, z, t)[1]
             if image not in seen:
                 seen.add(image)
                 queue.append(image)

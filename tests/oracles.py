@@ -21,6 +21,11 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   slides by the meet of the right complement of the first factor with the
   second, on interned elements, not by the library's raw-table slide with
   its descent-key shortcut;
+* the bounded scans find an exponent by trying n = 0, 1, -1, 2, -2, ...
+  up to a bound built from the Garside complexity of the input: the twist
+  of a transversal decomposition, the Delta powers peeled off a ribbon, and
+  the power of Delta_X that makes an element positive for membership in
+  A_X, not by reading the exponent off inf and sup;
 * the prefix-BFS standardizers search by atom length over prefixes of a
   known positive standardizer (or over the whole monoid), and standardize
   a simplex level by level, independent of the library's ribbon descent
@@ -161,8 +166,8 @@ from artinmark.marking import (
     twist_move,
 )
 from artinmark.parabolic import (
-    ConjugacyGraph,
     ParabolicSubgroup,
+    _standard_target,
     central_generator_z,
     delta_permutation,
     nonadjacent_pair,
@@ -437,6 +442,94 @@ def whole_tail_parse(ctx: GarsideContext, text: str) -> ArtinElement:
         return normalize(ctx, text)
     inf, tail = split
     return ctx.delta**inf * ctx.from_word(parse_word(ctx.graph, tail.replace(".", " ")))
+
+
+# -- bounded scans ----------------------------------------------------------------
+
+
+def scan_powers(start: ArtinElement, step: ArtinElement, bound: int, test):
+    """The first n in 0, 1, -1, 2, -2, ..., bound, -bound for which
+    test(start * step^n) is truthy, as (n, start * step^n, test's value).
+
+    One product per step; None when no n within the bound passes.
+    """
+    value = test(start)
+    if value:
+        return 0, start, value
+    up = down = start
+    step_inv = step.inverse()
+    for n in range(1, bound + 1):
+        up = up * step
+        value = test(up)
+        if value:
+            return n, up, value
+        down = down * step_inv
+        value = test(down)
+        if value:
+            return -n, down, value
+    return None
+
+
+def budget_member_of_standard(g: ArtinElement, subset: Subset) -> bool:
+    """Membership of g in A_subset by multiplying Delta_X on the left until
+    the product is positive, within a budget of the Garside complexity of
+    g; the first positive multiple decides by its support."""
+    ctx = g.ctx
+    subset = frozenset(subset)
+    if not subset:
+        return g.is_identity
+    if g.is_positive:
+        return g.support() <= subset
+    d_x = ctx.delta_of(subset)
+    budget = (
+        max(g.inf, 0) * ctx.delta_len
+        + sum(x.length for x in g.body)
+        + abs(g.inf) * ctx.delta_len
+    )
+    h = g
+    for _ in range(budget):
+        h = d_x * h
+        if h.is_positive:
+            return h.support() <= subset
+    return False
+
+
+def scan_decompose_transversal(
+    q: ParabolicSubgroup, base: ParabolicSubgroup, g: ArtinElement
+) -> tuple[int, Subset] | None:
+    """(k, Y) with q = g Delta_X^k A_Y Delta_X^-k g^-1, A_X = g^-1 (base) g
+    standard, by a symmetric scan over k bounded by the Garside complexity of
+    g^-1 * conj(q); None when the bound runs out.  Nothing is memoized."""
+    ctx = q.ctx
+    g_inv = g.inverse()
+    _c, x = base.conjugated_by(g_inv).canonical()
+    z_q = q.z_element()
+    c0 = g_inv * q.conj
+    bound = ctx.delta_len * (abs(c0.inf) + 2) + sum(w.length for w in c0.body)
+    found = scan_powers(
+        g, ctx.delta_of(x), bound, lambda cand: _standard_target(ctx, cand, z_q)
+    )
+    return None if found is None else (found[0], found[2])
+
+
+def symmetric_peel_delta_powers(
+    ctx: GarsideContext, residue: ArtinElement, parts
+) -> tuple[int, list[int]] | None:
+    """The exponents of peel_delta_powers by a symmetric scan of each
+    exponent, bounded by the residue's Garside complexity and tested with
+    the budget membership; None when a scan runs out."""
+    exponents = []
+    for k, delta_x in enumerate([ctx.delta, *map(ctx.delta_of, parts)]):
+        scope = frozenset().union(*parts[k:])
+        bound = abs(residue.inf) + residue.canonical_length + 1
+        found = scan_powers(
+            residue, delta_x.inverse(), bound, lambda g: budget_member_of_standard(g, scope)
+        )
+        if found is None:
+            return None
+        exponent, residue, _ = found
+        exponents.append(exponent)
+    return exponents[0], exponents[1:]
 
 
 # -- prefix-BFS standardizers --------------------------------------------------
@@ -857,7 +950,10 @@ def table_z_exponent(graph: DefiningGraph, subset: frozenset[int]) -> int:
     return 2 if squared else 1
 
 
-def table_conjugacy_edges(ctx) -> list[tuple[Subset, int, int]]:
+Edges = tuple[tuple[Subset, int, int], ...]
+
+
+def table_conjugacy_edges(ctx) -> Edges:
     """The edges (Y, t, t') of the conjugacy graph of standard parabolics,
     skipping the components whose type table says Delta_X is central."""
     graph = ctx.graph
@@ -871,23 +967,24 @@ def table_conjugacy_edges(ctx) -> list[tuple[Subset, int, int]]:
             for t, t2 in delta_permutation(ctx, comp).items():
                 if t2 != t:
                     edges.append((y, t, t2))
-    return edges
+    return tuple(edges)
 
 
-def conjugacy_adjacency(graph: ConjugacyGraph) -> dict[Subset, set[Subset]]:
+def conjugacy_adjacency(edges: Edges) -> dict[Subset, set[Subset]]:
     """The neighbours of each subset in the Paris conjugacy graph, read off
     its edges: (Y, t, t') joins Y - {t} and Y - {t'}."""
     adjacency: dict[Subset, set[Subset]] = {}
-    for y, t, t2 in graph.edges:
+    for y, t, t2 in edges:
         adjacency.setdefault(y - {t}, set()).add(y - {t2})
         adjacency.setdefault(y - {t2}, set()).add(y - {t})
     return adjacency
 
 
-def conjugacy_component(graph: ConjugacyGraph, subset: Subset) -> frozenset[Subset]:
+def conjugacy_component(edges: Edges, subset: Subset) -> frozenset[Subset]:
     """The component of a subset in the Paris conjugacy graph on all 2^n
-    subsets: the standard parabolics conjugate to A_subset."""
-    adjacency = conjugacy_adjacency(graph)
+    subsets, given by its edges: the standard parabolics conjugate to
+    A_subset."""
+    adjacency = conjugacy_adjacency(edges)
     subset = frozenset(subset)
     out = {subset}
     frontier = [subset]
@@ -1217,18 +1314,18 @@ def contains(p: ParabolicSubgroup, q: ParabolicSubgroup) -> bool:
 
 
 def shortest_path(
-    graph: ConjugacyGraph, a: Subset, b: Subset, via: Subset | None = None
+    edges: Edges, a: Subset, b: Subset, via: Subset | None = None
 ) -> list[Subset] | None:
-    """BFS path from a to b in the Paris conjugacy graph, optionally forced
-    through the vertex via."""
+    """BFS path from a to b in the Paris conjugacy graph given by its edges,
+    optionally forced through the vertex via."""
     if via is not None:
-        first = shortest_path(graph, a, via)
-        second = shortest_path(graph, via, b)
+        first = shortest_path(edges, a, via)
+        second = shortest_path(edges, via, b)
         if first is None or second is None:
             return None
         return first + second[1:]
     a, b = frozenset(a), frozenset(b)
-    adjacency = conjugacy_adjacency(graph)
+    adjacency = conjugacy_adjacency(edges)
     prev: dict[Subset, Subset | None] = {a: None}
     queue = [a]
     while queue:

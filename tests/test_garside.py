@@ -17,6 +17,7 @@ from artinmark.garside import (
 
 from oracles import (
     all_w,
+    budget_member_of_standard,
     descent_peel_reduced_word,
     fixed_point_from_word,
     fixed_point_inverse,
@@ -251,6 +252,30 @@ def test_member_of_standard():
     assert not member_of_standard(ctx.delta, x12)
     assert member_of_standard(ctx.identity, frozenset())
     assert not member_of_standard(ctx.atoms[0], frozenset())
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3", "F4", "A5"])
+def test_member_of_standard_matches_budget_oracle(spec):
+    # members: signed words in the letters of X, shifted by Delta_X powers;
+    # near misses: one more atom outside X, and signed words in every letter
+    ctx = context(spec)
+    rng = random.Random(f"member {spec}")
+    n = ctx.rank
+    subsets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+    hits = misses = 0
+    for _ in range(120):
+        x = rng.choice(subsets)
+        inside = sorted(x) or [0]
+        word = tuple((rng.choice(inside), rng.choice((1, -1))) for _ in range(rng.randrange(8)))
+        member = ctx.from_word(word) * ctx.delta_of(x) ** rng.randint(-3, 3)
+        outside = ctx.atoms[rng.randrange(n)]
+        wild = tuple((rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randrange(1, 8)))
+        for g in (member, member * outside, outside.inverse() * member, ctx.from_word(wild)):
+            found = member_of_standard(g, x)
+            assert found == budget_member_of_standard(g, x), (sorted(x), g)
+            hits += found
+            misses += not found
+    assert hits >= 120 and misses >= 120
 
 
 def test_prefix_partial_order_on_positives():

@@ -38,6 +38,7 @@ from artinmark.simplex import CparabSimplex, build_standardized, enumerate_maxim
 
 from oracles import (
     contains,
+    scan_decompose_transversal,
     containment_structure,
     extraction_projection,
     h_relative_flip_table,
@@ -611,6 +612,110 @@ def test_flip_example_base_and_pair_content():
         assert bases == {(1, 2), (2,)}
         assert flip.pairs[j][0].gens == gens(a3, "s2", "s3")
         assert flip.pairs[j][1].gens == gens(a3, "s1")
+
+
+def ball_decompositions(spec, radius, seeds):
+    """(q, base, g) for every pair of every node of the radius balls around
+    the first seeds standard markings, against ghat and ghat Delta."""
+    ctx = context(spec)
+    nodes = {}
+    for seed in all_standard_markings(ctx)[:seeds]:
+        nodes.update(bfs(seed, radius).nodes)
+    found = {}
+    for marking in nodes.values():
+        ghat, _std = marking.base_simplex().canonical_data()
+        for g in (ghat, ghat * ctx.delta):
+            for p, q in marking.pairs:
+                found.setdefault((q.key(), p.key(), g), (q, p, g))
+    return list(found.values())
+
+
+@pytest.mark.parametrize("spec, seeds", [("A3", None), ("B3", None), ("A4", 3)])
+def test_twist_size_is_read_off_inf_on_bfs_balls(spec, seeds):
+    # |k| = -min(inf w, 0) for w = g^-1 z_q g, and the decomposition is the
+    # one the bounded symmetric scan finds; the memo is emptied first, so
+    # every decomposition is computed here
+    ctx = context(spec)
+    ctx.transversal_decompositions.clear()
+    cases = ball_decompositions(spec, 2, seeds)
+    sizes = set()
+    for q, p, g in cases:
+        w = g.inverse() * q.z_element() * g
+        data = decompose_transversal(q, p, g)
+        assert abs(data.twist) == -min(w.inf, 0), (q, p, g)
+        assert (data.twist, data.subset) == scan_decompose_transversal(q, p, g), (q, p, g)
+        sizes.add(abs(data.twist))
+    assert len(cases) >= 300 and sizes >= {0, 1, 2, 3, 4}
+
+
+LCM_SPECS = [
+    "A2", "A3", "A4", "A5", "A6", "A7", "A8", "B2", "B3", "B4", "B5", "B6", "B7", "B8",
+    "D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8", "F4", "H3", "H4", "I2(5)", "I2(6)",
+]
+
+
+def test_lcm_quotient_of_an_adjacent_generator():
+    # the step of the twist argument: M = w0(Y+s) w0(Y) has support Y+s and
+    # s as its only right descent, for every connected Y and s adjacent to Y
+    count = 0
+    for spec in LCM_SPECS:
+        ctx = context(spec)
+        graph = ctx.graph
+        for mask in range(1, 1 << ctx.rank):
+            y = frozenset(i for i in range(ctx.rank) if mask >> i & 1)
+            if not graph.is_connected(y):
+                continue
+            for s in sorted(set(graph.vertices) - y):
+                if any(graph.adjacent(s, t) for t in y):
+                    m = ctx.w0_of(y | {s}) * ctx.w0_of(y)
+                    assert m.support() == y | {s} and m.right_descents() == {s}, (spec, y, s)
+                    count += 1
+    assert count == 757
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4"])
+def test_decomposition_matches_scan_oracle_on_perturbed_markings(spec):
+    # every transversal of the valid and perturbed markings of the pattern
+    # workload decomposes against ghat exactly when the bounded scan finds a
+    # twist, and to the same (k, Y)
+    valid, perturbed = pattern_workload(spec)
+    outcomes = set()
+    for marking in valid + perturbed:
+        ghat, _std = marking.base_simplex().canonical_data()
+        for j, (p, q) in enumerate(marking.pairs):
+            expected = scan_decompose_transversal(q, p, ghat)
+            try:
+                data = decompose_transversal(q, p, ghat, j)
+            except NotSimultaneouslyStandardizable as err:
+                assert expected is None and err.index == j, (marking, j)
+                outcomes.add(None)
+                continue
+            assert (data.twist, data.subset) == expected, (marking, j)
+            outcomes.add(data.twist != 0)
+    assert outcomes == {None, False, True}
+
+
+def test_e6_transversal_without_decomposition_is_rejected():
+    # Q_0 moved by s4 has no decomposition relative to ghat = 1; w has inf
+    # -1, and neither twist 1 nor -1 makes it standard
+    e6 = context("E6")
+    marking = standard_transversals(
+        simplex_of(
+            e6, ("s1", "s2", "s3", "s4", "s5"), ("s1", "s2", "s3", "s5"), ("s1", "s2", "s3"),
+            ("s2", "s3"), ("s2",),
+        )
+    )
+    validate_marking(marking)
+    pairs = list(marking.pairs)
+    pairs[0] = (pairs[0][0], pairs[0][1].conjugated_by(e6.atoms[e6.graph.index("s4")]))
+    moved = Marking(e6, pairs)
+    assert scan_decompose_transversal(pairs[0][1], pairs[0][0], e6.identity) is None
+    with pytest.raises(NotSimultaneouslyStandardizable) as info:
+        validate_marking(moved)
+    assert info.value.index == 0
+    assert str(info.value) == (
+        "pair 0 is not simultaneously standardizable: no twist k with |k| = 1 makes it standard"
+    )
 
 
 def subset_structure(marking):

@@ -14,8 +14,9 @@ from artinmark.errors import (
     NotASimplex,
     NotIrreducible,
     NotProper,
+    PreconditionViolated,
 )
-from artinmark.garside import GarsideContext, context, normalize
+from artinmark.garside import GarsideContext, context, member_of_standard, normalize
 from artinmark.graph import standard_marking_connectivity
 from artinmark.parabolic import (
     ParabolicSubgroup,
@@ -277,7 +278,7 @@ def test_z_exponent_and_involution_take_any_iterable(kind):
 def test_conjugacy_graph_edges_match_type_table():
     for spec in CENTRE_SPECS:
         ctx = context(spec)
-        assert build_conjugacy_graph(ctx).edges == table_conjugacy_edges(ctx), spec
+        assert build_conjugacy_graph(ctx) == table_conjugacy_edges(ctx), spec
 
 
 def test_conjugacy_graph_e8_example():
@@ -367,7 +368,7 @@ def test_a_n_connected_equal_size_conjugate():
 def test_conjugacy_graph_edges_satisfy_theorem_conditions():
     b3 = context("B3")
     graph = build_conjugacy_graph(b3)
-    for y, t, t2 in graph.edges:
+    for y, t, t2 in graph:
         assert t in y and t2 in y and t != t2
         comp = next(c for c in b3.graph.components(y) if t in c)
         assert t2 in comp
@@ -614,3 +615,19 @@ if __name__ == "__main__":
     for name in sys.argv[1:]:
         wrong, pairs = conjugacy_disagreements(name)
         print(f"{name}: {pairs} pairs, {len(wrong)} disagreements")
+
+
+def test_generator_indices_outside_the_rank_are_rejected():
+    # index 9 on A3: each call raised a bare KeyError, or read the stray
+    # index as absent (the identity for Delta_X, False for membership)
+    a3 = context("A3")
+    calls = [
+        lambda: central_generator_z(a3, {9}),
+        lambda: delta_permutation(a3, {9}),
+        lambda: standard_conjugate(a3, {9}, {8}),
+        lambda: a3.delta_of({9}),
+        lambda: member_of_standard(a3.atoms[0], {9}),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionViolated):
+            call()

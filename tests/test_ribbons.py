@@ -4,7 +4,9 @@ import pytest
 
 from artinmark.errors import MixedContext, NotAnXRibbonX, NotCorankOne
 from artinmark.garside import context, normalize
-from artinmark.ribbons import Ribbon, elementary_ribbon, ribbon_delta_form
+from artinmark.ribbons import Ribbon, elementary_ribbon, peel_delta_powers, ribbon_delta_form
+
+from oracles import symmetric_peel_delta_powers
 
 
 def gens(ctx, *names):
@@ -142,3 +144,35 @@ def test_decomposed_ribbon_products_redecompose():
         for r2 in ribbons[5:]:
             quad = ribbon_delta_form(a3, r1 * r2, x)
             assert isinstance(quad, tuple) and len(quad) == 4
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "A4"])
+def test_peel_matches_symmetric_scan_oracle(spec):
+    # X-ribbons-X, their inverses and Delta-shifted products peel to the
+    # exponents the bounded symmetric scan finds; one more atom on either
+    # side breaks the product, and both then find nothing
+    ctx = context(spec)
+    rng = random.Random(f"peel {spec}")
+    everything = frozenset(ctx.graph.vertices)
+    peeled = broken = 0
+    for x in [everything - {t} for t in sorted(everything)]:
+        comps = ctx.graph.components(x)
+        ribbons = []
+        while len(ribbons) < 12:
+            element, final = random_ribbon_walk(ctx, x, rng.randrange(1, 6), rng)
+            if final == x:
+                ribbons.append(element)
+        atom = ctx.atoms[rng.randrange(ctx.rank)]
+        for element in ribbons:
+            shifted = element.inverse() * rng.choice(ribbons) * ctx.delta ** rng.randint(-2, 2)
+            broken_pair = (shifted * atom, atom.inverse() * element)
+            for g in (element, element.inverse(), shifted, *broken_pair):
+                expected = symmetric_peel_delta_powers(ctx, g, comps)
+                try:
+                    found = peel_delta_powers(ctx, g, comps)
+                except NotAnXRibbonX:
+                    found = None
+                assert found == expected, (sorted(x), g)
+                peeled += found is not None
+                broken += found is None
+    assert peeled >= 100 and broken >= 20

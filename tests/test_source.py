@@ -98,6 +98,26 @@ def test_every_raise_names_a_domain_error():
     assert found == []
 
 
+def test_every_domain_error_is_raised_under_src():
+    # an error class that no library path raises is dead weight in the
+    # hierarchy the CLI maps to exit codes
+    raised = {
+        getattr(exc, "id", getattr(exc, "attr", None))
+        for _name, tree in source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for exc in [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+    }
+    declared = {
+        name
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type)
+        and issubclass(cls, errors.ArtinMarkError)
+        and cls is not errors.ArtinMarkError
+    }
+    assert declared - raised == set()
+
+
 def test_no_catch_all_error_handlers_outside_the_cli():
     # cli.py is the one place where domain errors become exit codes; anywhere
     # else a handler that swallows every domain error hides a fault
@@ -155,7 +175,7 @@ def test_commutes_with_only_in_the_framed_adjacency_helper():
 
 def test_member_of_standard_only_in_the_ribbon_peel():
     # a conjugate is recognised as standard by its z-element alone
-    # (parabolic._standard_target); membership scans serve only the peel of
+    # (parabolic._standard_target); membership tests serve only the peel of
     # Delta powers off a ribbon, so any other call is a second path
     found = [
         f"{name}:{func.name}"
@@ -269,7 +289,7 @@ def test_slot_memo_inventory():
 # the public API: artinmark.__all__, the package's submodules included; a
 # name added or dropped must be listed or unlisted here
 EXPORTS = {
-    "ArtinElement", "ArtinMarkError", "ArtinType", "ConjugacyGraph", "CoxeterElement",
+    "ArtinElement", "ArtinMarkError", "ArtinType", "CoxeterElement",
     "CparabSimplex", "DefiningGraph", "ExploredGraph", "GarsideContext",
     "LevelDecomposition", "Marking", "ParabolicSubgroup", "Ribbon", "RootSystem",
     "StandardizedSimplex", "TransversalData",
