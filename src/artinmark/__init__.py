@@ -54,7 +54,6 @@ from .marking import (
 )
 from .parabolic import (
     ParabolicSubgroup,
-    build_conjugacy_graph,
     central_generator_z,
     delta_permutation,
     minimal_standardizer,

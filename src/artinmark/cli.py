@@ -31,11 +31,7 @@ from .marking import (
     twist_move,
     validate_marking,
 )
-from .parabolic import (
-    ParabolicSubgroup,
-    build_conjugacy_graph,
-    standard_conjugate,
-)
+from .parabolic import ParabolicSubgroup, conjugacy_edge_count, standard_conjugate
 from .simplex import CparabSimplex, enumerate_maximal_standard
 
 
@@ -116,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--type", required=True, help="type spec, e.g. A3, B4, I2(7)")
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument(
-        "--bound-k", default="4", type=_integer("--bound-k", 0), help="length/scan budget"
+        "--bound-k", default="4", type=_integer("--bound-k", 0),
+        help="length bound for stabilizer-probe",
     )
     parser.add_argument("--radius", default="1", type=_integer("--radius", 0), help="BFS radius")
     parser.add_argument(
@@ -230,7 +227,7 @@ def _dispatch(ctx: GarsideContext, args: argparse.Namespace) -> int:
             result = standard_conjugate(ctx, x, x2)
             _emit(args, {"conjugate": result}, str(result).lower())
         else:
-            payload = {"vertices": 1 << graph.rank, "edges": len(build_conjugacy_graph(ctx))}
+            payload = {"vertices": 1 << graph.rank, "edges": conjugacy_edge_count(ctx)}
             _emit(args, payload, f"{payload['vertices']} vertices, {payload['edges']} edges")
     elif args.command == "enum-max-simplices":
         simplices = enumerate_maximal_standard(ctx)
@@ -258,14 +255,14 @@ def _dispatch(ctx: GarsideContext, args: argparse.Namespace) -> int:
         cert = validate_marking(marking)
         payload = {
             "valid": True,
-            "levels": [list(layer) for layer in cert.levels.levels],
+            "levels": [list(layer) for layer in marking.base_simplex().levels.levels],
             "transversals": [
                 {
-                    "index": t.index,
+                    "index": i,
                     "twist": t.twist,
-                    "subset": [graph.name(i) for i in sorted(t.subset)],
+                    "subset": [graph.name(s) for s in sorted(t.subset)],
                 }
-                for t in cert.transversals
+                for i, t in enumerate(cert.transversals)
             ],
         }
         _emit(args, payload, "valid")

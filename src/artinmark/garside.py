@@ -50,6 +50,7 @@ from .coxeter import (
 from .errors import InvariantViolated, MixedContext, NotPositive, ParseError
 
 if TYPE_CHECKING:
+    from .marking import TransversalData
     from .parabolic import ParabolicSubgroup
     from .simplex import StandardizedSimplex
 
@@ -92,7 +93,7 @@ class GarsideContext:
         self.simplex_canonical: dict[
             str, tuple[tuple[str, ...], ArtinElement, StandardizedSimplex]
         ] = {}
-        self.transversal_decompositions: dict[tuple, tuple[int, frozenset[int]]] = {}
+        self.transversal_decompositions: dict[tuple, TransversalData] = {}
         self.identity = ArtinElement(self, 0, ())
         self.delta = ArtinElement(self, 1, ())
         self.atoms = tuple(self.element(0, (g,)) for g in system.generators)
@@ -111,10 +112,6 @@ class GarsideContext:
             el = self.delta_w * x * self.delta_w
             self._tau[x.uid] = el
         return el
-
-    def right_complement(self, x: CoxeterElement) -> CoxeterElement:
-        """The simple r with x * r = Delta, lengths adding."""
-        return x.inverse() * self.delta_w
 
     def left_complement(self, x: CoxeterElement) -> CoxeterElement:
         """The simple l with l * x = Delta, lengths adding."""
@@ -304,12 +301,6 @@ class ArtinElement:
     def canonical_length(self) -> int:
         return len(self.body)
 
-    def atom_length(self) -> int:
-        """Common length of all positive words (the additive norm)."""
-        if not self.is_positive:
-            raise NotPositive(f"{self} is not in the monoid")
-        return self.inf * self.ctx.delta_len + sum(x.length for x in self.body)
-
     def support(self) -> frozenset[int]:
         """Generators appearing in any positive word for a positive element."""
         if not self.is_positive:
@@ -352,9 +343,6 @@ class ArtinElement:
     def conjugated_by(self, h: ArtinElement) -> ArtinElement:
         """h * self * h^-1."""
         return h * self * h.inverse()
-
-    def is_prefix_of(self, other: ArtinElement) -> bool:
-        return (self.inverse() * other).is_positive
 
     def commutes_with(self, other: ArtinElement) -> bool:
         return self * other == other * self
@@ -421,12 +409,6 @@ def parse_word(graph: DefiningGraph, text: str) -> Word:
             raise ParseError(f"generator {name!r} out of range", position)
         word.append((idx, -1 if inverse else 1))
     return tuple(word)
-
-
-def word_to_text(graph: DefiningGraph, word: Word) -> str:
-    return " ".join(
-        graph.name(i) + ("^-1" if sign < 0 else "") for i, sign in word
-    )
 
 
 def parse_element(ctx: GarsideContext, text: str) -> ArtinElement:

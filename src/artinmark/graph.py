@@ -82,13 +82,14 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
        boundary node to an inner node was added when the inner node was
        expanded.  Only edges between boundary nodes are left to close.
     2. A certified node is its coordinates.  Its certificate gives, per
-       pair, (P_i key, twist_i, Y_i) relative to the canonical standardizer
-       of its base, and by the uniqueness of transversal decompositions
-       these identify the node.  A twist at j in direction d keeps the base,
-       so its standardizer, and Y_j, and adds d * z_exponent(X_j) to
-       twist_j.  A boundary twist edge is therefore a look-up of the moved
-       coordinates among the boundary nodes; the +1 twists find every one,
-       since the -1 twist of one end is the +1 twist of the other.
+       pair, X_i and (twist_i, Y_i) relative to the canonical standardizer
+       of its base, and by the uniqueness of transversal decompositions the
+       triples (P_i key, twist_i, Y_i) identify the node.  A twist at j in
+       direction d keeps the base, so its standardizer, and Y_j, and adds
+       d * z_exponent(X_j) to twist_j.  A boundary twist edge is therefore
+       a look-up of the moved coordinates among the boundary nodes; the +1
+       twists find every one, since the -1 twist of one end is the +1 twist
+       of the other.
     3. A flip across j lands on a node whose base key set is
        {P_i : i != j} and Q_j, and which holds the pair (Q_j, P_j).  The
        boundary nodes are indexed by base key set, and each unordered pair
@@ -136,10 +137,10 @@ def _close_boundary(graph: ExploredGraph, boundary: list[Marking]) -> None:
     for node in boundary:
         by_base.setdefault(_base_keys(node), []).append(node)
     for node, coords in zip(boundary, coordinates):
-        _ghat, std = node.base_simplex().canonical_data()
+        bases = node.certificate().bases
         base = _base_keys(node)
         for j, (p_key, twist, subset) in enumerate(coords):
-            step = z_exponent(node.ctx, std.subsets[node.vertex_of_pair(j)])
+            step = z_exponent(node.ctx, bases[j])
             moved = coords[:j] + [(p_key, twist + step, subset)] + coords[j + 1:]
             other_key = at.get(frozenset(moved))
             if other_key is not None:

@@ -23,6 +23,13 @@ tests/oracles.py).  The structure of a marking is read off the same
 decompositions: conjugation by ghat preserves containment, and A_U <= A_V
 exactly when U <= V.
 
+The certificate is the marking's frame, listed by pair index: ghat, the
+standardized bases X_i and the decompositions (k_i, Y_i).  Only validation
+and a flip, for its flipped base, read ghat and the X_i off a base simplex
+(_base_frame); every other move, edge test and standardization reads them
+off the certificate, and the levels, where they are needed, are the nesting
+levels of the X_i.
+
 One standardizer per base: the certificate is the only source of a
 marking's twists, and no move or standardization decomposes against a
 second standardizer.  Move the standardizer from ghat to h = ghat
@@ -60,8 +67,8 @@ is P_j = h A_{X_j} h^-1, transverse to Q_j and commuting with the other
 bases, and at each i != j the subset is the transversal_subset.
 
 Moves carry their certificates, so validate_marking runs only on markings
-read from outside.  A twist at j keeps every base, so ghat, the levels and
-every subset, and adds direction * z_exponent(X_j) to k_j, because z_{P_j}
+read from outside.  A twist at j keeps every base, so ghat, every X_i and
+every Y_i, and adds direction * z_exponent(X_j) to k_j, because z_{P_j}
 = ghat Delta_{X_j}^e ghat^-1.  The flips across j share the flipped base B,
 its canonical standardizer ghat_B and the pair (Q_j, P_j).  Both h and
 ghat_B standardize B, and twist differences against a shared standardizer
@@ -100,9 +107,9 @@ from .garside import ArtinElement, GarsideContext
 from .parabolic import ParabolicSubgroup, _standard_target, parabolics_from_json, z_exponent
 from .simplex import (
     CparabSimplex,
-    LevelDecomposition,
     build_standardized,
     delta_twisted,
+    nesting_levels,
     pattern_break,
     transversal_subset,
 )
@@ -115,14 +122,19 @@ Pair = tuple[ParabolicSubgroup, ParabolicSubgroup]
 class TransversalData:
     """Unique decomposition Q_j = g Delta_{X_j}^twist A_subset Delta^-twist g^-1."""
 
-    index: int
     twist: int
     subset: Subset
 
 
 @dataclass(frozen=True)
 class MarkingCertificate:
-    levels: LevelDecomposition
+    """The frame of a marking, listed by pair index: the canonical
+    standardizer ghat of the base, the standardized bases X_i with
+    ghat^-1 P_i ghat = A_{X_i}, and the decomposition (k_i, Y_i) of each
+    transversal relative to ghat."""
+
+    ghat: ArtinElement
+    bases: tuple[Subset, ...]
     transversals: tuple[TransversalData, ...]
 
 
@@ -130,7 +142,7 @@ class Marking:
     """Ordered pairs (base, transverse); equality ignores the order."""
 
     __slots__ = (
-        "ctx", "pairs", "_key", "_base", "_pair_vertex", "_cert",
+        "ctx", "pairs", "_key", "_base", "_cert",
     )
 
     def __init__(self, ctx: GarsideContext, pairs):
@@ -138,7 +150,6 @@ class Marking:
         self.pairs: tuple[Pair, ...] = tuple((p, q) for p, q in pairs)
         self._key: str | None = None
         self._base: CparabSimplex | None = None
-        self._pair_vertex: tuple[int, ...] = ()
         self._cert: MarkingCertificate | None = None
 
     def __len__(self) -> int:
@@ -172,13 +183,7 @@ class Marking:
     def base_simplex(self) -> CparabSimplex:
         if self._base is None:
             self._base = CparabSimplex(self.ctx, [p for p, _ in self.pairs])
-            keys = {v.key(): i for i, v in enumerate(self._base.vertices)}
-            self._pair_vertex = tuple(keys[p.key()] for p, _ in self.pairs)
         return self._base
-
-    def vertex_of_pair(self, j: int) -> int:
-        self.base_simplex()
-        return self._pair_vertex[j]
 
     def conjugated_by(self, x: ArtinElement) -> Marking:
         return Marking(
@@ -273,7 +278,7 @@ def decompose_transversal(
     cache_key = (q.conj, q.gens, base.conj, base.gens, g)
     hit = cache.get(cache_key)
     if hit is not None:
-        return TransversalData(index, hit[0], hit[1])
+        return hit
     g_inv = g.inverse()
     c, x = base.conjugated_by(g_inv).canonical()
     if not c.is_identity:
@@ -284,8 +289,8 @@ def decompose_transversal(
     for twist in (size, -size) if size else (0,):
         target = _standard_target(ctx, d_x**twist, w)
         if target is not None:
-            cache[cache_key] = (twist, target)
-            return TransversalData(index, twist, target)
+            cache[cache_key] = data = TransversalData(twist, target)
+            return data
     raise NotSimultaneouslyStandardizable(
         index,
         f"pair {index} is not simultaneously standardizable: no twist k with |k| = {size}"
@@ -308,8 +313,20 @@ def transversal_decomposition(
     return decompose_transversal(q_j, p_j, g, j)
 
 
+def _base_frame(marking: Marking) -> tuple[ArtinElement, tuple[Subset, ...]]:
+    """(ghat, X_i by pair index) read off the base simplex, whose vertices
+    are in canonical order; raises BaseNotMaximal unless the base spans a
+    maximal simplex."""
+    simplex = marking.base_simplex()
+    ghat, std = simplex.canonical_data()
+    if not std.is_maximal:
+        raise BaseNotMaximal("base does not span a maximal simplex")
+    subset_of = {v.key(): x for v, x in zip(simplex.vertices, std.subsets)}
+    return ghat, tuple(subset_of[p.key()] for p, _ in marking.pairs)
+
+
 def validate_marking(marking: Marking) -> MarkingCertificate:
-    """Check the three marking conditions; return levels and per-pair data.
+    """Check the three marking conditions; return the marking's frame.
 
     Errors are checked in this order: a transversal that is not irreducible
     or not proper, a base that is not maximal, a transversal without a
@@ -329,13 +346,8 @@ def validate_marking(marking: Marking) -> MarkingCertificate:
             raise NotIrreducible(f"transversal {q} is not irreducible")
         if not q.proper:
             raise NotProper(f"transversal {q} is the whole group")
-    simplex = marking.base_simplex()
-    ghat, std = simplex.canonical_data()
-    if not std.is_maximal:
-        raise BaseNotMaximal("base does not span a maximal simplex")
+    ghat, x = _base_frame(marking)
     data = [transversal_decomposition(marking, j, ghat) for j in range(len(pairs))]
-    vertex = [marking.vertex_of_pair(j) for j in range(len(pairs))]
-    x = [std.subsets[v] for v in vertex]
     for i, d in enumerate(data):
         m = pattern_break(ctx.graph, d.subset, delta_twisted(ctx, x, i, d.twist), i)
         if m is not None:
@@ -343,14 +355,14 @@ def validate_marking(marking: Marking) -> MarkingCertificate:
     # structural sanity: a top-level transversal contains the other top-level
     # bases (Delta_{X_j} commutes with A_{X_k}), and a nested base's
     # transversal lies in every base above it (Delta_{X_j} lies in A_{X_k})
-    top = {j for j, v in enumerate(vertex) if v in simplex.levels.levels[0]}
+    top = {j for layer in nesting_levels(x).levels[:1] for j in layer}
     for j, k in itertools.product(range(len(pairs)), repeat=2):
         y_j = data[j].subset
         if j != k and j in top and k in top and not x[k] <= y_j:
             raise InvariantViolated(f"transversal {j} misses the top-level base {k}")
         if x[j] < x[k] and not y_j <= x[k]:
             raise InvariantViolated(f"transversal {j} leaves the base {k} above it")
-    return MarkingCertificate(simplex.levels, tuple(data))
+    return MarkingCertificate(ghat, x, tuple(data))
 
 
 def projection(marking: Marking, j: int) -> int:
@@ -385,29 +397,24 @@ def twist_move(marking: Marking, j: int, direction: int = 1) -> Marking:
     z = p_j.z_element() ** direction
     pairs = list(marking.pairs)
     pairs[j] = (p_j, q_j.conjugated_by(z))
-    _ghat, std = marking.base_simplex().canonical_data()
     d = cert.transversals[j]
-    step = direction * z_exponent(marking.ctx, std.subsets[marking.vertex_of_pair(j)])
+    step = direction * z_exponent(marking.ctx, cert.bases[j])
     data = list(cert.transversals)
-    data[j] = TransversalData(j, d.twist + step, d.subset)
-    return _certified(Marking(marking.ctx, pairs), marking, data)
+    data[j] = TransversalData(d.twist + step, d.subset)
+    moved = MarkingCertificate(cert.ghat, cert.bases, tuple(data))
+    return _certified(Marking(marking.ctx, pairs), marking, moved)
 
 
-def _certified(marking: Marking, frame: Marking, data) -> Marking:
-    """The marking, certified by the transversal data carried over from a
-    move: it shares the bases of frame, in the same order, so it shares its
-    base simplex and levels too."""
-    base = frame.base_simplex()
-    marking._base, marking._pair_vertex = base, frame._pair_vertex
-    marking._cert = MarkingCertificate(base.levels, tuple(data))
+def _certified(marking: Marking, frame: Marking, cert: MarkingCertificate) -> Marking:
+    """The marking, certified by the certificate carried over from a move:
+    it has the bases of frame, in the same order, so it shares the frame's
+    base simplex, ghat and X_i too."""
+    marking._base, marking._cert = frame.base_simplex(), cert
     return marking
 
 
-def _flip_frame(
-    marking: Marking, j: int
-) -> tuple[ArtinElement, MarkingCertificate, list[Subset]]:
-    """The shared standardizer h for a flip across j, the certificate, and
-    the standardized base by pair index.
+def _flip_frame(marking: Marking, j: int) -> tuple[ArtinElement, MarkingCertificate]:
+    """The shared standardizer h for a flip across j, and the certificate.
 
     h = ghat * Delta_{X_j}^{k_j} standardizes the base, the j-th transversal,
     and therefore the base obtained by flipping across j.  The marking is
@@ -419,9 +426,7 @@ def _flip_frame(
     """
     cert = marking.certificate()
     _check_index(marking, j)
-    ghat, std = marking.base_simplex().canonical_data()
-    x = [std.subsets[marking.vertex_of_pair(i)] for i in range(len(marking))]
-    return ghat * marking.ctx.delta_of(x[j]) ** cert.transversals[j].twist, cert, x
+    return cert.ghat * marking.ctx.delta_of(cert.bases[j]) ** cert.transversals[j].twist, cert
 
 
 def _flip_candidate_table(
@@ -444,8 +449,8 @@ def _flip_candidate_table(
     twist, in increasing order, and they are every possible transversal.
     """
     ctx = marking.ctx
-    h, cert, x = _flip_frame(marking, j)
-    x_h = list(delta_twisted(ctx, x, j, cert.transversals[j].twist))
+    h, cert = _flip_frame(marking, j)
+    x_h = list(delta_twisted(ctx, cert.bases, j, cert.transversals[j].twist))
     x_h[j] = cert.transversals[j].subset
     if not build_standardized(ctx, x_h).is_maximal:
         raise BaseNotMaximal("flipped base is not maximal")
@@ -485,8 +490,7 @@ def flip_candidates(marking: Marking, j: int) -> list[Marking]:
         return Marking(ctx, new_pairs)
 
     middle = assemble([table[i][1] for i in indices])
-    ghat, std = middle.base_simplex().canonical_data()
-    x = [std.subsets[middle.vertex_of_pair(i)] for i in range(len(pairs))]
+    ghat, x = _base_frame(middle)
     swapped = transversal_decomposition(middle, j, ghat)
     offset = {i: transversal_decomposition(middle, i, ghat).twist - anchors[i] for i in indices}
     out = []
@@ -494,8 +498,8 @@ def flip_candidates(marking: Marking, j: int) -> list[Marking]:
         data = [swapped] * len(pairs)
         for i, (t, _q) in zip(indices, combo):
             k = t + offset[i]
-            data[i] = TransversalData(i, k, transversal_subset(ctx, delta_twisted(ctx, x, i, k), i))
-        out.append(_certified(assemble(combo), middle, data))
+            data[i] = TransversalData(k, transversal_subset(ctx, delta_twisted(ctx, x, i, k), i))
+        out.append(_certified(assemble(combo), middle, MarkingCertificate(ghat, x, tuple(data))))
     return out
 
 
@@ -532,7 +536,7 @@ def is_flip_edge(a: Marking, b: Marking) -> bool:
     p_j, q_j = a.pairs[j]
     if (q_j.key(), p_j.key()) not in b.ordered_key():
         return False
-    h, cert, _x = _flip_frame(a, j)
+    h, cert = _flip_frame(a, j)
     return all(
         abs(cert.transversals[i].twist - transversal_decomposition(b, at_b[p.key()], h).twist) <= 1
         for i, (p, _q) in enumerate(a.pairs)
@@ -573,14 +577,12 @@ def standardize_marking(marking: Marking) -> tuple[ArtinElement, Marking]:
     """
     ctx = marking.ctx
     cert = marking.certificate()
-    simplex = marking.base_simplex()
-    ghat, std = simplex.canonical_data()
-    vertex = [marking.vertex_of_pair(j) for j in range(len(marking))]
-    conj = ghat
-    for j in sorted(range(len(marking)), key=lambda j: (-simplex.levels.level_of(vertex[j]), j)):
-        k_j = cert.transversals[j].twist
-        if k_j:
-            conj = conj * ctx.delta_of(std.subsets[vertex[j]]) ** k_j
+    conj = cert.ghat
+    for layer in reversed(nesting_levels(cert.bases).levels):
+        for j in layer:
+            k_j = cert.transversals[j].twist
+            if k_j:
+                conj = conj * ctx.delta_of(cert.bases[j]) ** k_j
     cur = marking.conjugated_by(conj.inverse())
     # normal-form representations: swap every pair for its standard form
     std_pairs = []

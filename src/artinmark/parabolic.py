@@ -52,11 +52,11 @@ Z + {t} holding t, moves Z to Z + {t} - {pi_C(t)}, pi_C the involution of
 Delta_C (_ribbon_move, which elementary_ribbon reads its target off too).
 So standard_conjugate walks these moves breadth-first from X and
 stops at X'.  Each move keeps the size of Z, so the search visits at most
-C(n, |X|) subsets and needs no budget.  The whole Paris graph on all 2^n
-subsets (build_conjugacy_graph, edges (Y, t, t') where the involution of a
-component of Y moves t to t') serves only the count of its edges.  A
-component whose Delta_X is central has the trivial involution and adds no
-edge and no move.
+C(n, |X|) subsets and needs no budget.  The Paris graph on all 2^n subsets,
+with an edge (Y, t, t') where the involution of a component of Y moves t to
+t', is never built: conjugacy_edge_count counts its edges per connected
+component.  A component whose Delta_X is central has the trivial involution
+and adds no edge and no move.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -78,6 +77,7 @@ from .errors import (
     NotIrreducible,
     NotProper,
     ParseError,
+    PreconditionViolated,
 )
 from .garside import ArtinElement, GarsideContext, parse_element
 
@@ -396,21 +396,23 @@ def simultaneous_standardizer(
 # -- Paris conjugacy of standard parabolic subgroups --------------------------
 
 
-@lru_cache(maxsize=None)
-def build_conjugacy_graph(ctx: GarsideContext) -> tuple[tuple[Subset, int, int], ...]:
-    """The edges (Y, t, t') of the Paris graph on all 2^n subsets: t != t'
-    in a component of Y whose involution moves t to t'.  A tuple, as the
-    cache shares it between callers."""
+def conjugacy_edge_count(ctx: GarsideContext) -> int:
+    """The number of edges (Y, t, t') of the Paris graph on all 2^n subsets:
+    t != t' in a component of Y whose involution moves t to t'.
+
+    A subset Y has the connected C as a component exactly when Y = C + Z
+    with Z outside C and its neighbours N(C), so C is a component of
+    2^(n - |C + N(C)|) subsets, and each adds one edge per generator that
+    pi_C moves.  The whole vertex set is connected, as the type is
+    irreducible.
+    """
     graph = ctx.graph
-    n = graph.rank
-    edges = []
-    for mask in range(1 << n):
-        y = frozenset(i for i in range(n) if mask >> i & 1)
-        for comp in graph.components(y):
-            for t, t2 in delta_permutation(ctx, comp).items():
-                if t2 != t:
-                    edges.append((y, t, t2))
-    return tuple(edges)
+    count = 0
+    for comp in ctx.connected_proper_subsets() + (frozenset(graph.vertices),):
+        moved = sum(t != t2 for t, t2 in delta_permutation(ctx, comp).items())
+        closure = comp.union(*map(graph.neighbors, comp))
+        count += moved << (ctx.rank - len(closure))
+    return count
 
 
 def standard_conjugate(ctx: GarsideContext, x: Subset, x2: Subset) -> bool:
@@ -419,9 +421,15 @@ def standard_conjugate(ctx: GarsideContext, x: Subset, x2: Subset) -> bool:
     Breadth-first search from X over the elementary ribbon moves
     Z -> Z + {t} - {pi_C(t)}, C the component of Z + {t} holding t (see the
     module docstring); it stops when it reaches X'.  Every move keeps |Z|,
-    so at most C(n, |X|) subsets are visited, n the rank.
+    so at most C(n, |X|) subsets are visited, n the rank.  A generator index
+    outside 0..n-1 in either subset raises PreconditionViolated first.
     """
     x, x2 = frozenset(x), frozenset(x2)
+    stray = (x | x2) - frozenset(ctx.graph.vertices)
+    if stray:
+        raise PreconditionViolated(
+            f"generators {sorted(stray)} are outside 0..{ctx.rank - 1}"
+        )
     if len(x) != len(x2):
         return False
     seen, queue = {x}, deque([x])

@@ -96,9 +96,6 @@ class CosRing:
             rows.append(tuple(s + overflow * r for s, r in zip(shifted, rows[0])))
         self._red_rows = rows
 
-    def from_int(self, k: int) -> Coeffs:
-        return (k,) + (0,) * (self.degree - 1)
-
     def cos2(self, label: int) -> Coeffs:
         """The element 2cos(pi/label) for an edge label of this graph."""
         if label == 2:

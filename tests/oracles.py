@@ -338,13 +338,34 @@ def descent_peel_reduced_word(w) -> tuple[int, ...]:
     return tuple(word)
 
 
+def right_complement(ctx: GarsideContext, x):
+    """The simple r with x * r = Delta, lengths adding."""
+    return x.inverse() * ctx.delta_w
+
+
 def lcm_simples(ctx: GarsideContext, a, b):
     """Join of two simples in the prefix order, via complement duality:
     Delta over the suffix-order meet d of the right complements, where
     d^-1 is the prefix-order meet of their inverses."""
     return ctx.delta_w * ctx.gcd_simples(
-        ctx.right_complement(a).inverse(), ctx.right_complement(b).inverse()
+        right_complement(ctx, a).inverse(), right_complement(ctx, b).inverse()
     )
+
+
+def atom_length(g: ArtinElement) -> int:
+    """The common length of all positive words of a positive element."""
+    assert g.is_positive, f"{g} is not in the monoid"
+    return g.inf * g.ctx.delta_len + sum(x.length for x in g.body)
+
+
+def is_prefix_of(a: ArtinElement, b: ArtinElement) -> bool:
+    """Whether a left-divides b in the monoid: a^-1 b is positive."""
+    return (a.inverse() * b).is_positive
+
+
+def word_to_text(graph: DefiningGraph, word) -> str:
+    """The text of a signed generator word, as parse_word reads it."""
+    return " ".join(graph.name(i) + ("^-1" if sign < 0 else "") for i, sign in word)
 
 
 # -- fixed-point normal forms ------------------------------------------------
@@ -353,7 +374,7 @@ def lcm_simples(ctx: GarsideContext, a, b):
 def meet_slide_pair(ctx, u, v):
     """(u a, a^-1 v) for a the meet of u^-1 Delta and v, or None when a = 1:
     the complement, the meet and a^-1 all interned, nothing memoized."""
-    alpha = ctx.gcd_simples(ctx.right_complement(u), v)
+    alpha = ctx.gcd_simples(right_complement(ctx, u), v)
     if alpha.is_identity:
         return None
     return u * alpha, alpha.inverse() * v
@@ -574,7 +595,7 @@ def bfs_minimal_standardizer(p):
     seed = ctx.delta ** (2 * shift) * p.conj
     frontier = [ctx.identity]
     seen = {ctx.identity}
-    for _ in range(seed.atom_length() + 1):
+    for _ in range(atom_length(seed) + 1):
         for cand in frontier:
             target = membership_standard_target(ctx, cand, z_p, p.conj, p.gens)
             if target is not None:
@@ -583,7 +604,7 @@ def bfs_minimal_standardizer(p):
         for cand in frontier:
             for atom in ctx.atoms:
                 ext = cand * atom
-                if ext not in seen and ext.is_prefix_of(seed):
+                if ext not in seen and is_prefix_of(ext, seed):
                     seen.add(ext)
                     nxt.append(ext)
         frontier = sorted(nxt, key=ArtinElement.sort_key)
@@ -609,7 +630,7 @@ def bfs_simultaneous_standardizer(ctx, parabolics, budget=24, seed=None, support
     if seed is not None:
         shift = (-seed.inf + 1) // 2 if seed.inf < 0 else 0
         seed_elt = ctx.delta ** (2 * shift) * seed
-        budget = seed_elt.atom_length()
+        budget = atom_length(seed_elt)
     atoms = ctx.atoms if support_limit is None else [ctx.atoms[i] for i in sorted(support_limit)]
     frontier = [ctx.identity]
     seen = {ctx.identity}
@@ -625,7 +646,7 @@ def bfs_simultaneous_standardizer(ctx, parabolics, budget=24, seed=None, support
                 if ext in seen:
                     continue
                 seen.add(ext)
-                if seed_elt is None or ext.is_prefix_of(seed_elt):
+                if seed_elt is None or is_prefix_of(ext, seed_elt):
                     nxt.setdefault(ext, None)
         frontier = sorted(nxt, key=ArtinElement.sort_key)
         if not frontier:
@@ -709,6 +730,12 @@ def containment_levels(vertices):
 # -- marking coordinates and structure ----------------------------------------
 
 
+def pair_vertex(marking, j: int) -> int:
+    """The index of the base P_j among the vertices of the base simplex."""
+    keys = [v.key() for v in marking.base_simplex().vertices]
+    return keys.index(marking.pairs[j][0].key())
+
+
 def extraction_projection(marking, j, g):
     """pi_{P_j}(Q_j) relative to a standardizer g of the base: the
     Delta_{X_j}-exponent of the ascending product relating g Delta_{X_j}^k
@@ -719,7 +746,7 @@ def extraction_projection(marking, j, g):
     _, x_j = marking.pairs[j][0].conjugated_by(g.inverse()).canonical()
     h = g * ctx.delta_of(x_j) ** data.twist
     product = extract_ascending_product(h, ghat, std)
-    return product.exponents[marking.vertex_of_pair(j)]
+    return product.exponents[pair_vertex(marking, j)]
 
 
 def containment_structure(marking):
@@ -751,7 +778,7 @@ def levelwise_standardize_marking(marking):
     simplex = marking.base_simplex()
     ghat, _std = simplex.canonical_data()
     depth = {
-        j: simplex.levels.level_of(marking.vertex_of_pair(j))
+        j: simplex.levels.level_of(pair_vertex(marking, j))
         for j in range(len(marking.pairs))
     }
     conj = ghat
@@ -821,7 +848,7 @@ def h_relative_flip_table(marking, j):
     pairs = marking.pairs
     ghat, std = marking.base_simplex().canonical_data()
     k_j = transversal_decomposition(marking, j, ghat).twist
-    h = ghat * ctx.delta_of(std.subsets[marking.vertex_of_pair(j)]) ** k_j
+    h = ghat * ctx.delta_of(std.subsets[pair_vertex(marking, j)]) ** k_j
     h_inv = h.inverse()
     flipped = [(q if m == j else p).conjugated_by(h_inv).canonical()
                for m, (p, q) in enumerate(pairs)]
@@ -997,6 +1024,11 @@ def conjugacy_component(edges: Edges, subset: Subset) -> frozenset[Subset]:
 
 
 # -- root signs -------------------------------------------------------------------
+
+
+def ring_int(ring, k: int):
+    """The integer k as a ring element."""
+    return (k,) + (0,) * (ring.degree - 1)
 
 
 def ring_value(ring, a) -> float:

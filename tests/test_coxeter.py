@@ -21,6 +21,7 @@ from oracles import (
     descent_peel_reduced_word,
     float_positive_roots,
     meet_slide_pair,
+    right_complement,
     root_perm,
     single_letter_peel,
     tuple_inverse,
@@ -369,7 +370,7 @@ def test_peel_matches_oracles_on_long_e8_meets():
     rng = random.Random("E8 complements")
     pairs = [
         tuple(
-            ctx.right_complement(random_simple(ctx.system, rng, rng.randrange(1, 9)))
+            right_complement(ctx, random_simple(ctx.system, rng, rng.randrange(1, 9)))
             for _ in range(2)
         )
         for _ in range(300)

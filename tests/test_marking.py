@@ -43,6 +43,7 @@ from oracles import (
     extraction_projection,
     h_relative_flip_table,
     levelwise_standardize_marking,
+    pair_vertex,
     shared_flip_standardizer,
     transversal_swap_path,
     z_product_flip_table,
@@ -110,6 +111,21 @@ def test_validate_output_of_recipe_everywhere():
             assert len(cert.transversals) == len(marking.pairs)
             assert all(t.twist == 0 for t in cert.transversals)
             assert marking.projections() == (0,) * len(marking.pairs)
+
+
+@pytest.mark.parametrize("spec,radius", [("A3", 2), ("B3", 2), ("A4", 1)])
+def test_carried_certificate_is_the_validated_frame(spec, radius):
+    # every move carries its certificate; on each node of the ball it must
+    # be the frame that validating the same pairs from scratch gives
+    ctx = context(spec)
+    nodes = bfs(all_standard_markings(ctx)[0], radius).nodes.values()
+    for node in nodes:
+        carried = node.certificate()
+        fresh = validate_marking(Marking(ctx, node.pairs))
+        assert carried.ghat == fresh.ghat, node
+        assert carried.bases == fresh.bases, node
+        assert carried.transversals == fresh.transversals, node
+    assert len(nodes) > 20
 
 
 def test_broken_pattern_detected():
@@ -721,12 +737,11 @@ def test_e6_transversal_without_decomposition_is_rejected():
 def subset_structure(marking):
     """containment_structure read off the standardized base subsets X_j and
     the transversal subsets Y_j of the certificate."""
-    ghat, std = marking.base_simplex().canonical_data()
     cert = marking.certificate()
     n = len(marking)
-    x = [std.subsets[marking.vertex_of_pair(j)] for j in range(n)]
+    x = cert.bases
     y = [t.subset for t in cert.transversals]
-    top = [j for j in range(n) if marking.vertex_of_pair(j) in cert.levels.levels[0]]
+    top = [j for j in range(n) if not any(x[j] < z for z in x)]
     covers = {(j, k): x[k] <= y[j] for j in top for k in top if j != k}
     nested = {
         (j, k): y[j] <= x[k] for j in range(n) for k in range(n) if x[j] < x[k]
@@ -800,7 +815,7 @@ def pattern_workload(spec):
         pairs = list(marking.pairs)
         p_i, q_i = pairs[i]
         if n % 3 == 0:
-            x_i = std_.subsets[marking.vertex_of_pair(i)]
+            x_i = std_.subsets[pair_vertex(marking, i)]
             y = rng.choice(ctx.connected_proper_subsets())
             q_i = ParabolicSubgroup(ctx, ghat * ctx.delta_of(x_i) ** rng.randrange(-2, 3), y)
         elif n % 3 == 1:

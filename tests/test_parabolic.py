@@ -21,9 +21,9 @@ from artinmark.graph import standard_marking_connectivity
 from artinmark.parabolic import (
     ParabolicSubgroup,
     _standard_target,
-    build_conjugacy_graph,
     central_generator_z,
     check_simplex_family,
+    conjugacy_edge_count,
     delta_permutation,
     elementary_ribbon,
     minimal_standardizer,
@@ -37,6 +37,7 @@ from oracles import (
     bfs_simultaneous_standardizer,
     conjugacy_component,
     contains,
+    is_prefix_of,
     membership_standard_target,
     pairwise_z_check,
     shortest_path,
@@ -136,7 +137,7 @@ def test_minimal_standardizer_is_prefix_of_bounded_search_hits():
             found.append(g)
     assert found
     for g in found:
-        assert c.is_prefix_of(g)
+        assert is_prefix_of(c, g)
 
 
 def test_minimal_standardizer_inside_parabolic_has_bounded_support():
@@ -276,9 +277,11 @@ def test_z_exponent_and_involution_take_any_iterable(kind):
 
 
 def test_conjugacy_graph_edges_match_type_table():
-    for spec in CENTRE_SPECS:
+    # the edge count by connected component against the edges of the type
+    # table's graph on all 2^n subsets
+    for spec in CENTRE_SPECS + ["A12"]:
         ctx = context(spec)
-        assert build_conjugacy_graph(ctx) == table_conjugacy_edges(ctx), spec
+        assert conjugacy_edge_count(ctx) == len(table_conjugacy_edges(ctx)), spec
 
 
 def test_conjugacy_graph_e8_example():
@@ -286,7 +289,7 @@ def test_conjugacy_graph_e8_example():
     x = gens(e8, "s1", "s2", "s3", "s4")
     y = gens(e8, "s5", "s6", "s7", "s8")
     assert standard_conjugate(e8, x, y)
-    graph = build_conjugacy_graph(e8)
+    graph = table_conjugacy_edges(e8)
     component = conjugacy_component(graph, x)
     e6_image = gens(e8, "s3", "s4", "s5", "s6")
     d5_image = gens(e8, "s1", "s2", "s3", "s5")
@@ -305,7 +308,7 @@ def test_conjugacy_size_mismatch_false():
 
 def test_conjugacy_components_have_constant_size():
     b4 = context("B4")
-    graph = build_conjugacy_graph(b4)
+    graph = table_conjugacy_edges(b4)
     n = b4.rank
     for mask in range(1 << n):
         subset = frozenset(i for i in range(n) if mask >> i & 1)
@@ -318,7 +321,7 @@ def conjugacy_disagreements(spec):
     from the oracle, X' in the component of X in the Paris graph, and the
     number of pairs compared (ordered, X = X' included)."""
     ctx = context(spec)
-    graph = build_conjugacy_graph(ctx)
+    graph = table_conjugacy_edges(ctx)
     n = ctx.rank
     subsets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
     component = {}
@@ -343,8 +346,8 @@ def test_standard_conjugate_matches_graph_component(spec):
 
 def test_standard_conjugate_never_builds_the_graph(monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(parabolic_module, "build_conjugacy_graph", calls.append)
-    monkeypatch.setattr(cli_module, "build_conjugacy_graph", calls.append)
+    monkeypatch.setattr(parabolic_module, "conjugacy_edge_count", calls.append)
+    monkeypatch.setattr(cli_module, "conjugacy_edge_count", calls.append)
     argv = ["--type", "E8", "conj-graph", "--query", "s1,s2,s3,s4", "s5,s6,s7,s8"]
     assert cli_module.run_command(argv) == 0
     assert capsys.readouterr().out == "true\n"
@@ -367,7 +370,7 @@ def test_a_n_connected_equal_size_conjugate():
 
 def test_conjugacy_graph_edges_satisfy_theorem_conditions():
     b3 = context("B3")
-    graph = build_conjugacy_graph(b3)
+    graph = table_conjugacy_edges(b3)
     for y, t, t2 in graph:
         assert t in y and t2 in y and t != t2
         comp = next(c for c in b3.graph.components(y) if t in c)
@@ -615,6 +618,16 @@ if __name__ == "__main__":
     for name in sys.argv[1:]:
         wrong, pairs = conjugacy_disagreements(name)
         print(f"{name}: {pairs} pairs, {len(wrong)} disagreements")
+
+
+@pytest.mark.parametrize(
+    "x,x2", [({9}, {9}), ({-1}, {-1}), ({9}, {0, 1}), ({9}, {8})]
+)
+def test_standard_conjugate_rejects_indices_outside_the_rank(x, x2):
+    # the search used to stop at X == X' and the size test to answer first,
+    # so the first three read as True, True and False on A3
+    with pytest.raises(PreconditionViolated):
+        standard_conjugate(context("A3"), x, x2)
 
 
 def test_generator_indices_outside_the_rank_are_rejected():

@@ -5,7 +5,7 @@ import pytest
 from artinmark.errors import PreconditionViolated
 from artinmark.rings import CosRing, cos_minpoly, cyclotomic
 
-from oracles import ring_sign, ring_value
+from oracles import ring_int, ring_sign, ring_value
 
 
 def test_cyclotomic_known_values():
@@ -47,7 +47,7 @@ def test_golden_ratio_identity():
 def test_sqrt2_squares_to_two():
     ring = CosRing(4)
     c = ring.cos2(4)
-    assert ring.mul(c, c) == ring.from_int(2)
+    assert ring.mul(c, c) == ring_int(ring, 2)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
@@ -70,7 +70,7 @@ def test_signs():
     assert ring_sign(ring, ring.zero) == 0
     # 2 + sqrt(2) - 3 > 0
     csq = ring.mul(c, c)
-    assert ring_sign(ring, ring.sub(csq, ring.from_int(3))) == 1
+    assert ring_sign(ring, ring.sub(csq, ring_int(ring, 3))) == 1
 
 
 def test_edge_label_cosines():

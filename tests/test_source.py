@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import artinmark
@@ -205,7 +206,6 @@ MEMOS = {
     "garside.py:GarsideContext.transversal_decompositions",
     "garside.py:GarsideContext.transversal_subsets",
     "garside.py:context",
-    "parabolic.py:build_conjugacy_graph",
     "cli.py:_parser",
     "rings.py:cos_minpoly",
     "rings.py:cyclotomic",
@@ -253,8 +253,8 @@ def test_memo_inventory():
 
 
 # every memo held in a slot on a value: an underscore attribute set to None
-# (or, for Marking._pair_vertex, filled with _base, to ()) in __init__ or
-# __new__ and filled on first use; a new slot memo must be listed here
+# (or to ()) in __init__ or __new__ and filled on first use; a new slot memo
+# must be listed here
 SLOT_MEMOS = {
     "coxeter.py:CoxeterElement._inverse",
     "coxeter.py:CoxeterElement._length",
@@ -265,7 +265,6 @@ SLOT_MEMOS = {
     "marking.py:Marking._base",
     "marking.py:Marking._cert",
     "marking.py:Marking._key",
-    "marking.py:Marking._pair_vertex",
     "parabolic.py:ParabolicSubgroup._canonical",
     "parabolic.py:ParabolicSubgroup._key",
     "parabolic.py:ParabolicSubgroup._z",
@@ -293,7 +292,7 @@ EXPORTS = {
     "CparabSimplex", "DefiningGraph", "ExploredGraph", "GarsideContext",
     "LevelDecomposition", "Marking", "ParabolicSubgroup", "Ribbon", "RootSystem",
     "StandardizedSimplex", "TransversalData",
-    "all_standard_markings", "bfs", "build_conjugacy_graph", "build_defining_graph",
+    "all_standard_markings", "bfs", "build_defining_graph",
     "canonical_positive_standardizer", "central_generator_z", "context",
     "delta_permutation", "elementary_ribbon", "enumerate_flip_moves",
     "enumerate_maximal_standard", "export_graph", "is_flip_edge", "is_twist_edge",
@@ -310,6 +309,52 @@ EXPORTS = {
 
 def test_export_inventory():
     assert set(artinmark.__all__) == EXPORTS
+
+
+def test_every_function_under_src_is_named_elsewhere():
+    # a function or method that nothing in src/ names outside its own
+    # definition, and that bench/ does not name either, has no program
+    # caller: it is either dead or test-only, and test helpers live in
+    # tests/oracles.py; dunders are called by the language
+    repo = Path(__file__).resolve().parents[1]
+    bench = "\n".join(path.read_text() for path in sorted((repo / "bench").glob("*.py")))
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    trees = source_trees()
+    named = Counter(n for _name, tree in trees for n in names(tree))
+    found = [
+        f"{name}:{func.name}"
+        for name, tree in trees
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (func.name.startswith("__") and func.name.endswith("__"))
+        and named[func.name] <= Counter(names(func))[func.name]
+        and not re.search(rf"\b{func.name}\b", bench)
+    ]
+    assert found == []
+
+
+def test_graph_reads_the_frame_off_the_certificate():
+    # a marking's frame (ghat, X_i, k_i, Y_i by pair index) is its
+    # certificate: graph reads no simplex internals, and no map from pair
+    # index to simplex vertex is kept
+    found = [
+        f"{name}:{node.lineno} {word}"
+        for name, tree in source_trees()
+        for node in ast.walk(tree)
+        for word in [getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))]
+        if word == "vertex_of_pair"
+        or (name == "graph.py" and word in ("base_simplex", "canonical_data"))
+    ]
+    assert found == []
 
 
 def test_bench_lib_chains_resolve():
