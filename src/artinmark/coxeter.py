@@ -275,21 +275,25 @@ class RootSystem:
             tuple(ring.one if j == i else ring.zero for j in range(n))
             for i in range(n)
         ]
-        index: dict[tuple[Coeffs, ...], int] = {}
-        roots: list[tuple[Coeffs, ...]] = []
-        for r in simple:
-            index[r] = len(roots)
-            roots.append(r)
-        frontier = list(simple)
-        while frontier:
-            root = frontier.pop()
-            for i in range(n):
-                img = reflect(i, root)
-                if img not in index:
-                    index[img] = len(roots)
-                    roots.append(img)
-                    frontier.append(img)
+        index = {r: i for i, r in enumerate(simple)}
+        roots: list[tuple[Coeffs, ...]] = list(simple)
         expect = graph.type.root_count
+        # perms[i][r] is the index of s_i(root r), recorded as the closure
+        # reflects each root once
+        perms = [[0] * expect for _ in range(n)]
+        frontier = list(range(n))
+        while frontier:
+            r = frontier.pop()
+            for i, perm in enumerate(perms):
+                img = reflect(i, roots[r])
+                k = index.get(img)
+                if k is None:
+                    if len(roots) >= expect:
+                        raise InvariantViolated(f"{graph.type}: more than {expect} roots")
+                    index[img] = k = len(roots)
+                    roots.append(img)
+                    frontier.append(k)
+                perm[r] = k
         if len(roots) != expect:
             raise InvariantViolated(
                 f"{graph.type}: {len(roots)} roots, expected {expect}"
@@ -304,7 +308,6 @@ class RootSystem:
         # positive roots: the closure of the simple roots under the s_i,
         # never applying s_i to alpha_i (s_i permutes the other positive
         # roots, Humphreys Prop. 1.4, and some s_i lowers each one's height)
-        perms = [[index[reflect(i, r)] for r in roots] for i in range(n)]
         positive = set(self.simple_index)
         todo = list(self.simple_index)
         while todo:

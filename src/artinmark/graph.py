@@ -27,7 +27,7 @@ from .garside import GarsideContext
 from .marking import (
     Marking,
     enumerate_flip_moves,
-    is_flip_edge,
+    flip_offsets,
     standard_transversals,
     twist_move,
 )
@@ -92,8 +92,16 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
        of the other.
     3. A flip across j lands on a node whose base key set is
        {P_i : i != j} and Q_j, and which holds the pair (Q_j, P_j).  The
-       boundary nodes are indexed by base key set, and each unordered pair
-       of them that passes this key test is decided by is_flip_edge.
+       boundary nodes are indexed by (base key set, P key, Q key), one entry
+       per pair, so the nodes that pass this key test are one bucket.  Node
+       b of the bucket is a flip of node a exactly when, at every base P_i
+       with i != j, its twist relative to the shared standardizer h = ghat
+       Delta_{X_j}^{k_j} of a is within one of a's certified twist k_i.
+       That twist is b's certified twist minus an offset of h and the
+       bucket's base set alone (marking.flip_offsets), so the offsets are
+       found once per flip frame (a's base key set, P_j, Q_j), from one
+       member, and shared by the whole bucket and by the twist variants of
+       a at the other indices.
     """
     if radius < 0:
         raise PreconditionViolated(f"radius {radius} is negative")
@@ -117,10 +125,6 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
     return graph
 
 
-def _base_keys(marking: Marking) -> frozenset[str]:
-    return frozenset(p.key() for p, _ in marking.pairs)
-
-
 def _coordinates(marking: Marking) -> list[tuple[str, int, frozenset[int]]]:
     """(P_j key, twist_j, Y_j) per pair, read off the certificate."""
     return [
@@ -133,12 +137,16 @@ def _close_boundary(graph: ExploredGraph, boundary: list[Marking]) -> None:
     """Add the twist and flip edges among the boundary nodes (see bfs)."""
     coordinates = [_coordinates(node) for node in boundary]
     at = {frozenset(c): node.key() for node, c in zip(boundary, coordinates)}
-    by_base: dict[frozenset[str], list[Marking]] = {}
-    for node in boundary:
-        by_base.setdefault(_base_keys(node), []).append(node)
-    for node, coords in zip(boundary, coordinates):
+    twists = [{p_key: t for p_key, t, _y in c} for c in coordinates]
+    holding: dict[tuple[frozenset[str], str, str], list[tuple[Marking, dict[str, int]]]] = {}
+    for node, twist_at in zip(boundary, twists):
+        base = frozenset(twist_at)
+        for p, q in node.pairs:
+            holding.setdefault((base, p.key(), q.key()), []).append((node, twist_at))
+    offsets: dict[tuple[frozenset[str], str, str], dict[str, int]] = {}
+    for node, coords, twist_at in zip(boundary, coordinates, twists):
         bases = node.certificate().bases
-        base = _base_keys(node)
+        base = frozenset(twist_at)
         for j, (p_key, twist, subset) in enumerate(coords):
             step = z_exponent(node.ctx, bases[j])
             moved = coords[:j] + [(p_key, twist + step, subset)] + coords[j + 1:]
@@ -146,13 +154,16 @@ def _close_boundary(graph: ExploredGraph, boundary: list[Marking]) -> None:
             if other_key is not None:
                 graph.add_edge(node.key(), other_key, "twist")
             q_key = node.pairs[j][1].key()
-            for other in by_base.get(base - {p_key} | {q_key}, ()):
-                if (
-                    node.key() < other.key()
-                    and (q_key, p_key) in other.ordered_key()
-                    and is_flip_edge(node, other)
-                ):
-                    graph.add_edge(node.key(), other.key(), "flip")
+            frame = (base, p_key, q_key)
+            for other, other_at in holding.get((base - {p_key} | {q_key}, q_key, p_key), ()):
+                if node.key() < other.key():
+                    if frame not in offsets:
+                        offsets[frame] = flip_offsets(node, j, other)
+                    if all(
+                        abs(twist_at[b] - other_at[b] + c) <= 1
+                        for b, c in offsets[frame].items()
+                    ):
+                        graph.add_edge(node.key(), other.key(), "flip")
 
 
 def _join(open_: str, items: list[str], close: str, depth: int) -> str:

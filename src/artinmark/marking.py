@@ -76,7 +76,12 @@ do not depend on which one is used (_flip_frame), so at i != j
 the twist relative to ghat_B is the twist t relative to h plus an offset c_i
 of the index alone: one decomposition of one candidate per index fixes it.
 The subset is then the one pattern-keeping subset of the maximal standard
-family delta_twisted(x_B, i, t + c_i) at i, its transversal_subset.
+family delta_twisted(x_B, i, t + c_i) at i, its transversal_subset.  The
+same offsets serve the bfs boundary closure the other way round
+(flip_offsets): there the certified twists of the markings with bases B
+are known, one of them is decomposed against h, and every one's twists
+relative to h are its certified twists minus c_i, which decides whether it
+is a flip without decomposing it.
 
 Standardization conjugates by ghat and then by Delta_{X_j}^{k_j} for every
 pair, deepest level first: a deeper Delta leaves the bases and twists of the
@@ -163,8 +168,8 @@ class Marking:
         return self._key
 
     def ordered_key(self) -> tuple[tuple[str, str], ...]:
-        """Pair-order-sensitive key: is_flip_edge and graph._close_boundary
-        test with it whether a swapped pair (Q_j, P_j) sits in a marking."""
+        """Pair-order-sensitive key: is_flip_edge tests with it whether a
+        swapped pair (Q_j, P_j) sits in a marking."""
         return tuple((p.key(), q.key()) for p, q in self.pairs)
 
     def __eq__(self, other: object) -> bool:
@@ -429,6 +434,32 @@ def _flip_frame(marking: Marking, j: int) -> tuple[ArtinElement, MarkingCertific
     return cert.ghat * marking.ctx.delta_of(cert.bases[j]) ** cert.transversals[j].twist, cert
 
 
+def flip_offsets(marking: Marking, j: int, member: Marking) -> dict[str, int]:
+    """The twist offsets of the flip frame of marking across j, by base key.
+
+    member is a marking with the flipped bases {P_i : i != j} and Q_j that
+    holds the pair (Q_j, P_j).  For every such marking b, its twist at a base
+    P_i != Q_j relative to the frame's shared standardizer h = ghat
+    Delta_{X_j}^{k_j} is its certified twist at P_i minus the offset c[P_i].
+    b's certified twists are relative to ghat_B, the canonical standardizer
+    of the flipped base set B, and h standardizes B too (_flip_frame).  The
+    twist of a transversal at P_i relative to h differs from its twist
+    relative to ghat_B by an amount of h, ghat_B and P_i alone, since twist
+    differences against a shared standardizer do not depend on which one is
+    used.  So c depends on h and B only, the n - 1 decompositions of one
+    member fix it for all of them, and b is a flip of the marking exactly when
+    |k_i - (k^b_i - c[P_i])| <= 1 at every i != j, is_flip_edge's condition.
+    The marking is certified first, and so is member.
+    """
+    h, _cert = _flip_frame(marking, j)
+    q_key = marking.pairs[j][1].key()
+    return {
+        p.key(): d.twist - transversal_decomposition(member, i, h).twist
+        for i, ((p, _q), d) in enumerate(zip(member.pairs, member.certificate().transversals))
+        if p.key() != q_key
+    }
+
+
 def _flip_candidate_table(
     marking: Marking, j: int
 ) -> tuple[ArtinElement, dict[int, int], dict[int, list[tuple[int, ParabolicSubgroup]]]]:
@@ -525,7 +556,8 @@ def is_flip_edge(a: Marking, b: Marking) -> bool:
     a base of b, and every other transversal within twist distance one
     relative to a shared standardizer.  Both ends are certified first, so a
     non-marking raises its validation error.  The twists of a are its
-    certified ones; only b is decomposed against that standardizer."""
+    certified ones; only b is decomposed against that standardizer.  The
+    bfs boundary closure decides the same condition by flip_offsets."""
     a.certificate()
     b.certificate()
     at_b = _base_index(b)

@@ -64,6 +64,11 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   adjacency after standardizing by the canonical standardizer;
 * the float root signs classify a root by the float value of its first
   nonzero coordinate, not by closure of the simple roots under reflections;
+* the float reflection tables apply s_i(v) = v - 2 B(v, alpha_i) alpha_i,
+  with the cosine form B(alpha_i, alpha_j) = -cos(pi/m_ij), to the float
+  vector of every root and find the image among the roots by its rounded
+  coordinates, not by the exact one-coordinate update in the ring recorded
+  during the reflection closure;
 * the neighbors closure of a BFS ball finds the edges among its boundary
   nodes from the full validated neighbor list of every boundary node, and
   the neighbors universe of the connectivity report expands every node
@@ -1056,6 +1061,31 @@ def float_positive_roots(system: RootSystem) -> tuple[bool, ...]:
         assert signs, "zero root"
         flags.append(signs[0] > 0)
     return tuple(flags)
+
+
+def float_reflection_tables(system: RootSystem) -> list[tuple[int, ...]]:
+    """For each generator s_i, the index of s_i(root) for every root, by
+    float reflection in the cosine form and a look-up of rounded vectors."""
+    graph = system.graph
+    n = graph.rank
+
+    def form(i: int, j: int) -> float:
+        return 1.0 if i == j else -math.cos(math.pi / graph.label(i, j))
+
+    vectors = [[ring_value(system.ring, c) for c in root] for root in system.roots]
+    at = {tuple(round(x, 6) for x in v): r for r, v in enumerate(vectors)}
+    assert len(at) == len(vectors), "two roots share a rounded vector"
+    tables = []
+    for i in range(n):
+        images = []
+        for v in vectors:
+            w = list(v)
+            w[i] -= 2 * math.fsum(v[j] * form(j, i) for j in range(n))
+            r = at[tuple(round(x, 6) for x in w)]
+            assert max(abs(a - b) for a, b in zip(w, vectors[r])) < 1e-9
+            images.append(r)
+        tables.append(tuple(images))
+    return tables
 
 
 # -- marking-graph searches -------------------------------------------------------

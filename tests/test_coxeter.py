@@ -20,6 +20,7 @@ from oracles import (
     descent_peel_gcd,
     descent_peel_reduced_word,
     float_positive_roots,
+    float_reflection_tables,
     meet_slide_pair,
     right_complement,
     root_perm,
@@ -119,6 +120,19 @@ def test_positive_roots_match_float_signs(spec):
     # float sign of the first nonzero coordinate
     system = root_reflection_table(spec)
     assert system.is_positive_root == float_positive_roots(system)
+
+
+@pytest.mark.parametrize(
+    "spec", ["A3", "B4", "D5", "E6", "E7", "E8", "F4", "H3", "H4", "I2(7)", "A16", "B12"]
+)
+def test_generator_tables_match_float_reflections(spec):
+    # the tables record each image index once, during the reflection
+    # closure; the float reflection in the cosine form finds the same ones
+    # (both encodings: byte tables, and int tuples past 256 roots)
+    system = root_reflection_table(spec)
+    count = len(system.roots)
+    tables = [tuple(g.perm[:count]) for g in system.generators]
+    assert tables == float_reflection_tables(system)
 
 
 @pytest.mark.parametrize("spec", ALL_TYPES)
@@ -291,6 +305,14 @@ def test_more_than_256_roots(spec, roots, delta_len):
 def test_wrong_root_count_raises_invariant_violated(monkeypatch):
     monkeypatch.setattr(coxeter, "_root_count", lambda family, rank, m: 7)
     with pytest.raises(InvariantViolated):
+        RootSystem(build_defining_graph("A2"))
+
+
+def test_closure_past_the_root_count_raises_invariant_violated(monkeypatch):
+    # the generator tables are sized by the root count, so the closure
+    # stops at the first root past it instead of writing outside them
+    monkeypatch.setattr(coxeter, "_root_count", lambda family, rank, m: 5)
+    with pytest.raises(InvariantViolated, match="more than 5 roots"):
         RootSystem(build_defining_graph("A2"))
 
 

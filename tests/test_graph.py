@@ -18,9 +18,11 @@ from artinmark.graph import (
 )
 from artinmark.marking import (
     Marking,
+    flip_offsets,
     is_flip_edge,
     is_twist_edge,
     standard_transversals,
+    transversal_decomposition,
     twist_move,
 )
 from artinmark.parabolic import ParabolicSubgroup
@@ -32,6 +34,7 @@ from oracles import (
     neighbors_closure_bfs,
     neighbors_universe_connectivity,
     orbit_representatives,
+    shared_flip_standardizer,
     verify_action_isometry,
 )
 
@@ -305,8 +308,14 @@ def test_connectivity_b3():
 # -- the pruned searches against the neighbors oracles ---------------------------
 
 
+# balls too large to take from every seed at every radius: the first seed,
+# at the given radius only
+ONE_SEED_BALLS = {("A3", 3), ("A4", 2), ("D4", 2)}
+
+
 @pytest.mark.parametrize("spec, max_radius", [
     ("A2", 3), ("I2(5)", 3), ("A3", 2), ("B3", 2), ("H3", 1), ("D4", 1), ("A4", 1),
+    ("A3", 3), ("A4", 2), ("D4", 2),
 ])
 def test_bfs_matches_neighbors_closure_oracle(spec, max_radius):
     # every standard-transversal seed, and the first one conjugated by a
@@ -315,8 +324,11 @@ def test_bfs_matches_neighbors_closure_oracle(spec, max_radius):
     ctx = context(spec)
     seeds = [standard_transversals(s) for s in enumerate_maximal_standard(ctx)]
     seeds.append(seeds[0].conjugated_by(normalize(ctx, "s2^-1 s1")))
+    radii = range(max_radius + 1)
+    if (spec, max_radius) in ONE_SEED_BALLS:
+        seeds, radii = seeds[:1], [max_radius]
     for seed in seeds:
-        for radius in range(max_radius + 1):
+        for radius in radii:
             ours = bfs(seed, radius)
             assert export_graph(ours, "json") == json_dumps_export(ours), (seed, radius)
             for oracle in (neighbors_closure_bfs, candidate_closure_bfs):
@@ -398,6 +410,41 @@ def test_bfs_builds_no_move_from_a_boundary_node(monkeypatch):
             assert not [(name, key) for name, key in moved if key in boundary]
 
 
+@pytest.mark.parametrize("spec, radius", [("A3", 2), ("B3", 2), ("A4", 1)])
+def test_flip_offsets_are_shared_by_every_marking_of_a_flip_frame(spec, radius):
+    # the closure decides a flip of a across j by twists relative to h =
+    # ghat Delta_{X_j}^{k_j}, read as certified twist minus an offset that
+    # one bucket member fixes; every member of every nonempty bucket, each
+    # decomposed against h, has the same offset at every base
+    ctx = context(spec)
+    frames = 0
+    for seed in all_standard_markings(ctx):
+        ball = bfs(seed, radius)
+        holding = {}
+        for node in ball.nodes.values():
+            base = frozenset(p.key() for p, _q in node.pairs)
+            for p, q in node.pairs:
+                holding.setdefault((base, p.key(), q.key()), []).append(node)
+        for a in ball.nodes.values():
+            base = frozenset(p.key() for p, _q in a.pairs)
+            for j, (p_j, q_j) in enumerate(a.pairs):
+                flipped = base - {p_j.key()} | {q_j.key()}
+                bucket = holding.get((flipped, q_j.key(), p_j.key()), [])
+                if not bucket:
+                    continue
+                frames += 1
+                h = shared_flip_standardizer(a, j)
+                offsets = {
+                    (b.key(), p.key()): d.twist - transversal_decomposition(b, i, h).twist
+                    for b in bucket
+                    for i, ((p, _q), d) in enumerate(zip(b.pairs, b.certificate().transversals))
+                    if p.key() != q_j.key()
+                }
+                shared = flip_offsets(a, j, bucket[0])
+                assert {(bk, pk): shared[pk] for bk, pk in offsets} == offsets, (a, j)
+    assert frames
+
+
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3", "I2(5)"])
 def test_connectivity_distances_are_marking_graph_distances(spec):
     # a path inside the bounded subgraph is a path of the marking graph, so
@@ -438,3 +485,22 @@ def test_moves_validate_only_the_markings_read_from_outside(monkeypatch):
     standard_marking_connectivity(b3)
     assert sorted(calls) == [m.key() for m in all_standard_markings(b3)]
     assert len(calls) == 5
+
+
+if __name__ == "__main__":
+    # balls too large for each test run, seeded from the first standard
+    # marking: nodes, edges, seconds and the DOT sha256, e.g.
+    #   PYTHONPATH=src python tests/test_graph.py D5 2 A5 2 E6 2
+    import hashlib
+    import sys
+    import time
+
+    args = sys.argv[1:]
+    for spec, radius in zip(args[::2], args[1::2]):
+        seed = all_standard_markings(context(spec))[0]
+        start = time.perf_counter()
+        ball = bfs(seed, int(radius))
+        seconds = time.perf_counter() - start
+        digest = hashlib.sha256(export_graph(ball, "dot")).hexdigest()[:12]
+        print(f"{spec} r{radius}: {len(ball.nodes)} nodes, {len(ball.edges)} edges,"
+              f" {seconds:.2f} s, dot sha256 {digest}")

@@ -610,16 +610,6 @@ def test_descent_strips_built_once_per_target_in_descent_order():
         assert list(strips) == inline, sorted(target)
 
 
-if __name__ == "__main__":
-    # every same-size pair of types too large for each test run, e.g.
-    #   PYTHONPATH=src python tests/test_parabolic.py E7 E8
-    import sys
-
-    for name in sys.argv[1:]:
-        wrong, pairs = conjugacy_disagreements(name)
-        print(f"{name}: {pairs} pairs, {len(wrong)} disagreements")
-
-
 @pytest.mark.parametrize(
     "x,x2", [({9}, {9}), ({-1}, {-1}), ({9}, {0, 1}), ({9}, {8})]
 )
@@ -644,3 +634,13 @@ def test_generator_indices_outside_the_rank_are_rejected():
     for call in calls:
         with pytest.raises(PreconditionViolated):
             call()
+
+
+if __name__ == "__main__":
+    # every same-size pair of types too large for each test run, e.g.
+    #   PYTHONPATH=src python tests/test_parabolic.py E7 E8
+    import sys
+
+    for name in sys.argv[1:]:
+        wrong, pairs = conjugacy_disagreements(name)
+        print(f"{name}: {pairs} pairs, {len(wrong)} disagreements")

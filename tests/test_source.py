@@ -357,6 +357,21 @@ def test_graph_reads_the_frame_off_the_certificate():
     assert found == []
 
 
+def test_graph_decides_flips_by_frame_offsets():
+    # the bfs closure decides a flip by certified twists and one set of
+    # offsets per flip frame (marking.flip_offsets), found through an index
+    # of the boundary by pair; is_flip_edge and ordered_key stay the edge
+    # oracle of the tests and the bench
+    trees = dict(source_trees())
+    found = [
+        f"graph.py:{node.lineno} {word}"
+        for node in ast.walk(trees["graph.py"])
+        for word in [getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))]
+        if word in ("is_flip_edge", "ordered_key")
+    ]
+    assert found == []
+
+
 def test_bench_lib_chains_resolve():
     # the benchmark reaches the library through `lib.<name>` chains on a fresh
     # import of the package and artinmark.cli; each chain must resolve
