@@ -293,7 +293,7 @@ def _dispatch(ctx: GarsideContext, args: argparse.Namespace) -> int:
         marking = _marking_arg(ctx, args)
         ball = bfs(marking, args.radius)
         fmt = "json" if args.format == "json" else "dot"
-        sys.stdout.write(export_graph(ball, fmt).decode())
+        sys.stdout.writelines(export_graph(ball, fmt))
     elif args.command == "std-connectivity":
         report = standard_marking_connectivity(ctx, projection_bound=args.proj_bound)
         payload = {

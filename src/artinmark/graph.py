@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterator
 
 from .errors import BudgetExceeded, PreconditionViolated, UnknownFormat
 from .garside import GarsideContext
@@ -188,39 +189,79 @@ def json_text(value, depth: int = 0) -> str:
     return _join("[", [json_text(v, depth + 1) for v in value], "]", depth)
 
 
-def export_graph(graph: ExploredGraph, fmt: str) -> bytes:
-    """DOT or JSON serialization, byte-deterministic.
+def export_graph(graph: ExploredGraph, fmt: str) -> Iterator[str]:
+    """DOT or JSON serialization, byte-deterministic, as an iterator of str
+    pieces: one per node and one per edge, between a head and a tail.  The
+    format is checked at the call; the pieces are rendered as they are taken,
+    so the text is never held whole.
 
-    JSON is exactly json.dumps(payload, indent=2, sort_keys=True) and a
-    newline, payload {"nodes": [{"key", "marking"}], "edges": [[a, b, kind]]};
-    json.dumps is the tests' oracle, not called here: with indent set it runs
-    the pure-Python encoder.  json_text renders the parts, each subgroup block
-    once per export, strings by the C encode_basestring_ascii of json.dumps."""
+    The joined JSON pieces are exactly json.dumps(payload, indent=2,
+    sort_keys=True) and a newline, payload {"nodes": [{"key", "marking"}],
+    "edges": [[a, b, kind]]}.  json.dumps is the tests' oracle, not called
+    here: with indent set it runs the pure-Python encoder.  Each piece is a
+    fixed indent template, an f-string per edge, per node and per distinct
+    subgroup block (rendered once per export), with strings through the C
+    encode_basestring_ascii of json.dumps."""
     if fmt == "json":
-        parts = {id(p): p for m in graph.nodes.values() for pair in m.pairs for p in pair}
-        blocks = {i: json_text(p.to_json(), 6) for i, p in parts.items()}
-        nodes = []
-        for key in sorted(graph.nodes):
-            pairs = [
-                _join("{", [f'"base": {blocks[id(p)]}', f'"transverse": {blocks[id(q)]}'], "}", 5)
-                for p, q in graph.nodes[key].pairs
-            ]
-            marking = _join("{", [f'"pairs": {_join("[", pairs, "]", 4)}'], "}", 3)
-            items = [f'"key": {_quote(key)}', f'"marking": {marking}']
-            nodes.append(_join("{", items, "}", 2))
-        edges = [json_text(list(e), 2) for e in sorted(graph.edges)]
-        top = [f'"edges": {_join("[", edges, "]", 1)}', f'"nodes": {_join("[", nodes, "]", 1)}']
-        return (_join("{", top, "}", 0) + "\n").encode()
+        return _json_pieces(graph)
     if fmt == "dot":
-        color = {"twist": "blue", "flip": "red"}
-        lines = ["graph markings {"]
-        for key in sorted(graph.nodes):
-            lines.append(f'  "{key}";')
-        for a, b, kind in sorted(graph.edges):
-            lines.append(f'  "{a}" -- "{b}" [color={color[kind]}];')
-        lines.append("}")
-        return ("\n".join(lines) + "\n").encode()
+        return _dot_pieces(graph)
     raise UnknownFormat(f"unknown export format {fmt!r}")
+
+
+def _json_pieces(graph: ExploredGraph) -> Iterator[str]:
+    """The JSON export (see export_graph).  An object or list at depth d
+    holds its items at indent 2(d + 1) and closes at 2d: the top object is
+    at depth 0, the edge and node lists at 1, an edge and a node at 2, a
+    marking at 3, its pair list at 4, a pair at 5 and a subgroup block at 6.
+    An empty list is written [], as _join writes it."""
+    quoted = {key: _quote(key) for key in graph.nodes}
+    edges = sorted(graph.edges)
+    yield '{\n  "edges": [' if edges else '{\n  "edges": [],\n  "nodes": ['
+    sep = "\n"
+    for a, b, kind in edges:
+        yield f"{sep}    [\n      {quoted[a]},\n      {quoted[b]},\n      {_quote(kind)}\n    ]"
+        sep = ",\n"
+    if edges:
+        yield '\n  ],\n  "nodes": ['
+    blocks: dict[int, str] = {}
+
+    def block(p) -> str:
+        text = blocks.get(id(p))
+        if text is None:
+            data = p.to_json()
+            gens = _join("[", [_quote(name) for name in data["gens"]], "]", 7)
+            text = blocks[id(p)] = (
+                f'{{\n              "conj": {_quote(data["conj"])},'
+                f'\n              "gens": {gens}\n            }}'
+            )
+        return text
+
+    keys = sorted(graph.nodes)
+    sep = "\n"
+    for key in keys:
+        pairs = [
+            f'{{\n            "base": {block(p)},\n            "transverse": {block(q)}'
+            "\n          }"
+            for p, q in graph.nodes[key].pairs
+        ]
+        yield (
+            f'{sep}    {{\n      "key": {quoted[key]},\n      "marking": {{'
+            f'\n        "pairs": {_join("[", pairs, "]", 4)}\n      }}\n    }}'
+        )
+        sep = ",\n"
+    yield "\n  ]\n}\n" if keys else "]\n}\n"
+
+
+def _dot_pieces(graph: ExploredGraph) -> Iterator[str]:
+    """The DOT export: one line per node, then one per edge."""
+    color = {"twist": "blue", "flip": "red"}
+    yield "graph markings {\n"
+    for key in sorted(graph.nodes):
+        yield f'  "{key}";\n'
+    for a, b, kind in sorted(graph.edges):
+        yield f'  "{a}" -- "{b}" [color={color[kind]}];\n'
+    yield "}\n"
 
 
 def flip_path_bound(n_vertices: int) -> int:

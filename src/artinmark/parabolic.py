@@ -26,6 +26,9 @@ in round-robin from c = 1 therefore climbs to m.
 Adjacency is decided in the first vertex's frame: z_{hPh^-1} = h z_P h^-1 and
 conjugation is an automorphism, so conjugating a family by g^-1 changes no
 commutation, and it turns each vertex g A_X g^-1 into A_X with the short z_X.
+Two standard vertices A_X and A_Y are adjacent exactly when X and Y are
+nested, or disjoint with no edge of the Coxeter graph between them
+(standard_adjacent; the tests compare it with z-commutation on six types).
 
 Standard conjugates are recognised by z-elements alone: z determines an
 irreducible parabolic subgroup (Cumplido, Gebhardt, Gonzalez-Meneses,
@@ -343,18 +346,39 @@ def _descent_strips(
     return strips
 
 
+def standard_adjacent(graph, x: Subset, y: Subset) -> bool:
+    """Edge test for standard irreducible subgroups, combinatorially."""
+    if x <= y or y <= x:
+        return True
+    return not (x & y) and not any(graph.adjacent(a, b) for a in x for b in y)
+
+
 def nonadjacent_pair(parabolics):
     """The first pair of vertices whose z's do not commute in the first
-    vertex's frame, or None; raises on a reducible or improper vertex."""
+    vertex's frame, or None; raises on a reducible or improper vertex.
+
+    A vertex that shares the first vertex's conjugator is A_X in that frame,
+    framed with no product, and two such vertices are compared by
+    standard_adjacent on their subsets; any other pair by its z-product."""
     for v in parabolics:
         if not v.irreducible:
             raise NotIrreducible(f"{v} is not irreducible")
         if not v.proper:
             raise NotProper(f"{v} is the whole group")
-    g_inv = parabolics[0].conj.inverse() if parabolics else None
-    framed = [v.conjugated_by(g_inv) for v in parabolics]
+    if not parabolics:
+        return None
+    ctx, g = parabolics[0].ctx, parabolics[0].conj
+    g_inv = g.inverse()
+    framed = [
+        ParabolicSubgroup.standard(ctx, v.gens) if v.conj == g else v.conjugated_by(g_inv)
+        for v in parabolics
+    ]
     for (p, fp), (q, fq) in itertools.combinations(zip(parabolics, framed), 2):
-        if not fp.z_element().commutes_with(fq.z_element()):
+        if fp.is_standard_rep and fq.is_standard_rep:
+            adjacent = standard_adjacent(ctx.graph, fp.gens, fq.gens)
+        else:
+            adjacent = fp.z_element().commutes_with(fq.z_element())
+        if not adjacent:
             return p, q
     return None
 

@@ -33,16 +33,10 @@ from .parabolic import (
     delta_permutation,
     parabolics_from_json,
     simultaneous_standardizer,
+    standard_adjacent,
 )
 
 Subset = frozenset[int]
-
-
-def standard_adjacent(graph, x: Subset, y: Subset) -> bool:
-    """Edge test for standard irreducible subgroups, combinatorially."""
-    if x <= y or y <= x:
-        return True
-    return not (x & y) and not any(graph.adjacent(a, b) for a in x for b in y)
 
 
 def pattern_break(graph, y: Subset, subsets, i: int) -> int | None:

@@ -84,6 +84,9 @@ These deliberately avoid the library's normal-form and lattice algorithms:
 * the json.dumps export serializes the payload of a BFS ball with the
   standard library's json.dumps(indent=2, sort_keys=True), not by the
   library's string emitter with its blocks rendered once per subgroup;
+* the joined export renders the JSON and DOT of a BFS ball whole, by
+  json_text and _join, then joins and encodes it, not piece by piece from
+  fixed templates;
 * the type-table z-exponent classifies the induced subgraph of a connected
   subset and looks up its type in a table of the types whose centre is
   generated by Delta^2 (Brieskorn-Saito 1972), and the table conjugacy
@@ -126,6 +129,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from artinmark.coxeter import ArtinType, DefiningGraph, RootSystem
 from artinmark import marking as marking_lib
@@ -154,9 +158,11 @@ from artinmark.garside import (
 from artinmark.graph import (
     ConnectivityReport,
     ExploredGraph,
+    _join,
     all_standard_markings,
     bfs,
     flip_path_bound,
+    json_text,
     neighbors,
 )
 from artinmark.marking import (
@@ -1101,6 +1107,35 @@ def json_dumps_export(graph):
         "edges": [list(e) for e in sorted(graph.edges)],
     }
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def joined_export(graph, fmt):
+    """graph.export_graph(graph, fmt) joined, as bytes: the JSON built whole
+    by json_text and _join (each subgroup block once per export), the DOT
+    as a list of lines, each joined and encoded in one piece."""
+    if fmt == "json":
+        parts = {id(p): p for m in graph.nodes.values() for pair in m.pairs for p in pair}
+        blocks = {i: json_text(p.to_json(), 6) for i, p in parts.items()}
+        nodes = []
+        for key in sorted(graph.nodes):
+            pairs = [
+                _join("{", [f'"base": {blocks[id(p)]}', f'"transverse": {blocks[id(q)]}'], "}", 5)
+                for p, q in graph.nodes[key].pairs
+            ]
+            marking = _join("{", [f'"pairs": {_join("[", pairs, "]", 4)}'], "}", 3)
+            items = [f'"key": {encode_basestring_ascii(key)}', f'"marking": {marking}']
+            nodes.append(_join("{", items, "}", 2))
+        edges = [json_text(list(e), 2) for e in sorted(graph.edges)]
+        top = [f'"edges": {_join("[", edges, "]", 1)}', f'"nodes": {_join("[", nodes, "]", 1)}']
+        return (_join("{", top, "}", 0) + "\n").encode()
+    color = {"twist": "blue", "flip": "red"}
+    lines = ["graph markings {"]
+    for key in sorted(graph.nodes):
+        lines.append(f'  "{key}";')
+    for a, b, kind in sorted(graph.edges):
+        lines.append(f'  "{a}" -- "{b}" [color={color[kind]}];')
+    lines.append("}")
+    return ("\n".join(lines) + "\n").encode()
 
 
 def neighbors_closure_bfs(seed, radius):

@@ -421,6 +421,23 @@ def test_domain_error_exit_1(capsys):
     assert json.loads(err)["error"] == "TransversalityPatternBroken"
 
 
+def test_bfs_from_an_invalid_seed_writes_nothing(capsys):
+    # the seed is validated and the ball built before the export streams,
+    # so a domain error leaves stdout empty in either format
+    bad = {
+        "pairs": [
+            {"base": {"conj": "DELTA^0 |", "gens": ["s1"]},
+             "transverse": {"conj": "DELTA^0 |", "gens": ["s3"]}},
+            {"base": {"conj": "DELTA^0 |", "gens": ["s3"]},
+             "transverse": {"conj": "DELTA^0 |", "gens": ["s1", "s2"]}},
+        ]
+    }
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, "--type", "A3", "--format", fmt, "bfs", json.dumps(bad))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "TransversalityPatternBroken"
+
+
 def test_parse_payload_errors():
     a3 = context("A3")
     with pytest.raises(ParseError):

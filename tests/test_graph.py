@@ -30,6 +30,7 @@ from artinmark.simplex import CparabSimplex, enumerate_maximal_standard
 
 from oracles import (
     candidate_closure_bfs,
+    joined_export,
     json_dumps_export,
     neighbors_closure_bfs,
     neighbors_universe_connectivity,
@@ -37,6 +38,11 @@ from oracles import (
     shared_flip_standardizer,
     verify_action_isometry,
 )
+
+
+def exported(graph, fmt):
+    """The export's pieces joined and encoded, the bytes a bfs call writes."""
+    return "".join(export_graph(graph, fmt)).encode()
 
 
 def a2_seed():
@@ -114,8 +120,8 @@ def test_bfs_radius_zero_and_monotone():
 
 def test_bfs_idempotent_and_deterministic():
     _a2, seed = a2_seed()
-    first = export_graph(bfs(seed, 2), "json")
-    second = export_graph(bfs(seed, 2), "json")
+    first = exported(bfs(seed, 2), "json")
+    second = exported(bfs(seed, 2), "json")
     assert first == second
 
 
@@ -136,19 +142,35 @@ def test_export_of_a_marking_with_no_pairs_matches_json_dumps():
     # the empty A1 marking certifies, and its ball is the one node, with
     # "pairs": [] and "edges": []
     ball = bfs(Marking(context("A1"), []), 1)
-    assert export_graph(ball, "json") == json_dumps_export(ball)
-    assert b'"pairs": []' in export_graph(ball, "json")
+    assert exported(ball, "json") == json_dumps_export(ball) == joined_export(ball, "json")
+    assert b'"pairs": []' in exported(ball, "json")
 
 
 def test_export_formats():
     _a2, seed = a2_seed()
     ball = bfs(seed, 0)
-    dot = export_graph(ball, "dot").decode()
+    dot = exported(ball, "dot").decode()
     assert dot.startswith("graph markings {") and dot.count('";') == 1
-    payload = export_graph(ball, "json")
+    payload = exported(ball, "json")
     assert b'"nodes"' in payload
     with pytest.raises(UnknownFormat):
         export_graph(ball, "gml")
+
+
+@pytest.mark.parametrize("spec, radius, fmt", [
+    ("A3", 2, "json"), ("A3", 0, "json"), ("A3", 3, "dot"), ("B3", 2, "dot"),
+])
+def test_streamed_export_matches_the_joined_renderer(spec, radius, fmt):
+    # the pieces, joined, are byte for byte the whole-text renderer's output
+    # and, for JSON, json.dumps of the payload; at radius 0 the edge list is []
+    ball = bfs(all_standard_markings(context(spec))[0], radius)
+    pieces = export_graph(ball, fmt)
+    assert iter(pieces) is pieces
+    streamed = "".join(pieces).encode()
+    assert streamed == joined_export(ball, fmt)
+    if fmt == "json":
+        assert streamed == json_dumps_export(ball)
+        assert (b'"edges": [],' in streamed) == (radius == 0)
 
 
 def test_verify_action_isometry_central_trivial():
@@ -330,11 +352,11 @@ def test_bfs_matches_neighbors_closure_oracle(spec, max_radius):
     for seed in seeds:
         for radius in radii:
             ours = bfs(seed, radius)
-            assert export_graph(ours, "json") == json_dumps_export(ours), (seed, radius)
+            assert exported(ours, "json") == json_dumps_export(ours), (seed, radius)
             for oracle in (neighbors_closure_bfs, candidate_closure_bfs):
                 theirs = oracle(seed, radius)
                 for fmt in ("json", "dot"):
-                    assert export_graph(ours, fmt) == export_graph(theirs, fmt), (
+                    assert exported(ours, fmt) == exported(theirs, fmt), (
                         oracle.__name__, seed, radius,
                     )
 
@@ -489,9 +511,11 @@ def test_moves_validate_only_the_markings_read_from_outside(monkeypatch):
 
 if __name__ == "__main__":
     # balls too large for each test run, seeded from the first standard
-    # marking: nodes, edges, seconds and the DOT sha256, e.g.
+    # marking: nodes, edges, seconds, the DOT sha256 (hashed piece by piece
+    # as the export streams) and the process's peak RSS so far, e.g.
     #   PYTHONPATH=src python tests/test_graph.py D5 2 A5 2 E6 2
     import hashlib
+    import resource
     import sys
     import time
 
@@ -501,6 +525,10 @@ if __name__ == "__main__":
         start = time.perf_counter()
         ball = bfs(seed, int(radius))
         seconds = time.perf_counter() - start
-        digest = hashlib.sha256(export_graph(ball, "dot")).hexdigest()[:12]
+        digest = hashlib.sha256()
+        for piece in export_graph(ball, "dot"):
+            digest.update(piece.encode())
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"{spec} r{radius}: {len(ball.nodes)} nodes, {len(ball.edges)} edges,"
-              f" {seconds:.2f} s, dot sha256 {digest}")
+              f" {seconds:.2f} s, dot sha256 {digest.hexdigest()[:12]},"
+              f" peak rss {peak_mb:.0f} MB")

@@ -159,6 +159,20 @@ def test_no_indented_json_dumps():
     assert found == []
 
 
+def test_the_export_is_written_with_no_bytes_round_trip():
+    # graph.export_graph yields str pieces and cli writes them to sys.stdout
+    # as they come: neither module encodes or decodes text
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in source_trees()
+        if name in ("cli.py", "graph.py")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("encode", "decode")
+    ]
+    assert found == []
+
+
 def test_commutes_with_only_in_the_framed_adjacency_helper():
     # adjacency has one implementation: z's compared in the first vertex's
     # frame by parabolic.nonadjacent_pair; any other commutes_with is a
