@@ -44,7 +44,7 @@ from .marking import (
     enumerate_flip_moves,
     is_flip_edge,
     is_twist_edge,
-    marking_stabilizer_probe,
+    marking_stabilizer,
     projection,
     standard_transversals,
     standardize_marking,

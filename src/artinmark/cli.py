@@ -24,7 +24,7 @@ from .graph import bfs, export_graph, json_text, standard_marking_connectivity
 from .marking import (
     Marking,
     enumerate_flip_moves,
-    marking_stabilizer_probe,
+    marking_stabilizer,
     projection,
     standardize_marking,
     standard_transversals,
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument(
         "--bound-k", default="4", type=_integer("--bound-k", 0),
-        help="length bound for stabilizer-probe",
+        help="stabilizer-probe window: Delta^e w with |e| and the length of w at most this",
     )
     parser.add_argument("--radius", default="1", type=_integer("--radius", 0), help="BFS radius")
     parser.add_argument(
@@ -163,7 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("standardize-marking", help="conjugate to an all-standard marking")
     p.add_argument("marking", nargs="?")
 
-    p = sub.add_parser("stabilizer-probe", help="exhaustive stabilizer probe")
+    p = sub.add_parser(
+        "stabilizer-probe", help="the stabilizer's Delta powers in the --bound-k window"
+    )
     p.add_argument("marking", nargs="?")
 
     p = sub.add_parser("bfs", help="explore the marking graph")
@@ -286,8 +288,11 @@ def _dispatch(ctx: GarsideContext, args: argparse.Namespace) -> int:
         _emit(args, payload, json.dumps(payload, sort_keys=True))
     elif args.command == "stabilizer-probe":
         marking = _marking_arg(ctx, args)
-        hits = marking_stabilizer_probe(marking, args.bound_k)
-        payload = [h.to_text() for h in hits]
+        d, b = marking_stabilizer(marking), args.bound_k
+        # the probe's window: Delta^m = Delta^e Delta^j with |e| <= b and
+        # Delta^j of atom length jL <= b, so -b <= m <= b + b // L
+        top = b + b // ctx.delta_len
+        payload = [(ctx.delta**m).to_text() for m in range(-b, top + 1) if m % d == 0]
         _emit(args, payload, "\n".join(payload))
     elif args.command == "bfs":
         marking = _marking_arg(ctx, args)

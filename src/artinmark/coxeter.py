@@ -20,10 +20,11 @@ ordering of elements is the same under either.
 Descents are read off roots (Bjorner-Brenti 2005, 4.4): t is a left descent
 of w exactly when w^-1(alpha_t) is negative; the simple roots are roots
 0..n-1, so a descent key is d[:n] read through 0/1 root flags.  The meet
-(RootSystem._meet) strips blocks of raw tables and interns nothing: with D
-the common left descents of d^-1 a and d^-1 b, w0(W_D) is a left prefix of
-all x with D in their left descents (parabolic factorization, Bjorner-Brenti
-2005, 2.4), so d w0(W_D) is a common prefix, and d is the meet when D = {}.
+of simples (RootSystem._strip) strips blocks of raw tables and interns
+nothing: with D the common left descents of d^-1 a and d^-1 b, w0(W_D) is a
+left prefix of all x with D in their left descents (parabolic
+factorization, Bjorner-Brenti 2005, 2.4), so d w0(W_D) is a common prefix,
+and d is the meet when D = {}.
 A slide of a pair of simples (RootSystem._slide_tables) runs the same strip
 against the roots blocked by u^-1 Delta and v, after a descent-key test.
 
@@ -348,12 +349,6 @@ class RootSystem:
             self._elements[perm] = el
         return el
 
-    def _meet(self, a, b) -> tuple[int, ...] | bytes:
-        """Raw table of the prefix meet of the simples with raw tables a, b:
-        the strip against the roots in a(positive roots) or b(positive roots)."""
-        bits = int.from_bytes(self._flags(a), "big") | int.from_bytes(self._flags(b), "big")
-        return self._strip(bits.to_bytes(len(a), "big"))
-
     def _strip(self, blocked: bytes) -> tuple[int, ...] | bytes:
         """Raw table of the prefix meet of simples x, given blocked: 0/1
         flags of the roots in any x(positive roots).  t is a left descent of
@@ -372,7 +367,7 @@ class RootSystem:
 
         u^-1 Delta sends the positive roots to the roots beta with u(beta)
         negative, so its blocked roots are read off u's table; the meet is
-        then the strip of _meet, and only its two products are built."""
+        then one strip, and only its two products are built."""
         n, pos, key = self.graph.rank, self._pos, self._key
         v_inv = self._invert(v)
         # t in L(v) - R(u): u(alpha_t) positive, v^-1(alpha_t) negative
@@ -472,13 +467,6 @@ class CoxeterElement:
             self._inverse = self.system.element(self.system._invert(self.perm))
             self._inverse._inverse = self
         return self._inverse
-
-    def right_descents(self) -> frozenset[int]:
-        pos, perm = self.system.is_positive_root, self.perm
-        return frozenset(s for s, r in enumerate(self.system.simple_index) if not pos[perm[r]])
-
-    def left_descents(self) -> frozenset[int]:
-        return self.inverse().right_descents()
 
     def support(self) -> frozenset[int]:
         """Generators appearing in any reduced word (all reduced words share

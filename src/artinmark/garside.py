@@ -9,7 +9,7 @@ absorbable prefix of v into u until every pair is normal, then pulls leading
 w0 factors into the Delta exponent.
 
 The prefix-order meet of two simples strips w0 of the common left descents
-(RootSystem._meet).  No table of W is materialized, so one code serves
+(RootSystem._strip).  No table of W is materialized, so one code serves
 I2(3), E8.
 
 A slide works on raw tables (RootSystem._slide_tables).  The pair (u, v)
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .coxeter import (
     CoxeterElement,
@@ -116,12 +116,6 @@ class GarsideContext:
     def left_complement(self, x: CoxeterElement) -> CoxeterElement:
         """The simple l with l * x = Delta, lengths adding."""
         return self.delta_w * x.inverse()
-
-    def gcd_simples(self, a: CoxeterElement, b: CoxeterElement) -> CoxeterElement:
-        """Meet of two simples in the prefix order; only the meet is interned."""
-        if a.system is not b.system or a.system is not self.system:
-            raise MixedContext("simples from different root systems")
-        return self.system.element(self.system._meet(a.perm, b.perm))
 
     def w0_of(self, subset: frozenset[int]) -> CoxeterElement:
         return longest_element(self.system, subset)
@@ -231,18 +225,6 @@ class GarsideContext:
                 s for s in sorted(subs, key=sorted) if self.graph.is_connected(s)
             )
         return self._connected_proper
-
-    def positive_elements(self, max_length: int) -> Iterator[ArtinElement]:
-        """All monoid elements of atom length <= max_length, by length."""
-        layer = [self.identity]
-        yield self.identity
-        for _ in range(max_length):
-            nxt: dict[ArtinElement, None] = {}
-            for g in layer:
-                for a in self.atoms:
-                    nxt.setdefault(g * a, None)
-            layer = sorted(nxt, key=ArtinElement.sort_key)
-            yield from layer
 
 
 @lru_cache(maxsize=None)
@@ -358,9 +340,6 @@ class ArtinElement:
         if words:
             out += " " + " . ".join(words)
         return out
-
-    def sort_key(self) -> tuple:
-        return (self.inf, len(self.body), tuple(x.perm for x in self.body))
 
 
 # -- module-level operation names ------------------------------------------

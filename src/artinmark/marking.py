@@ -197,8 +197,11 @@ class Marking:
         )
 
     def all_standard(self) -> bool:
+        """Whether every base and transversal is a standard subgroup A_X,
+        however its conjugator is written."""
         return all(
-            p.is_standard_rep and q.is_standard_rep for p, q in self.pairs
+            p.canonical()[0].is_identity and q.canonical()[0].is_identity
+            for p, q in self.pairs
         )
 
     def certificate(self) -> MarkingCertificate:
@@ -230,13 +233,16 @@ class Marking:
 
 def standard_transversals(simplex: CparabSimplex) -> Marking:
     """The simultaneously standardizable marking on a maximal standard base:
-    each vertex A_{X_i} paired with A_{Y_i}, Y_i = transversal_subset at i."""
+    each vertex A_{X_i} paired with A_{Y_i}, Y_i = transversal_subset at i.
+    X_i is read off the vertex's canonical form, so a vertex written with a
+    conjugator, such as Delta A_{s1,s2} Delta^-1 = A_{s2,s3} in A3, counts
+    by the subgroup it is."""
     ctx = simplex.ctx
     if not simplex.all_standard():
         raise NotStandard("all vertices must be standard")
     if not simplex.canonical_data()[1].is_maximal:
         raise BaseNotMaximal("base simplex is not maximal")
-    subsets = tuple(v.gens for v in simplex.vertices)
+    subsets = tuple(v.canonical()[1] for v in simplex.vertices)
     return Marking(
         ctx,
         [
@@ -629,27 +635,31 @@ def standardize_marking(marking: Marking) -> tuple[ArtinElement, Marking]:
     return conj, Marking(ctx, std_pairs)
 
 
-def marking_stabilizer_probe(marking: Marking, length_bound: int) -> list[ArtinElement]:
-    """All stabilizing elements Delta^e w with |e| and the atom length of the
-    positive part w both at most the length bound.  Requires a standard
-    marking; the marking is certified first, so an invalid one raises its
-    validation error."""
+def marking_stabilizer(marking: Marking) -> int:
+    """The d with Stab(mu) = <Delta^d> for a standard marking mu: 1 when
+    conjugation by Delta fixes mu, else 2.  The marking is certified first,
+    so an invalid one raises its validation error, and one that is not all
+    standard raises NotStandard.
+
+    The pairs of mu are (A_{X_i}, A_{Y_i}), so its canonical standardizer
+    ghat is 1 and every pair has twist 0 relative to it.  Let g stabilize
+    mu.  Conjugation by g permutes the pairs: g A_{X_i} g^-1 = A_{X_s(i)}
+    and g A_{Y_i} g^-1 = A_{Y_s(i)} for a permutation s of the indices.  So
+    g standardizes the base, and g = ghat p for the unique ascending product
+    p of powers of the Delta_{X_i} and of Delta_Gamma over the base, the
+    statement the module and simplex docstrings rely on
+    (tests/oracles.py::extract_ascending_product is its reference
+    implementation).  Relative to g every pair has twist 0 as well: pair
+    s(i) is g A_{Y_i} g^-1 over g A_{X_i} g^-1.  The projection of pair j is
+    its twist relative to ghat, and also the exponent at X_j of the
+    ascending product relating g Delta_X^k to ghat, with k the twist of the
+    pair relative to g and A_X = g^-1 A_{X_j} g (projection).  Here k = 0,
+    that product is p, and the projections are 0, so every exponent of p at
+    an X_j is 0 and g = Delta_Gamma^gamma = Delta^gamma.  Delta^2 is
+    central, so it stabilizes every marking, and the stabilizer is <Delta>
+    when Delta fixes mu and <Delta^2> otherwise.
+    """
     marking.certificate()
     if not marking.all_standard():
-        raise NotStandard("stabilizer probe expects an all-standard marking")
-    ctx = marking.ctx
-    if length_bound < 0:
-        raise PreconditionViolated(f"negative bound: {length_bound}")
-    seen: set[ArtinElement] = set()
-    hits = []
-    for w in ctx.positive_elements(length_bound):
-        for e in range(-length_bound, length_bound + 1):
-            g = ctx.delta**e * w
-            if g in seen:
-                continue
-            seen.add(g)
-            if marking.conjugated_by(g) == marking:
-                hits.append(g)
-    hits.sort(key=ArtinElement.sort_key)
-    return hits
-
+        raise NotStandard("the stabilizer is computed for an all-standard marking")
+    return 1 if marking.conjugated_by(marking.ctx.delta) == marking else 2

@@ -13,7 +13,8 @@ an element of A_Y^+, and every positive ribbon is a product of elementary
 ribbons d_{Y,t} (Paris, J. Algebra 1997).  So while c != m, some atom of Y
 or some d_{Y,t} with t outside Y right-divides c; stripping it leaves a
 positive standardizer, with the ribbon's target as the new Y.  The descent
-starts from Delta^(2N) conj and stops when nothing can be stripped.
+starts from Delta^(2N) conj, N = -floor(inf conj / 2), whose infimum is 0
+or 1, and stops when nothing can be stripped.
 
 A family with pairwise commuting z's has a simultaneous standardizer
 (Cumplido, Gebhardt, Gonzalez-Meneses, Wiest, Adv. Math. 2019), and the
@@ -308,15 +309,17 @@ def _ribbon_move(ctx: GarsideContext, x: Subset, t: int) -> tuple[Subset, Subset
 def minimal_standardizer(p: ParabolicSubgroup) -> tuple[ArtinElement, Subset]:
     """Minimal positive c with c^-1 P c standard, plus the target subset.
 
-    Descends from the positive standardizer Delta^(2N) conj (Delta^2 is
-    central), stripping atoms of the target and elementary ribbons
-    d_{target,t} from the right while the rest stays positive; see the
-    module docstring for why the descent ends at the minimum.
+    Descends from the positive standardizer Delta^(2N) conj with
+    N = -floor(inf conj / 2) (Delta^2 is central), whose infimum is 0 or 1,
+    so no Delta^2 is left to strip one atom at a time; it strips atoms of
+    the target and elementary ribbons d_{target,t} from the right while the
+    rest stays positive.  See the module docstring for why the descent ends
+    at the minimum.
     """
     if not p.gens:
         raise EmptySubset("the canonical form needs a nonempty generator subset")
     ctx = p.ctx
-    c = ctx.delta ** (2 * max(0, -(p.conj.inf // 2))) * p.conj
+    c = ctx.delta ** (-2 * (p.conj.inf // 2)) * p.conj
     target = p.gens
     while True:
         for d_inv, image in _descent_strips(ctx, target):

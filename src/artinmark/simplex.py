@@ -183,7 +183,9 @@ class CparabSimplex:
         return f"Simplex[{', '.join(map(repr, self.vertices))}]"
 
     def all_standard(self) -> bool:
-        return all(v.is_standard_rep for v in self.vertices)
+        """Whether every vertex is a standard subgroup A_X, however its
+        conjugator is written."""
+        return all(v.canonical()[0].is_identity for v in self.vertices)
 
     def conjugated_by(self, x: ArtinElement) -> CparabSimplex:
         return CparabSimplex(self.ctx, [v.conjugated_by(x) for v in self.vertices])

@@ -100,6 +100,10 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   its own word and multiplies the results, and the whole-tail parser
   normalizes the whole tail as one signed word, not by taking each reduced
   positive piece as one simple and normalizing them in one sweep;
+* the stabilizer probe finds the stabilizer of a standard marking in a
+  window by trying every Delta^e w, w positive with |e| and the atom length
+  of w at most a bound (positive_elements enumerates the monoid by length),
+  not by one conjugation by Delta and the ascending-product argument;
 * the maximal tubings of a Coxeter diagram are the maximal sets of pairwise
   compatible tubes (connected proper vertex subsets, nested or disjoint and
   not adjacent), found by a clique search, not by the recursive
@@ -107,10 +111,12 @@ These deliberately avoid the library's normal-form and lattice algorithms:
 * the rotation graph of binary trees enumerates the trees on ordered leaves
   and joins two by a rotation at one node, not by swapping tubes.
 
-Two test helpers here are not oracles but library code that only tests
-called: the join of two simples by complement duality (lcm_simples) and the
-standardized representative of every node of a BFS ball
-(orbit_representatives).
+Some test helpers here are not oracles but library code that only tests
+called: the meet of two simples by the library's block strip
+(gcd_simples), the descent sets of a simple (left_descents and
+right_descents), the join of two simples by complement duality
+(lcm_simples) and the standardized representative of every node of a BFS
+ball (orbit_representatives).
 
 The last section holds reference implementations of statements of the
 paper that the tests check and no program path needs: subgroup containment,
@@ -144,6 +150,7 @@ from artinmark.errors import (
     NotIrreducible,
     NotMaximal,
     NotProper,
+    NotStandard,
     PreconditionViolated,
     UnknownFormat,
     UnsupportedType,
@@ -303,13 +310,24 @@ def tuple_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
 # -- descent peels on interned elements ---------------------------------------
 
 
+def right_descents(w) -> frozenset[int]:
+    """The t with w(alpha_t) negative: the right descents of the simple w."""
+    pos, perm = w.system.is_positive_root, w.perm
+    return frozenset(s for s, r in enumerate(w.system.simple_index) if not pos[perm[r]])
+
+
+def left_descents(w) -> frozenset[int]:
+    """The right descents of w^-1."""
+    return right_descents(w.inverse())
+
+
 def descent_peel_gcd(ctx, a, b):
     """Meet of two simples in the prefix order (greedy descent peeling)."""
     gens = ctx.system.generators
     d = ctx.system.identity
     x, y = a, b
     while True:
-        common = x.left_descents() & y.left_descents()
+        common = left_descents(x) & left_descents(y)
         if not common:
             break
         s = gens[min(common)]
@@ -343,10 +361,16 @@ def descent_peel_reduced_word(w) -> tuple[int, ...]:
     """Lexicographically least reduced word (greedy left descents)."""
     word = []
     while not w.is_identity:
-        s = min(w.left_descents())
+        s = min(left_descents(w))
         word.append(s)
         w = w.system.generators[s] * w
     return tuple(word)
+
+
+def element_sort_key(g: ArtinElement) -> tuple:
+    """A total order on normal forms: inf, canonical length, then the raw
+    tables of the factors."""
+    return (g.inf, len(g.body), tuple(x.perm for x in g.body))
 
 
 def right_complement(ctx: GarsideContext, x):
@@ -354,11 +378,22 @@ def right_complement(ctx: GarsideContext, x):
     return x.inverse() * ctx.delta_w
 
 
+def gcd_simples(ctx: GarsideContext, a, b):
+    """Meet of two simples in the prefix order, by the library's block strip
+    (RootSystem._strip) against the roots in a(positive roots) or
+    b(positive roots); only the meet is interned."""
+    system = ctx.system
+    a_bits = int.from_bytes(system._flags(a.perm), "big")
+    bits = a_bits | int.from_bytes(system._flags(b.perm), "big")
+    return system.element(system._strip(bits.to_bytes(len(a.perm), "big")))
+
+
 def lcm_simples(ctx: GarsideContext, a, b):
     """Join of two simples in the prefix order, via complement duality:
     Delta over the suffix-order meet d of the right complements, where
     d^-1 is the prefix-order meet of their inverses."""
-    return ctx.delta_w * ctx.gcd_simples(
+    return ctx.delta_w * gcd_simples(
+        ctx, 
         right_complement(ctx, a).inverse(), right_complement(ctx, b).inverse()
     )
 
@@ -385,7 +420,7 @@ def word_to_text(graph: DefiningGraph, word) -> str:
 def meet_slide_pair(ctx, u, v):
     """(u a, a^-1 v) for a the meet of u^-1 Delta and v, or None when a = 1:
     the complement, the meet and a^-1 all interned, nothing memoized."""
-    alpha = ctx.gcd_simples(right_complement(ctx, u), v)
+    alpha = gcd_simples(ctx, right_complement(ctx, u), v)
     if alpha.is_identity:
         return None
     return u * alpha, alpha.inverse() * v
@@ -618,7 +653,7 @@ def bfs_minimal_standardizer(p):
                 if ext not in seen and is_prefix_of(ext, seed):
                     seen.add(ext)
                     nxt.append(ext)
-        frontier = sorted(nxt, key=ArtinElement.sort_key)
+        frontier = sorted(nxt, key=element_sort_key)
     raise AssertionError("no standardizer among prefixes of the seed")
 
 
@@ -659,7 +694,7 @@ def bfs_simultaneous_standardizer(ctx, parabolics, budget=24, seed=None, support
                 seen.add(ext)
                 if seed_elt is None or is_prefix_of(ext, seed_elt):
                     nxt.setdefault(ext, None)
-        frontier = sorted(nxt, key=ArtinElement.sort_key)
+        frontier = sorted(nxt, key=element_sort_key)
         if not frontier:
             break
     raise AssertionError(f"simultaneous standardizer search budget {budget} exhausted")
@@ -1274,6 +1309,47 @@ def orbit_representatives(ctx: GarsideContext, seed: Marking, radius: int) -> di
         _c, std = standardize_marking(ball.nodes[key])
         out[key] = std.key()
     return out
+
+
+# -- stabilizer probe ------------------------------------------------------------
+
+
+def positive_elements(ctx: GarsideContext, max_length: int):
+    """All monoid elements of atom length <= max_length, by length."""
+    layer = [ctx.identity]
+    yield ctx.identity
+    for _ in range(max_length):
+        nxt: dict[ArtinElement, None] = {}
+        for g in layer:
+            for a in ctx.atoms:
+                nxt.setdefault(g * a, None)
+        layer = sorted(nxt, key=element_sort_key)
+        yield from layer
+
+
+def marking_stabilizer_probe(marking: Marking, length_bound: int) -> list[ArtinElement]:
+    """All stabilizing elements Delta^e w with |e| and the atom length of the
+    positive part w both at most the length bound, sorted.  Requires a
+    standard marking; the marking is certified first, so an invalid one
+    raises its validation error."""
+    marking.certificate()
+    if not marking.all_standard():
+        raise NotStandard("stabilizer probe expects an all-standard marking")
+    ctx = marking.ctx
+    if length_bound < 0:
+        raise PreconditionViolated(f"negative bound: {length_bound}")
+    seen: set[ArtinElement] = set()
+    hits = []
+    for w in positive_elements(ctx, length_bound):
+        for e in range(-length_bound, length_bound + 1):
+            g = ctx.delta**e * w
+            if g in seen:
+                continue
+            seen.add(g)
+            if marking.conjugated_by(g) == marking:
+                hits.append(g)
+    hits.sort(key=element_sort_key)
+    return hits
 
 
 # -- maximal tubings -------------------------------------------------------------

@@ -21,7 +21,7 @@ from artinmark.marking import (
     enumerate_flip_moves,
     is_flip_edge,
     is_twist_edge,
-    marking_stabilizer_probe,
+    marking_stabilizer,
     standard_transversals,
     twist_move,
     validate_marking,
@@ -38,6 +38,7 @@ from oracles import (
     AscendingProduct,
     atom_length,
     extract_ascending_product,
+    marking_stabilizer_probe,
     orbit_representatives,
     positive_words,
     shortest_path,
@@ -332,14 +333,17 @@ def test_criterion_09_stabilizer_probe_a2():
     marking = standard_transversals(
         CparabSimplex(a2, [ParabolicSubgroup.standard(a2, frozenset({0}))])
     )
+    assert marking_stabilizer(marking) == 2
     hits = marking_stabilizer_probe(marking, 4)
     assert hits
     for hit in hits:
         assert hit.canonical_length == 0, f"non-Delta-power stabilizer {hit}"
     assert a2.delta**2 in hits and a2.delta**-2 in hits
+    # the probe's window holds Delta^m for -4 <= m <= 4 + 4 // 3
+    assert hits == [a2.delta**m for m in range(-4, 6) if m % 2 == 0]
     elapsed = time.time() - started
     assert elapsed < 300, f"criterion 9 took {elapsed:.1f}s"
-    report(9, f"exhaustive probe (length <= 4, both shift signs) in {elapsed:.1f}s")
+    report(9, f"exact stabilizer <Delta^2> equals the probe oracle (length <= 4) in {elapsed:.1f}s")
 
 
 def test_criterion_10_connectivity_and_cocompactness():

@@ -290,6 +290,62 @@ def test_stabilizer_probe_cli(capsys):
         assert json.loads(err)["error"] == "BaseNotMaximal"
 
 
+def respelled(payload: str, conj: str) -> str:
+    """The payload with every conj written as the given element text."""
+    data = json.loads(payload)
+    parabolics = data["vertices"] if "vertices" in data else [
+        pair[side] for pair in data["pairs"] for side in ("base", "transverse")
+    ]
+    for parabolic in parabolics:
+        parabolic["conj"] = conj
+    return json.dumps(data)
+
+
+def test_stabilizer_probe_needs_a_standard_marking(capsys):
+    payload = respelled(a3_marking_json(), "s3")
+    code, out, err = run(capsys, "--type", "A3", "stabilizer-probe", payload)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "NotStandard"
+
+
+def test_standard_reads_the_subgroup_not_its_spelling(capsys):
+    # Delta^2 is central, so a marking written with it is the plain marking
+    plain = a3_marking_json()
+    for fmt in ("text", "json"):
+        outs = [
+            run(capsys, "--type", "A3", "--format", fmt, "stabilizer-probe", payload)
+            for payload in (plain, respelled(plain, "DELTA^2 |"))
+        ]
+        assert outs[0][0] == 0 and outs[1] == outs[0]
+    simplex = json.dumps({"vertices": [pair["base"] for pair in json.loads(plain)["pairs"]]})
+    keys = []
+    for payload in (simplex, respelled(simplex, "DELTA^2 |")):
+        code, out, _ = run(capsys, "--type", "A3", "--format", "json", "std-transversals", payload)
+        assert code == 0
+        keys.append(Marking.from_json(context("A3"), json.loads(out)).key())
+    assert keys[0] == keys[1]
+
+
+def test_std_transversals_of_a_delta_spelled_simplex(capsys):
+    # Delta A_X Delta^-1 = A_{tau(X)}: written Delta^1 on {s1,s2}, the A3
+    # vertex is the standard A_{s2,s3}, and the marking is its twin's
+    a3 = context("A3")
+    for simplex in enumerate_maximal_standard(a3):
+        twin = CparabSimplex(a3, [
+            ParabolicSubgroup.standard(a3, frozenset(2 - s for s in v.gens))
+            for v in simplex.vertices
+        ])
+        spelled = respelled(json.dumps(simplex.to_json()), "DELTA^1 |")
+        keys = []
+        for payload in (spelled, json.dumps(twin.to_json())):
+            code, out, _ = run(
+                capsys, "--type", "A3", "--format", "json", "std-transversals", payload
+            )
+            assert code == 0
+            keys.append(Marking.from_json(a3, json.loads(out)).key())
+        assert keys[0] == keys[1]
+
+
 def test_bfs_deterministic(capsys):
     a2 = context("A2")
     simplex = CparabSimplex(a2, [ParabolicSubgroup.standard(a2, frozenset({0}))])

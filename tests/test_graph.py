@@ -32,6 +32,7 @@ from oracles import (
     candidate_closure_bfs,
     joined_export,
     json_dumps_export,
+    marking_stabilizer_probe,
     neighbors_closure_bfs,
     neighbors_universe_connectivity,
     orbit_representatives,
@@ -279,8 +280,8 @@ def test_orbit_covering_i2():
 def test_stabilizers_of_explored_nodes_conjugate_delta_powers():
     # every explored node is conjugate to a standard marking, so its
     # stabilizer is the corresponding conjugate of the Delta powers found
-    # by the exhaustive probe
-    from artinmark.marking import marking_stabilizer_probe, standardize_marking
+    # by the probe oracle, and those are the powers of Delta^d
+    from artinmark.marking import marking_stabilizer, standardize_marking
 
     a2, seed = a2_seed()
     ball = bfs(seed, 2)
@@ -289,6 +290,7 @@ def test_stabilizers_of_explored_nodes_conjugate_delta_powers():
         conj, standard = standardize_marking(node)
         hits = marking_stabilizer_probe(standard, 3)
         assert all(h.canonical_length == 0 for h in hits)
+        assert {h.inf % marking_stabilizer(standard) for h in hits} == {0}
         for h in hits:
             moved = node.conjugated_by(conj * h * conj.inverse())
             assert moved == node

@@ -1,5 +1,8 @@
+import contextlib
 import functools
+import io
 import itertools
+import json
 import random
 import traceback
 
@@ -12,9 +15,11 @@ from artinmark.errors import (
     NotAStandardizer,
     NotMaximal,
     NotSimultaneouslyStandardizable,
+    NotStandard,
     PreconditionViolated,
     TransversalityPatternBroken,
 )
+from artinmark.cli import run_command
 from artinmark.garside import ArtinElement, context, normalize
 from artinmark.graph import all_standard_markings, bfs
 from artinmark.marking import (
@@ -25,7 +30,7 @@ from artinmark.marking import (
     flip_candidates,
     is_flip_edge,
     is_twist_edge,
-    marking_stabilizer_probe,
+    marking_stabilizer,
     projection,
     standard_transversals,
     standardize_marking,
@@ -43,7 +48,9 @@ from oracles import (
     extraction_projection,
     h_relative_flip_table,
     levelwise_standardize_marking,
+    marking_stabilizer_probe,
     pair_vertex,
+    right_descents,
     shared_flip_standardizer,
     transversal_swap_path,
     z_product_flip_table,
@@ -513,6 +520,59 @@ def test_stabilizer_probe_a2():
     assert a2.atoms[0] not in hits
     # s1 does not stabilize: s1 <s2> s1^-1 != <s2>
     assert marking.conjugated_by(a2.atoms[0]) != marking
+    assert marking_stabilizer(marking) == 2
+
+
+def standard_markings(spec: str) -> list[Marking]:
+    """Every standard marking of the type; A1 has one, the empty marking."""
+    ctx = context(spec)
+    return all_standard_markings(ctx) or [Marking(ctx, [])]
+
+
+def probe_matches_oracle(spec: str, marking: Marking, bound: int) -> bool:
+    """Whether stabilizer-probe prints the probe oracle's text and JSON bytes."""
+    texts = [h.to_text() for h in marking_stabilizer_probe(marking, bound)]
+    wanted = ("\n".join(texts) + "\n", json.dumps(texts, indent=2, sort_keys=True) + "\n")
+    payload = json.dumps(marking.to_json())
+    for fmt, want in zip(("text", "json"), wanted):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            argv = ["--type", spec, "--format", fmt, "--bound-k", str(bound)]
+            code = run_command(argv + ["stabilizer-probe", payload])
+        if (code, out.getvalue()) != (0, want):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "I2(5)", "I2(6)", "A3", "B3", "H3"])
+def test_stabilizer_probe_prints_the_probe_oracles_bytes(spec):
+    for marking in standard_markings(spec):
+        for bound in range(5):
+            assert probe_matches_oracle(spec, marking, bound), (marking, bound)
+
+
+def test_marking_stabilizer_values():
+    # d = 1 exactly when Delta fixes the marking: always where Delta is
+    # central (B3, H3, D4), never on A2, I2(5), A4, and on one A3 marking
+    expected = {
+        "A1": [1], "A2": [2, 2], "I2(5)": [2, 2], "I2(6)": [1, 1],
+        "A3": [2, 2, 1, 2, 2], "B3": [1] * 5, "H3": [1] * 5, "A4": [2] * 14, "D4": [1] * 16,
+    }
+    for spec, ds in expected.items():
+        assert [marking_stabilizer(m) for m in standard_markings(spec)] == ds, spec
+
+
+def test_marking_stabilizer_needs_a_standard_marking():
+    a3 = context("A3")
+    marking = standard_markings("A3")[0]
+    moved = marking.conjugated_by(a3.atoms[2])
+    assert moved != marking
+    with pytest.raises(NotStandard):
+        marking_stabilizer(moved)
+    with pytest.raises(NotStandard):
+        marking_stabilizer_probe(moved, 1)
+    # Delta^2 is central: the same marking, written with it, is standard
+    assert marking_stabilizer(marking.conjugated_by(a3.delta**2)) == marking_stabilizer(marking)
 
 
 def test_stabilizer_probe_rejects_negative_bounds():
@@ -684,7 +744,7 @@ def test_lcm_quotient_of_an_adjacent_generator():
             for s in sorted(set(graph.vertices) - y):
                 if any(graph.adjacent(s, t) for t in y):
                     m = ctx.w0_of(y | {s}) * ctx.w0_of(y)
-                    assert m.support() == y | {s} and m.right_descents() == {s}, (spec, y, s)
+                    assert m.support() == y | {s} and right_descents(m) == {s}, (spec, y, s)
                     count += 1
     assert count == 757
 
@@ -1161,3 +1221,24 @@ def test_moves_carry_certificates_that_validation_confirms(monkeypatch, spec, ra
     monkeypatch.undo()
     for moved, cert in carried:
         assert cert == validate(Marking(moved.ctx, moved.pairs)), moved
+
+
+if __name__ == "__main__":
+    # the exact stabilizer against the probe oracle past the bounds of a
+    # test run: for each type and bound b, the standard markings, their d,
+    # whether stabilizer-probe prints the oracle's text and JSON bytes on
+    # every one at every bound 0..b, and the seconds taken, e.g.
+    #   PYTHONPATH=src python tests/test_marking.py A4 4 D4 4 A3 6
+    import sys
+    import time
+
+    args = sys.argv[1:]
+    for spec, bound in zip(args[::2], args[1::2]):
+        start = time.perf_counter()
+        markings = standard_markings(spec)
+        ds = [marking_stabilizer(m) for m in markings]
+        same = all(
+            probe_matches_oracle(spec, m, b) for m in markings for b in range(int(bound) + 1)
+        )
+        print(f"{spec} b{bound}: {len(markings)} standard markings, d {ds},"
+              f" probe bytes equal the oracle's: {same}, {time.perf_counter() - start:.2f} s")

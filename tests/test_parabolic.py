@@ -40,6 +40,7 @@ from oracles import (
     is_prefix_of,
     membership_standard_target,
     pairwise_z_check,
+    positive_elements,
     shortest_path,
     table_conjugacy_edges,
     table_z_exponent,
@@ -120,6 +121,16 @@ def test_minimal_standardizer_examples():
         minimal_standardizer(std(a2))
 
 
+def test_canonical_form_ignores_a_central_delta_power():
+    # the descent starts below the central Delta^2 powers of the conjugator,
+    # so a huge one costs nothing and changes nothing
+    a3 = context("A3")
+    x = ParabolicSubgroup(a3, normalize(a3, "s2 s1"), gens(a3, "s3"))
+    far = ParabolicSubgroup(a3, a3.delta ** (2 * 10**6) * x.conj, x.gens)
+    assert far.canonical() == x.canonical()
+    assert far.key() == x.key()
+
+
 def test_minimal_standardizer_is_prefix_of_bounded_search_hits():
     # every positive standardizer found by independent search has the
     # minimal one as a prefix
@@ -128,7 +139,7 @@ def test_minimal_standardizer_is_prefix_of_bounded_search_hits():
     c, _target = p.canonical()
     z_p = p.z_element()
     found = []
-    for g in a3.positive_elements(4):
+    for g in positive_elements(a3, 4):
         w = g.inverse() * z_p * g
         if not w.is_positive:
             continue

@@ -310,7 +310,7 @@ EXPORTS = {
     "canonical_positive_standardizer", "central_generator_z", "context",
     "delta_permutation", "elementary_ribbon", "enumerate_flip_moves",
     "enumerate_maximal_standard", "export_graph", "is_flip_edge", "is_twist_edge",
-    "longest_element", "marking_stabilizer_probe", "member_of_standard",
+    "longest_element", "marking_stabilizer", "member_of_standard",
     "minimal_standardizer", "neighbors", "normalize", "parse_element", "parse_word",
     "projection", "ribbon_delta_form", "root_reflection_table",
     "simultaneous_standardizer", "standard_conjugate", "standard_marking_connectivity",
@@ -352,6 +352,20 @@ def test_every_function_under_src_is_named_elsewhere():
         and not (func.name.startswith("__") and func.name.endswith("__"))
         and named[func.name] <= Counter(names(func))[func.name]
         and not re.search(rf"\b{func.name}\b", bench)
+    ]
+    assert found == []
+
+
+def test_no_program_path_enumerates_the_monoid():
+    # the stabilizer of a standard marking is <Delta^d>, read off one
+    # conjugation by Delta (marking.marking_stabilizer); the search over
+    # Delta^e w, w in the monoid up to a length, is the tests' oracle
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("positive_elements", "marking_stabilizer_probe")
     ]
     assert found == []
 
