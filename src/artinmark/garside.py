@@ -316,9 +316,10 @@ class ArtinElement:
     def __pow__(self, exp: int) -> ArtinElement:
         if not self.body:
             return ArtinElement(self.ctx, self.inf * exp, ())
-        base = self if exp >= 0 else self.inverse()
-        out = self.ctx.identity
-        for _ in range(abs(exp)):
+        if exp == 0:
+            return self.ctx.identity
+        base = out = self if exp > 0 else self.inverse()
+        for _ in range(abs(exp) - 1):
             out = out * base
         return out
 

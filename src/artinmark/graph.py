@@ -4,11 +4,14 @@ Nodes are markings identified by their canonical keys; edges carry a kind,
 twist or flip.  Neighbor computation takes both twist directions at every
 index and all flips, each certified by its move; breadth-first search is
 deterministic (keys sorted at every frontier expansion), so repeated runs
-produce identical graphs and identical exports.  The BFS closes the edges
-among the nodes at its radius on their certificate coordinates, building no
-marking (see bfs).  Every flip across index j has the same bases,
-{P_i : i != j} and Q_j, so the connectivity universe holds no flip across j
-when Q_j is not standard, and those flips are not enumerated.
+produce identical graphs and identical exports.  A certified marking is its
+coordinates, and the coordinates of every neighbor are read off the
+marking's certificate and the flip frame of its index (see bfs): the
+searches build a Marking only for coordinates that are not a node yet, and
+the BFS closes the edges among the nodes at its radius building no marking.
+Every flip across j has the same bases, {P_i : i != j} and Q_j, so the
+connectivity universe holds no flip across j when Q_j is not standard, and
+those flips are not enumerated.
 
 standard_marking_connectivity builds the finite subgraph of markings with
 standard base and bounded projections, checks that the all-standard markings
@@ -19,6 +22,7 @@ k(2) = 1, k(n) = max(2k(n-1) + 13, n + k(n-1) + 7).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator
@@ -26,36 +30,104 @@ from typing import Iterator
 from .errors import BudgetExceeded, PreconditionViolated, UnknownFormat
 from .garside import GarsideContext
 from .marking import (
+    FlipFrame,
     Marking,
-    enumerate_flip_moves,
+    flip_frame,
     flip_offsets,
+    frame_flip,
     standard_transversals,
     twist_move,
 )
-from .parabolic import z_exponent
+from .parabolic import ParabolicSubgroup, z_exponent
 from .simplex import enumerate_maximal_standard
+
+# (P_i key, twist_i, Y_i) per pair, as a set: a certified marking's
+# coordinates (see bfs)
+Coordinates = frozenset[tuple[str, int, frozenset[int]]]
+# (base key set, P_j key, Q_j key): the flip frame of a pair (see bfs)
+FrameKey = tuple[frozenset[str], str, str]
 
 
 def neighbors(marking: Marking) -> list[tuple[Marking, str]]:
-    """All twist and flip neighbors, deduplicated by key, sorted."""
-    return _moves(marking, range(len(marking)))
+    """All twist and flip neighbors, deduplicated by key, sorted: an
+    expansion against an empty index, so every neighbor is built."""
+    found = {
+        (key, kind): other
+        for _coords, key, kind, other in _expand(marking, range(len(marking)), {}, {}, {})
+    }
+    return [(found[k], k[1]) for k in sorted(found)]
 
 
-def _moves(marking: Marking, flip_indices) -> list[tuple[Marking, str]]:
-    """Twist neighbors at every index and flips across the given indices,
-    each certified by its move, deduplicated by key, sorted.  The marking
-    itself is certified even when no flip is enumerated."""
-    marking.certificate()
-    out: dict[tuple[str, str], Marking] = {}
-    for j in range(len(marking)):
+def _coordinates(marking: Marking) -> list[tuple[str, int, frozenset[int]]]:
+    """(P_j key, twist_j, Y_j) per pair, read off the certificate."""
+    return [
+        (p.key(), data.twist, data.subset)
+        for (p, _q), data in zip(marking.pairs, marking.certificate().transversals)
+    ]
+
+
+def _expand(
+    node: Marking,
+    flip_indices,
+    index: dict[Coordinates, str],
+    frames: dict[FrameKey, FlipFrame],
+    candidates: dict[tuple[FrameKey, str, int], ParabolicSubgroup],
+) -> Iterator[tuple[Coordinates, str, str, Marking | None]]:
+    """(coordinates, key, kind, marking) of the twist neighbors of node at
+    every index and its flips across the given indices.  The node is
+    certified first.
+
+    A neighbor whose coordinates are in the index is that node, and comes
+    with marking None; any other one is built, certified by its move.  The
+    caller adds what it keeps to the index between two items.  Flip frames
+    are built once per frame key, and candidate transversals once per frame,
+    base and twist, in the caller's dicts, which live for one exploration
+    call.
+    """
+    cert = node.certificate()
+    coords = _coordinates(node)
+    whole = frozenset(coords)
+    base = frozenset(p_key for p_key, _t, _y in coords)
+    for j, (p_key, twist, subset) in enumerate(coords):
+        rest = whole - {coords[j]}
+        step = z_exponent(node.ctx, cert.bases[j])
         for direction in (1, -1):
-            twisted = twist_move(marking, j, direction)
-            out.setdefault((twisted.key(), "twist"), twisted)
-        if j in flip_indices:
-            for flipped in enumerate_flip_moves(marking, j):
-                out.setdefault((flipped.key(), "flip"), flipped)
-    return [(out[k], k[1]) for k in sorted(out)]
-
+            moved = rest | {(p_key, twist + direction * step, subset)}
+            key = index.get(moved)
+            if key is not None:
+                yield moved, key, "twist", None
+            else:
+                other = twist_move(node, j, direction)
+                yield moved, other.key(), "twist", other
+        if j not in flip_indices:
+            continue
+        q_key = node.pairs[j][1].key()
+        frame_key = (base, p_key, q_key)
+        frame = frames.get(frame_key)
+        if frame is None:
+            frame = frames[frame_key] = flip_frame(node, j)
+        swapped = (q_key, frame.swapped.twist, frame.swapped.subset)
+        windows = [
+            [(i, b_key, t, frame.certified(b_key, t)) for t in range(k - 1, k + 2)]
+            for i, (b_key, k, _y) in enumerate(coords)
+            if i != j
+        ]
+        for combo in itertools.product(*windows):
+            moved = frozenset(
+                [swapped, *((b_key, d.twist, d.subset) for _i, b_key, _t, d in combo)]
+            )
+            key = index.get(moved)
+            if key is not None:
+                yield moved, key, "flip", None
+            else:
+                chosen = {}
+                for i, b_key, t, _d in combo:
+                    q = candidates.get((frame_key, b_key, t))
+                    if q is None:
+                        q = candidates[frame_key, b_key, t] = frame.transversal(b_key, t)
+                    chosen[i] = (t, q)
+                other = frame_flip(node, j, frame, chosen)
+                yield moved, other.key(), "flip", other
 
 @dataclass
 class ExploredGraph:
@@ -67,19 +139,22 @@ class ExploredGraph:
 
     def add_edge(self, a: str, b: str, kind: str):
         if a != b:
-            lo, hi = sorted((a, b))
-            self.edges.add((lo, hi, kind))
+            self.edges.add((a, b, kind) if a < b else (b, a, kind))
 
 
 def bfs(seed: Marking, radius: int) -> ExploredGraph:
     """All markings within the radius of the seed, and every edge among them.
 
-    Nodes inside the radius are expanded through neighbors(), which certifies
-    them.  The nodes at the radius (the boundary) are certified too, and the
-    edges among them are closed without building a marking or a flip
-    candidate, by three facts:
+    Nodes inside the radius are expanded by coordinates (fact 2), against an
+    index of the nodes found so far: a Marking, its candidate transversals
+    and its key are built only for coordinates that are not a node yet, so
+    exactly one Marking per node, each certified by the move that reached it
+    first in the deterministic order (frontier sorted by key).  The nodes at
+    the radius (the boundary) are certified too, and the edges among them
+    are closed without building a marking or a flip candidate, by three
+    facts:
 
-    1. Moves are symmetric, and neighbors() is complete: an edge from a
+    1. Moves are symmetric, and the expansion is complete: an edge from a
        boundary node to an inner node was added when the inner node was
        expanded.  Only edges between boundary nodes are left to close.
     2. A certified node is its coordinates.  Its certificate gives, per
@@ -87,8 +162,12 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
        of its base, and by the uniqueness of transversal decompositions the
        triples (P_i key, twist_i, Y_i) identify the node.  A twist at j in
        direction d keeps the base, so its standardizer, and Y_j, and adds
-       d * z_exponent(X_j) to twist_j.  A boundary twist edge is therefore
-       a look-up of the moved coordinates among the boundary nodes; the +1
+       d * z_exponent(X_j) to twist_j.  A flip across j holds the swapped
+       pair with the frame's decomposition, and at every other base P_i the
+       candidate with twist t relative to h has the coordinates
+       (P_i key, t + c_i, Y) of its frame (marking.FlipFrame.certified).
+       So every neighbor's coordinates are known before it is built, and a
+       boundary twist edge is a look-up of the moved coordinates; the +1
        twists find every one, since the -1 twist of one end is the +1 twist
        of the other.
     3. A flip across j lands on a node whose base key set is
@@ -98,11 +177,26 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
        b of the bucket is a flip of node a exactly when, at every base P_i
        with i != j, its twist relative to the shared standardizer h = ghat
        Delta_{X_j}^{k_j} of a is within one of a's certified twist k_i.
-       That twist is b's certified twist minus an offset of h and the
-       bucket's base set alone (marking.flip_offsets), so the offsets are
-       found once per flip frame (a's base key set, P_j, Q_j), from one
-       member, and shared by the whole bucket and by the twist variants of
-       a at the other indices.
+       That twist is b's certified twist minus an offset c_i of h and the
+       bucket's base set alone, so the offsets are one set per flip frame
+       (a's base key set S, P_j, Q_j).  The frames are shared by the whole
+       call: the expansion builds each once (marking.flip_frame) for every
+       node and twist variant that meets it.  The closure reads the offsets
+       of a frame the expansion built; else the negated offsets of its
+       reverse, the frame (B, Q_j, P_j) of the flips back, which the
+       expansion built for the node that reached a boundary node by a flip;
+       else it finds them from one bucket member (marking.flip_offsets).
+       Let f(g) be the twist of a transversal at P_i relative to a
+       standardizer g of P_i.  The offset of the frame is f(ghat_B) - f(h),
+       and that of the reverse is f(ghat_S) - f(h'), with h' its shared
+       standardizer.  Relative to h a marking with base S keeps its twist
+       at i (see the marking module docstring), so f(h) = f(ghat_S) for its
+       transversal at P_i, and then for every transversal at P_i, since
+       twist differences against a shared standardizer do not depend on
+       which one is used; likewise f(h') = f(ghat_B).  Per frame the bucket
+       is indexed by its members' twists minus the offsets at the frame's
+       first two bases, so a node reads the 3 x 3 cells around its own
+       twists there and tests the other bases on those members only.
     """
     if radius < 0:
         raise PreconditionViolated(f"radius {radius} is negative")
@@ -110,61 +204,83 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
     graph = ExploredGraph()
     graph.nodes[seed.key()] = seed
     graph.radius[seed.key()] = 0
+    index = {frozenset(_coordinates(seed)): seed.key()}
+    frames: dict[FrameKey, FlipFrame] = {}
+    candidates: dict[tuple[FrameKey, str, int], ParabolicSubgroup] = {}
     frontier = [seed]
     for depth in range(1, radius + 1):
         nxt = []
         for node in frontier:
-            for other, kind in neighbors(node):
-                key = other.key()
-                if key not in graph.nodes:
+            for coords, key, kind, other in _expand(
+                node, range(len(node)), index, frames, candidates
+            ):
+                if other is not None:
+                    index[coords] = key
                     graph.nodes[key] = other
                     graph.radius[key] = depth
                     nxt.append(other)
                 graph.add_edge(node.key(), key, kind)
         frontier = sorted(nxt, key=Marking.key)
-    _close_boundary(graph, frontier)
+    _close_boundary(graph, frontier, index, frames)
     return graph
 
 
-def _coordinates(marking: Marking) -> list[tuple[str, int, frozenset[int]]]:
-    """(P_j key, twist_j, Y_j) per pair, read off the certificate."""
-    return [
-        (p.key(), data.twist, data.subset)
-        for (p, _q), data in zip(marking.pairs, marking.certificate().transversals)
-    ]
-
-
-def _close_boundary(graph: ExploredGraph, boundary: list[Marking]) -> None:
+def _close_boundary(
+    graph: ExploredGraph,
+    boundary: list[Marking],
+    index: dict[Coordinates, str],
+    frames: dict[FrameKey, FlipFrame],
+) -> None:
     """Add the twist and flip edges among the boundary nodes (see bfs)."""
     coordinates = [_coordinates(node) for node in boundary]
-    at = {frozenset(c): node.key() for node, c in zip(boundary, coordinates)}
     twists = [{p_key: t for p_key, t, _y in c} for c in coordinates]
-    holding: dict[tuple[frozenset[str], str, str], list[tuple[Marking, dict[str, int]]]] = {}
+    holding: dict[FrameKey, list[tuple[str, dict[str, int]]]] = {}
     for node, twist_at in zip(boundary, twists):
         base = frozenset(twist_at)
         for p, q in node.pairs:
-            holding.setdefault((base, p.key(), q.key()), []).append((node, twist_at))
-    offsets: dict[tuple[frozenset[str], str, str], dict[str, int]] = {}
+            holding.setdefault((base, p.key(), q.key()), []).append((node.key(), twist_at))
+    last = {bucket_key: max(k for k, _at in bucket) for bucket_key, bucket in holding.items()}
+    # per frame: the probed bases, the other bases with their offsets, and
+    # the bucket by offset-adjusted twists at the probed ones
+    cells: dict[FrameKey, tuple[list[str], list[tuple[str, int]], dict]] = {}
     for node, coords, twist_at in zip(boundary, coordinates, twists):
+        key = node.key()
         bases = node.certificate().bases
         base = frozenset(twist_at)
+        whole = frozenset(coords)
         for j, (p_key, twist, subset) in enumerate(coords):
             step = z_exponent(node.ctx, bases[j])
-            moved = coords[:j] + [(p_key, twist + step, subset)] + coords[j + 1:]
-            other_key = at.get(frozenset(moved))
+            other_key = index.get(whole - {coords[j]} | {(p_key, twist + step, subset)})
             if other_key is not None:
-                graph.add_edge(node.key(), other_key, "twist")
+                graph.add_edge(key, other_key, "twist")
             q_key = node.pairs[j][1].key()
-            frame = (base, p_key, q_key)
-            for other, other_at in holding.get((base - {p_key} | {q_key}, q_key, p_key), ()):
-                if node.key() < other.key():
-                    if frame not in offsets:
-                        offsets[frame] = flip_offsets(node, j, other)
-                    if all(
-                        abs(twist_at[b] - other_at[b] + c) <= 1
-                        for b, c in offsets[frame].items()
+            bucket_key = (base - {p_key} | {q_key}, q_key, p_key)
+            if last.get(bucket_key, "") <= key:
+                continue
+            frame_key = (base, p_key, q_key)
+            if frame_key not in cells:
+                bucket = holding[bucket_key]
+                if frame_key in frames:
+                    offsets = frames[frame_key].offsets
+                elif bucket_key in frames:
+                    offsets = {b: -c for b, c in frames[bucket_key].offsets.items()}
+                else:
+                    offsets = flip_offsets(node, j, graph.nodes[bucket[0][0]])
+                probe = sorted(offsets)[:2]
+                grid: dict[tuple[int, ...], list] = {}
+                for other_key, other_at in bucket:
+                    cell = tuple(other_at[b] - offsets[b] for b in probe)
+                    grid.setdefault(cell, []).append((other_key, other_at))
+                rest = [(b, c) for b, c in offsets.items() if b not in probe]
+                cells[frame_key] = probe, rest, grid
+            probe, rest, grid = cells[frame_key]
+            for shift in itertools.product((-1, 0, 1), repeat=len(probe)):
+                cell = tuple(twist_at[b] + d for b, d in zip(probe, shift))
+                for other_key, other_at in grid.get(cell, ()):
+                    if key < other_key and all(
+                        abs(twist_at[b] - other_at[b] + c) <= 1 for b, c in rest
                     ):
-                        graph.add_edge(node.key(), other.key(), "flip")
+                        graph.add_edge(key, other_key, "flip")
 
 
 def _join(open_: str, items: list[str], close: str, depth: int) -> str:
@@ -310,10 +426,11 @@ def standard_marking_connectivity(
 
     Every flip across j has Q_j among its bases, so when Q_j is not standard
     no flip across j is in the subgraph, and those flips are not enumerated.
-    Twists at every index and the flips across the other indices are taken
-    as by neighbors(), and every node the search expands is certified.
-    Whether a marking is in the subgraph depends on its key alone, so a
-    neighbor already among the nodes is not tested again.
+    Twists at every index and the flips across the other indices are
+    expanded by coordinates as in bfs, against an index of the nodes, and
+    every node the search expands is certified.  Whether a marking is in the
+    subgraph depends on its key alone, so a neighbor already among the nodes
+    is neither built nor tested again.
 
     The subgraph test reads the projections only.  Every neighbor has a
     standard base: a twist keeps the base, and a flip across j, taken only
@@ -330,7 +447,10 @@ def standard_marking_connectivity(
         raise BudgetExceeded(len(standard), node_cap)
 
     nodes: dict[str, Marking] = {m.key(): m for m in standard}
+    index = {frozenset(_coordinates(m)): m.key() for m in standard}
     adjacency: dict[str, set[str]] = {k: set() for k in nodes}
+    frames: dict[FrameKey, FlipFrame] = {}
+    candidates: dict[tuple[FrameKey, str, int], ParabolicSubgroup] = {}
     frontier = sorted(nodes, key=str)
     while frontier:
         nxt = []
@@ -340,13 +460,15 @@ def standard_marking_connectivity(
                 j for j, (_p, q) in enumerate(marking.pairs)
                 if q.canonical()[0].is_identity
             ]
-            for other, _kind in _moves(marking, standard_flips):
-                okey = other.key()
-                if okey not in nodes:
+            for coords, okey, _kind, other in _expand(
+                marking, standard_flips, index, frames, candidates
+            ):
+                if other is not None:
                     if any(abs(v) > projection_bound for v in other.projections()):
                         continue
                     if len(nodes) >= node_cap:
                         raise BudgetExceeded(len(nodes) + 1, node_cap)
+                    index[coords] = okey
                     nodes[okey] = other
                     adjacency[okey] = set()
                     nxt.append(okey)

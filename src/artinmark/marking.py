@@ -69,19 +69,25 @@ bases, and at each i != j the subset is the transversal_subset.
 Moves carry their certificates, so validate_marking runs only on markings
 read from outside.  A twist at j keeps every base, so ghat, every X_i and
 every Y_i, and adds direction * z_exponent(X_j) to k_j, because z_{P_j}
-= ghat Delta_{X_j}^e ghat^-1.  The flips across j share the flipped base B,
-its canonical standardizer ghat_B and the pair (Q_j, P_j).  Both h and
-ghat_B standardize B, and twist differences against a shared standardizer
-do not depend on which one is used (_flip_frame), so at i != j
-the twist relative to ghat_B is the twist t relative to h plus an offset c_i
-of the index alone: one decomposition of one candidate per index fixes it.
-The subset is then the one pattern-keeping subset of the maximal standard
-family delta_twisted(x_B, i, t + c_i) at i, its transversal_subset.  The
-same offsets serve the bfs boundary closure the other way round
-(flip_offsets): there the certified twists of the markings with bases B
-are known, one of them is decomposed against h, and every one's twists
-relative to h are its certified twists minus c_i, which decides whether it
-is a flip without decomposing it.
+= ghat Delta_{X_j}^e ghat^-1.  The flips across j share a flip frame
+(FlipFrame): the flipped base B, its canonical standardizer ghat_B, the
+swapped pair (Q_j, P_j) with its decomposition, and at each other base the
+recipe of its candidates relative to h and an offset.  Both h and ghat_B
+standardize B, and twist differences against a shared standardizer do not
+depend on which one is used (_flip_frame), so at i != j the twist relative
+to ghat_B is the twist t relative to h plus an offset c_i of h, B and P_i
+alone.  The subset is then the one pattern-keeping subset of the maximal
+standard family delta_twisted(x_B, i, t + c_i) at i, its transversal_subset.
+So the frame depends on (base key set, P_j key, Q_j key) only: every marking
+with that base set and that pair, its twist variants at the other indices
+among them, flips through the same frame, and a search builds it once
+(flip_frame).  One routine finds the offsets (_offsets), one decomposition
+per base: flip_frame decomposes its middle candidate, whose twists relative
+to h are known, against ghat_B, and the bfs boundary closure the other way
+round (flip_offsets) decomposes one certified marking with bases B, whose
+twists relative to ghat_B are known, against h; every other one's twists
+relative to h are then its certified twists minus c_i, which decides whether
+it is a flip without decomposing it.
 
 Standardization conjugates by ghat and then by Delta_{X_j}^{k_j} for every
 pair, deepest level first: a deeper Delta leaves the bases and twists of the
@@ -440,104 +446,197 @@ def _flip_frame(marking: Marking, j: int) -> tuple[ArtinElement, MarkingCertific
     return cert.ghat * marking.ctx.delta_of(cert.bases[j]) ** cert.transversals[j].twist, cert
 
 
-def flip_offsets(marking: Marking, j: int, member: Marking) -> dict[str, int]:
-    """The twist offsets of the flip frame of marking across j, by base key.
+class FlipFrame:
+    """What every flip across a pair (P_j, Q_j) shares, for all the markings
+    with one base set that hold that pair.  The base set fixes ghat and
+    every X_i, and Q_j fixes k_j, so the frame is fixed by (base key set,
+    P_j key, Q_j key) and built once per exploration.  Its data is keyed by
+    base, not by pair index: markings with one base set can list their pairs
+    in different orders.
 
-    member is a marking with the flipped bases {P_i : i != j} and Q_j that
-    holds the pair (Q_j, P_j).  For every such marking b, its twist at a base
-    P_i != Q_j relative to the frame's shared standardizer h = ghat
-    Delta_{X_j}^{k_j} is its certified twist at P_i minus the offset c[P_i].
-    b's certified twists are relative to ghat_B, the canonical standardizer
-    of the flipped base set B, and h standardizes B too (_flip_frame).  The
-    twist of a transversal at P_i relative to h differs from its twist
-    relative to ghat_B by an amount of h, ghat_B and P_i alone, since twist
-    differences against a shared standardizer do not depend on which one is
-    used.  So c depends on h and B only, the n - 1 decompositions of one
-    member fix it for all of them, and b is a flip of the marking exactly when
-    |k_i - (k^b_i - c[P_i])| <= 1 at every i != j, is_flip_edge's condition.
-    The marking is certified first, and so is member.
-    """
-    h, _cert = _flip_frame(marking, j)
-    q_key = marking.pairs[j][1].key()
-    return {
-        p.key(): d.twist - transversal_decomposition(member, i, h).twist
-        for i, ((p, _q), d) in enumerate(zip(member.pairs, member.certificate().transversals))
-        if p.key() != q_key
-    }
-
-
-def _flip_candidate_table(
-    marking: Marking, j: int
-) -> tuple[ArtinElement, dict[int, int], dict[int, list[tuple[int, ParabolicSubgroup]]]]:
-    """Shared standardizer h, twists of the old transversals relative to h,
-    and per-index candidate transversals tagged with their h-twists.
-
-    Relative to h = ghat Delta_{X_j}^{k_j} every other pair keeps its
-    certified twist, and the flipped base standardizes to the Delta_{X_j}^{k_j}
-    image of the base with Y_j at index j (see the module docstring).  By
+    h = ghat Delta_{X_j}^{k_j} is the shared standardizer (_flip_frame).  By
     the unique transversal decomposition, the candidate with twist t and
-    standard subset Y at index i is exactly (h Delta_X^t) A_Y (h Delta_X^t)^-1
+    standard subset Y at base P_i != P_j is (h Delta_X^t) A_Y (h Delta_X^t)^-1
     with A_X the h-standardization of P_i.  Conjugating by (h Delta_X^t)^-1
     takes the flipped base to the Delta_X^t image of its h-standardization
     (simplex.delta_twisted), a maximal standard family that depends only on
     the parity of t, and Y must keep the transversality pattern against it,
-    so Y is its transversal_subset at i.  Each index therefore holds three
-    candidates, one per twist in the window of width one around the old
-    twist, in increasing order, and they are every possible transversal.
+    so Y is its transversal_subset.  recipe[P_i] holds Delta_X and Y by the
+    parity of t, and transversal builds the candidate.  ghat is the
+    canonical standardizer of the flipped base set B and bases its
+    standardized bases, by key.  swapped is the decomposition of the swapped
+    pair (Q_j, P_j) relative to ghat.  offsets[P_i] is the twist of any
+    transversal at P_i relative to ghat minus its twist relative to h
+    (_offsets), and subsets[P_i] the transversal_subset of the flipped
+    family at P_i by the parity of the twist relative to ghat, so the
+    candidate with twist t relative to h is certified by certified(P_i, t).
     """
+
+    __slots__ = ("h", "recipe", "ghat", "bases", "subsets", "swapped", "offsets")
+
+    def __init__(
+        self,
+        h: ArtinElement,
+        recipe: dict[str, tuple[ArtinElement, tuple[Subset, Subset]]],
+        ghat: ArtinElement,
+        bases: dict[str, Subset],
+        subsets: dict[str, tuple[Subset, Subset]],
+        swapped: TransversalData,
+        offsets: dict[str, int],
+    ):
+        self.h = h
+        self.recipe = recipe
+        self.ghat = ghat
+        self.bases = bases
+        self.subsets = subsets
+        self.swapped = swapped
+        self.offsets = offsets
+
+    def transversal(self, p_key: str, t: int) -> ParabolicSubgroup:
+        """The candidate transversal at base p_key with twist t relative to h."""
+        return _candidate(self.h, self.recipe[p_key], t)
+
+    def certified(self, p_key: str, t: int) -> TransversalData:
+        """The decomposition relative to ghat of transversal(p_key, t)."""
+        k = t + self.offsets[p_key]
+        return TransversalData(k, self.subsets[p_key][k % 2])
+
+
+def _candidate(
+    h: ArtinElement, recipe: tuple[ArtinElement, tuple[Subset, Subset]], t: int
+) -> ParabolicSubgroup:
+    d_x, by_parity = recipe
+    return ParabolicSubgroup(h.ctx, h * d_x**t, by_parity[t % 2])
+
+
+def _by_parity(ctx: GarsideContext, family, i: int) -> tuple[Subset, Subset]:
+    """transversal_subset at i of the family moved by an even and an odd
+    power of Delta_{family[i]}."""
+    return tuple(transversal_subset(ctx, delta_twisted(ctx, family, i, t), i) for t in (0, 1))
+
+
+def _offsets(member: Marking, g: ArtinElement, known: dict[int, int]) -> dict[str, int]:
+    """{P_i key: the twist of member's i-th transversal relative to g, minus
+    known[i]}: the one routine behind every flip frame's offsets.  An offset
+    depends on h, the flipped base set and the base alone, since twist
+    differences against a shared standardizer do not depend on which one is
+    used, so one transversal per base fixes it.  flip_frame decomposes its
+    middle candidate, whose twists relative to h are known, against
+    ghat_B; flip_offsets decomposes a certified member, whose twists
+    relative to ghat_B are known, against h, and negates."""
+    return {
+        member.pairs[i][0].key(): transversal_decomposition(member, i, g).twist - t
+        for i, t in known.items()
+    }
+
+
+def flip_frame(marking: Marking, j: int) -> FlipFrame:
+    """The flip frame of marking across j (FlipFrame).  The marking is
+    certified first, and a flipped base that is not maximal raises
+    BaseNotMaximal.
+
+    Relative to h every other pair keeps its certified twist k_i, and the
+    flipped base standardizes to the Delta_{X_j}^{k_j} image of the base
+    with Y_j at index j (see the module docstring).  ghat_B, the flipped
+    bases, the swapped pair and the offsets are read off the middle
+    candidate, the flip with twist k_i relative to h at every i != j,
+    decomposed against the canonical standardizer of its base."""
     ctx = marking.ctx
     h, cert = _flip_frame(marking, j)
     x_h = list(delta_twisted(ctx, cert.bases, j, cert.transversals[j].twist))
     x_h[j] = cert.transversals[j].subset
     if not build_standardized(ctx, x_h).is_maximal:
         raise BaseNotMaximal("flipped base is not maximal")
+    keys = [p.key() for p, _q in marking.pairs]
     anchors = {i: d.twist for i, d in enumerate(cert.transversals) if i != j}
-    table: dict[int, list[tuple[int, ParabolicSubgroup]]] = {}
+    recipe = {keys[i]: (ctx.delta_of(x_h[i]), _by_parity(ctx, x_h, i)) for i in anchors}
+    pairs = list(marking.pairs)
+    pairs[j] = (pairs[j][1], pairs[j][0])
     for i, k_i in anchors.items():
-        by_parity = [transversal_subset(ctx, delta_twisted(ctx, x_h, i, t), i) for t in (0, 1)]
-        d_x = ctx.delta_of(x_h[i])
-        table[i] = [
-            (t, ParabolicSubgroup(ctx, h * d_x**t, by_parity[t % 2]))
-            for t in range(k_i - 1, k_i + 2)
-        ]
-    return h, anchors, table
+        pairs[i] = (pairs[i][0], _candidate(h, recipe[keys[i]], k_i))
+    middle = Marking(ctx, pairs)
+    ghat, x = _base_frame(middle)
+    return FlipFrame(
+        h,
+        recipe,
+        ghat,
+        {p.key(): x_i for (p, _q), x_i in zip(middle.pairs, x)},
+        {keys[i]: _by_parity(ctx, x, i) for i in anchors},
+        transversal_decomposition(middle, j, ghat),
+        _offsets(middle, ghat, anchors),
+    )
+
+
+def flip_offsets(marking: Marking, j: int, member: Marking) -> dict[str, int]:
+    """The offsets of the flip frame of marking across j, read off one
+    member instead of the middle candidate.
+
+    member is a marking with the flipped bases {P_i : i != j} and Q_j that
+    holds the pair (Q_j, P_j), so its certified twists are relative to
+    ghat_B, and its n - 1 decompositions against h fix the offsets
+    (_offsets).  Every such marking b is a flip of the marking exactly when
+    |k_i - (k^b_i - c[P_i])| <= 1 at every i != j, is_flip_edge's condition,
+    which the bfs boundary closure decides this way without decomposing b.
+    This costs one decomposition per base, where flip_frame also builds the
+    flipped base and the candidate recipe.  The marking is certified first,
+    and so is member.
+    """
+    h, _cert = _flip_frame(marking, j)
+    q_key = marking.pairs[j][1].key()
+    known = {
+        i: d.twist
+        for i, ((p, _q), d) in enumerate(zip(member.pairs, member.certificate().transversals))
+        if p.key() != q_key
+    }
+    return {p_key: -c for p_key, c in _offsets(member, h, known).items()}
+
+
+def frame_flip(
+    marking: Marking,
+    j: int,
+    frame: FlipFrame,
+    transversals: dict[int, tuple[int, ParabolicSubgroup]],
+) -> Marking:
+    """The flip of marking across j that holds, at every other index i, the
+    candidate q with twist t relative to h, (t, q) = transversals[i] and
+    q = frame.transversal(P_i key, t).  The new pair j is the swap
+    (Q_j, P_j).  Every such candidate is a flip (see the module docstring),
+    and it is certified by the frame, with no decomposition."""
+    pairs = marking.pairs
+    new_pairs = list(pairs)
+    new_pairs[j] = (pairs[j][1], pairs[j][0])
+    data = [frame.swapped] * len(pairs)
+    for i, (t, q) in transversals.items():
+        p = pairs[i][0]
+        new_pairs[i] = (p, q)
+        data[i] = frame.certified(p.key(), t)
+    flipped = Marking(marking.ctx, new_pairs)
+    x = tuple(frame.bases[p.key()] for p, _q in new_pairs)
+    flipped._cert = MarkingCertificate(frame.ghat, x, tuple(data))
+    return flipped
 
 
 def flip_candidates(marking: Marking, j: int) -> list[Marking]:
-    """Every flip across index j, certified by transport, in table order.
+    """Every flip across index j, certified by its frame, in table order.
 
-    The new pair j is the swap (Q_j, P_j); each other transversal ranges over
-    the three candidates of its index in the candidate table, one per twist.
-    Every candidate has the bases {P_i : i != j} and Q_j, and every one is a
-    flip (see the module docstring).  One candidate, the middle one, is
-    decomposed against the canonical standardizer of the flipped base; the
-    certificates of all of them are read off it.  The marking is certified
-    first, so an invalid one raises its validation error.
+    Each other transversal ranges over the three candidates of its index,
+    one per twist relative to h in the window of width one around the
+    certified twist k_i, in increasing order; indices vary last to first,
+    as in itertools.product.  Every candidate has the bases {P_i : i != j}
+    and Q_j, and every one is a flip (see the module docstring).  The
+    marking is certified first, so an invalid one raises its validation
+    error.
     """
-    ctx = marking.ctx
-    pairs = marking.pairs
-    _h, anchors, table = _flip_candidate_table(marking, j)
-    indices = sorted(anchors)
-
-    def assemble(combo) -> Marking:
-        new_pairs = list(pairs)
-        new_pairs[j] = (pairs[j][1], pairs[j][0])
-        for i, (_twist, q) in zip(indices, combo):
-            new_pairs[i] = (pairs[i][0], q)
-        return Marking(ctx, new_pairs)
-
-    middle = assemble([table[i][1] for i in indices])
-    ghat, x = _base_frame(middle)
-    swapped = transversal_decomposition(middle, j, ghat)
-    offset = {i: transversal_decomposition(middle, i, ghat).twist - anchors[i] for i in indices}
-    out = []
-    for combo in itertools.product(*(table[i] for i in indices)):
-        data = [swapped] * len(pairs)
-        for i, (t, _q) in zip(indices, combo):
-            k = t + offset[i]
-            data[i] = TransversalData(k, transversal_subset(ctx, delta_twisted(ctx, x, i, k), i))
-        out.append(_certified(assemble(combo), middle, MarkingCertificate(ghat, x, tuple(data))))
-    return out
+    frame = flip_frame(marking, j)
+    windows = [
+        [(i, t, frame.transversal(p.key(), t)) for t in range(d.twist - 1, d.twist + 2)]
+        for i, ((p, _q), d) in enumerate(zip(marking.pairs, marking.certificate().transversals))
+        if i != j
+    ]
+    return [
+        frame_flip(marking, j, frame, {i: (t, q) for i, t, q in combo})
+        for combo in itertools.product(*windows)
+    ]
 
 
 def enumerate_flip_moves(marking: Marking, j: int) -> list[Marking]:
@@ -546,8 +645,8 @@ def enumerate_flip_moves(marking: Marking, j: int) -> list[Marking]:
     Each other transversal is replaced by a candidate whose twist relative to
     the shared standardizer differs from the old one by at most one.  The
     candidates of flip_candidates are distinct and all valid, and their
-    certificates are carried over from the move (see the module docstring),
-    so none of them is validated again.
+    certificates are carried over from the frame (see the module
+    docstring), so none of them is validated again.
     """
     return sorted(flip_candidates(marking, j), key=Marking.key)
 
@@ -563,7 +662,7 @@ def is_flip_edge(a: Marking, b: Marking) -> bool:
     relative to a shared standardizer.  Both ends are certified first, so a
     non-marking raises its validation error.  The twists of a are its
     certified ones; only b is decomposed against that standardizer.  The
-    bfs boundary closure decides the same condition by flip_offsets."""
+    bfs boundary closure decides the same condition by flip frame offsets."""
     a.certificate()
     b.certificate()
     at_b = _base_index(b)

@@ -122,7 +122,8 @@ class CparabSimplex:
 
     Vertices are sorted by (level, canonical key), so the index of a vertex
     is deterministic.  The canonical data, and with it the levels, is
-    computed once per vertex set.
+    computed once per vertex set: one standardized family, built by
+    canonical_positive_standardizer and then listed in that order.
     """
 
     def __init__(self, ctx: GarsideContext, vertices):
@@ -143,11 +144,7 @@ class CparabSimplex:
                 range(len(self.vertices)),
                 key=lambda i: (std.levels.level_of(i), self.vertices[i].key()),
             )
-            value = (
-                tuple(self.vertices[i].key() for i in order),
-                ghat,
-                build_standardized(ctx, [std.subsets[i] for i in order]),
-            )
+            value = (tuple(self.vertices[i].key() for i in order), ghat, std.reordered(order))
             ctx.simplex_canonical[cache_key] = value
         if len(by_key) != len(vertices):
             raise NotASimplex("repeated vertices")
@@ -219,6 +216,14 @@ class StandardizedSimplex:
     @property
     def is_maximal(self) -> bool:
         return self.missing is not None
+
+    def reordered(self, order) -> StandardizedSimplex:
+        """The same family listed in the given index order: only the levels
+        are read again, as the adjacency and maximality checks do not depend
+        on the order."""
+        subsets = tuple(self.subsets[i] for i in order)
+        t_map = tuple(self.t_map[i] for i in order)
+        return StandardizedSimplex(subsets, nesting_levels(subsets), self.missing, t_map)
 
 
 def build_standardized(ctx: GarsideContext, subsets) -> StandardizedSimplex:

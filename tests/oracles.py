@@ -78,6 +78,12 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   node and, across each index whose flipped base is a ball node's base,
   every flip candidate, and matches them by key against the ball, not by
   coordinates and an edge predicate;
+* the build-all BFS builds every neighbor of every inner node in full, a
+  Marking, its candidate transversals and its key, with the flip
+  certificates read off a middle candidate per call, before it looks the
+  key up, and closes the boundary by testing every pair of a bucket, not by
+  coordinates against an index, one flip frame per frame key shared by the
+  call, and a grid of cells per bucket;
 * the pairwise z check decides whether a family is a simplex by the
   commutation of z_P = conj z_X conj^-1 of every given vertex, not after
   conjugating the family into its first vertex's frame;
@@ -115,8 +121,9 @@ Some test helpers here are not oracles but library code that only tests
 called: the meet of two simples by the library's block strip
 (gcd_simples), the descent sets of a simple (left_descents and
 right_descents), the join of two simples by complement duality
-(lcm_simples) and the standardized representative of every node of a BFS
-ball (orbit_representatives).
+(lcm_simples), the standardized representative of every node of a BFS
+ball (orbit_representatives) and the candidate table of a flip read off
+its flip frame (flip_candidate_table and frame_table).
 
 The last section holds reference implementations of statements of the
 paper that the tests check and no program path needs: subgroup containment,
@@ -174,8 +181,11 @@ from artinmark.graph import (
 )
 from artinmark.marking import (
     Marking,
+    MarkingCertificate,
+    TransversalData,
+    _base_frame,
     _base_index,
-    _flip_candidate_table,
+    _certified,
     _flip_frame,
     flip_candidates,
     is_twist_edge,
@@ -885,8 +895,28 @@ def _recipe_transversals(graph, subsets: tuple[Subset, ...], scope: Subset) -> d
 # -- transversality pattern -----------------------------------------------------
 
 
+def flip_candidate_table(marking, j):
+    """(h, anchors, table) of the flips of marking across j, read off its
+    flip frame (marking.flip_frame): the shared standardizer h, the
+    certified twists k_i at i != j, and at each such i the candidates with
+    twists k_i - 1, k_i, k_i + 1 relative to h, as (t, Q) in that order."""
+    return frame_table(marking, j, marking_lib.flip_frame(marking, j))
+
+
+def frame_table(marking, j, frame):
+    """flip_candidate_table of marking across j from its given flip frame."""
+    anchors = {
+        i: d.twist for i, d in enumerate(marking.certificate().transversals) if i != j
+    }
+    table = {
+        i: [(t, frame.transversal(marking.pairs[i][0].key(), t)) for t in range(k - 1, k + 2)]
+        for i, k in anchors.items()
+    }
+    return frame.h, anchors, table
+
+
 def h_relative_flip_table(marking, j):
-    """(h, anchors, table) as marking._flip_candidate_table returns them,
+    """(h, anchors, table) as flip_candidate_table returns them,
     with k_j decomposed against the canonical standardizer, every other
     transversal decomposed against h = ghat Delta_{X_j}^{k_j}, and the
     flipped base standardized by conjugating each vertex by h^-1."""
@@ -918,7 +948,7 @@ def h_relative_flip_table(marking, j):
 
 
 def z_product_flip_table(marking, j):
-    """(h, anchors, table) as marking._flip_candidate_table returns them,
+    """(h, anchors, table) as flip_candidate_table returns them,
     with the flipped base checked maximal through its CparabSimplex and each
     candidate kept when its z-element commutes with the z-element of every
     flipped base vertex except the one at its own index."""
@@ -1239,6 +1269,140 @@ def candidate_closure_bfs(seed, radius):
                 if candidate.key() in graph.nodes:
                     graph.add_edge(node.key(), candidate.key(), "flip")
     return graph
+
+
+def build_all_flip_candidates(marking, j):
+    """Every flip across j in table order, as flip_candidates built them
+    before flip frames: the candidate table relative to h read off the
+    certificate, every candidate assembled, and every certificate read off
+    the middle candidate, decomposed against the canonical standardizer of
+    the flipped base, with its offsets taken per call."""
+    ctx = marking.ctx
+    pairs = marking.pairs
+    h, cert = _flip_frame(marking, j)
+    x_h = list(delta_twisted(ctx, cert.bases, j, cert.transversals[j].twist))
+    x_h[j] = cert.transversals[j].subset
+    if not build_standardized(ctx, x_h).is_maximal:
+        raise BaseNotMaximal("flipped base is not maximal")
+    anchors = {i: d.twist for i, d in enumerate(cert.transversals) if i != j}
+    table = {}
+    for i, k_i in anchors.items():
+        by_parity = [transversal_subset(ctx, delta_twisted(ctx, x_h, i, t), i) for t in (0, 1)]
+        d_x = ctx.delta_of(x_h[i])
+        table[i] = [
+            (t, ParabolicSubgroup(ctx, h * d_x**t, by_parity[t % 2]))
+            for t in range(k_i - 1, k_i + 2)
+        ]
+    indices = sorted(anchors)
+
+    def assemble(combo):
+        new_pairs = list(pairs)
+        new_pairs[j] = (pairs[j][1], pairs[j][0])
+        for i, (_twist, q) in zip(indices, combo):
+            new_pairs[i] = (pairs[i][0], q)
+        return Marking(ctx, new_pairs)
+
+    middle = assemble([table[i][1] for i in indices])
+    ghat, x = _base_frame(middle)
+    swapped = transversal_decomposition(middle, j, ghat)
+    offset = {i: transversal_decomposition(middle, i, ghat).twist - anchors[i] for i in indices}
+    out = []
+    for combo in itertools.product(*(table[i] for i in indices)):
+        data = [swapped] * len(pairs)
+        for i, (t, _q) in zip(indices, combo):
+            k = t + offset[i]
+            data[i] = TransversalData(k, transversal_subset(ctx, delta_twisted(ctx, x, i, k), i))
+        out.append(_certified(assemble(combo), middle, MarkingCertificate(ghat, x, tuple(data))))
+    return out
+
+
+def build_all_moves(marking):
+    """Both twists at every index and every flip, each built and certified
+    by its move, deduplicated by key and sorted, as neighbors() found them
+    before the expansion by coordinates."""
+    marking.certificate()
+    out = {}
+    for j in range(len(marking)):
+        for direction in (1, -1):
+            twisted = twist_move(marking, j, direction)
+            out.setdefault((twisted.key(), "twist"), twisted)
+        for flipped in build_all_flip_candidates(marking, j):
+            out.setdefault((flipped.key(), "flip"), flipped)
+    return [(out[k], k[1]) for k in sorted(out)]
+
+
+def build_all_bfs(seed, radius):
+    """The BFS ball of graph.bfs as it was built before the expansion by
+    coordinates: every neighbor of every inner node built in full
+    (build_all_moves) before its key is looked up, and the edges among the
+    boundary nodes closed by testing every pair of a bucket against the
+    offsets of its flip frame, found per call from one member."""
+    seed.certificate()
+    graph = ExploredGraph()
+    graph.nodes[seed.key()] = seed
+    graph.radius[seed.key()] = 0
+    frontier = [seed]
+    for depth in range(1, radius + 1):
+        nxt = []
+        for node in frontier:
+            for other, kind in build_all_moves(node):
+                key = other.key()
+                if key not in graph.nodes:
+                    graph.nodes[key] = other
+                    graph.radius[key] = depth
+                    nxt.append(other)
+                graph.add_edge(node.key(), key, kind)
+        frontier = sorted(nxt, key=Marking.key)
+    pairwise_closure(graph, frontier)
+    return graph
+
+
+def pairwise_closure(graph, boundary):
+    """The twist and flip edges among the boundary nodes of a BFS ball, on
+    coordinates: a twist edge is a look-up of the moved coordinates, and a
+    flip edge is found by testing every pair of a bucket, with the twists of
+    each member relative to the shared standardizer h of the frame taken as
+    its certified twists minus offsets found from the bucket's first member
+    decomposed against h."""
+    coordinates = [
+        [(p.key(), d.twist, d.subset) for (p, _q), d in zip(m.pairs, m.certificate().transversals)]
+        for m in boundary
+    ]
+    at = {frozenset(c): node.key() for node, c in zip(boundary, coordinates)}
+    twists = [{p_key: t for p_key, t, _y in c} for c in coordinates]
+    holding = {}
+    for node, twist_at in zip(boundary, twists):
+        base = frozenset(twist_at)
+        for p, q in node.pairs:
+            holding.setdefault((base, p.key(), q.key()), []).append((node, twist_at))
+    offsets = {}
+    for node, coords, twist_at in zip(boundary, coordinates, twists):
+        bases = node.certificate().bases
+        base = frozenset(twist_at)
+        for j, (p_key, twist, subset) in enumerate(coords):
+            step = z_exponent(node.ctx, bases[j])
+            moved = coords[:j] + [(p_key, twist + step, subset)] + coords[j + 1:]
+            other_key = at.get(frozenset(moved))
+            if other_key is not None:
+                graph.add_edge(node.key(), other_key, "twist")
+            q_key = node.pairs[j][1].key()
+            frame = (base, p_key, q_key)
+            for other, other_at in holding.get((base - {p_key} | {q_key}, q_key, p_key), ()):
+                if node.key() < other.key():
+                    if frame not in offsets:
+                        h = _flip_frame(node, j)[0]
+                        offsets[frame] = {
+                            p.key(): d.twist - transversal_decomposition(other, i, h).twist
+                            for i, ((p, _q), d) in enumerate(
+                                zip(other.pairs, other.certificate().transversals)
+                            )
+                            if p.key() != q_key
+                        }
+                    if all(
+                        abs(twist_at[b] - other_at[b] + c) <= 1
+                        for b, c in offsets[frame].items()
+                    ):
+                        graph.add_edge(node.key(), other.key(), "flip")
 
 
 def neighbors_universe_connectivity(ctx, projection_bound=2, node_cap=20000):
@@ -1670,7 +1834,7 @@ def _flip_toward(marking: Marking, j: int, target: Marking) -> Marking:
     its twists relative to the shared standardizer are its certified ones."""
     ctx = marking.ctx
     pairs = marking.pairs
-    _h, anchors, table = _flip_candidate_table(marking, j)
+    _h, anchors, table = flip_candidate_table(marking, j)
     goals = target.certificate().transversals
     new_pairs = list(pairs)
     new_pairs[j] = (pairs[j][1], pairs[j][0])

@@ -541,3 +541,30 @@ def test_delta_only_powers_closed_form():
             expected = expected * (ctx.delta if k > 0 else ctx.delta.inverse())
         assert ctx.delta**k == expected
         assert (ctx.delta**2) ** k == expected * expected
+
+
+def test_powers_take_one_product_per_factor_after_the_first(monkeypatch):
+    # x^k multiplies |k| copies of x (of x^-1 when k < 0) with |k| - 1
+    # products, and x^0 is the identity with none
+    from artinmark.garside import ArtinElement
+
+    ctx = context("A3")
+    x = normalize(ctx, "s1 s2^-1 s3 s2")
+    expected = {}
+    for k in range(-4, 5):
+        value = ctx.identity
+        for _ in range(abs(k)):
+            value = value * (x if k > 0 else x.inverse())
+        expected[k] = value
+    products = []
+    mul = ArtinElement.__mul__
+
+    def spy(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(ArtinElement, "__mul__", spy)
+    for k, value in expected.items():
+        products.clear()
+        assert x**k == value
+        assert len(products) == max(abs(k) - 1, 0)

@@ -18,6 +18,8 @@ from artinmark.graph import (
 )
 from artinmark.marking import (
     Marking,
+    flip_candidates,
+    flip_frame,
     flip_offsets,
     is_flip_edge,
     is_twist_edge,
@@ -29,6 +31,7 @@ from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import CparabSimplex, enumerate_maximal_standard
 
 from oracles import (
+    build_all_bfs,
     candidate_closure_bfs,
     joined_export,
     json_dumps_export,
@@ -409,7 +412,6 @@ def test_bfs_builds_no_move_from_a_boundary_node(monkeypatch):
     # the boundary closure works on coordinates and the edge predicate: it
     # twists no boundary node and builds no flip candidate from one
     import artinmark.graph as graph_module
-    import artinmark.marking as marking_module
 
     moved = []
 
@@ -423,14 +425,14 @@ def test_bfs_builds_no_move_from_a_boundary_node(monkeypatch):
         monkeypatch.setattr(module, name, spy)
 
     spying("twist_move", graph_module)
-    spying("flip_candidates", marking_module)
+    spying("frame_flip", graph_module)
     for spec, radius in [("A3", 2), ("B3", 1)]:
         ctx = context(spec)
         for simplex in enumerate_maximal_standard(ctx)[:2]:
             moved.clear()
             ball = bfs(standard_transversals(simplex), radius)
             boundary = {key for key, r in ball.radius.items() if r == radius}
-            assert {name for name, _key in moved} == {"twist_move", "flip_candidates"}
+            assert {name for name, _key in moved} == {"twist_move", "frame_flip"}
             assert not [(name, key) for name, key in moved if key in boundary]
 
 
@@ -467,6 +469,109 @@ def test_flip_offsets_are_shared_by_every_marking_of_a_flip_frame(spec, radius):
                 shared = flip_offsets(a, j, bucket[0])
                 assert {(bk, pk): shared[pk] for bk, pk in offsets} == offsets, (a, j)
     assert frames
+
+
+# -- the expansion by coordinates ------------------------------------------------
+
+
+def spy_built_markings(monkeypatch) -> tuple[list[Marking], list[tuple]]:
+    """Record every Marking built outside a flip frame, and the key (base key
+    set, P_j key, Q_j key) of every flip frame the searches build; a frame
+    builds its middle candidate, which is not a neighbor."""
+    import artinmark.graph as graph_module
+
+    built, frames, inside = [], [], []
+    init = Marking.__init__
+    build_frame = graph_module.flip_frame
+
+    def spy_init(self, ctx, pairs):
+        init(self, ctx, pairs)
+        if not inside:
+            built.append(self)
+
+    def spy_frame(marking, j):
+        base = frozenset(p.key() for p, _q in marking.pairs)
+        frames.append((base, marking.pairs[j][0].key(), marking.pairs[j][1].key()))
+        inside.append(True)
+        try:
+            return build_frame(marking, j)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Marking, "__init__", spy_init)
+    monkeypatch.setattr(graph_module, "flip_frame", spy_frame)
+    return built, frames
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+def test_bfs_builds_one_marking_per_node_and_each_frame_once(monkeypatch, spec):
+    # every neighbor is looked up by its coordinates before it is built, so
+    # a node found again costs no Marking, and the flip frames are shared by
+    # every node and twist variant of the call
+    seeds = all_standard_markings(context(spec))
+    built, frames = spy_built_markings(monkeypatch)
+    for seed in seeds:
+        built.clear()
+        frames.clear()
+        ball = bfs(seed, 2)
+        assert len(built) == len(ball.nodes) - 1
+        assert all(ball.nodes[m.key()] is m for m in built)
+        assert frames and len(set(frames)) == len(frames)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+def test_connectivity_builds_no_marking_whose_coordinates_are_a_node(monkeypatch, spec):
+    # a marking of the bounded subgraph is built once, as a standard marking
+    # or when it is first reached; a neighbor outside the subgraph is built
+    # and tested, and is never a node
+    ctx = context(spec)
+    built, frames = spy_built_markings(monkeypatch)
+    report = standard_marking_connectivity(ctx)
+
+    def inside(m):
+        return all(p.canonical()[0].is_identity for p, _q in m.pairs) and all(
+            abs(v) <= 2 for v in m.projections()
+        )
+
+    kept = [m.key() for m in built if inside(m)]
+    assert len(kept) == len(set(kept)) == report.node_count
+    assert frames and len(set(frames)) == len(frames)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D5"])
+def test_bfs_matches_build_all_oracle(spec):
+    # nodes (with the pairs of the Marking that reached each first), radii
+    # and edges equal those of the search that builds every neighbor in full
+    # and closes the boundary pair by pair: every seed of A3 and B3, and the
+    # first seed of D5
+    seeds = all_standard_markings(context(spec))
+    if spec == "D5":
+        seeds = seeds[:1]
+    for seed in seeds:
+        ours, theirs = bfs(seed, 2), build_all_bfs(seed, 2)
+        assert ours.radius == theirs.radius, seed
+        assert ours.edges == theirs.edges, seed
+        assert exported(ours, "json") == exported(theirs, "json"), seed
+
+
+@pytest.mark.parametrize("spec, radius", [("A3", 2), ("B3", 2), ("H3", 1), ("A4", 1), ("D4", 1)])
+def test_flip_frame_offsets_are_one_set_per_frame_and_negated_by_its_reverse(spec, radius):
+    # a frame's offsets read off its middle candidate equal those read off
+    # any member of its bucket, and the frame of the flips back, built from
+    # a flip, has the negated offsets, which the bfs closure reads
+    ctx = context(spec)
+    checked = 0
+    for seed in all_standard_markings(ctx)[:2]:
+        for a in bfs(seed, radius).nodes.values():
+            for j in range(len(a)):
+                frame = flip_frame(a, j)
+                back = flip_candidates(a, j)
+                assert flip_offsets(a, j, back[-1]) == frame.offsets
+                assert flip_frame(back[0], j).offsets == {
+                    b: -c for b, c in frame.offsets.items()
+                }, (a, j)
+                checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "H3", "I2(5)"])
@@ -513,24 +618,36 @@ def test_moves_validate_only_the_markings_read_from_outside(monkeypatch):
 
 if __name__ == "__main__":
     # balls too large for each test run, seeded from the first standard
-    # marking: nodes, edges, seconds, the DOT sha256 (hashed piece by piece
-    # as the export streams) and the process's peak RSS so far, e.g.
+    # marking: nodes, edges, the markings built by the search (every
+    # Marking constructed during the bfs call), seconds, the DOT sha256
+    # (hashed piece by piece as the export streams) and the process's peak
+    # RSS so far, e.g.
     #   PYTHONPATH=src python tests/test_graph.py D5 2 A5 2 E6 2
     import hashlib
     import resource
     import sys
     import time
 
+    built = [0]
+    init = Marking.__init__
+
+    def counted(self, ctx, pairs):
+        built[0] += 1
+        init(self, ctx, pairs)
+
     args = sys.argv[1:]
     for spec, radius in zip(args[::2], args[1::2]):
         seed = all_standard_markings(context(spec))[0]
+        built[0] = 0
+        Marking.__init__ = counted
         start = time.perf_counter()
         ball = bfs(seed, int(radius))
         seconds = time.perf_counter() - start
+        Marking.__init__ = init
         digest = hashlib.sha256()
         for piece in export_graph(ball, "dot"):
             digest.update(piece.encode())
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"{spec} r{radius}: {len(ball.nodes)} nodes, {len(ball.edges)} edges,"
-              f" {seconds:.2f} s, dot sha256 {digest.hexdigest()[:12]},"
-              f" peak rss {peak_mb:.0f} MB")
+              f" {built[0]} markings built, {seconds:.2f} s,"
+              f" dot sha256 {digest.hexdigest()[:12]}, peak rss {peak_mb:.0f} MB")

@@ -24,7 +24,6 @@ from artinmark.garside import ArtinElement, context, normalize
 from artinmark.graph import all_standard_markings, bfs
 from artinmark.marking import (
     Marking,
-    _flip_candidate_table,
     decompose_transversal,
     enumerate_flip_moves,
     flip_candidates,
@@ -46,6 +45,8 @@ from oracles import (
     scan_decompose_transversal,
     containment_structure,
     extraction_projection,
+    flip_candidate_table,
+    frame_table,
     h_relative_flip_table,
     levelwise_standardize_marking,
     marking_stabilizer_probe,
@@ -923,17 +924,20 @@ def flip_table_data(h, anchors, table):
 
 
 def check_flip_tables(monkeypatch) -> list[int]:
-    """Make every flip candidate table check itself against the z-product
-    oracle; returns the list of flip indices checked so far."""
+    """Make every flip frame check the candidate table it gives against the
+    z-product oracle; returns the list of flip indices checked so far."""
     checked = []
+    build = marking_module.flip_frame
 
-    def table(marking, j):
-        out = _flip_candidate_table(marking, j)
-        assert flip_table_data(*out) == flip_table_data(*z_product_flip_table(marking, j))
+    def frame(marking, j):
+        out = build(marking, j)
+        assert flip_table_data(*frame_table(marking, j, out)) == flip_table_data(
+            *z_product_flip_table(marking, j)
+        )
         checked.append(j)
         return out
 
-    monkeypatch.setattr(marking_module, "_flip_candidate_table", table)
+    monkeypatch.setattr(marking_module, "flip_frame", frame)
     return checked
 
 
@@ -945,7 +949,7 @@ def test_flip_candidate_table_matches_z_product_oracle(spec):
     ctx = context(spec)
     for marking in all_standard_markings(ctx):
         for j in range(len(marking)):
-            assert flip_table_data(*_flip_candidate_table(marking, j)) == flip_table_data(
+            assert flip_table_data(*flip_candidate_table(marking, j)) == flip_table_data(
                 *z_product_flip_table(marking, j)
             )
 
@@ -1036,7 +1040,7 @@ def check_certified_frames(markings):
         conj_o, standard_o = levelwise_standardize_marking(marking)
         assert conj == conj_o and standard.pairs == standard_o.pairs, marking
         for j in range(len(marking)):
-            assert flip_table_data(*_flip_candidate_table(marking, j)) == flip_table_data(
+            assert flip_table_data(*flip_candidate_table(marking, j)) == flip_table_data(
                 *h_relative_flip_table(marking, j)
             ), (marking, j)
 
@@ -1190,7 +1194,7 @@ def flip_offsets(marking) -> set[int]:
     minus its twist relative to the shared standardizer h."""
     out = set()
     for j in range(len(marking)):
-        _h, anchors, table = _flip_candidate_table(marking, j)
+        _h, anchors, table = flip_candidate_table(marking, j)
         indices = sorted(anchors)
         combos = itertools.product(*(table[i] for i in indices))
         for combo, flip in zip(combos, flip_candidates(marking, j)):

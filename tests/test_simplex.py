@@ -10,7 +10,7 @@ from artinmark.errors import (
     NotProper,
     PreconditionViolated,
 )
-from artinmark.coxeter import RootSystem, build_defining_graph
+from artinmark.coxeter import RootSystem, build_defining_graph, root_reflection_table
 from artinmark.garside import GarsideContext, context, normalize
 from artinmark.parabolic import ParabolicSubgroup, standard_adjacent
 from artinmark.simplex import (
@@ -596,3 +596,34 @@ def test_ascending_product_roundtrip_three_levels():
         h = ghat * product.to_element(b4)
         recovered = extract_ascending_product(h, ghat, data)
         assert recovered.exponents == exponents and recovered.gamma == gamma
+
+
+def test_a_new_vertex_set_is_standardized_once(monkeypatch):
+    # the family standardized by canonical_positive_standardizer is listed
+    # in canonical order, not built a second time: one build per new vertex
+    # set, equal to building it in that order
+    import artinmark.simplex as simplex_module
+
+    ctx = GarsideContext(build_defining_graph("A4"), root_reflection_table("A4"))
+    x = normalize(ctx, "s2 s4^-1 s1")
+    simplices = enumerate_maximal_standard(ctx)
+    build = simplex_module.build_standardized
+    calls = []
+
+    def spy(ctx_, subsets):
+        calls.append(subsets)
+        return build(ctx_, subsets)
+
+    monkeypatch.setattr(simplex_module, "build_standardized", spy)
+    fresh = 0
+    for simplex in simplices:
+        vertices = [v.conjugated_by(x) for v in simplex.vertices]
+        new = ";".join(sorted(v.key() for v in vertices)) not in ctx.simplex_canonical
+        calls.clear()
+        moved = CparabSimplex(ctx, vertices)
+        assert len(calls) == new
+        fresh += new
+        ghat, std = moved.canonical_data()
+        assert std == build(ctx, std.subsets)
+        assert canonical_positive_standardizer(moved) == (ghat, std)
+    assert fresh
