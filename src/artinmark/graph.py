@@ -34,6 +34,7 @@ from .marking import (
     Marking,
     flip_frame,
     flip_offsets,
+    flip_windows,
     frame_flip,
     standard_transversals,
     twist_move,
@@ -108,9 +109,8 @@ def _expand(
             frame = frames[frame_key] = flip_frame(node, j)
         swapped = (q_key, frame.swapped.twist, frame.swapped.subset)
         windows = [
-            [(i, b_key, t, frame.certified(b_key, t)) for t in range(k - 1, k + 2)]
-            for i, (b_key, k, _y) in enumerate(coords)
-            if i != j
+            [(i, b_key, t, frame.certified(b_key, t)) for i, b_key, t in window]
+            for window in flip_windows(node, j)
         ]
         for combo in itertools.product(*windows):
             moved = frozenset(
@@ -128,6 +128,7 @@ def _expand(
                     chosen[i] = (t, q)
                 other = frame_flip(node, j, frame, chosen)
                 yield moved, other.key(), "flip", other
+
 
 @dataclass
 class ExploredGraph:
@@ -182,21 +183,11 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
        (a's base key set S, P_j, Q_j).  The frames are shared by the whole
        call: the expansion builds each once (marking.flip_frame) for every
        node and twist variant that meets it.  The closure reads the offsets
-       of a frame the expansion built; else the negated offsets of its
-       reverse, the frame (B, Q_j, P_j) of the flips back, which the
-       expansion built for the node that reached a boundary node by a flip;
-       else it finds them from one bucket member (marking.flip_offsets).
-       Let f(g) be the twist of a transversal at P_i relative to a
-       standardizer g of P_i.  The offset of the frame is f(ghat_B) - f(h),
-       and that of the reverse is f(ghat_S) - f(h'), with h' its shared
-       standardizer.  Relative to h a marking with base S keeps its twist
-       at i (see the marking module docstring), so f(h) = f(ghat_S) for its
-       transversal at P_i, and then for every transversal at P_i, since
-       twist differences against a shared standardizer do not depend on
-       which one is used; likewise f(h') = f(ghat_B).  Per frame the bucket
-       is indexed by its members' twists minus the offsets at the frame's
-       first two bases, so a node reads the 3 x 3 cells around its own
-       twists there and tests the other bases on those members only.
+       of a frame the expansion built, else it finds them from one bucket
+       member (marking.flip_offsets).  Per frame the bucket is indexed by
+       its members' twists minus the offsets at the frame's first two
+       bases, so a node reads the 3 x 3 cells around its own twists there
+       and tests the other bases on those members only.
     """
     if radius < 0:
         raise PreconditionViolated(f"radius {radius} is negative")
@@ -262,8 +253,6 @@ def _close_boundary(
                 bucket = holding[bucket_key]
                 if frame_key in frames:
                     offsets = frames[frame_key].offsets
-                elif bucket_key in frames:
-                    offsets = {b: -c for b, c in frames[bucket_key].offsets.items()}
                 else:
                     offsets = flip_offsets(node, j, graph.nodes[bucket[0][0]])
                 probe = sorted(offsets)[:2]

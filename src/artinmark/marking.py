@@ -470,9 +470,10 @@ class FlipFrame:
     (_offsets), and subsets[P_i] the transversal_subset of the flipped
     family at P_i by the parity of the twist relative to ghat, so the
     candidate with twist t relative to h is certified by certified(P_i, t).
+    simplex is the base simplex of B, which every flip shares.
     """
 
-    __slots__ = ("h", "recipe", "ghat", "bases", "subsets", "swapped", "offsets")
+    __slots__ = ("h", "recipe", "ghat", "bases", "subsets", "swapped", "offsets", "simplex")
 
     def __init__(
         self,
@@ -483,6 +484,7 @@ class FlipFrame:
         subsets: dict[str, tuple[Subset, Subset]],
         swapped: TransversalData,
         offsets: dict[str, int],
+        simplex: CparabSimplex,
     ):
         self.h = h
         self.recipe = recipe
@@ -491,6 +493,7 @@ class FlipFrame:
         self.subsets = subsets
         self.swapped = swapped
         self.offsets = offsets
+        self.simplex = simplex
 
     def transversal(self, p_key: str, t: int) -> ParabolicSubgroup:
         """The candidate transversal at base p_key with twist t relative to h."""
@@ -564,6 +567,7 @@ def flip_frame(marking: Marking, j: int) -> FlipFrame:
         {keys[i]: _by_parity(ctx, x, i) for i in anchors},
         transversal_decomposition(middle, j, ghat),
         _offsets(middle, ghat, anchors),
+        middle.base_simplex(),
     )
 
 
@@ -601,7 +605,8 @@ def frame_flip(
     candidate q with twist t relative to h, (t, q) = transversals[i] and
     q = frame.transversal(P_i key, t).  The new pair j is the swap
     (Q_j, P_j).  Every such candidate is a flip (see the module docstring),
-    and it is certified by the frame, with no decomposition."""
+    and it is certified by the frame, with no decomposition, and shares the
+    frame's base simplex."""
     pairs = marking.pairs
     new_pairs = list(pairs)
     new_pairs[j] = (pairs[j][1], pairs[j][0])
@@ -612,26 +617,37 @@ def frame_flip(
         data[i] = frame.certified(p.key(), t)
     flipped = Marking(marking.ctx, new_pairs)
     x = tuple(frame.bases[p.key()] for p, _q in new_pairs)
+    flipped._base = frame.simplex
     flipped._cert = MarkingCertificate(frame.ghat, x, tuple(data))
     return flipped
+
+
+def flip_windows(marking: Marking, j: int) -> list[list[tuple[int, str, int]]]:
+    """The twists of the flip candidates across j: per index i != j, in index
+    order, (i, P_i key, t) for t in the window k_i - 1..k_i + 1 of width one
+    around the certified twist, in increasing order.  A flip takes one item
+    of every window, and itertools.product over them lists the flips in
+    table order, indices varying last to first."""
+    return [
+        [(i, p.key(), t) for t in range(d.twist - 1, d.twist + 2)]
+        for i, ((p, _q), d) in enumerate(zip(marking.pairs, marking.certificate().transversals))
+        if i != j
+    ]
 
 
 def flip_candidates(marking: Marking, j: int) -> list[Marking]:
     """Every flip across index j, certified by its frame, in table order.
 
     Each other transversal ranges over the three candidates of its index,
-    one per twist relative to h in the window of width one around the
-    certified twist k_i, in increasing order; indices vary last to first,
-    as in itertools.product.  Every candidate has the bases {P_i : i != j}
-    and Q_j, and every one is a flip (see the module docstring).  The
-    marking is certified first, so an invalid one raises its validation
-    error.
+    one per twist relative to h in its window (flip_windows).  Every
+    candidate has the bases {P_i : i != j} and Q_j, and every one is a flip
+    (see the module docstring).  The marking is certified first, so an
+    invalid one raises its validation error.
     """
     frame = flip_frame(marking, j)
     windows = [
-        [(i, t, frame.transversal(p.key(), t)) for t in range(d.twist - 1, d.twist + 2)]
-        for i, ((p, _q), d) in enumerate(zip(marking.pairs, marking.certificate().transversals))
-        if i != j
+        [(i, t, frame.transversal(p_key, t)) for i, p_key, t in window]
+        for window in flip_windows(marking, j)
     ]
     return [
         frame_flip(marking, j, frame, {i: (t, q) for i, t, q in combo})

@@ -454,6 +454,20 @@ def test_flip_candidates_match_exhaustive_search(spec):
             assert set(moves) == exhaustive, (spec, j)
 
 
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+def test_flips_share_their_frame_base_simplex(spec):
+    # every flip across j carries the base simplex of its frame, the one a
+    # fresh build of its bases would give
+    ctx = context(spec)
+    for marking in all_standard_markings(ctx)[:2]:
+        for j in range(len(marking)):
+            flips = flip_candidates(marking, j)
+            assert len({id(flip._base) for flip in flips}) == 1, j
+            fresh = CparabSimplex(ctx, [p for p, _q in flips[0].pairs])
+            assert flips[0].base_simplex() == fresh
+            assert flips[0].base_simplex().vertices == fresh.vertices
+
+
 def test_transversals_at_fixed_projection_bounded():
     # at most N transversals at any given projection value (bounded search)
     a3, marking = marking_a3()
