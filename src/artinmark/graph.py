@@ -183,11 +183,13 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
        (a's base key set S, P_j, Q_j).  The frames are shared by the whole
        call: the expansion builds each once (marking.flip_frame) for every
        node and twist variant that meets it.  The closure reads the offsets
-       of a frame the expansion built, else it finds them from one bucket
-       member (marking.flip_offsets).  Per frame the bucket is indexed by
-       its members' twists minus the offsets at the frame's first two
-       bases, so a node reads the 3 x 3 cells around its own twists there
-       and tests the other bases on those members only.
+       of a frame the expansion built; else the negated offsets of the frame
+       of the flips back, (B, Q_j, P_j), built when a boundary node was
+       reached by a flip across that pair (marking.FlipFrame); else it finds
+       them from one bucket member (marking.flip_offsets).  Per frame the
+       bucket is indexed by its members' twists minus the offsets at the
+       frame's first two bases, so a node reads the 3 x 3 cells around its
+       own twists there and tests the other bases on those members only.
     """
     if radius < 0:
         raise PreconditionViolated(f"radius {radius} is negative")
@@ -253,6 +255,8 @@ def _close_boundary(
                 bucket = holding[bucket_key]
                 if frame_key in frames:
                     offsets = frames[frame_key].offsets
+                elif bucket_key in frames:
+                    offsets = {b: -c for b, c in frames[bucket_key].offsets.items()}
                 else:
                     offsets = flip_offsets(node, j, graph.nodes[bucket[0][0]])
                 probe = sorted(offsets)[:2]

@@ -471,6 +471,15 @@ class FlipFrame:
     family at P_i by the parity of the twist relative to ghat, so the
     candidate with twist t relative to h is certified by certified(P_i, t).
     simplex is the base simplex of B, which every flip shares.
+
+    The frame of the flips back, (B, Q_j, P_j) with shared standardizer h',
+    has the negated offsets.  With f(g) the twist of a transversal at P_i
+    relative to a standardizer g of P_i, the offsets are f(ghat_B) - f(h)
+    and f(ghat_S) - f(h'), with S the base set of the marking.  Relative to
+    h a marking with base S keeps its certified twists, so f(h) = f(ghat_S)
+    for every transversal at P_i, twist differences against a shared
+    standardizer not depending on which one is used; likewise f(h') =
+    f(ghat_B).
     """
 
     __slots__ = ("h", "recipe", "ghat", "bases", "subsets", "swapped", "offsets", "simplex")

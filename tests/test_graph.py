@@ -520,6 +520,32 @@ def test_bfs_builds_one_marking_per_node_and_each_frame_once(monkeypatch, spec):
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3"])
+def test_bfs_closure_finds_offsets_only_for_frames_it_did_not_build(monkeypatch, spec):
+    # the closure reads a frame the expansion built, or the negated offsets
+    # of the frame of the flips back; flip_offsets runs only when neither
+    # was built
+    import artinmark.graph as graph_module
+
+    _built, frames = spy_built_markings(monkeypatch)
+    found = []
+    find = graph_module.flip_offsets
+
+    def spy_offsets(marking, j, member):
+        base = frozenset(p.key() for p, _q in marking.pairs)
+        p_key, q_key = marking.pairs[j][0].key(), marking.pairs[j][1].key()
+        found.append([(base, p_key, q_key), (base - {p_key} | {q_key}, q_key, p_key)])
+        return find(marking, j, member)
+
+    monkeypatch.setattr(graph_module, "flip_offsets", spy_offsets)
+    for seed in all_standard_markings(context(spec)):
+        frames.clear()
+        found.clear()
+        bfs(seed, 2)
+        for keys in found:
+            assert not set(keys) & set(frames), keys
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
 def test_connectivity_builds_no_marking_whose_coordinates_are_a_node(monkeypatch, spec):
     # a marking of the bounded subgraph is built once, as a standard marking
     # or when it is first reached; a neighbor outside the subgraph is built
@@ -555,19 +581,21 @@ def test_bfs_matches_build_all_oracle(spec):
 
 
 @pytest.mark.parametrize("spec, radius", [("A3", 2), ("B3", 2), ("H3", 1), ("A4", 1), ("D4", 1)])
-def test_flip_frame_offsets_equal_flip_offsets_of_any_member(spec, radius):
+def test_flip_frame_offsets_are_one_set_per_frame_and_negated_by_its_reverse(spec, radius):
     # a frame's offsets read off its middle candidate equal those read off
-    # a member of its bucket, which the bfs closure reads when the
-    # expansion did not build the frame
+    # any member of its bucket, and the frame of the flips back, built from
+    # a flip, has the negated offsets, which the bfs closure reads
     ctx = context(spec)
     checked = 0
     for seed in all_standard_markings(ctx)[:2]:
         for a in bfs(seed, radius).nodes.values():
             for j in range(len(a)):
                 frame = flip_frame(a, j)
-                members = flip_candidates(a, j)
-                assert flip_offsets(a, j, members[0]) == frame.offsets, (a, j)
-                assert flip_offsets(a, j, members[-1]) == frame.offsets, (a, j)
+                back = flip_candidates(a, j)
+                assert flip_offsets(a, j, back[-1]) == frame.offsets
+                assert flip_frame(back[0], j).offsets == {
+                    b: -c for b, c in frame.offsets.items()
+                }, (a, j)
                 checked += 1
     assert checked
 
