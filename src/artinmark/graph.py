@@ -8,7 +8,8 @@ produce identical graphs and identical exports.  A certified marking is its
 coordinates, and the coordinates of every neighbor are read off the
 marking's certificate and the flip frame of its index (see bfs): the
 searches build a Marking only for coordinates that are not a node yet, and
-the BFS closes the edges among the nodes at its radius building no marking.
+the BFS closes the edges among the nodes at its radius building no node and
+no move from one.
 Every flip across j has the same bases, {P_i : i != j} and Q_j, so the
 connectivity universe holds no flip across j when Q_j is not standard, and
 those flips are not enumerated.
@@ -30,21 +31,18 @@ from typing import Iterator
 from .errors import BudgetExceeded, PreconditionViolated, UnknownFormat
 from .garside import GarsideContext
 from .marking import (
+    Coordinates,
     FlipFrame,
     Marking,
     flip_frame,
-    flip_offsets,
-    flip_windows,
     frame_flip,
+    frame_flips,
     standard_transversals,
     twist_move,
 )
-from .parabolic import ParabolicSubgroup, z_exponent
+from .parabolic import z_exponent
 from .simplex import enumerate_maximal_standard
 
-# (P_i key, twist_i, Y_i) per pair, as a set: a certified marking's
-# coordinates (see bfs)
-Coordinates = frozenset[tuple[str, int, frozenset[int]]]
 # (base key set, P_j key, Q_j key): the flip frame of a pair (see bfs)
 FrameKey = tuple[frozenset[str], str, str]
 
@@ -54,17 +52,9 @@ def neighbors(marking: Marking) -> list[tuple[Marking, str]]:
     expansion against an empty index, so every neighbor is built."""
     found = {
         (key, kind): other
-        for _coords, key, kind, other in _expand(marking, range(len(marking)), {}, {}, {})
+        for _coords, key, kind, other in _expand(marking, range(len(marking)), {}, {})
     }
     return [(found[k], k[1]) for k in sorted(found)]
-
-
-def _coordinates(marking: Marking) -> list[tuple[str, int, frozenset[int]]]:
-    """(P_j key, twist_j, Y_j) per pair, read off the certificate."""
-    return [
-        (p.key(), data.twist, data.subset)
-        for (p, _q), data in zip(marking.pairs, marking.certificate().transversals)
-    ]
 
 
 def _expand(
@@ -72,7 +62,6 @@ def _expand(
     flip_indices,
     index: dict[Coordinates, str],
     frames: dict[FrameKey, FlipFrame],
-    candidates: dict[tuple[FrameKey, str, int], ParabolicSubgroup],
 ) -> Iterator[tuple[Coordinates, str, str, Marking | None]]:
     """(coordinates, key, kind, marking) of the twist neighbors of node at
     every index and its flips across the given indices.  The node is
@@ -81,12 +70,12 @@ def _expand(
     A neighbor whose coordinates are in the index is that node, and comes
     with marking None; any other one is built, certified by its move.  The
     caller adds what it keeps to the index between two items.  Flip frames
-    are built once per frame key, and candidate transversals once per frame,
-    base and twist, in the caller's dicts, which live for one exploration
-    call.
+    are built once per frame key in the caller's dict, which lives for one
+    exploration call, and each builds a candidate transversal once per base
+    and twist.
     """
     cert = node.certificate()
-    coords = _coordinates(node)
+    coords = node.coordinates()
     whole = frozenset(coords)
     base = frozenset(p_key for p_key, _t, _y in coords)
     for j, (p_key, twist, subset) in enumerate(coords):
@@ -102,31 +91,16 @@ def _expand(
                 yield moved, other.key(), "twist", other
         if j not in flip_indices:
             continue
-        q_key = node.pairs[j][1].key()
-        frame_key = (base, p_key, q_key)
+        frame_key = (base, p_key, node.pairs[j][1].key())
         frame = frames.get(frame_key)
         if frame is None:
             frame = frames[frame_key] = flip_frame(node, j)
-        swapped = (q_key, frame.swapped.twist, frame.swapped.subset)
-        windows = [
-            [(i, b_key, t, frame.certified(b_key, t)) for i, b_key, t in window]
-            for window in flip_windows(node, j)
-        ]
-        for combo in itertools.product(*windows):
-            moved = frozenset(
-                [swapped, *((b_key, d.twist, d.subset) for _i, b_key, _t, d in combo)]
-            )
+        for moved in frame_flips(node, j, frame):
             key = index.get(moved)
             if key is not None:
                 yield moved, key, "flip", None
             else:
-                chosen = {}
-                for i, b_key, t, _d in combo:
-                    q = candidates.get((frame_key, b_key, t))
-                    if q is None:
-                        q = candidates[frame_key, b_key, t] = frame.transversal(b_key, t)
-                    chosen[i] = (t, q)
-                other = frame_flip(node, j, frame, chosen)
+                other = frame_flip(node, j, frame, moved)
                 yield moved, other.key(), "flip", other
 
 
@@ -152,8 +126,10 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
     exactly one Marking per node, each certified by the move that reached it
     first in the deterministic order (frontier sorted by key).  The nodes at
     the radius (the boundary) are certified too, and the edges among them
-    are closed without building a marking or a flip candidate, by three
-    facts:
+    are closed by three facts.  The closure builds no node, and calls neither
+    twist_move nor frame_flip on a boundary node; the one thing it may build
+    for a boundary pair is that pair's flip frame (marking.flip_frame), and
+    with it the frame's middle candidate, which is not a node.
 
     1. Moves are symmetric, and the expansion is complete: an edge from a
        boundary node to an inner node was added when the inner node was
@@ -166,11 +142,11 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
        d * z_exponent(X_j) to twist_j.  A flip across j holds the swapped
        pair with the frame's decomposition, and at every other base P_i the
        candidate with twist t relative to h has the coordinates
-       (P_i key, t + c_i, Y) of its frame (marking.FlipFrame.certified).
-       So every neighbor's coordinates are known before it is built, and a
-       boundary twist edge is a look-up of the moved coordinates; the +1
-       twists find every one, since the -1 twist of one end is the +1 twist
-       of the other.
+       (P_i key, t + c_i, Y) of its frame (marking.frame_flips).  So every
+       neighbor's coordinates are known before it is built, and a boundary
+       twist edge is a look-up of the moved coordinates; the +1 twists find
+       every one, since the -1 twist of one end is the +1 twist of the
+       other.
     3. A flip across j lands on a node whose base key set is
        {P_i : i != j} and Q_j, and which holds the pair (Q_j, P_j).  The
        boundary nodes are indexed by (base key set, P key, Q key), one entry
@@ -183,10 +159,12 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
        (a's base key set S, P_j, Q_j).  The frames are shared by the whole
        call: the expansion builds each once (marking.flip_frame) for every
        node and twist variant that meets it.  The closure reads the offsets
-       of a frame the expansion built; else the negated offsets of the frame
-       of the flips back, (B, Q_j, P_j), built when a boundary node was
-       reached by a flip across that pair (marking.FlipFrame); else it finds
-       them from one bucket member (marking.flip_offsets).  Per frame the
+       of a frame that is already built; else the negated offsets of the
+       frame of the flips back, (B, Q_j, P_j), built when a boundary node
+       was reached by a flip across that pair (marking.FlipFrame); else it
+       builds the frame with flip_frame and keeps it with the others.  That
+       cannot raise BaseNotMaximal: the bucket is not empty, so the flipped
+       base set is the base of a node, which is maximal.  Per frame the
        bucket is indexed by its members' twists minus the offsets at the
        frame's first two bases, so a node reads the 3 x 3 cells around its
        own twists there and tests the other bases on those members only.
@@ -197,16 +175,13 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
     graph = ExploredGraph()
     graph.nodes[seed.key()] = seed
     graph.radius[seed.key()] = 0
-    index = {frozenset(_coordinates(seed)): seed.key()}
+    index = {frozenset(seed.coordinates()): seed.key()}
     frames: dict[FrameKey, FlipFrame] = {}
-    candidates: dict[tuple[FrameKey, str, int], ParabolicSubgroup] = {}
     frontier = [seed]
     for depth in range(1, radius + 1):
         nxt = []
         for node in frontier:
-            for coords, key, kind, other in _expand(
-                node, range(len(node)), index, frames, candidates
-            ):
+            for coords, key, kind, other in _expand(node, range(len(node)), index, frames):
                 if other is not None:
                     index[coords] = key
                     graph.nodes[key] = other
@@ -225,7 +200,7 @@ def _close_boundary(
     frames: dict[FrameKey, FlipFrame],
 ) -> None:
     """Add the twist and flip edges among the boundary nodes (see bfs)."""
-    coordinates = [_coordinates(node) for node in boundary]
+    coordinates = [node.coordinates() for node in boundary]
     twists = [{p_key: t for p_key, t, _y in c} for c in coordinates]
     holding: dict[FrameKey, list[tuple[str, dict[str, int]]]] = {}
     for node, twist_at in zip(boundary, twists):
@@ -252,16 +227,15 @@ def _close_boundary(
                 continue
             frame_key = (base, p_key, q_key)
             if frame_key not in cells:
-                bucket = holding[bucket_key]
-                if frame_key in frames:
-                    offsets = frames[frame_key].offsets
-                elif bucket_key in frames:
+                if frame_key not in frames and bucket_key in frames:
                     offsets = {b: -c for b, c in frames[bucket_key].offsets.items()}
                 else:
-                    offsets = flip_offsets(node, j, graph.nodes[bucket[0][0]])
+                    if frame_key not in frames:
+                        frames[frame_key] = flip_frame(node, j)
+                    offsets = frames[frame_key].offsets
                 probe = sorted(offsets)[:2]
                 grid: dict[tuple[int, ...], list] = {}
-                for other_key, other_at in bucket:
+                for other_key, other_at in holding[bucket_key]:
                     cell = tuple(other_at[b] - offsets[b] for b in probe)
                     grid.setdefault(cell, []).append((other_key, other_at))
                 rest = [(b, c) for b, c in offsets.items() if b not in probe]
@@ -440,10 +414,9 @@ def standard_marking_connectivity(
         raise BudgetExceeded(len(standard), node_cap)
 
     nodes: dict[str, Marking] = {m.key(): m for m in standard}
-    index = {frozenset(_coordinates(m)): m.key() for m in standard}
+    index = {frozenset(m.coordinates()): m.key() for m in standard}
     adjacency: dict[str, set[str]] = {k: set() for k in nodes}
     frames: dict[FrameKey, FlipFrame] = {}
-    candidates: dict[tuple[FrameKey, str, int], ParabolicSubgroup] = {}
     frontier = sorted(nodes, key=str)
     while frontier:
         nxt = []
@@ -453,9 +426,7 @@ def standard_marking_connectivity(
                 j for j, (_p, q) in enumerate(marking.pairs)
                 if q.canonical()[0].is_identity
             ]
-            for coords, okey, _kind, other in _expand(
-                marking, standard_flips, index, frames, candidates
-            ):
+            for coords, okey, _kind, other in _expand(marking, standard_flips, index, frames):
                 if other is not None:
                     if any(abs(v) > projection_bound for v in other.projections()):
                         continue

@@ -81,13 +81,14 @@ standard family delta_twisted(x_B, i, t + c_i) at i, its transversal_subset.
 So the frame depends on (base key set, P_j key, Q_j key) only: every marking
 with that base set and that pair, its twist variants at the other indices
 among them, flips through the same frame, and a search builds it once
-(flip_frame).  One routine finds the offsets (_offsets), one decomposition
-per base: flip_frame decomposes its middle candidate, whose twists relative
-to h are known, against ghat_B, and the bfs boundary closure the other way
-round (flip_offsets) decomposes one certified marking with bases B, whose
-twists relative to ghat_B are known, against h; every other one's twists
-relative to h are then its certified twists minus c_i, which decides whether
-it is a flip without decomposing it.
+(flip_frame).  flip_frame finds the offsets with one decomposition per base:
+it decomposes its middle candidate, whose twists relative to h are known,
+against ghat_B.  A flip is then its coordinates (P_i key, twist_i, Y_i)
+relative to ghat_B, listed from the frame before it is built (frame_flips)
+and built from them (frame_flip): at each P_i != P_j the twist relative to h
+is twist_i - c_i.  The same offsets decide whether a certified marking with
+bases B is a flip without decomposing it: its twists relative to h are its
+certified twists minus c_i.
 
 Standardization conjugates by ghat and then by Delta_{X_j}^{k_j} for every
 pair, deepest level first: a deeper Delta leaves the bases and twists of the
@@ -101,6 +102,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import (
     BaseNotMaximal,
@@ -127,6 +129,10 @@ from .simplex import (
 
 Subset = frozenset[int]
 Pair = tuple[ParabolicSubgroup, ParabolicSubgroup]
+# (P_i key, twist_i, Y_i): a pair of a certified marking (Marking.coordinates)
+Coordinate = tuple[str, int, Subset]
+# a certified marking, or a flip before it is built (frame_flips)
+Coordinates = frozenset[Coordinate]
 
 
 @dataclass(frozen=True)
@@ -217,6 +223,15 @@ class Marking:
 
     def projections(self) -> tuple[int, ...]:
         return tuple(projection(self, j) for j in range(len(self.pairs)))
+
+    def coordinates(self) -> list[Coordinate]:
+        """(P_j key, twist_j, Y_j) per pair, read off the certificate: by the
+        uniqueness of transversal decompositions a certified marking is
+        the set of them (see graph.bfs)."""
+        return [
+            (p.key(), d.twist, d.subset)
+            for (p, _q), d in zip(self.pairs, self.certificate().transversals)
+        ]
 
     def to_json(self) -> dict:
         return {
@@ -450,9 +465,9 @@ class FlipFrame:
     """What every flip across a pair (P_j, Q_j) shares, for all the markings
     with one base set that hold that pair.  The base set fixes ghat and
     every X_i, and Q_j fixes k_j, so the frame is fixed by (base key set,
-    P_j key, Q_j key) and built once per exploration.  Its data is keyed by
-    base, not by pair index: markings with one base set can list their pairs
-    in different orders.
+    P_j key, Q_j key) and built once per exploration (flip_frame).  Its
+    data is keyed by base, not by pair index: markings with one base set can
+    list their pairs in different orders.
 
     h = ghat Delta_{X_j}^{k_j} is the shared standardizer (_flip_frame).  By
     the unique transversal decomposition, the candidate with twist t and
@@ -462,15 +477,17 @@ class FlipFrame:
     (simplex.delta_twisted), a maximal standard family that depends only on
     the parity of t, and Y must keep the transversality pattern against it,
     so Y is its transversal_subset.  recipe[P_i] holds Delta_X and Y by the
-    parity of t, and transversal builds the candidate.  ghat is the
-    canonical standardizer of the flipped base set B and bases its
-    standardized bases, by key.  swapped is the decomposition of the swapped
-    pair (Q_j, P_j) relative to ghat.  offsets[P_i] is the twist of any
-    transversal at P_i relative to ghat minus its twist relative to h
-    (_offsets), and subsets[P_i] the transversal_subset of the flipped
-    family at P_i by the parity of the twist relative to ghat, so the
-    candidate with twist t relative to h is certified by certified(P_i, t).
-    simplex is the base simplex of B, which every flip shares.
+    parity of t, and transversal builds the candidate, once per frame, base
+    and twist.  The rest is read off the middle candidate (flip_frame):
+    ghat is the canonical standardizer of the flipped base set B and bases
+    its standardized bases, by key.  swapped is the decomposition of the
+    swapped pair (Q_j, P_j) relative to ghat.  offsets[P_i] is the twist of
+    any transversal at P_i relative to ghat minus its twist relative to h,
+    and subsets[P_i] the transversal_subset of the flipped family at P_i by
+    the parity of the twist relative to ghat, so the candidate with twist t
+    relative to h has the coordinates (P_i key, k, subsets[P_i][k % 2]) with
+    k = t + offsets[P_i] (frame_flips).  simplex is the base simplex of B,
+    which every flip shares.
 
     The frame of the flips back, (B, Q_j, P_j) with shared standardizer h',
     has the negated offsets.  With f(g) the twist of a transversal at P_i
@@ -482,36 +499,24 @@ class FlipFrame:
     f(ghat_B).
     """
 
-    __slots__ = ("h", "recipe", "ghat", "bases", "subsets", "swapped", "offsets", "simplex")
+    __slots__ = (
+        "h", "recipe", "_candidates", "ghat", "bases", "subsets", "swapped", "offsets", "simplex",
+    )
 
     def __init__(
-        self,
-        h: ArtinElement,
-        recipe: dict[str, tuple[ArtinElement, tuple[Subset, Subset]]],
-        ghat: ArtinElement,
-        bases: dict[str, Subset],
-        subsets: dict[str, tuple[Subset, Subset]],
-        swapped: TransversalData,
-        offsets: dict[str, int],
-        simplex: CparabSimplex,
+        self, h: ArtinElement, recipe: dict[str, tuple[ArtinElement, tuple[Subset, Subset]]]
     ):
         self.h = h
         self.recipe = recipe
-        self.ghat = ghat
-        self.bases = bases
-        self.subsets = subsets
-        self.swapped = swapped
-        self.offsets = offsets
-        self.simplex = simplex
+        self._candidates: dict[tuple[str, int], ParabolicSubgroup] = {}
 
     def transversal(self, p_key: str, t: int) -> ParabolicSubgroup:
-        """The candidate transversal at base p_key with twist t relative to h."""
-        return _candidate(self.h, self.recipe[p_key], t)
-
-    def certified(self, p_key: str, t: int) -> TransversalData:
-        """The decomposition relative to ghat of transversal(p_key, t)."""
-        k = t + self.offsets[p_key]
-        return TransversalData(k, self.subsets[p_key][k % 2])
+        """The candidate transversal at base p_key with twist t relative to
+        h, built once per frame."""
+        q = self._candidates.get((p_key, t))
+        if q is None:
+            q = self._candidates[p_key, t] = _candidate(self.h, self.recipe[p_key], t)
+        return q
 
 
 def _candidate(
@@ -527,21 +532,6 @@ def _by_parity(ctx: GarsideContext, family, i: int) -> tuple[Subset, Subset]:
     return tuple(transversal_subset(ctx, delta_twisted(ctx, family, i, t), i) for t in (0, 1))
 
 
-def _offsets(member: Marking, g: ArtinElement, known: dict[int, int]) -> dict[str, int]:
-    """{P_i key: the twist of member's i-th transversal relative to g, minus
-    known[i]}: the one routine behind every flip frame's offsets.  An offset
-    depends on h, the flipped base set and the base alone, since twist
-    differences against a shared standardizer do not depend on which one is
-    used, so one transversal per base fixes it.  flip_frame decomposes its
-    middle candidate, whose twists relative to h are known, against
-    ghat_B; flip_offsets decomposes a certified member, whose twists
-    relative to ghat_B are known, against h, and negates."""
-    return {
-        member.pairs[i][0].key(): transversal_decomposition(member, i, g).twist - t
-        for i, t in known.items()
-    }
-
-
 def flip_frame(marking: Marking, j: int) -> FlipFrame:
     """The flip frame of marking across j (FlipFrame).  The marking is
     certified first, and a flipped base that is not maximal raises
@@ -552,7 +542,9 @@ def flip_frame(marking: Marking, j: int) -> FlipFrame:
     with Y_j at index j (see the module docstring).  ghat_B, the flipped
     bases, the swapped pair and the offsets are read off the middle
     candidate, the flip with twist k_i relative to h at every i != j,
-    decomposed against the canonical standardizer of its base."""
+    decomposed against the canonical standardizer of its base: one
+    decomposition per base, and the offset at P_i is its twist there minus
+    k_i."""
     ctx = marking.ctx
     h, cert = _flip_frame(marking, j)
     x_h = list(delta_twisted(ctx, cert.bases, j, cert.transversals[j].twist))
@@ -561,107 +553,85 @@ def flip_frame(marking: Marking, j: int) -> FlipFrame:
         raise BaseNotMaximal("flipped base is not maximal")
     keys = [p.key() for p, _q in marking.pairs]
     anchors = {i: d.twist for i, d in enumerate(cert.transversals) if i != j}
-    recipe = {keys[i]: (ctx.delta_of(x_h[i]), _by_parity(ctx, x_h, i)) for i in anchors}
+    frame = FlipFrame(
+        h, {keys[i]: (ctx.delta_of(x_h[i]), _by_parity(ctx, x_h, i)) for i in anchors}
+    )
     pairs = list(marking.pairs)
     pairs[j] = (pairs[j][1], pairs[j][0])
     for i, k_i in anchors.items():
-        pairs[i] = (pairs[i][0], _candidate(h, recipe[keys[i]], k_i))
+        pairs[i] = (pairs[i][0], frame.transversal(keys[i], k_i))
     middle = Marking(ctx, pairs)
-    ghat, x = _base_frame(middle)
-    return FlipFrame(
-        h,
-        recipe,
-        ghat,
-        {p.key(): x_i for (p, _q), x_i in zip(middle.pairs, x)},
-        {keys[i]: _by_parity(ctx, x, i) for i in anchors},
-        transversal_decomposition(middle, j, ghat),
-        _offsets(middle, ghat, anchors),
-        middle.base_simplex(),
-    )
-
-
-def flip_offsets(marking: Marking, j: int, member: Marking) -> dict[str, int]:
-    """The offsets of the flip frame of marking across j, read off one
-    member instead of the middle candidate.
-
-    member is a marking with the flipped bases {P_i : i != j} and Q_j that
-    holds the pair (Q_j, P_j), so its certified twists are relative to
-    ghat_B, and its n - 1 decompositions against h fix the offsets
-    (_offsets).  Every such marking b is a flip of the marking exactly when
-    |k_i - (k^b_i - c[P_i])| <= 1 at every i != j, is_flip_edge's condition,
-    which the bfs boundary closure decides this way without decomposing b.
-    This costs one decomposition per base, where flip_frame also builds the
-    flipped base and the candidate recipe.  The marking is certified first,
-    and so is member.
-    """
-    h, _cert = _flip_frame(marking, j)
-    q_key = marking.pairs[j][1].key()
-    known = {
-        i: d.twist
-        for i, ((p, _q), d) in enumerate(zip(member.pairs, member.certificate().transversals))
-        if p.key() != q_key
+    frame.ghat, x = _base_frame(middle)
+    frame.bases = {p.key(): x_i for (p, _q), x_i in zip(middle.pairs, x)}
+    frame.subsets = {keys[i]: _by_parity(ctx, x, i) for i in anchors}
+    frame.swapped = transversal_decomposition(middle, j, frame.ghat)
+    frame.offsets = {
+        keys[i]: transversal_decomposition(middle, i, frame.ghat).twist - k_i
+        for i, k_i in anchors.items()
     }
-    return {p_key: -c for p_key, c in _offsets(member, h, known).items()}
+    frame.simplex = middle.base_simplex()
+    return frame
+
+
+def frame_flips(marking: Marking, j: int, frame: FlipFrame) -> Iterator[Coordinates]:
+    """The coordinates of every flip of marking across j, in table order,
+    read off its certificate and its flip frame; none is built.
+
+    The new pair j is the swap (Q_j, P_j) with the frame's decomposition.
+    At every other index i, in index order, the twist relative to h ranges
+    over the window k_i - 1..k_i + 1 of width one around the certified
+    twist, in increasing order, and each twist gives the coordinates of its
+    candidate (FlipFrame).  A flip takes one item of every window, so
+    itertools.product lists the flips with the indices varying last to
+    first."""
+    windows = []
+    for i, (p_key, k_i, _y) in enumerate(marking.coordinates()):
+        if i != j:
+            c, by_parity = frame.offsets[p_key], frame.subsets[p_key]
+            windows.append(
+                [(p_key, k, by_parity[k % 2]) for k in range(k_i + c - 1, k_i + c + 2)]
+            )
+    swapped = (marking.pairs[j][1].key(), frame.swapped.twist, frame.swapped.subset)
+    for combo in itertools.product(*windows):
+        yield frozenset((swapped, *combo))
 
 
 def frame_flip(
-    marking: Marking,
-    j: int,
-    frame: FlipFrame,
-    transversals: dict[int, tuple[int, ParabolicSubgroup]],
+    marking: Marking, j: int, frame: FlipFrame, coordinates: Coordinates
 ) -> Marking:
-    """The flip of marking across j that holds, at every other index i, the
-    candidate q with twist t relative to h, (t, q) = transversals[i] and
-    q = frame.transversal(P_i key, t).  The new pair j is the swap
-    (Q_j, P_j).  Every such candidate is a flip (see the module docstring),
-    and it is certified by the frame, with no decomposition, and shares the
-    frame's base simplex."""
-    pairs = marking.pairs
-    new_pairs = list(pairs)
-    new_pairs[j] = (pairs[j][1], pairs[j][0])
-    data = [frame.swapped] * len(pairs)
-    for i, (t, q) in transversals.items():
-        p = pairs[i][0]
-        new_pairs[i] = (p, q)
-        data[i] = frame.certified(p.key(), t)
-    flipped = Marking(marking.ctx, new_pairs)
-    x = tuple(frame.bases[p.key()] for p, _q in new_pairs)
+    """The flip of marking across j with the given coordinates, one set of
+    frame_flips.  The new pair j is the swap (Q_j, P_j), and at every other
+    base P_i the transversal is the frame's candidate with twist
+    twist_i - offsets[P_i] relative to h.  Every such candidate is a flip
+    (see the module docstring), and it is certified by its coordinates,
+    with no decomposition, and shares the frame's base simplex."""
+    at = {p_key: (k, y) for p_key, k, y in coordinates}
+    pairs = list(marking.pairs)
+    for i, (p, q) in enumerate(marking.pairs):
+        if i == j:
+            pairs[i] = (q, p)
+        else:
+            key = p.key()
+            pairs[i] = (p, frame.transversal(key, at[key][0] - frame.offsets[key]))
+    flipped = Marking(marking.ctx, pairs)
+    keys = [p.key() for p, _q in pairs]
     flipped._base = frame.simplex
-    flipped._cert = MarkingCertificate(frame.ghat, x, tuple(data))
+    flipped._cert = MarkingCertificate(
+        frame.ghat,
+        tuple(frame.bases[key] for key in keys),
+        tuple(TransversalData(*at[key]) for key in keys),
+    )
     return flipped
 
 
-def flip_windows(marking: Marking, j: int) -> list[list[tuple[int, str, int]]]:
-    """The twists of the flip candidates across j: per index i != j, in index
-    order, (i, P_i key, t) for t in the window k_i - 1..k_i + 1 of width one
-    around the certified twist, in increasing order.  A flip takes one item
-    of every window, and itertools.product over them lists the flips in
-    table order, indices varying last to first."""
-    return [
-        [(i, p.key(), t) for t in range(d.twist - 1, d.twist + 2)]
-        for i, ((p, _q), d) in enumerate(zip(marking.pairs, marking.certificate().transversals))
-        if i != j
-    ]
-
-
 def flip_candidates(marking: Marking, j: int) -> list[Marking]:
-    """Every flip across index j, certified by its frame, in table order.
-
-    Each other transversal ranges over the three candidates of its index,
-    one per twist relative to h in its window (flip_windows).  Every
-    candidate has the bases {P_i : i != j} and Q_j, and every one is a flip
-    (see the module docstring).  The marking is certified first, so an
-    invalid one raises its validation error.
+    """Every flip across index j, certified by its frame, in table order
+    (frame_flips).  Every candidate has the bases {P_i : i != j} and Q_j,
+    and every one is a flip (see the module docstring).  The marking is
+    certified first, so an invalid one raises its validation error.
     """
     frame = flip_frame(marking, j)
-    windows = [
-        [(i, t, frame.transversal(p_key, t)) for i, p_key, t in window]
-        for window in flip_windows(marking, j)
-    ]
-    return [
-        frame_flip(marking, j, frame, {i: (t, q) for i, t, q in combo})
-        for combo in itertools.product(*windows)
-    ]
+    return [frame_flip(marking, j, frame, c) for c in frame_flips(marking, j, frame)]
 
 
 def enumerate_flip_moves(marking: Marking, j: int) -> list[Marking]:

@@ -1827,6 +1827,23 @@ def shared_flip_standardizer(marking: Marking, j: int) -> ArtinElement:
     return _flip_frame(marking, j)[0]
 
 
+def member_offsets(marking: Marking, j: int, member: Marking) -> dict[str, int]:
+    """The offsets of the flip frame of marking across j
+    (marking.FlipFrame.offsets), read off one member of its bucket instead
+    of the middle candidate: member has the flipped bases {P_i : i != j}
+    and Q_j and holds the pair (Q_j, P_j), so its certified twists are
+    relative to ghat_B, and at each base P_i != Q_j the offset is that
+    twist minus the twist of member's transversal relative to h.  Both are
+    certified first."""
+    h = shared_flip_standardizer(marking, j)
+    q_key = marking.pairs[j][1].key()
+    return {
+        p.key(): d.twist - transversal_decomposition(member, i, h).twist
+        for i, ((p, _q), d) in enumerate(zip(member.pairs, member.certificate().transversals))
+        if p.key() != q_key
+    }
+
+
 def _flip_toward(marking: Marking, j: int, target: Marking) -> Marking:
     """One flip across j choosing, per other index, a candidate transversal
     whose shared-standardizer twist is within one of both the old transversal

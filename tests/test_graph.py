@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -20,7 +21,6 @@ from artinmark.marking import (
     Marking,
     flip_candidates,
     flip_frame,
-    flip_offsets,
     is_flip_edge,
     is_twist_edge,
     standard_transversals,
@@ -36,6 +36,7 @@ from oracles import (
     joined_export,
     json_dumps_export,
     marking_stabilizer_probe,
+    member_offsets,
     neighbors_closure_bfs,
     neighbors_universe_connectivity,
     orbit_representatives,
@@ -409,8 +410,10 @@ def test_edge_predicates_symmetric_on_bfs_balls(spec, radius):
 
 
 def test_bfs_builds_no_move_from_a_boundary_node(monkeypatch):
-    # the boundary closure works on coordinates and the edge predicate: it
-    # twists no boundary node and builds no flip candidate from one
+    # the boundary closure works on coordinates and frame offsets: it builds
+    # no node, and calls neither twist_move nor frame_flip on a boundary
+    # node; it may build a boundary pair's flip frame, and with it the
+    # frame's middle candidate, which is not a node
     import artinmark.graph as graph_module
 
     moved = []
@@ -440,8 +443,9 @@ def test_bfs_builds_no_move_from_a_boundary_node(monkeypatch):
 def test_flip_offsets_are_shared_by_every_marking_of_a_flip_frame(spec, radius):
     # the closure decides a flip of a across j by twists relative to h =
     # ghat Delta_{X_j}^{k_j}, read as certified twist minus an offset that
-    # one bucket member fixes; every member of every nonempty bucket, each
-    # decomposed against h, has the same offset at every base
+    # one bucket member fixes (oracles.member_offsets); every member of
+    # every nonempty bucket, each decomposed against h, has the same offset
+    # at every base
     ctx = context(spec)
     frames = 0
     for seed in all_standard_markings(ctx):
@@ -466,7 +470,7 @@ def test_flip_offsets_are_shared_by_every_marking_of_a_flip_frame(spec, radius):
                     for i, ((p, _q), d) in enumerate(zip(b.pairs, b.certificate().transversals))
                     if p.key() != q_j.key()
                 }
-                shared = flip_offsets(a, j, bucket[0])
+                shared = member_offsets(a, j, bucket[0])
                 assert {(bk, pk): shared[pk] for bk, pk in offsets} == offsets, (a, j)
     assert frames
 
@@ -521,28 +525,53 @@ def test_bfs_builds_one_marking_per_node_and_each_frame_once(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec", ["A3", "B3"])
 def test_bfs_closure_finds_offsets_only_for_frames_it_did_not_build(monkeypatch, spec):
-    # the closure reads a frame the expansion built, or the negated offsets
-    # of the frame of the flips back; flip_offsets runs only when neither
-    # was built
+    # the closure reads a frame already built, or the negated offsets of the
+    # frame of the flips back; it builds a frame only when neither was
+    # built before it
     import artinmark.graph as graph_module
 
     _built, frames = spy_built_markings(monkeypatch)
-    found = []
-    find = graph_module.flip_offsets
+    close = graph_module._close_boundary
+    start = []
 
-    def spy_offsets(marking, j, member):
-        base = frozenset(p.key() for p, _q in marking.pairs)
-        p_key, q_key = marking.pairs[j][0].key(), marking.pairs[j][1].key()
-        found.append([(base, p_key, q_key), (base - {p_key} | {q_key}, q_key, p_key)])
-        return find(marking, j, member)
+    def spy_close(*args):
+        start.append(len(frames))
+        return close(*args)
 
-    monkeypatch.setattr(graph_module, "flip_offsets", spy_offsets)
+    monkeypatch.setattr(graph_module, "_close_boundary", spy_close)
+    closed = 0
     for seed in all_standard_markings(context(spec)):
         frames.clear()
-        found.clear()
+        start.clear()
         bfs(seed, 2)
-        for keys in found:
-            assert not set(keys) & set(frames), keys
+        for at in range(start[0], len(frames)):
+            base, p_key, q_key = frames[at]
+            back = (base - {p_key} | {q_key}, q_key, p_key)
+            assert not {frames[at], back} & set(frames[:at]), frames[at]
+            closed += 1
+    assert closed
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+def test_bfs_builds_each_frame_candidate_once(monkeypatch, spec):
+    # a flip frame builds its candidate transversal at a base and a twist
+    # once (FlipFrame.transversal), for its middle candidate and for every
+    # flip built through it
+    import artinmark.marking as marking_module
+
+    candidate = marking_module._candidate
+    built, recipes = [], []
+
+    def spy(h, recipe, t):
+        recipes.append(recipe)  # kept alive, so no id is reused
+        built.append((id(recipe), t))
+        return candidate(h, recipe, t)
+
+    monkeypatch.setattr(marking_module, "_candidate", spy)
+    for seed in all_standard_markings(context(spec)):
+        built.clear()
+        bfs(seed, 2)
+        assert built and len(set(built)) == len(built), seed
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3"])
@@ -592,7 +621,7 @@ def test_flip_frame_offsets_are_one_set_per_frame_and_negated_by_its_reverse(spe
             for j in range(len(a)):
                 frame = flip_frame(a, j)
                 back = flip_candidates(a, j)
-                assert flip_offsets(a, j, back[-1]) == frame.offsets
+                assert member_offsets(a, j, back[-1]) == frame.offsets
                 assert flip_frame(back[0], j).offsets == {
                     b: -c for b, c in frame.offsets.items()
                 }, (a, j)
@@ -642,14 +671,45 @@ def test_moves_validate_only_the_markings_read_from_outside(monkeypatch):
     assert len(calls) == 5
 
 
+# the DOT sha256 of the bfs ball of the first standard marking of a type, by
+# (type, radius); E6 r2 takes seconds, so only the __main__ block checks it
+BALL_DOT_SHA256 = {
+    ("A3", 3): "26b9a32b6f56afb5ad5d83bb6f6b358ef8a79fa563cd3324a5ed1f744f92e8bb",
+    ("B3", 3): "269ec78c21698c3f39eed0b0f6ec0e5f0e40bbfe7bf3199dfd8d0145af92be78",
+    ("H3", 2): "374a51e47e80cdb4d94adbba204c2f8c43372f1dd3b0a3ce8fe729f1d2f5d0c5",
+    ("A4", 2): "0fe4ef65d6db6523ab569f7d8251fd5c6712210a53815a61aac7126005dc7984",
+    ("D4", 2): "c5d434c2af5fd22d10307ec827f217e104040992f9404b704e0391635d3c2762",
+    ("F4", 2): "ece12c88dd65081296c63995702123316f038e9c669adb85d049c52cc5ce6342",
+    ("D5", 2): "d4aab3482811f6a24a0712ab52269da6ee9e0264b837653a0eb7d556b8ee3948",
+    ("A5", 2): "8200d84639bc9bd48617c3b5240a77a3eb92ba298dd49330295f1174eb0e0a91",
+}
+SLOW_BALL_DOT_SHA256 = {
+    ("E6", 2): "8891c6c253f0c88ffdaf157412889d70e654346d2399845cd49af4dd305aa237",
+}
+
+
+def dot_sha256(graph) -> str:
+    """The sha256 of the DOT export, hashed piece by piece as it streams."""
+    digest = hashlib.sha256()
+    for piece in export_graph(graph, "dot"):
+        digest.update(piece.encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("spec, radius", list(BALL_DOT_SHA256))
+def test_first_seed_ball_dot_hashes_hold(spec, radius):
+    ball = bfs(all_standard_markings(context(spec))[0], radius)
+    assert dot_sha256(ball) == BALL_DOT_SHA256[spec, radius]
+
+
 if __name__ == "__main__":
-    # balls too large for each test run, seeded from the first standard
-    # marking: nodes, edges, the markings built by the search (every
-    # Marking constructed during the bfs call), seconds, the DOT sha256
-    # (hashed piece by piece as the export streams) and the process's peak
-    # RSS so far, e.g.
+    # the balls of BALL_DOT_SHA256 and SLOW_BALL_DOT_SHA256, or the ones
+    # named on the command line, seeded from the first standard marking:
+    # nodes, edges, the markings built by the search (every Marking
+    # constructed during the bfs call), seconds, the DOT sha256 and the
+    # process's peak RSS so far.  Exits 1 when a pinned hash does not hold.
+    #   PYTHONPATH=src python tests/test_graph.py
     #   PYTHONPATH=src python tests/test_graph.py D5 2 A5 2 E6 2
-    import hashlib
     import resource
     import sys
     import time
@@ -661,19 +721,25 @@ if __name__ == "__main__":
         built[0] += 1
         init(self, ctx, pairs)
 
+    pinned = {**BALL_DOT_SHA256, **SLOW_BALL_DOT_SHA256}
     args = sys.argv[1:]
-    for spec, radius in zip(args[::2], args[1::2]):
+    balls = list(zip(args[::2], map(int, args[1::2]))) if args else list(pinned)
+    mismatched = []
+    for spec, radius in balls:
         seed = all_standard_markings(context(spec))[0]
         built[0] = 0
         Marking.__init__ = counted
         start = time.perf_counter()
-        ball = bfs(seed, int(radius))
+        ball = bfs(seed, radius)
         seconds = time.perf_counter() - start
         Marking.__init__ = init
-        digest = hashlib.sha256()
-        for piece in export_graph(ball, "dot"):
-            digest.update(piece.encode())
+        digest = dot_sha256(ball)
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        expected = pinned.get((spec, radius))
+        if expected not in (None, digest):
+            mismatched.append((spec, radius))
+        check = "" if expected is None else " (pinned)" if expected == digest else " MISMATCH"
         print(f"{spec} r{radius}: {len(ball.nodes)} nodes, {len(ball.edges)} edges,"
               f" {built[0]} markings built, {seconds:.2f} s,"
-              f" dot sha256 {digest.hexdigest()[:12]}, peak rss {peak_mb:.0f} MB")
+              f" dot sha256 {digest[:12]}{check}, peak rss {peak_mb:.0f} MB")
+    sys.exit(1 if mismatched else 0)

@@ -27,6 +27,9 @@ from artinmark.marking import (
     decompose_transversal,
     enumerate_flip_moves,
     flip_candidates,
+    flip_frame,
+    frame_flip,
+    frame_flips,
     is_flip_edge,
     is_twist_edge,
     marking_stabilizer,
@@ -1073,6 +1076,30 @@ def test_certified_frames_match_oracles_on_twisted_conjugates(spec):
     markings = twisted_conjugates(spec)
     assert any(t.twist % 2 for m in markings for t in m.certificate().transversals)
     check_certified_frames(markings)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+def test_frame_flip_coordinates_match_validation(spec):
+    # every coordinate set frame_flips lists is the certificate of the flip
+    # frame_flip builds from it, and a fresh validation of that flip's pairs
+    # finds the same certificate: the nodes of the first seed's radius-2 ball,
+    # and for A3 a twisted conjugate too
+    ctx = context(spec)
+    markings = list(bfs(all_standard_markings(ctx)[0], 2).nodes.values())
+    if spec == "A3":
+        markings.append(twisted_conjugates("A3")[1])
+    checked = 0
+    for marking in markings:
+        for j in range(len(marking)):
+            frame = flip_frame(marking, j)
+            for coordinates in frame_flips(marking, j, frame):
+                flip = frame_flip(marking, j, frame, coordinates)
+                assert frozenset(flip.coordinates()) == coordinates, (marking, j)
+                fresh = Marking(ctx, flip.pairs)
+                assert frozenset(fresh.coordinates()) == coordinates, (marking, j)
+                assert fresh.certificate() == flip.certificate(), (marking, j)
+                checked += 1
+    assert checked
 
 
 def test_moves_decompose_only_against_the_canonical_standardizer(monkeypatch):

@@ -220,6 +220,7 @@ MEMOS = {
     "garside.py:GarsideContext.transversal_decompositions",
     "garside.py:GarsideContext.transversal_subsets",
     "garside.py:context",
+    "marking.py:FlipFrame._candidates",
     "cli.py:_parser",
     "rings.py:cos_minpoly",
     "rings.py:cyclotomic",
@@ -387,15 +388,30 @@ def test_graph_reads_the_frame_off_the_certificate():
 
 def test_graph_decides_flips_by_frame_offsets():
     # the bfs closure decides a flip by certified twists and one set of
-    # offsets per flip frame (marking.flip_offsets), found through an index
-    # of the boundary by pair; is_flip_edge and ordered_key stay the edge
-    # oracle of the tests and the bench
+    # offsets per flip frame (marking.FlipFrame.offsets, from a frame built,
+    # the frame of the flips back or marking.flip_frame), found through an
+    # index of the boundary by pair; is_flip_edge and ordered_key stay the
+    # edge oracle of the tests and the bench
     trees = dict(source_trees())
     found = [
         f"graph.py:{node.lineno} {word}"
         for node in ast.walk(trees["graph.py"])
         for word in [getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))]
         if word in ("is_flip_edge", "ordered_key")
+    ]
+    assert found == []
+
+
+def test_graph_names_no_flip_frame_internal():
+    # graph lists flips by marking.frame_flips and builds them by
+    # marking.frame_flip, and reads nothing of a frame but its offsets: how
+    # a frame builds, memoizes and certifies its candidates stays in marking
+    trees = dict(source_trees())
+    found = [
+        f"graph.py:{node.lineno} {word}"
+        for node in ast.walk(trees["graph.py"])
+        for word in [getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))]
+        if word in ("certified", "transversal", "recipe", "swapped", "_candidate")
     ]
     assert found == []
 
