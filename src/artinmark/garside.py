@@ -50,7 +50,7 @@ from .coxeter import (
 from .errors import InvariantViolated, MixedContext, NotPositive, ParseError
 
 if TYPE_CHECKING:
-    from .marking import TransversalData
+    from .marking import FlipFrame, FrameKey, TransversalData
     from .parabolic import ParabolicSubgroup
     from .simplex import StandardizedSimplex
 
@@ -69,9 +69,11 @@ class GarsideContext:
     subset of the vertices), and two memos that several representatives
     share, keyed by value: the canonical data of a simplex (by its sorted
     vertex keys) and transversal decompositions (by transversal, base and
-    standardizer).  Meets and complements of simples are not memoized: each
-    is one table operation on interned elements.  The memos hold results
-    only: a failure is recomputed and raised fresh.
+    standardizer).  The flip frames are kept by (base key set, P_j key, Q_j
+    key) (marking.flip_frame), so an exploration reads the frames that
+    earlier calls on the context built.  Meets and complements of simples are not
+    memoized: each is one table operation on interned elements.  The memos
+    hold results only: a failure is recomputed and raised fresh.
     """
 
     def __init__(self, graph: DefiningGraph, system: RootSystem):
@@ -94,6 +96,7 @@ class GarsideContext:
             str, tuple[tuple[str, ...], ArtinElement, StandardizedSimplex]
         ] = {}
         self.transversal_decompositions: dict[tuple, TransversalData] = {}
+        self.flip_frames: dict[FrameKey, FlipFrame] = {}
         self.identity = ArtinElement(self, 0, ())
         self.delta = ArtinElement(self, 1, ())
         self.atoms = tuple(self.element(0, (g,)) for g in system.generators)

@@ -32,7 +32,7 @@ from .errors import BudgetExceeded, PreconditionViolated, UnknownFormat
 from .garside import GarsideContext
 from .marking import (
     Coordinates,
-    FlipFrame,
+    FrameKey,
     Marking,
     flip_frame,
     frame_flip,
@@ -43,25 +43,19 @@ from .marking import (
 from .parabolic import z_exponent
 from .simplex import enumerate_maximal_standard
 
-# (base key set, P_j key, Q_j key): the flip frame of a pair (see bfs)
-FrameKey = tuple[frozenset[str], str, str]
-
 
 def neighbors(marking: Marking) -> list[tuple[Marking, str]]:
     """All twist and flip neighbors, deduplicated by key, sorted: an
     expansion against an empty index, so every neighbor is built."""
     found = {
         (key, kind): other
-        for _coords, key, kind, other in _expand(marking, range(len(marking)), {}, {})
+        for _coords, key, kind, other in _expand(marking, range(len(marking)), {})
     }
     return [(found[k], k[1]) for k in sorted(found)]
 
 
 def _expand(
-    node: Marking,
-    flip_indices,
-    index: dict[Coordinates, str],
-    frames: dict[FrameKey, FlipFrame],
+    node: Marking, flip_indices, index: dict[Coordinates, str]
 ) -> Iterator[tuple[Coordinates, str, str, Marking | None]]:
     """(coordinates, key, kind, marking) of the twist neighbors of node at
     every index and its flips across the given indices.  The node is
@@ -69,15 +63,13 @@ def _expand(
 
     A neighbor whose coordinates are in the index is that node, and comes
     with marking None; any other one is built, certified by its move.  The
-    caller adds what it keeps to the index between two items.  Flip frames
-    are built once per frame key in the caller's dict, which lives for one
-    exploration call, and each builds a candidate transversal once per base
-    and twist.
+    caller adds what it keeps to the index between two items.  A flip frame
+    is built once per context (marking.flip_frame), and builds a candidate
+    transversal once per base and twist.
     """
     cert = node.certificate()
     coords = node.coordinates()
     whole = frozenset(coords)
-    base = frozenset(p_key for p_key, _t, _y in coords)
     for j, (p_key, twist, subset) in enumerate(coords):
         rest = whole - {coords[j]}
         step = z_exponent(node.ctx, cert.bases[j])
@@ -91,10 +83,7 @@ def _expand(
                 yield moved, other.key(), "twist", other
         if j not in flip_indices:
             continue
-        frame_key = (base, p_key, node.pairs[j][1].key())
-        frame = frames.get(frame_key)
-        if frame is None:
-            frame = frames[frame_key] = flip_frame(node, j)
+        frame = flip_frame(node, j)
         for moved in frame_flips(node, j, frame):
             key = index.get(moved)
             if key is not None:
@@ -156,13 +145,14 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
        Delta_{X_j}^{k_j} of a is within one of a's certified twist k_i.
        That twist is b's certified twist minus an offset c_i of h and the
        bucket's base set alone, so the offsets are one set per flip frame
-       (a's base key set S, P_j, Q_j).  The frames are shared by the whole
-       call: the expansion builds each once (marking.flip_frame) for every
-       node and twist variant that meets it.  The closure reads the offsets
-       of a frame that is already built; else the negated offsets of the
-       frame of the flips back, (B, Q_j, P_j), built when a boundary node
-       was reached by a flip across that pair (marking.FlipFrame); else it
-       builds the frame with flip_frame and keeps it with the others.  That
+       (a's base key set S, P_j, Q_j).  A frame is built once per context
+       (marking.flip_frame) and kept in its flip_frames memo, for every
+       node, twist variant and later call that meets it.  The closure reads
+       the offsets of a frame that is already built; else the negated
+       offsets of the frame of the flips back, (B, Q_j, P_j), built when a
+       node was reached by a flip across that pair, in this call or an
+       earlier one (marking.FlipFrame); else it builds the frame with
+       flip_frame, which keeps it.  That
        cannot raise BaseNotMaximal: the bucket is not empty, so the flipped
        base set is the base of a node, which is maximal.  Per frame the
        bucket is indexed by its members' twists minus the offsets at the
@@ -176,12 +166,11 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
     graph.nodes[seed.key()] = seed
     graph.radius[seed.key()] = 0
     index = {frozenset(seed.coordinates()): seed.key()}
-    frames: dict[FrameKey, FlipFrame] = {}
     frontier = [seed]
     for depth in range(1, radius + 1):
         nxt = []
         for node in frontier:
-            for coords, key, kind, other in _expand(node, range(len(node)), index, frames):
+            for coords, key, kind, other in _expand(node, range(len(node)), index):
                 if other is not None:
                     index[coords] = key
                     graph.nodes[key] = other
@@ -189,15 +178,12 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
                     nxt.append(other)
                 graph.add_edge(node.key(), key, kind)
         frontier = sorted(nxt, key=Marking.key)
-    _close_boundary(graph, frontier, index, frames)
+    _close_boundary(graph, frontier, index)
     return graph
 
 
 def _close_boundary(
-    graph: ExploredGraph,
-    boundary: list[Marking],
-    index: dict[Coordinates, str],
-    frames: dict[FrameKey, FlipFrame],
+    graph: ExploredGraph, boundary: list[Marking], index: dict[Coordinates, str]
 ) -> None:
     """Add the twist and flip edges among the boundary nodes (see bfs)."""
     coordinates = [node.coordinates() for node in boundary]
@@ -227,12 +213,11 @@ def _close_boundary(
                 continue
             frame_key = (base, p_key, q_key)
             if frame_key not in cells:
-                if frame_key not in frames and bucket_key in frames:
-                    offsets = {b: -c for b, c in frames[bucket_key].offsets.items()}
+                memo = node.ctx.flip_frames
+                if frame_key not in memo and bucket_key in memo:
+                    offsets = {b: -c for b, c in memo[bucket_key].offsets.items()}
                 else:
-                    if frame_key not in frames:
-                        frames[frame_key] = flip_frame(node, j)
-                    offsets = frames[frame_key].offsets
+                    offsets = flip_frame(node, j).offsets
                 probe = sorted(offsets)[:2]
                 grid: dict[tuple[int, ...], list] = {}
                 for other_key, other_at in holding[bucket_key]:
@@ -416,7 +401,6 @@ def standard_marking_connectivity(
     nodes: dict[str, Marking] = {m.key(): m for m in standard}
     index = {frozenset(m.coordinates()): m.key() for m in standard}
     adjacency: dict[str, set[str]] = {k: set() for k in nodes}
-    frames: dict[FrameKey, FlipFrame] = {}
     frontier = sorted(nodes, key=str)
     while frontier:
         nxt = []
@@ -426,7 +410,7 @@ def standard_marking_connectivity(
                 j for j, (_p, q) in enumerate(marking.pairs)
                 if q.canonical()[0].is_identity
             ]
-            for coords, okey, _kind, other in _expand(marking, standard_flips, index, frames):
+            for coords, okey, _kind, other in _expand(marking, standard_flips, index):
                 if other is not None:
                     if any(abs(v) > projection_bound for v in other.projections()):
                         continue

@@ -80,7 +80,7 @@ alone.  The subset is then the one pattern-keeping subset of the maximal
 standard family delta_twisted(x_B, i, t + c_i) at i, its transversal_subset.
 So the frame depends on (base key set, P_j key, Q_j key) only: every marking
 with that base set and that pair, its twist variants at the other indices
-among them, flips through the same frame, and a search builds it once
+among them, flips through the same frame, and a context builds it once
 (flip_frame).  flip_frame finds the offsets with one decomposition per base:
 it decomposes its middle candidate, whose twists relative to h are known,
 against ghat_B.  A flip is then its coordinates (P_i key, twist_i, Y_i)
@@ -133,6 +133,8 @@ Pair = tuple[ParabolicSubgroup, ParabolicSubgroup]
 Coordinate = tuple[str, int, Subset]
 # a certified marking, or a flip before it is built (frame_flips)
 Coordinates = frozenset[Coordinate]
+# (base key set, P_j key, Q_j key): the key of a flip frame (flip_frame)
+FrameKey = tuple[frozenset[str], str, str]
 
 
 @dataclass(frozen=True)
@@ -465,7 +467,7 @@ class FlipFrame:
     """What every flip across a pair (P_j, Q_j) shares, for all the markings
     with one base set that hold that pair.  The base set fixes ghat and
     every X_i, and Q_j fixes k_j, so the frame is fixed by (base key set,
-    P_j key, Q_j key) and built once per exploration (flip_frame).  Its
+    P_j key, Q_j key) and built once per context (flip_frame).  Its
     data is keyed by base, not by pair index: markings with one base set can
     list their pairs in different orders.
 
@@ -534,8 +536,11 @@ def _by_parity(ctx: GarsideContext, family, i: int) -> tuple[Subset, Subset]:
 
 def flip_frame(marking: Marking, j: int) -> FlipFrame:
     """The flip frame of marking across j (FlipFrame).  The marking is
-    certified first, and a flipped base that is not maximal raises
-    BaseNotMaximal.
+    certified and j checked first, so an invalid marking raises its
+    validation error; a flipped base that is not maximal raises
+    BaseNotMaximal.  The frame is a function of its key (base key set, P_j
+    key, Q_j key), built on the first call with that key and kept in the
+    context's flip_frames memo.
 
     Relative to h every other pair keeps its certified twist k_i, and the
     flipped base standardizes to the Delta_{X_j}^{k_j} image of the base
@@ -546,12 +551,18 @@ def flip_frame(marking: Marking, j: int) -> FlipFrame:
     decomposition per base, and the offset at P_i is its twist there minus
     k_i."""
     ctx = marking.ctx
+    marking.certificate()
+    _check_index(marking, j)
+    keys = [p.key() for p, _q in marking.pairs]
+    frame_key = (frozenset(keys), keys[j], marking.pairs[j][1].key())
+    frame = ctx.flip_frames.get(frame_key)
+    if frame is not None:
+        return frame
     h, cert = _flip_frame(marking, j)
     x_h = list(delta_twisted(ctx, cert.bases, j, cert.transversals[j].twist))
     x_h[j] = cert.transversals[j].subset
     if not build_standardized(ctx, x_h).is_maximal:
         raise BaseNotMaximal("flipped base is not maximal")
-    keys = [p.key() for p, _q in marking.pairs]
     anchors = {i: d.twist for i, d in enumerate(cert.transversals) if i != j}
     frame = FlipFrame(
         h, {keys[i]: (ctx.delta_of(x_h[i]), _by_parity(ctx, x_h, i)) for i in anchors}
@@ -570,6 +581,7 @@ def flip_frame(marking: Marking, j: int) -> FlipFrame:
         for i, k_i in anchors.items()
     }
     frame.simplex = middle.base_simplex()
+    ctx.flip_frames[frame_key] = frame
     return frame
 
 

@@ -19,6 +19,7 @@ from artinmark.graph import (
 )
 from artinmark.marking import (
     Marking,
+    enumerate_flip_moves,
     flip_candidates,
     flip_frame,
     is_flip_edge,
@@ -478,15 +479,34 @@ def test_flip_offsets_are_shared_by_every_marking_of_a_flip_frame(spec, radius):
 # -- the expansion by coordinates ------------------------------------------------
 
 
-def spy_built_markings(monkeypatch) -> tuple[list[Marking], list[tuple]]:
+class RecordingFrames(dict):
+    """A flip frame memo that lists, in order, the key of every frame stored
+    in it: marking.flip_frame stores a frame when it builds it, on a miss."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, frame):
+        self.stored.append(key)
+        super().__setitem__(key, frame)
+
+    def clear(self):
+        super().clear()
+        self.stored.clear()
+
+
+def spy_built_markings(monkeypatch, ctx) -> tuple[list[Marking], list[tuple]]:
     """Record every Marking built outside a flip frame, and the key (base key
-    set, P_j key, Q_j key) of every flip frame the searches build; a frame
-    builds its middle candidate, which is not a neighbor."""
+    set, P_j key, Q_j key) of every flip frame built, as the keys stored in
+    the context's memo, which starts empty; a frame builds its middle
+    candidate, which is not a neighbor."""
     import artinmark.graph as graph_module
 
-    built, frames, inside = [], [], []
+    built, inside = [], []
+    memo = RecordingFrames()
     init = Marking.__init__
-    build_frame = graph_module.flip_frame
+    frame = graph_module.flip_frame
 
     def spy_init(self, ctx, pairs):
         init(self, ctx, pairs)
@@ -494,29 +514,30 @@ def spy_built_markings(monkeypatch) -> tuple[list[Marking], list[tuple]]:
             built.append(self)
 
     def spy_frame(marking, j):
-        base = frozenset(p.key() for p, _q in marking.pairs)
-        frames.append((base, marking.pairs[j][0].key(), marking.pairs[j][1].key()))
         inside.append(True)
         try:
-            return build_frame(marking, j)
+            return frame(marking, j)
         finally:
             inside.pop()
 
+    monkeypatch.setattr(ctx, "flip_frames", memo)
     monkeypatch.setattr(Marking, "__init__", spy_init)
     monkeypatch.setattr(graph_module, "flip_frame", spy_frame)
-    return built, frames
+    return built, memo.stored
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3"])
 def test_bfs_builds_one_marking_per_node_and_each_frame_once(monkeypatch, spec):
     # every neighbor is looked up by its coordinates before it is built, so
-    # a node found again costs no Marking, and the flip frames are shared by
-    # every node and twist variant of the call
-    seeds = all_standard_markings(context(spec))
-    built, frames = spy_built_markings(monkeypatch)
+    # a node found again costs no Marking, and a flip frame is built once per
+    # context, for every node and twist variant that meets it; the memo is
+    # cleared before each call, so every frame the call needs is built
+    ctx = context(spec)
+    seeds = all_standard_markings(ctx)
+    built, frames = spy_built_markings(monkeypatch, ctx)
     for seed in seeds:
         built.clear()
-        frames.clear()
+        ctx.flip_frames.clear()
         ball = bfs(seed, 2)
         assert len(built) == len(ball.nodes) - 1
         assert all(ball.nodes[m.key()] is m for m in built)
@@ -527,10 +548,11 @@ def test_bfs_builds_one_marking_per_node_and_each_frame_once(monkeypatch, spec):
 def test_bfs_closure_finds_offsets_only_for_frames_it_did_not_build(monkeypatch, spec):
     # the closure reads a frame already built, or the negated offsets of the
     # frame of the flips back; it builds a frame only when neither was
-    # built before it
+    # built before it (the memo is cleared before each call)
     import artinmark.graph as graph_module
 
-    _built, frames = spy_built_markings(monkeypatch)
+    ctx = context(spec)
+    _built, frames = spy_built_markings(monkeypatch, ctx)
     close = graph_module._close_boundary
     start = []
 
@@ -540,8 +562,8 @@ def test_bfs_closure_finds_offsets_only_for_frames_it_did_not_build(monkeypatch,
 
     monkeypatch.setattr(graph_module, "_close_boundary", spy_close)
     closed = 0
-    for seed in all_standard_markings(context(spec)):
-        frames.clear()
+    for seed in all_standard_markings(ctx):
+        ctx.flip_frames.clear()
         start.clear()
         bfs(seed, 2)
         for at in range(start[0], len(frames)):
@@ -556,7 +578,8 @@ def test_bfs_closure_finds_offsets_only_for_frames_it_did_not_build(monkeypatch,
 def test_bfs_builds_each_frame_candidate_once(monkeypatch, spec):
     # a flip frame builds its candidate transversal at a base and a twist
     # once (FlipFrame.transversal), for its middle candidate and for every
-    # flip built through it
+    # flip built through it; the frame memo is cleared before each call, so
+    # the call builds every frame it needs
     import artinmark.marking as marking_module
 
     candidate = marking_module._candidate
@@ -568,8 +591,10 @@ def test_bfs_builds_each_frame_candidate_once(monkeypatch, spec):
         return candidate(h, recipe, t)
 
     monkeypatch.setattr(marking_module, "_candidate", spy)
-    for seed in all_standard_markings(context(spec)):
+    ctx = context(spec)
+    for seed in all_standard_markings(ctx):
         built.clear()
+        ctx.flip_frames.clear()
         bfs(seed, 2)
         assert built and len(set(built)) == len(built), seed
 
@@ -580,7 +605,8 @@ def test_connectivity_builds_no_marking_whose_coordinates_are_a_node(monkeypatch
     # or when it is first reached; a neighbor outside the subgraph is built
     # and tested, and is never a node
     ctx = context(spec)
-    built, frames = spy_built_markings(monkeypatch)
+    built, frames = spy_built_markings(monkeypatch, ctx)
+    ctx.flip_frames.clear()
     report = standard_marking_connectivity(ctx)
 
     def inside(m):
@@ -591,6 +617,50 @@ def test_connectivity_builds_no_marking_whose_coordinates_are_a_node(monkeypatch
     kept = [m.key() for m in built if inside(m)]
     assert len(kept) == len(set(kept)) == report.node_count
     assert frames and len(set(frames)) == len(frames)
+
+
+def fresh_context(spec) -> GarsideContext:
+    """A context of its own, with empty memos."""
+    return GarsideContext(build_defining_graph(spec), root_reflection_table(spec))
+
+
+def test_flip_frames_are_built_once_per_context_across_calls():
+    # A3 std-connectivity and then every A3 r2 bfs on one context build no
+    # frame key twice: a frame is kept in the context's memo when it is
+    # built, and every later call reads it, so a second bfs of a seed
+    # builds no frame
+    ctx = fresh_context("A3")
+    ctx.flip_frames = RecordingFrames()
+    standard_marking_connectivity(ctx)
+    assert ctx.flip_frames.stored
+    seeds = all_standard_markings(ctx)
+    for seed in seeds:
+        bfs(seed, 2)
+    stored = list(ctx.flip_frames.stored)
+    assert len(set(stored)) == len(stored)
+    for seed in seeds:
+        bfs(seed, 2)
+        assert ctx.flip_frames.stored == stored, seed
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+def test_warm_flip_frames_give_the_outputs_of_a_fresh_context(spec):
+    # a frame is a function of its key, so a ball and the flips of a seed
+    # read off frames that earlier calls built are those of a fresh
+    # context: the warm context has run std-connectivity and the balls of
+    # the seeds before
+    warm = fresh_context(spec)
+    standard_marking_connectivity(warm)
+    for i, seed in enumerate(all_standard_markings(warm)):
+        ball = exported(bfs(seed, 2), "json")
+        assert ball == exported(bfs(all_standard_markings(fresh_context(spec))[i], 2), "json")
+        cold = all_standard_markings(fresh_context(spec))[i]
+        for j in range(len(seed)):
+            ours, theirs = enumerate_flip_moves(seed, j), enumerate_flip_moves(cold, j)
+            assert [m.to_json() for m in ours] == [m.to_json() for m in theirs], (seed, j)
+            assert [frozenset(m.coordinates()) for m in ours] == [
+                frozenset(m.coordinates()) for m in theirs
+            ], (seed, j)
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "D5"])
@@ -706,8 +776,9 @@ if __name__ == "__main__":
     # the balls of BALL_DOT_SHA256 and SLOW_BALL_DOT_SHA256, or the ones
     # named on the command line, seeded from the first standard marking:
     # nodes, edges, the markings built by the search (every Marking
-    # constructed during the bfs call), seconds, the DOT sha256 and the
-    # process's peak RSS so far.  Exits 1 when a pinned hash does not hold.
+    # constructed during the bfs call), the flip frames the call added to
+    # the context's memo, seconds, the DOT sha256 and the process's peak RSS
+    # so far.  Exits 1 when a pinned hash does not hold.
     #   PYTHONPATH=src python tests/test_graph.py
     #   PYTHONPATH=src python tests/test_graph.py D5 2 A5 2 E6 2
     import resource
@@ -726,7 +797,9 @@ if __name__ == "__main__":
     balls = list(zip(args[::2], map(int, args[1::2]))) if args else list(pinned)
     mismatched = []
     for spec, radius in balls:
-        seed = all_standard_markings(context(spec))[0]
+        ctx = context(spec)
+        seed = all_standard_markings(ctx)[0]
+        frames = len(ctx.flip_frames)
         built[0] = 0
         Marking.__init__ = counted
         start = time.perf_counter()
@@ -740,6 +813,7 @@ if __name__ == "__main__":
             mismatched.append((spec, radius))
         check = "" if expected is None else " (pinned)" if expected == digest else " MISMATCH"
         print(f"{spec} r{radius}: {len(ball.nodes)} nodes, {len(ball.edges)} edges,"
-              f" {built[0]} markings built, {seconds:.2f} s,"
+              f" {built[0]} markings built, {len(ctx.flip_frames) - frames} frames added,"
+              f" {seconds:.2f} s,"
               f" dot sha256 {digest[:12]}{check}, peak rss {peak_mb:.0f} MB")
     sys.exit(1 if mismatched else 0)

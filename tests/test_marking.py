@@ -20,7 +20,8 @@ from artinmark.errors import (
     TransversalityPatternBroken,
 )
 from artinmark.cli import run_command
-from artinmark.garside import ArtinElement, context, normalize
+from artinmark.coxeter import build_defining_graph, root_reflection_table
+from artinmark.garside import ArtinElement, GarsideContext, context, normalize
 from artinmark.graph import all_standard_markings, bfs
 from artinmark.marking import (
     Marking,
@@ -1175,6 +1176,33 @@ def test_flip_moves_certify_their_marking():
     for call in calls:
         with pytest.raises(TransversalityPatternBroken):
             call()
+
+
+def test_failing_flip_frame_stores_nothing():
+    # the frame memo holds results only: a marking whose base is not
+    # maximal raises BaseNotMaximal on every call and leaves no entry, and a
+    # marking that fails validation raises its validation error even when a
+    # frame with its key is memoized
+    a3 = GarsideContext(build_defining_graph("A3"), root_reflection_table("A3"))
+    s1 = std(a3, "s1")
+    for _ in range(2):
+        with pytest.raises(BaseNotMaximal):
+            flip_frame(Marking(a3, [(s1, s1)]), 0)
+        assert a3.flip_frames == {}
+    marking = standard_transversals(simplex_of(a3, ("s1",), ("s3",)))
+    frame = flip_frame(marking, 1)
+    with pytest.raises(PreconditionViolated):
+        flip_frame(marking, 2)
+    pairs = list(marking.pairs)
+    pairs[0] = (pairs[0][0], pairs[0][0])
+    broken = Marking(a3, pairs)
+    key = (frozenset(p.key() for p, _q in pairs), pairs[1][0].key(), pairs[1][1].key())
+    assert a3.flip_frames == {key: frame}
+    for _ in range(2):
+        with pytest.raises(TransversalityPatternBroken):
+            flip_frame(broken, 1)
+    assert a3.flip_frames == {key: frame}
+    assert flip_frame(Marking(a3, marking.pairs), 1) is frame
 
 
 def test_d4_three_maximal_components():

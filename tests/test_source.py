@@ -214,6 +214,7 @@ MEMOS = {
     "garside.py:GarsideContext._slide",
     "garside.py:GarsideContext._tau",
     "garside.py:GarsideContext.delta_involutions",
+    "garside.py:GarsideContext.flip_frames",
     "garside.py:GarsideContext.parabolics",
     "garside.py:GarsideContext.simplex_canonical",
     "garside.py:GarsideContext.standardizer_strips",
@@ -388,10 +389,12 @@ def test_graph_reads_the_frame_off_the_certificate():
 
 def test_graph_decides_flips_by_frame_offsets():
     # the bfs closure decides a flip by certified twists and one set of
-    # offsets per flip frame (marking.FlipFrame.offsets, from a frame built,
-    # the frame of the flips back or marking.flip_frame), found through an
-    # index of the boundary by pair; is_flip_edge and ordered_key stay the
-    # edge oracle of the tests and the bench
+    # offsets per flip frame (marking.FlipFrame.offsets, read from the
+    # context's flip_frames memo: the frame's entry, else the negated
+    # offsets of the frame of the flips back, else marking.flip_frame, which
+    # stores it), found through an index of the boundary by pair;
+    # is_flip_edge and ordered_key stay the edge oracle of the tests and
+    # the bench
     trees = dict(source_trees())
     found = [
         f"graph.py:{node.lineno} {word}"
