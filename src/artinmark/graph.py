@@ -136,28 +136,26 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
        twist edge is a look-up of the moved coordinates; the +1 twists find
        every one, since the -1 twist of one end is the +1 twist of the
        other.
-    3. A flip across j lands on a node whose base key set is
-       {P_i : i != j} and Q_j, and which holds the pair (Q_j, P_j).  The
-       boundary nodes are indexed by (base key set, P key, Q key), one entry
-       per pair, so the nodes that pass this key test are one bucket.  Node
-       b of the bucket is a flip of node a exactly when, at every base P_i
-       with i != j, its twist relative to the shared standardizer h = ghat
-       Delta_{X_j}^{k_j} of a is within one of a's certified twist k_i.
-       That twist is b's certified twist minus an offset c_i of h and the
-       bucket's base set alone, so the offsets are one set per flip frame
-       (a's base key set S, P_j, Q_j).  A frame is built once per context
-       (marking.flip_frame) and kept in its flip_frames memo, for every
-       node, twist variant and later call that meets it.  The closure reads
-       the offsets of a frame that is already built; else the negated
-       offsets of the frame of the flips back, (B, Q_j, P_j), built when a
-       node was reached by a flip across that pair, in this call or an
-       earlier one (marking.FlipFrame); else it builds the frame with
-       flip_frame, which keeps it.  That
-       cannot raise BaseNotMaximal: the bucket is not empty, so the flipped
-       base set is the base of a node, which is maximal.  Per frame the
-       bucket is indexed by its members' twists minus the offsets at the
-       frame's first two bases, so a node reads the 3 x 3 cells around its
-       own twists there and tests the other bases on those members only.
+    3. The boundary nodes are bucketed by (base key set S, P key, Q key),
+       one entry per pair.  A flip across j changes one base, so it joins
+       the bucket (S, P_j, Q_j) to its partner (S - P_j + Q_j, Q_j, P_j),
+       and every boundary flip edge lies in exactly one unordered pair of
+       buckets, which the closure visits once.  Node b of the partner is a
+       flip of node a exactly when, at every base P_i with i != j, its
+       twist relative to the shared standardizer h = ghat Delta_{X_j}^{k_j}
+       of a is within one of a's certified twist k_i.  That twist is b's
+       certified twist minus an offset c_i of h and the partner's base set
+       alone, so the offsets are one set per flip frame (marking.FlipFrame),
+       and since moves are symmetric the frame of either side decides the
+       pair.  The closure takes the side whose frame is in the context's
+       flip_frames memo, else the side seen first, and reads the frame with
+       flip_frame on its first member, which builds and keeps it on a miss.
+       That cannot raise BaseNotMaximal: the partner is not empty, so the
+       flipped base set is the base of a node, which is maximal.  The other
+       side is indexed by its twists minus the offsets at the frame's first
+       two bases, so each node of the frame's side reads the 3 x 3 cells
+       around its own twists there and tests the other bases on those
+       members only.
     """
     if radius < 0:
         raise PreconditionViolated(f"radius {radius} is negative")
@@ -186,20 +184,12 @@ def _close_boundary(
     graph: ExploredGraph, boundary: list[Marking], index: dict[Coordinates, str]
 ) -> None:
     """Add the twist and flip edges among the boundary nodes (see bfs)."""
-    coordinates = [node.coordinates() for node in boundary]
-    twists = [{p_key: t for p_key, t, _y in c} for c in coordinates]
-    holding: dict[FrameKey, list[tuple[str, dict[str, int]]]] = {}
-    for node, twist_at in zip(boundary, twists):
-        base = frozenset(twist_at)
-        for p, q in node.pairs:
-            holding.setdefault((base, p.key(), q.key()), []).append((node.key(), twist_at))
-    last = {bucket_key: max(k for k, _at in bucket) for bucket_key, bucket in holding.items()}
-    # per frame: the probed bases, the other bases with their offsets, and
-    # the bucket by offset-adjusted twists at the probed ones
-    cells: dict[FrameKey, tuple[list[str], list[tuple[str, int]], dict]] = {}
-    for node, coords, twist_at in zip(boundary, coordinates, twists):
+    holding: dict[FrameKey, list[tuple[Marking, int, dict[str, int]]]] = {}
+    for node in boundary:
         key = node.key()
+        coords = node.coordinates()
         bases = node.certificate().bases
+        twist_at = {p_key: t for p_key, t, _y in coords}
         base = frozenset(twist_at)
         whole = frozenset(coords)
         for j, (p_key, twist, subset) in enumerate(coords):
@@ -207,31 +197,35 @@ def _close_boundary(
             other_key = index.get(whole - {coords[j]} | {(p_key, twist + step, subset)})
             if other_key is not None:
                 graph.add_edge(key, other_key, "twist")
-            q_key = node.pairs[j][1].key()
-            bucket_key = (base - {p_key} | {q_key}, q_key, p_key)
-            if last.get(bucket_key, "") <= key:
-                continue
-            frame_key = (base, p_key, q_key)
-            if frame_key not in cells:
-                memo = node.ctx.flip_frames
-                if frame_key not in memo and bucket_key in memo:
-                    offsets = {b: -c for b, c in memo[bucket_key].offsets.items()}
-                else:
-                    offsets = flip_frame(node, j).offsets
-                probe = sorted(offsets)[:2]
-                grid: dict[tuple[int, ...], list] = {}
-                for other_key, other_at in holding[bucket_key]:
-                    cell = tuple(other_at[b] - offsets[b] for b in probe)
-                    grid.setdefault(cell, []).append((other_key, other_at))
-                rest = [(b, c) for b, c in offsets.items() if b not in probe]
-                cells[frame_key] = probe, rest, grid
-            probe, rest, grid = cells[frame_key]
+            holding.setdefault((base, p_key, node.pairs[j][1].key()), []).append(
+                (node, j, twist_at)
+            )
+    done: set[FrameKey] = set()
+    for bucket_key, bucket in holding.items():
+        base, p_key, q_key = bucket_key
+        partner_key = (base - {p_key} | {q_key}, q_key, p_key)
+        partner = holding.get(partner_key)
+        if partner is None or bucket_key in done:
+            continue
+        done.add(partner_key)
+        memo = bucket[0][0].ctx.flip_frames
+        if bucket_key not in memo and partner_key in memo:
+            bucket, partner = partner, bucket
+        node, j, _at = bucket[0]
+        offsets = flip_frame(node, j).offsets
+        # the partner by offset-adjusted twists at the probed bases
+        probe = sorted(offsets)[:2]
+        grid: dict[tuple[int, ...], list[tuple[str, dict[str, int]]]] = {}
+        for other, _j, other_at in partner:
+            cell = tuple(other_at[b] - offsets[b] for b in probe)
+            grid.setdefault(cell, []).append((other.key(), other_at))
+        rest = [(b, c) for b, c in offsets.items() if b not in probe]
+        for node, _j, twist_at in bucket:
+            key = node.key()
             for shift in itertools.product((-1, 0, 1), repeat=len(probe)):
                 cell = tuple(twist_at[b] + d for b, d in zip(probe, shift))
                 for other_key, other_at in grid.get(cell, ()):
-                    if key < other_key and all(
-                        abs(twist_at[b] - other_at[b] + c) <= 1 for b, c in rest
-                    ):
+                    if all(abs(twist_at[b] - other_at[b] + c) <= 1 for b, c in rest):
                         graph.add_edge(key, other_key, "flip")
 
 

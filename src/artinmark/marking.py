@@ -490,15 +490,6 @@ class FlipFrame:
     relative to h has the coordinates (P_i key, k, subsets[P_i][k % 2]) with
     k = t + offsets[P_i] (frame_flips).  simplex is the base simplex of B,
     which every flip shares.
-
-    The frame of the flips back, (B, Q_j, P_j) with shared standardizer h',
-    has the negated offsets.  With f(g) the twist of a transversal at P_i
-    relative to a standardizer g of P_i, the offsets are f(ghat_B) - f(h)
-    and f(ghat_S) - f(h'), with S the base set of the marking.  Relative to
-    h a marking with base S keeps its certified twists, so f(h) = f(ghat_S)
-    for every transversal at P_i, twist differences against a shared
-    standardizer not depending on which one is used; likewise f(h') =
-    f(ghat_B).
     """
 
     __slots__ = (

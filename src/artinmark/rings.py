@@ -112,9 +112,6 @@ class CosRing:
     def add(self, a: Coeffs, b: Coeffs) -> Coeffs:
         return tuple(x + y for x, y in zip(a, b))
 
-    def sub(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        return tuple(x - y for x, y in zip(a, b))
-
     def neg(self, a: Coeffs) -> Coeffs:
         return tuple(-x for x in a)
 

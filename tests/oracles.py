@@ -1107,6 +1107,11 @@ def ring_int(ring, k: int):
     return (k,) + (0,) * (ring.degree - 1)
 
 
+def ring_sub(a, b):
+    """The difference of two ring elements, coefficient by coefficient."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def ring_value(ring, a) -> float:
     """The float value of a ring element at c = 2cos(pi/m)."""
     c = 2 * math.cos(math.pi / ring.m)

@@ -481,19 +481,30 @@ def test_flip_offsets_are_shared_by_every_marking_of_a_flip_frame(spec, radius):
 
 class RecordingFrames(dict):
     """A flip frame memo that lists, in order, the key of every frame stored
-    in it: marking.flip_frame stores a frame when it builds it, on a miss."""
+    in it (marking.flip_frame stores a frame when it builds it, on a miss)
+    and the key of every read by get or [], hit or miss."""
 
     def __init__(self):
         super().__init__()
         self.stored = []
+        self.read = []
 
     def __setitem__(self, key, frame):
         self.stored.append(key)
         super().__setitem__(key, frame)
 
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
     def clear(self):
         super().clear()
         self.stored.clear()
+        self.read.clear()
 
 
 def spy_built_markings(monkeypatch, ctx) -> tuple[list[Marking], list[tuple]]:
@@ -546,9 +557,10 @@ def test_bfs_builds_one_marking_per_node_and_each_frame_once(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec", ["A3", "B3"])
 def test_bfs_closure_finds_offsets_only_for_frames_it_did_not_build(monkeypatch, spec):
-    # the closure reads a frame already built, or the negated offsets of the
-    # frame of the flips back; it builds a frame only when neither was
-    # built before it (the memo is cleared before each call)
+    # the closure decides a pair of buckets by the frame of either side: the
+    # side whose frame is already built, else it builds one; so it builds
+    # a frame only when neither side's was built before it (the memo is
+    # cleared before each call)
     import artinmark.graph as graph_module
 
     ctx = context(spec)
@@ -572,6 +584,39 @@ def test_bfs_closure_finds_offsets_only_for_frames_it_did_not_build(monkeypatch,
             assert not {frames[at], back} & set(frames[:at]), frames[at]
             closed += 1
     assert closed
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+def test_bfs_closure_reads_one_frame_per_bucket_pair(monkeypatch, spec):
+    # every boundary flip edge joins the bucket (S, P, Q) of one end to its
+    # partner (S - P + Q, Q, P), and the frame of either side decides the
+    # pair, so the closure reads the frame memo once per unordered pair of
+    # buckets (the memo is cleared before each call)
+    import artinmark.graph as graph_module
+
+    ctx = context(spec)
+    memo = RecordingFrames()
+    monkeypatch.setattr(ctx, "flip_frames", memo)
+    close = graph_module._close_boundary
+    start = []
+
+    def spy_close(*args):
+        start.append(len(memo.read))
+        return close(*args)
+
+    monkeypatch.setattr(graph_module, "_close_boundary", spy_close)
+    pairs = 0
+    for seed in all_standard_markings(ctx):
+        memo.clear()
+        start.clear()
+        bfs(seed, 2)
+        read = [
+            frozenset({(base, p_key, q_key), (base - {p_key} | {q_key}, q_key, p_key)})
+            for base, p_key, q_key in memo.read[start[0]:]
+        ]
+        assert len(set(read)) == len(read), seed
+        pairs += len(read)
+    assert pairs
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3"])
@@ -683,7 +728,15 @@ def test_bfs_matches_build_all_oracle(spec):
 def test_flip_frame_offsets_are_one_set_per_frame_and_negated_by_its_reverse(spec, radius):
     # a frame's offsets read off its middle candidate equal those read off
     # any member of its bucket, and the frame of the flips back, built from
-    # a flip, has the negated offsets, which the bfs closure reads
+    # a flip, has the negated offsets.  The bfs closure reads one frame per
+    # pair of buckets and negates none, but the fact holds: with (B, Q_j,
+    # P_j) the frame of the flips back, h' its shared standardizer, S the
+    # base set of a and f(g) the twist of a transversal at P_i relative to
+    # a standardizer g of P_i, the offsets are f(ghat_B) - f(h) and
+    # f(ghat_S) - f(h').  Relative to h a marking with base S keeps its
+    # certified twists, so f(h) = f(ghat_S) for every transversal at P_i,
+    # twist differences against a shared standardizer not depending on
+    # which one is used; likewise f(h') = f(ghat_B)
     ctx = context(spec)
     checked = 0
     for seed in all_standard_markings(ctx)[:2]:
@@ -777,20 +830,30 @@ if __name__ == "__main__":
     # named on the command line, seeded from the first standard marking:
     # nodes, edges, the markings built by the search (every Marking
     # constructed during the bfs call), the flip frames the call added to
-    # the context's memo, seconds, the DOT sha256 and the process's peak RSS
-    # so far.  Exits 1 when a pinned hash does not hold.
+    # the context's memo, seconds, the seconds of those spent closing the
+    # boundary (graph._close_boundary), the DOT sha256 and the process's
+    # peak RSS so far.  Exits 1 when a pinned hash does not hold.
     #   PYTHONPATH=src python tests/test_graph.py
     #   PYTHONPATH=src python tests/test_graph.py D5 2 A5 2 E6 2
     import resource
     import sys
     import time
 
+    import artinmark.graph as graph_module
+
     built = [0]
     init = Marking.__init__
+    closing = [0.0]
+    close = graph_module._close_boundary
 
     def counted(self, ctx, pairs):
         built[0] += 1
         init(self, ctx, pairs)
+
+    def timed_close(*args):
+        start = time.perf_counter()
+        close(*args)
+        closing[0] = time.perf_counter() - start
 
     pinned = {**BALL_DOT_SHA256, **SLOW_BALL_DOT_SHA256}
     args = sys.argv[1:]
@@ -802,10 +865,12 @@ if __name__ == "__main__":
         frames = len(ctx.flip_frames)
         built[0] = 0
         Marking.__init__ = counted
+        graph_module._close_boundary = timed_close
         start = time.perf_counter()
         ball = bfs(seed, radius)
         seconds = time.perf_counter() - start
         Marking.__init__ = init
+        graph_module._close_boundary = close
         digest = dot_sha256(ball)
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         expected = pinned.get((spec, radius))
@@ -814,6 +879,6 @@ if __name__ == "__main__":
         check = "" if expected is None else " (pinned)" if expected == digest else " MISMATCH"
         print(f"{spec} r{radius}: {len(ball.nodes)} nodes, {len(ball.edges)} edges,"
               f" {built[0]} markings built, {len(ctx.flip_frames) - frames} frames added,"
-              f" {seconds:.2f} s,"
+              f" {seconds:.2f} s ({closing[0]:.2f} s closing the boundary),"
               f" dot sha256 {digest[:12]}{check}, peak rss {peak_mb:.0f} MB")
     sys.exit(1 if mismatched else 0)

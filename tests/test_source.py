@@ -331,30 +331,49 @@ def test_every_function_under_src_is_named_elsewhere():
     # a function or method that nothing in src/ names outside its own
     # definition, and that bench/ does not name either, has no program
     # caller: it is either dead or test-only, and test helpers live in
-    # tests/oracles.py; dunders are called by the language
+    # tests/oracles.py; dunders are called by the language.  A method
+    # defined in a class is named only by an attribute reference (.name):
+    # a local variable or a function of the same name calls no method
     repo = Path(__file__).resolve().parents[1]
     bench = "\n".join(path.read_text() for path in sorted((repo / "bench").glob("*.py")))
 
-    def names(node):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                yield sub.id
-            elif isinstance(sub, ast.Attribute):
-                yield sub.attr
-            elif isinstance(sub, ast.alias):
-                yield sub.name
+    def names(node) -> tuple[Counter, Counter]:
+        """Every name under node, and the attribute references (.name)."""
+        named, attributes = Counter(), Counter()
+        for part in ast.walk(node):
+            if isinstance(part, ast.Name):
+                named[part.id] += 1
+            elif isinstance(part, ast.alias):
+                named[part.name] += 1
+            elif isinstance(part, ast.Attribute):
+                named[part.attr] += 1
+                attributes[part.attr] += 1
+        return named, attributes
 
     trees = source_trees()
-    named = Counter(n for _name, tree in trees for n in names(tree))
-    found = [
-        f"{name}:{func.name}"
-        for name, tree in trees
-        for func in ast.walk(tree)
-        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (func.name.startswith("__") and func.name.endswith("__"))
-        and named[func.name] <= Counter(names(func))[func.name]
-        and not re.search(rf"\b{func.name}\b", bench)
-    ]
+    named, attributes = (sum(counts, Counter()) for counts in zip(*(names(t) for _n, t in trees)))
+    found = []
+    for name, tree in trees:
+        classes = {
+            id(item): cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+        }
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                func.name.startswith("__") and func.name.endswith("__")
+            ):
+                continue
+            own_named, own_attributes = names(func)
+            if id(func) in classes:
+                label = f"{name}:{classes[id(func)]}.{func.name}"
+                dead = attributes[func.name] <= own_attributes[func.name]
+            else:
+                label = f"{name}:{func.name}"
+                dead = named[func.name] <= own_named[func.name]
+            if dead and not re.search(rf"\b{func.name}\b", bench):
+                found.append(label)
     assert found == []
 
 
@@ -389,12 +408,10 @@ def test_graph_reads_the_frame_off_the_certificate():
 
 def test_graph_decides_flips_by_frame_offsets():
     # the bfs closure decides a flip by certified twists and one set of
-    # offsets per flip frame (marking.FlipFrame.offsets, read from the
-    # context's flip_frames memo: the frame's entry, else the negated
-    # offsets of the frame of the flips back, else marking.flip_frame, which
-    # stores it), found through an index of the boundary by pair;
-    # is_flip_edge and ordered_key stay the edge oracle of the tests and
-    # the bench
+    # offsets per flip frame (marking.FlipFrame.offsets, read by
+    # marking.flip_frame once per pair of buckets of the boundary, on the
+    # side whose frame is in the context's flip_frames memo); is_flip_edge
+    # and ordered_key stay the edge oracle of the tests and the bench
     trees = dict(source_trees())
     found = [
         f"graph.py:{node.lineno} {word}"
