@@ -27,6 +27,9 @@ factorization, Bjorner-Brenti 2005, 2.4), so d w0(W_D) is a common prefix,
 and d is the meet when D = {}.
 A slide of a pair of simples (RootSystem._slide_tables) runs the same strip
 against the roots blocked by u^-1 Delta and v, after a descent-key test.
+Right divisibility of simples is read off inversion sets (RootSystem._inversions):
+y is a suffix of x, x = x'y with lengths adding, exactly when every positive
+root that y sends negative is sent negative by x (Bjorner-Brenti 2005, 3.1.3).
 
 Vertex numbering of the defining graphs:
 
@@ -328,6 +331,7 @@ class RootSystem:
         # the permutation encoding; _after(op, sp) is i -> sp[op[i]]
         self._pos = bytes(self.is_positive_root).ljust(256, b"\0")  # 0/1 flags
         self._neg = bytes(not p for p in self.is_positive_root).ljust(256, b"\0")
+        self._pos_bits = int.from_bytes(self._pos[: len(roots)], "big")
         if len(roots) <= 256:
             encode, self._after, self._invert = _table, bytes.translate, _table_inverse
             self._key = bytes.translate
@@ -378,6 +382,13 @@ class RootSystem:
         bits = int.from_bytes(key(u, self._neg), "big") | int.from_bytes(key(v_inv, pos), "big")
         a = self._strip(bits.to_bytes(len(u), "big"))
         return self._after(a, u), self._after(v, self._invert(a))
+
+    def _inversions(self, perm) -> int:
+        """The positive roots beta with x(beta) negative, x with raw table
+        perm, as the bits of an int: y right-divides x in W exactly when the
+        inversions of y are among those of x (module docstring)."""
+        flags = self._key(perm[: len(self.roots)], self._neg)
+        return int.from_bytes(flags, "big") & self._pos_bits
 
     def _flags(self, perm) -> bytes:
         """0/1 flags of the roots in x(positive roots), x with raw table perm."""

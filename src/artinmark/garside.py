@@ -23,7 +23,9 @@ Products are incremental: each factor of the right operand is appended to
 the (left-weighted) body and one right-to-left sweep of slides restores
 left-weightedness, stopping at the first pair that is already normal
 (Epstein et al., Word Processing in Groups, ch. 9).  Every other
-constructor goes through the same sweep.
+constructor goes through the same sweep.  The largest simple right divisor
+of a positive element is read off the same slides, one per factor of its
+body (ArtinElement.right_head).
 
 Signed generator words enter in runs: maximal stretches of letters of one
 sign whose positive word is reduced, each one simple (a positive run) or
@@ -65,12 +67,13 @@ class GarsideContext:
     subsets by (family, index), parabolics interned by (conj, gens), the
     Delta_X involution of each connected subset X with its z-exponent
     (parabolic.delta_permutation and parabolic.z_exponent), the strips of the
-    minimal standardizer descent by target subset (at most one entry per
-    subset of the vertices), and two memos that several representatives
-    share, keyed by value: the canonical data of a simplex (by its sorted
-    vertex keys) and transversal decompositions (by transversal, base and
-    standardizer).  The flip frames are kept by (base key set, P_j key, Q_j
-    key) (marking.flip_frame), so an exploration reads the frames that
+    minimal standardizer descent and the inversions of their simples by
+    target subset (at most one entry each per subset of the vertices), and
+    two memos that several representatives share, keyed by value: the
+    canonical data of a simplex (by its sorted vertex keys) and transversal
+    decompositions (by transversal, base and standardizer).  The flip
+    frames are kept by (base key set, P_j key, Q_j key)
+    (marking.flip_frame), so an exploration reads the frames that
     earlier calls on the context built.  Meets and complements of simples are not
     memoized: each is one table operation on interned elements.  The memos
     hold results only: a failure is recomputed and raised fresh.
@@ -91,6 +94,7 @@ class GarsideContext:
         self.standardizer_strips: dict[
             frozenset[int], tuple[tuple[ArtinElement, frozenset[int]], ...]
         ] = {}
+        self.strip_inversions: dict[frozenset[int], tuple[int, ...]] = {}
         self.parabolics: dict[tuple[ArtinElement, frozenset[int]], ParabolicSubgroup] = {}
         self.simplex_canonical: dict[
             str, tuple[tuple[str, ...], ArtinElement, StandardizedSimplex]
@@ -315,6 +319,26 @@ class ArtinElement:
             # position k from the left; tau power p + len(body) - 1 - k
             factors.append(ctx.tau(ctx.left_complement(x), p + len(body) - 1 - k))
         return ctx.element(-p - len(body), factors)
+
+    def right_head(self) -> CoxeterElement:
+        """rho(c) = c ^_R Delta, the largest simple right divisor of a positive c.
+
+        It is Delta when inf c >= 1.  Otherwise it folds over the body with
+        rho(A x) = rho(rho(A) x), the mirror of Delta ^ ab = Delta ^ a(Delta ^ b)
+        (Epstein et al., ch. 9).  Word reversal is an anti-automorphism of the
+        monoid that sends a simple to its inverse in W, so rho(r x) for simples
+        r and x is the inverse of the first normal-form factor of x^-1 r^-1:
+        one slide, read from the slide memo."""
+        if not self.is_positive:
+            raise NotPositive(f"{self} is not in the monoid")
+        ctx = self.ctx
+        if self.inf > 0:
+            return ctx.delta_w
+        reversed_head, *rest = [x.inverse() for x in self.body or (ctx.system.identity,)]
+        for x_inv in rest:
+            slid = ctx._slide_pair(x_inv, reversed_head)
+            reversed_head = x_inv if slid is None else slid[0]
+        return reversed_head.inverse()
 
     def __pow__(self, exp: int) -> ArtinElement:
         if not self.body:

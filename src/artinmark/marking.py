@@ -306,6 +306,11 @@ def decompose_transversal(
     The decomposition is unique, so at most one of +|k| and -|k| passes.  If
     Y is not transverse, Delta_X normalizes A_Y, every k works, w is
     positive and the twist is 0.
+
+    w is formed in the base's frame, as u z_{Y_q} u^-1 with u = g^-1 conj(q)
+    and Y_q the generators of q: the long z_q = conj(q) z_{Y_q} conj(q)^-1 is
+    never built.  Normal forms are unique, so w, and with it the twist and
+    the subset, is the same element either way.
     """
     ctx = q.ctx
     cache = ctx.transversal_decompositions
@@ -317,7 +322,8 @@ def decompose_transversal(
     c, x = base.conjugated_by(g_inv).canonical()
     if not c.is_identity:
         raise NotAStandardizer(f"{g} does not standardize the base {base}")
-    w = g_inv * q.z_element() * g
+    u = g_inv * q.conj
+    w = ParabolicSubgroup.standard(ctx, q.gens).z_element().conjugated_by(u)
     size = max(-w.inf, 0)
     d_x = ctx.delta_of(x)
     for twist in (size, -size) if size else (0,):

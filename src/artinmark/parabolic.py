@@ -16,6 +16,18 @@ positive standardizer, with the ribbon's target as the new Y.  The descent
 starts from Delta^(2N) conj, N = -floor(inf conj / 2), whose infimum is 0
 or 1, and stops when nothing can be stripped.
 
+Each strip is decided without a trial product.  Every strip d is simple, so
+for positive c, c d^-1 is positive exactly when d right-divides c, that is
+when d right-divides the right head rho(c) = c ^_R Delta, the largest simple
+right divisor of c.  rho(c) = Delta when inf c >= 1; otherwise it is folded
+over the body of c with rho(A x) = rho(rho(A) x), the mirror of
+Delta ^ ab = Delta ^ a(Delta ^ b) (Epstein et al., Word Processing in
+Groups, ch. 9), each step one slide (ArtinElement.right_head).  Between two
+simples, d right-divides rho in W exactly when every positive root that d
+sends negative is sent negative by rho (RootSystem._inversions).  So each
+step of the descent computes rho(c) once, tests the strips in order and
+builds one product: the strip it takes.
+
 A family with pairwise commuting z's has a simultaneous standardizer
 (Cumplido, Gebhardt, Gonzalez-Meneses, Wiest, Adv. Math. 2019), and the
 climb needs no more: the positive standardizers of each P_i are closed under
@@ -315,20 +327,45 @@ def minimal_standardizer(p: ParabolicSubgroup) -> tuple[ArtinElement, Subset]:
     the target and elementary ribbons d_{target,t} from the right while the
     rest stays positive.  See the module docstring for why the descent ends
     at the minimum.
+
+    No trial product is built.  For a simple d, c d^-1 is positive exactly
+    when d right-divides the right head rho(c) = c ^_R Delta: Delta when
+    inf c >= 1, else the fold rho(A x) = rho(rho(A) x) over the body
+    (ArtinElement.right_head).  That is decided in W: d right-divides rho
+    exactly when the inversions of d lie in those of rho
+    (RootSystem._inversions).  Each step computes rho(c) once, tests the
+    strips in order and builds one product, the strip it takes.
     """
     if not p.gens:
         raise EmptySubset("the canonical form needs a nonempty generator subset")
     ctx = p.ctx
+    inversions = ctx.system._inversions
     c = ctx.delta ** (-2 * (p.conj.inf // 2)) * p.conj
     target = p.gens
     while True:
-        for d_inv, image in _descent_strips(ctx, target):
-            rest = c * d_inv
-            if rest.is_positive:
-                c, target = rest, image
+        head = inversions(c.right_head().perm)
+        strips = zip(_descent_strips(ctx, target), _strip_inversions(ctx, target))
+        for (d_inv, image), bits in strips:
+            if bits & head == bits:
+                c, target = c * d_inv, image
                 break
         else:
             return c, target
+
+
+def _strip_inversions(ctx: GarsideContext, target: Subset) -> tuple[int, ...]:
+    """The inversions (RootSystem._inversions) of the simple d of each strip
+    d^-1 onto A_target, in the order of the strips; built once per target and
+    kept in ctx.strip_inversions.  ArtinElement.inverse writes d^-1 as
+    Delta^-1 l, with l the left complement of d (no factor when d = Delta),
+    so d = l^-1 w0 in W."""
+    bits = ctx.strip_inversions.get(target)
+    if bits is None:
+        system, w0 = ctx.system, ctx.delta_w.perm
+        lefts = [(d_inv.body or (system.identity,))[0] for d_inv, _ in _descent_strips(ctx, target)]
+        bits = tuple(system._inversions(system._after(w0, l.inverse().perm)) for l in lefts)
+        ctx.strip_inversions[target] = bits
+    return bits
 
 
 def _descent_strips(
@@ -371,7 +408,7 @@ def nonadjacent_pair(parabolics):
     if not parabolics:
         return None
     ctx, g = parabolics[0].ctx, parabolics[0].conj
-    g_inv = g.inverse()
+    g_inv = g.inverse() if any(v.conj != g for v in parabolics) else None
     framed = [
         ParabolicSubgroup.standard(ctx, v.gens) if v.conj == g else v.conjugated_by(g_inv)
         for v in parabolics
@@ -402,19 +439,22 @@ def simultaneous_standardizer(
     """Minimal positive c with every c^-1 P_i c standard, plus the targets.
 
     Climbs from c = 1 by c <- c * (minimal standardizer of c^-1 P_i c),
-    round-robin, until a full round leaves c unchanged.
+    round-robin, until a full round leaves c unchanged; c^-1 is computed
+    once per change of c, when it is next used.
     """
     check_simplex_family(parabolics)
     n = len(parabolics)
-    c = ctx.identity
+    c = c_inv = ctx.identity
     targets: list[Subset] = [frozenset()] * n
     settled = i = 0
     while settled < n:
-        step, targets[i] = parabolics[i].conjugated_by(c.inverse()).canonical()
+        if c_inv is None:
+            c_inv = c.inverse()
+        step, targets[i] = parabolics[i].conjugated_by(c_inv).canonical()
         if step.is_identity:
             settled += 1
         else:
-            c = c * step
+            c, c_inv = c * step, None
             settled = 1
         i = (i + 1) % n
     return c, targets

@@ -30,6 +30,10 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   known positive standardizer (or over the whole monoid), and standardize
   a simplex level by level, independent of the library's ribbon descent
   and round-robin climb;
+* the trial-product descent strips a generator or an elementary ribbon d
+  from a standardizer c when the product c d^-1 is positive, built for
+  every strip it tries, not by deciding in W whether d right-divides the
+  right head of c;
 * the membership standard target decides whether c^-1 P c is a standard
   A_T by subgroup membership of the conjugated generators both ways, after
   reading T off the z-element, not from the z-element alone; the
@@ -195,6 +199,7 @@ from artinmark.marking import (
 )
 from artinmark.parabolic import (
     ParabolicSubgroup,
+    _descent_strips,
     _standard_target,
     central_generator_z,
     delta_permutation,
@@ -665,6 +670,22 @@ def bfs_minimal_standardizer(p):
                     nxt.append(ext)
         frontier = sorted(nxt, key=element_sort_key)
     raise AssertionError("no standardizer among prefixes of the seed")
+
+
+def trial_product_minimal_standardizer(p):
+    """(c, Y) by the minimal-standardizer descent of parabolic.py, deciding
+    each strip d by the trial product c d^-1 and its sign."""
+    ctx = p.ctx
+    c = ctx.delta ** (-2 * (p.conj.inf // 2)) * p.conj
+    target = p.gens
+    while True:
+        for d_inv, image in _descent_strips(ctx, target):
+            rest = c * d_inv
+            if rest.is_positive:
+                c, target = rest, image
+                break
+        else:
+            return c, target
 
 
 def bfs_simultaneous_standardizer(ctx, parabolics, budget=24, seed=None, support_limit=None):

@@ -743,6 +743,32 @@ def test_twist_size_is_read_off_inf_on_bfs_balls(spec, seeds):
     assert len(cases) >= 300 and sizes >= {0, 1, 2, 3, 4}
 
 
+def test_decomposition_never_forms_the_transversal_z(monkeypatch):
+    # w = g^-1 z_Q g is formed in the base's frame as u z_Y u^-1, with
+    # u = g^-1 conj(Q): on a fresh context the z-elements built are those of
+    # standard subgroups only, never z_Q of a conjugated transversal
+    ctx = GarsideContext(build_defining_graph("A4"), root_reflection_table("A4"))
+    x = normalize(ctx, "s2^-1 s1 s3 s4^-1 s2")
+    cases = []
+    for simplex in enumerate_maximal_standard(ctx):
+        marking = standard_transversals(simplex).conjugated_by(x)
+        cases.append((marking, marking.base_simplex().canonical_data()[0]))
+    built = []
+    real = ParabolicSubgroup.z_element
+
+    def spy(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ParabolicSubgroup, "z_element", spy)
+    twists = set()
+    for marking, ghat in cases:
+        for j, (p, q) in enumerate(marking.pairs):
+            twists.add(decompose_transversal(q, p, ghat, j).twist)
+    assert built and all(p.is_standard_rep for p in built)
+    assert len(twists) > 1
+
+
 LCM_SPECS = [
     "A2", "A3", "A4", "A5", "A6", "A7", "A8", "B2", "B3", "B4", "B5", "B6", "B7", "B8",
     "D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8", "F4", "H3", "H4", "I2(5)", "I2(6)",

@@ -16,11 +16,13 @@ from artinmark.errors import (
     NotProper,
     PreconditionViolated,
 )
-from artinmark.garside import GarsideContext, context, member_of_standard, normalize
+from artinmark.garside import ArtinElement, GarsideContext, context, member_of_standard, normalize
 from artinmark.graph import standard_marking_connectivity
+from artinmark.marking import standard_transversals, standardize_marking, validate_marking
 from artinmark.parabolic import (
     ParabolicSubgroup,
     _standard_target,
+    _strip_inversions,
     central_generator_z,
     check_simplex_family,
     conjugacy_edge_count,
@@ -33,6 +35,7 @@ from artinmark.parabolic import (
 )
 from artinmark.simplex import enumerate_maximal_standard
 from oracles import (
+    all_w,
     bfs_minimal_standardizer,
     bfs_simultaneous_standardizer,
     conjugacy_component,
@@ -44,6 +47,7 @@ from oracles import (
     shortest_path,
     table_conjugacy_edges,
     table_z_exponent,
+    trial_product_minimal_standardizer,
 )
 
 
@@ -619,6 +623,91 @@ def test_descent_strips_built_once_per_target_in_descent_order():
                 ribbon = elementary_ribbon(fresh, target, t)
                 inline.append((ribbon.element.inverse(), ribbon.target))
         assert list(strips) == inline, sorted(target)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "I2(5)"])
+def test_right_divisors_are_read_off_the_right_head(spec):
+    # for positive c and simple d, c d^-1 is positive exactly when the
+    # inversions of d lie in those of the right head rho(c); Delta c stands
+    # for a descent start Delta^(2N) conj of infimum 1, whose head is Delta
+    ctx = context(spec)
+    inversions = ctx.system._inversions
+    simples = [(d, ctx.element(0, (d,)).inverse()) for d in all_w(spec)[1:]]
+    for c in positive_elements(ctx, 5):
+        for start in (c, ctx.delta * c):
+            head = inversions(start.right_head().perm)
+            for d, d_inv in simples:
+                divides = not inversions(d.perm) & ~head
+                assert (start * d_inv).is_positive == divides, (start, d)
+    assert ctx.delta.right_head() is ctx.delta_w
+    assert ctx.identity.right_head() is ctx.system.identity
+    # the descent reads the inversions of each strip's simple off its memo
+    for mask in range(1, 1 << ctx.rank):
+        target = frozenset(i for i in range(ctx.rank) if mask >> i & 1)
+        simples = [ctx.atoms[s].body[0] for s in sorted(target)] + [
+            elementary_ribbon(ctx, target, t).element.body[0]
+            for t in range(ctx.rank)
+            if t not in target
+        ]
+        assert _strip_inversions(ctx, target) == tuple(inversions(d.perm) for d in simples)
+
+
+@pytest.mark.parametrize("spec", ["A4", "B3", "D4"])
+def test_descent_matches_trial_products_on_conjugated_markings(spec):
+    # every parabolic reached on a fresh context by min-std on each base
+    # vertex, canon-std, validate-marking and standardize-marking of the
+    # standard-transversal markings of every maximal simplex, conjugated by
+    # Delta^-2k times a positive word of length 7 (k = 0, 1)
+    ctx = GarsideContext(build_defining_graph(spec), root_reflection_table(spec))
+    rng = random.Random(spec)
+    for simplex in enumerate_maximal_standard(ctx):
+        for k in (0, 1):
+            word = tuple((rng.randrange(ctx.rank), 1) for _ in range(7))
+            marking = standard_transversals(simplex).conjugated_by(
+                ctx.delta ** (-2 * k) * ctx.from_word(word)
+            )
+            for p, _ in marking.pairs:
+                p.canonical()
+            marking.base_simplex().canonical_data()
+            validate_marking(marking)
+            standardize_marking(marking)
+    reached = [p for p in ctx.parabolics.values() if p.gens]
+    assert len(reached) >= 60
+    for p in reached:
+        assert minimal_standardizer(p) == trial_product_minimal_standardizer(p), p
+
+
+def test_descent_builds_one_product_per_strip_taken(monkeypatch):
+    # each step computes the right head once; the start Delta^(2N) conj is
+    # one product and every strip taken one more: a strip that does not
+    # right-divide c is ruled out in W
+    ctx = GarsideContext(build_defining_graph("A4"), root_reflection_table("A4"))
+    rng = random.Random(7)
+    subsets = ctx.connected_proper_subsets()
+    parabolics = [
+        ParabolicSubgroup(ctx, signed_element(rng, ctx, 8), rng.choice(subsets))
+        for _ in range(40)
+    ]
+    counts = collections.Counter()
+    real_mul, real_head = ArtinElement.__mul__, ArtinElement.right_head
+
+    def mul(a, b):
+        counts["products"] += 1
+        return real_mul(a, b)
+
+    def head(c):
+        counts["steps"] += 1
+        return real_head(c)
+
+    monkeypatch.setattr(ArtinElement, "__mul__", mul)
+    monkeypatch.setattr(ArtinElement, "right_head", head)
+    taken = 0
+    for p in parabolics:
+        counts.clear()
+        minimal_standardizer(p)
+        assert counts["products"] == 1 + (counts["steps"] - 1), p
+        taken += counts["steps"] - 1
+    assert taken >= 100
 
 
 @pytest.mark.parametrize(

@@ -218,6 +218,7 @@ MEMOS = {
     "garside.py:GarsideContext.parabolics",
     "garside.py:GarsideContext.simplex_canonical",
     "garside.py:GarsideContext.standardizer_strips",
+    "garside.py:GarsideContext.strip_inversions",
     "garside.py:GarsideContext.transversal_decompositions",
     "garside.py:GarsideContext.transversal_subsets",
     "garside.py:context",
