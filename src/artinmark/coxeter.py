@@ -456,11 +456,7 @@ class CoxeterElement:
     @property
     def length(self) -> int:
         if self._length is None:
-            pos = self.system.is_positive_root
-            perm = self.perm
-            self._length = sum(
-                1 for i in self.system.positive_indices if not pos[perm[i]]
-            )
+            self._length = self.system._inversions(self.perm).bit_count()
         return self._length
 
     @property

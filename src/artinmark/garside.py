@@ -67,8 +67,8 @@ class GarsideContext:
     subsets by (family, index), parabolics interned by (conj, gens), the
     Delta_X involution of each connected subset X with its z-exponent
     (parabolic.delta_permutation and parabolic.z_exponent), the strips of the
-    minimal standardizer descent and the inversions of their simples by
-    target subset (at most one entry each per subset of the vertices), and
+    minimal standardizer descent, each with the inversions of its simple, by
+    target subset (at most one entry per subset of the vertices), and
     two memos that several representatives share, keyed by value: the
     canonical data of a simplex (by its sorted vertex keys) and transversal
     decompositions (by transversal, base and standardizer).  The flip
@@ -92,9 +92,8 @@ class GarsideContext:
         self.transversal_subsets: dict[tuple, frozenset[int]] = {}
         self.delta_involutions: dict[frozenset[int], tuple[Mapping[int, int], int]] = {}
         self.standardizer_strips: dict[
-            frozenset[int], tuple[tuple[ArtinElement, frozenset[int]], ...]
+            frozenset[int], tuple[tuple[ArtinElement, frozenset[int], int], ...]
         ] = {}
-        self.strip_inversions: dict[frozenset[int], tuple[int, ...]] = {}
         self.parabolics: dict[tuple[ArtinElement, frozenset[int]], ParabolicSubgroup] = {}
         self.simplex_canonical: dict[
             str, tuple[tuple[str, ...], ArtinElement, StandardizedSimplex]

@@ -10,15 +10,16 @@ marking's certificate and the flip frame of its index (see bfs): the
 searches build a Marking only for coordinates that are not a node yet, and
 the BFS closes the edges among the nodes at its radius building no node and
 no move from one.
-Every flip across j has the same bases, {P_i : i != j} and Q_j, so the
-connectivity universe holds no flip across j when Q_j is not standard, and
-those flips are not enumerated.
 
 standard_marking_connectivity builds the finite subgraph of markings with
-standard base and bounded projections, checks that the all-standard markings
-form a single connected cluster inside it, and reports the largest pairwise
-distance together with the instantiated bound of the flip-path recursion
-k(2) = 1, k(n) = max(2k(n-1) + 13, n + k(n-1) + 7).
+standard base and certified twists in [-bound, bound], checks that the
+all-standard markings form a single connected cluster inside it, and reports
+the largest pairwise distance together with the instantiated bound of the
+flip-path recursion k(2) = 1, k(n) = max(2k(n-1) + 13, n + k(n-1) + 7).  It
+reads certificates only: membership is a test on the coordinates the
+expansion yields, and flips are taken across the j whose certified twist is
+0, the j with Q_j standard; no transversal is decomposed outside validation
+and flip frames.
 """
 
 from __future__ import annotations
@@ -112,13 +113,13 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
     Nodes inside the radius are expanded by coordinates (fact 2), against an
     index of the nodes found so far: a Marking, its candidate transversals
     and its key are built only for coordinates that are not a node yet, so
-    exactly one Marking per node, each certified by the move that reached it
-    first in the deterministic order (frontier sorted by key).  The nodes at
-    the radius (the boundary) are certified too, and the edges among them
-    are closed by three facts.  The closure builds no node, and calls neither
-    twist_move nor frame_flip on a boundary node; the one thing it may build
-    for a boundary pair is that pair's flip frame (marking.flip_frame), and
-    with it the frame's middle candidate, which is not a node.
+    exactly one Marking per node past the seed, each certified by the move
+    that reached it first in the deterministic order (frontier sorted by
+    key); a flip frame builds no Marking.  The nodes at the radius (the
+    boundary) are certified too, and the edges among them are closed by
+    three facts.  The closure builds no node, and calls neither twist_move
+    nor frame_flip on a boundary node; the one thing it may build for a
+    boundary pair is that pair's flip frame (marking.flip_frame).
 
     1. Moves are symmetric, and the expansion is complete: an edge from a
        boundary node to an inner node was added when the inner node was
@@ -362,7 +363,7 @@ def standard_marking_connectivity(
     """Distances among all-standard markings within the bounded subgraph.
 
     The subgraph keeps markings whose base elements are standard subgroups
-    and whose projections lie in [-bound, bound]; twist variants of the
+    and whose certified twists lie in [-bound, bound]; twist variants of the
     standard markings are reached inside it.  More standard markings than
     node_cap, or reaching a node past it, raises BudgetExceeded; a negative
     projection_bound or node_cap raises PreconditionViolated.  Distances are
@@ -370,19 +371,23 @@ def standard_marking_connectivity(
     finds them equal to bfs distances on A3, B3, H3 and I2(5), and they were
     equal on A4 and D4 outside the tests.
 
-    Every flip across j has Q_j among its bases, so when Q_j is not standard
-    no flip across j is in the subgraph, and those flips are not enumerated.
-    Twists at every index and the flips across the other indices are
-    expanded by coordinates as in bfs, against an index of the nodes, and
+    Twists at every index and the flips across the j with certified twist
+    k_j = 0 (see below) are expanded by coordinates as in bfs, against an index of the nodes, and
     every node the search expands is certified.  Whether a marking is in the
-    subgraph depends on its key alone, so a neighbor already among the nodes
-    is neither built nor tested again.
+    subgraph depends on its coordinates alone, so a neighbor already among
+    the nodes is neither built nor tested again.
 
-    The subgraph test reads the projections only.  Every neighbor has a
-    standard base: a twist keeps the base, and a flip across j, taken only
-    when Q_j is standard, swaps in Q_j as its one new base.  Every neighbor
-    is a marking, so its projections exist: a twist of a certified marking
-    is a marking, and flips are certified.
+    Every node has a standard base, so its canonical standardizer ghat is 1
+    and its certified twists are the twists relative to 1.  A twist keeps
+    the base.  Every flip across j has the bases {P_i : i != j} and Q_j, so
+    it has a standard base exactly when Q_j is standard, and Q_j is standard
+    exactly when its certified twist k_j is 0: if Q_j = A_Y, then (0, Y)
+    decomposes Q_j relative to 1, and the decomposition is unique because
+    Y_j is transverse to X_j, so k_j = 0; conversely k_j = 0 gives Q_j =
+    A_{Y_j}.  So flips are taken across the j with k_j = 0, every neighbor
+    has a standard base, and the subgraph test reads the neighbor's
+    coordinates only: its certified twists relative to its ghat = 1, which
+    the move that built it carries (marking.twist_move, marking.frame_flip).
     """
     if projection_bound < 0:
         raise PreconditionViolated(f"projection bound {projection_bound} is negative")
@@ -400,13 +405,10 @@ def standard_marking_connectivity(
         nxt = []
         for key in frontier:
             marking = nodes[key]
-            standard_flips = [
-                j for j, (_p, q) in enumerate(marking.pairs)
-                if q.canonical()[0].is_identity
-            ]
+            standard_flips = [j for j, (_p, k, _y) in enumerate(marking.coordinates()) if not k]
             for coords, okey, _kind, other in _expand(marking, standard_flips, index):
                 if other is not None:
-                    if any(abs(v) > projection_bound for v in other.projections()):
+                    if any(abs(k) > projection_bound for _p, k, _y in coords):
                         continue
                     if len(nodes) >= node_cap:
                         raise BudgetExceeded(len(nodes) + 1, node_cap)

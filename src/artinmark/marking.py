@@ -81,14 +81,14 @@ standard family delta_twisted(x_B, i, t + c_i) at i, its transversal_subset.
 So the frame depends on (base key set, P_j key, Q_j key) only: every marking
 with that base set and that pair, its twist variants at the other indices
 among them, flips through the same frame, and a context builds it once
-(flip_frame).  flip_frame finds the offsets with one decomposition per base:
-it decomposes its middle candidate, whose twists relative to h are known,
-against ghat_B.  A flip is then its coordinates (P_i key, twist_i, Y_i)
-relative to ghat_B, listed from the frame before it is built (frame_flips)
-and built from them (frame_flip): at each P_i != P_j the twist relative to h
-is twist_i - c_i.  The same offsets decide whether a certified marking with
-bases B is a flip without decomposing it: its twists relative to h are its
-certified twists minus c_i.
+(flip_frame).  flip_frame reads ghat_B off the base simplex of B and finds
+the offsets with one decomposition per base: at each P_i it decomposes the
+candidate with twist k_i relative to h against ghat_B.  A flip is then its
+coordinates (P_i key, twist_i, Y_i) relative to ghat_B, listed from the
+frame before it is built (frame_flips) and built from them (frame_flip): at
+each P_i != P_j the twist relative to h is twist_i - c_i.  The same offsets
+decide whether a certified marking with bases B is a flip without
+decomposing it: its twists relative to h are its certified twists minus c_i.
 
 Standardization conjugates by ghat and then by Delta_{X_j}^{k_j} for every
 pair, deepest level first: a deeper Delta leaves the bases and twists of the
@@ -120,7 +120,6 @@ from .garside import ArtinElement, GarsideContext
 from .parabolic import ParabolicSubgroup, _standard_target, parabolics_from_json, z_exponent
 from .simplex import (
     CparabSimplex,
-    build_standardized,
     delta_twisted,
     nesting_levels,
     pattern_break,
@@ -222,9 +221,6 @@ class Marking:
         if self._cert is None:
             self._cert = validate_marking(self)
         return self._cert
-
-    def projections(self) -> tuple[int, ...]:
-        return tuple(projection(self, j) for j in range(len(self.pairs)))
 
     def coordinates(self) -> list[Coordinate]:
         """(P_j key, twist_j, Y_j) per pair, read off the certificate: by the
@@ -353,16 +349,13 @@ def transversal_decomposition(
     return decompose_transversal(q_j, p_j, g, j)
 
 
-def _base_frame(marking: Marking) -> tuple[ArtinElement, tuple[Subset, ...]]:
-    """(ghat, X_i by pair index) read off the base simplex, whose vertices
-    are in canonical order; raises BaseNotMaximal unless the base spans a
-    maximal simplex."""
-    simplex = marking.base_simplex()
+def _base_frame(simplex: CparabSimplex) -> tuple[ArtinElement, dict[str, Subset]]:
+    """(ghat, X by vertex key) read off a base simplex, whose vertices are in
+    canonical order; raises BaseNotMaximal unless the simplex is maximal."""
     ghat, std = simplex.canonical_data()
     if not std.is_maximal:
         raise BaseNotMaximal("base does not span a maximal simplex")
-    subset_of = {v.key(): x for v, x in zip(simplex.vertices, std.subsets)}
-    return ghat, tuple(subset_of[p.key()] for p, _ in marking.pairs)
+    return ghat, {v.key(): x for v, x in zip(simplex.vertices, std.subsets)}
 
 
 def validate_marking(marking: Marking) -> MarkingCertificate:
@@ -386,7 +379,8 @@ def validate_marking(marking: Marking) -> MarkingCertificate:
             raise NotIrreducible(f"transversal {q} is not irreducible")
         if not q.proper:
             raise NotProper(f"transversal {q} is the whole group")
-    ghat, x = _base_frame(marking)
+    ghat, subset_of = _base_frame(marking.base_simplex())
+    x = tuple(subset_of[p.key()] for p, _ in pairs)
     data = [transversal_decomposition(marking, j, ghat) for j in range(len(pairs))]
     for i, d in enumerate(data):
         m = pattern_break(ctx.graph, d.subset, delta_twisted(ctx, x, i, d.twist), i)
@@ -486,16 +480,16 @@ class FlipFrame:
     the parity of t, and Y must keep the transversality pattern against it,
     so Y is its transversal_subset.  recipe[P_i] holds Delta_X and Y by the
     parity of t, and transversal builds the candidate, once per frame, base
-    and twist.  The rest is read off the middle candidate (flip_frame):
-    ghat is the canonical standardizer of the flipped base set B and bases
-    its standardized bases, by key.  swapped is the decomposition of the
-    swapped pair (Q_j, P_j) relative to ghat.  offsets[P_i] is the twist of
-    any transversal at P_i relative to ghat minus its twist relative to h,
-    and subsets[P_i] the transversal_subset of the flipped family at P_i by
-    the parity of the twist relative to ghat, so the candidate with twist t
-    relative to h has the coordinates (P_i key, k, subsets[P_i][k % 2]) with
-    k = t + offsets[P_i] (frame_flips).  simplex is the base simplex of B,
-    which every flip shares.
+    and twist.  The rest is read off B (flip_frame): simplex is the base
+    simplex of B, which every flip shares, ghat its canonical standardizer
+    and bases its standardized bases, by key.  swapped is the decomposition
+    of the swapped pair (Q_j, P_j) relative to ghat.  offsets[P_i] is the
+    twist of any transversal at P_i relative to ghat minus its twist
+    relative to h, and subsets[P_i] the transversal_subset of the flipped
+    family at P_i by the parity of the twist relative to ghat, so the
+    candidate with twist t relative to h has the coordinates
+    (P_i key, k, subsets[P_i][k % 2]) with k = t + offsets[P_i]
+    (frame_flips).
     """
 
     __slots__ = (
@@ -539,45 +533,42 @@ def flip_frame(marking: Marking, j: int) -> FlipFrame:
     key, Q_j key), built on the first call with that key and kept in the
     context's flip_frames memo.
 
-    Relative to h every other pair keeps its certified twist k_i, and the
-    flipped base standardizes to the Delta_{X_j}^{k_j} image of the base
-    with Y_j at index j (see the module docstring).  ghat_B, the flipped
-    bases, the swapped pair and the offsets are read off the middle
-    candidate, the flip with twist k_i relative to h at every i != j,
-    decomposed against the canonical standardizer of its base: one
-    decomposition per base, and the offset at P_i is its twist there minus
-    k_i."""
+    ghat_B and the flipped bases are read off the base simplex of B =
+    {P_i : i != j} and Q_j, by vertex key; no marking is built.  Relative to
+    h every other pair keeps its certified twist k_i, and the flipped base
+    standardizes to the Delta_{X_j}^{k_j} image of the base with Y_j at
+    index j (see the module docstring).  The swapped pair is decomposed
+    against ghat_B, and at each P_i != P_j so is one candidate, the one with
+    twist k_i relative to h: one decomposition per base, and the offset at
+    P_i is its twist there minus k_i."""
     ctx = marking.ctx
     marking.certificate()
     _check_index(marking, j)
     keys = [p.key() for p, _q in marking.pairs]
-    frame_key = (frozenset(keys), keys[j], marking.pairs[j][1].key())
+    p_j, q_j = marking.pairs[j]
+    frame_key = (frozenset(keys), keys[j], q_j.key())
     frame = ctx.flip_frames.get(frame_key)
     if frame is not None:
         return frame
+    flipped = [q_j if i == j else p for i, (p, _q) in enumerate(marking.pairs)]
+    simplex = CparabSimplex(ctx, flipped)
+    ghat, bases = _base_frame(simplex)
     h, cert = _flip_frame(marking, j)
     x_h = list(delta_twisted(ctx, cert.bases, j, cert.transversals[j].twist))
     x_h[j] = cert.transversals[j].subset
-    if not build_standardized(ctx, x_h).is_maximal:
-        raise BaseNotMaximal("flipped base is not maximal")
+    x = [bases[v.key()] for v in flipped]
     anchors = {i: d.twist for i, d in enumerate(cert.transversals) if i != j}
     frame = FlipFrame(
         h, {keys[i]: (ctx.delta_of(x_h[i]), _by_parity(ctx, x_h, i)) for i in anchors}
     )
-    pairs = list(marking.pairs)
-    pairs[j] = (pairs[j][1], pairs[j][0])
-    for i, k_i in anchors.items():
-        pairs[i] = (pairs[i][0], frame.transversal(keys[i], k_i))
-    middle = Marking(ctx, pairs)
-    frame.ghat, x = _base_frame(middle)
-    frame.bases = {p.key(): x_i for (p, _q), x_i in zip(middle.pairs, x)}
+    frame.simplex, frame.ghat, frame.bases = simplex, ghat, bases
     frame.subsets = {keys[i]: _by_parity(ctx, x, i) for i in anchors}
-    frame.swapped = transversal_decomposition(middle, j, frame.ghat)
+    frame.swapped = decompose_transversal(p_j, q_j, ghat, j)
     frame.offsets = {
-        keys[i]: transversal_decomposition(middle, i, frame.ghat).twist - k_i
+        keys[i]: decompose_transversal(frame.transversal(keys[i], k_i), flipped[i], ghat, i).twist
+        - k_i
         for i, k_i in anchors.items()
     }
-    frame.simplex = middle.base_simplex()
     ctx.flip_frames[frame_key] = frame
     return frame
 

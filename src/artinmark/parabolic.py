@@ -344,8 +344,7 @@ def minimal_standardizer(p: ParabolicSubgroup) -> tuple[ArtinElement, Subset]:
     target = p.gens
     while True:
         head = inversions(c.right_head().perm)
-        strips = zip(_descent_strips(ctx, target), _strip_inversions(ctx, target))
-        for (d_inv, image), bits in strips:
+        for d_inv, image, bits in _descent_strips(ctx, target):
             if bits & head == bits:
                 c, target = c * d_inv, image
                 break
@@ -353,35 +352,25 @@ def minimal_standardizer(p: ParabolicSubgroup) -> tuple[ArtinElement, Subset]:
             return c, target
 
 
-def _strip_inversions(ctx: GarsideContext, target: Subset) -> tuple[int, ...]:
-    """The inversions (RootSystem._inversions) of the simple d of each strip
-    d^-1 onto A_target, in the order of the strips; built once per target and
-    kept in ctx.strip_inversions.  ArtinElement.inverse writes d^-1 as
-    Delta^-1 l, with l the left complement of d (no factor when d = Delta),
-    so d = l^-1 w0 in W."""
-    bits = ctx.strip_inversions.get(target)
-    if bits is None:
-        system, w0 = ctx.system, ctx.delta_w.perm
-        lefts = [(d_inv.body or (system.identity,))[0] for d_inv, _ in _descent_strips(ctx, target)]
-        bits = tuple(system._inversions(system._after(w0, l.inverse().perm)) for l in lefts)
-        ctx.strip_inversions[target] = bits
-    return bits
-
-
 def _descent_strips(
     ctx: GarsideContext, target: Subset
-) -> tuple[tuple[ArtinElement, Subset], ...]:
+) -> tuple[tuple[ArtinElement, Subset, int], ...]:
     """What the descent tries to strip from a standardizer onto A_target, in
-    order: the atom inverses of the target ascending, then (d_{target,t}^-1,
-    its target) for t ascending outside it.  Built once per target and kept
-    in ctx.standardizer_strips."""
+    order, as (d^-1, the target after, the inversions of the simple d): the
+    atoms of the target ascending, then d_{target,t} for t ascending outside
+    it.  Built once per target and kept in ctx.standardizer_strips."""
     strips = ctx.standardizer_strips.get(target)
     if strips is None:
-        atoms = [(ctx.atoms[s].inverse(), target) for s in sorted(target)]
-        ribbons = [
-            elementary_ribbon(ctx, target, t) for t in range(ctx.rank) if t not in target
-        ]
-        strips = tuple(atoms + [(r.element.inverse(), r.target) for r in ribbons])
+        system = ctx.system
+        simples = [(system.generators[s], target) for s in sorted(target)]
+        for t in range(ctx.rank):
+            if t not in target:
+                ribbon = elementary_ribbon(ctx, target, t)
+                simples.append((ribbon.element.body[0], ribbon.target))
+        strips = tuple(
+            (ctx.element(0, (d,)).inverse(), image, system._inversions(d.perm))
+            for d, image in simples
+        )
         ctx.standardizer_strips[target] = strips
     return strips
 

@@ -126,8 +126,9 @@ called: the meet of two simples by the library's block strip
 (gcd_simples), the descent sets of a simple (left_descents and
 right_descents), the join of two simples by complement duality
 (lcm_simples), the standardized representative of every node of a BFS
-ball (orbit_representatives) and the candidate table of a flip read off
-its flip frame (flip_candidate_table and frame_table).
+ball (orbit_representatives), the candidate table of a flip read off
+its flip frame (flip_candidate_table and frame_table) and the projections
+of every pair of a marking (projections).
 
 The last section holds reference implementations of statements of the
 paper that the tests check and no program path needs: subgroup containment,
@@ -193,6 +194,7 @@ from artinmark.marking import (
     _flip_frame,
     flip_candidates,
     is_twist_edge,
+    projection,
     standardize_marking,
     transversal_decomposition,
     twist_move,
@@ -679,7 +681,7 @@ def trial_product_minimal_standardizer(p):
     c = ctx.delta ** (-2 * (p.conj.inf // 2)) * p.conj
     target = p.gens
     while True:
-        for d_inv, image in _descent_strips(ctx, target):
+        for d_inv, image, _bits in _descent_strips(ctx, target):
             rest = c * d_inv
             if rest.is_positive:
                 c, target = rest, image
@@ -811,6 +813,13 @@ def pair_vertex(marking, j: int) -> int:
     """The index of the base P_j among the vertices of the base simplex."""
     keys = [v.key() for v in marking.base_simplex().vertices]
     return keys.index(marking.pairs[j][0].key())
+
+
+def projections(marking):
+    """The projection of every pair, by pair index: each transversal
+    decomposed again against the canonical standardizer of the base, not
+    read off the certificate (marking.projection)."""
+    return tuple(projection(marking, j) for j in range(len(marking.pairs)))
 
 
 def extraction_projection(marking, j, g):
@@ -1329,7 +1338,8 @@ def build_all_flip_candidates(marking, j):
         return Marking(ctx, new_pairs)
 
     middle = assemble([table[i][1] for i in indices])
-    ghat, x = _base_frame(middle)
+    ghat, subset_of = _base_frame(middle.base_simplex())
+    x = tuple(subset_of[p.key()] for p, _q in middle.pairs)
     swapped = transversal_decomposition(middle, j, ghat)
     offset = {i: transversal_decomposition(middle, i, ghat).twist - anchors[i] for i in indices}
     out = []
@@ -1441,7 +1451,7 @@ def neighbors_universe_connectivity(ctx, projection_bound=2, node_cap=20000):
         try:
             if any(not p.canonical()[0].is_identity for p, _ in m.pairs):
                 return False
-            return all(abs(v) <= projection_bound for v in m.projections())
+            return all(abs(v) <= projection_bound for v in projections(m))
         except ArtinMarkError:
             return False
 

@@ -41,6 +41,7 @@ from oracles import (
     marking_stabilizer_probe,
     orbit_representatives,
     positive_words,
+    projections,
     shortest_path,
     table_conjugacy_edges,
     transversal_swap_path,
@@ -272,7 +273,7 @@ def test_criterion_07_standard_transversal_markings():
         for simplex in enumerate_maximal_standard(ctx):
             marking = standard_transversals(simplex)
             validate_marking(marking)  # includes the inclusion-lemma asserts
-            assert marking.projections() == (0,) * len(marking.pairs)
+            assert projections(marking) == (0,) * len(marking.pairs)
             count += 1
     report(7, f"{count} recipe markings validated with all-zero projections")
 

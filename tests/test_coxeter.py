@@ -203,6 +203,15 @@ def test_length_inverse_invariant():
         assert w.length == w.inverse().length
 
 
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "I2(5)"])
+def test_length_counts_the_inversions(spec):
+    # the length is read off the inversion bits (RootSystem._inversions);
+    # against the count of positive roots that w sends negative, over all W
+    for w in all_w(spec):
+        pos = w.system.is_positive_root
+        assert w.length == sum(1 for i in w.system.positive_indices if not pos[w.perm[i]]), w
+
+
 def test_descents_examples():
     rs = root_reflection_table("A2")
     s1, s2 = rs.generators

@@ -1,10 +1,14 @@
+import collections
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import random
 
 import pytest
 
+from artinmark.cli import run_command
 from artinmark.coxeter import build_defining_graph, root_reflection_table
 from artinmark.errors import BudgetExceeded, PreconditionViolated, UnknownFormat
 from artinmark.garside import GarsideContext, context, normalize
@@ -41,6 +45,7 @@ from oracles import (
     neighbors_closure_bfs,
     neighbors_universe_connectivity,
     orbit_representatives,
+    projections,
     shared_flip_standardizer,
     verify_action_isometry,
 )
@@ -508,32 +513,19 @@ class RecordingFrames(dict):
 
 
 def spy_built_markings(monkeypatch, ctx) -> tuple[list[Marking], list[tuple]]:
-    """Record every Marking built outside a flip frame, and the key (base key
-    set, P_j key, Q_j key) of every flip frame built, as the keys stored in
-    the context's memo, which starts empty; a frame builds its middle
-    candidate, which is not a neighbor."""
-    import artinmark.graph as graph_module
-
-    built, inside = [], []
+    """Record every Marking built, and the key (base key set, P_j key, Q_j
+    key) of every flip frame built, as the keys stored in the context's
+    memo, which starts empty."""
+    built = []
     memo = RecordingFrames()
     init = Marking.__init__
-    frame = graph_module.flip_frame
 
     def spy_init(self, ctx, pairs):
         init(self, ctx, pairs)
-        if not inside:
-            built.append(self)
-
-    def spy_frame(marking, j):
-        inside.append(True)
-        try:
-            return frame(marking, j)
-        finally:
-            inside.pop()
+        built.append(self)
 
     monkeypatch.setattr(ctx, "flip_frames", memo)
     monkeypatch.setattr(Marking, "__init__", spy_init)
-    monkeypatch.setattr(graph_module, "flip_frame", spy_frame)
     return built, memo.stored
 
 
@@ -541,8 +533,9 @@ def spy_built_markings(monkeypatch, ctx) -> tuple[list[Marking], list[tuple]]:
 def test_bfs_builds_one_marking_per_node_and_each_frame_once(monkeypatch, spec):
     # every neighbor is looked up by its coordinates before it is built, so
     # a node found again costs no Marking, and a flip frame is built once per
-    # context, for every node and twist variant that meets it; the memo is
-    # cleared before each call, so every frame the call needs is built
+    # context, for every node and twist variant that meets it, and builds no
+    # Marking; the memo is cleared before each call, so every frame the call
+    # needs is built, and every Marking the call constructs is a node
     ctx = context(spec)
     seeds = all_standard_markings(ctx)
     built, frames = spy_built_markings(monkeypatch, ctx)
@@ -656,7 +649,7 @@ def test_connectivity_builds_no_marking_whose_coordinates_are_a_node(monkeypatch
 
     def inside(m):
         return all(p.canonical()[0].is_identity for p, _q in m.pairs) and all(
-            abs(v) <= 2 for v in m.projections()
+            abs(v) <= 2 for v in projections(m)
         )
 
     kept = [m.key() for m in built if inside(m)]
@@ -667,6 +660,52 @@ def test_connectivity_builds_no_marking_whose_coordinates_are_a_node(monkeypatch
 def fresh_context(spec) -> GarsideContext:
     """A context of its own, with empty memos."""
     return GarsideContext(build_defining_graph(spec), root_reflection_table(spec))
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+def test_connectivity_decomposes_only_to_validate_and_to_build_frames(monkeypatch, spec):
+    # the universe and the flip indices are read off certified coordinates,
+    # so on a fresh context every transversal decomposition, memo hits
+    # included, certifies a standard marking (validate_marking) or builds a
+    # flip frame (flip_frame): 10 and 20 on A3 and on B3
+    import sys
+
+    import artinmark.marking as marking_module
+
+    decompose = marking_module.decompose_transversal
+    sources = collections.Counter()
+
+    def spy(*args):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        sources[frozenset(names & {"validate_marking", "flip_frame"})] += 1
+        return decompose(*args)
+
+    monkeypatch.setattr(marking_module, "decompose_transversal", spy)
+    standard_marking_connectivity(fresh_context(spec))
+    assert sources == {frozenset({"validate_marking"}): 10, frozenset({"flip_frame"}): 20}
+
+
+@pytest.mark.parametrize(
+    "spec, radius", [("A3", 2), ("B3", 2), ("H3", 1), ("A4", 1), ("D4", 1), ("I2(5)", 3)]
+)
+def test_transversal_is_standard_exactly_when_its_certified_twist_is_zero(spec, radius):
+    # the rule by which std-connectivity picks its flip indices: on a node
+    # with a standard base (ghat = 1), Q_j is standard exactly when its
+    # certified twist k_j is 0; every standard-base node of the balls around
+    # every standard marking, where both cases occur
+    ctx = context(spec)
+    seen = collections.Counter()
+    for seed in all_standard_markings(ctx):
+        for node in bfs(seed, radius).nodes.values():
+            if all(p.canonical()[0].is_identity for p, _q in node.pairs):
+                for (_p, q), d in zip(node.pairs, node.certificate().transversals):
+                    standard = q.canonical()[0].is_identity
+                    assert standard == (d.twist == 0), (node, q)
+                    seen[standard] += 1
+    assert seen[True] and seen[False]
 
 
 def test_flip_frames_are_built_once_per_context_across_calls():
@@ -825,14 +864,47 @@ def test_first_seed_ball_dot_hashes_hold(spec, radius):
     assert dot_sha256(ball) == BALL_DOT_SHA256[spec, radius]
 
 
+# sha256 of the stdout of artinmark --type <type> --format json std-connectivity
+CONNECTIVITY_JSON_SHA256 = {
+    "A3": "33aa0bf9905c84443445aeb7429464dfe16687956cd4c0076de8c49b2897979e",
+    "B3": "f72964118d8f5a2c5d5ac140a7deec0d76dff883d16eda56e706f352302bcc81",
+    "A4": "38592f093fc115a20c1126d1829b0f3b0f7b433d1f141bcc09e87583b2a89a94",
+    "D4": "cf581e8025522c6b60b9bf81d88f993a6c2dd735406416a65925262dabd47d31",
+    "B4": "d2edf0d3b3deb15d3108818fd9794ab83fb8834d35b032d51a2761cb71014cc3",
+    "F4": "fce45669bb23fb4235d8b968fb6a0671a93073e4ddf8e0a86b9e35697e8c03ef",
+    "H4": "7f3c90298aeece1cfd469da3cbfaf0d34d083517592aa0def1cd2846cbea341b",
+    "I2(5)": "d6a5992d99a35cb401d600a8cf93dca58d59615e22a25237da1b355260da927b",
+}
+
+
+def connectivity_json(spec) -> str:
+    """The stdout of the CLI's std-connectivity --format json, run in-process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_command(["--type", spec, "--format", "json", "std-connectivity"])
+    if code != 0:
+        raise AssertionError(f"{spec} std-connectivity exited {code}")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("spec", list(CONNECTIVITY_JSON_SHA256))
+def test_std_connectivity_json_hashes_hold(spec):
+    digest = hashlib.sha256(connectivity_json(spec).encode()).hexdigest()
+    assert digest == CONNECTIVITY_JSON_SHA256[spec]
+
+
 if __name__ == "__main__":
-    # the balls of BALL_DOT_SHA256 and SLOW_BALL_DOT_SHA256, or the ones
-    # named on the command line, seeded from the first standard marking:
-    # nodes, edges, the markings built by the search (every Marking
-    # constructed during the bfs call), the flip frames the call added to
-    # the context's memo, seconds, the seconds of those spent closing the
-    # boundary (graph._close_boundary), the DOT sha256 and the process's
-    # peak RSS so far.  Exits 1 when a pinned hash does not hold.
+    # with no arguments, std-connectivity on every type of
+    # CONNECTIVITY_JSON_SHA256, each on the context it is the first call on:
+    # seconds, nodes, transversal decompositions (memo hits included) and
+    # the JSON sha256.  Then the balls of BALL_DOT_SHA256 and
+    # SLOW_BALL_DOT_SHA256, or the ones named on the command line, seeded
+    # from the first standard marking: nodes, edges, the markings built by
+    # the search (every Marking constructed during the bfs call), the flip
+    # frames the call added to the context's memo, seconds, the seconds of
+    # those spent closing the boundary (graph._close_boundary), the DOT
+    # sha256 and the process's peak RSS so far.  Exits 1 when a pinned hash
+    # does not hold.
     #   PYTHONPATH=src python tests/test_graph.py
     #   PYTHONPATH=src python tests/test_graph.py D5 2 A5 2 E6 2
     import resource
@@ -840,11 +912,14 @@ if __name__ == "__main__":
     import time
 
     import artinmark.graph as graph_module
+    import artinmark.marking as marking_module
 
     built = [0]
     init = Marking.__init__
     closing = [0.0]
     close = graph_module._close_boundary
+    decompositions = [0]
+    decompose = marking_module.decompose_transversal
 
     def counted(self, ctx, pairs):
         built[0] += 1
@@ -855,10 +930,34 @@ if __name__ == "__main__":
         close(*args)
         closing[0] = time.perf_counter() - start
 
-    pinned = {**BALL_DOT_SHA256, **SLOW_BALL_DOT_SHA256}
-    args = sys.argv[1:]
-    balls = list(zip(args[::2], map(int, args[1::2]))) if args else list(pinned)
+    def counted_decompose(*args):
+        decompositions[0] += 1
+        return decompose(*args)
+
+    def check(expected, digest) -> str:
+        if expected is None:
+            return ""
+        if expected != digest:
+            mismatched.append(digest)
+            return " MISMATCH"
+        return " (pinned)"
+
     mismatched = []
+    args = sys.argv[1:]
+    if not args:
+        marking_module.decompose_transversal = counted_decompose
+        for spec, expected in CONNECTIVITY_JSON_SHA256.items():
+            decompositions[0] = 0
+            start = time.perf_counter()
+            text = connectivity_json(spec)
+            seconds = time.perf_counter() - start
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            print(f"{spec} std-connectivity: {json.loads(text)['nodes']} nodes,"
+                  f" {decompositions[0]} decompositions, {seconds:.2f} s,"
+                  f" json sha256 {digest[:12]}{check(expected, digest)}")
+        marking_module.decompose_transversal = decompose
+    pinned = {**BALL_DOT_SHA256, **SLOW_BALL_DOT_SHA256}
+    balls = list(zip(args[::2], map(int, args[1::2]))) if args else list(pinned)
     for spec, radius in balls:
         ctx = context(spec)
         seed = all_standard_markings(ctx)[0]
@@ -873,12 +972,9 @@ if __name__ == "__main__":
         graph_module._close_boundary = close
         digest = dot_sha256(ball)
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        expected = pinned.get((spec, radius))
-        if expected not in (None, digest):
-            mismatched.append((spec, radius))
-        check = "" if expected is None else " (pinned)" if expected == digest else " MISMATCH"
         print(f"{spec} r{radius}: {len(ball.nodes)} nodes, {len(ball.edges)} edges,"
               f" {built[0]} markings built, {len(ctx.flip_frames) - frames} frames added,"
               f" {seconds:.2f} s ({closing[0]:.2f} s closing the boundary),"
-              f" dot sha256 {digest[:12]}{check}, peak rss {peak_mb:.0f} MB")
+              f" dot sha256 {digest[:12]}{check(pinned.get((spec, radius)), digest)},"
+              f" peak rss {peak_mb:.0f} MB")
     sys.exit(1 if mismatched else 0)

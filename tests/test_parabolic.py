@@ -21,8 +21,8 @@ from artinmark.graph import standard_marking_connectivity
 from artinmark.marking import standard_transversals, standardize_marking, validate_marking
 from artinmark.parabolic import (
     ParabolicSubgroup,
+    _descent_strips,
     _standard_target,
-    _strip_inversions,
     central_generator_z,
     check_simplex_family,
     conjugacy_edge_count,
@@ -611,17 +611,22 @@ def test_minimal_standardizer_runs_once_per_representative(monkeypatch):
 def test_descent_strips_built_once_per_target_in_descent_order():
     # after A4 std-connectivity the memo holds at most one entry per subset
     # of the vertices, each the strips in the order the descent tries them:
-    # atom inverses of the target ascending, then d_{Y,t}^-1 for t ascending
+    # atom inverses of the target ascending, then d_{Y,t}^-1 for t ascending,
+    # each with its target after and the inversions of its simple d
     fresh = GarsideContext(build_defining_graph("A4"), root_reflection_table("A4"))
     standard_marking_connectivity(fresh)
+    inversions = fresh.system._inversions
     memo = fresh.standardizer_strips
     assert memo and len(memo) <= 2**fresh.rank
     for target, strips in memo.items():
-        inline = [(fresh.atoms[s].inverse(), target) for s in sorted(target)]
+        inline = [
+            (fresh.atoms[s].inverse(), target, inversions(fresh.atoms[s].body[0].perm))
+            for s in sorted(target)
+        ]
         for t in range(fresh.rank):
             if t not in target:
-                ribbon = elementary_ribbon(fresh, target, t)
-                inline.append((ribbon.element.inverse(), ribbon.target))
+                d = elementary_ribbon(fresh, target, t)
+                inline.append((d.element.inverse(), d.target, inversions(d.element.body[0].perm)))
         assert list(strips) == inline, sorted(target)
 
 
@@ -641,7 +646,7 @@ def test_right_divisors_are_read_off_the_right_head(spec):
                 assert (start * d_inv).is_positive == divides, (start, d)
     assert ctx.delta.right_head() is ctx.delta_w
     assert ctx.identity.right_head() is ctx.system.identity
-    # the descent reads the inversions of each strip's simple off its memo
+    # the descent reads the inversions of each strip's simple off its record
     for mask in range(1, 1 << ctx.rank):
         target = frozenset(i for i in range(ctx.rank) if mask >> i & 1)
         simples = [ctx.atoms[s].body[0] for s in sorted(target)] + [
@@ -649,7 +654,8 @@ def test_right_divisors_are_read_off_the_right_head(spec):
             for t in range(ctx.rank)
             if t not in target
         ]
-        assert _strip_inversions(ctx, target) == tuple(inversions(d.perm) for d in simples)
+        bits = tuple(bits for _d_inv, _image, bits in _descent_strips(ctx, target))
+        assert bits == tuple(inversions(d.perm) for d in simples)
 
 
 @pytest.mark.parametrize("spec", ["A4", "B3", "D4"])

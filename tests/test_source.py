@@ -218,7 +218,6 @@ MEMOS = {
     "garside.py:GarsideContext.parabolics",
     "garside.py:GarsideContext.simplex_canonical",
     "garside.py:GarsideContext.standardizer_strips",
-    "garside.py:GarsideContext.strip_inversions",
     "garside.py:GarsideContext.transversal_decompositions",
     "garside.py:GarsideContext.transversal_subsets",
     "garside.py:context",
@@ -395,14 +394,19 @@ def test_no_program_path_enumerates_the_monoid():
 def test_graph_reads_the_frame_off_the_certificate():
     # a marking's frame (ghat, X_i, k_i, Y_i by pair index) is its
     # certificate: graph reads no simplex internals, and no map from pair
-    # index to simplex vertex is kept
+    # index to simplex vertex is kept; the connectivity universe and its
+    # flip indices are read off certified twists, so graph decomposes no
+    # transversal again (projections) and reads no canonical form
     found = [
         f"{name}:{node.lineno} {word}"
         for name, tree in source_trees()
         for node in ast.walk(tree)
         for word in [getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))]
         if word == "vertex_of_pair"
-        or (name == "graph.py" and word in ("base_simplex", "canonical_data"))
+        or (
+            name == "graph.py"
+            and word in ("base_simplex", "canonical_data", "projections", "canonical")
+        )
     ]
     assert found == []
 
