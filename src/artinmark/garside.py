@@ -71,9 +71,9 @@ class GarsideContext:
     target subset (at most one entry per subset of the vertices), and
     two memos that several representatives share, keyed by value: the
     canonical data of a simplex (by its sorted vertex keys) and transversal
-    decompositions (by transversal, base and standardizer).  The flip
-    frames are kept by (base key set, P_j key, Q_j key)
-    (marking.flip_frame), so an exploration reads the frames that
+    decompositions (by transversal, standardized base and inverted
+    standardizer).  The flip frames are kept by (base key set, P_j key,
+    Q_j key) (marking.flip_frame), so an exploration reads the frames that
     earlier calls on the context built.  Meets and complements of simples are not
     memoized: each is one table operation on interned elements.  The memos
     hold results only: a failure is recomputed and raised fresh.

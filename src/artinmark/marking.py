@@ -26,9 +26,9 @@ exactly when U <= V.
 The certificate is the marking's frame, listed by pair index: ghat, the
 standardized bases X_i and the decompositions (k_i, Y_i).  Only validation
 and a flip, for its flipped base, read ghat and the X_i off a base simplex
-(_base_frame); every other move, edge test and standardization reads them
-off the certificate, and the levels, where they are needed, are the nesting
-levels of the X_i.
+(_base_frame); every other move, edge test, standardization and stabilizer
+reads them off the certificate, and the levels, where they are needed, are
+the nesting levels of the X_i.
 
 One standardizer per base: the certificate is the only source of a
 marking's twists, and no move or standardization decomposes against a
@@ -90,9 +90,16 @@ each P_i != P_j the twist relative to h is twist_i - c_i.  The same offsets
 decide whether a certified marking with bases B is a flip without
 decomposing it: its twists relative to h are its certified twists minus c_i.
 
-Standardization conjugates by ghat and then by Delta_{X_j}^{k_j} for every
-pair, deepest level first: a deeper Delta leaves the bases and twists of the
-shallower pairs alone, and the Deltas of one level commute.
+Standardization moves subsets and conjugates no marking.  Conjugate by
+ghat^-1, and then by Delta_{X_j}^-k_j for each k_j != 0, deepest level
+first.  Each conjugate on the way is a valid marking with a standard base,
+whose ghat is 1, so by the argument above each step zeroes k_j and moves
+the subsets nested in X_j by pi^{k_j}: delta_twisted over the bases and
+transversal subsets together, which moves each nested pair whole, as
+Y_m < X_j exactly when X_m < X_j.  If X_m < X_j, then Y_m <= X_j (the
+structural invariant), and Y_m != X_j, which contains X_m.  If Y_m < X_j,
+then m != j (Y_j is transverse to X_j), X_m is not apart from X_j (Y_m
+meets X_m or is adjacent to it) and not above it (Y_m does not lie in X_m).
 
 Markings compare equal as unordered pair sets (canonical keys), while the
 stored pair order is preserved by every move.
@@ -101,7 +108,7 @@ stored pair order is preserved by every move.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .errors import (
@@ -113,6 +120,7 @@ from .errors import (
     NotProper,
     NotStandard,
     NotSimultaneouslyStandardizable,
+    ParseError,
     PreconditionViolated,
     TransversalityPatternBroken,
 )
@@ -209,14 +217,6 @@ class Marking:
             [(p.conjugated_by(x), q.conjugated_by(x)) for p, q in self.pairs],
         )
 
-    def all_standard(self) -> bool:
-        """Whether every base and transversal is a standard subgroup A_X,
-        however its conjugator is written."""
-        return all(
-            p.canonical()[0].is_identity and q.canonical()[0].is_identity
-            for p, q in self.pairs
-        )
-
     def certificate(self) -> MarkingCertificate:
         if self._cert is None:
             self._cert = validate_marking(self)
@@ -241,8 +241,10 @@ class Marking:
 
     @staticmethod
     def from_json(ctx: GarsideContext, data: dict) -> Marking:
+        if not isinstance(pairs := data["pairs"], list):
+            raise ParseError(f"pairs must be a list of base/transverse pairs, not {pairs!r}")
         parabolics = parabolics_from_json(
-            ctx, (pair[side] for pair in data["pairs"] for side in ("base", "transverse"))
+            ctx, (pair[side] for pair in pairs for side in ("base", "transverse"))
         )
         return Marking(ctx, zip(parabolics[::2], parabolics[1::2]))
 
@@ -253,19 +255,20 @@ class Marking:
 def standard_transversals(simplex: CparabSimplex) -> Marking:
     """The simultaneously standardizable marking on a maximal standard base:
     each vertex A_{X_i} paired with A_{Y_i}, Y_i = transversal_subset at i.
-    X_i is read off the vertex's canonical form, so a vertex written with a
-    conjugator, such as Delta A_{s1,s2} Delta^-1 = A_{s2,s3} in A3, counts
-    by the subgroup it is."""
+    The base is standard when its ghat is 1 (see the simplex module
+    docstring), and X_i is read off its standardized family, so a vertex
+    written with a conjugator, such as Delta A_{s1,s2} Delta^-1 = A_{s2,s3}
+    in A3, counts by the subgroup it is."""
     ctx = simplex.ctx
-    if not simplex.all_standard():
+    ghat, std = simplex.canonical_data()
+    if not ghat.is_identity:
         raise NotStandard("all vertices must be standard")
-    if not simplex.canonical_data()[1].is_maximal:
+    if not std.is_maximal:
         raise BaseNotMaximal("base simplex is not maximal")
-    subsets = tuple(v.canonical()[1] for v in simplex.vertices)
     return Marking(
         ctx,
         [
-            (v, ParabolicSubgroup.standard(ctx, transversal_subset(ctx, subsets, i)))
+            (v, ParabolicSubgroup.standard(ctx, transversal_subset(ctx, std.subsets, i)))
             for i, v in enumerate(simplex.vertices)
         ],
     )
@@ -275,11 +278,12 @@ def standard_transversals(simplex: CparabSimplex) -> Marking:
 
 
 def decompose_transversal(
-    q: ParabolicSubgroup, base: ParabolicSubgroup, g: ArtinElement, index: int = -1
+    q: ParabolicSubgroup, x: Subset, g_inv: ArtinElement, index: int = -1
 ) -> TransversalData:
-    """The unique (k, Y) with q = g Delta_X^k A_Y Delta_X^-k g^-1, where
-    A_X = g^-1 (base) g must be standard; raises
-    NotSimultaneouslyStandardizable(index) when there is none.
+    """The unique (k, Y) with q = g Delta_X^k A_Y Delta_X^-k g^-1, from g^-1
+    and X, A_X = g^-1 (base) g, which the caller's frame holds; raises
+    NotSimultaneouslyStandardizable(index) when there is none.  Only
+    transversal_decomposition, whose g comes from outside, checks g.
 
     |k| is read off w = g^-1 z_q g = Delta_X^k z_Y Delta_X^-k: it is
     -min(inf w, 0).  So k = 0 is tested when w is positive, and otherwise
@@ -310,14 +314,10 @@ def decompose_transversal(
     """
     ctx = q.ctx
     cache = ctx.transversal_decompositions
-    cache_key = (q.conj, q.gens, base.conj, base.gens, g)
+    cache_key = (q.conj, q.gens, x, g_inv)
     hit = cache.get(cache_key)
     if hit is not None:
         return hit
-    g_inv = g.inverse()
-    c, x = base.conjugated_by(g_inv).canonical()
-    if not c.is_identity:
-        raise NotAStandardizer(f"{g} does not standardize the base {base}")
     u = g_inv * q.conj
     w = ParabolicSubgroup.standard(ctx, q.gens).z_element().conjugated_by(u)
     size = max(-w.inf, 0)
@@ -343,19 +343,25 @@ def _check_index(marking: Marking, j: int) -> None:
 def transversal_decomposition(
     marking: Marking, j: int, g: ArtinElement
 ) -> TransversalData:
-    """Decomposition of the j-th transversal relative to a base standardizer g."""
+    """Decomposition of the j-th transversal relative to a base standardizer
+    g; raises NotAStandardizer unless g^-1 P_j g is standard."""
     _check_index(marking, j)
     p_j, q_j = marking.pairs[j]
-    return decompose_transversal(q_j, p_j, g, j)
+    g_inv = g.inverse()
+    c, x = p_j.conjugated_by(g_inv).canonical()
+    if not c.is_identity:
+        raise NotAStandardizer(f"{g} does not standardize the base {p_j}")
+    return decompose_transversal(q_j, x, g_inv, j)
 
 
-def _base_frame(simplex: CparabSimplex) -> tuple[ArtinElement, dict[str, Subset]]:
-    """(ghat, X by vertex key) read off a base simplex, whose vertices are in
-    canonical order; raises BaseNotMaximal unless the simplex is maximal."""
+def _base_frame(simplex: CparabSimplex) -> tuple[ArtinElement, ArtinElement, dict[str, Subset]]:
+    """(ghat, ghat^-1, X by vertex key) read off a base simplex, whose
+    vertices are in canonical order; raises BaseNotMaximal unless the
+    simplex is maximal."""
     ghat, std = simplex.canonical_data()
     if not std.is_maximal:
         raise BaseNotMaximal("base does not span a maximal simplex")
-    return ghat, {v.key(): x for v, x in zip(simplex.vertices, std.subsets)}
+    return ghat, ghat.inverse(), {v.key(): x for v, x in zip(simplex.vertices, std.subsets)}
 
 
 def validate_marking(marking: Marking) -> MarkingCertificate:
@@ -379,9 +385,9 @@ def validate_marking(marking: Marking) -> MarkingCertificate:
             raise NotIrreducible(f"transversal {q} is not irreducible")
         if not q.proper:
             raise NotProper(f"transversal {q} is the whole group")
-    ghat, subset_of = _base_frame(marking.base_simplex())
+    ghat, ghat_inv, subset_of = _base_frame(marking.base_simplex())
     x = tuple(subset_of[p.key()] for p, _ in pairs)
-    data = [transversal_decomposition(marking, j, ghat) for j in range(len(pairs))]
+    data = [decompose_transversal(q, x[j], ghat_inv, j) for j, (_p, q) in enumerate(pairs)]
     for i, d in enumerate(data):
         m = pattern_break(ctx.graph, d.subset, delta_twisted(ctx, x, i, d.twist), i)
         if m is not None:
@@ -409,10 +415,13 @@ def projection(marking: Marking, j: int) -> int:
     (tests/oracles.py::extraction_projection).  The base must be maximal;
     the marking is not validated.
     """
-    ghat, std = marking.base_simplex().canonical_data()
-    if not std.is_maximal:
+    simplex = marking.base_simplex()
+    if not simplex.canonical_data()[1].is_maximal:
         raise NotMaximal("base does not span a maximal simplex")
-    return transversal_decomposition(marking, j, ghat).twist
+    _check_index(marking, j)
+    _ghat, ghat_inv, subset_of = _base_frame(simplex)
+    p_j, q_j = marking.pairs[j]
+    return decompose_transversal(q_j, subset_of[p_j.key()], ghat_inv, j).twist
 
 
 # -- moves ---------------------------------------------------------------------
@@ -422,7 +431,8 @@ def twist_move(marking: Marking, j: int, direction: int = 1) -> Marking:
     """Replace Q_j by z_{P_j}^direction Q_j z_{P_j}^-direction; the direction
     is 1 or -1.  The marking is certified first; z_{P_j} fixes every base
     and every z_{P_i}, so the result is a marking too, and its certificate
-    is carried over: twist_j moves by direction * z_exponent(X_j)."""
+    and base simplex are carried over: twist_j moves by
+    direction * z_exponent(X_j)."""
     cert = marking.certificate()
     _check_index(marking, j)
     if direction not in (1, -1):
@@ -435,16 +445,9 @@ def twist_move(marking: Marking, j: int, direction: int = 1) -> Marking:
     step = direction * z_exponent(marking.ctx, cert.bases[j])
     data = list(cert.transversals)
     data[j] = TransversalData(d.twist + step, d.subset)
-    moved = MarkingCertificate(cert.ghat, cert.bases, tuple(data))
-    return _certified(Marking(marking.ctx, pairs), marking, moved)
-
-
-def _certified(marking: Marking, frame: Marking, cert: MarkingCertificate) -> Marking:
-    """The marking, certified by the certificate carried over from a move:
-    it has the bases of frame, in the same order, so it shares the frame's
-    base simplex, ghat and X_i too."""
-    marking._base, marking._cert = frame.base_simplex(), cert
-    return marking
+    moved = Marking(marking.ctx, pairs)
+    moved._base, moved._cert = marking.base_simplex(), replace(cert, transversals=tuple(data))
+    return moved
 
 
 def _flip_frame(marking: Marking, j: int) -> tuple[ArtinElement, MarkingCertificate]:
@@ -552,7 +555,7 @@ def flip_frame(marking: Marking, j: int) -> FlipFrame:
         return frame
     flipped = [q_j if i == j else p for i, (p, _q) in enumerate(marking.pairs)]
     simplex = CparabSimplex(ctx, flipped)
-    ghat, bases = _base_frame(simplex)
+    ghat, ghat_inv, bases = _base_frame(simplex)
     h, cert = _flip_frame(marking, j)
     x_h = list(delta_twisted(ctx, cert.bases, j, cert.transversals[j].twist))
     x_h[j] = cert.transversals[j].subset
@@ -563,9 +566,9 @@ def flip_frame(marking: Marking, j: int) -> FlipFrame:
     )
     frame.simplex, frame.ghat, frame.bases = simplex, ghat, bases
     frame.subsets = {keys[i]: _by_parity(ctx, x, i) for i in anchors}
-    frame.swapped = decompose_transversal(p_j, q_j, ghat, j)
+    frame.swapped = decompose_transversal(p_j, x[j], ghat_inv, j)
     frame.offsets = {
-        keys[i]: decompose_transversal(frame.transversal(keys[i], k_i), flipped[i], ghat, i).twist
+        keys[i]: decompose_transversal(frame.transversal(keys[i], k_i), x[i], ghat_inv, i).twist
         - k_i
         for i, k_i in anchors.items()
     }
@@ -656,8 +659,9 @@ def is_flip_edge(a: Marking, b: Marking) -> bool:
     a base of b, and every other transversal within twist distance one
     relative to a shared standardizer.  Both ends are certified first, so a
     non-marking raises its validation error.  The twists of a are its
-    certified ones; only b is decomposed against that standardizer.  The
-    bfs boundary closure decides the same condition by flip frame offsets."""
+    certified ones; only b is decomposed against that standardizer h, with
+    h^-1 P_i h read off the certificate of a (see the module docstring).
+    The bfs boundary closure decides the same condition by offsets."""
     a.certificate()
     b.certificate()
     at_b = _base_index(b)
@@ -669,9 +673,10 @@ def is_flip_edge(a: Marking, b: Marking) -> bool:
     if (q_j.key(), p_j.key()) not in b.ordered_key():
         return False
     h, cert = _flip_frame(a, j)
+    h_inv, x_h = h.inverse(), delta_twisted(a.ctx, cert.bases, j, cert.transversals[j].twist)
     return all(
-        abs(cert.transversals[i].twist - transversal_decomposition(b, at_b[p.key()], h).twist) <= 1
-        for i, (p, _q) in enumerate(a.pairs)
+        abs(d.twist - decompose_transversal(b.pairs[at_b[p.key()]][1], x_h[i], h_inv).twist) <= 1
+        for i, ((p, _q), d) in enumerate(zip(a.pairs, cert.transversals))
         if i != j
     )
 
@@ -700,40 +705,30 @@ def is_twist_edge(a: Marking, b: Marking) -> bool:
 
 
 def standardize_marking(marking: Marking) -> tuple[ArtinElement, Marking]:
-    """(c, M0) with marking = c M0 c^-1 and M0 entirely standard.
-
-    c = ghat * prod Delta_{X_j}^{k_j} over the pairs, deepest level first,
-    with the certified twists k_j: conjugating by ghat standardizes the base,
-    and each Delta power absorbs one twist without moving the bases or the
-    twists of the pairs above it (see the module docstring).
-    """
+    """(c, M0) with marking = c M0 c^-1 and M0 entirely standard, read off
+    the certificate: c = ghat * prod Delta_{X_j}^{k_j} over the pairs,
+    deepest level first, and M0 the bases and transversal subsets moved by
+    delta_twisted at each j with k_j != 0 (see the module docstring)."""
     ctx = marking.ctx
     cert = marking.certificate()
+    n = len(cert.bases)
     conj = cert.ghat
+    family = cert.bases + tuple(d.subset for d in cert.transversals)
     for layer in reversed(nesting_levels(cert.bases).levels):
         for j in layer:
             k_j = cert.transversals[j].twist
             if k_j:
                 conj = conj * ctx.delta_of(cert.bases[j]) ** k_j
-    cur = marking.conjugated_by(conj.inverse())
-    # normal-form representations: swap every pair for its standard form
-    std_pairs = []
-    for p, q in cur.pairs:
-        cp, xp = p.canonical()
-        cq, xq = q.canonical()
-        if not (cp.is_identity and cq.is_identity):
-            raise InvariantViolated("a pair is not standard after absorbing its twist")
-        std_pairs.append(
-            (ParabolicSubgroup.standard(ctx, xp), ParabolicSubgroup.standard(ctx, xq))
-        )
-    return conj, Marking(ctx, std_pairs)
+                family = delta_twisted(ctx, family, j, k_j)
+    std = [ParabolicSubgroup.standard(ctx, x) for x in family]
+    return conj, Marking(ctx, zip(std[:n], std[n:]))
 
 
 def marking_stabilizer(marking: Marking) -> int:
     """The d with Stab(mu) = <Delta^d> for a standard marking mu: 1 when
     conjugation by Delta fixes mu, else 2.  The marking is certified first,
-    so an invalid one raises its validation error, and one that is not all
-    standard raises NotStandard.
+    so an invalid one raises its validation error, and one with ghat != 1
+    or a twist != 0, which is not standard, raises NotStandard.
 
     The pairs of mu are (A_{X_i}, A_{Y_i}), so its canonical standardizer
     ghat is 1 and every pair has twist 0 relative to it.  Let g stabilize
@@ -751,9 +746,14 @@ def marking_stabilizer(marking: Marking) -> int:
     that product is p, and the projections are 0, so every exponent of p at
     an X_j is 0 and g = Delta_Gamma^gamma = Delta^gamma.  Delta^2 is
     central, so it stabilizes every marking, and the stabilizer is <Delta>
-    when Delta fixes mu and <Delta^2> otherwise.
+    when Delta fixes mu and <Delta^2> otherwise.  Delta = Delta_Gamma takes
+    each proper A_X to A_{tau X}, tau its involution (delta_twisted).
     """
-    marking.certificate()
-    if not marking.all_standard():
+    ctx = marking.ctx
+    cert = marking.certificate()
+    if not cert.ghat.is_identity or any(d.twist for d in cert.transversals):
         raise NotStandard("the stabilizer is computed for an all-standard marking")
-    return 1 if marking.conjugated_by(marking.ctx.delta) == marking else 2
+    n = len(cert.bases)
+    family = cert.bases + tuple(d.subset for d in cert.transversals)
+    moved = delta_twisted(ctx, family + (frozenset(ctx.graph.vertices),), 2 * n, 1)[:-1]
+    return 1 if {*zip(moved[:n], moved[n:])} == {*zip(family[:n], family[n:])} else 2

@@ -17,7 +17,9 @@ The canonical positive standardizer of a simplex is the minimal
 simultaneous standardizer of all its vertices.  The program needs no other
 standardizer: the paper's statements about them (ascending products of
 powers of Delta_{X_i} and Delta_Gamma, simplex stabilizers) have reference
-implementations in tests/oracles.py, which the tests check.
+implementations in tests/oracles.py, which the tests check.  A simplex is
+standard exactly when its ghat is 1: the climb of simultaneous_standardizer
+only grows, and leaves 1 exactly at a vertex that is not standard.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvariantViolated, NotASimplex, PreconditionViolated
+from .errors import InvariantViolated, NotASimplex, ParseError, PreconditionViolated
 from .garside import ArtinElement, GarsideContext
 from .parabolic import (
     ParabolicSubgroup,
@@ -179,11 +181,6 @@ class CparabSimplex:
     def __repr__(self) -> str:
         return f"Simplex[{', '.join(map(repr, self.vertices))}]"
 
-    def all_standard(self) -> bool:
-        """Whether every vertex is a standard subgroup A_X, however its
-        conjugator is written."""
-        return all(v.canonical()[0].is_identity for v in self.vertices)
-
     def conjugated_by(self, x: ArtinElement) -> CparabSimplex:
         return CparabSimplex(self.ctx, [v.conjugated_by(x) for v in self.vertices])
 
@@ -196,7 +193,9 @@ class CparabSimplex:
 
     @staticmethod
     def from_json(ctx: GarsideContext, data: dict) -> CparabSimplex:
-        return CparabSimplex(ctx, parabolics_from_json(ctx, data["vertices"]))
+        if not isinstance(vertices := data["vertices"], list):
+            raise ParseError(f"vertices must be a list of parabolics, not {vertices!r}")
+        return CparabSimplex(ctx, parabolics_from_json(ctx, vertices))
 
 
 @dataclass(frozen=True)

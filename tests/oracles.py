@@ -60,6 +60,14 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   each transversal again against the identity after the Delta powers of the
   levels below it are conjugated away, not by one product of the Delta
   powers of the certified twists;
+* the conjugating standardization conjugates the marking by the product of
+  ghat and the Delta powers of the certified twists and reads the standard
+  form of every pair off its canonical form, raising InvariantViolated when
+  one is not standard, not by moving the certificate's subsets by the Delta
+  involutions;
+* the canonical-form standard test decides whether every subgroup of a
+  marking or a simplex is standard by its canonical form (all_standard),
+  not by the canonical standardizer of the base and the certified twists;
 * the z-product flip table keeps a flip candidate when its z-element
   commutes with the right z-elements of the flipped base, by Garside
   products, not by subset adjacency after standardizing;
@@ -113,7 +121,9 @@ These deliberately avoid the library's normal-form and lattice algorithms:
 * the stabilizer probe finds the stabilizer of a standard marking in a
   window by trying every Delta^e w, w positive with |e| and the atom length
   of w at most a bound (positive_elements enumerates the monoid by length),
-  not by one conjugation by Delta and the ascending-product argument;
+  and the Delta-conjugation stabilizer conjugates the marking by Delta and
+  compares keys, not by the involution of Delta on the certified subsets
+  and the ascending-product argument;
 * the maximal tubings of a Coxeter diagram are the maximal sets of pairwise
   compatible tubes (connected proper vertex subsets, nested or disjoint and
   not adjacent), found by a clique search, not by the recursive
@@ -190,7 +200,6 @@ from artinmark.marking import (
     TransversalData,
     _base_frame,
     _base_index,
-    _certified,
     _flip_frame,
     flip_candidates,
     is_twist_edge,
@@ -215,6 +224,7 @@ from artinmark.simplex import (
     Subset,
     build_standardized,
     delta_twisted,
+    nesting_levels,
     transversal_subset,
 )
 
@@ -889,6 +899,39 @@ def levelwise_standardize_marking(marking):
     return conj, Marking(ctx, std_pairs)
 
 
+def conjugating_standardize_marking(marking):
+    """(c, M0) as marking.standardize_marking returns them: c is the product
+    of ghat and the Delta powers of the certified twists, deepest level
+    first, the marking is conjugated by c^-1, and each pair is swapped for
+    the standard subgroups of its canonical forms, InvariantViolated when
+    one of them is not standard."""
+    ctx = marking.ctx
+    cert = marking.certificate()
+    conj = cert.ghat
+    for layer in reversed(nesting_levels(cert.bases).levels):
+        for j in layer:
+            k_j = cert.transversals[j].twist
+            if k_j:
+                conj = conj * ctx.delta_of(cert.bases[j]) ** k_j
+    std_pairs = []
+    for p, q in marking.conjugated_by(conj.inverse()).pairs:
+        cp, xp = p.canonical()
+        cq, xq = q.canonical()
+        if not (cp.is_identity and cq.is_identity):
+            raise InvariantViolated("a pair is not standard after absorbing its twist")
+        std_pairs.append(
+            (ParabolicSubgroup.standard(ctx, xp), ParabolicSubgroup.standard(ctx, xq))
+        )
+    return conj, Marking(ctx, std_pairs)
+
+
+def all_standard(subgroups) -> bool:
+    """Whether every subgroup is a standard A_X, however its conjugator is
+    written, read off its canonical form: pass the vertices of a simplex, or
+    itertools.chain(*marking.pairs)."""
+    return all(p.canonical()[0].is_identity for p in subgroups)
+
+
 # -- standard transversals ------------------------------------------------------
 
 
@@ -1338,7 +1381,7 @@ def build_all_flip_candidates(marking, j):
         return Marking(ctx, new_pairs)
 
     middle = assemble([table[i][1] for i in indices])
-    ghat, subset_of = _base_frame(middle.base_simplex())
+    ghat, _ghat_inv, subset_of = _base_frame(middle.base_simplex())
     x = tuple(subset_of[p.key()] for p, _q in middle.pairs)
     swapped = transversal_decomposition(middle, j, ghat)
     offset = {i: transversal_decomposition(middle, i, ghat).twist - anchors[i] for i in indices}
@@ -1348,7 +1391,9 @@ def build_all_flip_candidates(marking, j):
         for i, (t, _q) in zip(indices, combo):
             k = t + offset[i]
             data[i] = TransversalData(k, transversal_subset(ctx, delta_twisted(ctx, x, i, k), i))
-        out.append(_certified(assemble(combo), middle, MarkingCertificate(ghat, x, tuple(data))))
+        flip = assemble(combo)
+        flip._base, flip._cert = middle.base_simplex(), MarkingCertificate(ghat, x, tuple(data))
+        out.append(flip)
     return out
 
 
@@ -1527,13 +1572,23 @@ def positive_elements(ctx: GarsideContext, max_length: int):
         yield from layer
 
 
+def delta_conjugation_stabilizer(marking: Marking) -> int:
+    """marking.marking_stabilizer by one conjugation: 1 when Delta mu
+    Delta^-1 = mu as pair sets, else 2.  The marking is certified first,
+    and one that all_standard rejects raises NotStandard."""
+    marking.certificate()
+    if not all_standard(itertools.chain(*marking.pairs)):
+        raise NotStandard("the stabilizer is computed for an all-standard marking")
+    return 1 if marking.conjugated_by(marking.ctx.delta) == marking else 2
+
+
 def marking_stabilizer_probe(marking: Marking, length_bound: int) -> list[ArtinElement]:
     """All stabilizing elements Delta^e w with |e| and the atom length of the
     positive part w both at most the length bound, sorted.  Requires a
     standard marking; the marking is certified first, so an invalid one
     raises its validation error."""
     marking.certificate()
-    if not marking.all_standard():
+    if not all_standard(itertools.chain(*marking.pairs)):
         raise NotStandard("stabilizer probe expects an all-standard marking")
     ctx = marking.ctx
     if length_bound < 0:

@@ -523,6 +523,25 @@ def test_parse_payload_errors():
     assert element == normalize(a3, "s1 s2^-1")
 
 
+@pytest.mark.parametrize(
+    "spec, command, payload",
+    [
+        ("A3", "canon-std", {"vertices": ""}),
+        ("A3", "canon-std", {"vertices": {}}),
+        ("A3", "validate-marking", {"pairs": ""}),
+        ("A1", "validate-marking", {"pairs": {}}),
+    ],
+)
+def test_vertices_and_pairs_must_be_lists(capsys, spec, command, payload):
+    # a string or an object in place of the list was read as no vertices or
+    # no pairs: canon-std printed an empty family, and the empty A1 marking
+    # was valid; the simplex and marking payloads reject it as gens does
+    code, out, err = run(capsys, "--type", spec, command, json.dumps(payload))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "ParseError" and "must be a list" in error["message"]
+
+
 def test_payload_parses_each_conjugator_text_once(monkeypatch):
     a4 = context("A4")
     simplex = enumerate_maximal_standard(a4)[0]

@@ -10,7 +10,7 @@ import pytest
 
 from artinmark.cli import run_command
 from artinmark.coxeter import build_defining_graph, root_reflection_table
-from artinmark.errors import BudgetExceeded, PreconditionViolated, UnknownFormat
+from artinmark.errors import BudgetExceeded, NotStandard, PreconditionViolated, UnknownFormat
 from artinmark.garside import GarsideContext, context, normalize
 from artinmark.graph import (
     all_standard_markings,
@@ -28,16 +28,22 @@ from artinmark.marking import (
     flip_frame,
     is_flip_edge,
     is_twist_edge,
+    marking_stabilizer,
     standard_transversals,
+    standardize_marking,
     transversal_decomposition,
     twist_move,
 )
 from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import CparabSimplex, enumerate_maximal_standard
+from test_cli import golden_calls
 
 from oracles import (
+    all_standard,
     build_all_bfs,
     candidate_closure_bfs,
+    conjugating_standardize_marking,
+    delta_conjugation_stabilizer,
     joined_export,
     json_dumps_export,
     marking_stabilizer_probe,
@@ -688,6 +694,36 @@ def test_connectivity_decomposes_only_to_validate_and_to_build_frames(monkeypatc
     assert sources == {frozenset({"validate_marking"}): 10, frozenset({"flip_frame"}): 20}
 
 
+def check_standard_forms(markings) -> collections.Counter:
+    """Standard forms read off canonical standardizers and certificates,
+    against the oracles that read canonical forms: standard_transversals
+    accepts a base simplex, and marking_stabilizer a marking, exactly when
+    all_standard finds every subgroup standard, in both directions; the
+    stabilizer is the one a conjugation by Delta finds; and
+    standardize_marking returns the conjugating standardization, to the
+    representation.  Counts the (base standard, marking standard) cases."""
+    cases = collections.Counter()
+    for marking in markings:
+        simplex = marking.base_simplex()
+        try:
+            standard_transversals(simplex)
+            base = True
+        except NotStandard:
+            base = False
+        assert base == all_standard(simplex.vertices), marking
+        try:
+            d = marking_stabilizer(marking)
+        except NotStandard:
+            d = None
+        assert (d is not None) == all_standard(itertools.chain(*marking.pairs)), marking
+        assert d is None or d == delta_conjugation_stabilizer(marking), marking
+        conj, standard = standardize_marking(marking)
+        conj_o, standard_o = conjugating_standardize_marking(marking)
+        assert conj == conj_o and standard.to_json() == standard_o.to_json(), marking
+        cases[base, d is not None] += 1
+    return cases
+
+
 @pytest.mark.parametrize(
     "spec, radius", [("A3", 2), ("B3", 2), ("H3", 1), ("A4", 1), ("D4", 1), ("I2(5)", 3)]
 )
@@ -695,17 +731,43 @@ def test_transversal_is_standard_exactly_when_its_certified_twist_is_zero(spec, 
     # the rule by which std-connectivity picks its flip indices: on a node
     # with a standard base (ghat = 1), Q_j is standard exactly when its
     # certified twist k_j is 0; every standard-base node of the balls around
-    # every standard marking, where both cases occur
+    # every standard marking, where both cases occur.  Every node of those
+    # balls also has the standard forms the canonical-form oracles find
+    # (check_standard_forms): standard markings and standard bases under
+    # other transversals occur on every type, and bases that are not
+    # standard at radius 2 and beyond (a radius-1 flip keeps the base
+    # standard, as it flips across a standard Q_j)
     ctx = context(spec)
     seen = collections.Counter()
+    nodes = {}
     for seed in all_standard_markings(ctx):
-        for node in bfs(seed, radius).nodes.values():
+        ball = bfs(seed, radius).nodes
+        nodes.update(ball)
+        for node in ball.values():
             if all(p.canonical()[0].is_identity for p, _q in node.pairs):
                 for (_p, q), d in zip(node.pairs, node.certificate().transversals):
                     standard = q.canonical()[0].is_identity
                     assert standard == (d.twist == 0), (node, q)
                     seen[standard] += 1
     assert seen[True] and seen[False]
+    cases = check_standard_forms(nodes.values())
+    expected = {(True, True), (True, False), (False, False)}
+    assert set(cases) == (expected if radius > 1 else expected - {(False, False)})
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4"])
+def test_standard_forms_match_canonical_forms_on_golden_markings(spec):
+    # the conjugated markings of the golden CLI transcript, read back from
+    # their validate-marking payloads: none is standard, and each standardizes
+    # as the conjugating oracle does
+    ctx = context(spec)
+    markings = [
+        Marking.from_json(ctx, json.loads(argv[-1]))
+        for label, argv in golden_calls()
+        if label.startswith(f"{spec} marking ") and label.endswith(" validate-marking")
+    ]
+    assert len(markings) == len(enumerate_maximal_standard(ctx))
+    assert check_standard_forms(markings) == {(False, False): len(markings)}
 
 
 def test_flip_frames_are_built_once_per_context_across_calls():

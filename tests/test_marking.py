@@ -45,6 +45,7 @@ from artinmark.parabolic import ParabolicSubgroup
 from artinmark.simplex import CparabSimplex, build_standardized, enumerate_maximal_standard
 
 from oracles import (
+    all_standard,
     contains,
     scan_decompose_transversal,
     containment_structure,
@@ -70,6 +71,15 @@ def gens(ctx, *names):
 
 def std(ctx, *names):
     return ParabolicSubgroup.standard(ctx, gens(ctx, *names))
+
+
+def decompose_against(q, base, g, index=-1):
+    """decompose_transversal relative to g, with the base's standardized
+    subset read off its canonical form, as transversal_decomposition does."""
+    g_inv = g.inverse()
+    c, x = base.conjugated_by(g_inv).canonical()
+    assert c.is_identity, (base, g)
+    return decompose_transversal(q, x, g_inv, index)
 
 
 def simplex_of(ctx, *families):
@@ -207,8 +217,9 @@ def test_transversal_decomposition_standard_and_twisted():
     assert data2.twist == 2 and data2.subset == gens(a3, "s2", "s3")
     # the identity does not standardize the base s2 A_{s1} s2^-1
     moved_base = ParabolicSubgroup(a3, a3.atoms[1], gens(a3, "s1"))
+    moved = Marking(a3, [(moved_base, marking.pairs[0][1]), *marking.pairs[1:]])
     with pytest.raises(NotAStandardizer):
-        decompose_transversal(marking.pairs[0][1], moved_base, a3.identity)
+        transversal_decomposition(moved, 0, a3.identity)
 
 
 def test_transversal_decomposition_unique_by_scan():
@@ -424,7 +435,7 @@ def exhaustive_flip_search(marking, j, twist_range=3):
                 ):
                     continue
                 try:
-                    twist = decompose_transversal(cand, pairs[i][0], h).twist
+                    twist = decompose_against(cand, pairs[i][0], h).twist
                 except Exception:
                     continue
                 if abs(twist - anchor) <= 1:
@@ -522,7 +533,7 @@ def test_standardize_marking_roundtrip_random():
             x = ctx.from_word(word)
             moved = twist_move(marking, 0).conjugated_by(x)
             conj, standard = standardize_marking(moved)
-            assert standard.all_standard()
+            assert all_standard(itertools.chain(*standard.pairs))
             assert standard.conjugated_by(conj) == moved
             assert projections(standard) == (0,) * len(standard.pairs)
 
@@ -737,7 +748,7 @@ def test_twist_size_is_read_off_inf_on_bfs_balls(spec, seeds):
     sizes = set()
     for q, p, g in cases:
         w = g.inverse() * q.z_element() * g
-        data = decompose_transversal(q, p, g)
+        data = decompose_against(q, p, g)
         assert abs(data.twist) == -min(w.inf, 0), (q, p, g)
         assert (data.twist, data.subset) == scan_decompose_transversal(q, p, g), (q, p, g)
         sizes.add(abs(data.twist))
@@ -753,7 +764,9 @@ def test_decomposition_never_forms_the_transversal_z(monkeypatch):
     cases = []
     for simplex in enumerate_maximal_standard(ctx):
         marking = standard_transversals(simplex).conjugated_by(x)
-        cases.append((marking, marking.base_simplex().canonical_data()[0]))
+        ghat_inv = marking.base_simplex().canonical_data()[0].inverse()
+        for j, (p, q) in enumerate(marking.pairs):
+            cases.append((q, p.conjugated_by(ghat_inv).canonical()[1], ghat_inv, j))
     built = []
     real = ParabolicSubgroup.z_element
 
@@ -762,10 +775,7 @@ def test_decomposition_never_forms_the_transversal_z(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(ParabolicSubgroup, "z_element", spy)
-    twists = set()
-    for marking, ghat in cases:
-        for j, (p, q) in enumerate(marking.pairs):
-            twists.add(decompose_transversal(q, p, ghat, j).twist)
+    twists = {decompose_transversal(*case).twist for case in cases}
     assert built and all(p.is_standard_rep for p in built)
     assert len(twists) > 1
 
@@ -807,7 +817,7 @@ def test_decomposition_matches_scan_oracle_on_perturbed_markings(spec):
         for j, (p, q) in enumerate(marking.pairs):
             expected = scan_decompose_transversal(q, p, ghat)
             try:
-                data = decompose_transversal(q, p, ghat, j)
+                data = decompose_against(q, p, ghat, j)
             except NotSimultaneouslyStandardizable as err:
                 assert expected is None and err.index == j, (marking, j)
                 outcomes.add(None)
@@ -1132,8 +1142,12 @@ def test_frame_flip_coordinates_match_validation(spec):
 
 def test_moves_decompose_only_against_the_canonical_standardizer(monkeypatch):
     # the certificate is the only source of twists: a move decomposes a
-    # transversal against nothing but the canonical standardizer of its
-    # marking's base, except is_flip_edge at its far end
+    # transversal against nothing but the canonical standardizer of a base,
+    # its marking's or, in flip_frame, the flipped one's, except
+    # is_flip_edge at the transversals of its far end; decompose_transversal
+    # takes the inverse of the standardizer and a standardized base, which
+    # are checked against the canonical frames the context holds, so the
+    # test does not depend on the flip frames earlier tests left in it
     decompose = marking_module.transversal_decomposition
     is_flip = marking_module.is_flip_edge
     raw = marking_module.decompose_transversal
@@ -1150,10 +1164,16 @@ def test_moves_decompose_only_against_the_canonical_standardizer(monkeypatch):
         finally:
             inside.pop()
 
-    def decompose_transversal(q, base, g, index=-1):
-        if not inside:
-            strays.append(("decompose_transversal", q.key(), base.key()))
-        return raw(q, base, g, index)
+    def decompose_transversal(q, x, g_inv, index=-1):
+        frames = {
+            (ghat, x_v)
+            for _keys, ghat, std in q.ctx.simplex_canonical.values()
+            for x_v in std.subsets
+        }
+        far_end = far_ends and q in {q_b for _p, q_b in far_ends[-1].pairs}
+        if not (inside or far_end) and (g_inv.inverse(), x) not in frames:
+            strays.append(("decompose_transversal", q.key(), sorted(x)))
+        return raw(q, x, g_inv, index)
 
     def is_flip_edge(a, b):
         far_ends.append(b)

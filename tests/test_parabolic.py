@@ -39,6 +39,7 @@ from oracles import (
     bfs_minimal_standardizer,
     bfs_simultaneous_standardizer,
     conjugacy_component,
+    conjugating_standardize_marking,
     contains,
     is_prefix_of,
     membership_standard_target,
@@ -663,7 +664,9 @@ def test_descent_matches_trial_products_on_conjugated_markings(spec):
     # every parabolic reached on a fresh context by min-std on each base
     # vertex, canon-std, validate-marking and standardize-marking of the
     # standard-transversal markings of every maximal simplex, conjugated by
-    # Delta^-2k times a positive word of length 7 (k = 0, 1)
+    # Delta^-2k times a positive word of length 7 (k = 0, 1), and by the
+    # conjugating standardization oracle, whose conjugated pairs
+    # standardize-marking no longer builds
     ctx = GarsideContext(build_defining_graph(spec), root_reflection_table(spec))
     rng = random.Random(spec)
     for simplex in enumerate_maximal_standard(ctx):
@@ -677,6 +680,7 @@ def test_descent_matches_trial_products_on_conjugated_markings(spec):
             marking.base_simplex().canonical_data()
             validate_marking(marking)
             standardize_marking(marking)
+            conjugating_standardize_marking(marking)
     reached = [p for p in ctx.parabolics.values() if p.gens]
     assert len(reached) >= 60
     for p in reached:

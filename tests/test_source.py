@@ -378,8 +378,9 @@ def test_every_function_under_src_is_named_elsewhere():
 
 
 def test_no_program_path_enumerates_the_monoid():
-    # the stabilizer of a standard marking is <Delta^d>, read off one
-    # conjugation by Delta (marking.marking_stabilizer); the search over
+    # the stabilizer of a standard marking is <Delta^d>, read off the
+    # involution of Delta on its certified subsets
+    # (marking.marking_stabilizer); the search over
     # Delta^e w, w in the monoid up to a length, is the tests' oracle
     found = [
         f"{name}:{node.lineno} {node.name}"
@@ -409,6 +410,34 @@ def test_graph_reads_the_frame_off_the_certificate():
         )
     ]
     assert found == []
+
+
+def test_standard_forms_are_read_off_the_certificate():
+    # a simplex is standard exactly when its canonical standardizer is 1,
+    # and a marking when that is 1 and every certified twist is 0, so no
+    # all_standard is defined under src/; marking.py reads a canonical form
+    # only to check a standardizer given from outside
+    # (transversal_decomposition), and every other standard form there is
+    # read off a certificate or a base simplex
+    trees = dict(source_trees())
+    checked = {
+        id(node)
+        for func in ast.walk(trees["marking.py"])
+        if isinstance(func, ast.FunctionDef) and func.name == "transversal_decomposition"
+        for node in ast.walk(func)
+    }
+    found = [
+        f"{name}:{node.lineno} all_standard"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "all_standard"
+    ] + [
+        f"marking.py:{node.lineno} canonical"
+        for node in ast.walk(trees["marking.py"])
+        if isinstance(node, ast.Attribute) and node.attr == "canonical" and id(node) not in checked
+    ]
+    assert checked and found == []
 
 
 def test_graph_decides_flips_by_frame_offsets():
