@@ -112,12 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--type", required=True, help="type spec, e.g. A3, B4, I2(7)")
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument(
-        "--bound-k", default="4", type=_integer("--bound-k", 0),
+        "--bound-k", default=4, type=_integer("--bound-k", 0),
         help="stabilizer-probe window: Delta^e w with |e| and the length of w at most this",
     )
-    parser.add_argument("--radius", default="1", type=_integer("--radius", 0), help="BFS radius")
+    parser.add_argument("--radius", default=1, type=_integer("--radius", 0), help="BFS radius")
     parser.add_argument(
-        "--proj-bound", default="2", type=_integer("--proj-bound", 0),
+        "--proj-bound", default=2, type=_integer("--proj-bound", 0),
         help="projection bound for std-connectivity",
     )
     parser.add_argument("--seed-file", default=None, help="file with the payload")
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twist", help="twist move")
     p.add_argument("marking", nargs="?")
     p.add_argument("--index", required=True, type=_integer("--index"))
-    p.add_argument("--direction", default="1", type=_integer("--direction"), choices=(1, -1))
+    p.add_argument("--direction", default=1, type=_integer("--direction"), choices=(1, -1))
 
     p = sub.add_parser("flip", help="all flip moves across an index")
     p.add_argument("marking", nargs="?")

@@ -17,6 +17,19 @@ its encoding once, from its root count; both encodings list the images of
 the roots in the same order and compare lexicographically alike, so every
 ordering of elements is the same under either.
 
+The roots are found on integer vectors.  An element of Z[2cos(pi/m)] is
+its d integer coefficients, d the degree of the ring, so a root is a flat
+tuple of n*d integers, and multiplication by c_ij = 2cos(pi/m_ij) is a d x d
+integer matrix, read off CosRing.mul once per system.  s_i changes only the
+d integers of coordinate i, each by the sum of one integer row over the
+root (RootSystem), so the closure runs no ring operation and no float.
+The root order is the order in which the closure first meets each root:
+it pops the last root found, reflects it by s_1, ..., s_n and appends every
+new image, which depends on which images are new and not on how a root is
+stored.  So the roots, the generator tables, the positive roots and both
+encodings are those of the same closure on tuples of ring elements, which
+the tests keep as the reference (tests/oracles.py, ring_root_closure).
+
 Descents are read off roots (Bjorner-Brenti 2005, 4.4): t is a left descent
 of w exactly when w^-1(alpha_t) is negative; the simple roots are roots
 0..n-1, so a descent key is d[:n] read through 0/1 root flags.  The meet
@@ -48,8 +61,9 @@ has valence 1, which the nested-chain examples rely on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     InvariantViolated,
@@ -58,7 +72,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedType,
 )
-from .rings import Coeffs, CosRing
+from .rings import CosRing
 
 FAMILIES = ("A", "B", "D", "E", "F", "H", "I2")
 
@@ -108,16 +122,20 @@ def _root_count(family: str, rank: int, m: int | None) -> int:
     return 2 * (m or 0)
 
 
-@dataclass(frozen=True)
-class ArtinType:
-    """A finite type: family letter, rank, and the dihedral label for I2."""
-
+class _TypeFields(NamedTuple):
     family: str
     rank: int
-    i2_label: int | None = None
+    i2_label: int | None
 
-    def __post_init__(self):
-        f, n, m = self.family, self.rank, self.i2_label
+
+class ArtinType(_TypeFields):
+    """A finite type: family letter, rank, and the dihedral label for I2.
+    A type is an immutable tuple of these, checked when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int, i2_label: int | None = None):
+        f, n, m = family, rank, i2_label
         ok = (
             (f == "A" and n >= 1)
             or (f == "B" and n >= 2)
@@ -130,6 +148,7 @@ class ArtinType:
         if not ok or (f != "I2" and m is not None):
             name = "I2" if f == "I2" and n == 2 else f"{f}{n}"
             raise UnsupportedType(f"no finite type {name}" + (f"({m})" if m else ""))
+        return super().__new__(cls, family, rank, i2_label)
 
     @staticmethod
     def parse(text: str) -> ArtinType:
@@ -187,6 +206,9 @@ class DefiningGraph:
         self.rank = artin_type.rank
         self.vertices = tuple(range(self.rank))
         self.names = tuple(f"s{i + 1}" for i in range(self.rank))
+        # the signed letter of each token s<i> and s<i>^-1 of a word
+        self.letters = {name: (i, 1) for i, name in enumerate(self.names)}
+        self.letters.update({f"{name}^-1": (i, -1) for i, name in enumerate(self.names)})
         self._edges = _edges(artin_type)
         self.max_label = max(self._edges.values(), default=3)
         self._adj: dict[int, frozenset[int]] = {
@@ -256,31 +278,34 @@ class RootSystem:
     stores, for every generator, the permutation its reflection induces on
     root indices, plus per-root positivity flags.  The reflection formula
     only touches one coordinate: s_i sends v_i to -v_i + sum over neighbors
-    of 2cos(pi/m_ij) * v_j.
+    of 2cos(pi/m_ij) * v_j.  The closure runs on flat integer vectors,
+    with one integer row per integer of coordinate i (module docstring);
+    roots keeps each root as ring elements.
     """
 
     def __init__(self, graph: DefiningGraph):
         self.graph = graph
-        self.ring = CosRing(graph.max_label)
-        ring = self.ring
-        n = graph.rank
-        cos_row = {
-            i: {j: ring.cos2(graph.label(i, j)) for j in graph.neighbors(i)}
-            for i in graph.vertices
-        }
+        self.ring = ring = CosRing(graph.max_label)
+        n, d = graph.rank, ring.degree
+        # multiplication by c_ij is the d x d integer matrix whose column l
+        # is c_ij c^l; shifts[i] lists, for each flat position p of
+        # coordinate i, the row (coefficients, positions) whose sum s_i adds
+        # to v[p]: -2 v_i + sum over neighbors of c_ij v_j, by coefficient
+        powers = [tuple(int(k == l) for k in range(d)) for l in range(d)]
+        shifts = []
+        for i in graph.vertices:
+            terms: list[list[tuple[int, int]]] = [[(-2, i * d + k)] for k in range(d)]
+            for j in sorted(graph.neighbors(i)):
+                cij = ring.cos2(graph.label(i, j))
+                for l, column in enumerate(ring.mul(cij, c) for c in powers):
+                    for k, coef in enumerate(column):
+                        if coef:
+                            terms[k].append((coef, j * d + l))
+            shifts.append(tuple((i * d + k, tuple(zip(*t))) for k, t in enumerate(terms)))
 
-        def reflect(i: int, root: tuple[Coeffs, ...]) -> tuple[Coeffs, ...]:
-            new_i = ring.neg(root[i])
-            for j, cij in cos_row[i].items():
-                new_i = ring.add(new_i, ring.mul(cij, root[j]))
-            return root[:i] + (new_i,) + root[i + 1 :]
-
-        simple = [
-            tuple(ring.one if j == i else ring.zero for j in range(n))
-            for i in range(n)
-        ]
+        simple = [tuple(int(p == i * d) for p in range(n * d)) for i in range(n)]
         index = {r: i for i, r in enumerate(simple)}
-        roots: list[tuple[Coeffs, ...]] = list(simple)
+        roots: list[tuple[int, ...]] = list(simple)
         expect = graph.type.root_count
         # perms[i][r] is the index of s_i(root r), recorded as the closure
         # reflects each root once
@@ -288,8 +313,13 @@ class RootSystem:
         frontier = list(range(n))
         while frontier:
             r = frontier.pop()
-            for i, perm in enumerate(perms):
-                img = reflect(i, roots[r])
+            root = roots[r]
+            at = root.__getitem__
+            for rows, perm in zip(shifts, perms):
+                img = list(root)
+                for p, (coefs, positions) in rows:
+                    img[p] += sum(map(mul, coefs, map(at, positions)))
+                img = tuple(img)
                 k = index.get(img)
                 if k is None:
                     if len(roots) >= expect:
@@ -303,8 +333,10 @@ class RootSystem:
                 f"{graph.type}: {len(roots)} roots, expected {expect}"
             )
 
-        self.roots = tuple(roots)
-        self.index = index
+        # each flat root cut into its n coordinates of d integers: the d
+        # columns of a coordinate zipped into ring elements, per root
+        columns = tuple(zip(*roots))
+        self.roots = tuple(zip(*(zip(*columns[p : p + d]) for p in range(0, n * d, d))))
         self.simple_index = tuple(index[r] for r in simple)
         if self.simple_index != tuple(range(n)):  # descent keys read d[:n]
             raise InvariantViolated(f"{graph.type}: simple roots are not roots 0..{n - 1}")

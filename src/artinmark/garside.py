@@ -399,22 +399,33 @@ def member_of_standard(g: ArtinElement, subset: frozenset[int]) -> bool:
 
 
 def parse_word(graph: DefiningGraph, text: str) -> Word:
-    """Parse whitespace-separated tokens s<i> and s<i>^-1."""
+    """Parse whitespace-separated tokens s<i> and s<i>^-1.
+
+    Each token is looked up in the graph's letter table; a token outside it
+    (s<i> with leading zeros, or a bad token) is read by pattern, and a bad
+    one raises a ParseError at its offset in text."""
     word = []
+    for k, token in enumerate(text.split()):
+        letter = graph.letters.get(token)
+        word.append(_parse_token(graph, text, k) if letter is None else letter)
+    return tuple(word)
+
+
+def _parse_token(graph: DefiningGraph, text: str, k: int) -> tuple[int, int]:
+    """The signed letter of the k-th token of text, read by pattern."""
     offset = 0
-    for token in text.split():
+    for token in text.split()[: k + 1]:
         position = text.index(token, offset)
         offset = position + len(token)
-        name, inverse = token, False
-        if token.endswith("^-1"):
-            name, inverse = token[:-3], True
-        if not re.fullmatch("s[0-9]+", name):
-            raise ParseError(f"bad generator token {token!r}", position)
-        idx = int(name[1:]) - 1
-        if not 0 <= idx < graph.rank:
-            raise ParseError(f"generator {name!r} out of range", position)
-        word.append((idx, -1 if inverse else 1))
-    return tuple(word)
+    name, inverse = token, False
+    if token.endswith("^-1"):
+        name, inverse = token[:-3], True
+    if not re.fullmatch("s[0-9]+", name):
+        raise ParseError(f"bad generator token {token!r}", position)
+    idx = int(name[1:]) - 1
+    if not 0 <= idx < graph.rank:
+        raise ParseError(f"generator {name!r} out of range", position)
+    return idx, -1 if inverse else 1
 
 
 def parse_element(ctx: GarsideContext, text: str) -> ArtinElement:

@@ -25,9 +25,8 @@ and flip frames.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded, PreconditionViolated, UnknownFormat
 from .garside import GarsideContext
@@ -94,13 +93,12 @@ def _expand(
                 yield moved, other.key(), "flip", other
 
 
-@dataclass
-class ExploredGraph:
+class ExploredGraph(NamedTuple):
     """A BFS ball of the marking graph, with stable node and edge order."""
 
-    nodes: dict[str, Marking] = field(default_factory=dict)
-    edges: set[tuple[str, str, str]] = field(default_factory=set)
-    radius: dict[str, int] = field(default_factory=dict)
+    nodes: dict[str, Marking]
+    edges: set[tuple[str, str, str]]
+    radius: dict[str, int]
 
     def add_edge(self, a: str, b: str, kind: str):
         if a != b:
@@ -161,7 +159,7 @@ def bfs(seed: Marking, radius: int) -> ExploredGraph:
     if radius < 0:
         raise PreconditionViolated(f"radius {radius} is negative")
     seed.certificate()
-    graph = ExploredGraph()
+    graph = ExploredGraph({}, set(), {})
     graph.nodes[seed.key()] = seed
     graph.radius[seed.key()] = 0
     index = {frozenset(seed.coordinates()): seed.key()}
@@ -346,8 +344,7 @@ def all_standard_markings(ctx: GarsideContext) -> list[Marking]:
     )
 
 
-@dataclass
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     type_name: str
     standard_count: int
     node_count: int

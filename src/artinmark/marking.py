@@ -108,8 +108,7 @@ stored pair order is preserved by every move.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     BaseNotMaximal,
@@ -144,16 +143,14 @@ Coordinates = frozenset[Coordinate]
 FrameKey = tuple[frozenset[str], str, str]
 
 
-@dataclass(frozen=True)
-class TransversalData:
+class TransversalData(NamedTuple):
     """Unique decomposition Q_j = g Delta_{X_j}^twist A_subset Delta^-twist g^-1."""
 
     twist: int
     subset: Subset
 
 
-@dataclass(frozen=True)
-class MarkingCertificate:
+class MarkingCertificate(NamedTuple):
     """The frame of a marking, listed by pair index: the canonical
     standardizer ghat of the base, the standardized bases X_i with
     ghat^-1 P_i ghat = A_{X_i}, and the decomposition (k_i, Y_i) of each
@@ -446,7 +443,7 @@ def twist_move(marking: Marking, j: int, direction: int = 1) -> Marking:
     data = list(cert.transversals)
     data[j] = TransversalData(d.twist + step, d.subset)
     moved = Marking(marking.ctx, pairs)
-    moved._base, moved._cert = marking.base_simplex(), replace(cert, transversals=tuple(data))
+    moved._base, moved._cert = marking.base_simplex(), cert._replace(transversals=tuple(data))
     return moved
 
 

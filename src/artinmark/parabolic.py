@@ -79,9 +79,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     Disconnected,
@@ -271,9 +270,9 @@ def _standard_target(
     return target if w == ParabolicSubgroup.standard(ctx, target).z_element() else None
 
 
-@dataclass(frozen=True)
-class Ribbon:
-    """A positive conjugator carrying the source generator set to the target."""
+class Ribbon(NamedTuple):
+    """A positive conjugator carrying the source generator set to the target.
+    Ribbons compose by *, which replaces the tuple repetition."""
 
     element: ArtinElement
     source: Subset

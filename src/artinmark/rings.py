@@ -109,12 +109,6 @@ class CosRing:
             return (0, 1) + (0,) * (self.degree - 2)
         raise PreconditionViolated(f"label {label} not representable in Z[2cos(pi/{self.m})]")
 
-    def add(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        return tuple(x + y for x, y in zip(a, b))
-
-    def neg(self, a: Coeffs) -> Coeffs:
-        return tuple(-x for x in a)
-
     def mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
         d = self.degree
         if d == 1:

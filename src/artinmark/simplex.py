@@ -25,7 +25,7 @@ only grows, and leaves 1 exactly at a vertex that is not standard.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantViolated, NotASimplex, ParseError, PreconditionViolated
 from .garside import ArtinElement, GarsideContext
@@ -95,8 +95,7 @@ def delta_twisted(
     return tuple(frozenset(pi[s] for s in x) if x < x_i else x for x in subsets)
 
 
-@dataclass(frozen=True)
-class LevelDecomposition:
+class LevelDecomposition(NamedTuple):
     """Partition of the vertex indices into levels."""
 
     levels: tuple[tuple[int, ...], ...]
@@ -198,8 +197,7 @@ class CparabSimplex:
         return CparabSimplex(ctx, parabolics_from_json(ctx, vertices))
 
 
-@dataclass(frozen=True)
-class StandardizedSimplex:
+class StandardizedSimplex(NamedTuple):
     """Subsets of a standard simplex with level data and maximality witnesses.
 
     subsets follow the owning simplex's vertex order.  For maximal simplices,

@@ -81,6 +81,9 @@ These deliberately avoid the library's normal-form and lattice algorithms:
   vector of every root and find the image among the roots by its rounded
   coordinates, not by the exact one-coordinate update in the ring recorded
   during the reflection closure;
+* the ring root closure reflects the roots as tuples of ring elements, one
+  CosRing product per neighbor of each reflected coordinate, not by integer
+  rows on flat integer vectors;
 * the neighbors closure of a BFS ball finds the edges among its boundary
   nodes from the full validated neighbor list of every boundary node, and
   the neighbors universe of the connectivity report expands every node
@@ -160,6 +163,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from artinmark.coxeter import ArtinType, DefiningGraph, RootSystem
+from artinmark.rings import CosRing
 from artinmark import marking as marking_lib
 from artinmark.errors import (
     ArtinMarkError,
@@ -1180,6 +1184,16 @@ def ring_int(ring, k: int):
     return (k,) + (0,) * (ring.degree - 1)
 
 
+def ring_add(a, b):
+    """The sum of two ring elements, coefficient by coefficient."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ring_neg(a):
+    """The negative of a ring element."""
+    return tuple(-x for x in a)
+
+
 def ring_sub(a, b):
     """The difference of two ring elements, coefficient by coefficient."""
     return tuple(x - y for x, y in zip(a, b))
@@ -1199,6 +1213,41 @@ def ring_sign(ring, a) -> int:
     value = ring_value(ring, a)
     assert abs(value) > 1e-8, f"ambiguous sign for ring element {a}"
     return 1 if value > 0 else -1
+
+
+def ring_root_closure(graph: DefiningGraph):
+    """(roots, generator tables) of the reflection closure of the simple
+    roots on tuples of ring elements: s_i sends v_i to -v_i + sum over
+    neighbors of c_ij v_j, each root reflected by every generator in the
+    order RootSystem reflects them."""
+    ring = CosRing(graph.max_label)
+    n = graph.rank
+    cos_row = {
+        i: {j: ring.cos2(graph.label(i, j)) for j in graph.neighbors(i)}
+        for i in graph.vertices
+    }
+
+    def reflect(i, root):
+        new_i = ring_neg(root[i])
+        for j, cij in cos_row[i].items():
+            new_i = ring_add(new_i, ring.mul(cij, root[j]))
+        return root[:i] + (new_i,) + root[i + 1 :]
+
+    simple = [tuple(ring.one if j == i else ring.zero for j in range(n)) for i in range(n)]
+    index = {r: i for i, r in enumerate(simple)}
+    roots = list(simple)
+    tables = [{} for _ in range(n)]
+    frontier = list(range(n))
+    while frontier:
+        r = frontier.pop()
+        for i, table in enumerate(tables):
+            img = reflect(i, roots[r])
+            if img not in index:
+                index[img] = len(roots)
+                roots.append(img)
+                frontier.append(index[img])
+            table[r] = index[img]
+    return tuple(roots), [tuple(table[r] for r in range(len(roots))) for table in tables]
 
 
 def float_positive_roots(system: RootSystem) -> tuple[bool, ...]:
@@ -1285,7 +1334,7 @@ def neighbors_closure_bfs(seed, radius):
     """The BFS ball of graph.bfs, with the edges among the boundary nodes
     taken from neighbors() of every boundary node."""
     seed.certificate()
-    graph = ExploredGraph()
+    graph = ExploredGraph({}, set(), {})
     graph.nodes[seed.key()] = seed
     graph.radius[seed.key()] = 0
     frontier = [seed]
@@ -1314,7 +1363,7 @@ def candidate_closure_bfs(seed, radius):
     A candidate whose key is in the ball is that certified ball node, so it
     is a flip."""
     seed.certificate()
-    graph = ExploredGraph()
+    graph = ExploredGraph({}, set(), {})
     graph.nodes[seed.key()] = seed
     graph.radius[seed.key()] = 0
     frontier = [seed]
@@ -1419,7 +1468,7 @@ def build_all_bfs(seed, radius):
     boundary nodes closed by testing every pair of a bucket against the
     offsets of its flip frame, found per call from one member."""
     seed.certificate()
-    graph = ExploredGraph()
+    graph = ExploredGraph({}, set(), {})
     graph.nodes[seed.key()] = seed
     graph.radius[seed.key()] = 0
     frontier = [seed]

@@ -26,6 +26,7 @@ from oracles import (
     meet_slide_pair,
     right_complement,
     right_descents,
+    ring_root_closure,
     root_perm,
     single_letter_peel,
     tuple_inverse,
@@ -46,6 +47,23 @@ def test_unsupported_types(bad):
     with pytest.raises(UnsupportedType) as err:
         ArtinType.parse(bad)
     assert bad in str(err.value)
+
+
+@pytest.mark.parametrize("family,rank,label", [("A", 0, None), ("E", 9, None), ("I2", 2, None)])
+def test_artin_type_checks_its_fields(family, rank, label):
+    # built directly, not through parse, a type still rejects what is not a
+    # finite type (I2 needs its label)
+    with pytest.raises(UnsupportedType):
+        ArtinType(family, rank, label)
+
+
+def test_artin_types_are_immutable_and_compare_by_name():
+    assert ArtinType("I2", 2, 5) == ArtinType.parse("I2(5)") != ArtinType("I2", 2, 7)
+    assert ArtinType("H", 3) == ArtinType.parse("H3") != ArtinType("A", 3)
+    assert hash(ArtinType("E", 8)) == hash(ArtinType.parse("E8"))
+    # a type is hashed by its name, so none of its fields can be rebound
+    with pytest.raises(AttributeError):
+        ArtinType("A", 3).rank = 4
 
 
 def test_a2_graph_is_braid_path():
@@ -136,6 +154,25 @@ def test_generator_tables_match_float_reflections(spec):
     count = len(system.roots)
     tables = [tuple(g.perm[:count]) for g in system.generators]
     assert tables == float_reflection_tables(system)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["A1", "A3", "B3", "D4", "E6", "E7", "E8", "F4", "H3", "H4",
+     "I2(5)", "I2(7)", "I2(12)", "A16", "B12", "D12"],
+)
+def test_integer_closure_matches_the_ring_closure(spec):
+    # the closure on flat integer vectors finds the roots in the order of
+    # the closure on tuples of ring elements, so the root order and the
+    # generator tables of either encoding are the ring closure's, and the
+    # positive roots are those with a positive first nonzero coordinate
+    system = root_reflection_table(spec)
+    roots, tables = ring_root_closure(system.graph)
+    assert system.roots == roots
+    assert [tuple(g.perm[: len(roots)]) for g in system.generators] == tables
+    positive = float_positive_roots(system)
+    assert system.is_positive_root == positive
+    assert system.positive_indices == tuple(r for r, p in enumerate(positive) if p)
 
 
 @pytest.mark.parametrize("spec", ALL_TYPES)

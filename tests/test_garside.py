@@ -314,6 +314,19 @@ def test_parse_word_errors():
         parse_word(g, "s9")
 
 
+def test_parse_word_reads_tokens_outside_the_letter_table_by_pattern():
+    # s<i> with leading zeros is no name of the graph but a valid token;
+    # an error offset counts the text before it, repeated tokens included
+    g = context("A3").graph
+    assert parse_word(g, " s01\ts002^-1 s3 ") == ((0, 1), (1, -1), (2, 1))
+    with pytest.raises(ParseError, match="'s04' out of range") as err:
+        parse_word(g, "s1  s1 s01 s04")
+    assert err.value.position == 11
+    with pytest.raises(ParseError, match=r"bad generator token 's1\^-2'") as err:
+        parse_word(g, "s1^-1 s1^-2")
+    assert err.value.position == 6
+
+
 def test_parsers_read_ascii_digits_only():
     ctx = context("A3")
     for token in ("s\u00b2", "s\u2460", "s\u0663", "s"):

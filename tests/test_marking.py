@@ -25,6 +25,7 @@ from artinmark.garside import ArtinElement, GarsideContext, context, normalize
 from artinmark.graph import all_standard_markings, bfs
 from artinmark.marking import (
     Marking,
+    TransversalData,
     decompose_transversal,
     enumerate_flip_moves,
     flip_candidates,
@@ -41,7 +42,7 @@ from artinmark.marking import (
     twist_move,
     validate_marking,
 )
-from artinmark.parabolic import ParabolicSubgroup
+from artinmark.parabolic import ParabolicSubgroup, z_exponent
 from artinmark.simplex import CparabSimplex, build_standardized, enumerate_maximal_standard
 
 from oracles import (
@@ -266,6 +267,34 @@ def test_projection_over_non_maximal_base_raises_not_maximal():
     marking = Marking(a3, [(std(a3, "s1"), q)])
     with pytest.raises(NotMaximal):
         projection(marking, 0)
+
+
+def test_certificates_are_immutable():
+    # a certificate and its transversal data are shared by moves and memos
+    _a3, marking = marking_a3()
+    cert = marking.certificate()
+    with pytest.raises(AttributeError):
+        cert.ghat = cert.ghat
+    with pytest.raises(AttributeError):
+        cert.transversals[0].twist = 1
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+def test_twist_move_changes_only_the_certified_twist_at_j(spec):
+    # the moved marking carries its certificate: the same ghat and bases,
+    # and at j the twist moved by one power of z_{X_j}
+    ctx = context(spec)
+    for marking in all_standard_markings(ctx):
+        cert = marking.certificate()
+        for j, direction in itertools.product(range(len(marking)), (1, -1)):
+            moved = twist_move(marking, j, direction)._cert
+            assert type(moved) is type(cert)
+            data = list(cert.transversals)
+            step = direction * z_exponent(ctx, cert.bases[j])
+            data[j] = TransversalData(data[j].twist + step, data[j].subset)
+            assert (moved.ghat, moved.bases, moved.transversals) == (
+                cert.ghat, cert.bases, tuple(data)
+            )
 
 
 def test_twist_inverse_roundtrip_and_distinctness():

@@ -41,6 +41,18 @@ def test_ribbon_composition():
         _ = first * second  # source/target mismatch
 
 
+def test_ribbons_are_immutable_values():
+    # ribbons compare and hash by element, source and target, as the
+    # composite of the same factors twice shows
+    bn = context("B4")
+    first = elementary_ribbon(bn, gens(bn, "s2"), bn.graph.index("s1"))
+    second = elementary_ribbon(bn, gens(bn, "s2"), bn.graph.index("s3"))
+    assert second * first == Ribbon(second.element * first.element, first.source, second.target)
+    assert len({second * first, second * first, first}) == 2
+    with pytest.raises(AttributeError):
+        first.target = second.target
+
+
 def test_elementary_ribbon_conjugates_generators():
     for spec in ["A3", "B3", "E6"]:
         ctx = context(spec)

@@ -5,7 +5,7 @@ import pytest
 from artinmark.errors import PreconditionViolated
 from artinmark.rings import CosRing, cos_minpoly, cyclotomic
 
-from oracles import ring_int, ring_sign, ring_sub, ring_value
+from oracles import ring_add, ring_int, ring_neg, ring_sign, ring_sub, ring_value
 
 
 def test_cyclotomic_known_values():
@@ -41,7 +41,7 @@ def test_minpoly_annihilates_cosine(m):
 def test_golden_ratio_identity():
     ring = CosRing(5)
     phi = ring.cos2(5)
-    assert ring.mul(phi, phi) == ring.add(phi, ring.one)
+    assert ring.mul(phi, phi) == ring_add(phi, ring.one)
 
 
 def test_sqrt2_squares_to_two():
@@ -66,7 +66,7 @@ def test_signs():
     ring = CosRing(8)
     c = ring.cos2(8)
     assert ring_sign(ring, c) == 1
-    assert ring_sign(ring, ring.neg(c)) == -1
+    assert ring_sign(ring, ring_neg(c)) == -1
     assert ring_sign(ring, ring.zero) == 0
     # 2 + sqrt(2) - 3 > 0
     csq = ring.mul(c, c)

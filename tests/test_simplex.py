@@ -151,6 +151,15 @@ def test_singleton_not_maximal_in_a3():
     assert len(singleton.levels.levels) == 1
 
 
+def test_standardized_simplices_are_immutable():
+    a3 = context("A3")
+    data = build_standardized(a3, subsets_of(CparabSimplex(a3, [std(a3, "s1"), std(a3, "s3")])))
+    with pytest.raises(AttributeError):
+        data.missing = None
+    with pytest.raises(AttributeError):
+        data.levels.levels = ()
+
+
 def test_maximality_examples():
     a3 = context("A3")
     pair = CparabSimplex(a3, [std(a3, "s1"), std(a3, "s3")])

@@ -53,6 +53,35 @@ def test_no_floating_point():
     assert found == []
 
 
+def test_no_dataclasses():
+    # a dataclass generates and compiles its methods when its module runs,
+    # on every cold start; value types are NamedTuples or __slots__ classes
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in source_trees()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert found == []
+
+
+def test_cold_start_loads_neither_dataclasses_nor_inspect():
+    # importing the CLI loads only what it runs: no dataclasses, and so not
+    # the inspect module that dataclasses imports
+    repo = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import artinmark.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
 def test_no_unicode_digit_parsing():
     # str.isdigit and a regex \d accept every Unicode digit (a superscript
     # two, an Arabic-Indic three), and int() reads some of them, so such a
